@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coverage_model import CoverageMatrix
-from .errors import MalformedInputError
+from .errors import MalformedInputError, malformed_fields
 from .fleet_sim import FleetPlan
 from .network import RoadNetwork
 
@@ -89,6 +89,11 @@ def build_instance(
     cols: list[list[tuple[int, float]]] = [[] for _ in range(num_stands)]
     rows: dict[int, list[tuple[int, float]]] = {}
     for (stand, seg), p in sorted(matrix.p.items()):
+        if not (0 <= stand < num_stands and 0 <= seg < net.num_segments):
+            raise MalformedInputError(
+                f"probability for stand {stand}, segment {seg} is outside "
+                f"{num_stands} stands x {net.num_segments} segments"
+            )
         if p <= 0:
             continue
         cols[stand].append((seg, p))
@@ -371,9 +376,10 @@ def load_plan(path) -> AllocationPlan:
         doc = json.load(fh)
     if doc.get("format") != ALLOC_FORMAT:
         raise MalformedInputError(f"expected {ALLOC_FORMAT}, got {doc.get('format')!r}")
-    N_e = {int(seg): val for seg, val in doc["N_e"].items()}
-    covered = set(doc["covered_segments"])
-    y = {seg: seg in covered for seg in N_e}
-    return AllocationPlan(
-        [int(x) for x in doc["n"]], doc["objective_m"], N_e, y, doc["solver"], doc["gap"]
-    )
+    with malformed_fields(path):
+        N_e = {int(seg): val for seg, val in doc["N_e"].items()}
+        covered = set(doc["covered_segments"])
+        y = {seg: seg in covered for seg in N_e}
+        return AllocationPlan(
+            [int(x) for x in doc["n"]], doc["objective_m"], N_e, y, doc["solver"], doc["gap"]
+        )

@@ -152,15 +152,9 @@ def cmd_score(args) -> int:
     trajectories, meta = fleet_sim.load_trajectories(args.traj)
     log = trips.load_triplog(args.triplog)
     net = _load_net(args.nodes, args.edges)
-    t0, t_end = log.horizon
-    grid = metrics.IntervalGrid(t0, t_end, args.delta)
+    grid = metrics.IntervalGrid(*log.horizon, args.delta)
     equipped = frozenset(meta.get("equipped", []))
-    visible = [
-        fleet_sim.BikeTrajectory(
-            t.bike, t.home, t.served, [(s, m) for s, m in t.events if t0 <= m <= t_end]
-        )
-        for t in trajectories
-    ]
+    visible = metrics.within_horizon(trajectories, equipped, log.horizon)
     counts = metrics.coverage_counts(visible, equipped, grid, net.num_segments)
     phi = metrics.sensing_score(counts, net.seg_length_m, grid)
     report = metrics.SensingReport(counts, phi, grid, len(equipped))
@@ -226,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for every stochastic step")
     common.add_argument("--out-dir", default=".", help="directory for output artifacts")
-    common.add_argument("--config", default=None, help="JSON experiment config")
 
     parser = argparse.ArgumentParser(
         prog="velosense",
@@ -292,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("experiment", parents=[common], help="run a configured experiment")
+    p.add_argument("--config", default=None, help="JSON experiment config")
     p.add_argument(
         "--mode",
         choices=["pipeline", "beta-sweep", "sensor-requirement"],

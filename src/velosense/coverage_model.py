@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass
 
-from .errors import MalformedInputError
+from .errors import MalformedInputError, malformed_fields
 from .fleet_sim import FleetPlan, SimConfig, simulate
 from .network import RoadNetwork, single_source_distances
 from .trips import TripLog
@@ -49,6 +50,18 @@ class CoverageMatrix:
     stand_nodes: list[int]
 
 
+def _tally(log: TripLog, plan: FleetPlan, runs: int, seed: int, label) -> Counter:
+    """Traversals per (label(trajectory), segment), summed over `runs` unguided
+    replays seeded seed+1 .. seed+runs. Bikes labelled None are not counted."""
+    totals: Counter = Counter()
+    for tau in range(1, runs + 1):
+        for traj in simulate(log, plan, SimConfig(seed=seed + tau)):
+            key = label(traj)
+            if key is not None:
+                totals.update((key, seg) for seg, _minute in traj.events)
+    return totals
+
+
 def mean_coverage(
     log: TripLog, plan: FleetPlan, runs: int = DEFAULT_RUNS, seed: int = 0
 ) -> CoverageSample:
@@ -56,14 +69,7 @@ def mean_coverage(
     replays seeded seed+1 .. seed+runs."""
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    totals: dict[tuple[int, int], int] = {}
-    for tau in range(1, runs + 1):
-        trajectories = simulate(log, plan, SimConfig(seed=seed + tau))
-        for traj in trajectories:
-            home = traj.home
-            for seg, _minute in traj.events:
-                key = (home, seg)
-                totals[key] = totals.get(key, 0) + 1
+    totals = _tally(log, plan, runs, seed, lambda traj: traj.home)
     n_bar = {key: count / runs for key, count in sorted(totals.items())}
     return CoverageSample(n_bar, runs, seed, log.horizon, [s.node for s in log.stands])
 
@@ -125,27 +131,16 @@ def linearity_probe(
         for rank, bike in enumerate(plan.bikes[stand]):
             bike_rank[bike] = (stand, rank)
 
-    # totals[(stand, rank, seg)] accumulated over runs
-    totals: dict[tuple[int, int, int], int] = {}
-    for tau in range(1, runs + 1):
-        trajectories = simulate(log, plan, SimConfig(seed=seed + tau))
-        for traj in trajectories:
-            loc = bike_rank.get(traj.bike)
-            if loc is None:
-                continue
-            stand, rank = loc
-            for seg, _minute in traj.events:
-                key = (stand, rank, seg)
-                totals[key] = totals.get(key, 0) + 1
+    totals = _tally(log, plan, runs, seed, lambda traj: bike_rank.get(traj.bike))
 
     results = []
     for stand in sorted(probe):
         b = plan.b[stand]
         if b < 2:
             continue
-        segs = sorted({seg for (s, _r, seg) in totals if s == stand})
+        segs = sorted({seg for ((s, _r), seg) in totals if s == stand})
         for seg in segs:
-            per_rank = [totals.get((stand, r, seg), 0) / runs for r in range(b)]
+            per_rank = [totals[((stand, r), seg)] / runs for r in range(b)]
             ys = []
             acc = 0.0
             for r in range(b):
@@ -190,12 +185,13 @@ def load_matrix(csv_path, meta_path) -> CoverageMatrix:
     if meta.get("format") != COVERAGE_FORMAT:
         raise MalformedInputError(f"expected {COVERAGE_FORMAT}, got {meta.get('format')!r}")
     p: dict[tuple[int, int], float] = {}
-    with open(csv_path, encoding="utf-8", newline="") as fh:
+    with open(csv_path, encoding="utf-8", newline="") as fh, malformed_fields(csv_path):
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["stand_id", "segment_id", "p"]:
             raise MalformedInputError("coverage file must have header stand_id,segment_id,p")
         for row in reader:
             p[(int(row["stand_id"]), int(row["segment_id"]))] = float(row["p"])
-    return CoverageMatrix(
-        p, meta["runs"], meta["seed"], tuple(meta["horizon"]), list(meta["stand_nodes"])
-    )
+    with malformed_fields(meta_path):
+        return CoverageMatrix(
+            p, meta["runs"], meta["seed"], tuple(meta["horizon"]), list(meta["stand_nodes"])
+        )

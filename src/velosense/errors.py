@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+from contextlib import contextmanager
+
 
 class VeloSenseError(Exception):
     """Base class for all toolkit errors."""
@@ -27,3 +29,12 @@ class HorizonError(VeloSenseError):
 
 class UndefinedScoreError(VeloSenseError):
     """The sensing score is undefined (empty road network)."""
+
+
+@contextmanager
+def malformed_fields(source):
+    """Report a missing or mistyped field of a loaded artifact as malformed input."""
+    try:
+        yield
+    except (AttributeError, KeyError, IndexError, TypeError) as exc:
+        raise MalformedInputError(f"{source}: missing or malformed field {exc}") from exc

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasiblePlanError, MalformedInputError
-from .trips import TripLog, traversal_times
+from .errors import InfeasiblePlanError, MalformedInputError, malformed_fields
+from .trips import TripLog
 
 TRAJ_FORMAT = "velosense-traj-v1"
 GENERATOR_NAME = "numpy-pcg64"
@@ -111,15 +111,16 @@ def simulate(log: TripLog, plan: FleetPlan, cfg: SimConfig) -> list[BikeTrajecto
 
     idle: list[list[int]] = [sorted(ids) for ids in plan.bikes]
     returns: dict[int, list[tuple[int, int]]] = {}
-    trips_at: dict[int, list] = {}
-    for trip in log.trips:
-        trips_at.setdefault(trip.start_min, []).append(trip)
+    trips_at: dict[int, list[int]] = {}
+    for i, trip in enumerate(log.trips):
+        trips_at.setdefault(trip.start_min, []).append(i)
 
-    served: dict[int, list] = {}
+    served: dict[int, list[int]] = {}  # bike -> indices into log.trips
     for minute in range(t0, t_end + 1):
         for bike, stand in returns.pop(minute, ()):
             insort(idle[stand], bike)
-        for trip in trips_at.get(minute, ()):
+        for i in trips_at.get(minute, ()):
+            trip = log.trips[i]
             u = rng.random()
             pool = idle[trip.origin]
             if not pool:
@@ -134,17 +135,16 @@ def simulate(log: TripLog, plan: FleetPlan, cfg: SimConfig) -> list[BikeTrajecto
                 chosen_pool = pool
             bike = chosen_pool[int(rng.integers(0, len(chosen_pool)))]
             pool.remove(bike)
-            served.setdefault(bike, []).append(trip)
+            served.setdefault(bike, []).append(i)
             returns.setdefault(trip.end_min, []).append((bike, trip.dest))
 
     homes = plan.home_stands()
+    trip_events = log.events
     trajectories = []
     for bike in range(plan.num_bikes):
-        events: list[tuple[int, int]] = []
-        ids: list[str] = []
-        for trip in served.get(bike, ()):
-            ids.append(trip.id)
-            events.extend(traversal_times(trip, log.speed_m_per_min))
+        order = served.get(bike, ())
+        ids = [log.trips[i].id for i in order]
+        events = [event for i in order for event in trip_events[i]]
         trajectories.append(BikeTrajectory(bike, int(homes[bike]), ids, events))
     return trajectories
 
@@ -167,19 +167,6 @@ FLEET_FORMAT = "velosense-fleet-v1"
 def save_fleet(plan: FleetPlan, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"format": FLEET_FORMAT, "b": plan.b}, fh)
-
-
-def load_fleet(path) -> FleetPlan:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != FLEET_FORMAT:
-        raise MalformedInputError(f"expected {FLEET_FORMAT}, got {doc.get('format')!r}")
-    b = [int(x) for x in doc["b"]]
-    bikes, next_id = [], 0
-    for count in b:
-        bikes.append(list(range(next_id, next_id + count)))
-        next_id += count
-    return FleetPlan(b, bikes)
 
 
 def save_trajectories(trajectories: list[BikeTrajectory], cfg: SimConfig, path) -> None:
@@ -210,10 +197,11 @@ def load_trajectories(path) -> tuple[list[BikeTrajectory], dict]:
         doc = json.load(fh)
     if doc.get("format") != TRAJ_FORMAT:
         raise MalformedInputError(f"expected {TRAJ_FORMAT}, got {doc.get('format')!r}")
-    trajectories = [
-        BikeTrajectory(
-            t["bike"], t["home"], list(t["served"]), [(e[0], e[1]) for e in t["events"]]
-        )
-        for t in doc["bikes"]
-    ]
-    return trajectories, doc["metadata"]
+    with malformed_fields(path):
+        trajectories = [
+            BikeTrajectory(
+                t["bike"], t["home"], list(t["served"]), [(e[0], e[1]) for e in t["events"]]
+            )
+            for t in doc["bikes"]
+        ]
+        return trajectories, doc["metadata"]

@@ -14,7 +14,7 @@ interval instead of re-simulated.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .allocation import MilpInstance, build_instance, random_allocation, solve_g
 from .coverage_model import estimate_probabilities, mean_coverage
 from .errors import ConfigInfeasibleError, MalformedInputError
 from .fleet_sim import BikeTrajectory, FleetPlan, SimConfig, equipped_set, initial_bike_counts, simulate
-from .metrics import IntervalGrid, coverage_counts, sensing_score
+from .metrics import IntervalGrid, coverage_counts, sensing_score, within_horizon
 from .network import RoadNetwork, load_network
 from .synth import SynthConfig, generate
 from .trips import TripLog, clean_trips, parse_raw_trips
@@ -142,17 +142,9 @@ class Evaluator:
         return self._guided
 
     def phi(self, trajs: list[BikeTrajectory], equipped: frozenset[int], delta_h: float) -> float:
-        t0, t_end = self.data.log.horizon
-        grid = IntervalGrid(t0, t_end, delta_h)
-        # trips starting near the horizon end finish after it; those late
-        # events fall outside every interval and are not scored
-        visible = [
-            BikeTrajectory(
-                t.bike, t.home, t.served, [(s, m) for s, m in t.events if t0 <= m <= t_end]
-            )
-            for t in trajs
-            if t.bike in equipped
-        ]
+        horizon = self.data.log.horizon
+        grid = IntervalGrid(*horizon, delta_h)
+        visible = within_horizon(trajs, equipped, horizon)
         counts = coverage_counts(visible, equipped, grid, self.data.net.num_segments)
         return sensing_score(counts, self.data.net.seg_length_m, grid)
 
@@ -233,16 +225,7 @@ class BetaGain:
 def beta_sweep(spec: ExperimentSpec) -> tuple[list[ResultRow], list[SummaryRow], list[BetaGain]]:
     """Sweep guidance acceptance with optimized allocation; report the mean
     score gain of each beta step."""
-    sweep = ExperimentSpec(
-        source=spec.source,
-        budgets=spec.budgets,
-        deltas=spec.deltas,
-        betas=sorted(spec.betas),
-        methods=(METHOD_ACTIVE,),
-        replications=spec.replications,
-        seed=spec.seed,
-        coverage_runs=spec.coverage_runs,
-    )
+    sweep = replace(spec, betas=sorted(spec.betas), methods=(METHOD_ACTIVE,))
     rows, summary = run_pipeline(sweep)
     means = {(s.budget, s.delta_h, s.beta): s.mean_phi_pct for s in summary}
     gains = []
@@ -343,6 +326,19 @@ def write_summary(summary: list[SummaryRow], path) -> None:
             )
 
 
+# JSON key -> parser for every ExperimentSpec field besides the source; an
+# absent key takes the dataclass default
+_SPEC_FIELDS = {
+    "budgets": lambda v: [int(b) for b in v],
+    "deltas": lambda v: [float(d) for d in v],
+    "betas": lambda v: [float(b) for b in v],
+    "methods": tuple,
+    "replications": int,
+    "seed": int,
+    "coverage_runs": int,
+}
+
+
 def load_spec(doc: dict) -> ExperimentSpec:
     """Build an ExperimentSpec from its JSON mirror."""
     if "source" not in doc:
@@ -361,33 +357,7 @@ def load_spec(doc: dict) -> ExperimentSpec:
     except (TypeError, ValueError) as exc:
         raise MalformedInputError(f"bad experiment source: {exc}") from exc
     try:
-        return ExperimentSpec(
-            source=source,
-            budgets=[int(b) for b in doc["budgets"]],
-            deltas=[float(d) for d in doc["deltas"]],
-            betas=[float(b) for b in doc.get("betas", [1.0])],
-            methods=tuple(doc.get("methods", ALL_METHODS)),
-            replications=int(doc.get("replications", 20)),
-            seed=int(doc.get("seed", 0)),
-            coverage_runs=int(doc.get("coverage_runs", 20)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        fields = {key: parse(doc[key]) for key, parse in _SPEC_FIELDS.items() if key in doc}
+        return ExperimentSpec(source=source, **fields)
+    except (TypeError, ValueError) as exc:
         raise MalformedInputError(f"bad experiment config: {exc}") from exc
-
-
-def spec_summary(spec: ExperimentSpec) -> dict:
-    src = (
-        {"synth": spec.source.__dict__ | {"horizon": list(spec.source.horizon)}}
-        if isinstance(spec.source, SynthConfig)
-        else {"files": spec.source.__dict__}
-    )
-    return {
-        "source": src,
-        "budgets": spec.budgets,
-        "deltas": spec.deltas,
-        "betas": spec.betas,
-        "methods": list(spec.methods),
-        "replications": spec.replications,
-        "seed": spec.seed,
-        "coverage_runs": spec.coverage_runs,
-    }

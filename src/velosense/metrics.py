@@ -83,6 +83,25 @@ def coverage_counts(
     return counts
 
 
+def within_horizon(
+    trajectories: list[BikeTrajectory],
+    equipped: frozenset[int] | set[int],
+    horizon: tuple[int, int],
+) -> list[BikeTrajectory]:
+    """The equipped bikes' trajectories with only their in-horizon events.
+
+    The one horizon rule for scoring: a trip that starts near the horizon
+    end finishes after it, and its late traversals fall outside every
+    interval, so they are dropped. An event at minute t_end is kept.
+    """
+    t0, t_end = horizon
+    return [
+        BikeTrajectory(t.bike, t.home, t.served, [(s, m) for s, m in t.events if t0 <= m <= t_end])
+        for t in trajectories
+        if t.bike in equipped
+    ]
+
+
 def sensing_score(counts: np.ndarray, lengths: np.ndarray, grid: IntervalGrid) -> float:
     """Length-weighted percentage of covered (segment, interval) cells."""
     lengths = np.asarray(lengths, dtype=np.float64)
@@ -120,33 +139,26 @@ def hourly_diagnostics(
     """Per-hour trip starts and equipped coverage counts, for external plotting.
 
     Minutes at the horizon end count toward the final hour; events outside
-    the horizon (a trip can end after it) are ignored.
+    the horizon are ignored (see within_horizon).
     """
     t0, t_end = log.horizon
     if t0 % 60 or t_end % 60:
         raise ValueError(f"horizon ({t0}, {t_end}) is not hour-aligned")
-    first_hour = t0 // 60
-    hours = list(range(first_hour, t_end // 60))
-
-    def hour_of(minute: int) -> int:
-        return min(minute, t_end - 1) // 60
-
-    trips_started = {h: 0 for h in hours}
-    for trip in log.trips:
-        trips_started[hour_of(trip.start_min)] += 1
-    events = {h: 0 for h in hours}
-    per_segment: dict[int, dict[int, int]] = {h: {} for h in hours}
-    for traj in trajectories:
-        if traj.bike not in equipped:
-            continue
-        for seg, minute in traj.events:
-            if minute < t0 or minute > t_end:
-                continue
-            h = hour_of(minute)
-            events[h] += 1
-            per_segment[h][seg] = per_segment[h].get(seg, 0) + 1
-
-    rows = [HourRow(h, trips_started[h], events[h], per_segment[h]) for h in hours]
+    grid = IntervalGrid(t0, t_end, 1.0)
+    visible = within_horizon(trajectories, equipped, log.horizon)
+    num_segments = 1 + max((seg for t in visible for seg, _m in t.events), default=-1)
+    counts = coverage_counts(visible, equipped, grid, num_segments)
+    starts = np.array([grid.interval_of(trip.start_min) for trip in log.trips], dtype=np.int64)
+    trips_started = np.bincount(starts, minlength=grid.n_intervals)
+    rows = [
+        HourRow(
+            t0 // 60 + h,
+            int(trips_started[h]),
+            int(counts[:, h].sum()),
+            {int(seg): int(counts[seg, h]) for seg in np.flatnonzero(counts[:, h])},
+        )
+        for h in range(grid.n_intervals)
+    ]
     xs = np.array([r.trips_started for r in rows], dtype=float)
     ys = np.array([r.coverage_events for r in rows], dtype=float)
     correlation = None

@@ -15,8 +15,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime
+from functools import cached_property
 
-from .errors import MalformedInputError, NoPathError
+from .errors import MalformedInputError, NoPathError, malformed_fields
 from .network import Path, RoadNetwork, ShortestPathCache, nearest_node
 
 TRIPLOG_FORMAT = "velosense-triplog-v1"
@@ -85,6 +86,11 @@ class TripLog:
     @property
     def num_stands(self) -> int:
         return len(self.stands)
+
+    @cached_property
+    def events(self) -> list[list[tuple[int, int]]]:
+        """events[i] is traversal_times of trips[i], computed once per log."""
+        return [traversal_times(trip, self.speed_m_per_min) for trip in self.trips]
 
 
 def _parse_timestamp(text: str) -> datetime | None:
@@ -236,27 +242,28 @@ def load_triplog(path) -> TripLog:
         doc = json.load(fh)
     if doc.get("format") != TRIPLOG_FORMAT:
         raise MalformedInputError(f"expected {TRIPLOG_FORMAT}, got {doc.get('format')!r}")
-    stands = [Stand(s["stand"], s["node"]) for s in doc["stands"]]
-    trips = [
-        Trip(
-            t["id"],
-            t["origin"],
-            t["dest"],
-            t["start_min"],
-            Path(
-                tuple(t["segments"]),
-                tuple(t["nodes"]),
-                tuple(t["seg_lengths_m"]),
-                t["distance_m"],
-            ),
-            t["duration_min"],
+    with malformed_fields(path):
+        stands = [Stand(s["stand"], s["node"]) for s in doc["stands"]]
+        trips = [
+            Trip(
+                t["id"],
+                t["origin"],
+                t["dest"],
+                t["start_min"],
+                Path(
+                    tuple(t["segments"]),
+                    tuple(t["nodes"]),
+                    tuple(t["seg_lengths_m"]),
+                    t["distance_m"],
+                ),
+                t["duration_min"],
+            )
+            for t in doc["trips"]
+        ]
+        return TripLog(
+            trips,
+            stands,
+            tuple(doc["horizon"]),
+            doc["speed_m_per_min"],
+            doc.get("drop_counts", {}),
         )
-        for t in doc["trips"]
-    ]
-    return TripLog(
-        trips,
-        stands,
-        tuple(doc["horizon"]),
-        doc["speed_m_per_min"],
-        doc.get("drop_counts", {}),
-    )

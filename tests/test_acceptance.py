@@ -18,7 +18,6 @@ from velosense.allocation import build_instance, export_lp, solve_exact, solve_g
 from velosense.coverage_model import estimate_probabilities, linearity_probe, mean_coverage
 from velosense.errors import InfeasiblePlanError
 from velosense.fleet_sim import (
-    BikeTrajectory,
     FleetPlan,
     SimConfig,
     equipped_set,
@@ -35,7 +34,7 @@ from velosense.harness import (
     run_pipeline,
     sensor_requirement,
 )
-from velosense.metrics import IntervalGrid, coverage_counts, sensing_score
+from velosense.metrics import IntervalGrid, coverage_counts, sensing_score, within_horizon
 from velosense.synth import SynthConfig, generate
 from velosense.trips import clean_trips, parse_raw_trips
 
@@ -53,17 +52,9 @@ def report(criterion: int, ok: bool, detail: str) -> bool:
     return ok
 
 
-def clip_events(trajectories, t0, t_end):
-    return [
-        BikeTrajectory(t.bike, t.home, t.served, [(s, m) for s, m in t.events if t0 <= m <= t_end])
-        for t in trajectories
-    ]
-
-
 def score(net, log, trajectories, equipped, delta_h):
-    t0, t_end = log.horizon
-    grid = IntervalGrid(t0, t_end, delta_h)
-    visible = clip_events([t for t in trajectories if t.bike in equipped], t0, t_end)
+    grid = IntervalGrid(*log.horizon, delta_h)
+    visible = within_horizon(trajectories, equipped, log.horizon)
     counts = coverage_counts(visible, equipped, grid, net.num_segments)
     return sensing_score(counts, net.seg_length_m, grid)
 

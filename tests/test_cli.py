@@ -192,6 +192,67 @@ def test_experiment_sensor_requirement_mode(tmp_path):
     assert len(lines) == 2
 
 
+ALLOCATE = ("--nodes", "--edges", "--triplog", "--probs", "--probs-meta")
+SIMULATE = ("--triplog", "--alloc")
+SCORE = ("--traj", "--triplog", "--nodes", "--edges")
+
+
+@pytest.fixture(scope="module")
+def artifacts(synth_dir, pipeline_dir, tmp_path_factory):
+    """Paths of a complete, valid artifact chain, by command-line option."""
+    out = tmp_path_factory.mktemp("chain")
+    paths = {
+        "--nodes": synth_dir / "nodes.csv",
+        "--edges": synth_dir / "edges.csv",
+        "--triplog": pipeline_dir / "triplog.json",
+        "--probs": pipeline_dir / "probs.csv",
+        "--probs-meta": pipeline_dir / "probs.meta.json",
+        "--alloc": out / "alloc.json",
+        "--traj": out / "traj.json",
+    }
+    assert main(["allocate", *_args(paths, ALLOCATE), "--budget", "4", "--out-dir", str(out)]) == 0
+    assert main(["simulate", *_args(paths, SIMULATE), "--beta", "1", "--out-dir", str(out)]) == 0
+    return paths
+
+
+def _args(paths, options):
+    return [arg for option in options for arg in (option, str(paths[option]))]
+
+
+def _drop_key(key):
+    def edit(text):
+        doc = json.loads(text)
+        del doc[key]
+        return json.dumps(doc)
+
+    return edit
+
+
+def _append_row(row):
+    return lambda text: text + row + "\n"
+
+
+@pytest.mark.parametrize(
+    "command, options, extra, corrupted, edit",
+    [
+        ("fleet", ("--triplog",), [], "--triplog", _drop_key("stands")),
+        ("score", SCORE, ["--delta", "4"], "--traj", _drop_key("metadata")),
+        ("simulate", SIMULATE, [], "--alloc", _drop_key("N_e")),
+        ("allocate", ALLOCATE, ["--budget", "4"], "--probs", _append_row("99,0,0.5")),
+        ("allocate", ALLOCATE, ["--budget", "4"], "--probs", _append_row("0,99999,0.5")),
+    ],
+    ids=["triplog-without-stands", "traj-without-metadata", "alloc-without-N_e",
+         "probs-unknown-stand", "probs-unknown-segment"],
+)
+def test_malformed_artifact_is_2(artifacts, tmp_path, capsys, command, options, extra, corrupted, edit):
+    paths = dict(artifacts)
+    bad = tmp_path / paths[corrupted].name
+    bad.write_text(edit(paths[corrupted].read_text()))
+    paths[corrupted] = bad
+    assert main([command, *_args(paths, options), *extra, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 class TestExitCodes:
     def test_malformed_input_is_2(self, tmp_path):
         bad = tmp_path / "bad.csv"

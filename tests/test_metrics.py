@@ -9,6 +9,7 @@ from velosense.metrics import (
     coverage_counts,
     hourly_diagnostics,
     sensing_score,
+    within_horizon,
     write_report,
 )
 from velosense.network import Path
@@ -115,16 +116,23 @@ class TestSensingScore:
             assert 0.0 <= sensing_score(counts, lengths, grid) <= 100.0
 
 
+class TestWithinHorizon:
+    def test_keeps_horizon_end_and_drops_later_events(self):
+        visible = within_horizon([traj(0, [(1, 360), (2, 1320), (3, 1321)])], {0}, (360, 1320))
+        assert [t.events for t in visible] == [[(1, 360), (2, 1320)]]
+
+    def test_drops_unequipped_bikes(self):
+        trajs = [traj(0, [(1, 400)]), traj(1, [(2, 400)], home=3)]
+        visible = within_horizon(trajs, {1}, (360, 1320))
+        assert [(t.bike, t.home, t.events) for t in visible] == [(1, 3, [(2, 400)])]
+
+
 class TestScoreProperties:
     def _scored(self, scenario, fleet, equipped, delta):
         net, log = scenario
         trajs = simulate(log, fleet, SimConfig(seed=12))
-        t0, t_end = log.horizon
-        grid = IntervalGrid(t0, t_end, delta)
-        visible = [
-            BikeTrajectory(t.bike, t.home, t.served, [(s, m) for s, m in t.events if m <= t_end])
-            for t in trajs
-        ]
+        grid = IntervalGrid(*log.horizon, delta)
+        visible = within_horizon(trajs, equipped, log.horizon)
         counts = coverage_counts(visible, equipped, grid, net.num_segments)
         return sensing_score(counts, net.seg_length_m, grid)
 
@@ -207,6 +215,22 @@ class TestHourlyDiagnostics:
         xs = [r.trips_started for r in report.rows]
         ys = [r.coverage_events for r in report.rows]
         assert rank_correlation(xs, ys) > 0
+
+    def test_per_segment_counts_equal_hourly_coverage_counts(self, small_scenario, small_fleet):
+        net, log = small_scenario
+        trajs = simulate(log, small_fleet, SimConfig(seed=3))
+        equipped = equipped_set(small_fleet, [min(2, b) for b in small_fleet.b])
+        report = hourly_diagnostics(trajs, equipped, log)
+        grid = IntervalGrid(*log.horizon, 1.0)
+        counts = coverage_counts(
+            within_horizon(trajs, equipped, log.horizon), equipped, grid, net.num_segments
+        )
+        assert [r.hour for r in report.rows] == [log.horizon[0] // 60 + h for h in range(16)]
+        for h, row in enumerate(report.rows):
+            expected = {seg: int(counts[seg, h]) for seg in np.flatnonzero(counts[:, h])}
+            assert row.per_segment == expected
+            assert row.coverage_events == counts[:, h].sum()
+        assert sum(r.coverage_events for r in report.rows) > 0
 
     def test_unaligned_horizon_rejected(self):
         log = TripLog([], [], (365, 1320), 200.0, {})

@@ -209,6 +209,12 @@ class TestTraversalTimes:
         total_segments = sum(len(t.path.segments) for t in log.trips)
         assert total_events == total_segments
 
+    def test_log_events_are_the_traversal_times_of_each_trip(self, small_scenario):
+        _net, log = small_scenario
+        assert len(log.events) == len(log.trips)
+        for trip, events in zip(log.trips, log.events):
+            assert events == traversal_times(trip, log.speed_m_per_min)
+
 
 class TestSerialization:
     def test_round_trip(self, small_scenario, tmp_path):
