@@ -33,6 +33,7 @@ from .errors import (
 from .fleet_sim import (
     BikeTrajectory,
     FleetPlan,
+    Replay,
     SimConfig,
     equipped_set,
     initial_bike_counts,

@@ -29,6 +29,16 @@ def _load_net(nodes_path, edges_path):
         return load_network(nf, ef)
 
 
+def _check_triplog(recorded, artifact, triplog) -> None:
+    """An artifact must record the SHA-256 of the triplog it is used with."""
+    if recorded is None:
+        raise MalformedInputError(
+            f"{artifact} records no triplog_sha256, so it cannot be checked against {triplog}"
+        )
+    if recorded != trips.file_sha256(triplog):
+        raise MalformedInputError(f"{artifact} was built from another triplog than {triplog}")
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -94,6 +104,7 @@ def cmd_probs(args) -> int:
     plan = fleet_sim.initial_bike_counts(log)
     sample = coverage_model.mean_coverage(log, plan, runs=args.runs, seed=args.seed)
     matrix = coverage_model.estimate_probabilities(sample, plan)
+    matrix.triplog_sha256 = trips.file_sha256(args.triplog)
     out = _out_dir(args)
     coverage_model.save_matrix(matrix, out / "probs.csv", out / "probs.meta.json")
     print(f"{len(matrix.p)} (stand, segment) probabilities -> {out / 'probs.csv'}")
@@ -105,6 +116,7 @@ def _build_instance_from_files(args):
     log = trips.load_triplog(args.triplog)
     plan = fleet_sim.initial_bike_counts(log)
     matrix = coverage_model.load_matrix(args.probs, args.probs_meta)
+    _check_triplog(matrix.triplog_sha256, args.probs_meta, args.triplog)
     inst = allocation.build_instance(matrix, net, plan, args.budget, K=args.k)
     return inst, net, log, plan
 
@@ -140,27 +152,26 @@ def cmd_simulate(args) -> int:
     alloc = allocation.load_plan(args.alloc)
     equipped = fleet_sim.equipped_set(plan, alloc.n)
     cfg = fleet_sim.SimConfig(seed=args.seed, beta=args.beta, equipped=equipped)
-    trajectories = fleet_sim.simulate(log, plan, cfg)
+    replay = fleet_sim.simulate(log, plan, cfg)
     out = _out_dir(args)
-    fleet_sim.save_trajectories(trajectories, cfg, out / "traj.json")
-    served = sum(len(t.served) for t in trajectories)
-    print(f"replayed {served} trips on {len(trajectories)} bikes -> {out / 'traj.json'}")
+    fleet_sim.save_trajectories(replay, cfg, out / "traj.json", trips.file_sha256(args.triplog))
+    print(f"replayed {len(replay.bike_of_trip)} trips on {len(replay)} bikes -> {out / 'traj.json'}")
     return EXIT_OK
 
 
 def cmd_score(args) -> int:
-    trajectories, meta = fleet_sim.load_trajectories(args.traj)
+    replay, meta = fleet_sim.load_trajectories(args.traj)
+    _check_triplog(meta.get("triplog_sha256"), args.traj, args.triplog)
     log = trips.load_triplog(args.triplog)
     net = _load_net(args.nodes, args.edges)
     grid = metrics.IntervalGrid(*log.horizon, args.delta)
     equipped = frozenset(meta.get("equipped", []))
-    visible = metrics.within_horizon(trajectories, equipped, log.horizon)
-    counts = metrics.coverage_counts(visible, equipped, grid, net.num_segments)
+    counts = metrics.coverage_counts(replay, equipped, grid, net.num_segments)
     phi = metrics.sensing_score(counts, net.seg_length_m, grid)
     report = metrics.SensingReport(counts, phi, grid, len(equipped))
     out = _out_dir(args)
     metrics.write_report(report, out / "coverage_counts.csv", out / "score.json")
-    hourly = metrics.hourly_diagnostics(trajectories, equipped, log)
+    hourly = metrics.hourly_diagnostics(replay, equipped, log)
     metrics.write_hourly(hourly, out / "hourly.csv", out / "hourly_segments.csv")
     print(f"phi = {phi:.3f}% at delta {args.delta} h -> {out / 'score.json'}")
     return EXIT_OK

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import csv
 import json
-from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
+
+import numpy as np
 
 from .errors import MalformedInputError, malformed_fields
 from .fleet_sim import FleetPlan, SimConfig, simulate
@@ -48,18 +50,21 @@ class CoverageMatrix:
     seed: int
     horizon: tuple[int, int]
     stand_nodes: list[int]
+    triplog_sha256: str | None = None  # of the triplog file it was estimated on
 
 
-def _tally(log: TripLog, plan: FleetPlan, runs: int, seed: int, label) -> Counter:
-    """Traversals per (label(trajectory), segment), summed over `runs` unguided
-    replays seeded seed+1 .. seed+runs. Bikes labelled None are not counted."""
-    totals: Counter = Counter()
+def _tally(log: TripLog, plan: FleetPlan, runs: int, seed: int, label: np.ndarray) -> np.ndarray:
+    """Traversals per (label[bike], segment), summed over `runs` unguided
+    replays seeded seed+1 .. seed+runs. Bikes labelled -1 are not counted."""
+    segment = log.events.segment
+    num_segments = 1 + int(segment.max(initial=-1))
+    num_labels = 1 + int(label.max(initial=-1))
+    totals = np.zeros(num_labels * num_segments, dtype=np.int64)
     for tau in range(1, runs + 1):
-        for traj in simulate(log, plan, SimConfig(seed=seed + tau)):
-            key = label(traj)
-            if key is not None:
-                totals.update((key, seg) for seg, _minute in traj.events)
-    return totals
+        owner = label[simulate(log, plan, SimConfig(seed=seed + tau)).event_bike]
+        keep = owner >= 0
+        totals += np.bincount(owner[keep] * num_segments + segment[keep], minlength=len(totals))
+    return totals.reshape(num_labels, num_segments)
 
 
 def mean_coverage(
@@ -69,8 +74,12 @@ def mean_coverage(
     replays seeded seed+1 .. seed+runs."""
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    totals = _tally(log, plan, runs, seed, lambda traj: traj.home)
-    n_bar = {key: count / runs for key, count in sorted(totals.items())}
+    totals = _tally(log, plan, runs, seed, plan.home_stands())
+    stands, segs = np.nonzero(totals)
+    n_bar = {
+        (stand, seg): count / runs
+        for stand, seg, count in zip(stands.tolist(), segs.tolist(), totals[stands, segs].tolist())
+    }
     return CoverageSample(n_bar, runs, seed, log.horizon, [s.node for s in log.stands])
 
 
@@ -125,27 +134,24 @@ def linearity_probe(
     full-fleet mean coverage reaches `min_mean`. Checks that coverage grows
     linearly with deployment, the premise the allocation model rests on.
     """
-    probe = set(stands)
-    bike_rank = {}
-    for stand in probe:
-        for rank, bike in enumerate(plan.bikes[stand]):
-            bike_rank[bike] = (stand, rank)
+    probe = sorted(set(stands))
+    tracked = [bike for stand in probe for bike in plan.bikes[stand]]
+    label = np.full(plan.num_bikes, -1, dtype=np.int64)
+    label[tracked] = np.arange(len(tracked))  # probed bikes, stand by stand, in fleet order
 
-    totals = _tally(log, plan, runs, seed, lambda traj: bike_rank.get(traj.bike))
+    totals = _tally(log, plan, runs, seed, label)
 
     results = []
-    for stand in sorted(probe):
+    offset = 0
+    for stand in probe:
         b = plan.b[stand]
+        per_bike = totals[offset : offset + b]
+        offset += b
         if b < 2:
             continue
-        segs = sorted({seg for ((s, _r), seg) in totals if s == stand})
-        for seg in segs:
-            per_rank = [totals[((stand, r), seg)] / runs for r in range(b)]
-            ys = []
-            acc = 0.0
-            for r in range(b):
-                acc += per_rank[r]
-                ys.append(acc)  # mean coverage of the first r+1 tracked bikes
+        for seg in np.flatnonzero(per_bike.any(axis=0)).tolist():
+            # ys[n - 1]: mean coverage of the first n tracked bikes
+            ys = list(accumulate(count / runs for count in per_bike[:, seg].tolist()))
             if ys[-1] < min_mean:
                 continue
             xs = list(range(1, b + 1))
@@ -174,6 +180,7 @@ def save_matrix(matrix: CoverageMatrix, csv_path, meta_path) -> None:
                 "seed": matrix.seed,
                 "horizon": list(matrix.horizon),
                 "stand_nodes": matrix.stand_nodes,
+                "triplog_sha256": matrix.triplog_sha256,
             },
             fh,
         )
@@ -193,5 +200,10 @@ def load_matrix(csv_path, meta_path) -> CoverageMatrix:
             p[(int(row["stand_id"]), int(row["segment_id"]))] = float(row["p"])
     with malformed_fields(meta_path):
         return CoverageMatrix(
-            p, meta["runs"], meta["seed"], tuple(meta["horizon"]), list(meta["stand_nodes"])
+            p,
+            meta["runs"],
+            meta["seed"],
+            tuple(meta["horizon"]),
+            list(meta["stand_nodes"]),
+            meta.get("triplog_sha256"),
         )

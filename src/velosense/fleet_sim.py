@@ -4,7 +4,8 @@ Two pieces: derive the minimal per-stand initial bike counts that keep every
 stand's balance non-negative over the horizon, then replay the trip log
 minute by minute assigning physical bikes to trips. Replay optionally biases
 bike selection toward sensor-equipped bikes (guided selection accepted with
-probability beta).
+probability beta). A replay is the bike of each trip over the log's event
+table (see Replay); per-bike trajectories are views built on demand.
 
 RNG stream discipline, per trip in log order: one uniform draw for the
 guidance-acceptance test, then one bounded draw indexing into the chosen
@@ -18,11 +19,12 @@ from __future__ import annotations
 import json
 from bisect import insort
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InfeasiblePlanError, MalformedInputError, malformed_fields
-from .trips import TripLog
+from .trips import TripEvents, TripLog
 
 TRAJ_FORMAT = "velosense-traj-v1"
 GENERATOR_NAME = "numpy-pcg64"
@@ -50,10 +52,84 @@ class FleetPlan:
 
 @dataclass
 class BikeTrajectory:
+    """One bike's day, as a view of a Replay."""
+
     bike: int
     home: int
     served: list[str]  # trip ids in service order
     events: list[tuple[int, int]]  # (segment, enter minute)
+
+
+@dataclass(frozen=True, eq=False)
+class Replay:
+    """Which bike served each trip, over an event table of the trips.
+
+    Trip rows are in service order. Counting reads the per-event arrays
+    (event_bike, events.segment, events.minute); iterating, indexing and
+    comparing go through per-bike BikeTrajectory views, built on first use.
+    Two replays are equal when their views are.
+    """
+
+    bike_of_trip: np.ndarray  # int64 per trip row
+    homes: np.ndarray  # int64 per bike: home stand
+    trip_ids: list[str]  # per trip row
+    events: TripEvents
+
+    @classmethod
+    def from_views(cls, views) -> "Replay":
+        """The replay whose views are `views`, bikes 0..n-1 in order.
+
+        A view does not say which of its trips each event belongs to, so a
+        bike's events are filed under its first trip; counts read only the bike.
+        """
+        homes, trip_ids, bike_of_trip, event_trip, pairs = [], [], [], [], []
+        for bike, view in enumerate(views):
+            if view.bike != bike:
+                raise MalformedInputError(f"bike {view.bike} listed in position {bike}")
+            if view.events and not view.served:
+                raise MalformedInputError(f"bike {bike} has events but serves no trip")
+            event_trip += [len(trip_ids)] * len(view.events)
+            pairs += view.events
+            homes.append(view.home)
+            trip_ids += view.served
+            bike_of_trip += [bike] * len(view.served)
+        segment, minute = np.array(pairs, dtype=np.int64).reshape(-1, 2).T.copy()
+        events = TripEvents(np.array(event_trip, dtype=np.int64), segment, minute)
+        return cls(np.array(bike_of_trip, dtype=np.int64), np.array(homes, dtype=np.int64), trip_ids, events)
+
+    @cached_property
+    def event_bike(self) -> np.ndarray:
+        """The bike of every event."""
+        return self.bike_of_trip[self.events.trip]
+
+    @cached_property
+    def _views(self) -> list[BikeTrajectory]:
+        served: list[list[str]] = [[] for _ in self.homes]
+        events: list[list[tuple[int, int]]] = [[] for _ in self.homes]
+        for trip_id, bike in zip(self.trip_ids, self.bike_of_trip.tolist()):
+            served[bike].append(trip_id)
+        for bike, seg, minute in zip(
+            self.event_bike.tolist(), self.events.segment.tolist(), self.events.minute.tolist()
+        ):
+            events[bike].append((seg, minute))
+        return [
+            BikeTrajectory(bike, home, served[bike], events[bike])
+            for bike, home in enumerate(self.homes.tolist())
+        ]
+
+    def __len__(self) -> int:
+        return len(self.homes)
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __getitem__(self, bike: int) -> BikeTrajectory:
+        return self._views[bike]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Replay):
+            return NotImplemented
+        return self._views == other._views
 
 
 @dataclass(frozen=True)
@@ -92,8 +168,8 @@ def initial_bike_counts(log: TripLog) -> FleetPlan:
     return FleetPlan([int(x) for x in b], bikes)
 
 
-def simulate(log: TripLog, plan: FleetPlan, cfg: SimConfig) -> list[BikeTrajectory]:
-    """Replay the log minute by minute, returning one trajectory per bike.
+def simulate(log: TripLog, plan: FleetPlan, cfg: SimConfig) -> Replay:
+    """Replay the log minute by minute, recording the bike that serves each trip.
 
     Each minute releases finished bikes first, then serves that minute's
     trips in log order. A trip is served by a uniformly chosen idle bike at
@@ -115,7 +191,7 @@ def simulate(log: TripLog, plan: FleetPlan, cfg: SimConfig) -> list[BikeTrajecto
     for i, trip in enumerate(log.trips):
         trips_at.setdefault(trip.start_min, []).append(i)
 
-    served: dict[int, list[int]] = {}  # bike -> indices into log.trips
+    bike_of_trip = [0] * len(log.trips)
     for minute in range(t0, t_end + 1):
         for bike, stand in returns.pop(minute, ()):
             insort(idle[stand], bike)
@@ -135,18 +211,15 @@ def simulate(log: TripLog, plan: FleetPlan, cfg: SimConfig) -> list[BikeTrajecto
                 chosen_pool = pool
             bike = chosen_pool[int(rng.integers(0, len(chosen_pool)))]
             pool.remove(bike)
-            served.setdefault(bike, []).append(i)
+            bike_of_trip[i] = bike
             returns.setdefault(trip.end_min, []).append((bike, trip.dest))
 
-    homes = plan.home_stands()
-    trip_events = log.events
-    trajectories = []
-    for bike in range(plan.num_bikes):
-        order = served.get(bike, ())
-        ids = [log.trips[i].id for i in order]
-        events = [event for i in order for event in trip_events[i]]
-        trajectories.append(BikeTrajectory(bike, int(homes[bike]), ids, events))
-    return trajectories
+    return Replay(
+        np.array(bike_of_trip, dtype=np.int64),
+        plan.home_stands(),
+        [trip.id for trip in log.trips],
+        log.events,
+    )
 
 
 def equipped_set(plan: FleetPlan, sensors_per_stand) -> frozenset[int]:
@@ -169,7 +242,7 @@ def save_fleet(plan: FleetPlan, path) -> None:
         json.dump({"format": FLEET_FORMAT, "b": plan.b}, fh)
 
 
-def save_trajectories(trajectories: list[BikeTrajectory], cfg: SimConfig, path) -> None:
+def save_trajectories(trajectories: Replay, cfg: SimConfig, path, triplog_sha256: str) -> None:
     doc = {
         "format": TRAJ_FORMAT,
         "metadata": {
@@ -177,6 +250,7 @@ def save_trajectories(trajectories: list[BikeTrajectory], cfg: SimConfig, path) 
             "beta": cfg.beta,
             "generator": GENERATOR_NAME,
             "equipped": sorted(cfg.equipped),
+            "triplog_sha256": triplog_sha256,
         },
         "bikes": [
             {
@@ -192,16 +266,11 @@ def save_trajectories(trajectories: list[BikeTrajectory], cfg: SimConfig, path) 
         json.dump(doc, fh)
 
 
-def load_trajectories(path) -> tuple[list[BikeTrajectory], dict]:
+def load_trajectories(path) -> tuple[Replay, dict]:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != TRAJ_FORMAT:
         raise MalformedInputError(f"expected {TRAJ_FORMAT}, got {doc.get('format')!r}")
     with malformed_fields(path):
-        trajectories = [
-            BikeTrajectory(
-                t["bike"], t["home"], list(t["served"]), [(e[0], e[1]) for e in t["events"]]
-            )
-            for t in doc["bikes"]
-        ]
-        return trajectories, doc["metadata"]
+        views = (BikeTrajectory(t["bike"], t["home"], t["served"], t["events"]) for t in doc["bikes"])
+        return Replay.from_views(views), doc["metadata"]

@@ -21,8 +21,8 @@ import numpy as np
 from .allocation import MilpInstance, build_instance, random_allocation, solve_greedy
 from .coverage_model import estimate_probabilities, mean_coverage
 from .errors import ConfigInfeasibleError, MalformedInputError
-from .fleet_sim import BikeTrajectory, FleetPlan, SimConfig, equipped_set, initial_bike_counts, simulate
-from .metrics import IntervalGrid, coverage_counts, sensing_score, within_horizon
+from .fleet_sim import FleetPlan, Replay, SimConfig, equipped_set, initial_bike_counts, simulate
+from .metrics import IntervalGrid, coverage_counts, sensing_score
 from .network import RoadNetwork, load_network
 from .synth import SynthConfig, generate
 from .trips import TripLog, clean_trips, parse_raw_trips
@@ -123,11 +123,11 @@ class Evaluator:
     def __init__(self, data: PreparedData, seed: int):
         self.data = data
         self.seed = seed
-        self._unguided: dict[int, list[BikeTrajectory]] = {}
+        self._unguided: dict[int, Replay] = {}
         self._guided_key: tuple | None = None
-        self._guided: list[BikeTrajectory] | None = None
+        self._guided: Replay | None = None
 
-    def trajectories(self, rep: int, beta: float, equipped: frozenset[int]) -> list[BikeTrajectory]:
+    def trajectories(self, rep: int, beta: float, equipped: frozenset[int]) -> Replay:
         if beta == 0.0:
             trajs = self._unguided.get(rep)
             if trajs is None:
@@ -141,11 +141,9 @@ class Evaluator:
             self._guided = simulate(self.data.log, self.data.fleet, cfg)
         return self._guided
 
-    def phi(self, trajs: list[BikeTrajectory], equipped: frozenset[int], delta_h: float) -> float:
-        horizon = self.data.log.horizon
-        grid = IntervalGrid(*horizon, delta_h)
-        visible = within_horizon(trajs, equipped, horizon)
-        counts = coverage_counts(visible, equipped, grid, self.data.net.num_segments)
+    def phi(self, trajs: Replay, equipped: frozenset[int], delta_h: float) -> float:
+        grid = IntervalGrid(*self.data.log.horizon, delta_h)
+        counts = coverage_counts(trajs, equipped, grid, self.data.net.num_segments)
         return sensing_score(counts, self.data.net.seg_length_m, grid)
 
 

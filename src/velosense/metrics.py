@@ -4,7 +4,8 @@ The horizon splits into equal intervals; a (segment, interval) cell is
 covered when at least one equipped bike enters the segment during the
 interval. The sensing score is the length-weighted share of covered cells,
 as a percentage. A cell's membership uses the segment entry minute, matching
-the traversal timestamps produced by the trip router.
+the traversal timestamps produced by the trip router. Counts are one masked
+np.bincount over a replay's event table.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HorizonError, UndefinedScoreError
-from .fleet_sim import BikeTrajectory
+from .errors import HorizonError, MalformedInputError, UndefinedScoreError
+from .fleet_sim import Replay
 from .trips import TripLog
 
 
@@ -45,14 +46,16 @@ class IntervalGrid:
     def n_intervals(self) -> int:
         return (self.T - self.t0) // self.delta_min
 
-    def interval_of(self, minute: int) -> int:
-        """Index of the interval containing `minute`; the horizon end maps to
-        the last interval."""
-        if minute < self.t0 or minute > self.T:
-            raise HorizonError(f"minute {minute} outside horizon [{self.t0}, {self.T}]")
-        if minute == self.T:
-            return self.n_intervals - 1
-        return (minute - self.t0) // self.delta_min
+    def interval_of(self, minute):
+        """Index of the interval containing each minute (a scalar or an array);
+        the horizon end maps to the last interval."""
+        minute = np.asarray(minute, dtype=np.int64)
+        outside = (minute < self.t0) | (minute > self.T)
+        if outside.any():
+            raise HorizonError(
+                f"minute {minute[outside].flat[0]} outside horizon [{self.t0}, {self.T}]"
+            )
+        return np.minimum((minute - self.t0) // self.delta_min, self.n_intervals - 1)
 
 
 @dataclass
@@ -64,42 +67,28 @@ class SensingReport:
 
 
 def coverage_counts(
-    trajectories: list[BikeTrajectory],
+    trajectories: Replay,
     equipped: frozenset[int] | set[int],
     grid: IntervalGrid,
     num_segments: int,
 ) -> np.ndarray:
     """Count equipped-bike entries per (segment, interval).
 
-    Every event of an equipped bike must fall inside the horizon; an event
-    outside it is a contract violation, not data to be clipped silently.
+    The one horizon rule for scoring: an event counts when it falls in
+    [t0, T]. A trip that starts near the horizon end finishes after it, and
+    its late traversals fall outside every interval, so they are not
+    counted; an event at minute T counts in the last interval.
     """
-    counts = np.zeros((num_segments, grid.n_intervals), dtype=np.int64)
-    for traj in trajectories:
-        if traj.bike not in equipped:
-            continue
-        for seg, minute in traj.events:
-            counts[seg, grid.interval_of(minute)] += 1
-    return counts
-
-
-def within_horizon(
-    trajectories: list[BikeTrajectory],
-    equipped: frozenset[int] | set[int],
-    horizon: tuple[int, int],
-) -> list[BikeTrajectory]:
-    """The equipped bikes' trajectories with only their in-horizon events.
-
-    The one horizon rule for scoring: a trip that starts near the horizon
-    end finishes after it, and its late traversals fall outside every
-    interval, so they are dropped. An event at minute t_end is kept.
-    """
-    t0, t_end = horizon
-    return [
-        BikeTrajectory(t.bike, t.home, t.served, [(s, m) for s, m in t.events if t0 <= m <= t_end])
-        for t in trajectories
-        if t.bike in equipped
-    ]
+    events = trajectories.events
+    is_equipped = np.isin(np.arange(len(trajectories)), list(equipped))
+    in_horizon = (events.minute >= grid.t0) & (events.minute <= grid.T)
+    keep = is_equipped[trajectories.event_bike] & in_horizon
+    size = num_segments * grid.n_intervals
+    cells = events.segment[keep] * grid.n_intervals + grid.interval_of(events.minute[keep])
+    counts = np.bincount(cells, minlength=size)
+    if len(counts) > size:
+        raise MalformedInputError(f"an event names a segment beyond the network's {num_segments}")
+    return counts.reshape(num_segments, grid.n_intervals)
 
 
 def sensing_score(counts: np.ndarray, lengths: np.ndarray, grid: IntervalGrid) -> float:
@@ -132,23 +121,22 @@ class HourlyDiagnostics:
 
 
 def hourly_diagnostics(
-    trajectories: list[BikeTrajectory],
+    trajectories: Replay,
     equipped: frozenset[int] | set[int],
     log: TripLog,
 ) -> HourlyDiagnostics:
     """Per-hour trip starts and equipped coverage counts, for external plotting.
 
-    Minutes at the horizon end count toward the final hour; events outside
-    the horizon are ignored (see within_horizon).
+    Coverage counts through coverage_counts on a 1 h grid, so it follows the
+    same horizon rule as the sensing score.
     """
     t0, t_end = log.horizon
     if t0 % 60 or t_end % 60:
         raise ValueError(f"horizon ({t0}, {t_end}) is not hour-aligned")
     grid = IntervalGrid(t0, t_end, 1.0)
-    visible = within_horizon(trajectories, equipped, log.horizon)
-    num_segments = 1 + max((seg for t in visible for seg, _m in t.events), default=-1)
-    counts = coverage_counts(visible, equipped, grid, num_segments)
-    starts = np.array([grid.interval_of(trip.start_min) for trip in log.trips], dtype=np.int64)
+    num_segments = 1 + int(trajectories.events.segment.max(initial=-1))
+    counts = coverage_counts(trajectories, equipped, grid, num_segments)
+    starts = grid.interval_of([trip.start_min for trip in log.trips])
     trips_started = np.bincount(starts, minlength=grid.n_intervals)
     rows = [
         HourRow(

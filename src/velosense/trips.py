@@ -11,11 +11,15 @@ it cannot be reconciled with a routed trajectory.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime
 from functools import cached_property
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import MalformedInputError, NoPathError, malformed_fields
 from .network import Path, RoadNetwork, ShortestPathCache, nearest_node
@@ -75,8 +79,19 @@ class Trip:
         return self.start_min + self.duration_min
 
 
+class TripEvents(NamedTuple):
+    """Every traversal event of a log, one entry per event, grouped by trip
+    row in log order and in path order within a trip."""
+
+    trip: np.ndarray  # int64: row in TripLog.trips
+    segment: np.ndarray  # int64
+    minute: np.ndarray  # int64: entry minute
+
+
 @dataclass
 class TripLog:
+    """Cleaned trips sorted by start minute, so row order is service order."""
+
     trips: list[Trip]
     stands: list[Stand]
     horizon: tuple[int, int]
@@ -88,9 +103,13 @@ class TripLog:
         return len(self.stands)
 
     @cached_property
-    def events(self) -> list[list[tuple[int, int]]]:
-        """events[i] is traversal_times of trips[i], computed once per log."""
-        return [traversal_times(trip, self.speed_m_per_min) for trip in self.trips]
+    def events(self) -> TripEvents:
+        """The traversal_times of every trip as one event table, built once per log."""
+        per_trip = [traversal_times(trip, self.speed_m_per_min) for trip in self.trips]
+        pairs = [event for events in per_trip for event in events]
+        segment, minute = np.array(pairs, dtype=np.int64).reshape(-1, 2).T.copy()
+        rows = np.repeat(np.arange(len(per_trip), dtype=np.int64), [len(e) for e in per_trip])
+        return TripEvents(rows, segment, minute)
 
 
 def _parse_timestamp(text: str) -> datetime | None:
@@ -260,10 +279,47 @@ def load_triplog(path) -> TripLog:
             )
             for t in doc["trips"]
         ]
-        return TripLog(
+        log = TripLog(
             trips,
             stands,
             tuple(doc["horizon"]),
             doc["speed_m_per_min"],
             doc.get("drop_counts", {}),
         )
+        _check_trips(log, path)
+    return log
+
+
+def _check_trips(log: TripLog, source) -> None:
+    """Reject trips that replay cannot serve or would time wrongly."""
+    t0, t_end = log.horizon
+    last_start = t0
+    for trip in log.trips:
+        if not (0 <= trip.origin < log.num_stands and 0 <= trip.dest < log.num_stands):
+            raise MalformedInputError(
+                f"{source}: trip {trip.id} joins stands {trip.origin} and {trip.dest}, "
+                f"but the log has {log.num_stands} stands"
+            )
+        if not t0 <= trip.start_min <= t_end:
+            raise MalformedInputError(
+                f"{source}: trip {trip.id} starts at minute {trip.start_min}, "
+                f"outside the horizon [{t0}, {t_end}]"
+            )
+        if trip.start_min < last_start:
+            raise MalformedInputError(f"{source}: trips are not sorted by start minute at {trip.id}")
+        last_start = trip.start_min
+        path = trip.path
+        if not len(path.segments) == len(path.seg_lengths_m) == len(path.nodes) - 1:
+            raise MalformedInputError(
+                f"{source}: trip {trip.id} has {len(path.segments)} segments, "
+                f"{len(path.seg_lengths_m)} segment lengths and {len(path.nodes)} nodes"
+            )
+
+
+def file_sha256(path) -> str:
+    """SHA-256 of a file's bytes: the provenance key that ties an artifact to its triplog."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()

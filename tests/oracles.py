@@ -8,6 +8,7 @@ free of calls into the production modules they are used to verify.
 
 import itertools
 import math
+from collections import Counter
 
 
 def all_simple_paths(adjacency, origin, dest):
@@ -116,3 +117,91 @@ def rank_correlation(xs, ys):
     vx = math.sqrt(sum((a - mx) ** 2 for a in rx))
     vy = math.sqrt(sum((b - my) ** 2 for b in ry))
     return cov / (vx * vy)
+
+
+def per_bike_assembly(trips, trip_events, bike_of_trip, homes):
+    """(bike, home, served ids, events) per bike, assembled bike by bike.
+
+    Trips go to their bike in service order (start minute, then log order),
+    each contributing its `trip_events` entry, the way a replay's per-bike
+    lists were built before replays became an assignment vector.
+    """
+    served = {bike: [] for bike in range(len(homes))}
+    for i in sorted(range(len(trips)), key=lambda i: (trips[i].start_min, i)):
+        served[int(bike_of_trip[i])].append(i)
+    return [
+        (
+            bike,
+            int(homes[bike]),
+            [trips[i].id for i in rows],
+            [event for i in rows for event in trip_events[i]],
+        )
+        for bike, rows in served.items()
+    ]
+
+
+def coverage_counts_loop(trajectories, equipped, t0, t_end, delta_min, num_segments):
+    """Equipped entries per (segment, interval), one event at a time.
+
+    `trajectories` holds (bike, events) pairs. Events outside [t0, t_end]
+    are dropped; an event at t_end joins the last interval.
+    """
+    n_intervals = (t_end - t0) // delta_min
+    counts = [[0] * n_intervals for _ in range(num_segments)]
+    for bike, events in trajectories:
+        if bike not in equipped:
+            continue
+        for seg, minute in events:
+            if not t0 <= minute <= t_end:
+                continue
+            interval = n_intervals - 1 if minute == t_end else (minute - t0) // delta_min
+            counts[seg][interval] += 1
+    return counts
+
+
+def counter_tally(runs_of_trajectories, label):
+    """Counter of traversals per (label(bike, home), segment) over every run,
+    each run a list of (bike, home, events); bikes labelled None are skipped."""
+    totals = Counter()
+    for trajectories in runs_of_trajectories:
+        for bike, home, events in trajectories:
+            key = label(bike, home)
+            if key is not None:
+                totals.update((key, seg) for seg, _minute in events)
+    return totals
+
+
+def mean_coverage_counter(runs_of_trajectories):
+    """Mean traversals per (home stand, segment), keys in sorted order."""
+    runs = len(runs_of_trajectories)
+    totals = counter_tally(runs_of_trajectories, lambda bike, home: home)
+    return {key: count / runs for key, count in sorted(totals.items())}
+
+
+def linearity_probe_counter(runs_of_trajectories, stand_bikes, stands, min_mean):
+    """Through-origin refit of mean coverage against tracked bikes per stand,
+    from a Counter tally; `stand_bikes[s]` lists stand s's bikes in fleet order."""
+    runs = len(runs_of_trajectories)
+    bike_rank = {}
+    for stand in set(stands):
+        for rank, bike in enumerate(stand_bikes[stand]):
+            bike_rank[bike] = (stand, rank)
+    totals = counter_tally(runs_of_trajectories, lambda bike, home: bike_rank.get(bike))
+    results = []
+    for stand in sorted(set(stands)):
+        b = len(stand_bikes[stand])
+        if b < 2:
+            continue
+        for seg in sorted({seg for ((s, _r), seg) in totals if s == stand}):
+            ys, acc = [], 0.0
+            for r in range(b):
+                acc += totals[((stand, r), seg)] / runs
+                ys.append(acc)
+            if ys[-1] < min_mean:
+                continue
+            xs = list(range(1, b + 1))
+            slope = sum(x * y for x, y in zip(xs, ys)) / sum(x * x for x in xs)
+            ss_res = sum((y - slope * x) ** 2 for x, y in zip(xs, ys))
+            ss_tot = sum(y * y for y in ys)
+            results.append((stand, seg, slope, 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0, b))
+    return results

@@ -34,7 +34,7 @@ from velosense.harness import (
     run_pipeline,
     sensor_requirement,
 )
-from velosense.metrics import IntervalGrid, coverage_counts, sensing_score, within_horizon
+from velosense.metrics import IntervalGrid, coverage_counts, sensing_score
 from velosense.synth import SynthConfig, generate
 from velosense.trips import clean_trips, parse_raw_trips
 
@@ -54,8 +54,7 @@ def report(criterion: int, ok: bool, detail: str) -> bool:
 
 def score(net, log, trajectories, equipped, delta_h):
     grid = IntervalGrid(*log.horizon, delta_h)
-    visible = within_horizon(trajectories, equipped, log.horizon)
-    counts = coverage_counts(visible, equipped, grid, net.num_segments)
+    counts = coverage_counts(trajectories, equipped, grid, net.num_segments)
     return sensing_score(counts, net.seg_length_m, grid)
 
 

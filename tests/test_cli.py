@@ -228,6 +228,24 @@ def _drop_key(key):
     return edit
 
 
+def _drop_metadata_key(key):
+    def edit(text):
+        doc = json.loads(text)
+        del doc["metadata"][key]
+        return json.dumps(doc)
+
+    return edit
+
+
+def _edit_trip(change, index=0):
+    def edit(text):
+        doc = json.loads(text)
+        change(doc["trips"][index])
+        return json.dumps(doc)
+
+    return edit
+
+
 def _append_row(row):
     return lambda text: text + row + "\n"
 
@@ -240,9 +258,20 @@ def _append_row(row):
         ("simulate", SIMULATE, [], "--alloc", _drop_key("N_e")),
         ("allocate", ALLOCATE, ["--budget", "4"], "--probs", _append_row("99,0,0.5")),
         ("allocate", ALLOCATE, ["--budget", "4"], "--probs", _append_row("0,99999,0.5")),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(start_min=2000))),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(start_min=100))),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(origin=99))),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(origin=-1))),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t["seg_lengths_m"].pop())),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(start_min=360), -1)),
+        ("allocate", ALLOCATE, ["--budget", "4"], "--probs-meta", _drop_key("triplog_sha256")),
+        ("score", SCORE, ["--delta", "4"], "--traj", _drop_metadata_key("triplog_sha256")),
     ],
     ids=["triplog-without-stands", "traj-without-metadata", "alloc-without-N_e",
-         "probs-unknown-stand", "probs-unknown-segment"],
+         "probs-unknown-stand", "probs-unknown-segment", "trip-after-horizon",
+         "trip-before-horizon", "trip-unknown-origin", "trip-negative-origin",
+         "trip-path-lengths-disagree", "trips-unsorted", "probs-meta-without-triplog-sha256",
+         "traj-without-triplog-sha256"],
 )
 def test_malformed_artifact_is_2(artifacts, tmp_path, capsys, command, options, extra, corrupted, edit):
     paths = dict(artifacts)
@@ -251,6 +280,56 @@ def test_malformed_artifact_is_2(artifacts, tmp_path, capsys, command, options, 
     paths[corrupted] = bad
     assert main([command, *_args(paths, options), *extra, "--out-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.fixture(scope="module")
+def runs_by_seed(tmp_path_factory):
+    """Option paths of a full artifact chain for each of synth seeds 5 and 6."""
+    runs = {}
+    for seed in (5, 6):
+        out = tmp_path_factory.mktemp(f"seed{seed}")
+        synth = ["synth", "--grid-w", "6", "--grid-h", "6", "--block-m", "350", "--stands", "6"]
+        assert main([*synth, "--trips", "150", "--seed", str(seed), "--out-dir", str(out)]) == 0
+        paths = {
+            "--nodes": out / "nodes.csv",
+            "--edges": out / "edges.csv",
+            "--trips": out / "trips.csv",
+            "--triplog": out / "triplog.json",
+            "--probs": out / "probs.csv",
+            "--probs-meta": out / "probs.meta.json",
+            "--alloc": out / "alloc.json",
+            "--traj": out / "traj.json",
+        }
+        common = ["--out-dir", str(out), "--seed", str(seed)]
+        assert main(["ingest", *_args(paths, ("--nodes", "--edges", "--trips")), *common]) == 0
+        assert main(["probs", *_args(paths, ("--triplog",)), "--runs", "2", *common]) == 0
+        assert main(["allocate", *_args(paths, ALLOCATE), "--budget", "4", *common]) == 0
+        assert main(["simulate", *_args(paths, SIMULATE), "--beta", "1", *common]) == 0
+        runs[seed] = paths
+    return runs
+
+
+@pytest.mark.parametrize(
+    "command, options, extra, foreign",
+    [
+        ("allocate", ALLOCATE, ["--budget", "4"], ("--probs", "--probs-meta")),
+        ("export-lp", ALLOCATE, ["--budget", "4"], ("--probs", "--probs-meta")),
+        ("score", SCORE, ["--delta", "4"], ("--traj",)),
+    ],
+    ids=["allocate-probs", "export-lp-probs", "score-traj"],
+)
+def test_artifact_from_another_triplog_is_2(
+    runs_by_seed, tmp_path, capsys, command, options, extra, foreign
+):
+    paths = dict(runs_by_seed[6])
+    for option in foreign:
+        paths[option] = runs_by_seed[5][option]
+    if command == "export-lp":
+        extra = [*extra, "--out", str(tmp_path / "model.lp")]
+    assert main([command, *_args(paths, options), *extra, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "another triplog" in err
+    assert str(runs_by_seed[5][foreign[-1]]) in err and str(paths["--triplog"]) in err
 
 
 class TestExitCodes:

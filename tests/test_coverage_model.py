@@ -10,11 +10,16 @@ from velosense.coverage_model import (
     save_matrix,
 )
 from velosense.errors import MalformedInputError
-from velosense.fleet_sim import FleetPlan, initial_bike_counts
+from velosense.fleet_sim import FleetPlan, SimConfig, initial_bike_counts, simulate
 from velosense.network import Path, build_network
-from velosense.trips import Stand, Trip, TripLog
+from velosense.trips import Stand, Trip, TripLog, traversal_times
 
-from oracles import rank_correlation
+from oracles import (
+    linearity_probe_counter,
+    mean_coverage_counter,
+    per_bike_assembly,
+    rank_correlation,
+)
 
 
 def line_network(n_nodes, block=600.0):
@@ -172,6 +177,37 @@ class TestLinearityProbe:
             assert 0.0 <= r2 <= 1.0
             # the full-fleet point of the refit is the production estimate
             assert slope == pytest.approx(matrix.p[(stand, seg)], rel=0.6)
+
+
+def assembled_runs(log, plan, runs, seed):
+    """Per-bike (bike, home, events) of the unguided replays seeded seed+1 .. seed+runs."""
+    trip_events = [traversal_times(t, log.speed_m_per_min) for t in log.trips]
+    out = []
+    for tau in range(1, runs + 1):
+        bike_of_trip = simulate(log, plan, SimConfig(seed=seed + tau)).bike_of_trip
+        assembled = per_bike_assembly(log.trips, trip_events, bike_of_trip, plan.home_stands())
+        out.append([(bike, home, events) for bike, home, _served, events in assembled])
+    return out
+
+
+class TestCounterOracle:
+    """The bincount tallies equal the Counter tally they replaced."""
+
+    def test_mean_coverage(self, small_scenario, small_fleet):
+        _net, log = small_scenario
+        n_bar = mean_coverage(log, small_fleet, runs=3, seed=2).n_bar
+        expected = mean_coverage_counter(assembled_runs(log, small_fleet, 3, 2))
+        assert list(n_bar.items()) == list(expected.items())
+
+    def test_linearity_probe(self, small_scenario, small_fleet):
+        _net, log = small_scenario
+        stands = [s for s, b in enumerate(small_fleet.b) if b >= 2][:3] + [0]
+        rows = linearity_probe(log, small_fleet, stands, runs=3, seed=6, min_mean=1.0)
+        expected = linearity_probe_counter(
+            assembled_runs(log, small_fleet, 3, 6), small_fleet.bikes, stands, min_mean=1.0
+        )
+        assert rows
+        assert rows == expected
 
 
 class TestMatrixSerialization:

@@ -4,6 +4,7 @@ import pytest
 from velosense.errors import InfeasiblePlanError
 from velosense.fleet_sim import (
     FleetPlan,
+    Replay,
     SimConfig,
     equipped_set,
     initial_bike_counts,
@@ -12,7 +13,9 @@ from velosense.fleet_sim import (
     simulate,
 )
 from velosense.network import Path
-from velosense.trips import Stand, Trip, TripLog
+from velosense.trips import Stand, Trip, TripLog, traversal_times
+
+from oracles import per_bike_assembly
 
 
 def toy_log(moves, num_stands, horizon=(0, 30), speed=100.0):
@@ -145,6 +148,25 @@ class TestSimulate:
         cfg = SimConfig(seed=77, beta=0.6, equipped=equipped)
         assert simulate(log, small_fleet, cfg) == simulate(log, small_fleet, cfg)
 
+    def test_views_equal_a_per_bike_assembly(self, small_scenario, small_fleet):
+        _net, log = small_scenario
+        equipped = equipped_set(small_fleet, [min(1, b) for b in small_fleet.b])
+        trajs = simulate(log, small_fleet, SimConfig(seed=77, beta=0.6, equipped=equipped))
+        expected = per_bike_assembly(
+            log.trips,
+            [traversal_times(t, log.speed_m_per_min) for t in log.trips],
+            trajs.bike_of_trip,
+            small_fleet.home_stands(),
+        )
+        assert [(t.bike, t.home, t.served, t.events) for t in trajs] == expected
+        assert len(trajs) == small_fleet.num_bikes
+
+    def test_replays_are_equal_when_their_views_are(self, small_scenario, small_fleet):
+        _net, log = small_scenario
+        trajs = simulate(log, small_fleet, SimConfig(seed=4))
+        assert Replay.from_views(list(trajs)) == trajs
+        assert simulate(log, small_fleet, SimConfig(seed=5)) != trajs
+
     def test_beta_nesting_in_equipped_served_trips(self, small_scenario, small_fleet):
         _net, log = small_scenario
         equipped = equipped_set(small_fleet, [min(1, b) for b in small_fleet.b])
@@ -195,11 +217,13 @@ class TestTrajectoryDump:
         cfg = SimConfig(seed=13, beta=0.4, equipped=equipped)
         trajs = simulate(log, small_fleet, cfg)
         out = tmp_path / "traj.json"
-        save_trajectories(trajs, cfg, out)
+        save_trajectories(trajs, cfg, out, "ab" * 32)
         loaded, meta = load_trajectories(out)
         assert [(t.bike, t.home, t.served, t.events) for t in loaded] == [
             (t.bike, t.home, t.served, t.events) for t in trajs
         ]
+        assert loaded == trajs
+        assert meta["triplog_sha256"] == "ab" * 32
         assert meta["seed"] == 13
         assert meta["beta"] == 0.4
         assert meta["generator"] == "numpy-pcg64"

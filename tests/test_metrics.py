@@ -1,25 +1,33 @@
 import numpy as np
 import pytest
 
-from velosense.errors import HorizonError, UndefinedScoreError
-from velosense.fleet_sim import BikeTrajectory, SimConfig, equipped_set, simulate
+from velosense.errors import HorizonError, MalformedInputError, UndefinedScoreError
+from velosense.fleet_sim import BikeTrajectory, Replay, SimConfig, equipped_set, simulate
 from velosense.metrics import (
     IntervalGrid,
     SensingReport,
     coverage_counts,
     hourly_diagnostics,
     sensing_score,
-    within_horizon,
     write_report,
 )
 from velosense.network import Path
-from velosense.trips import Stand, Trip, TripLog
+from velosense.trips import Stand, Trip, TripLog, traversal_times
 
-from oracles import rank_correlation, touched_length_fraction_pct
+from oracles import (
+    coverage_counts_loop,
+    per_bike_assembly,
+    rank_correlation,
+    touched_length_fraction_pct,
+)
 
 
 def traj(bike, events, home=0):
-    return BikeTrajectory(bike, home, [], list(events))
+    return BikeTrajectory(bike, home, [f"trip-{bike}"], list(events))
+
+
+def replay(*trajectories):
+    return Replay.from_views(trajectories)
 
 
 class TestIntervalGrid:
@@ -50,34 +58,95 @@ class TestIntervalGrid:
             with pytest.raises(HorizonError):
                 grid.interval_of(minute)
 
+    def test_interval_of_an_array(self):
+        grid = IntervalGrid(360, 1320, 4.0)
+        assert grid.interval_of([360, 599, 600, 1320]).tolist() == [0, 0, 1, 3]
+        with pytest.raises(HorizonError, match="1321"):
+            grid.interval_of([360, 1321])
+
 
 class TestCoverageCounts:
     def test_no_equipped_bikes_gives_zero_matrix(self):
         grid = IntervalGrid(360, 1320, 16.0)
-        counts = coverage_counts([traj(0, [(1, 400)])], frozenset(), grid, 5)
+        counts = coverage_counts(replay(traj(0, [(1, 400)])), frozenset(), grid, 5)
         assert counts.shape == (5, 1)
         assert counts.sum() == 0
 
     def test_single_event_at_horizon_start(self):
         grid = IntervalGrid(360, 1320, 16.0)
-        counts = coverage_counts([traj(0, [(3, 360)])], {0}, grid, 5)
+        counts = coverage_counts(replay(traj(0, [(3, 360)])), {0}, grid, 5)
         assert counts[3, 0] == 1
         assert counts.sum() == 1
 
     def test_total_equals_equipped_event_count(self):
         grid = IntervalGrid(0, 120, 1.0)
-        trajs = [
+        trajs = replay(
             traj(0, [(0, 5), (1, 7), (0, 60)]),
             traj(1, [(2, 10)]),
             traj(2, [(0, 100)] * 4),
-        ]
+        )
         counts = coverage_counts(trajs, {0, 2}, grid, 3)
         assert counts.sum() == 3 + 4
 
-    def test_event_outside_horizon_is_contract_violation(self):
+    def test_events_outside_horizon_are_not_counted(self):
         grid = IntervalGrid(360, 1320, 16.0)
-        with pytest.raises(HorizonError):
-            coverage_counts([traj(0, [(0, 1321)])], {0}, grid, 2)
+        counts = coverage_counts(replay(traj(0, [(0, 359), (0, 1321), (1, 1320)])), {0}, grid, 2)
+        assert counts.tolist() == [[0], [1]]
+
+    def test_segment_beyond_network_rejected(self):
+        grid = IntervalGrid(360, 1320, 16.0)
+        with pytest.raises(MalformedInputError, match="segment"):
+            coverage_counts(replay(traj(0, [(5, 400)])), {0}, grid, 2)
+
+
+# Hand-made replays: events at the horizon start and end, after the end,
+# and on unequipped bikes, with (equipped, horizon, num_segments)
+HAND_CASES = [
+    ([traj(0, [(1, 360), (2, 1320), (3, 1321)])], {0}, (360, 1320), 4),
+    ([traj(0, [(1, 400)]), traj(1, [(2, 400)], home=3)], {1}, (360, 1320), 3),
+    (
+        [traj(0, [(0, 360), (1, 1319), (1, 1320), (2, 1400)]), traj(1, [(2, 900)]), traj(2, [])],
+        {0, 2},
+        (360, 1320),
+        3,
+    ),
+]
+
+
+class TestCoverageCountsOracle:
+    """coverage_counts equals the per-event loop it replaced."""
+
+    @pytest.mark.parametrize("delta", [16.0, 4.0, 1.0, 0.5])
+    @pytest.mark.parametrize("case", range(len(HAND_CASES)))
+    def test_hand_cases(self, case, delta):
+        trajs, equipped, horizon, num_segments = HAND_CASES[case]
+        grid = IntervalGrid(*horizon, delta)
+        expected = coverage_counts_loop(
+            [(t.bike, t.events) for t in trajs], equipped, *horizon, grid.delta_min, num_segments
+        )
+        assert coverage_counts(replay(*trajs), equipped, grid, num_segments).tolist() == expected
+
+    @pytest.mark.parametrize("delta", [16.0, 4.0, 1.0, 0.5])
+    def test_simulated_replay(self, small_scenario, small_fleet, delta):
+        net, log = small_scenario
+        equipped = equipped_set(small_fleet, [min(1, b) for b in small_fleet.b])
+        trajs = simulate(log, small_fleet, SimConfig(seed=12, beta=0.6, equipped=equipped))
+        grid = IntervalGrid(*log.horizon, delta)
+        assembled = per_bike_assembly(
+            log.trips,
+            [traversal_times(t, log.speed_m_per_min) for t in log.trips],
+            trajs.bike_of_trip,
+            small_fleet.home_stands(),
+        )
+        assert any(m > log.horizon[1] for _b, _h, _s, events in assembled for _seg, m in events)
+        expected = coverage_counts_loop(
+            [(bike, events) for bike, _home, _served, events in assembled],
+            equipped,
+            *log.horizon,
+            grid.delta_min,
+            net.num_segments,
+        )
+        assert coverage_counts(trajs, equipped, grid, net.num_segments).tolist() == expected
 
 
 class TestSensingScore:
@@ -117,14 +186,17 @@ class TestSensingScore:
 
 
 class TestWithinHorizon:
+    """The horizon rule, which coverage_counts applies as a mask."""
+
     def test_keeps_horizon_end_and_drops_later_events(self):
-        visible = within_horizon([traj(0, [(1, 360), (2, 1320), (3, 1321)])], {0}, (360, 1320))
-        assert [t.events for t in visible] == [[(1, 360), (2, 1320)]]
+        grid = IntervalGrid(360, 1320, 16.0)
+        trajs = replay(traj(0, [(1, 360), (2, 1320), (3, 1321)]))
+        assert coverage_counts(trajs, {0}, grid, 4).tolist() == [[0], [1], [1], [0]]
 
     def test_drops_unequipped_bikes(self):
-        trajs = [traj(0, [(1, 400)]), traj(1, [(2, 400)], home=3)]
-        visible = within_horizon(trajs, {1}, (360, 1320))
-        assert [(t.bike, t.home, t.events) for t in visible] == [(1, 3, [(2, 400)])]
+        grid = IntervalGrid(360, 1320, 16.0)
+        trajs = replay(traj(0, [(1, 400)]), traj(1, [(2, 400)], home=3))
+        assert coverage_counts(trajs, {1}, grid, 3).tolist() == [[0], [0], [1]]
 
 
 class TestScoreProperties:
@@ -132,8 +204,7 @@ class TestScoreProperties:
         net, log = scenario
         trajs = simulate(log, fleet, SimConfig(seed=12))
         grid = IntervalGrid(*log.horizon, delta)
-        visible = within_horizon(trajs, equipped, log.horizon)
-        counts = coverage_counts(visible, equipped, grid, net.num_segments)
+        counts = coverage_counts(trajs, equipped, grid, net.num_segments)
         return sensing_score(counts, net.seg_length_m, grid)
 
     def test_equipped_superset_monotonicity(self, small_scenario, small_fleet):
@@ -190,7 +261,7 @@ class TestHourlyDiagnostics:
         log = TripLog(
             [Trip("a", 0, 1, 390, path, 5)], [Stand(0, 0), Stand(1, 1)], (360, 1320), 200.0, {}
         )
-        report = hourly_diagnostics([traj(0, [(4, 390)])], {0}, log)
+        report = hourly_diagnostics(replay(traj(0, [(4, 390)])), {0}, log)
         by_hour = {r.hour: r for r in report.rows}
         assert by_hour[6].trips_started == 1
         assert by_hour[6].coverage_events == 1
@@ -199,7 +270,7 @@ class TestHourlyDiagnostics:
 
     def test_no_equipped_bikes_reports_absent_correlation(self):
         log = hourly_demand_log()
-        report = hourly_diagnostics([traj(0, [(0, 400)])], frozenset(), log)
+        report = hourly_diagnostics(replay(traj(0, [(0, 400)])), frozenset(), log)
         assert all(r.coverage_events == 0 for r in report.rows)
         assert report.trip_event_correlation is None
 
@@ -222,9 +293,7 @@ class TestHourlyDiagnostics:
         equipped = equipped_set(small_fleet, [min(2, b) for b in small_fleet.b])
         report = hourly_diagnostics(trajs, equipped, log)
         grid = IntervalGrid(*log.horizon, 1.0)
-        counts = coverage_counts(
-            within_horizon(trajs, equipped, log.horizon), equipped, grid, net.num_segments
-        )
+        counts = coverage_counts(trajs, equipped, grid, net.num_segments)
         assert [r.hour for r in report.rows] == [log.horizon[0] // 60 + h for h in range(16)]
         for h, row in enumerate(report.rows):
             expected = {seg: int(counts[seg, h]) for seg in np.flatnonzero(counts[:, h])}
@@ -235,7 +304,7 @@ class TestHourlyDiagnostics:
     def test_unaligned_horizon_rejected(self):
         log = TripLog([], [], (365, 1320), 200.0, {})
         with pytest.raises(ValueError, match="hour-aligned"):
-            hourly_diagnostics([], frozenset(), log)
+            hourly_diagnostics(replay(), frozenset(), log)
 
 
 class TestReportWriter:

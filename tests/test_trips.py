@@ -211,8 +211,11 @@ class TestTraversalTimes:
 
     def test_log_events_are_the_traversal_times_of_each_trip(self, small_scenario):
         _net, log = small_scenario
-        assert len(log.events) == len(log.trips)
-        for trip, events in zip(log.trips, log.events):
+        table = log.events
+        assert table.trip.tolist() == sorted(table.trip.tolist())
+        for i, trip in enumerate(log.trips):
+            rows = table.trip == i
+            events = list(zip(table.segment[rows].tolist(), table.minute[rows].tolist()))
             assert events == traversal_times(trip, log.speed_m_per_min)
 
 
