@@ -9,8 +9,16 @@ and per-stand capacities. Ships three solvers plus an LP-file exporter:
   city-scale instances;
 - random_allocation: the uniform baseline.
 
+The instance holds p as one dense float64 array P[stand, candidate], where
+the candidates are the segments some stand reaches, in ascending id order.
+Every solver and the exporter read it.
+
 A segment counts as covered when N_e >= K - 1e-9; the epsilon keeps the
-threshold test stable when p values are float sums.
+threshold test stable when p values are float sums. Every sum whose value
+feeds a comparison, a tie-break or an artifact adds its terms left to right:
+over stands from stand 0, over candidates in ascending order. Hence np.cumsum
+(sequential) rather than ndarray.sum or @, whose pairwise or blocked order
+differs in the last bit and flips real greedy ties.
 """
 
 from __future__ import annotations
@@ -33,17 +41,22 @@ COVER_EPS = 1e-9
 
 @dataclass
 class MilpInstance:
-    num_stands: int
-    num_segments: int
-    cols: list[list[tuple[int, float]]]  # per stand: (segment, p), segment-sorted
-    rows: dict[int, list[tuple[int, float]]]  # per candidate segment: (stand, p)
+    P: np.ndarray  # float64 [stand, candidate]: p of stand on segment candidates[j]
     lengths: np.ndarray  # meters, all segments
     caps: list[int]
     budget: int
     K: float
     big_M: float
-    candidates: list[int]  # segments with a nonzero p column
+    candidates: list[int]  # segments with a nonzero p column, ascending
     warnings: list[str] = field(default_factory=list)
+
+    @property
+    def num_stands(self) -> int:
+        return len(self.caps)
+
+    @property
+    def candidate_lengths(self) -> np.ndarray:
+        return self.lengths[self.candidates]
 
 
 @dataclass
@@ -58,6 +71,22 @@ class AllocationPlan:
     @property
     def total_sensors(self) -> int:
         return sum(self.n)
+
+
+def _ordered_sum(x: np.ndarray, axis: int) -> np.ndarray:
+    """Sum along `axis`, adding its terms in index order from index 0."""
+    if x.shape[axis] == 0:
+        return x.sum(axis=axis)  # zeros: an empty sum has no order
+    return np.take(np.cumsum(x, axis=axis), -1, axis=axis)
+
+
+def _covered_length(lengths: np.ndarray, covered: np.ndarray) -> float:
+    return float(_ordered_sum(lengths[covered], axis=0))
+
+
+def _coverage(P: np.ndarray, n) -> np.ndarray:
+    """N_e of every candidate under sensor vector n: P[s] * n_s, added stand by stand."""
+    return _ordered_sum(P * np.asarray(n, dtype=np.float64)[:, None], axis=0)
 
 
 def build_instance(
@@ -86,34 +115,29 @@ def build_instance(
         warnings.append(f"budget {budget} exceeds total capacity {total_cap}; clamped")
         budget = total_cap
 
-    cols: list[list[tuple[int, float]]] = [[] for _ in range(num_stands)]
-    rows: dict[int, list[tuple[int, float]]] = {}
-    for (stand, seg), p in sorted(matrix.p.items()):
-        if not (0 <= stand < num_stands and 0 <= seg < net.num_segments):
-            raise MalformedInputError(
-                f"probability for stand {stand}, segment {seg} is outside "
-                f"{num_stands} stands x {net.num_segments} segments"
-            )
-        if p <= 0:
-            continue
-        cols[stand].append((seg, p))
-        rows.setdefault(seg, []).append((stand, p))
-    candidates = sorted(rows)
+    stand, seg = np.array(list(matrix.p), dtype=np.int64).reshape(-1, 2).T
+    p = np.fromiter(matrix.p.values(), dtype=np.float64, count=len(matrix.p))
+    outside = (stand < 0) | (stand >= num_stands) | (seg < 0) | (seg >= net.num_segments)
+    if outside.any():
+        bad_stand, bad_seg = min(zip(stand[outside].tolist(), seg[outside].tolist()))
+        raise MalformedInputError(
+            f"probability for stand {bad_stand}, segment {bad_seg} is outside "
+            f"{num_stands} stands x {net.num_segments} segments"
+        )
+    keep = p > 0
+    candidates = np.flatnonzero(np.bincount(seg[keep], minlength=net.num_segments))
+    P = np.zeros((num_stands, len(candidates)))
+    P[stand[keep], np.searchsorted(candidates, seg[keep])] = p[keep]
 
-    reach = 0.0
-    for seg in candidates:
-        reach = max(reach, sum(p * plan.b[stand] for stand, p in rows[seg]))
+    caps = [int(x) for x in plan.b]
     return MilpInstance(
-        num_stands=num_stands,
-        num_segments=net.num_segments,
-        cols=cols,
-        rows=rows,
+        P=P,
         lengths=np.asarray(net.seg_length_m, dtype=np.float64),
-        caps=[int(x) for x in plan.b],
+        caps=caps,
         budget=int(budget),
         K=float(K),
-        big_M=float(K + reach),
-        candidates=candidates,
+        big_M=float(K + _coverage(P, caps).max(initial=0.0)),
+        candidates=candidates.tolist(),
         warnings=warnings,
     )
 
@@ -130,14 +154,11 @@ def evaluate_allocation(inst: MilpInstance, n, solver: str, gap: float = 0.0) ->
             )
     if sum(n) > inst.budget:
         raise MalformedInputError(f"{sum(n)} sensors exceed budget {inst.budget}")
-    N_e: dict[int, float] = {}
-    for stand, count in enumerate(n):
-        if count == 0:
-            continue
-        for seg, p in inst.cols[stand]:
-            N_e[seg] = N_e.get(seg, 0.0) + p * count
-    y = {seg: N_e.get(seg, 0.0) >= inst.K - COVER_EPS for seg in inst.candidates}
-    objective = float(sum(inst.lengths[seg] for seg, covered in y.items() if covered))
+    coverage = _coverage(inst.P, n)
+    covered = coverage >= inst.K - COVER_EPS
+    N_e = {seg: val for seg, val in zip(inst.candidates, coverage.tolist()) if val > 0}
+    y = dict(zip(inst.candidates, covered.tolist()))
+    objective = _covered_length(inst.candidate_lengths, covered)
     return AllocationPlan(n, objective, N_e, y, solver, gap)
 
 
@@ -150,15 +171,15 @@ def solve_exact(inst: MilpInstance, time_limit_s: float = 60.0) -> AllocationPla
     so the bound is admissible and pruning is safe. Intended for small
     instances; on timeout the incumbent is returned with a nonzero gap.
     """
-    S = len(inst.caps)
+    S = inst.num_stands
+    P = inst.P
+    lengths = inst.candidate_lengths
     threshold = inst.K - COVER_EPS
-    # suffix[i][e] = coverage of e attainable by stands i.. at full capacity
-    suffix = [dict() for _ in range(S + 1)]
-    for i in range(S - 1, -1, -1):
-        acc = dict(suffix[i + 1])
-        for seg, p in inst.cols[i]:
-            acc[seg] = acc.get(seg, 0.0) + p * inst.caps[i]
-        suffix[i] = acc
+    # suffix[i] = coverage attainable by stands i.. at full capacity, added
+    # from the last stand down; suffix[S] = 0
+    full = P * np.asarray(inst.caps, dtype=np.float64)[:, None]
+    suffix = np.zeros((S + 1, len(inst.candidates)))
+    suffix[:S] = np.cumsum(full[::-1], axis=0)[::-1]
 
     deadline = time.monotonic() + time_limit_s
     best_n = [0] * S
@@ -166,37 +187,22 @@ def solve_exact(inst: MilpInstance, time_limit_s: float = 60.0) -> AllocationPla
     timed_out = False
 
     # incrementally maintained; used for bounds only (cancellation can leave
-    # float residue, so leaves recompute their objective from scratch)
-    cover = {seg: 0.0 for seg in inst.candidates}
+    # float residue, so leaves recompute their coverage from scratch)
+    cover = np.zeros(len(inst.candidates))
     n = [0] * S
 
-    def leaf_objective() -> float:
-        acc = {seg: 0.0 for seg in inst.candidates}
-        for stand in range(S):
-            count = n[stand]
-            if count:
-                for seg, p in inst.cols[stand]:
-                    acc[seg] += p * count
-        return float(sum(inst.lengths[seg] for seg, val in acc.items() if val >= threshold))
-
     def bound(i: int, rem: int) -> float:
-        cur = 0.0
-        potential = 0.0
-        ahead = suffix[i]
-        for seg, val in cover.items():
-            if val >= threshold:
-                cur += inst.lengths[seg]
-            elif rem > 0 and val + ahead.get(seg, 0.0) >= threshold:
-                potential += inst.lengths[seg]
-        return cur + potential
+        covered = cover >= threshold
+        potential = ~covered & (cover + suffix[i] >= threshold) & (rem > 0)
+        return _covered_length(lengths, covered) + _covered_length(lengths, potential)
 
     def dfs(i: int, rem: int) -> None:
-        nonlocal best_obj, best_n, timed_out
+        nonlocal best_obj, best_n, timed_out, cover
         if timed_out or time.monotonic() > deadline:
             timed_out = True
             return
         if i == S or rem == 0:
-            obj = leaf_objective()
+            obj = _covered_length(lengths, _coverage(P, n) >= threshold)
             if obj > best_obj:
                 best_obj = obj
                 best_n = list(n)
@@ -207,12 +213,10 @@ def solve_exact(inst: MilpInstance, time_limit_s: float = 60.0) -> AllocationPla
         for count in range(hi, -1, -1):  # descending finds strong incumbents early
             n[i] = count
             if count:
-                for seg, p in inst.cols[i]:
-                    cover[seg] += p * count
+                cover += P[i] * count
             dfs(i + 1, rem - count)
             if count:
-                for seg, p in inst.cols[i]:
-                    cover[seg] -= p * count
+                cover -= P[i] * count
             n[i] = 0
             if timed_out:
                 return
@@ -228,74 +232,53 @@ def solve_greedy(inst: MilpInstance) -> AllocationPlan:
     Each round adds one sensor to the stand unlocking the most newly
     covered length; ties prefer the stand making the most progress toward
     still-uncovered thresholds, then the smallest id. The swap phase moves
-    single sensors between stands while any move improves the objective.
-    Fully deterministic.
+    single sensors between stands while any move improves the objective,
+    taking the first improving (src, dst) in id order. Fully deterministic.
     """
-    S = len(inst.caps)
-    threshold = inst.K - COVER_EPS
-    n = [0] * S
-    cover = {seg: 0.0 for seg in inst.candidates}
-
-    def gains(stand: int) -> tuple[float, float]:
-        newly = 0.0
-        progress = 0.0
-        for seg, p in inst.cols[stand]:
-            val = cover[seg]
-            if val >= threshold:
-                continue
-            if val + p >= threshold:
-                newly += inst.lengths[seg]
-            progress += inst.lengths[seg] * min(p, inst.K - val)
-        return newly, progress
+    P = inst.P
+    K = inst.K
+    lengths = inst.candidate_lengths
+    threshold = K - COVER_EPS
+    caps = np.asarray(inst.caps)
+    n = np.zeros(inst.num_stands, dtype=np.int64)
+    cover = np.zeros(len(inst.candidates))
 
     for _ in range(inst.budget):
-        choice = None
-        choice_key = None
-        for stand in range(S):
-            if n[stand] >= inst.caps[stand]:
-                continue
-            newly, progress = gains(stand)
-            key = (-newly, -progress, stand)
-            if choice_key is None or key < choice_key:
-                choice_key = key
-                choice = stand
-        if choice is None:
+        open_stands = n < caps
+        if not open_stands.any():
             break
+        uncovered = cover < threshold
+        newly = _ordered_sum(np.where(uncovered & (cover + P >= threshold), lengths, 0.0), axis=1)
+        progress = _ordered_sum(
+            np.where(uncovered, lengths * np.minimum(P, K - cover), 0.0), axis=1
+        )
+        newly = np.where(open_stands, newly, -np.inf)
+        # argmax takes the first maximum, so exact ties go to the smallest id
+        choice = int(np.argmax(np.where(newly == newly.max(), progress, -np.inf)))
         n[choice] += 1
-        for seg, p in inst.cols[choice]:
-            cover[seg] += p
+        cover += P[choice]
 
-    def swap_delta(src: int, dst: int) -> float:
-        touched = {seg: -p for seg, p in inst.cols[src]}
-        for seg, p in inst.cols[dst]:
-            touched[seg] = touched.get(seg, 0.0) + p
-        delta = 0.0
-        for seg, change in touched.items():
-            before = cover[seg] >= threshold
-            after = cover[seg] + change >= threshold
-            if before != after:
-                delta += inst.lengths[seg] if after else -inst.lengths[seg]
-        return delta
-
+    # a move's delta adds the lengths it flips over src's candidates first,
+    # then over the others, each in ascending order
+    src_first = np.argsort(P <= 0, axis=1, kind="stable")
     improved = True
     while improved:
         improved = False
-        for src in range(S):
-            if n[src] == 0:
-                continue
-            for dst in range(S):
-                if dst == src or n[dst] >= inst.caps[dst]:
-                    continue
-                if swap_delta(src, dst) > COVER_EPS:
-                    n[src] -= 1
-                    n[dst] += 1
-                    for seg, p in inst.cols[src]:
-                        cover[seg] -= p
-                    for seg, p in inst.cols[dst]:
-                        cover[seg] += p
-                    improved = True
-                    break
-            if improved:
+        before = cover >= threshold
+        for src in np.flatnonzero(n > 0).tolist():
+            # row dst of `after`: coverage once one sensor moves from src to dst
+            after = cover + (P - P[src]) >= threshold
+            flips = np.where(after != before, np.where(after, lengths, -lengths), 0.0)
+            delta = _ordered_sum(flips[:, src_first[src]], axis=1)
+            improving = (n < caps) & (delta > COVER_EPS)
+            improving[src] = False
+            if improving.any():
+                dst = int(np.argmax(improving))
+                n[src] -= 1
+                n[dst] += 1
+                cover -= P[src]
+                cover += P[dst]
+                improved = True
                 break
 
     return evaluate_allocation(inst, n, "greedy")
@@ -332,8 +315,8 @@ def export_lp(inst: MilpInstance, sink) -> None:
         terms = "0 n_s0"  # no coverable segment; any feasible point scores 0
     lines.append(f" obj: {terms}")
     lines.append("Subject To")
-    for seg in inst.candidates:
-        body = " + ".join(f"{_fmt(p)} n_s{stand}" for stand, p in inst.rows[seg])
+    for seg, column in zip(inst.candidates, inst.P.T.tolist()):
+        body = " + ".join(f"{_fmt(p)} n_s{stand}" for stand, p in enumerate(column) if p > 0)
         lines.append(
             f" cov_lb_e{seg}: {body} - {_fmt(inst.big_M)} y_e{seg} >= {_fmt(inst.K - inst.big_M)}"
         )

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import allocation, coverage_model, fleet_sim, harness, metrics, synth, trips
 from .errors import ConfigInfeasibleError, InfeasiblePlanError, MalformedInputError
-from .network import load_network
+from .network import load_network, network_sha256
 
 EXIT_OK = 0
 EXIT_MALFORMED = 2
@@ -37,6 +37,19 @@ def _check_triplog(recorded, artifact, triplog) -> None:
         )
     if recorded != trips.file_sha256(triplog):
         raise MalformedInputError(f"{artifact} was built from another triplog than {triplog}")
+
+
+def _load_routed_net(args, log):
+    """Load --nodes/--edges, which must be the network the triplog was routed on."""
+    net = _load_net(args.nodes, args.edges)
+    network = f"{args.nodes} and {args.edges}"
+    if log.network_sha256 is None:
+        raise MalformedInputError(
+            f"{args.triplog} records no network_sha256, so it cannot be checked against {network}"
+        )
+    if log.network_sha256 != network_sha256(net):
+        raise MalformedInputError(f"{args.triplog} was routed on another network than {network}")
+    return net
 
 
 def _out_dir(args) -> Path:
@@ -112,8 +125,8 @@ def cmd_probs(args) -> int:
 
 
 def _build_instance_from_files(args):
-    net = _load_net(args.nodes, args.edges)
     log = trips.load_triplog(args.triplog)
+    net = _load_routed_net(args, log)
     plan = fleet_sim.initial_bike_counts(log)
     matrix = coverage_model.load_matrix(args.probs, args.probs_meta)
     _check_triplog(matrix.triplog_sha256, args.probs_meta, args.triplog)
@@ -160,10 +173,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_score(args) -> int:
+    log = trips.load_triplog(args.triplog)
+    net = _load_routed_net(args, log)
     replay, meta = fleet_sim.load_trajectories(args.traj)
     _check_triplog(meta.get("triplog_sha256"), args.traj, args.triplog)
-    log = trips.load_triplog(args.triplog)
-    net = _load_net(args.nodes, args.edges)
     grid = metrics.IntervalGrid(*log.horizon, args.delta)
     equipped = frozenset(meta.get("equipped", []))
     counts = metrics.coverage_counts(replay, equipped, grid, net.num_segments)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -197,7 +198,12 @@ def load_matrix(csv_path, meta_path) -> CoverageMatrix:
         if reader.fieldnames != ["stand_id", "segment_id", "p"]:
             raise MalformedInputError("coverage file must have header stand_id,segment_id,p")
         for row in reader:
-            p[(int(row["stand_id"]), int(row["segment_id"]))] = float(row["p"])
+            key, value = (int(row["stand_id"]), int(row["segment_id"])), float(row["p"])
+            if not 0.0 <= value < math.inf:
+                raise MalformedInputError(
+                    f"{csv_path}: p = {row['p']} for (stand, segment) {key} is not a finite number >= 0"
+                )
+            p[key] = value
     with malformed_fields(meta_path):
         return CoverageMatrix(
             p,

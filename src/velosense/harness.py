@@ -265,6 +265,13 @@ def sensor_requirement(spec: ExperimentSpec, target_phi_pct: float) -> list[Requ
     ev = Evaluator(data, spec.seed)
     beta = spec.betas[0]
     max_budget = sum(data.fleet.b)
+    plans: dict[int, frozenset[int]] = {}  # budget -> greedy equipped set, shared by intervals
+
+    def equipped_at(budget: int) -> frozenset[int]:
+        if budget not in plans:
+            inst = build_instance(matrix, data.net, data.fleet, budget)
+            plans[budget] = equipped_set(data.fleet, solve_greedy(inst).n)
+        return plans[budget]
 
     out = []
     for delta_h in spec.deltas:
@@ -276,9 +283,7 @@ def sensor_requirement(spec: ExperimentSpec, target_phi_pct: float) -> list[Requ
             if budget == 0:
                 memo[0] = 0.0
                 return 0.0
-            inst = build_instance(matrix, data.net, data.fleet, budget)
-            plan = solve_greedy(inst)
-            equipped = equipped_set(data.fleet, plan.n)
+            equipped = equipped_at(budget)
             phis = [
                 ev.phi(ev.trajectories(rep, beta, equipped), equipped, delta_h)
                 for rep in range(spec.replications)

@@ -7,6 +7,7 @@ at load time; ids found in input files are remapped in order of appearance.
 from __future__ import annotations
 
 import csv
+import hashlib
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -69,6 +70,16 @@ class RoadNetwork:
 
     def node_coords(self, node: int) -> tuple[float, float]:
         return float(self.node_lat[node]), float(self.node_lon[node])
+
+
+def network_sha256(net: RoadNetwork) -> str:
+    """SHA-256 of node coordinates, segment endpoints and segment lengths: the
+    provenance key that ties a triplog to the network it was routed on."""
+    digest = hashlib.sha256()
+    for column in (net.node_lat, net.node_lon, net.seg_u, net.seg_v, net.seg_length_m):
+        digest.update(len(column).to_bytes(8, "little"))
+        digest.update(np.asarray(column, dtype="<f8").tobytes())
+    return digest.hexdigest()
 
 
 def build_network(nodes, edges) -> RoadNetwork:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MalformedInputError, NoPathError, malformed_fields
-from .network import Path, RoadNetwork, ShortestPathCache, nearest_node
+from .network import Path, RoadNetwork, ShortestPathCache, nearest_node, network_sha256
 
 TRIPLOG_FORMAT = "velosense-triplog-v1"
 
@@ -97,6 +97,7 @@ class TripLog:
     horizon: tuple[int, int]
     speed_m_per_min: float
     drop_counts: dict[str, int] = field(default_factory=dict)
+    network_sha256: str | None = None  # of the network the trips were routed on
 
     @property
     def num_stands(self) -> int:
@@ -213,7 +214,7 @@ def clean_trips(
         )
 
     kept.sort(key=lambda t: t.start_min)  # stable: ties keep input order
-    return TripLog(kept, stands, window, speed_m_per_min, drops)
+    return TripLog(kept, stands, window, speed_m_per_min, drops, network_sha256(net))
 
 
 def traversal_times(trip: Trip, speed_m_per_min: float) -> list[tuple[int, int]]:
@@ -233,6 +234,7 @@ def traversal_times(trip: Trip, speed_m_per_min: float) -> list[tuple[int, int]]
 def save_triplog(log: TripLog, path) -> None:
     doc = {
         "format": TRIPLOG_FORMAT,
+        "network_sha256": log.network_sha256,
         "horizon": list(log.horizon),
         "speed_m_per_min": log.speed_m_per_min,
         "drop_counts": log.drop_counts,
@@ -285,6 +287,7 @@ def load_triplog(path) -> TripLog:
             tuple(doc["horizon"]),
             doc["speed_m_per_min"],
             doc.get("drop_counts", {}),
+            doc.get("network_sha256"),
         )
         _check_trips(log, path)
     return log

@@ -205,3 +205,174 @@ def linearity_probe_counter(runs_of_trajectories, stand_bikes, stands, min_mean)
             ss_tot = sum(y * y for y in ys)
             results.append((stand, seg, slope, 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0, b))
     return results
+
+
+class SparseAllocation:
+    """An allocation instance as per-stand and per-segment lists of (id, p),
+    the dict-based layout the dense solvers are checked against.
+
+    `p_entries` maps (stand, segment) to p; entries with p <= 0 are dropped.
+    `budget` must already be clamped to the total capacity.
+    """
+
+    def __init__(self, p_entries, lengths, caps, budget, K=1.0):
+        self.cols = [[] for _ in caps]  # per stand: (segment, p), segment-sorted
+        self.rows = {}  # per candidate segment: (stand, p), stand-sorted
+        for (stand, seg), p in sorted(p_entries.items()):
+            if p <= 0:
+                continue
+            self.cols[stand].append((seg, p))
+            self.rows.setdefault(seg, []).append((stand, p))
+        self.candidates = sorted(self.rows)
+        self.lengths = lengths
+        self.caps = list(caps)
+        self.budget = budget
+        self.K = K
+
+
+def evaluate_sparse(inst, n, gap=0.0, eps=1e-9):
+    """(n, objective_m, N_e, y, gap) of a sensor vector, accumulated in dicts."""
+    N_e = {}
+    for stand, count in enumerate(n):
+        if count == 0:
+            continue
+        for seg, p in inst.cols[stand]:
+            N_e[seg] = N_e.get(seg, 0.0) + p * count
+    y = {seg: N_e.get(seg, 0.0) >= inst.K - eps for seg in inst.candidates}
+    objective = float(sum(inst.lengths[seg] for seg, covered in y.items() if covered))
+    return list(n), objective, N_e, y, gap
+
+
+def solve_exact_sparse(inst, eps=1e-9):
+    """Depth-first branch and bound over dicts, without a time limit; the
+    same node order, bound and incumbent rule as allocation.solve_exact."""
+    S = len(inst.caps)
+    threshold = inst.K - eps
+    suffix = [dict() for _ in range(S + 1)]
+    for i in range(S - 1, -1, -1):
+        acc = dict(suffix[i + 1])
+        for seg, p in inst.cols[i]:
+            acc[seg] = acc.get(seg, 0.0) + p * inst.caps[i]
+        suffix[i] = acc
+
+    best_n = [0] * S
+    best_obj = 0.0
+    cover = {seg: 0.0 for seg in inst.candidates}
+    n = [0] * S
+
+    def leaf_objective():
+        acc = {seg: 0.0 for seg in inst.candidates}
+        for stand in range(S):
+            count = n[stand]
+            if count:
+                for seg, p in inst.cols[stand]:
+                    acc[seg] += p * count
+        return float(sum(inst.lengths[seg] for seg, val in acc.items() if val >= threshold))
+
+    def bound(i, rem):
+        cur = 0.0
+        potential = 0.0
+        ahead = suffix[i]
+        for seg, val in cover.items():
+            if val >= threshold:
+                cur += inst.lengths[seg]
+            elif rem > 0 and val + ahead.get(seg, 0.0) >= threshold:
+                potential += inst.lengths[seg]
+        return cur + potential
+
+    def dfs(i, rem):
+        nonlocal best_obj, best_n
+        if i == S or rem == 0:
+            obj = leaf_objective()
+            if obj > best_obj:
+                best_obj = obj
+                best_n = list(n)
+            return
+        if bound(i, rem) <= best_obj:
+            return
+        for count in range(min(inst.caps[i], rem), -1, -1):
+            n[i] = count
+            if count:
+                for seg, p in inst.cols[i]:
+                    cover[seg] += p * count
+            dfs(i + 1, rem - count)
+            if count:
+                for seg, p in inst.cols[i]:
+                    cover[seg] -= p * count
+            n[i] = 0
+
+    dfs(0, inst.budget)
+    return evaluate_sparse(inst, best_n, eps=eps)
+
+
+def solve_greedy_sparse(inst, eps=1e-9):
+    """Marginal-gain greedy then first-improvement pairwise swaps, one stand
+    and one segment at a time; the rules of allocation.solve_greedy."""
+    S = len(inst.caps)
+    threshold = inst.K - eps
+    n = [0] * S
+    cover = {seg: 0.0 for seg in inst.candidates}
+
+    def gains(stand):
+        newly = 0.0
+        progress = 0.0
+        for seg, p in inst.cols[stand]:
+            val = cover[seg]
+            if val >= threshold:
+                continue
+            if val + p >= threshold:
+                newly += inst.lengths[seg]
+            progress += inst.lengths[seg] * min(p, inst.K - val)
+        return newly, progress
+
+    for _ in range(inst.budget):
+        choice = None
+        choice_key = None
+        for stand in range(S):
+            if n[stand] >= inst.caps[stand]:
+                continue
+            newly, progress = gains(stand)
+            key = (-newly, -progress, stand)
+            if choice_key is None or key < choice_key:
+                choice_key = key
+                choice = stand
+        if choice is None:
+            break
+        n[choice] += 1
+        for seg, p in inst.cols[choice]:
+            cover[seg] += p
+
+    def swap_delta(src, dst):
+        touched = {seg: -p for seg, p in inst.cols[src]}
+        for seg, p in inst.cols[dst]:
+            touched[seg] = touched.get(seg, 0.0) + p
+        delta = 0.0
+        for seg, change in touched.items():
+            before = cover[seg] >= threshold
+            after = cover[seg] + change >= threshold
+            if before != after:
+                delta += inst.lengths[seg] if after else -inst.lengths[seg]
+        return delta
+
+    improved = True
+    while improved:
+        improved = False
+        for src in range(S):
+            if n[src] == 0:
+                continue
+            for dst in range(S):
+                if dst == src or n[dst] >= inst.caps[dst]:
+                    continue
+                if swap_delta(src, dst) > eps:
+                    n[src] -= 1
+                    n[dst] += 1
+                    for seg, p in inst.cols[src]:
+                        cover[seg] -= p
+                    for seg, p in inst.cols[dst]:
+                        cover[seg] += p
+                    improved = True
+                    break
+            if improved:
+                break
+
+    return evaluate_sparse(inst, n, eps=eps)

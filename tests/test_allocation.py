@@ -13,11 +13,21 @@ from velosense.allocation import (
     solve_exact,
     solve_greedy,
 )
+from velosense.coverage_model import estimate_probabilities, mean_coverage
 from velosense.errors import MalformedInputError
+from velosense.fleet_sim import initial_bike_counts
+from velosense.synth import SynthConfig, generate
+from velosense.trips import clean_trips
 
 from alloc_problems import make_problem, random_problem
 from lp_parser import parse_lp
-from oracles import best_allocation_objective
+from oracles import (
+    SparseAllocation,
+    best_allocation_objective,
+    evaluate_sparse,
+    solve_exact_sparse,
+    solve_greedy_sparse,
+)
 
 
 TWO_BY_TWO = dict(
@@ -198,6 +208,56 @@ class TestSolveGreedy:
         plan = solve_greedy(inst)
         exact = solve_exact(inst)
         assert plan.objective_m == exact.objective_m == 100.0
+
+
+def _fields(plan):
+    return plan.n, plan.objective_m, plan.N_e, plan.y, plan.gap
+
+
+class TestSparseOracle:
+    """The dense solvers equal the dict-based references exactly: n, objective,
+    N_e, y and gap, with no tolerance, because both add in the same order."""
+
+    def test_random_problems(self):
+        rng = np.random.default_rng(4004)
+        for _ in range(250):
+            inst, dense, lengths, caps, _budget = random_problem(rng)
+            ref = SparseAllocation(_dense_to_entries(dense), lengths, caps, inst.budget)
+            assert _fields(solve_exact(inst)) == solve_exact_sparse(ref)
+            assert _fields(solve_greedy(inst)) == solve_greedy_sparse(ref)
+            n = random_allocation(inst, seed=int(rng.integers(0, 1000))).n
+            assert _fields(evaluate_allocation(inst, n, "random")) == evaluate_sparse(ref, n)
+
+    def test_greedy_on_larger_instances_with_fractional_lengths(self):
+        rng = np.random.default_rng(4005)
+        for _ in range(20):
+            S, E = int(rng.integers(5, 16)), int(rng.integers(10, 40))
+            caps = [int(rng.integers(0, 5)) for _ in range(S)]
+            lengths = [float(rng.uniform(50.0, 400.0)) for _ in range(E)]
+            entries = {
+                (s, e): float(rng.uniform(0.02, 0.9))
+                for s in range(S)
+                for e in range(E)
+                if rng.random() < 0.3
+            }
+            inst, _ = make_problem(entries, lengths, caps, budget=int(rng.integers(1, 20)))
+            ref = SparseAllocation(entries, lengths, caps, inst.budget)
+            assert _fields(solve_greedy(inst)) == solve_greedy_sparse(ref)
+
+    def test_greedy_float_tie(self):
+        # instance 2 of the benchmark's requirement workload at budget 14: two
+        # stands make equal progress up to the last bit, so a sum in another
+        # order breaks the tie the other way
+        cfg = SynthConfig(
+            grid_w=12, grid_h=12, block_m=200.0, stand_count=24, trips=2500, seed=2
+        )
+        net, raw = generate(cfg)
+        log = clean_trips(raw, net)
+        fleet = initial_bike_counts(log)
+        matrix = estimate_probabilities(mean_coverage(log, fleet, runs=4, seed=2), fleet)
+        inst = build_instance(matrix, net, fleet, 14)
+        ref = SparseAllocation(matrix.p, net.seg_length_m, fleet.b, inst.budget)
+        assert _fields(solve_greedy(inst)) == solve_greedy_sparse(ref)
 
 
 class TestRandomAllocation:

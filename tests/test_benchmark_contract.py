@@ -15,7 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["cli-chain", "sweep"])
+@pytest.mark.parametrize("workload", ["cli-chain", "sweep", "requirement"])
 def test_traced_run_fails_no_check(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,

@@ -258,6 +258,8 @@ def _append_row(row):
         ("simulate", SIMULATE, [], "--alloc", _drop_key("N_e")),
         ("allocate", ALLOCATE, ["--budget", "4"], "--probs", _append_row("99,0,0.5")),
         ("allocate", ALLOCATE, ["--budget", "4"], "--probs", _append_row("0,99999,0.5")),
+        ("allocate", ALLOCATE, ["--budget", "4"], "--probs", _append_row("0,0,nan")),
+        ("allocate", ALLOCATE, ["--budget", "4"], "--probs", _append_row("0,0,-0.5")),
         ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(start_min=2000))),
         ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(start_min=100))),
         ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(origin=99))),
@@ -268,10 +270,10 @@ def _append_row(row):
         ("score", SCORE, ["--delta", "4"], "--traj", _drop_metadata_key("triplog_sha256")),
     ],
     ids=["triplog-without-stands", "traj-without-metadata", "alloc-without-N_e",
-         "probs-unknown-stand", "probs-unknown-segment", "trip-after-horizon",
-         "trip-before-horizon", "trip-unknown-origin", "trip-negative-origin",
-         "trip-path-lengths-disagree", "trips-unsorted", "probs-meta-without-triplog-sha256",
-         "traj-without-triplog-sha256"],
+         "probs-unknown-stand", "probs-unknown-segment", "probs-nan", "probs-negative",
+         "trip-after-horizon", "trip-before-horizon", "trip-unknown-origin",
+         "trip-negative-origin", "trip-path-lengths-disagree", "trips-unsorted",
+         "probs-meta-without-triplog-sha256", "traj-without-triplog-sha256"],
 )
 def test_malformed_artifact_is_2(artifacts, tmp_path, capsys, command, options, extra, corrupted, edit):
     paths = dict(artifacts)
@@ -282,31 +284,36 @@ def test_malformed_artifact_is_2(artifacts, tmp_path, capsys, command, options, 
     assert capsys.readouterr().err.startswith("error:")
 
 
+def _run_chain(out, seed, synth_args):
+    """Option paths of an artifact chain from synth through simulate."""
+    assert main(["synth", *synth_args, "--seed", str(seed), "--out-dir", str(out)]) == 0
+    paths = {
+        "--nodes": out / "nodes.csv",
+        "--edges": out / "edges.csv",
+        "--trips": out / "trips.csv",
+        "--triplog": out / "triplog.json",
+        "--probs": out / "probs.csv",
+        "--probs-meta": out / "probs.meta.json",
+        "--alloc": out / "alloc.json",
+        "--traj": out / "traj.json",
+    }
+    common = ["--out-dir", str(out), "--seed", str(seed)]
+    assert main(["ingest", *_args(paths, ("--nodes", "--edges", "--trips")), *common]) == 0
+    assert main(["probs", *_args(paths, ("--triplog",)), "--runs", "2", *common]) == 0
+    assert main(["allocate", *_args(paths, ALLOCATE), "--budget", "4", *common]) == 0
+    assert main(["simulate", *_args(paths, SIMULATE), "--beta", "1", *common]) == 0
+    return paths
+
+
+def _with_lp_out(command, extra, tmp_path):
+    return [*extra, "--out", str(tmp_path / "model.lp")] if command == "export-lp" else extra
+
+
 @pytest.fixture(scope="module")
 def runs_by_seed(tmp_path_factory):
     """Option paths of a full artifact chain for each of synth seeds 5 and 6."""
-    runs = {}
-    for seed in (5, 6):
-        out = tmp_path_factory.mktemp(f"seed{seed}")
-        synth = ["synth", "--grid-w", "6", "--grid-h", "6", "--block-m", "350", "--stands", "6"]
-        assert main([*synth, "--trips", "150", "--seed", str(seed), "--out-dir", str(out)]) == 0
-        paths = {
-            "--nodes": out / "nodes.csv",
-            "--edges": out / "edges.csv",
-            "--trips": out / "trips.csv",
-            "--triplog": out / "triplog.json",
-            "--probs": out / "probs.csv",
-            "--probs-meta": out / "probs.meta.json",
-            "--alloc": out / "alloc.json",
-            "--traj": out / "traj.json",
-        }
-        common = ["--out-dir", str(out), "--seed", str(seed)]
-        assert main(["ingest", *_args(paths, ("--nodes", "--edges", "--trips")), *common]) == 0
-        assert main(["probs", *_args(paths, ("--triplog",)), "--runs", "2", *common]) == 0
-        assert main(["allocate", *_args(paths, ALLOCATE), "--budget", "4", *common]) == 0
-        assert main(["simulate", *_args(paths, SIMULATE), "--beta", "1", *common]) == 0
-        runs[seed] = paths
-    return runs
+    synth = ["--grid-w", "6", "--grid-h", "6", "--block-m", "350", "--stands", "6", "--trips", "150"]
+    return {seed: _run_chain(tmp_path_factory.mktemp(f"seed{seed}"), seed, synth) for seed in (5, 6)}
 
 
 @pytest.mark.parametrize(
@@ -324,12 +331,54 @@ def test_artifact_from_another_triplog_is_2(
     paths = dict(runs_by_seed[6])
     for option in foreign:
         paths[option] = runs_by_seed[5][option]
-    if command == "export-lp":
-        extra = [*extra, "--out", str(tmp_path / "model.lp")]
+    extra = _with_lp_out(command, extra, tmp_path)
     assert main([command, *_args(paths, options), *extra, "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "another triplog" in err
     assert str(runs_by_seed[5][foreign[-1]]) in err and str(paths["--triplog"]) in err
+
+
+@pytest.fixture(scope="module")
+def foreign_network(tmp_path_factory):
+    """A chain on a 16x16 grid (synth seed 5), and the nodes and edges of a
+    20x20 grid (synth seed 9) that none of its trips were routed on."""
+    synth = ["--grid-w", "16", "--grid-h", "16", "--block-m", "150", "--stands", "30"]
+    run = _run_chain(tmp_path_factory.mktemp("grid16"), 5, [*synth, "--trips", "4000"])
+    other = tmp_path_factory.mktemp("grid20")
+    synth = ["--grid-w", "20", "--grid-h", "20", "--block-m", "150", "--stands", "30"]
+    assert main(["synth", *synth, "--trips", "100", "--seed", "9", "--out-dir", str(other)]) == 0
+    return run, {"--nodes": other / "nodes.csv", "--edges": other / "edges.csv"}
+
+
+NETWORK_CHECKED = [
+    ("allocate", ALLOCATE, ["--budget", "4"]),
+    ("export-lp", ALLOCATE, ["--budget", "4"]),
+    ("score", SCORE, ["--delta", "4"]),
+]
+
+
+@pytest.mark.parametrize("command, options, extra", NETWORK_CHECKED, ids=["allocate", "export-lp", "score"])
+def test_network_other_than_the_triplogs_is_2(foreign_network, tmp_path, capsys, command, options, extra):
+    run, network = foreign_network
+    paths = {**run, **network}
+    extra = _with_lp_out(command, extra, tmp_path)
+    assert main([command, *_args(paths, options), *extra, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "routed on another network" in err
+    assert all(str(paths[option]) in err for option in ("--triplog", "--nodes", "--edges"))
+
+
+@pytest.mark.parametrize("command, options, extra", NETWORK_CHECKED, ids=["allocate", "export-lp", "score"])
+def test_triplog_without_network_sha256_is_2(runs_by_seed, tmp_path, capsys, command, options, extra):
+    paths = dict(runs_by_seed[6])
+    bad = tmp_path / "triplog.json"
+    bad.write_text(_drop_key("network_sha256")(paths["--triplog"].read_text()))
+    paths["--triplog"] = bad
+    extra = _with_lp_out(command, extra, tmp_path)
+    assert main([command, *_args(paths, options), *extra, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "records no network_sha256" in err
+    assert all(str(paths[option]) in err for option in ("--triplog", "--nodes", "--edges"))
 
 
 class TestExitCodes:

@@ -184,6 +184,21 @@ class TestSensorRequirement:
         linear = next(b for b in range(sum(data.fleet.b) + 1) if mean_phi(b) >= target)
         assert found == linear
 
+    def test_each_budget_is_solved_once_across_intervals(self, monkeypatch):
+        import velosense.harness as harness
+
+        solved = []
+        solve_greedy = harness.solve_greedy
+
+        def counting_greedy(inst):
+            solved.append(inst.budget)
+            return solve_greedy(inst)
+
+        monkeypatch.setattr(harness, "solve_greedy", counting_greedy)
+        rows = sensor_requirement(small_spec(deltas=[16.0, 4.0, 1.0]), target_phi_pct=10.0)
+        assert [r.budget is not None for r in rows] == [True] * 3
+        assert solved and len(solved) == len(set(solved))
+
 
 class TestWriters:
     def test_results_header_contract(self, tmp_path):
