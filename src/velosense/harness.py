@@ -265,12 +265,13 @@ def sensor_requirement(spec: ExperimentSpec, target_phi_pct: float) -> list[Requ
     ev = Evaluator(data, spec.seed)
     beta = spec.betas[0]
     max_budget = sum(data.fleet.b)
+    # budgets only change the instance's budget; an empty fleet never solves one
+    inst = build_instance(matrix, data.net, data.fleet, max_budget) if max_budget else None
     plans: dict[int, frozenset[int]] = {}  # budget -> greedy equipped set, shared by intervals
 
     def equipped_at(budget: int) -> frozenset[int]:
         if budget not in plans:
-            inst = build_instance(matrix, data.net, data.fleet, budget)
-            plans[budget] = equipped_set(data.fleet, solve_greedy(inst).n)
+            plans[budget] = equipped_set(data.fleet, solve_greedy(replace(inst, budget=budget)).n)
         return plans[budget]
 
     out = []

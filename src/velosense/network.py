@@ -223,25 +223,22 @@ def single_source_distances(net: RoadNetwork, root: int) -> np.ndarray:
     return dist
 
 
-def shortest_path(net: RoadNetwork, origin: int, dest: int) -> Path:
-    """Minimal total-length path from origin to dest.
+def _check_node(net: RoadNetwork, name: str, node: int) -> None:
+    if not 0 <= node < net.num_nodes:
+        raise MalformedInputError(f"{name} node {node} outside 0..{net.num_nodes - 1}")
 
-    Ties between equal-length paths are broken toward the lexicographically
-    smallest node sequence, which keeps replays reproducible on grids where
-    many shortest paths coexist. Runs Dijkstra rooted at `dest`, then walks
-    from `origin` greedily along tight edges (dist[u] == w + dist[v], an exact
-    equality that holds bitwise for at least the relaxation parent).
+
+def path_along(net: RoadNetwork, dist: np.ndarray, origin: int, dest: int) -> Path:
+    """The path from `origin` to `dest` along tight edges of `dist`, the
+    Dijkstra distances rooted at `dest` (single_source_distances).
+
+    Walks from `origin` greedily along tight edges (dist[u] == w + dist[v], an
+    exact equality that holds bitwise for at least the relaxation parent),
+    taking the smallest neighbour id first, so ties between equal-length
+    paths go to the lexicographically smallest node sequence.
     """
-    for name, node in (("origin", origin), ("dest", dest)):
-        if not 0 <= node < net.num_nodes:
-            raise MalformedInputError(f"{name} node {node} outside 0..{net.num_nodes - 1}")
-    if origin == dest:
-        return Path((), (origin,), (), 0.0)
-
-    dist = single_source_distances(net, dest)
     if not math.isfinite(dist[origin]):
         raise NoPathError(f"node {dest} is unreachable from node {origin}")
-
     nodes = [origin]
     segments = []
     lengths = []
@@ -268,25 +265,38 @@ def shortest_path(net: RoadNetwork, origin: int, dest: int) -> Path:
     return Path(tuple(segments), tuple(nodes), tuple(lengths), total)
 
 
-class ShortestPathCache:
-    """Memoizes shortest paths per (origin, dest) node pair.
+def shortest_path(net: RoadNetwork, origin: int, dest: int) -> Path:
+    """Minimal total-length path from origin to dest.
 
-    Trip data reuses stand pairs heavily, so this cuts routing cost by
-    orders of magnitude. Not thread-safe under concurrent insertion; either
-    prefill single-threaded or give each worker its own cache.
+    Ties between equal-length paths are broken toward the lexicographically
+    smallest node sequence, which keeps replays reproducible on grids where
+    many shortest paths coexist: Dijkstra rooted at `dest`, then path_along.
     """
+    _check_node(net, "origin", origin)
+    _check_node(net, "dest", dest)
+    if origin == dest:
+        return Path((), (origin,), (), 0.0)
+    return path_along(net, single_source_distances(net, dest), origin, dest)
 
-    def __init__(self, net: RoadNetwork):
-        self.net = net
-        self._paths: dict[tuple[int, int], Path] = {}
 
-    def get(self, origin: int, dest: int) -> Path:
-        key = (origin, dest)
-        path = self._paths.get(key)
-        if path is None:
-            path = shortest_path(self.net, origin, dest)
-            self._paths[key] = path
-        return path
+def route_pairs(net: RoadNetwork, pairs) -> dict[tuple[int, int], Path]:
+    """Shortest paths of many (origin, dest) node pairs, each equal to
+    shortest_path(net, origin, dest), with one Dijkstra per distinct dest.
 
-    def __len__(self) -> int:
-        return len(self._paths)
+    Only one distance array is live at a time, so memory stays O(nodes)
+    however many pairs share a destination. Unreachable pairs are left out.
+    """
+    origins_of: dict[int, list[int]] = {}
+    for origin, dest in dict.fromkeys(pairs):
+        _check_node(net, "origin", origin)
+        _check_node(net, "dest", dest)
+        origins_of.setdefault(dest, []).append(origin)
+    paths = {}
+    for dest, origins in origins_of.items():
+        dist = single_source_distances(net, dest)
+        for origin in origins:
+            try:
+                paths[(origin, dest)] = path_along(net, dist, origin, dest)
+            except NoPathError:
+                pass
+    return paths

@@ -1,11 +1,12 @@
 """Trip ingestion and cleaning: parse raw rides, snap stands, route, filter, time.
 
-Cleaning pipeline: snap every distinct endpoint coordinate to its nearest
-network node (coordinates sharing a node merge into one stand), route each
-trip along the shortest path, keep trips whose routed distance and start time
-fall inside the configured bounds, and recompute the end time from the routed
-distance at constant speed. The reported end time in the raw data is ignored;
-it cannot be reconciled with a routed trajectory.
+Cleaning pipeline: keep the service day of the earliest trip, snap every
+distinct endpoint coordinate to its nearest network node (coordinates sharing
+a node merge into one stand), route each trip along the shortest path, keep
+trips whose routed distance and start time fall inside the configured bounds,
+and recompute the end time from the routed distance at constant speed. The
+reported end time in the raw data is ignored; it cannot be reconciled with a
+routed trajectory.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MalformedInputError, NoPathError, malformed_fields
-from .network import Path, RoadNetwork, ShortestPathCache, nearest_node, network_sha256
+from .errors import MalformedInputError, malformed_fields
+from .network import Path, RoadNetwork, nearest_node, network_sha256, route_pairs
 
-TRIPLOG_FORMAT = "velosense-triplog-v1"
+TRIPLOG_FORMAT = "velosense-triplog-v2"
 
 DEFAULT_SPEED_KMH = 13.0
 DEFAULT_MIN_KM = 0.5
@@ -105,12 +106,26 @@ class TripLog:
 
     @cached_property
     def events(self) -> TripEvents:
-        """The traversal_times of every trip as one event table, built once per log."""
-        per_trip = [traversal_times(trip, self.speed_m_per_min) for trip in self.trips]
-        pairs = [event for events in per_trip for event in events]
-        segment, minute = np.array(pairs, dtype=np.int64).reshape(-1, 2).T.copy()
-        rows = np.repeat(np.arange(len(per_trip), dtype=np.int64), [len(e) for e in per_trip])
-        return TripEvents(rows, segment, minute)
+        """The traversal_times of every trip as one event table, built once per log.
+
+        Entry offsets depend only on the path, so they are computed once per
+        Path object (trips of one (origin, dest) pair share one after
+        clean_trips and load_triplog); each trip adds its start minute.
+        """
+        table_of: dict[int, np.ndarray] = {}  # id of a Path -> int64 [segment; entry offset]
+        per_trip = []
+        for trip in self.trips:
+            table = table_of.get(id(trip.path))
+            if table is None:
+                offsets = _entry_offsets(trip.path, self.speed_m_per_min)
+                table = np.array([trip.path.segments, offsets], dtype=np.int64).reshape(2, -1)
+                table_of[id(trip.path)] = table
+            per_trip.append(table)
+        segment, offset = np.concatenate(per_trip, axis=1) if per_trip else np.empty((2, 0), np.int64)
+        counts = [table.shape[1] for table in per_trip]
+        starts = np.array([trip.start_min for trip in self.trips], dtype=np.int64)
+        rows = np.repeat(np.arange(len(per_trip), dtype=np.int64), counts)
+        return TripEvents(rows, segment, np.repeat(starts, counts) + offset)
 
 
 def _parse_timestamp(text: str) -> datetime | None:
@@ -165,20 +180,33 @@ def clean_trips(
     min_km: float = DEFAULT_MIN_KM,
     max_km: float = DEFAULT_MAX_KM,
     window: tuple[int, int] = DEFAULT_WINDOW,
-    cache: ShortestPathCache | None = None,
 ) -> TripLog:
     """Snap, route, and filter raw trips into a TripLog.
 
-    Distance bounds are inclusive. Durations round up so a bike is never
-    idle before it physically arrives. Stand ids are assigned in ascending
-    snapped-node order, so they do not depend on row order.
+    A log covers one service day: trips starting on another date than the
+    earliest trip are dropped as `other_day` before anything else, since
+    start times are minutes of the day. Distance bounds are inclusive.
+    Durations round up so a bike is never idle before it physically arrives.
+    Stand ids are assigned in ascending snapped-node order, so they do not
+    depend on row order. Routing runs one Dijkstra per distinct destination
+    (network.route_pairs), and trips of one (origin, dest) pair share a Path.
     """
     speed_m_per_min = speed_kmh * 1000.0 / 60.0
     min_m, max_m = min_km * 1000.0, max_km * 1000.0
     t0, t_end = window
 
+    day = min((rt.start_time.date() for rt in raw), default=None)
+    same_day = [rt for rt in raw if rt.start_time.date() == day]
+    drops = {
+        "other_day": len(raw) - len(same_day),
+        "window": 0,
+        "too_short": 0,
+        "too_long": 0,
+        "unreachable": 0,
+    }
+
     snap: dict[tuple[float, float], int] = {}
-    for rt in raw:
+    for rt in same_day:
         for coord in ((rt.start_lat, rt.start_lon), (rt.end_lat, rt.end_lon)):
             if coord not in snap:
                 snap[coord] = nearest_node(net, coord[0], coord[1])
@@ -186,20 +214,21 @@ def clean_trips(
     stand_of_node = {node: i for i, node in enumerate(stand_nodes)}
     stands = [Stand(i, node) for i, node in enumerate(stand_nodes)]
 
-    if cache is None:
-        cache = ShortestPathCache(net)
-    drops = {"window": 0, "too_short": 0, "too_long": 0, "unreachable": 0}
-    kept: list[Trip] = []
-    for rt in raw:
+    in_window = []  # (raw trip, start minute, origin node, dest node)
+    for rt in same_day:
         start_min = rt.start_time.hour * 60 + rt.start_time.minute
         if not t0 <= start_min <= t_end:
             drops["window"] += 1
             continue
-        o_node = snap[(rt.start_lat, rt.start_lon)]
-        d_node = snap[(rt.end_lat, rt.end_lon)]
-        try:
-            path = cache.get(o_node, d_node)
-        except NoPathError:
+        in_window.append(
+            (rt, start_min, snap[(rt.start_lat, rt.start_lon)], snap[(rt.end_lat, rt.end_lon)])
+        )
+
+    paths = route_pairs(net, ((o_node, d_node) for _rt, _start, o_node, d_node in in_window))
+    kept: list[Trip] = []
+    for rt, start_min, o_node, d_node in in_window:
+        path = paths.get((o_node, d_node))
+        if path is None:
             drops["unreachable"] += 1
             continue
         if path.distance_m < min_m:
@@ -223,15 +252,26 @@ def traversal_times(trip: Trip, speed_m_per_min: float) -> list[tuple[int, int]]
     A segment's timestamp is the minute the bike enters it: start time plus
     the cumulative distance before the segment at constant speed, floored.
     """
-    events = []
+    offsets = _entry_offsets(trip.path, speed_m_per_min)
+    return [(seg, trip.start_min + offset) for seg, offset in zip(trip.path.segments, offsets)]
+
+
+def _entry_offsets(path: Path, speed_m_per_min: float) -> list[int]:
+    """Minutes from the start of a trip along `path` to its entry into each segment."""
+    offsets = []
     cum = 0.0
-    for seg, length in zip(trip.path.segments, trip.path.seg_lengths_m):
-        events.append((seg, trip.start_min + int(cum // speed_m_per_min)))
+    for length in path.seg_lengths_m:
+        offsets.append(int(cum // speed_m_per_min))
         cum += length
-    return events
+    return offsets
 
 
 def save_triplog(log: TripLog, path) -> None:
+    """Write a velosense-triplog-v2 file: each distinct Path once in `paths`,
+    and each trip's `path` as an index into that table."""
+    table: dict[Path, int] = {}
+    for t in log.trips:
+        table.setdefault(t.path, len(table))
     doc = {
         "format": TRIPLOG_FORMAT,
         "network_sha256": log.network_sha256,
@@ -239,6 +279,15 @@ def save_triplog(log: TripLog, path) -> None:
         "speed_m_per_min": log.speed_m_per_min,
         "drop_counts": log.drop_counts,
         "stands": [{"stand": s.id, "node": s.node} for s in log.stands],
+        "paths": [
+            {
+                "nodes": list(p.nodes),
+                "segments": list(p.segments),
+                "seg_lengths_m": list(p.seg_lengths_m),
+                "distance_m": p.distance_m,
+            }
+            for p in table
+        ],
         "trips": [
             {
                 "id": t.id,
@@ -246,10 +295,7 @@ def save_triplog(log: TripLog, path) -> None:
                 "dest": t.dest,
                 "start_min": t.start_min,
                 "duration_min": t.duration_min,
-                "distance_m": t.path.distance_m,
-                "nodes": list(t.path.nodes),
-                "segments": list(t.path.segments),
-                "seg_lengths_m": list(t.path.seg_lengths_m),
+                "path": table[t.path],
             }
             for t in log.trips
         ],
@@ -259,11 +305,22 @@ def save_triplog(log: TripLog, path) -> None:
 
 
 def load_triplog(path) -> TripLog:
+    """Read a velosense-triplog-v2 file; trips that name one path share its Path.
+    Any other format, v1 included, is rejected: `ingest` writes v2."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != TRIPLOG_FORMAT:
-        raise MalformedInputError(f"expected {TRIPLOG_FORMAT}, got {doc.get('format')!r}")
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != TRIPLOG_FORMAT:
+        raise MalformedInputError(
+            f"{path}: expected {TRIPLOG_FORMAT}, got {fmt!r}; "
+            f"re-run `velosense ingest` to write a {TRIPLOG_FORMAT} triplog"
+        )
     with malformed_fields(path):
+        paths = [
+            Path(tuple(p["segments"]), tuple(p["nodes"]), tuple(p["seg_lengths_m"]), p["distance_m"])
+            for p in doc["paths"]
+        ]
+        _check_paths(paths, path)
         stands = [Stand(s["stand"], s["node"]) for s in doc["stands"]]
         trips = [
             Trip(
@@ -271,12 +328,7 @@ def load_triplog(path) -> TripLog:
                 t["origin"],
                 t["dest"],
                 t["start_min"],
-                Path(
-                    tuple(t["segments"]),
-                    tuple(t["nodes"]),
-                    tuple(t["seg_lengths_m"]),
-                    t["distance_m"],
-                ),
+                _table_path(paths, t["path"], t["id"], path),
                 t["duration_min"],
             )
             for t in doc["trips"]
@@ -291,6 +343,26 @@ def load_triplog(path) -> TripLog:
         )
         _check_trips(log, path)
     return log
+
+
+def _check_paths(paths: list[Path], source) -> None:
+    """Each path has one length per segment and one more node than segments."""
+    for index, p in enumerate(paths):
+        if not len(p.segments) == len(p.seg_lengths_m) == len(p.nodes) - 1:
+            raise MalformedInputError(
+                f"{source}: path {index} has {len(p.segments)} segments, "
+                f"{len(p.seg_lengths_m)} segment lengths and {len(p.nodes)} nodes"
+            )
+
+
+def _table_path(paths: list[Path], index, trip_id, source) -> Path:
+    # a negative index would quietly pick a path from the end of the table
+    if not (isinstance(index, int) and 0 <= index < len(paths)):
+        raise MalformedInputError(
+            f"{source}: trip {trip_id} refers to path {index!r}, "
+            f"but the log has {len(paths)} paths"
+        )
+    return paths[index]
 
 
 def _check_trips(log: TripLog, source) -> None:
@@ -311,12 +383,6 @@ def _check_trips(log: TripLog, source) -> None:
         if trip.start_min < last_start:
             raise MalformedInputError(f"{source}: trips are not sorted by start minute at {trip.id}")
         last_start = trip.start_min
-        path = trip.path
-        if not len(path.segments) == len(path.seg_lengths_m) == len(path.nodes) - 1:
-            raise MalformedInputError(
-                f"{source}: trip {trip.id} has {len(path.segments)} segments, "
-                f"{len(path.seg_lengths_m)} segment lengths and {len(path.nodes)} nodes"
-            )
 
 
 def file_sha256(path) -> str:

@@ -52,9 +52,13 @@ def test_ingest_reports_and_triplog(pipeline_dir):
     report = json.loads((pipeline_dir / "ingest_report.json").read_text())
     assert report["parse"]["kept"] == 150
     assert sum(report["cleaning"].values()) == 0
+    assert report["cleaning"]["other_day"] == 0
     doc = json.loads((pipeline_dir / "triplog.json").read_text())
-    assert doc["format"] == "velosense-triplog-v1"
+    assert doc["format"] == "velosense-triplog-v2"
     assert len(doc["trips"]) == 150
+    # one path per (origin, dest) stand pair, shared by the trips that make it
+    assert len(doc["paths"]) == len({(t["origin"], t["dest"]) for t in doc["trips"]})
+    assert {t["path"] for t in doc["trips"]} == set(range(len(doc["paths"])))
 
 
 def test_fleet_artifact(pipeline_dir):
@@ -237,13 +241,17 @@ def _drop_metadata_key(key):
     return edit
 
 
-def _edit_trip(change, index=0):
+def _edit_doc(change):
     def edit(text):
         doc = json.loads(text)
-        change(doc["trips"][index])
+        change(doc)
         return json.dumps(doc)
 
     return edit
+
+
+def _edit_trip(change, index=0):
+    return _edit_doc(lambda doc: change(doc["trips"][index]))
 
 
 def _append_row(row):
@@ -264,7 +272,9 @@ def _append_row(row):
         ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(start_min=100))),
         ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(origin=99))),
         ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(origin=-1))),
-        ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t["seg_lengths_m"].pop())),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["paths"][0]["seg_lengths_m"].pop())),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["trips"][0].update(path=len(d["paths"])))),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(path=-1))),
         ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(start_min=360), -1)),
         ("allocate", ALLOCATE, ["--budget", "4"], "--probs-meta", _drop_key("triplog_sha256")),
         ("score", SCORE, ["--delta", "4"], "--traj", _drop_metadata_key("triplog_sha256")),
@@ -272,7 +282,8 @@ def _append_row(row):
     ids=["triplog-without-stands", "traj-without-metadata", "alloc-without-N_e",
          "probs-unknown-stand", "probs-unknown-segment", "probs-nan", "probs-negative",
          "trip-after-horizon", "trip-before-horizon", "trip-unknown-origin",
-         "trip-negative-origin", "trip-path-lengths-disagree", "trips-unsorted",
+         "trip-negative-origin", "trip-path-lengths-disagree", "trip-path-out-of-range",
+         "trip-path-negative", "trips-unsorted",
          "probs-meta-without-triplog-sha256", "traj-without-triplog-sha256"],
 )
 def test_malformed_artifact_is_2(artifacts, tmp_path, capsys, command, options, extra, corrupted, edit):
@@ -282,6 +293,19 @@ def test_malformed_artifact_is_2(artifacts, tmp_path, capsys, command, options, 
     paths[corrupted] = bad
     assert main([command, *_args(paths, options), *extra, "--out-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"format": "velosense-triplog-v1", "trips": []}', '{"format": "something-else"}', "[]"],
+    ids=["v1", "unknown", "not-an-object"],
+)
+def test_triplog_of_another_format_is_2(tmp_path, capsys, text):
+    bad = tmp_path / "triplog.json"
+    bad.write_text(text)
+    assert main(["fleet", "--triplog", str(bad), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "velosense-triplog-v2" in err and "re-run `velosense ingest`" in err
 
 
 def _run_chain(out, seed, synth_args):

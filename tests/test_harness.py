@@ -184,6 +184,35 @@ class TestSensorRequirement:
         linear = next(b for b in range(sum(data.fleet.b) + 1) if mean_phi(b) >= target)
         assert found == linear
 
+    def test_instance_is_built_once_and_plans_match_per_budget_instances(self, monkeypatch):
+        import velosense.harness as harness
+
+        spec = small_spec(deltas=[16.0, 4.0, 1.0])
+        built, solved = [], []
+        build_instance, solve_greedy = harness.build_instance, harness.solve_greedy
+
+        def counting_build(*args, **kwargs):
+            built.append(args[3])
+            return build_instance(*args, **kwargs)
+
+        def recording_greedy(inst):
+            plan = solve_greedy(inst)
+            solved.append((inst.budget, plan.n))
+            return plan
+
+        monkeypatch.setattr(harness, "build_instance", counting_build)
+        monkeypatch.setattr(harness, "solve_greedy", recording_greedy)
+        sensor_requirement(spec, target_phi_pct=10.0)
+        data = harness.prepare(spec)
+        assert built == [sum(data.fleet.b)]
+        assert solved
+        matrix = harness.estimate_probabilities(
+            harness.mean_coverage(data.log, data.fleet, runs=spec.coverage_runs, seed=spec.seed),
+            data.fleet,
+        )
+        for budget, n in solved:
+            assert solve_greedy(build_instance(matrix, data.net, data.fleet, budget)).n == n
+
     def test_each_budget_is_solved_once_across_intervals(self, monkeypatch):
         import velosense.harness as harness
 

@@ -6,11 +6,11 @@ import pytest
 
 from velosense.errors import MalformedInputError, NoPathError
 from velosense.network import (
-    ShortestPathCache,
     build_network,
     haversine_m,
     load_network,
     nearest_node,
+    route_pairs,
     shortest_path,
     single_source_distances,
 )
@@ -140,7 +140,7 @@ class TestShortestPath:
         path = shortest_path(net, 0, 8)
         assert path.nodes == (0, 1, 2, 5, 8)
 
-    def _random_net(self, rng, n):
+    def _random_net(self, rng, n, max_length=50):
         nodes = [(i, 40.0 + 0.01 * i, -74.0 + 0.003 * (i % 3)) for i in range(n)]
         edges = []
         seen = set()
@@ -150,7 +150,7 @@ class TestShortestPath:
             if u == v or key in seen:
                 continue
             seen.add(key)
-            edges.append((int(u), int(v), float(rng.integers(1, 50))))
+            edges.append((int(u), int(v), float(rng.integers(1, max_length))))
         if not edges:
             edges = [(0, 1, 10.0)]
         return build_network(nodes, edges)
@@ -197,8 +197,31 @@ class TestShortestPath:
         assert len(path.segments) == len(path.nodes) - 1
         assert path.distance_m == pytest.approx(sum(path.seg_lengths_m))
 
-    def test_cache_returns_same_object(self, line_net):
-        cache = ShortestPathCache(line_net)
-        first = cache.get(0, 2)
-        assert cache.get(0, 2) is first
-        assert len(cache) == 1
+    def _assert_routes_match_shortest_path(self, net):
+        pairs = [(o, d) for o in range(net.num_nodes) for d in range(net.num_nodes)]
+        routed = route_pairs(net, pairs)
+        for origin, dest in pairs:
+            if (origin, dest) in routed:
+                assert routed[(origin, dest)] == shortest_path(net, origin, dest)
+            else:
+                with pytest.raises(NoPathError):
+                    shortest_path(net, origin, dest)
+        return routed
+
+    def test_route_pairs_equal_shortest_path_on_grids(self):
+        for w, h in ((3, 3), (5, 4), (6, 6)):
+            routed = self._assert_routes_match_shortest_path(grid_network(w, h, 150.0))
+            assert len(routed) == (w * h) ** 2
+
+    @pytest.mark.parametrize("max_length", [50, 3])  # 3: many equal-length paths
+    def test_route_pairs_equal_shortest_path_on_random_graphs(self, max_length):
+        rng = np.random.default_rng(7)
+        unreachable = 0
+        for _ in range(60):
+            net = self._random_net(rng, int(rng.integers(2, 12)), max_length)
+            unreachable += net.num_nodes ** 2 - len(self._assert_routes_match_shortest_path(net))
+        assert unreachable > 0
+
+    def test_route_pairs_rejects_invalid_nodes(self, line_net):
+        with pytest.raises(MalformedInputError):
+            route_pairs(line_net, [(0, 3)])

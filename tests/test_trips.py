@@ -1,5 +1,7 @@
 import io
 import math
+from dataclasses import replace
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -157,6 +159,41 @@ class TestClean:
         assert sorted(map(key, log_a.trips)) == sorted(map(key, log_b.trips))
         assert log_a.stands == log_b.stands
 
+    def test_other_day_rows_dropped(self, small_scenario):
+        net, _log = small_scenario
+        from velosense.fleet_sim import initial_bike_counts
+        from velosense.synth import SynthConfig, generate
+
+        _, day_one = generate(SynthConfig(8, 8, 300.0, 8, 400, seed=11))
+        day_two = [replace(rt, start_time=rt.start_time + timedelta(days=1)) for rt in day_one]
+        one = clean_trips(day_one, net)
+        both = clean_trips(day_two + day_one, net)
+        assert both.drop_counts["other_day"] == len(day_two)
+        assert one.drop_counts["other_day"] == 0
+        assert {k: v for k, v in both.drop_counts.items() if k != "other_day"} == {
+            k: v for k, v in one.drop_counts.items() if k != "other_day"
+        }
+        assert both.stands == one.stands and both.trips == one.trips
+        assert initial_bike_counts(both).b == initial_bike_counts(one).b
+
+    def test_one_dijkstra_per_destination(self, small_scenario, monkeypatch):
+        import velosense.network as network
+        from velosense.synth import SynthConfig, generate
+
+        net, _log = small_scenario
+        _, raw = generate(SynthConfig(8, 8, 300.0, 8, 400, seed=11))
+        roots = []
+        dijkstra = network.single_source_distances
+
+        def counting(net, root):
+            roots.append(root)
+            return dijkstra(net, root)
+
+        monkeypatch.setattr(network, "single_source_distances", counting)
+        clean_trips(raw, net)
+        dests = {network.nearest_node(net, rt.end_lat, rt.end_lon) for rt in raw}
+        assert sorted(roots) == sorted(dests)
+
     def test_deterministic(self, small_scenario):
         net, log = small_scenario
         from velosense.synth import SynthConfig, generate
@@ -234,5 +271,15 @@ class TestSerialization:
     def test_format_tag_checked(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"format": "something-else"}')
-        with pytest.raises(MalformedInputError, match="velosense-triplog-v1"):
+        with pytest.raises(MalformedInputError, match="velosense-triplog-v2"):
             load_triplog(bad)
+
+    def test_trips_of_one_pair_share_one_path(self, small_scenario, tmp_path):
+        _net, log = small_scenario
+        path = tmp_path / "triplog.json"
+        save_triplog(log, path)
+        for each in (log, load_triplog(path)):
+            by_pair = {}
+            for trip in each.trips:
+                assert by_pair.setdefault((trip.origin, trip.dest), trip.path) is trip.path
+            assert len({id(trip.path) for trip in each.trips}) == len(by_pair) < len(each.trips)
