@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coverage_model import CoverageMatrix
-from .errors import MalformedInputError, malformed_fields
+from .errors import MalformedInputError, read_artifact
 from .fleet_sim import FleetPlan
 from .network import RoadNetwork
 
@@ -67,6 +67,7 @@ class AllocationPlan:
     y: dict[int, bool]
     solver: str
     gap: float = 0.0
+    triplog_sha256: str | None = None  # of the triplog it was solved for, as alloc.json records it
 
     @property
     def total_sensors(self) -> int:
@@ -337,7 +338,7 @@ def export_lp(inst: MilpInstance, sink) -> None:
     sink.write("\n".join(lines).encode("utf-8") + b"\n")
 
 
-def save_plan(plan: AllocationPlan, inst: MilpInstance, path) -> None:
+def save_plan(plan: AllocationPlan, inst: MilpInstance, path, triplog_sha256: str) -> None:
     doc = {
         "format": ALLOC_FORMAT,
         "n": plan.n,
@@ -349,20 +350,18 @@ def save_plan(plan: AllocationPlan, inst: MilpInstance, path) -> None:
         "big_M": inst.big_M,
         "N_e": {str(seg): val for seg, val in sorted(plan.N_e.items())},
         "covered_segments": sorted(seg for seg, covered in plan.y.items() if covered),
+        "triplog_sha256": triplog_sha256,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
 
 
 def load_plan(path) -> AllocationPlan:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != ALLOC_FORMAT:
-        raise MalformedInputError(f"expected {ALLOC_FORMAT}, got {doc.get('format')!r}")
-    with malformed_fields(path):
+    with read_artifact(path, ALLOC_FORMAT, "allocate") as doc:
         N_e = {int(seg): val for seg, val in doc["N_e"].items()}
         covered = set(doc["covered_segments"])
         y = {seg: seg in covered for seg in N_e}
+        n = [int(x) for x in doc["n"]]
         return AllocationPlan(
-            [int(x) for x in doc["n"]], doc["objective_m"], N_e, y, doc["solver"], doc["gap"]
+            n, doc["objective_m"], N_e, y, doc["solver"], doc["gap"], doc.get("triplog_sha256")
         )

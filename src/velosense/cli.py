@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import allocation, coverage_model, fleet_sim, harness, metrics, synth, trips
-from .errors import ConfigInfeasibleError, InfeasiblePlanError, MalformedInputError
+from .errors import ConfigInfeasibleError, InfeasiblePlanError, MalformedInputError, read_json
 from .network import load_network, network_sha256
 
 EXIT_OK = 0
@@ -29,13 +29,13 @@ def _load_net(nodes_path, edges_path):
         return load_network(nf, ef)
 
 
-def _check_triplog(recorded, artifact, triplog) -> None:
+def _check_triplog(recorded, artifact, triplog, triplog_sha256) -> None:
     """An artifact must record the SHA-256 of the triplog it is used with."""
     if recorded is None:
         raise MalformedInputError(
             f"{artifact} records no triplog_sha256, so it cannot be checked against {triplog}"
         )
-    if recorded != trips.file_sha256(triplog):
+    if recorded != triplog_sha256:
         raise MalformedInputError(f"{artifact} was built from another triplog than {triplog}")
 
 
@@ -125,17 +125,18 @@ def cmd_probs(args) -> int:
 
 
 def _build_instance_from_files(args):
+    """The allocation instance of the input files, and the SHA-256 of --triplog."""
     log = trips.load_triplog(args.triplog)
     net = _load_routed_net(args, log)
     plan = fleet_sim.initial_bike_counts(log)
     matrix = coverage_model.load_matrix(args.probs, args.probs_meta)
-    _check_triplog(matrix.triplog_sha256, args.probs_meta, args.triplog)
-    inst = allocation.build_instance(matrix, net, plan, args.budget, K=args.k)
-    return inst, net, log, plan
+    triplog_sha256 = trips.file_sha256(args.triplog)
+    _check_triplog(matrix.triplog_sha256, args.probs_meta, args.triplog, triplog_sha256)
+    return allocation.build_instance(matrix, net, plan, args.budget, K=args.k), triplog_sha256
 
 
 def cmd_allocate(args) -> int:
-    inst, _net, _log, _plan = _build_instance_from_files(args)
+    inst, triplog_sha256 = _build_instance_from_files(args)
     if args.method == "exact":
         plan = allocation.solve_exact(inst, time_limit_s=args.time_limit)
     elif args.method == "greedy":
@@ -143,7 +144,7 @@ def cmd_allocate(args) -> int:
     else:
         plan = allocation.random_allocation(inst, args.seed)
     out = _out_dir(args)
-    allocation.save_plan(plan, inst, out / "alloc.json")
+    allocation.save_plan(plan, inst, out / "alloc.json", triplog_sha256)
     for warning in inst.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if plan.gap > 0:
@@ -163,11 +164,13 @@ def cmd_simulate(args) -> int:
     log = trips.load_triplog(args.triplog)
     plan = fleet_sim.initial_bike_counts(log)
     alloc = allocation.load_plan(args.alloc)
+    triplog_sha256 = trips.file_sha256(args.triplog)
+    _check_triplog(alloc.triplog_sha256, args.alloc, args.triplog, triplog_sha256)
     equipped = fleet_sim.equipped_set(plan, alloc.n)
     cfg = fleet_sim.SimConfig(seed=args.seed, beta=args.beta, equipped=equipped)
     replay = fleet_sim.simulate(log, plan, cfg)
     out = _out_dir(args)
-    fleet_sim.save_trajectories(replay, cfg, out / "traj.json", trips.file_sha256(args.triplog))
+    fleet_sim.save_trajectories(replay, cfg, out / "traj.json", triplog_sha256)
     print(f"replayed {len(replay.bike_of_trip)} trips on {len(replay)} bikes -> {out / 'traj.json'}")
     return EXIT_OK
 
@@ -176,7 +179,7 @@ def cmd_score(args) -> int:
     log = trips.load_triplog(args.triplog)
     net = _load_routed_net(args, log)
     replay, meta = fleet_sim.load_trajectories(args.traj)
-    _check_triplog(meta.get("triplog_sha256"), args.traj, args.triplog)
+    _check_triplog(meta.get("triplog_sha256"), args.traj, args.triplog, trips.file_sha256(args.triplog))
     grid = metrics.IntervalGrid(*log.horizon, args.delta)
     equipped = frozenset(meta.get("equipped", []))
     counts = metrics.coverage_counts(replay, equipped, grid, net.num_segments)
@@ -193,9 +196,11 @@ def cmd_score(args) -> int:
 def cmd_experiment(args) -> int:
     if not args.config:
         raise MalformedInputError("experiment requires --config <json>")
-    with open(args.config, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    spec = harness.load_spec(doc)
+    doc = read_json(args.config)
+    try:
+        spec = harness.load_spec(doc)
+    except MalformedInputError as exc:
+        raise MalformedInputError(f"{args.config}: {exc}") from exc
     if "seed" not in doc:
         spec.seed = args.seed
     out = _out_dir(args)
@@ -230,7 +235,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_export_lp(args) -> int:
-    inst, _net, _log, _plan = _build_instance_from_files(args)
+    inst, _triplog_sha256 = _build_instance_from_files(args)
     with open(args.out, "wb") as fh:
         allocation.export_lp(inst, fh)
     print(
@@ -337,18 +342,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MalformedInputError, ValueError) as exc:
+    except (MalformedInputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except (ConfigInfeasibleError, InfeasiblePlanError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except json.JSONDecodeError as exc:
-        print(f"error: bad JSON input: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import MalformedInputError, malformed_fields
+from .errors import MalformedInputError, malformed_fields, read_artifact
 from .fleet_sim import FleetPlan, SimConfig, simulate
 from .network import RoadNetwork, single_source_distances
 from .trips import TripLog
@@ -188,10 +188,6 @@ def save_matrix(matrix: CoverageMatrix, csv_path, meta_path) -> None:
 
 
 def load_matrix(csv_path, meta_path) -> CoverageMatrix:
-    with open(meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if meta.get("format") != COVERAGE_FORMAT:
-        raise MalformedInputError(f"expected {COVERAGE_FORMAT}, got {meta.get('format')!r}")
     p: dict[tuple[int, int], float] = {}
     with open(csv_path, encoding="utf-8", newline="") as fh, malformed_fields(csv_path):
         reader = csv.DictReader(fh)
@@ -204,7 +200,7 @@ def load_matrix(csv_path, meta_path) -> CoverageMatrix:
                     f"{csv_path}: p = {row['p']} for (stand, segment) {key} is not a finite number >= 0"
                 )
             p[key] = value
-    with malformed_fields(meta_path):
+    with read_artifact(meta_path, COVERAGE_FORMAT, "probs") as meta:
         return CoverageMatrix(
             p,
             meta["runs"],

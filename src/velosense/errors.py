@@ -1,5 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one reader of JSON artifacts."""
 
+import json
 from contextlib import contextmanager
 
 
@@ -38,3 +39,24 @@ def malformed_fields(source):
         yield
     except (AttributeError, KeyError, IndexError, TypeError) as exc:
         raise MalformedInputError(f"{source}: missing or malformed field {exc}") from exc
+
+
+def read_json(path):
+    """Parse a JSON file; text that cannot be parsed is malformed input naming `path`."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise MalformedInputError(f"{path}: not JSON ({exc})") from exc
+
+
+@contextmanager
+def read_artifact(path, fmt, command):
+    """Yield the JSON object of a `fmt` artifact, which `velosense <command>` writes, and
+    report a missing or mistyped field of it as malformed input; reject any other input."""
+    doc = read_json(path)
+    found = doc.get("format") if isinstance(doc, dict) else None
+    if found != fmt:
+        raise MalformedInputError(f"{path}: expected {fmt}, got {found!r}; re-run `velosense {command}`")
+    with malformed_fields(path):
+        yield doc

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InfeasiblePlanError, MalformedInputError, malformed_fields
+from .errors import InfeasiblePlanError, MalformedInputError, read_artifact
 from .trips import TripEvents, TripLog
 
 TRAJ_FORMAT = "velosense-traj-v1"
@@ -223,13 +223,13 @@ def simulate(log: TripLog, plan: FleetPlan, cfg: SimConfig) -> Replay:
 
 
 def equipped_set(plan: FleetPlan, sensors_per_stand) -> frozenset[int]:
-    """Equip the first n_s bikes of each stand, given an allocation vector."""
+    """Equip the first n_s bikes of each stand, given one count n_s in 0..b_s per stand."""
+    if len(sensors_per_stand) != len(plan.b):
+        raise MalformedInputError(f"{len(sensors_per_stand)} sensor counts for {len(plan.b)} stands")
     out = []
     for stand, n in enumerate(sensors_per_stand):
-        if n > len(plan.bikes[stand]):
-            raise MalformedInputError(
-                f"stand {stand}: {n} sensors exceed {len(plan.bikes[stand])} bikes"
-            )
+        if not 0 <= n <= plan.b[stand]:
+            raise MalformedInputError(f"stand {stand}: {n} sensors for {plan.b[stand]} bikes")
         out.extend(plan.bikes[stand][: int(n)])
     return frozenset(out)
 
@@ -267,10 +267,6 @@ def save_trajectories(trajectories: Replay, cfg: SimConfig, path, triplog_sha256
 
 
 def load_trajectories(path) -> tuple[Replay, dict]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != TRAJ_FORMAT:
-        raise MalformedInputError(f"expected {TRAJ_FORMAT}, got {doc.get('format')!r}")
-    with malformed_fields(path):
+    with read_artifact(path, TRAJ_FORMAT, "simulate") as doc:
         views = (BikeTrajectory(t["bike"], t["home"], t["served"], t["events"]) for t in doc["bikes"])
         return Replay.from_views(views), doc["metadata"]

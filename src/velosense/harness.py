@@ -345,6 +345,8 @@ _SPEC_FIELDS = {
 
 def load_spec(doc: dict) -> ExperimentSpec:
     """Build an ExperimentSpec from its JSON mirror."""
+    if not isinstance(doc, dict):
+        raise MalformedInputError("experiment config must be a JSON object")
     if "source" not in doc:
         raise MalformedInputError("experiment config needs a 'source' entry")
     src = doc["source"]

@@ -10,7 +10,7 @@ import csv
 import hashlib
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class RoadNetwork:
     seg_v: np.ndarray
     seg_length_m: np.ndarray
     adjacency: list[list[tuple[int, int]]]  # node -> [(neighbor node, segment id)]
-    file_node_ids: list = field(default_factory=list)
 
     @property
     def num_nodes(self) -> int:
@@ -91,7 +90,7 @@ def build_network(nodes, edges) -> RoadNetwork:
     to the shortest one.
     """
     id_map: dict = {}
-    lats, lons, file_ids = [], [], []
+    lats, lons = [], []
     for file_id, lat, lon in nodes:
         if file_id in id_map:
             raise MalformedInputError(f"duplicate node id {file_id!r}")
@@ -100,7 +99,6 @@ def build_network(nodes, edges) -> RoadNetwork:
         id_map[file_id] = len(lats)
         lats.append(float(lat))
         lons.append(float(lon))
-        file_ids.append(file_id)
 
     best: dict[tuple[int, int], float] = {}
     for row_no, (fu, fv, length) in enumerate(edges, start=1):
@@ -142,7 +140,6 @@ def build_network(nodes, edges) -> RoadNetwork:
         seg_v=seg_v,
         seg_length_m=seg_len,
         adjacency=adjacency,
-        file_node_ids=file_ids,
     )
 
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MalformedInputError, malformed_fields
+from .errors import MalformedInputError, read_artifact
 from .network import Path, RoadNetwork, nearest_node, network_sha256, route_pairs
 
 TRIPLOG_FORMAT = "velosense-triplog-v2"
@@ -307,15 +307,7 @@ def save_triplog(log: TripLog, path) -> None:
 def load_triplog(path) -> TripLog:
     """Read a velosense-triplog-v2 file; trips that name one path share its Path.
     Any other format, v1 included, is rejected: `ingest` writes v2."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    fmt = doc.get("format") if isinstance(doc, dict) else None
-    if fmt != TRIPLOG_FORMAT:
-        raise MalformedInputError(
-            f"{path}: expected {TRIPLOG_FORMAT}, got {fmt!r}; "
-            f"re-run `velosense ingest` to write a {TRIPLOG_FORMAT} triplog"
-        )
-    with malformed_fields(path):
+    with read_artifact(path, TRIPLOG_FORMAT, "ingest") as doc:
         paths = [
             Path(tuple(p["segments"]), tuple(p["nodes"]), tuple(p["seg_lengths_m"]), p["distance_m"])
             for p in doc["paths"]

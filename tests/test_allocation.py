@@ -344,8 +344,9 @@ class TestPlanSerialization:
         )
         plan = solve_exact(inst)
         path = tmp_path / "alloc.json"
-        save_plan(plan, inst, path)
+        save_plan(plan, inst, path, "ab" * 32)
         loaded = load_plan(path)
+        assert loaded.triplog_sha256 == "ab" * 32
         assert loaded.n == plan.n
         assert loaded.objective_m == plan.objective_m
         assert loaded.solver == plan.solver

@@ -2,7 +2,12 @@ import json
 
 import pytest
 
+from velosense.allocation import load_plan
 from velosense.cli import main
+from velosense.coverage_model import load_matrix
+from velosense.errors import MalformedInputError
+from velosense.fleet_sim import load_trajectories
+from velosense.trips import load_triplog
 
 from lp_parser import parse_lp
 
@@ -278,13 +283,19 @@ def _append_row(row):
         ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(start_min=360), -1)),
         ("allocate", ALLOCATE, ["--budget", "4"], "--probs-meta", _drop_key("triplog_sha256")),
         ("score", SCORE, ["--delta", "4"], "--traj", _drop_metadata_key("triplog_sha256")),
+        ("simulate", SIMULATE, [], "--alloc", _drop_key("triplog_sha256")),
+        ("simulate", SIMULATE, [], "--alloc", _edit_doc(lambda d: d["n"].__setitem__(0, -1))),
+        ("simulate", SIMULATE, [], "--alloc", _edit_doc(lambda d: d["n"].extend([0, 0, 0]))),
+        ("simulate", SIMULATE, [], "--alloc", _edit_doc(lambda d: d["n"].pop())),
     ],
     ids=["triplog-without-stands", "traj-without-metadata", "alloc-without-N_e",
          "probs-unknown-stand", "probs-unknown-segment", "probs-nan", "probs-negative",
          "trip-after-horizon", "trip-before-horizon", "trip-unknown-origin",
          "trip-negative-origin", "trip-path-lengths-disagree", "trip-path-out-of-range",
          "trip-path-negative", "trips-unsorted",
-         "probs-meta-without-triplog-sha256", "traj-without-triplog-sha256"],
+         "probs-meta-without-triplog-sha256", "traj-without-triplog-sha256",
+         "alloc-without-triplog-sha256", "alloc-negative-count", "alloc-extra-stand",
+         "alloc-missing-stand"],
 )
 def test_malformed_artifact_is_2(artifacts, tmp_path, capsys, command, options, extra, corrupted, edit):
     paths = dict(artifacts)
@@ -295,17 +306,56 @@ def test_malformed_artifact_is_2(artifacts, tmp_path, capsys, command, options, 
     assert capsys.readouterr().err.startswith("error:")
 
 
+# JSON artifact option -> (a command that reads it, its options, extra arguments,
+# the artifact's format, the command that writes it)
+JSON_INPUTS = {
+    "--triplog": ("fleet", ("--triplog",), [], "velosense-triplog-v2", "ingest"),
+    "--probs-meta": ("allocate", ALLOCATE, ["--budget", "4"], "velosense-coverage-v1", "probs"),
+    "--alloc": ("simulate", SIMULATE, [], "velosense-alloc-v1", "allocate"),
+    "--traj": ("score", SCORE, ["--delta", "4"], "velosense-traj-v1", "simulate"),
+}
+NOT_JSON = "{not json"
+TOO_DEEP = "[" * 100_000 + "]" * 100_000
+CONTENTS = {"unknown": '{"format": "something-else"}', "list": "[]", "number": "5", "not-json": NOT_JSON}
+DERIVED = ("--probs-meta", "--alloc", "--traj")
+
+
 @pytest.mark.parametrize(
-    "text",
-    ['{"format": "velosense-triplog-v1", "trips": []}', '{"format": "something-else"}', "[]"],
-    ids=["v1", "unknown", "not-an-object"],
+    "corrupted, text",
+    [
+        ("--triplog", '{"format": "velosense-triplog-v1", "trips": []}'),
+        ("--triplog", '{"format": "something-else"}'),
+        ("--triplog", "[]"),
+        ("--triplog", NOT_JSON),
+        ("--triplog", TOO_DEEP),
+        *[(option, text) for option in DERIVED for text in CONTENTS.values()],
+    ],
+    ids=["v1", "unknown", "not-an-object", "triplog-not-json", "triplog-nested-too-deep",
+         *[f"{option[2:]}-{name}" for option in DERIVED for name in CONTENTS]],
 )
-def test_triplog_of_another_format_is_2(tmp_path, capsys, text):
-    bad = tmp_path / "triplog.json"
+def test_triplog_of_another_format_is_2(artifacts, tmp_path, capsys, corrupted, text):
+    """Every JSON artifact input that cannot be parsed, is not an object or is
+    of another format exits 2 naming the file; unless it cannot be parsed, the
+    message also names the expected format and the command that writes it."""
+    command, options, extra, fmt, writer = JSON_INPUTS[corrupted]
+    paths = dict(artifacts)
+    bad = tmp_path / paths[corrupted].name
     bad.write_text(text)
-    assert main(["fleet", "--triplog", str(bad), "--out-dir", str(tmp_path)]) == 2
+    paths[corrupted] = bad
+    assert main([command, *_args(paths, options), *extra, "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert "velosense-triplog-v2" in err and "re-run `velosense ingest`" in err
+    assert err.startswith("error:") and str(bad) in err
+    if text not in (NOT_JSON, TOO_DEEP):
+        assert fmt in err and f"re-run `velosense {writer}`" in err
+
+
+def test_every_artifact_loader_rejects_a_json_list(artifacts, tmp_path):
+    bad = tmp_path / "list.json"
+    bad.write_text("[]")
+    loaders = [load_triplog, load_trajectories, load_plan, lambda path: load_matrix(artifacts["--probs"], path)]
+    for load in loaders:
+        with pytest.raises(MalformedInputError, match="got None"):
+            load(bad)
 
 
 def _run_chain(out, seed, synth_args):
@@ -346,8 +396,9 @@ def runs_by_seed(tmp_path_factory):
         ("allocate", ALLOCATE, ["--budget", "4"], ("--probs", "--probs-meta")),
         ("export-lp", ALLOCATE, ["--budget", "4"], ("--probs", "--probs-meta")),
         ("score", SCORE, ["--delta", "4"], ("--traj",)),
+        ("simulate", SIMULATE, ["--beta", "1"], ("--alloc",)),
     ],
-    ids=["allocate-probs", "export-lp-probs", "score-traj"],
+    ids=["allocate-probs", "export-lp-probs", "score-traj", "simulate-alloc"],
 )
 def test_artifact_from_another_triplog_is_2(
     runs_by_seed, tmp_path, capsys, command, options, extra, foreign
@@ -421,10 +472,24 @@ class TestExitCodes:
         )
         assert code == 2
 
-    def test_bad_json_config_is_2(self, tmp_path):
+    def test_directory_as_input_is_2(self, tmp_path, capsys):
+        assert main(["fleet", "--triplog", str(tmp_path), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tmp_path) in err
+
+    def test_bad_json_config_is_2(self, tmp_path, capsys):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")
         assert main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert str(cfg) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["5", "[]"], ids=["number", "list"])
+    def test_config_not_an_object_is_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        assert main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(cfg) in err and "JSON object" in err
 
     def test_missing_config_is_2(self, tmp_path):
         assert main(["experiment", "--out-dir", str(tmp_path)]) == 2
