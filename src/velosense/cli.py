@@ -15,18 +15,11 @@ from pathlib import Path
 
 from . import allocation, coverage_model, fleet_sim, harness, metrics, synth, trips
 from .errors import ConfigInfeasibleError, InfeasiblePlanError, MalformedInputError, read_json
-from .network import load_network, network_sha256
+from .network import load_network_files, network_sha256
 
 EXIT_OK = 0
 EXIT_MALFORMED = 2
 EXIT_INFEASIBLE = 3
-
-
-def _load_net(nodes_path, edges_path):
-    with open(nodes_path, encoding="utf-8", newline="") as nf, open(
-        edges_path, encoding="utf-8", newline=""
-    ) as ef:
-        return load_network(nf, ef)
 
 
 def _check_triplog(recorded, artifact, triplog, triplog_sha256) -> None:
@@ -41,7 +34,7 @@ def _check_triplog(recorded, artifact, triplog, triplog_sha256) -> None:
 
 def _load_routed_net(args, log):
     """Load --nodes/--edges, which must be the network the triplog was routed on."""
-    net = _load_net(args.nodes, args.edges)
+    net = load_network_files(args.nodes, args.edges)
     network = f"{args.nodes} and {args.edges}"
     if log.network_sha256 is None:
         raise MalformedInputError(
@@ -59,7 +52,7 @@ def _out_dir(args) -> Path:
 
 
 def cmd_ingest(args) -> int:
-    net = _load_net(args.nodes, args.edges)
+    net = load_network_files(args.nodes, args.edges)
     with open(args.trips, encoding="utf-8", newline="") as fh:
         raw, report = trips.parse_raw_trips(fh)
     log = trips.clean_trips(

@@ -136,7 +136,7 @@ def linearity_probe(
     linearly with deployment, the premise the allocation model rests on.
     """
     probe = sorted(set(stands))
-    tracked = [bike for stand in probe for bike in plan.bikes[stand]]
+    tracked = [bike for stand, bikes in enumerate(plan.bikes) if stand in probe for bike in bikes]
     label = np.full(plan.num_bikes, -1, dtype=np.int64)
     label[tracked] = np.arange(len(tracked))  # probed bikes, stand by stand, in fleet order
 

@@ -37,7 +37,7 @@ def malformed_fields(source):
     """Report a missing or mistyped field of a loaded artifact as malformed input."""
     try:
         yield
-    except (AttributeError, KeyError, IndexError, TypeError) as exc:
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise MalformedInputError(f"{source}: missing or malformed field {exc}") from exc
 
 

@@ -1,11 +1,11 @@
 """Fleet sizing and trip replay.
 
 Two pieces: derive the minimal per-stand initial bike counts that keep every
-stand's balance non-negative over the horizon, then replay the trip log
-minute by minute assigning physical bikes to trips. Replay optionally biases
-bike selection toward sensor-equipped bikes (guided selection accepted with
-probability beta). A replay is the bike of each trip over the log's event
-table (see Replay); per-bike trajectories are views built on demand.
+stand's balance non-negative over the horizon, then replay the trip log once
+in row (service) order, assigning physical bikes to trips. Replay optionally
+biases bike selection toward sensor-equipped bikes (guided selection accepted
+with probability beta). A replay is the bike of each trip over the log's
+event table (see Replay); per-bike trajectories are views built on demand.
 
 RNG stream discipline, per trip in log order: one uniform draw for the
 guidance-acceptance test, then one bounded draw indexing into the chosen
@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import json
 from bisect import insort
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -32,22 +34,24 @@ GENERATOR_NAME = "numpy-pcg64"
 
 @dataclass
 class FleetPlan:
-    """Initial bike count and bike ids per stand. Bike ids are dense and global."""
+    """Initial bike count per stand. Bike ids are dense and stand-contiguous:
+    stand s owns ids sum(b[:s]) to sum(b[:s+1]) - 1."""
 
     b: list[int]
-    bikes: list[list[int]]
 
     @property
     def num_bikes(self) -> int:
         return sum(self.b)
 
+    @property
+    def bikes(self) -> list[list[int]]:
+        """bikes[stand] is the ascending ids of the stand's bikes."""
+        bounds = [0, *accumulate(self.b)]
+        return [list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+
     def home_stands(self) -> np.ndarray:
         """home_stands()[bike] is the stand the bike starts the day at."""
-        homes = np.empty(self.num_bikes, dtype=np.int64)
-        for stand, ids in enumerate(self.bikes):
-            for bike in ids:
-                homes[bike] = stand
-        return homes
+        return np.repeat(np.arange(len(self.b), dtype=np.int64), self.b)
 
 
 @dataclass
@@ -159,60 +163,50 @@ def initial_bike_counts(log: TripLog) -> FleetPlan:
             flow[trip.dest, trip.end_min - t0] += 1
     balance = np.cumsum(flow, axis=1)
     b = np.maximum(0, -balance.min(axis=1)) if width > 0 else np.zeros(log.num_stands, int)
-
-    bikes: list[list[int]] = []
-    next_id = 0
-    for count in b:
-        bikes.append(list(range(next_id, next_id + int(count))))
-        next_id += int(count)
-    return FleetPlan([int(x) for x in b], bikes)
+    return FleetPlan([int(x) for x in b])
 
 
 def simulate(log: TripLog, plan: FleetPlan, cfg: SimConfig) -> Replay:
-    """Replay the log minute by minute, recording the bike that serves each trip.
+    """Replay the log row by row, recording the bike that serves each trip.
 
-    Each minute releases finished bikes first, then serves that minute's
-    trips in log order. A trip is served by a uniformly chosen idle bike at
-    its origin stand, preferring an idle equipped bike when the guidance
-    draw falls below cfg.beta and one is available. With beta=0 or no
-    equipped bikes this is plain unguided replay.
+    Before a trip is served, every trip that has ended by its start minute
+    returns its bike to its destination stand (trips last at least a minute,
+    so only served trips have ended). A trip is served by a uniformly chosen
+    idle bike at its origin stand, preferring an idle equipped bike when the
+    guidance draw falls below cfg.beta and one is available. With beta=0 or
+    no equipped bikes this is plain unguided replay.
     """
     if len(plan.b) != log.num_stands:
-        raise MalformedInputError(
-            f"plan covers {len(plan.b)} stands, log has {log.num_stands}"
-        )
-    t0, t_end = log.horizon
+        raise MalformedInputError(f"plan covers {len(plan.b)} stands, log has {log.num_stands}")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     equipped = frozenset(cfg.equipped)
 
-    idle: list[list[int]] = [sorted(ids) for ids in plan.bikes]
-    returns: dict[int, list[tuple[int, int]]] = {}
-    trips_at: dict[int, list[int]] = {}
-    for i, trip in enumerate(log.trips):
-        trips_at.setdefault(trip.start_min, []).append(i)
+    idle = plan.bikes
+    ends = [trip.end_min for trip in log.trips]
+    returns = deque(sorted(range(len(ends)), key=ends.__getitem__))  # stable: ties in row order
 
     bike_of_trip = [0] * len(log.trips)
-    for minute in range(t0, t_end + 1):
-        for bike, stand in returns.pop(minute, ()):
-            insort(idle[stand], bike)
-        for i in trips_at.get(minute, ()):
-            trip = log.trips[i]
-            u = rng.random()
-            pool = idle[trip.origin]
-            if not pool:
-                raise InfeasiblePlanError(
-                    f"no idle bike at stand {trip.origin} at minute {minute} "
-                    f"for trip {trip.id}"
-                )
-            if u < cfg.beta:
-                equipped_pool = [b for b in pool if b in equipped]
-                chosen_pool = equipped_pool if equipped_pool else pool
-            else:
-                chosen_pool = pool
-            bike = chosen_pool[int(rng.integers(0, len(chosen_pool)))]
-            pool.remove(bike)
-            bike_of_trip[i] = bike
-            returns.setdefault(trip.end_min, []).append((bike, trip.dest))
+    for i, trip in enumerate(log.trips):
+        while returns and ends[returns[0]] <= trip.start_min:
+            done = returns.popleft()
+            if done >= i:
+                raise MalformedInputError(f"trip {log.trips[done].id} lasts less than a minute")
+            insort(idle[log.trips[done].dest], bike_of_trip[done])
+        u = rng.random()
+        pool = idle[trip.origin]
+        if not pool:
+            raise InfeasiblePlanError(
+                f"no idle bike at stand {trip.origin} at minute {trip.start_min} "
+                f"for trip {trip.id}"
+            )
+        if u < cfg.beta:
+            equipped_pool = [b for b in pool if b in equipped]
+            chosen_pool = equipped_pool if equipped_pool else pool
+        else:
+            chosen_pool = pool
+        bike = chosen_pool[int(rng.integers(0, len(chosen_pool)))]
+        pool.remove(bike)
+        bike_of_trip[i] = bike
 
     return Replay(
         np.array(bike_of_trip, dtype=np.int64),
@@ -227,10 +221,10 @@ def equipped_set(plan: FleetPlan, sensors_per_stand) -> frozenset[int]:
     if len(sensors_per_stand) != len(plan.b):
         raise MalformedInputError(f"{len(sensors_per_stand)} sensor counts for {len(plan.b)} stands")
     out = []
-    for stand, n in enumerate(sensors_per_stand):
-        if not 0 <= n <= plan.b[stand]:
-            raise MalformedInputError(f"stand {stand}: {n} sensors for {plan.b[stand]} bikes")
-        out.extend(plan.bikes[stand][: int(n)])
+    for stand, (n, bikes) in enumerate(zip(sensors_per_stand, plan.bikes)):
+        if not 0 <= n <= len(bikes):
+            raise MalformedInputError(f"stand {stand}: {n} sensors for {len(bikes)} bikes")
+        out.extend(bikes[: int(n)])
     return frozenset(out)
 
 

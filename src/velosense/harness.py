@@ -23,7 +23,7 @@ from .coverage_model import estimate_probabilities, mean_coverage
 from .errors import ConfigInfeasibleError, MalformedInputError
 from .fleet_sim import FleetPlan, Replay, SimConfig, equipped_set, initial_bike_counts, simulate
 from .metrics import IntervalGrid, coverage_counts, sensing_score
-from .network import RoadNetwork, load_network
+from .network import RoadNetwork, load_network_files
 from .synth import SynthConfig, generate
 from .trips import TripLog, clean_trips, parse_raw_trips
 
@@ -99,10 +99,7 @@ def prepare(spec: ExperimentSpec) -> PreparedData:
     if isinstance(spec.source, SynthConfig):
         net, raw = generate(spec.source)
     else:
-        with open(spec.source.nodes, encoding="utf-8", newline="") as nf, open(
-            spec.source.edges, encoding="utf-8", newline=""
-        ) as ef:
-            net = load_network(nf, ef)
+        net = load_network_files(spec.source.nodes, spec.source.edges)
         with open(spec.source.trips, encoding="utf-8", newline="") as tf:
             raw, _report = parse_raw_trips(tf)
     log = clean_trips(raw, net)

@@ -186,6 +186,14 @@ def load_network(node_source, edge_source) -> RoadNetwork:
     return build_network(nodes, edges)
 
 
+def load_network_files(nodes_path, edges_path) -> RoadNetwork:
+    """load_network on the node and edge CSV files at two paths."""
+    with open(nodes_path, encoding="utf-8", newline="") as nf, open(
+        edges_path, encoding="utf-8", newline=""
+    ) as ef:
+        return load_network(nf, ef)
+
+
 def nearest_node(net: RoadNetwork, lat: float, lon: float) -> int:
     """Node id minimizing haversine distance to (lat, lon); ties go to the smallest id."""
     if net.num_nodes == 0:

@@ -73,7 +73,7 @@ class Trip:
     dest: int  # stand id
     start_min: int
     path: Path
-    duration_min: int
+    duration_min: int  # >= 1
 
     @property
     def end_min(self) -> int:
@@ -186,7 +186,8 @@ def clean_trips(
     A log covers one service day: trips starting on another date than the
     earliest trip are dropped as `other_day` before anything else, since
     start times are minutes of the day. Distance bounds are inclusive.
-    Durations round up so a bike is never idle before it physically arrives.
+    Durations round up, to at least one minute even for a trip that ends at
+    its start stand, so a bike is never idle before it physically arrives.
     Stand ids are assigned in ascending snapped-node order, so they do not
     depend on row order. Routing runs one Dijkstra per distinct destination
     (network.route_pairs), and trips of one (origin, dest) pair share a Path.
@@ -237,7 +238,7 @@ def clean_trips(
         if path.distance_m > max_m:
             drops["too_long"] += 1
             continue
-        duration = math.ceil(path.distance_m / speed_m_per_min)
+        duration = max(1, math.ceil(path.distance_m / speed_m_per_min))
         kept.append(
             Trip(rt.id, stand_of_node[o_node], stand_of_node[d_node], start_min, path, duration)
         )
@@ -362,6 +363,12 @@ def _check_trips(log: TripLog, source) -> None:
     t0, t_end = log.horizon
     last_start = t0
     for trip in log.trips:
+        fields = (trip.origin, trip.dest, trip.start_min, trip.duration_min)
+        if set(map(type, fields)) != {int} or trip.duration_min < 1:  # a bool is not an int
+            raise MalformedInputError(
+                f"{source}: trip {trip.id} has (origin, dest, start_min, duration_min) {fields!r}, "
+                "which must be integers with duration_min >= 1; re-run `velosense ingest`"
+            )
         if not (0 <= trip.origin < log.num_stands and 0 <= trip.dest < log.num_stands):
             raise MalformedInputError(
                 f"{source}: trip {trip.id} joins stands {trip.origin} and {trip.dest}, "

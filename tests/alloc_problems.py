@@ -18,18 +18,10 @@ def line_net_with_lengths(lengths):
     return build_network(nodes, edges)
 
 
-def bikes_for(caps):
-    bikes, nxt = [], 0
-    for c in caps:
-        bikes.append(list(range(nxt, nxt + c)))
-        nxt += c
-    return bikes
-
-
 def make_problem(p_entries, lengths, caps, budget, K=1.0):
     """Instance plus the raw dense probability matrix the oracle consumes."""
     net = line_net_with_lengths(lengths)
-    plan = FleetPlan(list(caps), bikes_for(caps))
+    plan = FleetPlan(list(caps))
     matrix = CoverageMatrix(
         dict(p_entries), runs=1, seed=0, horizon=(0, 960), stand_nodes=list(range(len(caps)))
     )

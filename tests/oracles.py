@@ -8,7 +8,10 @@ free of calls into the production modules they are used to verify.
 
 import itertools
 import math
+from bisect import insort
 from collections import Counter
+
+import numpy as np
 
 
 def all_simple_paths(adjacency, origin, dest):
@@ -138,6 +141,52 @@ def per_bike_assembly(trips, trip_events, bike_of_trip, homes):
         )
         for bike, rows in served.items()
     ]
+
+
+def simulate_by_minute(log, b, cfg):
+    """(bike_of_trip, homes) of a replay that walks every minute of the horizon.
+
+    The replay as it was before it walked the log's rows once: each minute
+    releases the bikes booked to return then, then serves that minute's
+    trips in log order, with the same two draws per trip. Stand s owns bike
+    ids sum(b[:s]) .. sum(b[:s+1]) - 1, numbered stand by stand.
+    """
+    bikes, next_id = [], 0
+    for count in b:
+        bikes.append(list(range(next_id, next_id + int(count))))
+        next_id += int(count)
+    homes = [stand for stand, ids in enumerate(bikes) for _bike in ids]
+
+    t0, t_end = log.horizon
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    equipped = frozenset(cfg.equipped)
+
+    idle = [sorted(ids) for ids in bikes]
+    returns = {}
+    trips_at = {}
+    for i, trip in enumerate(log.trips):
+        trips_at.setdefault(trip.start_min, []).append(i)
+
+    bike_of_trip = [0] * len(log.trips)
+    for minute in range(t0, t_end + 1):
+        for bike, stand in returns.pop(minute, ()):
+            insort(idle[stand], bike)
+        for i in trips_at.get(minute, ()):
+            trip = log.trips[i]
+            u = rng.random()
+            pool = idle[trip.origin]
+            if not pool:
+                raise AssertionError(f"no idle bike at stand {trip.origin} at minute {minute}")
+            if u < cfg.beta:
+                equipped_pool = [b for b in pool if b in equipped]
+                chosen_pool = equipped_pool if equipped_pool else pool
+            else:
+                chosen_pool = pool
+            bike = chosen_pool[int(rng.integers(0, len(chosen_pool)))]
+            pool.remove(bike)
+            bike_of_trip[i] = bike
+            returns.setdefault(trip.end_min, []).append((bike, trip.dest))
+    return bike_of_trip, homes
 
 
 def coverage_counts_loop(trajectories, equipped, t0, t_end, delta_min, num_segments):

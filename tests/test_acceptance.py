@@ -113,12 +113,8 @@ def test_criterion_3_minimal_fleet_is_feasible_and_tight():
         victim = int(rng.choice(stands_with_bikes))
         reduced = list(plan.b)
         reduced[victim] -= 1
-        bikes, nxt = [], 0
-        for count in reduced:
-            bikes.append(list(range(nxt, nxt + count)))
-            nxt += count
         with pytest.raises(InfeasiblePlanError):
-            simulate(log, FleetPlan(reduced, bikes), SimConfig(seed=i))
+            simulate(log, FleetPlan(reduced), SimConfig(seed=i))
         checked += 1
     elapsed = time.perf_counter() - start
     ok = checked == 50 and elapsed < 5.0
@@ -166,7 +162,7 @@ def test_criterion_5_guided_selection_frequency():
     log = TripLog(
         [Trip("t0", 0, 1, 3, path, 4)], [Stand(0, 0), Stand(1, 1)], (0, 30), 100.0, {}
     )
-    plan = FleetPlan([2, 0], [[0, 1], []])
+    plan = FleetPlan([2, 0])
     hits = 0
     n = 10_000
     for seed in range(n):

@@ -139,6 +139,27 @@ def test_export_lp(synth_dir, pipeline_dir, tmp_path):
     assert any(name == "budget" for name, *_ in parsed.constraints)
 
 
+def test_round_trip_at_one_stand_lasts_a_minute(tmp_path):
+    """A ride that starts and ends at one stand takes one minute, so its bike
+    serves the next ride a minute later: one bike serves both."""
+    (tmp_path / "nodes.csv").write_text("node_id,lat,lon\n0,40.7,-74.0\n1,40.7,-73.999\n")
+    (tmp_path / "edges.csv").write_text("u,v,length_m\n0,1,100.0\n")
+    (tmp_path / "trips.csv").write_text(
+        "ride_id,started_at,start_lat,start_lng,end_lat,end_lng\n"
+        "a,2024-01-01 08:00:00,40.7,-74.0,40.7,-74.0\n"
+        "b,2024-01-01 08:01:00,40.7,-74.0,40.7,-74.0\n"
+    )
+    common = ["--out-dir", str(tmp_path)]
+    inputs = [f"--{name}={tmp_path / name}.csv" for name in ("nodes", "edges", "trips")]
+    assert main(["ingest", *inputs, "--min-km", "0", *common]) == 0
+    doc = json.loads((tmp_path / "triplog.json").read_text())
+    assert [t["duration_min"] for t in doc["trips"]] == [1, 1]
+    triplog = f"--triplog={tmp_path / 'triplog.json'}"
+    assert main(["fleet", triplog, *common]) == 0
+    assert json.loads((tmp_path / "fleet.json").read_text())["b"] == [1]
+    assert main(["probs", triplog, "--runs", "2", *common]) == 0
+
+
 def test_experiment_pipeline_mode(tmp_path):
     config = {
         "source": {"synth": {"grid_w": 6, "grid_h": 6, "block_m": 350.0,
@@ -263,6 +284,14 @@ def _append_row(row):
     return lambda text: text + row + "\n"
 
 
+# Cases rejected by a check on the loaded values (allocation.build_instance,
+# fleet_sim.equipped_set), whose message does not name the file.
+CHECKED_AFTER_LOAD = {
+    "probs-unknown-stand", "probs-unknown-segment",
+    "alloc-negative-count", "alloc-extra-stand", "alloc-missing-stand",
+}
+
+
 @pytest.mark.parametrize(
     "command, options, extra, corrupted, edit",
     [
@@ -287,6 +316,12 @@ def _append_row(row):
         ("simulate", SIMULATE, [], "--alloc", _edit_doc(lambda d: d["n"].__setitem__(0, -1))),
         ("simulate", SIMULATE, [], "--alloc", _edit_doc(lambda d: d["n"].extend([0, 0, 0]))),
         ("simulate", SIMULATE, [], "--alloc", _edit_doc(lambda d: d["n"].pop())),
+        ("simulate", SIMULATE, [], "--alloc", _edit_doc(lambda d: d["n"].__setitem__(0, "x"))),
+        ("allocate", ALLOCATE, ["--budget", "4"], "--probs", _append_row("0,0,abc")),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(start_min=t["start_min"] + 0.5), -1)),
+        ("probs", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(duration_min=2.5))),
+        ("probs", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(duration_min=-30))),
+        ("probs", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(duration_min=0))),
     ],
     ids=["triplog-without-stands", "traj-without-metadata", "alloc-without-N_e",
          "probs-unknown-stand", "probs-unknown-segment", "probs-nan", "probs-negative",
@@ -295,15 +330,20 @@ def _append_row(row):
          "trip-path-negative", "trips-unsorted",
          "probs-meta-without-triplog-sha256", "traj-without-triplog-sha256",
          "alloc-without-triplog-sha256", "alloc-negative-count", "alloc-extra-stand",
-         "alloc-missing-stand"],
+         "alloc-missing-stand", "alloc-count-not-int", "probs-p-not-a-number",
+         "trip-start-not-int", "trip-duration-not-int", "trip-duration-negative",
+         "trip-duration-zero"],
 )
-def test_malformed_artifact_is_2(artifacts, tmp_path, capsys, command, options, extra, corrupted, edit):
+def test_malformed_artifact_is_2(artifacts, tmp_path, capsys, request, command, options, extra, corrupted, edit):
     paths = dict(artifacts)
     bad = tmp_path / paths[corrupted].name
     bad.write_text(edit(paths[corrupted].read_text()))
     paths[corrupted] = bad
     assert main([command, *_args(paths, options), *extra, "--out-dir", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    if request.node.callspec.id not in CHECKED_AFTER_LOAD:
+        assert str(bad) in err
 
 
 # JSON artifact option -> (a command that reads it, its options, extra arguments,

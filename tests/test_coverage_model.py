@@ -93,19 +93,19 @@ class TestMeanCoverage:
 class TestEstimateProbabilities:
     def test_binomial_slope(self):
         sample = CoverageSample({(0, 3): 4.0}, runs=20, seed=0, horizon=(0, 60), stand_nodes=[7])
-        plan = FleetPlan([8], [list(range(8))])
+        plan = FleetPlan([8])
         matrix = estimate_probabilities(sample, plan)
         assert matrix.p == {(0, 3): 0.5}
 
     def test_absent_entries_stay_absent(self):
         sample = CoverageSample({}, runs=20, seed=0, horizon=(0, 60), stand_nodes=[7])
-        matrix = estimate_probabilities(sample, FleetPlan([2], [[0, 1]]))
+        matrix = estimate_probabilities(sample, FleetPlan([2]))
         assert matrix.p == {}
 
     def test_zero_bike_stand_with_coverage_rejected(self):
         sample = CoverageSample({(0, 1): 1.0}, runs=1, seed=0, horizon=(0, 60), stand_nodes=[0])
         with pytest.raises(ValueError):
-            estimate_probabilities(sample, FleetPlan([0], [[]]))
+            estimate_probabilities(sample, FleetPlan([0]))
 
     def test_exact_on_deterministic_fixture(self):
         # every stand holds one bike, so counts have no selection randomness
@@ -145,7 +145,7 @@ class TestDecayReport:
     def test_unknown_stand_rejected(self):
         net = line_network(3)
         sample = CoverageSample({}, runs=1, seed=0, horizon=(0, 60), stand_nodes=[0])
-        matrix = estimate_probabilities(sample, FleetPlan([1], [[0]]))
+        matrix = estimate_probabilities(sample, FleetPlan([1]))
         with pytest.raises(MalformedInputError):
             probability_decay_report(matrix, net, 3)
 

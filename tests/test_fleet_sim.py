@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from velosense.errors import InfeasiblePlanError
+from velosense.errors import InfeasiblePlanError, MalformedInputError
 from velosense.fleet_sim import (
     FleetPlan,
     Replay,
@@ -15,7 +15,7 @@ from velosense.fleet_sim import (
 from velosense.network import Path
 from velosense.trips import Stand, Trip, TripLog, traversal_times
 
-from oracles import per_bike_assembly
+from oracles import per_bike_assembly, simulate_by_minute
 
 
 def toy_log(moves, num_stands, horizon=(0, 30), speed=100.0):
@@ -73,12 +73,8 @@ class TestInitialBikeCounts:
         for stand in rng.choice(stands_with_bikes, size=min(4, len(stands_with_bikes)), replace=False):
             b = list(small_fleet.b)
             b[stand] -= 1
-            bikes, nxt = [], 0
-            for count in b:
-                bikes.append(list(range(nxt, nxt + count)))
-                nxt += count
             with pytest.raises(InfeasiblePlanError):
-                simulate(log, FleetPlan(b, bikes), SimConfig(seed=3))
+                simulate(log, FleetPlan(b), SimConfig(seed=3))
 
 
 class TestSimulate:
@@ -93,7 +89,7 @@ class TestSimulate:
 
     def test_beta_one_always_picks_equipped(self):
         log = toy_log([(0, 1, 3, 4)], num_stands=2)
-        plan = FleetPlan([2, 0], [[0, 1], []])
+        plan = FleetPlan([2, 0])
         for seed in range(20):
             cfg = SimConfig(seed=seed, beta=1.0, equipped=frozenset({1}))
             trajs = simulate(log, plan, cfg)
@@ -180,7 +176,7 @@ class TestSimulate:
     def test_guided_selection_frequency(self):
         # one equipped + one plain bike, beta=0.5: P(equipped) = 0.5 + 0.5/2
         log = toy_log([(0, 1, 3, 4)], num_stands=2)
-        plan = FleetPlan([2, 0], [[0, 1], []])
+        plan = FleetPlan([2, 0])
         hits = 0
         n = 2000
         for seed in range(n):
@@ -192,20 +188,52 @@ class TestSimulate:
     def test_infeasible_plan_raises(self):
         log = toy_log([(0, 1, 3, 4)], num_stands=2)
         with pytest.raises(InfeasiblePlanError, match="stand 0"):
-            simulate(log, FleetPlan([0, 0], [[], []]), SimConfig(seed=0))
+            simulate(log, FleetPlan([0, 0]), SimConfig(seed=0))
+
+    def test_trip_under_a_minute_rejected(self):
+        # a zero-minute trip would return its bike before taking it
+        log = toy_log([(0, 1, 3, 0), (1, 0, 5, 2)], num_stands=2)
+        with pytest.raises(MalformedInputError, match="t0 lasts less than a minute"):
+            simulate(log, FleetPlan([1, 1]), SimConfig(seed=0))
 
     def test_beta_validated(self):
         with pytest.raises(ValueError):
             SimConfig(seed=0, beta=1.5)
 
 
+class TestReplayMatchesMinuteLoop:
+    """The row-by-row replay assigns every trip the bike the minute loop did."""
+
+    @pytest.mark.parametrize("scenario", ["small", "reference"])
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_same_bikes_and_homes(self, request, scenario, beta):
+        _net, log = request.getfixturevalue(f"{scenario}_scenario")
+        fleet = request.getfixturevalue(f"{scenario}_fleet")
+        equipped = equipped_set(fleet, [(b + 1) // 2 for b in fleet.b])
+        assert equipped
+        for seed in range(5):
+            cfg = SimConfig(seed=seed, beta=beta, equipped=equipped)
+            replay = simulate(log, fleet, cfg)
+            bike_of_trip, homes = simulate_by_minute(log, fleet.b, cfg)
+            assert replay.bike_of_trip.tolist() == bike_of_trip
+            assert replay.homes.tolist() == homes
+
+
+class TestFleetPlan:
+    def test_bikes_homes_and_equipped_follow_counts(self):
+        plan = FleetPlan([3, 0, 2])
+        assert plan.bikes == [[0, 1, 2], [], [3, 4]]
+        assert plan.home_stands().tolist() == [0, 0, 0, 2, 2]
+        assert equipped_set(plan, [2, 0, 1]) == frozenset({0, 1, 3})
+
+
 class TestEquippedSet:
     def test_first_n_per_stand(self):
-        plan = FleetPlan([3, 2], [[0, 1, 2], [3, 4]])
+        plan = FleetPlan([3, 2])
         assert equipped_set(plan, [2, 1]) == frozenset({0, 1, 3})
 
     def test_over_capacity_rejected(self):
-        plan = FleetPlan([1, 0], [[0], []])
+        plan = FleetPlan([1, 0])
         with pytest.raises(Exception):
             equipped_set(plan, [2, 0])
 
