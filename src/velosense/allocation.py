@@ -23,14 +23,13 @@ differs in the last bit and flips real greedy ties.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coverage_model import CoverageMatrix
-from .errors import MalformedInputError, read_artifact
+from .errors import MalformedInputError, read_artifact, write_json
 from .fleet_sim import FleetPlan
 from .network import RoadNetwork
 
@@ -352,8 +351,7 @@ def save_plan(plan: AllocationPlan, inst: MilpInstance, path, triplog_sha256: st
         "covered_segments": sorted(seg for seg, covered in plan.y.items() if covered),
         "triplog_sha256": triplog_sha256,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    write_json(path, doc)
 
 
 def load_plan(path) -> AllocationPlan:

@@ -9,12 +9,19 @@ score, experiment, export-lp. Exit codes: 0 success, 2 malformed input,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import allocation, coverage_model, fleet_sim, harness, metrics, synth, trips
-from .errors import ConfigInfeasibleError, InfeasiblePlanError, MalformedInputError, read_json
+from .errors import (
+    ConfigInfeasibleError,
+    InfeasiblePlanError,
+    MalformedInputError,
+    blamed_on,
+    read_json,
+    write_json,
+    write_table,
+)
 from .network import load_network_files, network_sha256
 
 EXIT_OK = 0
@@ -65,8 +72,7 @@ def cmd_ingest(args) -> int:
     )
     out = _out_dir(args)
     trips.save_triplog(log, out / "triplog.json")
-    with open(out / "ingest_report.json", "w", encoding="utf-8") as fh:
-        json.dump({"parse": report.as_dict(), "cleaning": log.drop_counts}, fh)
+    write_json(out / "ingest_report.json", {"parse": report.as_dict(), "cleaning": log.drop_counts})
     print(
         f"ingested {len(log.trips)} trips across {log.num_stands} stands "
         f"(parsed {report.kept}/{report.rows_read} rows) -> {out / 'triplog.json'}"
@@ -125,7 +131,8 @@ def _build_instance_from_files(args):
     matrix = coverage_model.load_matrix(args.probs, args.probs_meta)
     triplog_sha256 = trips.file_sha256(args.triplog)
     _check_triplog(matrix.triplog_sha256, args.probs_meta, args.triplog, triplog_sha256)
-    return allocation.build_instance(matrix, net, plan, args.budget, K=args.k), triplog_sha256
+    with blamed_on(args.probs):
+        return allocation.build_instance(matrix, net, plan, args.budget, K=args.k), triplog_sha256
 
 
 def cmd_allocate(args) -> int:
@@ -159,7 +166,8 @@ def cmd_simulate(args) -> int:
     alloc = allocation.load_plan(args.alloc)
     triplog_sha256 = trips.file_sha256(args.triplog)
     _check_triplog(alloc.triplog_sha256, args.alloc, args.triplog, triplog_sha256)
-    equipped = fleet_sim.equipped_set(plan, alloc.n)
+    with blamed_on(args.alloc):
+        equipped = fleet_sim.equipped_set(plan, alloc.n)
     cfg = fleet_sim.SimConfig(seed=args.seed, beta=args.beta, equipped=equipped)
     replay = fleet_sim.simulate(log, plan, cfg)
     out = _out_dir(args)
@@ -206,23 +214,19 @@ def cmd_experiment(args) -> int:
         rows, summary, gains = harness.beta_sweep(spec)
         harness.write_results(rows, out / "results.csv")
         harness.write_summary(summary, out / "summary.csv")
-        with open(out / "beta_gains.csv", "w", encoding="utf-8") as fh:
-            fh.write("budget,delta_h,beta_from,beta_to,gain_phi_pct\n")
-            for g in gains:
-                fh.write(
-                    f"{g.budget},{g.delta_h},{g.beta_from},{g.beta_to},{g.gain_phi_pct!r}\n"
-                )
+        write_table(
+            out / "beta_gains.csv",
+            ["budget", "delta_h", "beta_from", "beta_to", "gain_phi_pct"],
+            ((g.budget, g.delta_h, g.beta_from, g.beta_to, repr(g.gain_phi_pct)) for g in gains),
+        )
         print(f"{len(rows)} result rows, {len(gains)} beta steps -> {out}")
     else:  # sensor-requirement
         rows = harness.sensor_requirement(spec, args.target_phi)
-        with open(out / "sensor_requirement.csv", "w", encoding="utf-8") as fh:
-            fh.write("delta_h,target_phi_pct,budget,achieved_phi_pct,monotone_ok\n")
-            for r in rows:
-                budget = "" if r.budget is None else r.budget
-                fh.write(
-                    f"{r.delta_h},{r.target_phi_pct},{budget},"
-                    f"{r.achieved_phi_pct!r},{r.monotone_ok}\n"
-                )
+        write_table(
+            out / "sensor_requirement.csv",
+            ["delta_h", "target_phi_pct", "budget", "achieved_phi_pct", "monotone_ok"],
+            ((r.delta_h, r.target_phi_pct, r.budget, repr(r.achieved_phi_pct), r.monotone_ok) for r in rows),
+        )
         print(f"{len(rows)} interval rows -> {out / 'sensor_requirement.csv'}")
     return EXIT_OK
 
@@ -242,6 +246,16 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for every stochastic step")
     common.add_argument("--out-dir", default=".", help="directory for output artifacts")
+    network = argparse.ArgumentParser(add_help=False)
+    network.add_argument("--nodes", required=True)
+    network.add_argument("--edges", required=True)
+    triplog = argparse.ArgumentParser(add_help=False)
+    triplog.add_argument("--triplog", required=True)
+    instance = argparse.ArgumentParser(add_help=False, parents=[network, triplog])
+    instance.add_argument("--probs", required=True)
+    instance.add_argument("--probs-meta", required=True)
+    instance.add_argument("--budget", type=int, required=True)
+    instance.add_argument("--k", type=float, default=1.0)
 
     parser = argparse.ArgumentParser(
         prog="velosense",
@@ -249,9 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", parents=[common], help="parse, clean, and route raw trips")
-    p.add_argument("--nodes", required=True)
-    p.add_argument("--edges", required=True)
+    p = sub.add_parser("ingest", parents=[common, network], help="parse, clean, and route raw trips")
     p.add_argument("--trips", required=True)
     p.add_argument("--speed-kmh", type=float, default=trips.DEFAULT_SPEED_KMH)
     p.add_argument("--min-km", type=float, default=trips.DEFAULT_MIN_KM)
@@ -271,38 +283,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=int, default=trips.DEFAULT_WINDOW[1])
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("fleet", parents=[common], help="derive minimal initial bike counts")
-    p.add_argument("--triplog", required=True)
+    p = sub.add_parser("fleet", parents=[common, triplog], help="derive minimal initial bike counts")
     p.set_defaults(func=cmd_fleet)
 
-    p = sub.add_parser("probs", parents=[common], help="estimate visit probabilities")
-    p.add_argument("--triplog", required=True)
+    p = sub.add_parser("probs", parents=[common, triplog], help="estimate visit probabilities")
     p.add_argument("--runs", type=int, default=coverage_model.DEFAULT_RUNS)
     p.set_defaults(func=cmd_probs)
 
-    p = sub.add_parser("allocate", parents=[common], help="allocate sensors to stands")
-    p.add_argument("--nodes", required=True)
-    p.add_argument("--edges", required=True)
-    p.add_argument("--triplog", required=True)
-    p.add_argument("--probs", required=True)
-    p.add_argument("--probs-meta", required=True)
-    p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--k", type=float, default=1.0)
+    p = sub.add_parser("allocate", parents=[common, instance], help="allocate sensors to stands")
     p.add_argument("--method", choices=["exact", "greedy", "random"], default="greedy")
     p.add_argument("--time-limit", type=float, default=60.0)
     p.set_defaults(func=cmd_allocate)
 
-    p = sub.add_parser("simulate", parents=[common], help="replay trips with equipped bikes")
-    p.add_argument("--triplog", required=True)
+    p = sub.add_parser("simulate", parents=[common, triplog], help="replay trips with equipped bikes")
     p.add_argument("--alloc", required=True)
     p.add_argument("--beta", type=float, default=0.0)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("score", parents=[common], help="score a trajectory dump")
+    p = sub.add_parser("score", parents=[common, triplog, network], help="score a trajectory dump")
     p.add_argument("--traj", required=True)
-    p.add_argument("--triplog", required=True)
-    p.add_argument("--nodes", required=True)
-    p.add_argument("--edges", required=True)
     p.add_argument("--delta", type=float, required=True, help="sensing interval in hours")
     p.set_defaults(func=cmd_score)
 
@@ -316,14 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-phi", type=float, default=50.0)
     p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("export-lp", parents=[common], help="write the allocation model as LP text")
-    p.add_argument("--nodes", required=True)
-    p.add_argument("--edges", required=True)
-    p.add_argument("--triplog", required=True)
-    p.add_argument("--probs", required=True)
-    p.add_argument("--probs-meta", required=True)
-    p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--k", type=float, default=1.0)
+    p = sub.add_parser("export-lp", parents=[common, instance], help="write the allocation model as LP text")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_lp)
 

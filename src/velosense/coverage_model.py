@@ -14,14 +14,13 @@ bikes migrate between stands.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from .errors import MalformedInputError, malformed_fields, read_artifact
+from .errors import MalformedInputError, malformed_fields, read_artifact, write_json, write_table
 from .fleet_sim import FleetPlan, SimConfig, simulate
 from .network import RoadNetwork, single_source_distances
 from .trips import TripLog
@@ -168,23 +167,19 @@ def linearity_probe(
 
 def save_matrix(matrix: CoverageMatrix, csv_path, meta_path) -> None:
     """Delimited probabilities plus a JSON sidecar with the estimation protocol."""
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stand_id", "segment_id", "p"])
-        for (stand, seg), p in sorted(matrix.p.items()):
-            writer.writerow([stand, seg, repr(p)])
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "format": COVERAGE_FORMAT,
-                "runs": matrix.runs,
-                "seed": matrix.seed,
-                "horizon": list(matrix.horizon),
-                "stand_nodes": matrix.stand_nodes,
-                "triplog_sha256": matrix.triplog_sha256,
-            },
-            fh,
-        )
+    rows = ((stand, seg, repr(p)) for (stand, seg), p in sorted(matrix.p.items()))
+    write_table(csv_path, ["stand_id", "segment_id", "p"], rows)
+    write_json(
+        meta_path,
+        {
+            "format": COVERAGE_FORMAT,
+            "runs": matrix.runs,
+            "seed": matrix.seed,
+            "horizon": matrix.horizon,
+            "stand_nodes": matrix.stand_nodes,
+            "triplog_sha256": matrix.triplog_sha256,
+        },
+    )
 
 
 def load_matrix(csv_path, meta_path) -> CoverageMatrix:

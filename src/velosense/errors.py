@@ -1,5 +1,8 @@
-"""Exception types shared across the toolkit, and the one reader of JSON artifacts."""
+"""Exception types shared across the toolkit, and the one reader and writer of
+artifacts: every JSON artifact is read by `read_artifact` and written by
+`write_json`, and every CSV table is written by `write_table`."""
 
+import csv
 import json
 from contextlib import contextmanager
 
@@ -33,6 +36,16 @@ class UndefinedScoreError(VeloSenseError):
 
 
 @contextmanager
+def blamed_on(path):
+    """Prefix a malformed-input error raised while checking values read from `path`
+    with `path`, so the message names the input to fix."""
+    try:
+        yield
+    except MalformedInputError as exc:
+        raise MalformedInputError(f"{path}: {exc}") from exc
+
+
+@contextmanager
 def malformed_fields(source):
     """Report a missing or mistyped field of a loaded artifact as malformed input."""
     try:
@@ -60,3 +73,17 @@ def read_artifact(path, fmt, command):
         raise MalformedInputError(f"{path}: expected {fmt}, got {found!r}; re-run `velosense {command}`")
     with malformed_fields(path):
         yield doc
+
+
+def write_json(path, doc) -> None:
+    """Write `doc` as compact UTF-8 JSON, encoded in one `json.dumps` call."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc))
+
+
+def write_table(path, header, rows) -> None:
+    """Write a CSV table in csv's default dialect (comma, CRLF): `header`, then `rows`."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -16,7 +16,6 @@ bit for bit under the same seed. Generator: numpy PCG64.
 
 from __future__ import annotations
 
-import json
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import InfeasiblePlanError, MalformedInputError, read_artifact
+from .errors import InfeasiblePlanError, MalformedInputError, read_artifact, write_json
 from .trips import TripEvents, TripLog
 
 TRAJ_FORMAT = "velosense-traj-v1"
@@ -232,8 +231,7 @@ FLEET_FORMAT = "velosense-fleet-v1"
 
 
 def save_fleet(plan: FleetPlan, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"format": FLEET_FORMAT, "b": plan.b}, fh)
+    write_json(path, {"format": FLEET_FORMAT, "b": plan.b})
 
 
 def save_trajectories(trajectories: Replay, cfg: SimConfig, path, triplog_sha256: str) -> None:
@@ -251,13 +249,12 @@ def save_trajectories(trajectories: Replay, cfg: SimConfig, path, triplog_sha256
                 "bike": t.bike,
                 "home": t.home,
                 "served": t.served,
-                "events": [[seg, minute] for seg, minute in t.events],
+                "events": t.events,
             }
             for t in trajectories
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    write_json(path, doc)
 
 
 def load_trajectories(path) -> tuple[Replay, dict]:

@@ -13,14 +13,13 @@ interval instead of re-simulated.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .allocation import MilpInstance, build_instance, random_allocation, solve_greedy
 from .coverage_model import estimate_probabilities, mean_coverage
-from .errors import ConfigInfeasibleError, MalformedInputError
+from .errors import ConfigInfeasibleError, MalformedInputError, write_table
 from .fleet_sim import FleetPlan, Replay, SimConfig, equipped_set, initial_bike_counts, simulate
 from .metrics import IntervalGrid, coverage_counts, sensing_score
 from .network import RoadNetwork, load_network_files
@@ -310,21 +309,20 @@ def sensor_requirement(spec: ExperimentSpec, target_phi_pct: float) -> list[Requ
 
 
 def write_results(rows: list[ResultRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULT_HEADER)
-        for r in rows:
-            writer.writerow([r.method, r.budget, r.delta_h, r.beta, r.rep, repr(r.phi_pct)])
+    write_table(
+        path, RESULT_HEADER, ((r.method, r.budget, r.delta_h, r.beta, r.rep, repr(r.phi_pct)) for r in rows)
+    )
 
 
 def write_summary(summary: list[SummaryRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_HEADER)
-        for s in summary:
-            writer.writerow(
-                [s.method, s.budget, s.delta_h, s.beta, repr(s.mean_phi_pct), repr(s.std_phi_pct), s.reps]
-            )
+    write_table(
+        path,
+        SUMMARY_HEADER,
+        (
+            (s.method, s.budget, s.delta_h, s.beta, repr(s.mean_phi_pct), repr(s.std_phi_pct), s.reps)
+            for s in summary
+        ),
+    )
 
 
 # JSON key -> parser for every ExperimentSpec field besides the source; an

@@ -10,13 +10,11 @@ np.bincount over a replay's event table.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HorizonError, MalformedInputError, UndefinedScoreError
+from .errors import HorizonError, MalformedInputError, UndefinedScoreError, write_json, write_table
 from .fleet_sim import Replay
 from .trips import TripLog
 
@@ -158,37 +156,33 @@ def hourly_diagnostics(
 def write_hourly(diag: HourlyDiagnostics, rows_path, segments_path) -> None:
     """Hourly aggregates for external plotting: one summary row per hour plus
     the per-segment counts behind it."""
-    with open(rows_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["hour", "trips_started", "coverage_events", "trip_event_correlation"])
-        corr = "" if diag.trip_event_correlation is None else repr(diag.trip_event_correlation)
-        for row in diag.rows:
-            writer.writerow([row.hour, row.trips_started, row.coverage_events, corr])
-    with open(segments_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["hour", "segment_id", "count"])
-        for row in diag.rows:
-            for seg, count in sorted(row.per_segment.items()):
-                writer.writerow([row.hour, seg, count])
+    corr = "" if diag.trip_event_correlation is None else repr(diag.trip_event_correlation)
+    write_table(
+        rows_path,
+        ["hour", "trips_started", "coverage_events", "trip_event_correlation"],
+        ((row.hour, row.trips_started, row.coverage_events, corr) for row in diag.rows),
+    )
+    write_table(
+        segments_path,
+        ["hour", "segment_id", "count"],
+        ((row.hour, seg, count) for row in diag.rows for seg, count in sorted(row.per_segment.items())),
+    )
 
 
 def write_report(report: SensingReport, counts_path, summary_path) -> None:
     """Nonzero cells as delimited text plus a JSON summary."""
-    with open(counts_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["segment_id", "interval", "count"])
-        for seg, interval in zip(*np.nonzero(report.counts)):
-            writer.writerow([int(seg), int(interval), int(report.counts[seg, interval])])
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "phi_pct": report.phi_pct,
-                "t0": report.grid.t0,
-                "T": report.grid.T,
-                "delta_h": report.grid.delta_h,
-                "n_intervals": report.grid.n_intervals,
-                "num_segments": int(report.counts.shape[0]),
-                "equipped_count": report.equipped_count,
-            },
-            fh,
-        )
+    seg, interval = np.nonzero(report.counts)
+    rows = zip(seg.tolist(), interval.tolist(), report.counts[seg, interval].tolist())
+    write_table(counts_path, ["segment_id", "interval", "count"], rows)
+    write_json(
+        summary_path,
+        {
+            "phi_pct": report.phi_pct,
+            "t0": report.grid.t0,
+            "T": report.grid.T,
+            "delta_h": report.grid.delta_h,
+            "n_intervals": report.grid.n_intervals,
+            "num_segments": int(report.counts.shape[0]),
+            "equipped_count": report.equipped_count,
+        },
+    )

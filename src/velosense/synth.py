@@ -13,14 +13,13 @@ the cleaning stage keeps everything this generator produces.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 import numpy as np
 
-from .errors import ConfigInfeasibleError
+from .errors import ConfigInfeasibleError, write_table
 from .network import RoadNetwork, build_network, single_source_distances
 from .trips import DEFAULT_MAX_KM, DEFAULT_MIN_KM, DEFAULT_WINDOW, RawTrip
 
@@ -123,32 +122,22 @@ def generate(cfg: SynthConfig) -> tuple[RoadNetwork, list[RawTrip]]:
 
 def write_network_csv(net: RoadNetwork, nodes_path, edges_path) -> None:
     """Same file formats the ingestion pipeline consumes."""
-    with open(nodes_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_id", "lat", "lon"])
-        for node in range(net.num_nodes):
-            lat, lon = net.node_coords(node)
-            writer.writerow([node, repr(lat), repr(lon)])
-    with open(edges_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "v", "length_m"])
-        for seg in range(net.num_segments):
-            u, v = net.endpoints(seg)
-            writer.writerow([u, v, repr(float(net.seg_length_m[seg]))])
+    nodes = ((node, *map(repr, net.node_coords(node))) for node in range(net.num_nodes))
+    write_table(nodes_path, ["node_id", "lat", "lon"], nodes)
+    edges = ((*net.endpoints(seg), repr(float(net.seg_length_m[seg]))) for seg in range(net.num_segments))
+    write_table(edges_path, ["u", "v", "length_m"], edges)
 
 
 def write_trips_csv(raw: list[RawTrip], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ride_id", "started_at", "start_lat", "start_lng", "end_lat", "end_lng"])
-        for rt in raw:
-            writer.writerow(
-                [
-                    rt.id,
-                    rt.start_time.strftime("%Y-%m-%d %H:%M:%S"),
-                    repr(rt.start_lat),
-                    repr(rt.start_lon),
-                    repr(rt.end_lat),
-                    repr(rt.end_lon),
-                ]
-            )
+    rows = (
+        (
+            rt.id,
+            rt.start_time.strftime("%Y-%m-%d %H:%M:%S"),
+            repr(rt.start_lat),
+            repr(rt.start_lon),
+            repr(rt.end_lat),
+            repr(rt.end_lon),
+        )
+        for rt in raw
+    )
+    write_table(path, ["ride_id", "started_at", "start_lat", "start_lng", "end_lat", "end_lng"], rows)

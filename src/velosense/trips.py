@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -22,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MalformedInputError, read_artifact
+from .errors import MalformedInputError, read_artifact, write_json
 from .network import Path, RoadNetwork, nearest_node, network_sha256, route_pairs
 
 TRIPLOG_FORMAT = "velosense-triplog-v2"
@@ -276,15 +275,15 @@ def save_triplog(log: TripLog, path) -> None:
     doc = {
         "format": TRIPLOG_FORMAT,
         "network_sha256": log.network_sha256,
-        "horizon": list(log.horizon),
+        "horizon": log.horizon,
         "speed_m_per_min": log.speed_m_per_min,
         "drop_counts": log.drop_counts,
         "stands": [{"stand": s.id, "node": s.node} for s in log.stands],
         "paths": [
             {
-                "nodes": list(p.nodes),
-                "segments": list(p.segments),
-                "seg_lengths_m": list(p.seg_lengths_m),
+                "nodes": p.nodes,
+                "segments": p.segments,
+                "seg_lengths_m": p.seg_lengths_m,
                 "distance_m": p.distance_m,
             }
             for p in table
@@ -301,8 +300,7 @@ def save_triplog(log: TripLog, path) -> None:
             for t in log.trips
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    write_json(path, doc)
 
 
 def load_triplog(path) -> TripLog:

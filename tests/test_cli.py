@@ -222,6 +222,28 @@ def test_experiment_sensor_requirement_mode(tmp_path):
     assert len(lines) == 2
 
 
+def test_experiment_tables_end_lines_like_results(tmp_path):
+    """beta_gains.csv and sensor_requirement.csv are in csv's default dialect, as
+    results.csv is: every line ends in CRLF."""
+    config = {
+        "source": {"synth": {"grid_w": 6, "grid_h": 6, "block_m": 350.0,
+                              "stand_count": 6, "trips": 150, "seed": 19}},
+        "budgets": [2],
+        "deltas": [16.0],
+        "betas": [0.0, 1.0],
+        "replications": 1,
+        "coverage_runs": 2,
+    }
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(config))
+    for mode in ("beta-sweep", "sensor-requirement"):
+        argv = ["experiment", "--mode", mode, "--target-phi", "5", "--config", str(cfg_path)]
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+    for name in ("results.csv", "beta_gains.csv", "sensor_requirement.csv"):
+        lines = (tmp_path / name).read_bytes().splitlines(keepends=True)
+        assert len(lines) >= 2 and all(line.endswith(b"\r\n") for line in lines), name
+
+
 ALLOCATE = ("--nodes", "--edges", "--triplog", "--probs", "--probs-meta")
 SIMULATE = ("--triplog", "--alloc")
 SCORE = ("--traj", "--triplog", "--nodes", "--edges")
@@ -284,14 +306,6 @@ def _append_row(row):
     return lambda text: text + row + "\n"
 
 
-# Cases rejected by a check on the loaded values (allocation.build_instance,
-# fleet_sim.equipped_set), whose message does not name the file.
-CHECKED_AFTER_LOAD = {
-    "probs-unknown-stand", "probs-unknown-segment",
-    "alloc-negative-count", "alloc-extra-stand", "alloc-missing-stand",
-}
-
-
 @pytest.mark.parametrize(
     "command, options, extra, corrupted, edit",
     [
@@ -334,16 +348,14 @@ CHECKED_AFTER_LOAD = {
          "trip-start-not-int", "trip-duration-not-int", "trip-duration-negative",
          "trip-duration-zero"],
 )
-def test_malformed_artifact_is_2(artifacts, tmp_path, capsys, request, command, options, extra, corrupted, edit):
+def test_malformed_artifact_is_2(artifacts, tmp_path, capsys, command, options, extra, corrupted, edit):
     paths = dict(artifacts)
     bad = tmp_path / paths[corrupted].name
     bad.write_text(edit(paths[corrupted].read_text()))
     paths[corrupted] = bad
     assert main([command, *_args(paths, options), *extra, "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:")
-    if request.node.callspec.id not in CHECKED_AFTER_LOAD:
-        assert str(bad) in err
+    assert err.startswith("error:") and str(bad) in err
 
 
 # JSON artifact option -> (a command that reads it, its options, extra arguments,
