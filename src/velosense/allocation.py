@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coverage_model import CoverageMatrix
-from .errors import MalformedInputError, read_artifact, write_json
+from .errors import MalformedInputError, int_column, read_artifact, write_json
 from .fleet_sim import FleetPlan
 from .network import RoadNetwork
 
@@ -359,7 +359,7 @@ def load_plan(path) -> AllocationPlan:
         N_e = {int(seg): val for seg, val in doc["N_e"].items()}
         covered = set(doc["covered_segments"])
         y = {seg: seg in covered for seg in N_e}
-        n = [int(x) for x in doc["n"]]
+        n = int_column(doc["n"], path, "n").tolist()
         return AllocationPlan(
             n, doc["objective_m"], N_e, y, doc["solver"], doc["gap"], doc.get("triplog_sha256")
         )

@@ -182,7 +182,7 @@ def cmd_score(args) -> int:
     replay, meta = fleet_sim.load_trajectories(args.traj)
     _check_triplog(meta.get("triplog_sha256"), args.traj, args.triplog, trips.file_sha256(args.triplog))
     grid = metrics.IntervalGrid(*log.horizon, args.delta)
-    equipped = frozenset(meta.get("equipped", []))
+    equipped = frozenset(meta["equipped"])
     counts = metrics.coverage_counts(replay, equipped, grid, net.num_segments)
     phi = metrics.sensing_score(counts, net.seg_length_m, grid)
     report = metrics.SensingReport(counts, phi, grid, len(equipped))

@@ -194,6 +194,8 @@ def load_matrix(csv_path, meta_path) -> CoverageMatrix:
                 raise MalformedInputError(
                     f"{csv_path}: p = {row['p']} for (stand, segment) {key} is not a finite number >= 0"
                 )
+            if key in p:
+                raise MalformedInputError(f"{csv_path}: (stand, segment) {key} is listed twice")
             p[key] = value
     with read_artifact(meta_path, COVERAGE_FORMAT, "probs") as meta:
         return CoverageMatrix(

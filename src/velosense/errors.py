@@ -1,10 +1,13 @@
 """Exception types shared across the toolkit, and the one reader and writer of
 artifacts: every JSON artifact is read by `read_artifact` and written by
-`write_json`, and every CSV table is written by `write_table`."""
+`write_json`, every CSV table is written by `write_table`, and every integer
+column read from an artifact is checked by `int_column`."""
 
 import csv
 import json
 from contextlib import contextmanager
+
+import numpy as np
 
 
 class VeloSenseError(Exception):
@@ -73,6 +76,17 @@ def read_artifact(path, fmt, command):
         raise MalformedInputError(f"{path}: expected {fmt}, got {found!r}; re-run `velosense {command}`")
     with malformed_fields(path):
         yield doc
+
+
+def int_column(values, source, name, lo=0, hi=2**63) -> np.ndarray:
+    """The JSON array `values` as int64, given each entry is an int (a bool is not
+    one) in lo..hi-1; anything else is malformed input naming `source` and `name`."""
+    if not isinstance(values, list) or not set(map(type, values)) <= {int}:
+        raise MalformedInputError(f"{source}: {name} must be a list of integers")
+    if values and not (lo <= min(values) and max(values) < hi):
+        bad = next(v for v in values if not lo <= v < hi)
+        raise MalformedInputError(f"{source}: {name} holds {bad}, outside {lo}..{hi - 1}")
+    return np.array(values, dtype=np.int64)
 
 
 def write_json(path, doc) -> None:

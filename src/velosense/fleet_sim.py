@@ -5,7 +5,8 @@ stand's balance non-negative over the horizon, then replay the trip log once
 in row (service) order, assigning physical bikes to trips. Replay optionally
 biases bike selection toward sensor-equipped bikes (guided selection accepted
 with probability beta). A replay is the bike of each trip over the log's
-event table (see Replay); per-bike trajectories are views built on demand.
+event table (see Replay), and `traj.json` stores those columns; per-bike
+trajectories are views built only when a replay is iterated.
 
 RNG stream discipline, per trip in log order: one uniform draw for the
 guidance-acceptance test, then one bounded draw indexing into the chosen
@@ -24,10 +25,10 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import InfeasiblePlanError, MalformedInputError, read_artifact, write_json
+from .errors import InfeasiblePlanError, MalformedInputError, int_column, read_artifact, write_json
 from .trips import TripEvents, TripLog
 
-TRAJ_FORMAT = "velosense-traj-v1"
+TRAJ_FORMAT = "velosense-traj-v2"
 GENERATOR_NAME = "numpy-pcg64"
 
 
@@ -67,38 +68,16 @@ class BikeTrajectory:
 class Replay:
     """Which bike served each trip, over an event table of the trips.
 
-    Trip rows are in service order. Counting reads the per-event arrays
-    (event_bike, events.segment, events.minute); iterating, indexing and
-    comparing go through per-bike BikeTrajectory views, built on first use.
-    Two replays are equal when their views are.
+    Trip rows are in service order, and the event table is grouped by trip row.
+    Counting reads the per-event arrays (event_bike, events.segment,
+    events.minute); iterating yields per-bike BikeTrajectory views, built on
+    first use. Two replays are equal when their columns are.
     """
 
     bike_of_trip: np.ndarray  # int64 per trip row
     homes: np.ndarray  # int64 per bike: home stand
     trip_ids: list[str]  # per trip row
     events: TripEvents
-
-    @classmethod
-    def from_views(cls, views) -> "Replay":
-        """The replay whose views are `views`, bikes 0..n-1 in order.
-
-        A view does not say which of its trips each event belongs to, so a
-        bike's events are filed under its first trip; counts read only the bike.
-        """
-        homes, trip_ids, bike_of_trip, event_trip, pairs = [], [], [], [], []
-        for bike, view in enumerate(views):
-            if view.bike != bike:
-                raise MalformedInputError(f"bike {view.bike} listed in position {bike}")
-            if view.events and not view.served:
-                raise MalformedInputError(f"bike {bike} has events but serves no trip")
-            event_trip += [len(trip_ids)] * len(view.events)
-            pairs += view.events
-            homes.append(view.home)
-            trip_ids += view.served
-            bike_of_trip += [bike] * len(view.served)
-        segment, minute = np.array(pairs, dtype=np.int64).reshape(-1, 2).T.copy()
-        events = TripEvents(np.array(event_trip, dtype=np.int64), segment, minute)
-        return cls(np.array(bike_of_trip, dtype=np.int64), np.array(homes, dtype=np.int64), trip_ids, events)
 
     @cached_property
     def event_bike(self) -> np.ndarray:
@@ -126,13 +105,12 @@ class Replay:
     def __iter__(self):
         return iter(self._views)
 
-    def __getitem__(self, bike: int) -> BikeTrajectory:
-        return self._views[bike]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Replay):
             return NotImplemented
-        return self._views == other._views
+        mine = (self.bike_of_trip, self.homes, *self.events)
+        theirs = (other.bike_of_trip, other.homes, *other.events)
+        return self.trip_ids == other.trip_ids and all(map(np.array_equal, mine, theirs))
 
 
 @dataclass(frozen=True)
@@ -182,7 +160,7 @@ def simulate(log: TripLog, plan: FleetPlan, cfg: SimConfig) -> Replay:
 
     idle = plan.bikes
     ends = [trip.end_min for trip in log.trips]
-    returns = deque(sorted(range(len(ends)), key=ends.__getitem__))  # stable: ties in row order
+    returns = deque(np.argsort(ends, kind="stable").tolist())  # stable: ties in row order
 
     bike_of_trip = [0] * len(log.trips)
     for i, trip in enumerate(log.trips):
@@ -234,7 +212,9 @@ def save_fleet(plan: FleetPlan, path) -> None:
     write_json(path, {"format": FLEET_FORMAT, "b": plan.b})
 
 
-def save_trajectories(trajectories: Replay, cfg: SimConfig, path, triplog_sha256: str) -> None:
+def save_trajectories(replay: Replay, cfg: SimConfig, path, triplog_sha256: str) -> None:
+    """Write a velosense-traj-v2 file: the metadata, then the replay's columns,
+    with the event table as per-trip event counts over its segment and minute."""
     doc = {
         "format": TRAJ_FORMAT,
         "metadata": {
@@ -244,20 +224,42 @@ def save_trajectories(trajectories: Replay, cfg: SimConfig, path, triplog_sha256
             "equipped": sorted(cfg.equipped),
             "triplog_sha256": triplog_sha256,
         },
-        "bikes": [
-            {
-                "bike": t.bike,
-                "home": t.home,
-                "served": t.served,
-                "events": t.events,
-            }
-            for t in trajectories
-        ],
+        "homes": replay.homes.tolist(),
+        "trip_ids": replay.trip_ids,
+        "bike_of_trip": replay.bike_of_trip.tolist(),
+        "events_per_trip": np.bincount(replay.events.trip, minlength=len(replay.trip_ids)).tolist(),
+        "segment": replay.events.segment.tolist(),
+        "minute": replay.events.minute.tolist(),
     }
     write_json(path, doc)
 
 
 def load_trajectories(path) -> tuple[Replay, dict]:
+    """Read a velosense-traj-v2 file into the Replay it was written from, and its
+    metadata, whose `equipped` holds distinct bikes of the replay. Any other
+    format, v1 included, is rejected: `simulate` writes v2."""
     with read_artifact(path, TRAJ_FORMAT, "simulate") as doc:
-        views = (BikeTrajectory(t["bike"], t["home"], t["served"], t["events"]) for t in doc["bikes"])
-        return Replay.from_views(views), doc["metadata"]
+        meta = doc["metadata"]
+        homes = int_column(doc["homes"], path, "homes")
+        equipped = int_column(meta["equipped"], path, "metadata.equipped", hi=len(homes))
+        if len(np.unique(equipped)) < len(equipped):
+            raise MalformedInputError(f"{path}: metadata.equipped lists a bike twice")
+        trip_ids = doc["trip_ids"]
+        if not (isinstance(trip_ids, list) and set(map(type, trip_ids)) <= {str}):
+            raise MalformedInputError(f"{path}: trip_ids must be a list of strings")
+        bike_of_trip = int_column(doc["bike_of_trip"], path, "bike_of_trip", hi=len(homes))
+        per_trip = int_column(doc["events_per_trip"], path, "events_per_trip")
+        segment = int_column(doc["segment"], path, "segment")
+        minute = int_column(doc["minute"], path, "minute")
+        if not len(trip_ids) == len(bike_of_trip) == len(per_trip):
+            raise MalformedInputError(
+                f"{path}: {len(trip_ids)} trip_ids, {len(bike_of_trip)} bike_of_trip "
+                f"and {len(per_trip)} events_per_trip"
+            )
+        if not int(per_trip.sum()) == len(segment) == len(minute):
+            raise MalformedInputError(
+                f"{path}: events_per_trip sums to {int(per_trip.sum())}, "
+                f"over {len(segment)} segments and {len(minute)} minutes"
+            )
+        trip = np.repeat(np.arange(len(per_trip), dtype=np.int64), per_trip)
+        return Replay(bike_of_trip, homes, trip_ids, TripEvents(trip, segment, minute)), meta

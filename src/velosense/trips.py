@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MalformedInputError, read_artifact, write_json
+from .errors import MalformedInputError, int_column, read_artifact, write_json
 from .network import Path, RoadNetwork, nearest_node, network_sha256, route_pairs
 
 TRIPLOG_FORMAT = "velosense-triplog-v2"
@@ -312,7 +312,7 @@ def load_triplog(path) -> TripLog:
             for p in doc["paths"]
         ]
         _check_paths(paths, path)
-        stands = [Stand(s["stand"], s["node"]) for s in doc["stands"]]
+        stands = _stand_table(doc["stands"], path)
         trips = [
             Trip(
                 t["id"],
@@ -344,6 +344,20 @@ def _check_paths(paths: list[Path], source) -> None:
                 f"{source}: path {index} has {len(p.segments)} segments, "
                 f"{len(p.seg_lengths_m)} segment lengths and {len(p.nodes)} nodes"
             )
+
+
+def _stand_table(rows, source) -> list[Stand]:
+    """Stand i has id i, and no two stands share a node (clean_trips merges them)."""
+    ids = int_column([s["stand"] for s in rows], source, "stand ids")
+    nodes = int_column([s["node"] for s in rows], source, "stand nodes")
+    misplaced = np.flatnonzero(ids != np.arange(len(ids)))
+    if len(misplaced):
+        raise MalformedInputError(f"{source}: stand id {ids[misplaced[0]]} at index {misplaced[0]}")
+    stand_of_node: dict[int, int] = {}
+    for stand, node in enumerate(nodes.tolist()):
+        if stand_of_node.setdefault(node, stand) != stand:
+            raise MalformedInputError(f"{source}: stands {stand_of_node[node]} and {stand} share node {node}")
+    return [Stand(stand, node) for node, stand in stand_of_node.items()]
 
 
 def _table_path(paths: list[Path], index, trip_id, source) -> Path:

@@ -168,7 +168,7 @@ def test_criterion_5_guided_selection_frequency():
     for seed in range(n):
         cfg = SimConfig(seed=seed, beta=0.5, equipped=frozenset({0}))
         trajs = simulate(log, plan, cfg)
-        hits += bool(trajs[0].served)
+        hits += bool(list(trajs)[0].served)
     freq = hits / n
     ok = abs(freq - 0.75) <= 0.02
     assert report(5, ok, f"equipped-selection frequency {freq:.4f} (0.75 +- 0.02)")

@@ -102,7 +102,7 @@ def test_allocate_simulate_score_chain(synth_dir, pipeline_dir, tmp_path):
          "--seed", "7", "--out-dir", str(out)]
     ) == 0
     traj = json.loads((out / "traj.json").read_text())
-    assert traj["format"] == "velosense-traj-v1"
+    assert traj["format"] == "velosense-traj-v2"
     assert traj["metadata"]["generator"] == "numpy-pcg64"
 
     assert main(
@@ -306,6 +306,28 @@ def _append_row(row):
     return lambda text: text + row + "\n"
 
 
+def _repeat_first_row(p):
+    """Append the first row's (stand, segment) again, with probability `p`."""
+    def edit(text):
+        stand, segment, _p = text.splitlines()[1].split(",")
+        return text + f"{stand},{segment},{p}\n"
+
+    return edit
+
+
+def _edit_largest_count(change):
+    """Replace the largest sensor count n of an alloc.json with change(n)."""
+    def edit(doc):
+        n = doc["n"]
+        n[n.index(max(n))] = change(max(n))
+
+    return _edit_doc(edit)
+
+
+def _set_metadata(**fields):
+    return _edit_doc(lambda doc: doc["metadata"].update(fields))
+
+
 @pytest.mark.parametrize(
     "command, options, extra, corrupted, edit",
     [
@@ -336,6 +358,19 @@ def _append_row(row):
         ("probs", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(duration_min=2.5))),
         ("probs", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(duration_min=-30))),
         ("probs", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(duration_min=0))),
+        ("score", SCORE, ["--delta", "4"], "--traj", _edit_doc(lambda d: d["bike_of_trip"].__setitem__(0, len(d["homes"])))),
+        ("score", SCORE, ["--delta", "4"], "--traj", _edit_doc(lambda d: d["events_per_trip"].__setitem__(0, d["events_per_trip"][0] + 1))),
+        ("score", SCORE, ["--delta", "4"], "--traj", _edit_doc(lambda d: d["segment"].__setitem__(0, -1))),
+        ("score", SCORE, ["--delta", "4"], "--traj", _drop_metadata_key("equipped")),
+        ("score", SCORE, ["--delta", "4"], "--traj", _set_metadata(equipped=[10**6])),
+        ("score", SCORE, ["--delta", "4"], "--traj", _set_metadata(equipped=["x"])),
+        ("score", SCORE, ["--delta", "4"], "--traj", _set_metadata(equipped=[True])),
+        ("simulate", SIMULATE, [], "--alloc", _edit_largest_count(lambda n: n + 0.5)),
+        ("simulate", SIMULATE, [], "--alloc", _edit_largest_count(lambda n: True)),
+        ("simulate", SIMULATE, [], "--alloc", _edit_largest_count(str)),
+        ("allocate", ALLOCATE, ["--budget", "4"], "--probs", _repeat_first_row(9.0)),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["stands"][1].update(stand=7))),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["stands"][1].update(node=d["stands"][0]["node"]))),
     ],
     ids=["triplog-without-stands", "traj-without-metadata", "alloc-without-N_e",
          "probs-unknown-stand", "probs-unknown-segment", "probs-nan", "probs-negative",
@@ -346,7 +381,11 @@ def _append_row(row):
          "alloc-without-triplog-sha256", "alloc-negative-count", "alloc-extra-stand",
          "alloc-missing-stand", "alloc-count-not-int", "probs-p-not-a-number",
          "trip-start-not-int", "trip-duration-not-int", "trip-duration-negative",
-         "trip-duration-zero"],
+         "trip-duration-zero", "traj-bike-out-of-range", "traj-events-per-trip-off",
+         "traj-segment-negative", "traj-without-equipped", "traj-equipped-out-of-range",
+         "traj-equipped-not-int", "traj-equipped-bool", "alloc-count-fraction",
+         "alloc-count-bool", "alloc-count-string", "probs-repeated-pair",
+         "stand-id-not-its-index", "stands-share-a-node"],
 )
 def test_malformed_artifact_is_2(artifacts, tmp_path, capsys, command, options, extra, corrupted, edit):
     paths = dict(artifacts)
@@ -364,7 +403,7 @@ JSON_INPUTS = {
     "--triplog": ("fleet", ("--triplog",), [], "velosense-triplog-v2", "ingest"),
     "--probs-meta": ("allocate", ALLOCATE, ["--budget", "4"], "velosense-coverage-v1", "probs"),
     "--alloc": ("simulate", SIMULATE, [], "velosense-alloc-v1", "allocate"),
-    "--traj": ("score", SCORE, ["--delta", "4"], "velosense-traj-v1", "simulate"),
+    "--traj": ("score", SCORE, ["--delta", "4"], "velosense-traj-v2", "simulate"),
 }
 NOT_JSON = "{not json"
 TOO_DEEP = "[" * 100_000 + "]" * 100_000
@@ -380,9 +419,10 @@ DERIVED = ("--probs-meta", "--alloc", "--traj")
         ("--triplog", "[]"),
         ("--triplog", NOT_JSON),
         ("--triplog", TOO_DEEP),
+        ("--traj", '{"format": "velosense-traj-v1", "metadata": {}, "bikes": []}'),
         *[(option, text) for option in DERIVED for text in CONTENTS.values()],
     ],
-    ids=["v1", "unknown", "not-an-object", "triplog-not-json", "triplog-nested-too-deep",
+    ids=["v1", "unknown", "not-an-object", "triplog-not-json", "triplog-nested-too-deep", "traj-v1",
          *[f"{option[2:]}-{name}" for option in DERIVED for name in CONTENTS]],
 )
 def test_triplog_of_another_format_is_2(artifacts, tmp_path, capsys, corrupted, text):

@@ -13,7 +13,7 @@ from velosense.fleet_sim import (
     simulate,
 )
 from velosense.network import Path
-from velosense.trips import Stand, Trip, TripLog, traversal_times
+from velosense.trips import Stand, Trip, TripEvents, TripLog, traversal_times
 
 from oracles import per_bike_assembly, simulate_by_minute
 
@@ -83,9 +83,9 @@ class TestSimulate:
         plan = initial_bike_counts(log)
         trajs = simulate(log, plan, SimConfig(seed=0))
         assert len(trajs) == 1
-        assert trajs[0].served == ["t0"]
-        assert trajs[0].events == [(0, 3)]
-        assert trajs[0].home == 0
+        assert list(trajs)[0].served == ["t0"]
+        assert list(trajs)[0].events == [(0, 3)]
+        assert list(trajs)[0].home == 0
 
     def test_beta_one_always_picks_equipped(self):
         log = toy_log([(0, 1, 3, 4)], num_stands=2)
@@ -93,7 +93,7 @@ class TestSimulate:
         for seed in range(20):
             cfg = SimConfig(seed=seed, beta=1.0, equipped=frozenset({1}))
             trajs = simulate(log, plan, cfg)
-            assert trajs[1].served == ["t0"]
+            assert list(trajs)[1].served == ["t0"]
 
     def test_beta_zero_matches_unguided_bitwise(self, small_scenario, small_fleet):
         _net, log = small_scenario
@@ -157,10 +157,24 @@ class TestSimulate:
         assert [(t.bike, t.home, t.served, t.events) for t in trajs] == expected
         assert len(trajs) == small_fleet.num_bikes
 
-    def test_replays_are_equal_when_their_views_are(self, small_scenario, small_fleet):
+    def test_replays_are_equal_when_their_columns_are(self, small_scenario, small_fleet):
         _net, log = small_scenario
         trajs = simulate(log, small_fleet, SimConfig(seed=4))
-        assert Replay.from_views(list(trajs)) == trajs
+        copy = Replay(
+            trajs.bike_of_trip.copy(),
+            trajs.homes.copy(),
+            list(trajs.trip_ids),
+            TripEvents(*(column.copy() for column in trajs.events)),
+        )
+        assert copy == trajs
+        # every event of a bike filed under the bike's first trip: the same views, another replay
+        first_trip: dict[int, int] = {}
+        for row, bike in enumerate(trajs.bike_of_trip.tolist()):
+            first_trip.setdefault(bike, row)
+        refiled = trajs.events._replace(trip=np.array([first_trip[b] for b in trajs.event_bike.tolist()]))
+        other = Replay(trajs.bike_of_trip, trajs.homes, trajs.trip_ids, refiled)
+        assert list(other) == list(trajs)
+        assert other != trajs
         assert simulate(log, small_fleet, SimConfig(seed=5)) != trajs
 
     def test_beta_nesting_in_equipped_served_trips(self, small_scenario, small_fleet):
@@ -182,7 +196,7 @@ class TestSimulate:
         for seed in range(n):
             cfg = SimConfig(seed=seed, beta=0.5, equipped=frozenset({0}))
             trajs = simulate(log, plan, cfg)
-            hits += bool(trajs[0].served)
+            hits += bool(list(trajs)[0].served)
         assert hits / n == pytest.approx(0.75, abs=0.03)
 
     def test_infeasible_plan_raises(self):
@@ -256,3 +270,18 @@ class TestTrajectoryDump:
         assert meta["beta"] == 0.4
         assert meta["generator"] == "numpy-pcg64"
         assert set(meta["equipped"]) == set(equipped)
+
+    def test_round_trip_keeps_every_column(self, small_scenario, small_fleet, tmp_path):
+        _net, log = small_scenario
+        equipped = equipped_set(small_fleet, [min(1, b) for b in small_fleet.b])
+        cfg = SimConfig(seed=21, beta=0.6, equipped=equipped)
+        trajs = simulate(log, small_fleet, cfg)
+        out = tmp_path / "traj.json"
+        save_trajectories(trajs, cfg, out, "ab" * 32)
+        loaded, _meta = load_trajectories(out)
+        assert loaded.bike_of_trip.tolist() == trajs.bike_of_trip.tolist()
+        assert loaded.homes.tolist() == trajs.homes.tolist()
+        assert loaded.trip_ids == trajs.trip_ids
+        for name in TripEvents._fields:
+            assert getattr(loaded.events, name).tolist() == getattr(trajs.events, name).tolist(), name
+        assert loaded == trajs

@@ -12,7 +12,7 @@ from velosense.metrics import (
     write_report,
 )
 from velosense.network import Path
-from velosense.trips import Stand, Trip, TripLog, traversal_times
+from velosense.trips import Stand, Trip, TripEvents, TripLog, traversal_times
 
 from oracles import (
     coverage_counts_loop,
@@ -27,7 +27,18 @@ def traj(bike, events, home=0):
 
 
 def replay(*trajectories):
-    return Replay.from_views(trajectories)
+    """The replay, built from columns, in which bike i serves one trip with the
+    events of trajectories[i]."""
+    assert [t.bike for t in trajectories] == list(range(len(trajectories)))
+    pairs = [event for t in trajectories for event in t.events]
+    segment, minute = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    trip = np.repeat(np.arange(len(trajectories)), [len(t.events) for t in trajectories])
+    return Replay(
+        np.arange(len(trajectories)),
+        np.array([t.home for t in trajectories], dtype=np.int64),
+        [t.served[0] for t in trajectories],
+        TripEvents(trip, segment, minute),
+    )
 
 
 class TestIntervalGrid:
