@@ -12,6 +12,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import allocation, coverage_model, fleet_sim, harness, metrics, synth, trips
 from .errors import (
     ConfigInfeasibleError,
@@ -74,7 +76,7 @@ def cmd_ingest(args) -> int:
     trips.save_triplog(log, out / "triplog.json")
     write_json(out / "ingest_report.json", {"parse": report.as_dict(), "cleaning": log.drop_counts})
     print(
-        f"ingested {len(log.trips)} trips across {log.num_stands} stands "
+        f"ingested {len(log.ids)} trips across {log.num_stands} stands "
         f"(parsed {report.kept}/{report.rows_read} rows) -> {out / 'triplog.json'}"
     )
     return EXIT_OK
@@ -181,6 +183,11 @@ def cmd_score(args) -> int:
     net = _load_routed_net(args, log)
     replay, meta = fleet_sim.load_trajectories(args.traj)
     _check_triplog(meta.get("triplog_sha256"), args.traj, args.triplog, trips.file_sha256(args.triplog))
+    if replay.trip_ids != log.ids or not all(map(np.array_equal, replay.events, log.events)):
+        raise MalformedInputError(
+            f"{args.traj}: its trip ids or events are not those of {args.triplog}; "
+            "re-run `velosense simulate`"
+        )
     grid = metrics.IntervalGrid(*log.horizon, args.delta)
     equipped = frozenset(meta["equipped"])
     counts = metrics.coverage_counts(replay, equipped, grid, net.num_segments)

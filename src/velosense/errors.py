@@ -1,7 +1,7 @@
 """Exception types shared across the toolkit, and the one reader and writer of
 artifacts: every JSON artifact is read by `read_artifact` and written by
 `write_json`, every CSV table is written by `write_table`, and every integer
-column read from an artifact is checked by `int_column`."""
+or string column read from an artifact is checked by `int_column` or `str_column`."""
 
 import csv
 import json
@@ -87,6 +87,14 @@ def int_column(values, source, name, lo=0, hi=2**63) -> np.ndarray:
         bad = next(v for v in values if not lo <= v < hi)
         raise MalformedInputError(f"{source}: {name} holds {bad}, outside {lo}..{hi - 1}")
     return np.array(values, dtype=np.int64)
+
+
+def str_column(values, source, name) -> list[str]:
+    """The JSON array `values`, given each entry is a string; anything else is
+    malformed input naming `source` and `name`."""
+    if not isinstance(values, list) or not set(map(type, values)) <= {str}:
+        raise MalformedInputError(f"{source}: {name} must be a list of strings")
+    return values
 
 
 def write_json(path, doc) -> None:

@@ -25,7 +25,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import InfeasiblePlanError, MalformedInputError, int_column, read_artifact, write_json
+from .errors import (
+    InfeasiblePlanError, MalformedInputError, int_column, read_artifact, str_column, write_json,
+)
 from .trips import TripEvents, TripLog
 
 TRAJ_FORMAT = "velosense-traj-v2"
@@ -134,10 +136,9 @@ def initial_bike_counts(log: TripLog) -> FleetPlan:
     t0, t_end = log.horizon
     width = t_end - t0 + 1
     flow = np.zeros((log.num_stands, width), dtype=np.int64)
-    for trip in log.trips:
-        flow[trip.origin, trip.start_min - t0] -= 1
-        if trip.end_min <= t_end:  # returns after the horizon never help
-            flow[trip.dest, trip.end_min - t0] += 1
+    np.add.at(flow, (log.origin, log.start_min - t0), -1)
+    back = log.end_min <= t_end  # returns after the horizon never help
+    np.add.at(flow, (log.dest[back], log.end_min[back] - t0), 1)
     balance = np.cumsum(flow, axis=1)
     b = np.maximum(0, -balance.min(axis=1)) if width > 0 else np.zeros(log.num_stands, int)
     return FleetPlan([int(x) for x in b])
@@ -159,22 +160,21 @@ def simulate(log: TripLog, plan: FleetPlan, cfg: SimConfig) -> Replay:
     equipped = frozenset(cfg.equipped)
 
     idle = plan.bikes
-    ends = [trip.end_min for trip in log.trips]
+    ends, dest = log.end_min.tolist(), log.dest.tolist()
     returns = deque(np.argsort(ends, kind="stable").tolist())  # stable: ties in row order
 
-    bike_of_trip = [0] * len(log.trips)
-    for i, trip in enumerate(log.trips):
-        while returns and ends[returns[0]] <= trip.start_min:
+    bike_of_trip = [0] * len(dest)
+    for i, (origin, start) in enumerate(zip(log.origin.tolist(), log.start_min.tolist())):
+        while returns and ends[returns[0]] <= start:
             done = returns.popleft()
             if done >= i:
-                raise MalformedInputError(f"trip {log.trips[done].id} lasts less than a minute")
-            insort(idle[log.trips[done].dest], bike_of_trip[done])
+                raise MalformedInputError(f"trip {log.ids[done]} lasts less than a minute")
+            insort(idle[dest[done]], bike_of_trip[done])
         u = rng.random()
-        pool = idle[trip.origin]
+        pool = idle[origin]
         if not pool:
             raise InfeasiblePlanError(
-                f"no idle bike at stand {trip.origin} at minute {trip.start_min} "
-                f"for trip {trip.id}"
+                f"no idle bike at stand {origin} at minute {start} for trip {log.ids[i]}"
             )
         if u < cfg.beta:
             equipped_pool = [b for b in pool if b in equipped]
@@ -185,12 +185,7 @@ def simulate(log: TripLog, plan: FleetPlan, cfg: SimConfig) -> Replay:
         pool.remove(bike)
         bike_of_trip[i] = bike
 
-    return Replay(
-        np.array(bike_of_trip, dtype=np.int64),
-        plan.home_stands(),
-        [trip.id for trip in log.trips],
-        log.events,
-    )
+    return Replay(np.array(bike_of_trip, dtype=np.int64), plan.home_stands(), log.ids, log.events)
 
 
 def equipped_set(plan: FleetPlan, sensors_per_stand) -> frozenset[int]:
@@ -244,9 +239,7 @@ def load_trajectories(path) -> tuple[Replay, dict]:
         equipped = int_column(meta["equipped"], path, "metadata.equipped", hi=len(homes))
         if len(np.unique(equipped)) < len(equipped):
             raise MalformedInputError(f"{path}: metadata.equipped lists a bike twice")
-        trip_ids = doc["trip_ids"]
-        if not (isinstance(trip_ids, list) and set(map(type, trip_ids)) <= {str}):
-            raise MalformedInputError(f"{path}: trip_ids must be a list of strings")
+        trip_ids = str_column(doc["trip_ids"], path, "trip_ids")
         bike_of_trip = int_column(doc["bike_of_trip"], path, "bike_of_trip", hi=len(homes))
         per_trip = int_column(doc["events_per_trip"], path, "events_per_trip")
         segment = int_column(doc["segment"], path, "segment")

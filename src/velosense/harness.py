@@ -102,7 +102,7 @@ def prepare(spec: ExperimentSpec) -> PreparedData:
         with open(spec.source.trips, encoding="utf-8", newline="") as tf:
             raw, _report = parse_raw_trips(tf)
     log = clean_trips(raw, net)
-    if not log.trips:
+    if not log.ids:
         raise ConfigInfeasibleError("no trips survive cleaning; nothing to simulate")
     return PreparedData(net, log, initial_bike_counts(log))
 

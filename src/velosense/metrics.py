@@ -134,7 +134,7 @@ def hourly_diagnostics(
     grid = IntervalGrid(t0, t_end, 1.0)
     num_segments = 1 + int(trajectories.events.segment.max(initial=-1))
     counts = coverage_counts(trajectories, equipped, grid, num_segments)
-    starts = grid.interval_of([trip.start_min for trip in log.trips])
+    starts = grid.interval_of(log.start_min)
     trips_started = np.bincount(starts, minlength=grid.n_intervals)
     rows = [
         HourRow(

@@ -21,10 +21,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MalformedInputError, int_column, read_artifact, write_json
+from .errors import MalformedInputError, int_column, read_artifact, str_column, write_json
 from .network import Path, RoadNetwork, nearest_node, network_sha256, route_pairs
 
-TRIPLOG_FORMAT = "velosense-triplog-v2"
+TRIPLOG_FORMAT = "velosense-triplog-v3"
 
 DEFAULT_SPEED_KMH = 13.0
 DEFAULT_MIN_KM = 0.5
@@ -83,16 +83,24 @@ class TripEvents(NamedTuple):
     """Every traversal event of a log, one entry per event, grouped by trip
     row in log order and in path order within a trip."""
 
-    trip: np.ndarray  # int64: row in TripLog.trips
+    trip: np.ndarray  # int64: trip row of the log
     segment: np.ndarray  # int64
     minute: np.ndarray  # int64: entry minute
 
 
-@dataclass
+@dataclass(eq=False)
 class TripLog:
-    """Cleaned trips sorted by start minute, so row order is service order."""
+    """Cleaned trips as columns, one entry per trip row, sorted by start minute
+    so row order is service order. `path` indexes the table `paths`, which
+    holds each distinct path once."""
 
-    trips: list[Trip]
+    ids: list[str]
+    origin: np.ndarray  # int64 stand id
+    dest: np.ndarray  # int64 stand id
+    start_min: np.ndarray  # int64
+    duration_min: np.ndarray  # int64, >= 1
+    path: np.ndarray  # int64 row of paths
+    paths: list[Path]
     stands: list[Stand]
     horizon: tuple[int, int]
     speed_m_per_min: float
@@ -103,28 +111,37 @@ class TripLog:
     def num_stands(self) -> int:
         return len(self.stands)
 
+    @property
+    def end_min(self) -> np.ndarray:
+        return self.start_min + self.duration_min
+
+    @cached_property
+    def trips(self) -> list[Trip]:
+        """The rows as Trip views sharing the table's Paths, for callers outside
+        the package (the benchmark reads ids and paths); the package reads columns."""
+        columns = (self.origin, self.dest, self.start_min, self.path, self.duration_min)
+        rows = zip(self.ids, *(column.tolist() for column in columns))
+        return [Trip(i, o, d, start, self.paths[p], dur) for i, o, d, start, p, dur in rows]
+
     @cached_property
     def events(self) -> TripEvents:
         """The traversal_times of every trip as one event table, built once per log.
 
         Entry offsets depend only on the path, so they are computed once per
-        Path object (trips of one (origin, dest) pair share one after
-        clean_trips and load_triplog); each trip adds its start minute.
+        entry of `paths` and gathered by each trip's `path`; each trip adds its
+        start minute.
         """
-        table_of: dict[int, np.ndarray] = {}  # id of a Path -> int64 [segment; entry offset]
-        per_trip = []
-        for trip in self.trips:
-            table = table_of.get(id(trip.path))
-            if table is None:
-                offsets = _entry_offsets(trip.path, self.speed_m_per_min)
-                table = np.array([trip.path.segments, offsets], dtype=np.int64).reshape(2, -1)
-                table_of[id(trip.path)] = table
-            per_trip.append(table)
-        segment, offset = np.concatenate(per_trip, axis=1) if per_trip else np.empty((2, 0), np.int64)
-        counts = [table.shape[1] for table in per_trip]
-        starts = np.array([trip.start_min for trip in self.trips], dtype=np.int64)
-        rows = np.repeat(np.arange(len(per_trip), dtype=np.int64), counts)
-        return TripEvents(rows, segment, np.repeat(starts, counts) + offset)
+        lengths = np.array([len(p.segments) for p in self.paths], dtype=np.int64)
+        segments = np.array([s for p in self.paths for s in p.segments], dtype=np.int64)
+        offsets = np.array(
+            [o for p in self.paths for o in _entry_offsets(p, self.speed_m_per_min)], dtype=np.int64
+        )
+        counts = lengths[self.path]
+        trip = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+        # an event's row in segments/offsets: where its path starts there, plus its place in its trip
+        path_first, trip_first = np.cumsum(lengths) - lengths, np.cumsum(counts) - counts
+        flat = np.repeat(path_first[self.path] - trip_first, counts) + np.arange(len(trip))
+        return TripEvents(trip, segments[flat], self.start_min[trip] + offsets[flat])
 
 
 def _parse_timestamp(text: str) -> datetime | None:
@@ -189,11 +206,17 @@ def clean_trips(
     its start stand, so a bike is never idle before it physically arrives.
     Stand ids are assigned in ascending snapped-node order, so they do not
     depend on row order. Routing runs one Dijkstra per distinct destination
-    (network.route_pairs), and trips of one (origin, dest) pair share a Path.
+    (network.route_pairs), and trips of one (origin, dest) pair share one entry
+    of the path table, which lists paths in order of first use.
     """
+    t0, t_end = window
+    if not (t0 < t_end and 0 < speed_kmh < math.inf):  # load_triplog rejects any other header
+        raise ValueError(
+            f"need a window that ends after it starts and a finite speed > 0, "
+            f"got window {window} and {speed_kmh} km/h"
+        )
     speed_m_per_min = speed_kmh * 1000.0 / 60.0
     min_m, max_m = min_km * 1000.0, max_km * 1000.0
-    t0, t_end = window
 
     day = min((rt.start_time.date() for rt in raw), default=None)
     same_day = [rt for rt in raw if rt.start_time.date() == day]
@@ -225,7 +248,9 @@ def clean_trips(
         )
 
     paths = route_pairs(net, ((o_node, d_node) for _rt, _start, o_node, d_node in in_window))
-    kept: list[Trip] = []
+    in_window.sort(key=lambda row: row[1])  # service order; stable: ties keep input order
+    table: dict[Path, int] = {}  # each distinct path once, in order of first use
+    kept = []  # one (id, origin, dest, start_min, duration_min, path) per trip row
     for rt, start_min, o_node, d_node in in_window:
         path = paths.get((o_node, d_node))
         if path is None:
@@ -238,12 +263,14 @@ def clean_trips(
             drops["too_long"] += 1
             continue
         duration = max(1, math.ceil(path.distance_m / speed_m_per_min))
-        kept.append(
-            Trip(rt.id, stand_of_node[o_node], stand_of_node[d_node], start_min, path, duration)
-        )
+        o_stand, d_stand = stand_of_node[o_node], stand_of_node[d_node]
+        kept.append((rt.id, o_stand, d_stand, start_min, duration, table.setdefault(path, len(table))))
 
-    kept.sort(key=lambda t: t.start_min)  # stable: ties keep input order
-    return TripLog(kept, stands, window, speed_m_per_min, drops, network_sha256(net))
+    ids, *columns = zip(*kept) if kept else [()] * 6
+    columns = [np.array(column, dtype=np.int64) for column in columns]
+    return TripLog(
+        list(ids), *columns, list(table), stands, window, speed_m_per_min, drops, network_sha256(net)
+    )
 
 
 def traversal_times(trip: Trip, speed_m_per_min: float) -> list[tuple[int, int]]:
@@ -267,11 +294,8 @@ def _entry_offsets(path: Path, speed_m_per_min: float) -> list[int]:
 
 
 def save_triplog(log: TripLog, path) -> None:
-    """Write a velosense-triplog-v2 file: each distinct Path once in `paths`,
-    and each trip's `path` as an index into that table."""
-    table: dict[Path, int] = {}
-    for t in log.trips:
-        table.setdefault(t.path, len(table))
+    """Write a velosense-triplog-v3 file: the header, the stand table, the path
+    table, and the trips as one column per field, `path` indexing the table."""
     doc = {
         "format": TRIPLOG_FORMAT,
         "network_sha256": log.network_sha256,
@@ -286,54 +310,54 @@ def save_triplog(log: TripLog, path) -> None:
                 "seg_lengths_m": p.seg_lengths_m,
                 "distance_m": p.distance_m,
             }
-            for p in table
+            for p in log.paths
         ],
-        "trips": [
-            {
-                "id": t.id,
-                "origin": t.origin,
-                "dest": t.dest,
-                "start_min": t.start_min,
-                "duration_min": t.duration_min,
-                "path": table[t.path],
-            }
-            for t in log.trips
-        ],
+        "trips": {
+            "id": log.ids,
+            "origin": log.origin.tolist(),
+            "dest": log.dest.tolist(),
+            "start_min": log.start_min.tolist(),
+            "duration_min": log.duration_min.tolist(),
+            "path": log.path.tolist(),
+        },
     }
     write_json(path, doc)
 
 
 def load_triplog(path) -> TripLog:
-    """Read a velosense-triplog-v2 file; trips that name one path share its Path.
-    Any other format, v1 included, is rejected: `ingest` writes v2."""
+    """Read a velosense-triplog-v3 file, checking each column once. Any other
+    format, v2 included, is rejected: `ingest` writes v3."""
     with read_artifact(path, TRIPLOG_FORMAT, "ingest") as doc:
+        horizon, speed = doc["horizon"], doc["speed_m_per_min"]
+        pair = isinstance(horizon, list) and len(horizon) == 2 and set(map(type, horizon)) == {int}
+        if not (pair and horizon[0] < horizon[1]):
+            raise MalformedInputError(f"{path}: horizon {horizon!r} must be two integers t0 < t_end")
+        t0, t_end = horizon
+        if not (type(speed) is float and math.isfinite(speed) and speed > 0):
+            raise MalformedInputError(f"{path}: speed_m_per_min {speed!r} must be a finite float > 0")
         paths = [
             Path(tuple(p["segments"]), tuple(p["nodes"]), tuple(p["seg_lengths_m"]), p["distance_m"])
             for p in doc["paths"]
         ]
         _check_paths(paths, path)
         stands = _stand_table(doc["stands"], path)
-        trips = [
-            Trip(
-                t["id"],
-                t["origin"],
-                t["dest"],
-                t["start_min"],
-                _table_path(paths, t["path"], t["id"], path),
-                t["duration_min"],
-            )
-            for t in doc["trips"]
-        ]
-        log = TripLog(
-            trips,
-            stands,
-            tuple(doc["horizon"]),
-            doc["speed_m_per_min"],
-            doc.get("drop_counts", {}),
-            doc.get("network_sha256"),
+        trips = doc["trips"]
+        ids = str_column(trips["id"], path, "trips.id")
+        origin = int_column(trips["origin"], path, "trips.origin", hi=len(stands))
+        dest = int_column(trips["dest"], path, "trips.dest", hi=len(stands))
+        start = int_column(trips["start_min"], path, "trips.start_min", lo=t0, hi=t_end + 1)
+        duration = int_column(trips["duration_min"], path, "trips.duration_min", lo=1)
+        table = int_column(trips["path"], path, "trips.path", hi=len(paths))
+        if not len(ids) == len(origin) == len(dest) == len(start) == len(duration) == len(table):
+            raise MalformedInputError(f"{path}: the trip columns differ in length")
+        unsorted = np.flatnonzero(np.diff(start) < 0)
+        if len(unsorted):
+            first = ids[unsorted[0] + 1]
+            raise MalformedInputError(f"{path}: trips are not sorted by start minute at trip {first}")
+        return TripLog(
+            ids, origin, dest, start, duration, table, paths, stands, (t0, t_end), speed,
+            doc.get("drop_counts", {}), doc.get("network_sha256"),
         )
-        _check_trips(log, path)
-    return log
 
 
 def _check_paths(paths: list[Path], source) -> None:
@@ -358,42 +382,6 @@ def _stand_table(rows, source) -> list[Stand]:
         if stand_of_node.setdefault(node, stand) != stand:
             raise MalformedInputError(f"{source}: stands {stand_of_node[node]} and {stand} share node {node}")
     return [Stand(stand, node) for node, stand in stand_of_node.items()]
-
-
-def _table_path(paths: list[Path], index, trip_id, source) -> Path:
-    # a negative index would quietly pick a path from the end of the table
-    if not (isinstance(index, int) and 0 <= index < len(paths)):
-        raise MalformedInputError(
-            f"{source}: trip {trip_id} refers to path {index!r}, "
-            f"but the log has {len(paths)} paths"
-        )
-    return paths[index]
-
-
-def _check_trips(log: TripLog, source) -> None:
-    """Reject trips that replay cannot serve or would time wrongly."""
-    t0, t_end = log.horizon
-    last_start = t0
-    for trip in log.trips:
-        fields = (trip.origin, trip.dest, trip.start_min, trip.duration_min)
-        if set(map(type, fields)) != {int} or trip.duration_min < 1:  # a bool is not an int
-            raise MalformedInputError(
-                f"{source}: trip {trip.id} has (origin, dest, start_min, duration_min) {fields!r}, "
-                "which must be integers with duration_min >= 1; re-run `velosense ingest`"
-            )
-        if not (0 <= trip.origin < log.num_stands and 0 <= trip.dest < log.num_stands):
-            raise MalformedInputError(
-                f"{source}: trip {trip.id} joins stands {trip.origin} and {trip.dest}, "
-                f"but the log has {log.num_stands} stands"
-            )
-        if not t0 <= trip.start_min <= t_end:
-            raise MalformedInputError(
-                f"{source}: trip {trip.id} starts at minute {trip.start_min}, "
-                f"outside the horizon [{t0}, {t_end}]"
-            )
-        if trip.start_min < last_start:
-            raise MalformedInputError(f"{source}: trips are not sorted by start minute at {trip.id}")
-        last_start = trip.start_min
 
 
 def file_sha256(path) -> str:

@@ -143,6 +143,22 @@ def per_bike_assembly(trips, trip_events, bike_of_trip, homes):
     ]
 
 
+def initial_bike_counts_by_trip(log):
+    """Minimal initial bikes per stand, from a net flow grid filled one trip at a
+    time: each departure takes a bike at its start minute, and each return
+    inside the horizon gives one back at its end minute."""
+    t0, t_end = log.horizon
+    width = t_end - t0 + 1
+    flow = np.zeros((log.num_stands, width), dtype=np.int64)
+    for trip in log.trips:
+        flow[trip.origin, trip.start_min - t0] -= 1
+        if trip.end_min <= t_end:
+            flow[trip.dest, trip.end_min - t0] += 1
+    balance = np.cumsum(flow, axis=1)
+    b = np.maximum(0, -balance.min(axis=1)) if width > 0 else np.zeros(log.num_stands, int)
+    return [int(x) for x in b]
+
+
 def simulate_by_minute(log, b, cfg):
     """(bike_of_trip, homes) of a replay that walks every minute of the horizon.
 

@@ -156,12 +156,12 @@ def test_criterion_4_replay_invariants_on_reference_fixture(
 
 def test_criterion_5_guided_selection_frequency():
     from velosense.network import Path
-    from velosense.trips import Stand, Trip, TripLog
+    from velosense.trips import Stand, Trip
+
+    from trip_logs import trip_log
 
     path = Path((0,), (0, 1), (400.0,), 400.0)
-    log = TripLog(
-        [Trip("t0", 0, 1, 3, path, 4)], [Stand(0, 0), Stand(1, 1)], (0, 30), 100.0, {}
-    )
+    log = trip_log([Trip("t0", 0, 1, 3, path, 4)], [Stand(0, 0), Stand(1, 1)], (0, 30), 100.0)
     plan = FleetPlan([2, 0])
     hits = 0
     n = 10_000

@@ -59,11 +59,13 @@ def test_ingest_reports_and_triplog(pipeline_dir):
     assert sum(report["cleaning"].values()) == 0
     assert report["cleaning"]["other_day"] == 0
     doc = json.loads((pipeline_dir / "triplog.json").read_text())
-    assert doc["format"] == "velosense-triplog-v2"
-    assert len(doc["trips"]) == 150
+    assert doc["format"] == "velosense-triplog-v3"
+    trips = doc["trips"]
+    assert list(trips) == ["id", "origin", "dest", "start_min", "duration_min", "path"]
+    assert all(len(column) == 150 for column in trips.values())
     # one path per (origin, dest) stand pair, shared by the trips that make it
-    assert len(doc["paths"]) == len({(t["origin"], t["dest"]) for t in doc["trips"]})
-    assert {t["path"] for t in doc["trips"]} == set(range(len(doc["paths"])))
+    assert len(doc["paths"]) == len(set(zip(trips["origin"], trips["dest"])))
+    assert set(trips["path"]) == set(range(len(doc["paths"])))
 
 
 def test_fleet_artifact(pipeline_dir):
@@ -153,7 +155,7 @@ def test_round_trip_at_one_stand_lasts_a_minute(tmp_path):
     inputs = [f"--{name}={tmp_path / name}.csv" for name in ("nodes", "edges", "trips")]
     assert main(["ingest", *inputs, "--min-km", "0", *common]) == 0
     doc = json.loads((tmp_path / "triplog.json").read_text())
-    assert [t["duration_min"] for t in doc["trips"]] == [1, 1]
+    assert doc["trips"]["duration_min"] == [1, 1]
     triplog = f"--triplog={tmp_path / 'triplog.json'}"
     assert main(["fleet", triplog, *common]) == 0
     assert json.loads((tmp_path / "fleet.json").read_text())["b"] == [1]
@@ -299,7 +301,19 @@ def _edit_doc(change):
 
 
 def _edit_trip(change, index=0):
-    return _edit_doc(lambda doc: change(doc["trips"][index]))
+    """Apply `change` to a dict of trip `index`'s fields, and write them back to the columns."""
+    def edit(doc):
+        row = {name: column[index] for name, column in doc["trips"].items()}
+        change(row)
+        for name, value in row.items():
+            doc["trips"][name][index] = value
+
+    return _edit_doc(edit)
+
+
+def _edit_column(name, change):
+    """Replace the column `name` of a traj.json with change(column)."""
+    return _edit_doc(lambda doc: doc.update({name: change(doc[name])}))
 
 
 def _append_row(row):
@@ -343,7 +357,7 @@ def _set_metadata(**fields):
         ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(origin=99))),
         ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(origin=-1))),
         ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["paths"][0]["seg_lengths_m"].pop())),
-        ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["trips"][0].update(path=len(d["paths"])))),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["trips"]["path"].__setitem__(0, len(d["paths"])))),
         ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(path=-1))),
         ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(start_min=360), -1)),
         ("allocate", ALLOCATE, ["--budget", "4"], "--probs-meta", _drop_key("triplog_sha256")),
@@ -371,6 +385,15 @@ def _set_metadata(**fields):
         ("allocate", ALLOCATE, ["--budget", "4"], "--probs", _repeat_first_row(9.0)),
         ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["stands"][1].update(stand=7))),
         ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["stands"][1].update(node=d["stands"][0]["node"]))),
+        ("score", SCORE, ["--delta", "4"], "--traj", _edit_column("minute", lambda c: [m + 600 for m in c])),
+        ("score", SCORE, ["--delta", "4"], "--traj", _edit_column("segment", lambda c: [0] * len(c))),
+        ("score", SCORE, ["--delta", "4"], "--traj", _edit_column("trip_ids", lambda c: c[::-1])),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(id=17))),
+        ("probs", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(id=None))),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["horizon"].__setitem__(0, 360.0))),
+        ("probs", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d.update(speed_m_per_min=0))),
+        ("probs", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d.update(speed_m_per_min="fast"))),
+        ("probs", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d.update(speed_m_per_min=-5.0))),
     ],
     ids=["triplog-without-stands", "traj-without-metadata", "alloc-without-N_e",
          "probs-unknown-stand", "probs-unknown-segment", "probs-nan", "probs-negative",
@@ -385,7 +408,9 @@ def _set_metadata(**fields):
          "traj-segment-negative", "traj-without-equipped", "traj-equipped-out-of-range",
          "traj-equipped-not-int", "traj-equipped-bool", "alloc-count-fraction",
          "alloc-count-bool", "alloc-count-string", "probs-repeated-pair",
-         "stand-id-not-its-index", "stands-share-a-node"],
+         "stand-id-not-its-index", "stands-share-a-node", "traj-minutes-shifted",
+         "traj-segments-zeroed", "traj-trip-ids-reversed", "trip-id-not-a-string", "trip-id-null",
+         "horizon-not-int", "speed-zero", "speed-not-a-number", "speed-negative"],
 )
 def test_malformed_artifact_is_2(artifacts, tmp_path, capsys, command, options, extra, corrupted, edit):
     paths = dict(artifacts)
@@ -400,7 +425,7 @@ def test_malformed_artifact_is_2(artifacts, tmp_path, capsys, command, options, 
 # JSON artifact option -> (a command that reads it, its options, extra arguments,
 # the artifact's format, the command that writes it)
 JSON_INPUTS = {
-    "--triplog": ("fleet", ("--triplog",), [], "velosense-triplog-v2", "ingest"),
+    "--triplog": ("fleet", ("--triplog",), [], "velosense-triplog-v3", "ingest"),
     "--probs-meta": ("allocate", ALLOCATE, ["--budget", "4"], "velosense-coverage-v1", "probs"),
     "--alloc": ("simulate", SIMULATE, [], "velosense-alloc-v1", "allocate"),
     "--traj": ("score", SCORE, ["--delta", "4"], "velosense-traj-v2", "simulate"),
@@ -415,6 +440,7 @@ DERIVED = ("--probs-meta", "--alloc", "--traj")
     "corrupted, text",
     [
         ("--triplog", '{"format": "velosense-triplog-v1", "trips": []}'),
+        ("--triplog", '{"format": "velosense-triplog-v2", "trips": []}'),
         ("--triplog", '{"format": "something-else"}'),
         ("--triplog", "[]"),
         ("--triplog", NOT_JSON),
@@ -422,7 +448,7 @@ DERIVED = ("--probs-meta", "--alloc", "--traj")
         ("--traj", '{"format": "velosense-traj-v1", "metadata": {}, "bikes": []}'),
         *[(option, text) for option in DERIVED for text in CONTENTS.values()],
     ],
-    ids=["v1", "unknown", "not-an-object", "triplog-not-json", "triplog-nested-too-deep", "traj-v1",
+    ids=["v1", "v2", "unknown", "not-an-object", "triplog-not-json", "triplog-nested-too-deep", "traj-v1",
          *[f"{option[2:]}-{name}" for option in DERIVED for name in CONTENTS]],
 )
 def test_triplog_of_another_format_is_2(artifacts, tmp_path, capsys, corrupted, text):

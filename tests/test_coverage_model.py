@@ -12,7 +12,7 @@ from velosense.coverage_model import (
 from velosense.errors import MalformedInputError
 from velosense.fleet_sim import FleetPlan, SimConfig, initial_bike_counts, simulate
 from velosense.network import Path, build_network
-from velosense.trips import Stand, Trip, TripLog, traversal_times
+from velosense.trips import Stand, Trip, traversal_times
 
 from oracles import (
     linearity_probe_counter,
@@ -20,6 +20,7 @@ from oracles import (
     per_bike_assembly,
     rank_correlation,
 )
+from trip_logs import trip_log
 
 
 def line_network(n_nodes, block=600.0):
@@ -54,13 +55,13 @@ def radial_log(n_nodes=9, horizon=(0, 600)):
             start += 2
     trips.sort(key=lambda t: t.start_min)
     stands = [Stand(i, i) for i in range(n_nodes)]
-    return TripLog(trips, stands, horizon, 200.0, {})
+    return trip_log(trips, stands, horizon, 200.0)
 
 
 class TestMeanCoverage:
     def test_single_run_counts_each_traversal_once(self):
         net = line_network(3)
-        log = TripLog([line_trip("a", 0, 2, 5)], [Stand(i, i) for i in range(3)], (0, 60), 200.0, {})
+        log = trip_log([line_trip("a", 0, 2, 5)], [Stand(i, i) for i in range(3)], (0, 60), 200.0)
         plan = initial_bike_counts(log)
         sample = mean_coverage(log, plan, runs=1, seed=4)
         assert sample.n_bar == {(0, 0): 1.0, (0, 1): 1.0}
@@ -128,7 +129,7 @@ class TestEstimateProbabilities:
 class TestDecayReport:
     def test_adjacent_segment_first(self):
         net = line_network(3)
-        log = TripLog([line_trip("a", 0, 2, 5)], [Stand(i, i) for i in range(3)], (0, 60), 200.0, {})
+        log = trip_log([line_trip("a", 0, 2, 5)], [Stand(i, i) for i in range(3)], (0, 60), 200.0)
         plan = initial_bike_counts(log)
         matrix = estimate_probabilities(mean_coverage(log, plan, runs=1, seed=2), plan)
         rows = probability_decay_report(matrix, net, 0)

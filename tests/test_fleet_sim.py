@@ -13,9 +13,10 @@ from velosense.fleet_sim import (
     simulate,
 )
 from velosense.network import Path
-from velosense.trips import Stand, Trip, TripEvents, TripLog, traversal_times
+from velosense.trips import Stand, Trip, TripEvents, traversal_times
 
-from oracles import per_bike_assembly, simulate_by_minute
+from oracles import initial_bike_counts_by_trip, per_bike_assembly, simulate_by_minute
+from trip_logs import trip_log
 
 
 def toy_log(moves, num_stands, horizon=(0, 30), speed=100.0):
@@ -26,7 +27,7 @@ def toy_log(moves, num_stands, horizon=(0, 30), speed=100.0):
         trips.append(Trip(f"t{i}", origin, dest, start, path, duration))
     trips.sort(key=lambda t: t.start_min)
     stands = [Stand(i, i) for i in range(num_stands)]
-    return TripLog(trips, stands, horizon, speed, {})
+    return trip_log(trips, stands, horizon, speed)
 
 
 class TestInitialBikeCounts:
@@ -65,6 +66,11 @@ class TestInitialBikeCounts:
     def test_replay_feasible_on_scenario(self, small_scenario, small_fleet):
         _net, log = small_scenario
         simulate(log, small_fleet, SimConfig(seed=3))  # must not raise
+
+    @pytest.mark.parametrize("scenario", ["small", "reference"])
+    def test_equals_the_per_trip_loop(self, request, scenario):
+        _net, log = request.getfixturevalue(f"{scenario}_scenario")
+        assert initial_bike_counts(log).b == initial_bike_counts_by_trip(log)
 
     def test_minimality_on_scenario(self, small_scenario, small_fleet):
         _net, log = small_scenario

@@ -12,7 +12,7 @@ from velosense.metrics import (
     write_report,
 )
 from velosense.network import Path
-from velosense.trips import Stand, Trip, TripEvents, TripLog, traversal_times
+from velosense.trips import Stand, Trip, TripEvents, traversal_times
 
 from oracles import (
     coverage_counts_loop,
@@ -20,6 +20,7 @@ from oracles import (
     rank_correlation,
     touched_length_fraction_pct,
 )
+from trip_logs import trip_log
 
 
 def traj(bike, events, home=0):
@@ -263,15 +264,13 @@ def hourly_demand_log():
             trips.append(Trip(f"b{tid}", 1, 0, start, path, 2))
             tid += 1
     trips.sort(key=lambda t: t.start_min)
-    return TripLog(trips, [Stand(0, 0), Stand(1, 1)], (360, 1320), 400.0, {})
+    return trip_log(trips, [Stand(0, 0), Stand(1, 1)], (360, 1320), 400.0)
 
 
 class TestHourlyDiagnostics:
     def test_single_trip_row(self):
         path = Path((4,), (0, 1), (900.0,), 900.0)
-        log = TripLog(
-            [Trip("a", 0, 1, 390, path, 5)], [Stand(0, 0), Stand(1, 1)], (360, 1320), 200.0, {}
-        )
+        log = trip_log([Trip("a", 0, 1, 390, path, 5)], [Stand(0, 0), Stand(1, 1)], (360, 1320), 200.0)
         report = hourly_diagnostics(replay(traj(0, [(4, 390)])), {0}, log)
         by_hour = {r.hour: r for r in report.rows}
         assert by_hour[6].trips_started == 1
@@ -313,7 +312,7 @@ class TestHourlyDiagnostics:
         assert sum(r.coverage_events for r in report.rows) > 0
 
     def test_unaligned_horizon_rejected(self):
-        log = TripLog([], [], (365, 1320), 200.0, {})
+        log = trip_log([], [], (365, 1320), 200.0)
         with pytest.raises(ValueError, match="hour-aligned"):
             hourly_diagnostics(replay(), frozenset(), log)
 

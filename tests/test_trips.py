@@ -112,6 +112,22 @@ class TestClean:
         assert [t.start_min for t in log.trips] == [360, 1320]
         assert log.drop_counts["window"] == 2
 
+    @pytest.mark.parametrize(
+        "window, speed_kmh",
+        [
+            ((600, 600), 13.0),
+            ((600, 540), 13.0),
+            ((360, 1320), 0.0),
+            ((360, 1320), -5.0),
+            ((360, 1320), math.inf),
+        ],
+        ids=["window-of-one-minute", "window-reversed", "speed-zero", "speed-negative", "speed-infinite"],
+    )
+    def test_header_the_loader_rejects_is_not_written(self, window, speed_kmh):
+        raw, _ = parse_raw_trips(raw_csv([make_row()]))
+        with pytest.raises(ValueError, match="ends after it starts and a finite speed > 0"):
+            clean_trips(raw, two_node_net(1000.0), speed_kmh=speed_kmh, window=window)
+
     def test_distance_bounds_inclusive(self):
         nodes = [(0, 40.0, -74.0), (1, 40.0, -73.99), (2, 40.0, -73.98)]
         net = build_network(nodes, [(0, 1, 2500.0), (1, 2, 2500.0)])
@@ -268,10 +284,29 @@ class TestSerialization:
         assert loaded.drop_counts == log.drop_counts
         assert loaded.trips == log.trips
 
+    def test_round_trip_keeps_every_column(self, small_scenario, tmp_path):
+        _net, log = small_scenario
+        path = tmp_path / "triplog.json"
+        save_triplog(log, path)
+        loaded = load_triplog(path)
+        assert loaded.ids == log.ids
+        for name in ("origin", "dest", "start_min", "duration_min", "path"):
+            assert getattr(loaded, name).dtype == np.int64, name
+            assert getattr(loaded, name).tolist() == getattr(log, name).tolist(), name
+        assert loaded.paths == log.paths
+        assert loaded.network_sha256 == log.network_sha256
+        # one Path per (origin, dest) pair, and every trip of the pair names it
+        path_of_pair = {}
+        for pair, index in zip(zip(loaded.origin.tolist(), loaded.dest.tolist()), loaded.path.tolist()):
+            assert path_of_pair.setdefault(pair, index) == index
+        assert sorted(path_of_pair.values()) == list(range(len(loaded.paths)))
+        for trip in loaded.trips:
+            assert trip.path is loaded.paths[path_of_pair[trip.origin, trip.dest]]
+
     def test_format_tag_checked(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"format": "something-else"}')
-        with pytest.raises(MalformedInputError, match="velosense-triplog-v2"):
+        with pytest.raises(MalformedInputError, match="velosense-triplog-v3"):
             load_triplog(bad)
 
     def test_trips_of_one_pair_share_one_path(self, small_scenario, tmp_path):
