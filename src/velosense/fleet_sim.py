@@ -8,20 +8,27 @@ with probability beta). A replay is the bike of each trip over the log's
 event table (see Replay), and `traj.json` stores those columns; per-bike
 trajectories are views built only when a replay is iterated.
 
-RNG stream discipline, per trip in log order: one uniform draw for the
-guidance-acceptance test, then one bounded draw indexing into the chosen
-idle pool. Both draws happen for every trip regardless of branch, so a
-beta=0 run consumes the same stream as an unguided run and reproduces it
-bit for bit under the same seed. Generator: numpy PCG64.
+RNG stream, per trip in log order, from one numpy PCG64 seeded with the
+replay's seed: first a guidance draw, one whole 64-bit word whose top 53 bits
+over 2**53 are tested against beta; then a pick draw indexing the chosen idle
+pool, a Lemire bounded draw on 32 bits (redrawn on rejection): the high half
+of a word an earlier pick left over, else the low half of a fresh word, whose
+high half is then left over. A pool of one bike takes no bits. These are the
+draws numpy's Generator.random() and Generator.integers(0, n) make; replay
+computes them from the bit generator's words drawn in bulk (see _Draws).
+Every trip takes its guidance draw whatever beta is, and a pick depends only
+on the size of the pool it indexes. With beta=0 the guidance test never
+passes, so every pick indexes the whole idle pool, exactly as an unguided
+run's picks do: the two consume the same stream and are bit-identical under
+the same seed.
 """
 
 from __future__ import annotations
 
-from bisect import insort
-from collections import deque
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -144,6 +151,51 @@ def initial_bike_counts(log: TripLog) -> FleetPlan:
     return FleetPlan([int(x) for x in b])
 
 
+_CHUNK = 4096  # words per numpy call
+_LOW32 = 0xFFFFFFFF
+
+
+class _Draws:
+    """The draws `Generator(PCG64(seed))` makes for `random()` and
+    `integers(0, n)`, computed from the bit generator's 64-bit words drawn in
+    chunks, so a replay calls numpy once per chunk rather than twice per trip.
+
+    `random()` takes a whole word: its top 53 bits over 2**53. `integers(n)`
+    for 1 < n < 2**32 is Lemire's bounded draw on 32-bit halves with its
+    rejection loop: the low half of a fresh word first, the high half kept for
+    the next 32-bit draw, whatever `random()` takes in between. With n = 1 it
+    takes no bits.
+    """
+
+    def __init__(self, seed: int):
+        bitgen = np.random.PCG64(seed)
+        chunks = iter(lambda: bitgen.random_raw(_CHUNK).tolist(), None)
+        self._word = chain.from_iterable(chunks).__next__
+        self._half = None
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0**-53
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is None:
+            word = self._word()
+            self._half = word >> 32
+            return word & _LOW32
+        self._half = None
+        return half
+
+    def integers(self, n: int) -> int:
+        if n == 1:
+            return 0
+        m = self._uint32() * n
+        if m & _LOW32 < n:  # only then can the draw be rejected
+            threshold = (1 << 32) % n
+            while m & _LOW32 < threshold:
+                m = self._uint32() * n
+        return m >> 32
+
+
 def simulate(log: TripLog, plan: FleetPlan, cfg: SimConfig) -> Replay:
     """Replay the log row by row, recording the bike that serves each trip.
 
@@ -156,33 +208,48 @@ def simulate(log: TripLog, plan: FleetPlan, cfg: SimConfig) -> Replay:
     """
     if len(plan.b) != log.num_stands:
         raise MalformedInputError(f"plan covers {len(plan.b)} stands, log has {log.num_stands}")
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    draws = _Draws(cfg.seed)
+    guidance, pick = draws.random, draws.integers
+    beta = cfg.beta
     equipped = frozenset(cfg.equipped)
 
-    idle = plan.bikes
-    ends, dest = log.end_min.tolist(), log.dest.tolist()
-    returns = deque(np.argsort(ends, kind="stable").tolist())  # stable: ties in row order
+    idle = plan.bikes  # per stand, ascending
+    idle_equipped = [sorted(equipped.intersection(pool)) for pool in idle]
+    order = np.argsort(log.end_min, kind="stable")  # stable: ties in row order
+    returned = np.searchsorted(log.end_min[order], log.start_min, side="right").tolist()
+    order, dest = order.tolist(), log.dest.tolist()
 
     bike_of_trip = [0] * len(dest)
-    for i, (origin, start) in enumerate(zip(log.origin.tolist(), log.start_min.tolist())):
-        while returns and ends[returns[0]] <= start:
-            done = returns.popleft()
+    r = 0
+    rows = zip(log.origin.tolist(), log.start_min.tolist(), returned)
+    for i, (origin, start, returned_by_start) in enumerate(rows):
+        while r < returned_by_start:
+            done = order[r]
+            r += 1
             if done >= i:
                 raise MalformedInputError(f"trip {log.ids[done]} lasts less than a minute")
-            insort(idle[dest[done]], bike_of_trip[done])
-        u = rng.random()
+            bike = bike_of_trip[done]
+            insort(idle[dest[done]], bike)
+            if bike in equipped:
+                insort(idle_equipped[dest[done]], bike)
+        u = guidance()
         pool = idle[origin]
         if not pool:
             raise InfeasiblePlanError(
                 f"no idle bike at stand {origin} at minute {start} for trip {log.ids[i]}"
             )
-        if u < cfg.beta:
-            equipped_pool = [b for b in pool if b in equipped]
-            chosen_pool = equipped_pool if equipped_pool else pool
+        equipped_pool = idle_equipped[origin]
+        if u < beta and equipped_pool:
+            k = pick(len(equipped_pool))
+            bike = equipped_pool[k]
+            del equipped_pool[k]
+            del pool[bisect_left(pool, bike)]
         else:
-            chosen_pool = pool
-        bike = chosen_pool[int(rng.integers(0, len(chosen_pool)))]
-        pool.remove(bike)
+            k = pick(len(pool))
+            bike = pool[k]
+            del pool[k]
+            if bike in equipped:
+                del equipped_pool[bisect_left(equipped_pool, bike)]
         bike_of_trip[i] = bike
 
     return Replay(np.array(bike_of_trip, dtype=np.int64), plan.home_stands(), log.ids, log.events)

@@ -164,8 +164,9 @@ def simulate_by_minute(log, b, cfg):
 
     The replay as it was before it walked the log's rows once: each minute
     releases the bikes booked to return then, then serves that minute's
-    trips in log order, with the same two draws per trip. Stand s owns bike
-    ids sum(b[:s]) .. sum(b[:s+1]) - 1, numbered stand by stand.
+    trips in log order, each with one numpy Generator.random() call for the
+    guidance test and one Generator.integers(0, n) call for the pick. Stand s
+    owns bike ids sum(b[:s]) .. sum(b[:s+1]) - 1, numbered stand by stand.
     """
     bikes, next_id = [], 0
     for count in b:

@@ -1,11 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from velosense.errors import InfeasiblePlanError, MalformedInputError
 from velosense.fleet_sim import (
+    _CHUNK,
     FleetPlan,
     Replay,
     SimConfig,
+    _Draws,
     equipped_set,
     initial_bike_counts,
     load_trajectories,
@@ -237,6 +241,76 @@ class TestReplayMatchesMinuteLoop:
             bike_of_trip, homes = simulate_by_minute(log, fleet.b, cfg)
             assert replay.bike_of_trip.tolist() == bike_of_trip
             assert replay.homes.tolist() == homes
+
+    @pytest.mark.parametrize("scenario", ["small", "reference"])
+    def test_one_equipped_bike_per_stand(self, request, scenario):
+        # guided pools of 0 and 1 bikes: a pick from one bike takes no bits
+        _net, log = request.getfixturevalue(f"{scenario}_scenario")
+        fleet = request.getfixturevalue(f"{scenario}_fleet")
+        equipped = equipped_set(fleet, [min(b, 1) for b in fleet.b])
+        for seed in range(5):
+            cfg = SimConfig(seed=seed, beta=0.25, equipped=equipped)
+            replay = simulate(log, fleet, cfg)
+            bike_of_trip, homes = simulate_by_minute(log, fleet.b, cfg)
+            assert replay.bike_of_trip.tolist() == bike_of_trip
+            assert replay.homes.tolist() == homes
+
+
+class TestReplayGolden:
+    """SHA-256 of bike_of_trip (int64, little-endian) on the small scenario at
+    seed 0, half of each stand's bikes equipped, as the replay that made two
+    numpy Generator calls per trip wrote it. Drift in the stream that the
+    minute-loop oracle would share shows here."""
+
+    DIGESTS = {
+        0.0: "6121cd1a6bdcbf2ad87589832fd1aa1be2550d4e1585bea7b78dc0a27573aebe",
+        0.5: "d0bc20981d3a34f52dcf18ba1de1ec470403513b4394e0360fd41e224bc3b342",
+    }
+
+    @pytest.mark.parametrize("beta", sorted(DIGESTS))
+    def test_bike_of_trip_digest(self, small_scenario, small_fleet, beta):
+        _net, log = small_scenario
+        equipped = equipped_set(small_fleet, [(b + 1) // 2 for b in small_fleet.b])
+        replay = simulate(log, small_fleet, SimConfig(seed=0, beta=beta, equipped=equipped))
+        digest = hashlib.sha256(replay.bike_of_trip.astype("<i8").tobytes()).hexdigest()
+        assert digest == self.DIGESTS[beta]
+
+
+# Pool sizes for the bulk draws: the large ones make Lemire's rejection loop
+# run often (about every other draw at 2**31 + 1, every fourth at 3 * 2**30).
+SIZES = [1, 2, 3, 7, 1000, 2**31 + 1, 3 * 2**30, 2**32 - 1]
+
+
+class TestDraws:
+    """_Draws gives what numpy's Generator gives for random() and
+    integers(0, n), called in turn as simulate calls them."""
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_random_then_integers_match_numpy(self, n):
+        for seed in range(20):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            draws = _Draws(seed)
+            for _ in range(60):
+                assert draws.random() == rng.random()
+                assert draws.integers(n) == rng.integers(0, n)
+
+    def test_mixed_sizes_share_the_left_over_half_across_chunks(self):
+        # every step takes a word or more, so the steps cross a chunk boundary
+        sizes = np.random.default_rng(7).choice(SIZES, size=_CHUNK * 3 // 2).tolist()
+        for seed in range(3):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            draws = _Draws(seed)
+            for n in sizes:
+                assert draws.random() == rng.random()
+                assert draws.integers(n) == rng.integers(0, n)
+
+    def test_a_pool_of_one_takes_no_bits(self):
+        for seed in range(20):
+            words = np.random.PCG64(seed).random_raw(8).tolist()
+            draws = _Draws(seed)
+            for word in words:
+                assert draws.integers(1) == 0
+                assert draws.random() == (word >> 11) * 2.0**-53
 
 
 class TestFleetPlan:
