@@ -6,7 +6,9 @@ and per-stand capacities. Ships three solvers plus an LP-file exporter:
 
 - solve_exact: depth-first branch and bound, provably optimal at test scale;
 - solve_greedy: marginal-gain greedy plus pairwise-swap local search, for
-  city-scale instances;
+  city-scale instances. Its rounds (greedy_order) do not depend on the
+  budget, so a sweep runs them once at its largest budget and each budget's
+  plan takes a prefix of that order before its own swap phase;
 - random_allocation: the uniform baseline.
 
 The instance holds p as one dense float64 array P[stand, candidate], where
@@ -226,14 +228,19 @@ def solve_exact(inst: MilpInstance, time_limit_s: float = 60.0) -> AllocationPla
     return evaluate_allocation(inst, best_n, "exact", gap)
 
 
-def solve_greedy(inst: MilpInstance) -> AllocationPlan:
-    """Marginal-gain greedy then first-improvement pairwise swaps.
+def greedy_order(inst: MilpInstance) -> list[int]:
+    """The stand each marginal-gain round picks, up to `inst.budget` rounds.
 
     Each round adds one sensor to the stand unlocking the most newly
     covered length; ties prefer the stand making the most progress toward
-    still-uncovered thresholds, then the smallest id. The swap phase moves
-    single sensors between stands while any move improves the objective,
-    taking the first improving (src, dst) in id order. Fully deterministic.
+    still-uncovered thresholds, then the smallest id. Rounds stop early once
+    every stand is full. No round depends on the budget, so one order serves
+    every smaller budget as its prefix.
+
+    A covered candidate stays covered (p >= 0), so from then on it adds
+    exactly 0.0 to every stand's newly covered length and progress. Its
+    column is dropped: the sequential sums lose only 0.0 terms and keep
+    their value to the last bit, so ties break as before.
     """
     P = inst.P
     K = inst.K
@@ -242,21 +249,60 @@ def solve_greedy(inst: MilpInstance) -> AllocationPlan:
     caps = np.asarray(inst.caps)
     n = np.zeros(inst.num_stands, dtype=np.int64)
     cover = np.zeros(len(inst.candidates))
+    order: list[int] = []
 
     for _ in range(inst.budget):
         open_stands = n < caps
         if not open_stands.any():
             break
         uncovered = cover < threshold
-        newly = _ordered_sum(np.where(uncovered & (cover + P >= threshold), lengths, 0.0), axis=1)
-        progress = _ordered_sum(
-            np.where(uncovered, lengths * np.minimum(P, K - cover), 0.0), axis=1
-        )
+        if not uncovered.all():
+            P, cover, lengths = P[:, uncovered], cover[uncovered], lengths[uncovered]
+        newly = _ordered_sum(np.where(cover + P >= threshold, lengths, 0.0), axis=1)
+        progress = _ordered_sum(lengths * np.minimum(P, K - cover), axis=1)
         newly = np.where(open_stands, newly, -np.inf)
         # argmax takes the first maximum, so exact ties go to the smallest id
         choice = int(np.argmax(np.where(newly == newly.max(), progress, -np.inf)))
+        order.append(choice)
         n[choice] += 1
         cover += P[choice]
+    return order
+
+
+def solve_greedy(inst: MilpInstance, order: list[int] | None = None) -> AllocationPlan:
+    """Marginal-gain greedy then first-improvement pairwise swaps.
+
+    The rounds are `greedy_order`'s first `inst.budget` picks; pass `order`
+    to share one order, computed at the largest budget of a sweep, between
+    budgets. The swap phase then moves single sensors between stands while
+    any move improves the objective, taking the first improving (src, dst)
+    in id order. Fully deterministic: the plan is the same with or without
+    `order`.
+
+    Raises ValueError when an entry of `order` is not a stand index, or when
+    `order` has fewer than `inst.budget` picks while a stand still has spare
+    capacity (for instance, an order computed for a smaller budget).
+    """
+    if order is None:
+        order = greedy_order(inst)
+    P = inst.P
+    lengths = inst.candidate_lengths
+    threshold = inst.K - COVER_EPS
+    caps = np.asarray(inst.caps)
+    n = np.zeros(inst.num_stands, dtype=np.int64)
+    cover = np.zeros(len(inst.candidates))
+
+    picks = order[: inst.budget]
+    for choice in picks:
+        if not isinstance(choice, (int, np.integer)) or not 0 <= choice < inst.num_stands:
+            raise ValueError(f"greedy order entry {choice!r} is not a stand index")
+        n[choice] += 1
+        cover += P[choice]  # round by round, as the rounds added it
+    if len(picks) < inst.budget and (n < caps).any():
+        raise ValueError(
+            f"greedy order has {len(picks)} picks for budget {inst.budget}, "
+            f"but stand {int(np.argmax(n < caps))} has spare capacity"
+        )
 
     # a move's delta adds the lengths it flips over src's candidates first,
     # then over the others, each in ascending order

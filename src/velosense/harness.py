@@ -17,7 +17,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .allocation import MilpInstance, build_instance, random_allocation, solve_greedy
+from .allocation import (
+    MilpInstance,
+    build_instance,
+    greedy_order,
+    random_allocation,
+    solve_greedy,
+)
 from .coverage_model import estimate_probabilities, mean_coverage
 from .errors import ConfigInfeasibleError, MalformedInputError, write_table
 from .fleet_sim import FleetPlan, Replay, SimConfig, equipped_set, initial_bike_counts, simulate
@@ -166,12 +172,20 @@ def run_pipeline(spec: ExperimentSpec) -> tuple[list[ResultRow], list[SummaryRow
     matrix = estimate_probabilities(sample, data.fleet)
     ev = Evaluator(data, spec.seed)
 
+    bad = [b for b in spec.budgets if b < 1]
+    if bad:
+        raise ValueError(f"budget must be >= 1, got {bad[0]}")
+    # budgets only change the instance's budget, and each greedy plan's
+    # rounds are a prefix of the rounds at the largest one
+    total = sum(data.fleet.b)
+    top = build_instance(matrix, data.net, data.fleet, max(spec.budgets))
+    greedy = METHOD_OPTIMIZED in spec.methods or METHOD_ACTIVE in spec.methods
+    order = greedy_order(top) if greedy else None
+
     rows: list[ResultRow] = []
     for budget in spec.budgets:
-        inst = build_instance(matrix, data.net, data.fleet, budget)
-        greedy_plan = solve_greedy(inst) if (
-            METHOD_OPTIMIZED in spec.methods or METHOD_ACTIVE in spec.methods
-        ) else None
+        inst = replace(top, budget=min(budget, total))
+        greedy_plan = solve_greedy(inst, order) if greedy else None
         for method in spec.methods:
             for beta in _betas_for(method, spec):
                 for rep in range(spec.replications):
@@ -263,11 +277,13 @@ def sensor_requirement(spec: ExperimentSpec, target_phi_pct: float) -> list[Requ
     max_budget = sum(data.fleet.b)
     # budgets only change the instance's budget; an empty fleet never solves one
     inst = build_instance(matrix, data.net, data.fleet, max_budget) if max_budget else None
+    order = greedy_order(inst) if max_budget else []  # every budget's rounds are its prefix
     plans: dict[int, frozenset[int]] = {}  # budget -> greedy equipped set, shared by intervals
 
     def equipped_at(budget: int) -> frozenset[int]:
         if budget not in plans:
-            plans[budget] = equipped_set(data.fleet, solve_greedy(replace(inst, budget=budget)).n)
+            plan = solve_greedy(replace(inst, budget=budget), order)
+            plans[budget] = equipped_set(data.fleet, plan.n)
         return plans[budget]
 
     out = []

@@ -371,6 +371,37 @@ def solve_exact_sparse(inst, eps=1e-9):
     return evaluate_sparse(inst, best_n, eps=eps)
 
 
+def greedy_order_full_width(P, lengths, caps, budget, K=1.0, eps=1e-9):
+    """The stand each marginal-gain round picks, scoring every candidate
+    column in every round, covered or not, with covered ones masked to 0.0.
+
+    `P` is [stand, candidate] and `lengths` the candidates' lengths. Sums run
+    left to right (np.cumsum), the order allocation.greedy_order keeps.
+    """
+    caps = np.asarray(caps)
+    threshold = K - eps
+    n = np.zeros(len(caps), dtype=np.int64)
+    cover = np.zeros(P.shape[1])
+
+    def row_sums(x):
+        return np.cumsum(x, axis=1)[:, -1] if x.shape[1] else np.zeros(x.shape[0])
+
+    order = []
+    for _ in range(budget):
+        open_stands = n < caps
+        if not open_stands.any():
+            break
+        uncovered = cover < threshold
+        newly = row_sums(np.where(uncovered & (cover + P >= threshold), lengths, 0.0))
+        progress = row_sums(np.where(uncovered, lengths * np.minimum(P, K - cover), 0.0))
+        newly = np.where(open_stands, newly, -np.inf)
+        choice = int(np.argmax(np.where(newly == newly.max(), progress, -np.inf)))
+        order.append(choice)
+        n[choice] += 1
+        cover += P[choice]
+    return order
+
+
 def solve_greedy_sparse(inst, eps=1e-9):
     """Marginal-gain greedy then first-improvement pairwise swaps, one stand
     and one segment at a time; the rules of allocation.solve_greedy."""

@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from velosense.allocation import (
     build_instance,
     evaluate_allocation,
     export_lp,
+    greedy_order,
     load_plan,
     random_allocation,
     save_plan,
@@ -25,6 +27,7 @@ from oracles import (
     SparseAllocation,
     best_allocation_objective,
     evaluate_sparse,
+    greedy_order_full_width,
     solve_exact_sparse,
     solve_greedy_sparse,
 )
@@ -209,6 +212,26 @@ class TestSolveGreedy:
         exact = solve_exact(inst)
         assert plan.objective_m == exact.objective_m == 100.0
 
+    def test_order_for_a_smaller_budget_is_rejected(self):
+        inst, _ = make_problem({(0, 0): 0.5, (1, 0): 0.3}, [100.0], [3, 3], budget=5)
+        short = greedy_order(replace(inst, budget=3))
+        assert len(short) == 3
+        with pytest.raises(ValueError, match="3 picks for budget 5"):
+            solve_greedy(inst, short)
+
+    @pytest.mark.parametrize("entry", [-1, 2, 0.0, "0", None])
+    def test_order_entry_that_is_not_a_stand_is_rejected(self, entry):
+        inst, _ = make_problem({(0, 0): 0.5, (1, 0): 0.3}, [100.0], [3, 3], budget=2)
+        with pytest.raises(ValueError, match="not a stand index"):
+            solve_greedy(inst, [0, entry])
+
+    def test_order_that_filled_every_stand_is_valid(self):
+        inst, _ = make_problem({(0, 0): 0.5, (1, 0): 0.3}, [100.0], [2, 1], budget=3)
+        order = greedy_order(inst)
+        assert sorted(order) == [0, 0, 1]
+        plan = solve_greedy(replace(inst, budget=5), order)
+        assert plan.n == [2, 1]
+
 
 def _fields(plan):
     return plan.n, plan.objective_m, plan.N_e, plan.y, plan.gap
@@ -231,33 +254,116 @@ class TestSparseOracle:
     def test_greedy_on_larger_instances_with_fractional_lengths(self):
         rng = np.random.default_rng(4005)
         for _ in range(20):
-            S, E = int(rng.integers(5, 16)), int(rng.integers(10, 40))
-            caps = [int(rng.integers(0, 5)) for _ in range(S)]
-            lengths = [float(rng.uniform(50.0, 400.0)) for _ in range(E)]
-            entries = {
-                (s, e): float(rng.uniform(0.02, 0.9))
-                for s in range(S)
-                for e in range(E)
-                if rng.random() < 0.3
-            }
+            entries, lengths, caps = _larger_problem(rng)
             inst, _ = make_problem(entries, lengths, caps, budget=int(rng.integers(1, 20)))
             ref = SparseAllocation(entries, lengths, caps, inst.budget)
             assert _fields(solve_greedy(inst)) == solve_greedy_sparse(ref)
 
-    def test_greedy_float_tie(self):
-        # instance 2 of the benchmark's requirement workload at budget 14: two
-        # stands make equal progress up to the last bit, so a sum in another
-        # order breaks the tie the other way
-        cfg = SynthConfig(
-            grid_w=12, grid_h=12, block_m=200.0, stand_count=24, trips=2500, seed=2
-        )
-        net, raw = generate(cfg)
-        log = clean_trips(raw, net)
-        fleet = initial_bike_counts(log)
-        matrix = estimate_probabilities(mean_coverage(log, fleet, runs=4, seed=2), fleet)
-        inst = build_instance(matrix, net, fleet, 14)
-        ref = SparseAllocation(matrix.p, net.seg_length_m, fleet.b, inst.budget)
+    def test_greedy_float_tie(self, float_tie):
+        inst, entries, lengths, caps = float_tie
+        ref = SparseAllocation(entries, lengths, caps, inst.budget)
         assert _fields(solve_greedy(inst)) == solve_greedy_sparse(ref)
+
+
+def _larger_problem(rng):
+    """(entries, lengths, caps): 5-15 stands, 10-39 segments of fractional
+    length, p on about 30 % of (stand, segment) pairs."""
+    S, E = int(rng.integers(5, 16)), int(rng.integers(10, 40))
+    caps = [int(rng.integers(0, 5)) for _ in range(S)]
+    lengths = [float(rng.uniform(50.0, 400.0)) for _ in range(E)]
+    entries = {
+        (s, e): float(rng.uniform(0.02, 0.9))
+        for s in range(S)
+        for e in range(E)
+        if rng.random() < 0.3
+    }
+    return entries, lengths, caps
+
+
+@pytest.fixture(scope="module")
+def float_tie():
+    """(inst, entries, lengths, caps) of instance 2 of the benchmark's
+    requirement workload at budget 14: two stands make equal progress up to
+    the last bit, so a sum in another order breaks the tie the other way."""
+    cfg = SynthConfig(grid_w=12, grid_h=12, block_m=200.0, stand_count=24, trips=2500, seed=2)
+    net, raw = generate(cfg)
+    log = clean_trips(raw, net)
+    fleet = initial_bike_counts(log)
+    matrix = estimate_probabilities(mean_coverage(log, fleet, runs=4, seed=2), fleet)
+    inst = build_instance(matrix, net, fleet, 14)
+    return inst, matrix.p, net.seg_length_m, fleet.b
+
+
+def _check_shared_order(inst, entries, lengths, caps, budgets):
+    """One greedy_order at the largest budget serves every budget: each
+    budget's plan from it equals a fresh solve and the sparse reference, and
+    each budget's own order is its prefix."""
+    top = replace(inst, budget=max(budgets))
+    order = greedy_order(top)
+    assert order == greedy_order_full_width(
+        top.P, top.candidate_lengths, top.caps, top.budget, top.K
+    )
+    for budget in budgets:
+        at = replace(inst, budget=budget)
+        assert greedy_order(at) == order[:budget]
+        fresh = _fields(solve_greedy(at))
+        assert _fields(solve_greedy(at, order)) == fresh
+        assert fresh == solve_greedy_sparse(SparseAllocation(entries, lengths, caps, budget))
+
+
+class TestSharedGreedyOrder:
+    def test_random_problems_every_budget(self):
+        rng = np.random.default_rng(4006)
+        checked = 0
+        for _ in range(150):
+            inst, dense, lengths, caps, _budget = random_problem(rng)
+            if sum(caps):
+                _check_shared_order(
+                    inst, _dense_to_entries(dense), lengths, caps, range(1, sum(caps) + 1)
+                )
+                checked += 1
+        assert checked > 100
+
+    def test_larger_instances_every_budget(self):
+        rng = np.random.default_rng(4007)
+        for _ in range(20):
+            entries, lengths, caps = _larger_problem(rng)
+            if sum(caps):
+                inst, _ = make_problem(entries, lengths, caps, budget=1)
+                _check_shared_order(inst, entries, lengths, caps, range(1, sum(caps) + 1))
+
+    def test_near_ties_every_budget(self):
+        # a few decimal p values on segments of two lengths: sums tie or
+        # differ in the last bit, and some candidates reach K exactly, so a
+        # sum in another order or a covered column left in changes the order
+        rng = np.random.default_rng(4008)
+        for _ in range(150):
+            S, E = int(rng.integers(2, 5)), int(rng.integers(9, 20))
+            density = rng.choice([0.4, 0.8])
+            entries = {
+                (s, e): float(rng.choice([0.1, 0.2, 0.3, 0.7]))
+                for s in range(S)
+                for e in range(E)
+                if rng.random() < density
+            }
+            lengths = [float(rng.choice([0.1, 0.2, 1.0])) for _ in range(E)]
+            caps = [3] * S
+            inst, _ = make_problem(entries, lengths, caps, budget=1)
+            _check_shared_order(inst, entries, lengths, caps, range(1, sum(caps) + 1))
+
+    def test_fixture_stride_of_budgets(self, small_scenario, small_fleet):
+        net, log = small_scenario
+        matrix = estimate_probabilities(mean_coverage(log, small_fleet, runs=2, seed=0), small_fleet)
+        total = sum(small_fleet.b)
+        inst = build_instance(matrix, net, small_fleet, total)
+        budgets = sorted({*range(1, total + 1, 3), total})
+        _check_shared_order(inst, matrix.p, net.seg_length_m, small_fleet.b, budgets)
+
+    def test_float_tie_instance(self, float_tie):
+        inst, entries, lengths, caps = float_tie
+        total = sum(caps)
+        budgets = sorted({*range(1, total + 1, 25), inst.budget, total})
+        _check_shared_order(inst, entries, lengths, caps, budgets)
 
 
 class TestRandomAllocation:

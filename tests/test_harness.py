@@ -113,6 +113,55 @@ class TestRunPipeline:
         active0 = {(r.rep): r.phi_pct for r in rows if r.method == METHOD_ACTIVE}
         assert optimized == active0
 
+    def test_instance_is_built_once_and_each_budget_solved_once(self, monkeypatch):
+        import velosense.harness as harness
+
+        # 500 exceeds the fleet, so the instance is clamped to it
+        spec = small_spec(budgets=[2, 500, 4], deltas=[16.0, 4.0])
+        built, ordered, solved, drawn = [], [], [], []
+        build_instance, greedy_order = harness.build_instance, harness.greedy_order
+        solve_greedy, random_allocation = harness.solve_greedy, harness.random_allocation
+
+        def counting_build(*args, **kwargs):
+            built.append(args[3])
+            return build_instance(*args, **kwargs)
+
+        def counting_order(inst):
+            ordered.append(inst.budget)
+            return greedy_order(inst)
+
+        def recording_greedy(inst, *args, **kwargs):
+            plan = solve_greedy(inst, *args, **kwargs)
+            solved.append((inst.budget, plan.n))
+            return plan
+
+        def recording_random(inst, seed):
+            drawn.append(inst.budget)
+            return random_allocation(inst, seed)
+
+        monkeypatch.setattr(harness, "build_instance", counting_build)
+        monkeypatch.setattr(harness, "greedy_order", counting_order)
+        monkeypatch.setattr(harness, "solve_greedy", recording_greedy)
+        monkeypatch.setattr(harness, "random_allocation", recording_random)
+        run_pipeline(spec)
+        data = harness.prepare(spec)
+        total = sum(data.fleet.b)
+        assert total < 500
+        assert built == [500]
+        assert ordered == [total]
+        assert [budget for budget, _n in solved] == [2, total, 4]
+        assert drawn == [2, 2, total, total, 4, 4]  # one draw per replication
+        matrix = harness.estimate_probabilities(
+            harness.mean_coverage(data.log, data.fleet, runs=spec.coverage_runs, seed=spec.seed),
+            data.fleet,
+        )
+        for (budget, n), asked in zip(solved, spec.budgets):
+            assert solve_greedy(build_instance(matrix, data.net, data.fleet, asked)).n == n
+
+    def test_budget_below_one_rejected(self):
+        with pytest.raises(ValueError, match="budget must be >= 1, got 0"):
+            run_pipeline(small_spec(budgets=[3, 0]))
+
     def test_infeasible_source_propagates(self):
         spec = small_spec(source=SynthConfig(2, 2, 100.0, stand_count=2, trips=3, seed=0))
         with pytest.raises(ConfigInfeasibleError):
@@ -195,8 +244,8 @@ class TestSensorRequirement:
             built.append(args[3])
             return build_instance(*args, **kwargs)
 
-        def recording_greedy(inst):
-            plan = solve_greedy(inst)
+        def recording_greedy(inst, *args, **kwargs):
+            plan = solve_greedy(inst, *args, **kwargs)
             solved.append((inst.budget, plan.n))
             return plan
 
@@ -219,9 +268,9 @@ class TestSensorRequirement:
         solved = []
         solve_greedy = harness.solve_greedy
 
-        def counting_greedy(inst):
+        def counting_greedy(inst, *args, **kwargs):
             solved.append(inst.budget)
-            return solve_greedy(inst)
+            return solve_greedy(inst, *args, **kwargs)
 
         monkeypatch.setattr(harness, "solve_greedy", counting_greedy)
         rows = sensor_requirement(small_spec(deltas=[16.0, 4.0, 1.0]), target_phi_pct=10.0)
