@@ -117,8 +117,7 @@ def build_instance(
         warnings.append(f"budget {budget} exceeds total capacity {total_cap}; clamped")
         budget = total_cap
 
-    stand, seg = np.array(list(matrix.p), dtype=np.int64).reshape(-1, 2).T
-    p = np.fromiter(matrix.p.values(), dtype=np.float64, count=len(matrix.p))
+    stand, seg, p = matrix.stand, matrix.segment, matrix.p
     outside = (stand < 0) | (stand >= num_stands) | (seg < 0) | (seg >= net.num_segments)
     if outside.any():
         bad_stand, bad_seg = min(zip(stand[outside].tolist(), seg[outside].tolist()))

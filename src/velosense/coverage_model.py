@@ -6,6 +6,9 @@ stand's bike count estimates the per-bike visit expectation p[stand, segment].
 A bike can cross the same segment several times in a day, so values above 1
 are legal; downstream optimization consumes them as expectations.
 
+A sample and a matrix are three aligned columns (stand, segment, value),
+sorted by (stand, segment) and unique, from the replay tally to probs.csv.
+
 Every traversal event is attributed to the bike's home stand (where it was
 deployed at the start of the horizon), the only label that stays stable once
 bikes migrate between stands.
@@ -14,13 +17,12 @@ bikes migrate between stands.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from .errors import MalformedInputError, malformed_fields, read_artifact, write_json, write_table
+from .errors import MalformedInputError, int_column, malformed_fields, read_artifact, write_json, write_table
 from .fleet_sim import FleetPlan, SimConfig, simulate
 from .network import RoadNetwork, single_source_distances
 from .trips import TripLog
@@ -29,23 +31,29 @@ COVERAGE_FORMAT = "velosense-coverage-v1"
 
 DEFAULT_RUNS = 20
 
+PROBS_HEADER = ["stand_id", "segment_id", "p"]
 
-@dataclass
+
+@dataclass(eq=False)
 class CoverageSample:
-    """Mean traversal counts per (home stand, segment) over replicated runs."""
+    """Mean traversals per (home stand, segment) over the runs; absent pairs are 0."""
 
-    n_bar: dict[tuple[int, int], float]
+    stand: np.ndarray  # int64
+    segment: np.ndarray  # int64
+    n_bar: np.ndarray  # float64
     runs: int
     seed: int
     horizon: tuple[int, int]
     stand_nodes: list[int]
 
 
-@dataclass
+@dataclass(eq=False)
 class CoverageMatrix:
-    """Per-bike visit expectations p[(stand, segment)]; absent entries are 0."""
+    """Per-bike visit expectations p[stand, segment]; absent pairs are 0."""
 
-    p: dict[tuple[int, int], float]
+    stand: np.ndarray  # int64
+    segment: np.ndarray  # int64
+    p: np.ndarray  # float64
     runs: int
     seed: int
     horizon: tuple[int, int]
@@ -75,23 +83,19 @@ def mean_coverage(
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     totals = _tally(log, plan, runs, seed, plan.home_stands())
-    stands, segs = np.nonzero(totals)
-    n_bar = {
-        (stand, seg): count / runs
-        for stand, seg, count in zip(stands.tolist(), segs.tolist(), totals[stands, segs].tolist())
-    }
-    return CoverageSample(n_bar, runs, seed, log.horizon, [s.node for s in log.stands])
+    stand, segment = np.nonzero(totals)  # row-major: sorted by (stand, segment)
+    return CoverageSample(
+        stand, segment, totals[stand, segment] / runs, runs, seed, log.horizon, [s.node for s in log.stands]
+    )
 
 
 def estimate_probabilities(sample: CoverageSample, plan: FleetPlan) -> CoverageMatrix:
     """Binomial-mean slope: p = mean coverage / bikes deployed at the stand."""
-    p: dict[tuple[int, int], float] = {}
-    for (stand, seg), value in sample.n_bar.items():
-        b = plan.b[stand]
-        if b <= 0:
-            raise ValueError(f"stand {stand} has coverage but no bikes")
-        p[(stand, seg)] = value / b
-    return CoverageMatrix(p, sample.runs, sample.seed, sample.horizon, list(sample.stand_nodes))
+    b = np.asarray(plan.b, dtype=np.int64)[sample.stand]
+    if (b <= 0).any():
+        raise ValueError(f"stand {sample.stand[b <= 0][0]} has coverage but no bikes")
+    protocol = (sample.runs, sample.seed, sample.horizon, list(sample.stand_nodes))
+    return CoverageMatrix(sample.stand, sample.segment, sample.n_bar / b, *protocol)
 
 
 def probability_decay_report(
@@ -105,16 +109,11 @@ def probability_decay_report(
     """
     if not 0 <= stand < len(matrix.stand_nodes):
         raise MalformedInputError(f"unknown stand {stand}")
-    entries = [(seg, p) for (s, seg), p in matrix.p.items() if s == stand and p > 0]
-    if not entries:
-        return []
+    mine = (matrix.stand == stand) & (matrix.p > 0)
+    segment = matrix.segment[mine]
     dist = single_source_distances(net, matrix.stand_nodes[stand])
-    rows = []
-    for seg, p in entries:
-        u, v = net.endpoints(seg)
-        rows.append((seg, float(min(dist[u], dist[v])), p))
-    rows.sort(key=lambda r: (r[1], r[0]))
-    return rows
+    near = np.minimum(dist[net.seg_u[segment]], dist[net.seg_v[segment]])
+    return sorted(zip(segment.tolist(), near.tolist(), matrix.p[mine].tolist()), key=lambda r: (r[1], r[0]))
 
 
 def linearity_probe(
@@ -167,8 +166,8 @@ def linearity_probe(
 
 def save_matrix(matrix: CoverageMatrix, csv_path, meta_path) -> None:
     """Delimited probabilities plus a JSON sidecar with the estimation protocol."""
-    rows = ((stand, seg, repr(p)) for (stand, seg), p in sorted(matrix.p.items()))
-    write_table(csv_path, ["stand_id", "segment_id", "p"], rows)
+    rows = zip(matrix.stand.tolist(), matrix.segment.tolist(), map(repr, matrix.p.tolist()))
+    write_table(csv_path, PROBS_HEADER, rows)
     write_json(
         meta_path,
         {
@@ -183,26 +182,34 @@ def save_matrix(matrix: CoverageMatrix, csv_path, meta_path) -> None:
 
 
 def load_matrix(csv_path, meta_path) -> CoverageMatrix:
-    p: dict[tuple[int, int], float] = {}
+    """Read a matrix `save_matrix` wrote: rows of exactly three fields, each p finite
+    and >= 0, no (stand, segment) twice. The columns come back sorted by key."""
     with open(csv_path, encoding="utf-8", newline="") as fh, malformed_fields(csv_path):
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["stand_id", "segment_id", "p"]:
-            raise MalformedInputError("coverage file must have header stand_id,segment_id,p")
-        for row in reader:
-            key, value = (int(row["stand_id"]), int(row["segment_id"])), float(row["p"])
-            if not 0.0 <= value < math.inf:
-                raise MalformedInputError(
-                    f"{csv_path}: p = {row['p']} for (stand, segment) {key} is not a finite number >= 0"
-                )
-            if key in p:
-                raise MalformedInputError(f"{csv_path}: (stand, segment) {key} is listed twice")
-            p[key] = value
-    with read_artifact(meta_path, COVERAGE_FORMAT, "probs") as meta:
-        return CoverageMatrix(
-            p,
-            meta["runs"],
-            meta["seed"],
-            tuple(meta["horizon"]),
-            list(meta["stand_nodes"]),
-            meta.get("triplog_sha256"),
+        reader = csv.reader(fh)
+        if next(reader, None) != PROBS_HEADER:
+            raise MalformedInputError(f"{csv_path}: coverage file must have header stand_id,segment_id,p")
+        rows = [row for row in reader if row]  # blank lines are skipped
+        for row in rows:
+            if len(row) != 3:
+                raise MalformedInputError(f"{csv_path}: row {','.join(row)!r} has {len(row)} fields, not 3")
+        stand_text, segment_text, p_text = zip(*rows) if rows else ((), (), ())
+        stand = int_column(list(map(int, stand_text)), csv_path, "stand_id")
+        segment = int_column(list(map(int, segment_text)), csv_path, "segment_id")
+        p = np.array(list(map(float, p_text)), dtype=np.float64)
+    bad = ~((p >= 0.0) & (p < np.inf))  # NaN fails both
+    if bad.any():
+        i = int(np.argmax(bad))
+        key = (int(stand[i]), int(segment[i]))
+        raise MalformedInputError(
+            f"{csv_path}: p = {p_text[i]} for (stand, segment) {key} is not a finite number >= 0"
         )
+    order = np.lexsort((segment, stand))
+    stand, segment, p = stand[order], segment[order], p[order]
+    twice = (stand[1:] == stand[:-1]) & (segment[1:] == segment[:-1])
+    if twice.any():
+        i = int(np.argmax(twice))
+        key = (int(stand[i]), int(segment[i]))
+        raise MalformedInputError(f"{csv_path}: (stand, segment) {key} is listed twice")
+    with read_artifact(meta_path, COVERAGE_FORMAT, "probs") as meta:
+        protocol = (meta["runs"], meta["seed"], tuple(meta["horizon"]), list(meta["stand_nodes"]))
+        return CoverageMatrix(stand, segment, p, *protocol, meta.get("triplog_sha256"))

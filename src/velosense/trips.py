@@ -125,7 +125,7 @@ class TripLog:
 
     @cached_property
     def events(self) -> TripEvents:
-        """The traversal_times of every trip as one event table, built once per log.
+        """Every segment entry of every trip as one event table, built once per log.
 
         Entry offsets depend only on the path, so they are computed once per
         entry of `paths` and gathered by each trip's `path`; each trip adds its
@@ -273,18 +273,9 @@ def clean_trips(
     )
 
 
-def traversal_times(trip: Trip, speed_m_per_min: float) -> list[tuple[int, int]]:
-    """(segment, enter minute) for each segment on the trip's path.
-
-    A segment's timestamp is the minute the bike enters it: start time plus
-    the cumulative distance before the segment at constant speed, floored.
-    """
-    offsets = _entry_offsets(trip.path, speed_m_per_min)
-    return [(seg, trip.start_min + offset) for seg, offset in zip(trip.path.segments, offsets)]
-
-
 def _entry_offsets(path: Path, speed_m_per_min: float) -> list[int]:
-    """Minutes from the start of a trip along `path` to its entry into each segment."""
+    """Minutes from the start of a trip along `path` to its entry into each segment:
+    the distance before the segment at constant speed, floored."""
     offsets = []
     cum = 0.0
     for length in path.seg_lengths_m:

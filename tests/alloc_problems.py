@@ -11,6 +11,8 @@ from velosense.coverage_model import CoverageMatrix
 from velosense.fleet_sim import FleetPlan
 from velosense.network import build_network
 
+from oracles import dict_columns
+
 
 def line_net_with_lengths(lengths):
     nodes = [(i, 40.0, -74.0 + 0.002 * i) for i in range(len(lengths) + 1)]
@@ -19,11 +21,12 @@ def line_net_with_lengths(lengths):
 
 
 def make_problem(p_entries, lengths, caps, budget, K=1.0):
-    """Instance plus the raw dense probability matrix the oracle consumes."""
+    """Instance plus the raw dense probability matrix the oracle consumes;
+    `p_entries` maps (stand, segment) to p."""
     net = line_net_with_lengths(lengths)
     plan = FleetPlan(list(caps))
     matrix = CoverageMatrix(
-        dict(p_entries), runs=1, seed=0, horizon=(0, 960), stand_nodes=list(range(len(caps)))
+        *dict_columns(p_entries), runs=1, seed=0, horizon=(0, 960), stand_nodes=list(range(len(caps)))
     )
     inst = build_instance(matrix, net, plan, budget, K=K)
     dense = [[0.0] * len(lengths) for _ in caps]

@@ -122,6 +122,21 @@ def rank_correlation(xs, ys):
     return cov / (vx * vy)
 
 
+def traversal_times(trip, speed_m_per_min):
+    """(segment, enter minute) for each segment on the trip's path, trip by trip:
+    the reference for a log's event table.
+
+    A segment's timestamp is the minute the bike enters it: start time plus
+    the cumulative distance before the segment at constant speed, floored.
+    """
+    events = []
+    cum = 0.0
+    for seg, length in zip(trip.path.segments, trip.path.seg_lengths_m):
+        events.append((seg, trip.start_min + int(cum // speed_m_per_min)))
+        cum += length
+    return events
+
+
 def per_bike_assembly(trips, trip_events, bike_of_trip, homes):
     """(bike, home, served ids, events) per bike, assembled bike by bike.
 
@@ -271,6 +286,18 @@ def linearity_probe_counter(runs_of_trajectories, stand_bikes, stands, min_mean)
             ss_tot = sum(y * y for y in ys)
             results.append((stand, seg, slope, 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0, b))
     return results
+
+
+def column_dict(stand, segment, values):
+    """{(stand, segment): value} of three aligned columns, in column order."""
+    return dict(zip(zip(stand.tolist(), segment.tolist()), values.tolist()))
+
+
+def dict_columns(entries):
+    """(stand, segment, value) columns of a {(stand, segment): value} dict, sorted by key."""
+    keys = sorted(entries)
+    stand, segment = np.array(keys, dtype=np.int64).reshape(-1, 2).T
+    return stand, segment, np.array([entries[key] for key in keys], dtype=np.float64)
 
 
 class SparseAllocation:

@@ -1,5 +1,6 @@
 import io
 from dataclasses import replace
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from lp_parser import parse_lp
 from oracles import (
     SparseAllocation,
     best_allocation_objective,
+    column_dict,
     evaluate_sparse,
     greedy_order_full_width,
     solve_exact_sparse,
@@ -212,6 +214,18 @@ class TestSolveGreedy:
         exact = solve_exact(inst)
         assert plan.objective_m == exact.objective_m == 100.0
 
+    def test_rounds_add_lengths_left_to_right(self):
+        # stand 0 alone covers 9 segments, stand 1 one segment as long as their
+        # left-to-right sum, so both tie on newly covered length and on progress
+        # and the lower index wins; numpy's pairwise ndarray.sum adds the same
+        # 9 lengths to a smaller float, which would hand the round to stand 1
+        lengths = [0.12, 0.78, 0.58, 0.4, 0.81, 0.37, 0.51, 0.22, 0.46]
+        total = list(accumulate(lengths))[-1]
+        assert np.sum(lengths + [0.0]) < total
+        entries = {**{(0, e): 1.0 for e in range(9)}, (1, 9): 1.0}
+        inst, _ = make_problem(entries, lengths + [total], [1, 1], budget=1)
+        assert greedy_order(inst) == [0]
+
     def test_order_for_a_smaller_budget_is_rejected(self):
         inst, _ = make_problem({(0, 0): 0.5, (1, 0): 0.3}, [100.0], [3, 3], budget=5)
         short = greedy_order(replace(inst, budget=3))
@@ -291,7 +305,7 @@ def float_tie():
     fleet = initial_bike_counts(log)
     matrix = estimate_probabilities(mean_coverage(log, fleet, runs=4, seed=2), fleet)
     inst = build_instance(matrix, net, fleet, 14)
-    return inst, matrix.p, net.seg_length_m, fleet.b
+    return inst, column_dict(matrix.stand, matrix.segment, matrix.p), net.seg_length_m, fleet.b
 
 
 def _check_shared_order(inst, entries, lengths, caps, budgets):
@@ -357,7 +371,8 @@ class TestSharedGreedyOrder:
         total = sum(small_fleet.b)
         inst = build_instance(matrix, net, small_fleet, total)
         budgets = sorted({*range(1, total + 1, 3), total})
-        _check_shared_order(inst, matrix.p, net.seg_length_m, small_fleet.b, budgets)
+        entries = column_dict(matrix.stand, matrix.segment, matrix.p)
+        _check_shared_order(inst, entries, net.seg_length_m, small_fleet.b, budgets)
 
     def test_float_tie_instance(self, float_tie):
         inst, entries, lengths, caps = float_tie

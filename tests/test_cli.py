@@ -394,6 +394,10 @@ def _set_metadata(**fields):
         ("probs", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d.update(speed_m_per_min=0))),
         ("probs", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d.update(speed_m_per_min="fast"))),
         ("probs", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d.update(speed_m_per_min=-5.0))),
+        ("allocate", ALLOCATE, ["--budget", "4"], "--probs", _append_row("0,0,0.5,7")),
+        ("allocate", ALLOCATE, ["--budget", "4"], "--probs", _append_row("0,0")),
+        ("allocate", ALLOCATE, ["--budget", "4"], "--probs", _append_row("99999999999999999999,0,0.5")),
+        ("allocate", ALLOCATE, ["--budget", "4"], "--probs", _append_row("0,-1,0.5")),
     ],
     ids=["triplog-without-stands", "traj-without-metadata", "alloc-without-N_e",
          "probs-unknown-stand", "probs-unknown-segment", "probs-nan", "probs-negative",
@@ -410,7 +414,8 @@ def _set_metadata(**fields):
          "alloc-count-bool", "alloc-count-string", "probs-repeated-pair",
          "stand-id-not-its-index", "stands-share-a-node", "traj-minutes-shifted",
          "traj-segments-zeroed", "traj-trip-ids-reversed", "trip-id-not-a-string", "trip-id-null",
-         "horizon-not-int", "speed-zero", "speed-not-a-number", "speed-negative"],
+         "horizon-not-int", "speed-zero", "speed-not-a-number", "speed-negative",
+         "probs-extra-field", "probs-missing-field", "probs-stand-past-int64", "probs-negative-segment"],
 )
 def test_malformed_artifact_is_2(artifacts, tmp_path, capsys, command, options, extra, corrupted, edit):
     paths = dict(artifacts)

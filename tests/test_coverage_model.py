@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from velosense.coverage_model import (
@@ -12,13 +13,16 @@ from velosense.coverage_model import (
 from velosense.errors import MalformedInputError
 from velosense.fleet_sim import FleetPlan, SimConfig, initial_bike_counts, simulate
 from velosense.network import Path, build_network
-from velosense.trips import Stand, Trip, traversal_times
+from velosense.trips import Stand, Trip
 
 from oracles import (
+    column_dict,
+    dict_columns,
     linearity_probe_counter,
     mean_coverage_counter,
     per_bike_assembly,
     rank_correlation,
+    traversal_times,
 )
 from trip_logs import trip_log
 
@@ -58,13 +62,18 @@ def radial_log(n_nodes=9, horizon=(0, 600)):
     return trip_log(trips, stands, horizon, 200.0)
 
 
+def columns_sample(n_bar, runs, stand_nodes):
+    """A CoverageSample holding the (stand, segment) -> mean coverage dict `n_bar`."""
+    return CoverageSample(*dict_columns(n_bar), runs, seed=0, horizon=(0, 60), stand_nodes=stand_nodes)
+
+
 class TestMeanCoverage:
     def test_single_run_counts_each_traversal_once(self):
         net = line_network(3)
         log = trip_log([line_trip("a", 0, 2, 5)], [Stand(i, i) for i in range(3)], (0, 60), 200.0)
         plan = initial_bike_counts(log)
         sample = mean_coverage(log, plan, runs=1, seed=4)
-        assert sample.n_bar == {(0, 0): 1.0, (0, 1): 1.0}
+        assert column_dict(sample.stand, sample.segment, sample.n_bar) == {(0, 0): 1.0, (0, 1): 1.0}
 
     def test_mean_of_identical_runs_is_unchanged(self):
         log = radial_log()
@@ -72,7 +81,9 @@ class TestMeanCoverage:
         once = mean_coverage(log, plan, runs=1, seed=9)
         many = mean_coverage(log, plan, runs=4, seed=9)
         # one idle bike per selection here, so every run plays out identically
-        assert once.n_bar == many.n_bar
+        assert column_dict(once.stand, once.segment, once.n_bar) == column_dict(
+            many.stand, many.segment, many.n_bar
+        )
 
     def test_default_run_count(self, small_scenario, small_fleet):
         import inspect
@@ -83,7 +94,17 @@ class TestMeanCoverage:
         _net, log = small_scenario
         sample = mean_coverage(log, small_fleet, runs=3, seed=1)
         total_segments = sum(len(t.path.segments) for t in log.trips)
-        assert sum(sample.n_bar.values()) == pytest.approx(total_segments, rel=1e-12)
+        assert sum(sample.n_bar.tolist()) == pytest.approx(total_segments, rel=1e-12)
+
+    def test_columns_sorted_unique_and_typed(self, small_scenario, small_fleet):
+        _net, log = small_scenario
+        sample = mean_coverage(log, small_fleet, runs=2, seed=1)
+        assert (sample.stand.dtype, sample.segment.dtype, sample.n_bar.dtype) == (
+            np.int64, np.int64, np.float64
+        )
+        keys = list(zip(sample.stand.tolist(), sample.segment.tolist()))
+        assert keys == sorted(set(keys))
+        assert (sample.n_bar > 0).all()
 
     def test_runs_validated(self, small_scenario, small_fleet):
         _net, log = small_scenario
@@ -93,20 +114,20 @@ class TestMeanCoverage:
 
 class TestEstimateProbabilities:
     def test_binomial_slope(self):
-        sample = CoverageSample({(0, 3): 4.0}, runs=20, seed=0, horizon=(0, 60), stand_nodes=[7])
+        sample = columns_sample({(0, 3): 4.0}, runs=20, stand_nodes=[7])
         plan = FleetPlan([8])
         matrix = estimate_probabilities(sample, plan)
-        assert matrix.p == {(0, 3): 0.5}
+        assert column_dict(matrix.stand, matrix.segment, matrix.p) == {(0, 3): 0.5}
 
     def test_absent_entries_stay_absent(self):
-        sample = CoverageSample({}, runs=20, seed=0, horizon=(0, 60), stand_nodes=[7])
+        sample = columns_sample({}, runs=20, stand_nodes=[7])
         matrix = estimate_probabilities(sample, FleetPlan([2]))
-        assert matrix.p == {}
+        assert column_dict(matrix.stand, matrix.segment, matrix.p) == {}
 
     def test_zero_bike_stand_with_coverage_rejected(self):
-        sample = CoverageSample({(0, 1): 1.0}, runs=1, seed=0, horizon=(0, 60), stand_nodes=[0])
-        with pytest.raises(ValueError):
-            estimate_probabilities(sample, FleetPlan([0]))
+        sample = columns_sample({(0, 1): 1.0, (1, 2): 1.0, (2, 0): 3.0}, runs=1, stand_nodes=[0, 1, 2])
+        with pytest.raises(ValueError, match="stand 1 has coverage but no bikes"):
+            estimate_probabilities(sample, FleetPlan([2, 0, 0]))
 
     def test_exact_on_deterministic_fixture(self):
         # every stand holds one bike, so counts have no selection randomness
@@ -118,12 +139,20 @@ class TestEstimateProbabilities:
             for seg in trip.path.segments:
                 direct[seg] = direct.get(seg, 0) + 1
         expected = {(0, seg): count / plan.b[0] for seg, count in direct.items()}
-        assert matrix.p == expected
+        assert column_dict(matrix.stand, matrix.segment, matrix.p) == expected
+
+    def test_equal_to_a_per_entry_division(self, small_scenario, small_fleet):
+        _net, log = small_scenario
+        sample = mean_coverage(log, small_fleet, runs=3, seed=5)
+        matrix = estimate_probabilities(sample, small_fleet)
+        n_bar = column_dict(sample.stand, sample.segment, sample.n_bar)
+        expected = {(s, e): value / small_fleet.b[s] for (s, e), value in n_bar.items()}
+        assert column_dict(matrix.stand, matrix.segment, matrix.p) == expected
 
     def test_values_finite_and_nonnegative(self, small_scenario, small_fleet):
         _net, log = small_scenario
         matrix = estimate_probabilities(mean_coverage(log, small_fleet, runs=2, seed=5), small_fleet)
-        assert all(p > 0 and p < float("inf") for p in matrix.p.values())
+        assert all(p > 0 and p < float("inf") for p in matrix.p.tolist())
 
 
 class TestDecayReport:
@@ -145,7 +174,7 @@ class TestDecayReport:
 
     def test_unknown_stand_rejected(self):
         net = line_network(3)
-        sample = CoverageSample({}, runs=1, seed=0, horizon=(0, 60), stand_nodes=[0])
+        sample = columns_sample({}, runs=1, stand_nodes=[0])
         matrix = estimate_probabilities(sample, FleetPlan([1]))
         with pytest.raises(MalformedInputError):
             probability_decay_report(matrix, net, 3)
@@ -172,12 +201,13 @@ class TestLinearityProbe:
         matrix = estimate_probabilities(
             mean_coverage(log, small_fleet, runs=4, seed=6), small_fleet
         )
+        p = column_dict(matrix.stand, matrix.segment, matrix.p)
         for stand, seg, slope, r2, points in rows:
             assert stand == busiest
             assert points == small_fleet.b[busiest]
             assert 0.0 <= r2 <= 1.0
             # the full-fleet point of the refit is the production estimate
-            assert slope == pytest.approx(matrix.p[(stand, seg)], rel=0.6)
+            assert slope == pytest.approx(p[(stand, seg)], rel=0.6)
 
 
 def assembled_runs(log, plan, runs, seed):
@@ -196,7 +226,8 @@ class TestCounterOracle:
 
     def test_mean_coverage(self, small_scenario, small_fleet):
         _net, log = small_scenario
-        n_bar = mean_coverage(log, small_fleet, runs=3, seed=2).n_bar
+        sample = mean_coverage(log, small_fleet, runs=3, seed=2)
+        n_bar = column_dict(sample.stand, sample.segment, sample.n_bar)
         expected = mean_coverage_counter(assembled_runs(log, small_fleet, 3, 2))
         assert list(n_bar.items()) == list(expected.items())
 
@@ -218,9 +249,23 @@ class TestMatrixSerialization:
         csv_path, meta_path = tmp_path / "p.csv", tmp_path / "p.meta.json"
         save_matrix(matrix, csv_path, meta_path)
         loaded = load_matrix(csv_path, meta_path)
-        assert loaded.p == matrix.p
+        for name in ("stand", "segment", "p"):
+            column, expected = getattr(loaded, name), getattr(matrix, name)
+            assert column.dtype == expected.dtype and np.array_equal(column, expected)
         assert loaded.runs == matrix.runs
         assert loaded.seed == matrix.seed
         assert loaded.horizon == matrix.horizon
         assert loaded.stand_nodes == matrix.stand_nodes
         assert csv_path.read_text().splitlines()[0] == "stand_id,segment_id,p"
+
+    def test_rows_in_any_order_load_sorted(self, small_scenario, small_fleet, tmp_path):
+        _net, log = small_scenario
+        matrix = estimate_probabilities(mean_coverage(log, small_fleet, runs=2, seed=1), small_fleet)
+        csv_path, meta_path = tmp_path / "p.csv", tmp_path / "p.meta.json"
+        save_matrix(matrix, csv_path, meta_path)
+        header, *rows = csv_path.read_text().splitlines()
+        csv_path.write_text("\n".join([header, *rows[::-1], ""]))
+        loaded = load_matrix(csv_path, meta_path)
+        assert np.array_equal(loaded.stand, matrix.stand)
+        assert np.array_equal(loaded.segment, matrix.segment)
+        assert np.array_equal(loaded.p, matrix.p)

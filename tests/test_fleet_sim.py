@@ -17,9 +17,9 @@ from velosense.fleet_sim import (
     simulate,
 )
 from velosense.network import Path
-from velosense.trips import Stand, Trip, TripEvents, traversal_times
+from velosense.trips import Stand, Trip, TripEvents
 
-from oracles import initial_bike_counts_by_trip, per_bike_assembly, simulate_by_minute
+from oracles import initial_bike_counts_by_trip, per_bike_assembly, simulate_by_minute, traversal_times
 from trip_logs import trip_log
 
 

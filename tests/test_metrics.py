@@ -12,13 +12,14 @@ from velosense.metrics import (
     write_report,
 )
 from velosense.network import Path
-from velosense.trips import Stand, Trip, TripEvents, traversal_times
+from velosense.trips import Stand, Trip, TripEvents
 
 from oracles import (
     coverage_counts_loop,
     per_bike_assembly,
     rank_correlation,
     touched_length_fraction_pct,
+    traversal_times,
 )
 from trip_logs import trip_log
 

@@ -13,8 +13,9 @@ from velosense.trips import (
     load_triplog,
     parse_raw_trips,
     save_triplog,
-    traversal_times,
 )
+
+from oracles import traversal_times
 
 CITI_HEADER = (
     "ride_id,rideable_type,started_at,ended_at,start_station_name,start_station_id,"
@@ -231,45 +232,45 @@ class TestClean:
         assert starts == sorted(starts)
 
 
+def trip_events(log, i):
+    """(segment, entry minute) of trip i, read from the log's event table."""
+    rows = log.events.trip == i
+    return list(zip(log.events.segment[rows].tolist(), log.events.minute[rows].tolist()))
+
+
 class TestTraversalTimes:
     def test_single_segment(self):
         net = two_node_net(800.0)
         raw, _ = parse_raw_trips(raw_csv([make_row(start="2024-03-01 09:00:00")]))
         log = clean_trips(raw, net)
         trip = log.trips[0]
-        assert traversal_times(trip, log.speed_m_per_min) == [(trip.path.segments[0], 540)]
+        assert trip_events(log, 0) == [(trip.path.segments[0], 540)]
 
     def test_entry_minutes_from_cumulative_distance(self):
         nodes = [(0, 40.0, -74.0), (1, 40.0, -73.99), (2, 40.0, -73.98)]
         net = build_network(nodes, [(0, 1, 1083.0), (1, 2, 1083.0)])
         raw, _ = parse_raw_trips(raw_csv([make_row(start="2024-03-01 10:00:00", e=(40.0, -73.98))]))
         log = clean_trips(raw, net)
-        events = traversal_times(log.trips[0], log.speed_m_per_min)
-        minutes = [m for _seg, m in events]
+        minutes = [m for _seg, m in trip_events(log, 0)]
         assert minutes == [600, 604]  # floor(1083 / 216.67) = 4
 
     def test_monotone_and_bounded(self, small_scenario):
         _net, log = small_scenario
-        for trip in log.trips[:100]:
-            events = traversal_times(trip, log.speed_m_per_min)
-            minutes = [m for _seg, m in events]
+        for i, trip in enumerate(log.trips[:100]):
+            minutes = [m for _seg, m in trip_events(log, i)]
             assert minutes == sorted(minutes)
             assert all(trip.start_min <= m <= trip.end_min for m in minutes)
 
     def test_event_conservation(self, small_scenario):
         _net, log = small_scenario
-        total_events = sum(len(traversal_times(t, log.speed_m_per_min)) for t in log.trips)
         total_segments = sum(len(t.path.segments) for t in log.trips)
-        assert total_events == total_segments
+        assert len(log.events.trip) == total_segments
 
     def test_log_events_are_the_traversal_times_of_each_trip(self, small_scenario):
         _net, log = small_scenario
-        table = log.events
-        assert table.trip.tolist() == sorted(table.trip.tolist())
+        assert log.events.trip.tolist() == sorted(log.events.trip.tolist())
         for i, trip in enumerate(log.trips):
-            rows = table.trip == i
-            events = list(zip(table.segment[rows].tolist(), table.minute[rows].tolist()))
-            assert events == traversal_times(trip, log.speed_m_per_min)
+            assert trip_events(log, i) == traversal_times(trip, log.speed_m_per_min)
 
 
 class TestSerialization:
