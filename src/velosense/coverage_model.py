@@ -133,6 +133,9 @@ def linearity_probe(
     full-fleet mean coverage reaches `min_mean`. Checks that coverage grows
     linearly with deployment, the premise the allocation model rests on.
     """
+    unknown = [stand for stand in stands if not 0 <= stand < len(plan.b)]
+    if unknown:
+        raise MalformedInputError(f"unknown stand {unknown[0]}")
     probe = sorted(set(stands))
     tracked = [bike for stand, bikes in enumerate(plan.bikes) if stand in probe for bike in bikes]
     label = np.full(plan.num_bikes, -1, dtype=np.int64)

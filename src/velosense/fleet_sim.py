@@ -1,11 +1,11 @@
 """Fleet sizing and trip replay.
 
-Two pieces: derive the minimal per-stand initial bike counts that keep every
-stand's balance non-negative over the horizon, then replay the trip log once
-in row (service) order, assigning physical bikes to trips. Replay optionally
-biases bike selection toward sensor-equipped bikes (guided selection accepted
-with probability beta). A replay is the bike of each trip over the log's
-event table (see Replay), and `traj.json` stores those columns; per-bike
+Two pieces read the log's service schedule: the minimal per-stand initial
+bike counts, which a plan must reach for replay to run, and the replay of the
+trip log once in row (service) order, assigning physical bikes to trips. Replay
+optionally biases bike selection toward sensor-equipped bikes (guided selection
+accepted with probability beta). A replay is the bike of each trip over the
+log's event table (see Replay), and `traj.json` stores those columns; per-bike
 trajectories are views built only when a replay is iterated.
 
 RNG stream, per trip in log order, from one numpy PCG64 seeded with the
@@ -122,6 +122,12 @@ class Replay:
         return self.trip_ids == other.trip_ids and all(map(np.array_equal, mine, theirs))
 
 
+def check_beta(beta: float) -> None:
+    """Raise ValueError unless beta, the chance a rider takes the guided bike, is in [0, 1]."""
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"beta must be in [0, 1], got {beta}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     seed: int
@@ -129,26 +135,15 @@ class SimConfig:
     equipped: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must be in [0, 1], got {self.beta}")
+        check_beta(self.beta)
 
 
 def initial_bike_counts(log: TripLog) -> FleetPlan:
-    """Minimal initial bikes per stand so replay never drives a stand negative.
-
-    Replays the net flow at each stand starting from zero; the deployment is
-    the depth of the worst deficit. Within a minute arrivals count before
-    departures, so a bike returned at t can leave again at t.
-    """
-    t0, t_end = log.horizon
-    width = t_end - t0 + 1
-    flow = np.zeros((log.num_stands, width), dtype=np.int64)
-    np.add.at(flow, (log.origin, log.start_min - t0), -1)
-    back = log.end_min <= t_end  # returns after the horizon never help
-    np.add.at(flow, (log.dest[back], log.end_min[back] - t0), 1)
-    balance = np.cumsum(flow, axis=1)
-    b = np.maximum(0, -balance.min(axis=1)) if width > 0 else np.zeros(log.num_stands, int)
-    return FleetPlan([int(x) for x in b])
+    """Minimal initial bikes per stand so replay never drives a stand negative:
+    a row finds b[origin] + net + 1 idle bikes at its origin (TripLog.schedule)."""
+    b = np.zeros(log.num_stands, dtype=np.int64)
+    np.maximum.at(b, log.origin, -log.schedule.net)
+    return FleetPlan(b.tolist())
 
 
 _CHUNK = 4096  # words per numpy call
@@ -200,14 +195,23 @@ def simulate(log: TripLog, plan: FleetPlan, cfg: SimConfig) -> Replay:
     """Replay the log row by row, recording the bike that serves each trip.
 
     Before a trip is served, every trip that has ended by its start minute
-    returns its bike to its destination stand (trips last at least a minute,
-    so only served trips have ended). A trip is served by a uniformly chosen
-    idle bike at its origin stand, preferring an idle equipped bike when the
-    guidance draw falls below cfg.beta and one is available. With beta=0 or
-    no equipped bikes this is plain unguided replay.
+    returns its bike to its destination stand. A trip is served by a uniformly
+    chosen idle bike at its origin stand, preferring an idle equipped bike when
+    the guidance draw falls below cfg.beta and one is available. With beta=0 or
+    no equipped bikes this is plain unguided replay. Idle counts do not depend
+    on the choices (TripLog.schedule), so an infeasible plan fails before any draw.
     """
     if len(plan.b) != log.num_stands:
         raise MalformedInputError(f"plan covers {len(plan.b)} stands, log has {log.num_stands}")
+    schedule = log.schedule
+    instant = schedule.returns[log.duration_min[schedule.returns] < 1]  # back before it leaves
+    if len(instant):
+        raise MalformedInputError(f"trip {log.ids[instant[0]]} lasts less than a minute")
+    short = np.flatnonzero(np.asarray(plan.b, dtype=np.int64)[log.origin] + schedule.net < 0)
+    if len(short):
+        i = short[0]
+        raise InfeasiblePlanError(f"no idle bike at stand {log.origin[i]} at minute "
+                                  f"{log.start_min[i]} for trip {log.ids[i]}")
     draws = _Draws(cfg.seed)
     guidance, pick = draws.random, draws.integers
     beta = cfg.beta
@@ -215,29 +219,20 @@ def simulate(log: TripLog, plan: FleetPlan, cfg: SimConfig) -> Replay:
 
     idle = plan.bikes  # per stand, ascending
     idle_equipped = [sorted(equipped.intersection(pool)) for pool in idle]
-    order = np.argsort(log.end_min, kind="stable")  # stable: ties in row order
-    returned = np.searchsorted(log.end_min[order], log.start_min, side="right").tolist()
-    order, dest = order.tolist(), log.dest.tolist()
+    returns, dest = schedule.returns.tolist(), log.dest.tolist()
 
     bike_of_trip = [0] * len(dest)
     r = 0
-    rows = zip(log.origin.tolist(), log.start_min.tolist(), returned)
-    for i, (origin, start, returned_by_start) in enumerate(rows):
+    for i, (origin, returned_by_start) in enumerate(zip(log.origin.tolist(), schedule.returned.tolist())):
         while r < returned_by_start:
-            done = order[r]
+            done = returns[r]
             r += 1
-            if done >= i:
-                raise MalformedInputError(f"trip {log.ids[done]} lasts less than a minute")
             bike = bike_of_trip[done]
             insort(idle[dest[done]], bike)
             if bike in equipped:
                 insort(idle_equipped[dest[done]], bike)
         u = guidance()
         pool = idle[origin]
-        if not pool:
-            raise InfeasiblePlanError(
-                f"no idle bike at stand {origin} at minute {start} for trip {log.ids[i]}"
-            )
         equipped_pool = idle_equipped[origin]
         if u < beta and equipped_pool:
             k = pick(len(equipped_pool))

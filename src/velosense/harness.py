@@ -26,8 +26,10 @@ from .allocation import (
 )
 from .coverage_model import estimate_probabilities, mean_coverage
 from .errors import ConfigInfeasibleError, MalformedInputError, write_table
-from .fleet_sim import FleetPlan, Replay, SimConfig, equipped_set, initial_bike_counts, simulate
-from .metrics import IntervalGrid, coverage_counts, sensing_score
+from .fleet_sim import (
+    FleetPlan, Replay, SimConfig, check_beta, equipped_set, initial_bike_counts, simulate,
+)
+from .metrics import IntervalGrid, coverage_counts, interval_minutes, sensing_score
 from .network import RoadNetwork, load_network_files
 from .synth import SynthConfig, generate
 from .trips import TripLog, clean_trips, parse_raw_trips
@@ -67,6 +69,15 @@ class ExperimentSpec:
             raise ValueError("budgets, deltas, and betas must be non-empty")
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
+        if self.coverage_runs < 1:
+            raise ValueError(f"coverage_runs must be >= 1, got {self.coverage_runs}")
+        bad = [b for b in self.budgets if b < 1]
+        if bad:
+            raise ValueError(f"budget must be >= 1, got {bad[0]}")
+        for beta in self.betas:
+            check_beta(beta)
+        for delta_h in self.deltas:
+            interval_minutes(delta_h)
         unknown = [m for m in self.methods if m not in ALL_METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {ALL_METHODS}")
@@ -172,9 +183,6 @@ def run_pipeline(spec: ExperimentSpec) -> tuple[list[ResultRow], list[SummaryRow
     matrix = estimate_probabilities(sample, data.fleet)
     ev = Evaluator(data, spec.seed)
 
-    bad = [b for b in spec.budgets if b < 1]
-    if bad:
-        raise ValueError(f"budget must be >= 1, got {bad[0]}")
     # budgets only change the instance's budget, and each greedy plan's
     # rounds are a prefix of the rounds at the largest one
     total = sum(data.fleet.b)
@@ -371,10 +379,10 @@ def load_spec(doc: dict) -> ExperimentSpec:
             source = FileSource(**src["files"])
         else:
             raise MalformedInputError("source must contain either 'synth' or 'files'")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedInputError(f"bad experiment source: {exc}") from exc
     try:
         fields = {key: parse(doc[key]) for key, parse in _SPEC_FIELDS.items() if key in doc}
         return ExperimentSpec(source=source, **fields)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedInputError(f"bad experiment config: {exc}") from exc

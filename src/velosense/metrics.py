@@ -10,6 +10,7 @@ np.bincount over a replay's event table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,15 @@ import numpy as np
 from .errors import HorizonError, MalformedInputError, UndefinedScoreError, write_json, write_table
 from .fleet_sim import Replay
 from .trips import TripLog
+
+
+def interval_minutes(delta_h: float) -> int:
+    """An interval of delta_h hours in minutes; ValueError unless that is a whole number >= 1."""
+    minutes = 60.0 * delta_h
+    delta_min = round(minutes) if math.isfinite(minutes) else 0
+    if abs(minutes - delta_min) > 1e-9 or delta_min < 1:
+        raise ValueError(f"delta_h={delta_h} is not a whole number of minutes")
+    return delta_min
 
 
 @dataclass(frozen=True)
@@ -29,8 +39,6 @@ class IntervalGrid:
         if self.T <= self.t0:
             raise ValueError(f"empty horizon ({self.t0}, {self.T})")
         delta_min = self.delta_min
-        if abs(60.0 * self.delta_h - delta_min) > 1e-9 or delta_min < 1:
-            raise ValueError(f"delta_h={self.delta_h} is not a whole number of minutes")
         if (self.T - self.t0) % delta_min != 0:
             raise ValueError(
                 f"interval of {delta_min} min does not divide horizon {self.T - self.t0} min"
@@ -38,7 +46,7 @@ class IntervalGrid:
 
     @property
     def delta_min(self) -> int:
-        return int(round(60.0 * self.delta_h))
+        return interval_minutes(self.delta_h)
 
     @property
     def n_intervals(self) -> int:

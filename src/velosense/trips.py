@@ -88,6 +88,12 @@ class TripEvents(NamedTuple):
     minute: np.ndarray  # int64: entry minute
 
 
+class ServiceSchedule(NamedTuple):
+    returns: np.ndarray  # int64: trip rows by end minute, ties in row order
+    returned: np.ndarray  # int64 per row: how many of `returns` end by its start
+    net: np.ndarray  # int64 per row: returns to its origin by its start, less departures up to it
+
+
 @dataclass(eq=False)
 class TripLog:
     """Cleaned trips as columns, one entry per trip row, sorted by start minute
@@ -110,10 +116,6 @@ class TripLog:
     @property
     def num_stands(self) -> int:
         return len(self.stands)
-
-    @property
-    def end_min(self) -> np.ndarray:
-        return self.start_min + self.duration_min
 
     @cached_property
     def trips(self) -> list[Trip]:
@@ -142,6 +144,20 @@ class TripLog:
         path_first, trip_first = np.cumsum(lengths) - lengths, np.cumsum(counts) - counts
         flat = np.repeat(path_first[self.path] - trip_first, counts) + np.arange(len(trip))
         return TripEvents(trip, segments[flat], self.start_min[trip] + offsets[flat])
+
+    @cached_property
+    def schedule(self) -> ServiceSchedule:
+        """When replay returns bikes and takes them, whichever bike serves a trip. A
+        bike returned at t can leave again at t; one returned past the horizon never does."""
+        n = len(self.ids)
+        minute = np.concatenate([self.start_min + self.duration_min, self.start_min])  # returns first
+        stand = np.concatenate([self.dest, self.origin])
+        by_time, order = np.argsort(minute, kind="stable"), np.lexsort((minute, stand))  # ties stay put
+        step = np.where(order < n, 1, -1)
+        balance = np.cumsum(step)
+        balance -= (balance - step)[np.searchsorted(stand[order], stand[order])]  # from its stand's first
+        net = balance[step < 0][np.argsort(order[step < 0])]
+        return ServiceSchedule(by_time[by_time < n], np.cumsum(by_time < n)[by_time >= n], net)
 
 
 def _parse_timestamp(text: str) -> datetime | None:

@@ -6,6 +6,7 @@ branch and bound, direct set unions instead of interval scoring. Keep these
 free of calls into the production modules they are used to verify.
 """
 
+import heapq
 import itertools
 import math
 from bisect import insort
@@ -172,6 +173,24 @@ def initial_bike_counts_by_trip(log):
     balance = np.cumsum(flow, axis=1)
     b = np.maximum(0, -balance.min(axis=1)) if width > 0 else np.zeros(log.num_stands, int)
     return [int(x) for x in b]
+
+
+def idle_before_departure(log, b):
+    """Idle bikes at each row's origin just before its trip leaves, from stands
+    holding b bikes at the start, walking the rows in order with one count per
+    stand. A trip's bike is back at its destination from its end minute on, so
+    it can leave again that minute; a count may go negative when b is short."""
+    idle = [int(count) for count in b]
+    under_way = []  # heap of (end minute, destination)
+    out = []
+    columns = (log.origin, log.dest, log.start_min, log.duration_min)
+    for origin, dest, start, duration in zip(*(column.tolist() for column in columns)):
+        while under_way and under_way[0][0] <= start:
+            idle[heapq.heappop(under_way)[1]] += 1
+        out.append(idle[origin])
+        idle[origin] -= 1
+        heapq.heappush(under_way, (start + duration, dest))
+    return out
 
 
 def simulate_by_minute(log, b, cfg):

@@ -614,6 +614,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(cfg) in err and "JSON object" in err
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ('"betas": [1.5]', "beta must be in [0, 1], got 1.5"),
+            ('"coverage_runs": 0', "coverage_runs must be >= 1, got 0"),
+            ('"deltas": [0.123]', "delta_h=0.123 is not a whole number of minutes"),
+            ('"budgets": [0]', "budget must be >= 1, got 0"),
+            ('"deltas": [1e400]', "delta_h=inf is not a whole number of minutes"),
+            ('"budgets": [1e400]', "cannot convert float infinity to integer"),
+        ],
+        ids=["beta-above-one", "no-coverage-runs", "delta-not-whole-minutes", "budget-zero",
+             "delta-infinite", "budget-infinite"],
+    )
+    def test_bad_experiment_config_is_2_at_load(self, tmp_path, capsys, monkeypatch, entry, message):
+        import velosense.harness as harness
+
+        def no_prepare(spec):
+            raise AssertionError("the config was accepted")
+
+        monkeypatch.setattr(harness, "prepare", no_prepare)
+        synth = '"grid_w": 6, "grid_h": 6, "block_m": 350.0, "stand_count": 6, "trips": 150'
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(f'{{"source": {{"synth": {{{synth}}}}}, "budgets": [2], "deltas": [16.0], {entry}}}')
+        assert main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: bad experiment config: ") and message in err
+
     def test_missing_config_is_2(self, tmp_path):
         assert main(["experiment", "--out-dir", str(tmp_path)]) == 2
 

@@ -209,6 +209,13 @@ class TestLinearityProbe:
             # the full-fleet point of the refit is the production estimate
             assert slope == pytest.approx(p[(stand, seg)], rel=0.6)
 
+    @pytest.mark.parametrize("stands, unknown", [([-7, 1], -7), ([99], 99)])
+    def test_unknown_stand_rejected(self, small_scenario, small_fleet, stands, unknown):
+        # -7 once indexed stand 1's bikes from the end and filed them under -7
+        _net, log = small_scenario
+        with pytest.raises(MalformedInputError, match=f"unknown stand {unknown}$"):
+            linearity_probe(log, small_fleet, stands, runs=3, min_mean=1.0)
+
 
 def assembled_runs(log, plan, runs, seed):
     """Per-bike (bike, home, events) of the unguided replays seeded seed+1 .. seed+runs."""

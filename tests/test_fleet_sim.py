@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import velosense.fleet_sim as fleet_sim
 from velosense.errors import InfeasiblePlanError, MalformedInputError
 from velosense.fleet_sim import (
     _CHUNK,
@@ -19,7 +20,13 @@ from velosense.fleet_sim import (
 from velosense.network import Path
 from velosense.trips import Stand, Trip, TripEvents
 
-from oracles import initial_bike_counts_by_trip, per_bike_assembly, simulate_by_minute, traversal_times
+from oracles import (
+    idle_before_departure,
+    initial_bike_counts_by_trip,
+    per_bike_assembly,
+    simulate_by_minute,
+    traversal_times,
+)
 from trip_logs import trip_log
 
 
@@ -76,15 +83,54 @@ class TestInitialBikeCounts:
         _net, log = request.getfixturevalue(f"{scenario}_scenario")
         assert initial_bike_counts(log).b == initial_bike_counts_by_trip(log)
 
-    def test_minimality_on_scenario(self, small_scenario, small_fleet):
+    def test_minimality_on_scenario(self, request):
+        # one bike fewer at any stand that has bikes leaves a trip from that stand without one
+        for scenario in ("small", "reference"):
+            _net, log = request.getfixturevalue(f"{scenario}_scenario")
+            fleet = request.getfixturevalue(f"{scenario}_fleet")
+            for stand in [s for s, b in enumerate(fleet.b) if b > 0]:
+                b = list(fleet.b)
+                b[stand] -= 1
+                with pytest.raises(InfeasiblePlanError, match=f"^no idle bike at stand {stand} "):
+                    simulate(log, FleetPlan(b), SimConfig(seed=3))
+
+
+TOY_SCHEDULES = {
+    # a bike back at stand 0 at minute 5 leaves again at minute 5
+    "return-and-departure-in-one-minute": lambda: toy_log([(1, 0, 2, 3), (0, 1, 5, 3), (0, 1, 5, 1)], 2),
+    # the bike bound for stand 0 is back after the horizon, too late for the departure at 28
+    "return-after-the-horizon": lambda: toy_log([(1, 0, 25, 10), (0, 1, 28, 2)], 2, horizon=(0, 30)),
+    # stand 2 only receives bikes
+    "stand-with-no-departures": lambda: toy_log([(0, 2, 1, 3), (1, 2, 1, 2), (0, 1, 4, 1)], 3),
+}
+
+
+class TestServiceSchedule:
+    """A row finds b[origin] + net + 1 idle bikes at its origin, whatever bikes earlier rows took."""
+
+    @staticmethod
+    def assert_idle_counts(log, fleet):
+        for b in (fleet.b, [0] * log.num_stands, [count + 2 for count in fleet.b]):
+            idle = np.asarray(b, dtype=np.int64)[log.origin] + log.schedule.net + 1
+            assert idle.tolist() == idle_before_departure(log, b)
+
+    @pytest.mark.parametrize("scenario", ["small", "reference"])
+    def test_idle_counts_on_scenario(self, request, scenario):
+        _net, log = request.getfixturevalue(f"{scenario}_scenario")
+        self.assert_idle_counts(log, request.getfixturevalue(f"{scenario}_fleet"))
+
+    @pytest.mark.parametrize("name", sorted(TOY_SCHEDULES))
+    def test_idle_counts_on_toy_logs(self, name):
+        log = TOY_SCHEDULES[name]()
+        self.assert_idle_counts(log, initial_bike_counts(log))
+
+    def test_returns_by_end_minute_and_counted_by_start(self, small_scenario):
         _net, log = small_scenario
-        rng = np.random.default_rng(5)
-        stands_with_bikes = [s for s, b in enumerate(small_fleet.b) if b > 0]
-        for stand in rng.choice(stands_with_bikes, size=min(4, len(stands_with_bikes)), replace=False):
-            b = list(small_fleet.b)
-            b[stand] -= 1
-            with pytest.raises(InfeasiblePlanError):
-                simulate(log, FleetPlan(b), SimConfig(seed=3))
+        end = (log.start_min + log.duration_min).tolist()
+        assert log.schedule.returns.tolist() == sorted(range(len(end)), key=lambda i: (end[i], i))
+        ended_by_start = [sum(e <= start for e in end) for start in log.start_min.tolist()]
+        assert log.schedule.returned.tolist() == ended_by_start
+        assert log.schedule is log.schedule  # built once per log
 
 
 class TestSimulate:
@@ -213,6 +259,27 @@ class TestSimulate:
         log = toy_log([(0, 1, 3, 4)], num_stands=2)
         with pytest.raises(InfeasiblePlanError, match="stand 0"):
             simulate(log, FleetPlan([0, 0]), SimConfig(seed=0))
+
+    def test_infeasible_plan_names_the_first_short_row(self):
+        # stands 0 and 1 each lack a bike; stand 1 runs short first, at trip t2
+        log = toy_log([(1, 2, 1, 5), (0, 2, 2, 5), (1, 2, 3, 5), (0, 2, 4, 5)], num_stands=3)
+        assert initial_bike_counts(log).b == [2, 2, 0]
+        with pytest.raises(InfeasiblePlanError) as caught:
+            simulate(log, FleetPlan([1, 1, 0]), SimConfig(seed=0))
+        assert str(caught.value) == "no idle bike at stand 1 at minute 3 for trip t2"
+
+    def test_bad_log_or_plan_fails_before_any_draw(self, monkeypatch, small_scenario, small_fleet):
+        def no_draws(seed):
+            raise AssertionError("replay drew for a log or plan it must reject")
+
+        monkeypatch.setattr(fleet_sim, "_Draws", no_draws)
+        _net, log = small_scenario
+        b = list(small_fleet.b)
+        b[b.index(max(b))] -= 1
+        with pytest.raises(InfeasiblePlanError):
+            simulate(log, FleetPlan(b), SimConfig(seed=0))
+        with pytest.raises(MalformedInputError, match="lasts less than a minute"):
+            simulate(toy_log([(0, 1, 3, 0)], num_stands=2), FleetPlan([1, 1]), SimConfig(seed=0))
 
     def test_trip_under_a_minute_rejected(self):
         # a zero-minute trip would return its bike before taking it
