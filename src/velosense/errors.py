@@ -1,10 +1,12 @@
 """Exception types shared across the toolkit, and the one reader and writer of
 artifacts: every JSON artifact is read by `read_artifact` and written by
-`write_json`, every CSV table is written by `write_table`, and every integer
-or string column read from an artifact is checked by `int_column` or `str_column`."""
+`write_json`, every CSV table is written by `write_table`, every CSV input
+read by column name is split by `read_table`, and every integer or string
+column read from an artifact is checked by `int_column` or `str_column`."""
 
 import csv
 import json
+from collections.abc import Iterator
 from contextlib import contextmanager
 
 import numpy as np
@@ -41,10 +43,12 @@ class UndefinedScoreError(VeloSenseError):
 @contextmanager
 def blamed_on(path):
     """Prefix a malformed-input error raised while checking values read from `path`
-    with `path`, so the message names the input to fix."""
+    with `path`, so the message names the input to fix; a None `path` adds nothing."""
     try:
         yield
     except MalformedInputError as exc:
+        if path is None:
+            raise
         raise MalformedInputError(f"{path}: {exc}") from exc
 
 
@@ -95,6 +99,15 @@ def str_column(values, source, name) -> list[str]:
     if not isinstance(values, list) or not set(map(type, values)) <= {str}:
         raise MalformedInputError(f"{source}: {name} must be a list of strings")
     return values
+
+
+def read_table(source) -> tuple[dict[str, int], Iterator[list[str]]]:
+    """A CSV source's column index by header name and its rows, by the rules of
+    csv.DictReader: the first row is the header, a repeated name takes its last
+    column, and blank rows are skipped. The caller reads a field a row is too
+    short to hold as missing."""
+    reader = csv.reader(source)
+    return {name: i for i, name in enumerate(next(reader, []))}, filter(None, reader)
 
 
 def write_json(path, doc) -> None:

@@ -349,16 +349,35 @@ def write_summary(summary: list[SummaryRow], path) -> None:
     )
 
 
+def _integer(value, name: str) -> int:
+    """A JSON integer; a float, a string or a bool is not one."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _integers(values, name: str) -> list[int]:
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise TypeError(f"{name} must be a list of integers, got {values!r}")
+    return list(values)
+
+
+def _numbers(values, name: str) -> list[float]:
+    if not isinstance(values, list) or any(type(v) not in (int, float) for v in values):
+        raise TypeError(f"{name} must be a list of numbers, got {values!r}")
+    return [float(v) for v in values]
+
+
 # JSON key -> parser for every ExperimentSpec field besides the source; an
 # absent key takes the dataclass default
 _SPEC_FIELDS = {
-    "budgets": lambda v: [int(b) for b in v],
-    "deltas": lambda v: [float(d) for d in v],
-    "betas": lambda v: [float(b) for b in v],
-    "methods": tuple,
-    "replications": int,
-    "seed": int,
-    "coverage_runs": int,
+    "budgets": _integers,
+    "deltas": _numbers,
+    "betas": _numbers,
+    "methods": lambda values, _name: tuple(values),
+    "replications": _integer,
+    "seed": _integer,
+    "coverage_runs": _integer,
 }
 
 
@@ -382,7 +401,7 @@ def load_spec(doc: dict) -> ExperimentSpec:
     except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedInputError(f"bad experiment source: {exc}") from exc
     try:
-        fields = {key: parse(doc[key]) for key, parse in _SPEC_FIELDS.items() if key in doc}
+        fields = {key: parse(doc[key], key) for key, parse in _SPEC_FIELDS.items() if key in doc}
         return ExperimentSpec(source=source, **fields)
     except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedInputError(f"bad experiment config: {exc}") from exc

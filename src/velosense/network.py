@@ -6,7 +6,6 @@ at load time; ids found in input files are remapped in order of appearance.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import heapq
 import math
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedInputError, NoPathError
+from .errors import MalformedInputError, NoPathError, blamed_on, read_table
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -151,47 +150,69 @@ def _parse_id(text: str):
         return text
 
 
-def load_network(node_source, edge_source) -> RoadNetwork:
-    """Load a network from delimited text sources.
-
-    Node header: node_id,lat,lon.  Edge header: u,v[,length_m].
-    Sources are open text files or anything csv can iterate.
-    """
-    node_reader = csv.DictReader(node_source)
-    required = {"node_id", "lat", "lon"}
-    if node_reader.fieldnames is None or not required.issubset(node_reader.fieldnames):
-        raise MalformedInputError(f"node file must have columns {sorted(required)}")
+def _read_nodes(source) -> list[tuple]:
+    columns, rows = read_table(source)
+    if not columns.keys() >= {"node_id", "lat", "lon"}:
+        raise MalformedInputError("node file must have columns ['lat', 'lon', 'node_id']")
+    id_col, lat_col, lon_col = columns["node_id"], columns["lat"], columns["lon"]
+    width = max(id_col, lat_col, lon_col) + 1
     nodes = []
-    for row_no, row in enumerate(node_reader, start=1):
+    for row_no, row in enumerate(rows, start=1):
+        if len(row) < width:
+            raise MalformedInputError(f"node record {row_no} has {len(row)} fields, too few for its header")
         try:
-            nodes.append((_parse_id(row["node_id"]), float(row["lat"]), float(row["lon"])))
-        except (TypeError, ValueError) as exc:
+            nodes.append((_parse_id(row[id_col]), float(row[lat_col]), float(row[lon_col])))
+        except ValueError as exc:
             raise MalformedInputError(f"node record {row_no}: {exc}") from exc
+    return nodes
 
-    edge_reader = csv.DictReader(edge_source)
-    if edge_reader.fieldnames is None or not {"u", "v"}.issubset(edge_reader.fieldnames):
+
+def _read_edges(source) -> list[tuple]:
+    columns, rows = read_table(source)
+    if not columns.keys() >= {"u", "v"}:
         raise MalformedInputError("edge file must have columns ['u', 'v'] (length_m optional)")
-    has_length = "length_m" in (edge_reader.fieldnames or [])
+    u_col, v_col, len_col = columns["u"], columns["v"], columns.get("length_m", -1)
+    width = max(u_col, v_col) + 1
     edges = []
-    for row_no, row in enumerate(edge_reader, start=1):
-        raw_len = row.get("length_m") if has_length else None
+    for row_no, row in enumerate(rows, start=1):
+        if len(row) < width:
+            raise MalformedInputError(f"edge record {row_no} has {len(row)} fields, too few for its header")
+        raw_len = row[len_col] if 0 <= len_col < len(row) else ""
         length = None
-        if raw_len is not None and raw_len.strip() != "":
+        if raw_len.strip() != "":
             try:
                 length = float(raw_len)
             except ValueError as exc:
                 raise MalformedInputError(f"edge record {row_no}: bad length {raw_len!r}") from exc
-        edges.append((_parse_id(row["u"]), _parse_id(row["v"]), length))
+        edges.append((_parse_id(row[u_col]), _parse_id(row[v_col]), length))
+    return edges
 
-    return build_network(nodes, edges)
+
+def load_network(node_source, edge_source, names: tuple[str, str] | None = None) -> RoadNetwork:
+    """Load a network from delimited text sources.
+
+    Node header: node_id,lat,lon.  Edge header: u,v[,length_m].
+    Sources are open text files or anything csv can iterate, read by
+    errors.read_table. A row too short to hold node_id, lat and lon, or u and
+    v, is malformed and named by its record number; a missing or empty
+    length_m is filled in by build_network. Given the sources' `names`, an
+    error names the source it was found in, or both if it joins them.
+    """
+    node_name, edge_name = names or (None, None)
+    with blamed_on(node_name):
+        nodes = _read_nodes(node_source)
+    with blamed_on(edge_name):
+        edges = _read_edges(edge_source)
+    with blamed_on(names and " and ".join(names)):
+        return build_network(nodes, edges)
 
 
 def load_network_files(nodes_path, edges_path) -> RoadNetwork:
-    """load_network on the node and edge CSV files at two paths."""
+    """load_network on the node and edge CSV files at two paths, naming them."""
     with open(nodes_path, encoding="utf-8", newline="") as nf, open(
         edges_path, encoding="utf-8", newline=""
     ) as ef:
-        return load_network(nf, ef)
+        return load_network(nf, ef, (str(nodes_path), str(edges_path)))
 
 
 def nearest_node(net: RoadNetwork, lat: float, lon: float) -> int:
@@ -211,21 +232,20 @@ def nearest_node(net: RoadNetwork, lat: float, lon: float) -> int:
 
 def single_source_distances(net: RoadNetwork, root: int) -> np.ndarray:
     """Dijkstra distances in meters from `root` to every node (inf if unreachable)."""
-    dist = np.full(net.num_nodes, np.inf)
+    lengths = net.seg_length_m.tolist()
+    dist = [math.inf] * net.num_nodes
     dist[root] = 0.0
     heap = [(0.0, root)]
-    done = np.zeros(net.num_nodes, dtype=bool)
     while heap:
         d, u = heapq.heappop(heap)
-        if done[u]:
+        if d > dist[u]:  # u was settled from a shorter entry
             continue
-        done[u] = True
         for v, seg in net.adjacency[u]:
-            nd = d + net.seg_length_m[seg]
+            nd = d + lengths[seg]
             if nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
-    return dist
+    return np.array(dist)
 
 
 def _check_node(net: RoadNetwork, name: str, node: int) -> None:
@@ -233,9 +253,10 @@ def _check_node(net: RoadNetwork, name: str, node: int) -> None:
         raise MalformedInputError(f"{name} node {node} outside 0..{net.num_nodes - 1}")
 
 
-def path_along(net: RoadNetwork, dist: np.ndarray, origin: int, dest: int) -> Path:
+def path_along(net: RoadNetwork, lengths: list[float], dist: list[float], origin: int, dest: int) -> Path:
     """The path from `origin` to `dest` along tight edges of `dist`, the
-    Dijkstra distances rooted at `dest` (single_source_distances).
+    Dijkstra distances rooted at `dest` (single_source_distances), with
+    `lengths` the segment lengths; both are lists, as `.tolist()` gives them.
 
     Walks from `origin` greedily along tight edges (dist[u] == w + dist[v], an
     exact equality that holds bitwise for at least the relaxation parent),
@@ -246,28 +267,21 @@ def path_along(net: RoadNetwork, dist: np.ndarray, origin: int, dest: int) -> Pa
         raise NoPathError(f"node {dest} is unreachable from node {origin}")
     nodes = [origin]
     segments = []
-    lengths = []
+    seg_lengths = []
     total = 0.0
     u = origin
     while u != dest:
-        step = None
         for v, seg in net.adjacency[u]:  # sorted by neighbor id
-            if dist[u] == net.seg_length_m[seg] + dist[v]:
-                step = (v, seg)
+            if dist[u] == lengths[seg] + dist[v]:
                 break
-        if step is None:  # float drift left no exactly tight edge; take the tightest
-            step = min(
-                net.adjacency[u],
-                key=lambda vs: (net.seg_length_m[vs[1]] + dist[vs[0]], vs[0]),
-            )
-        v, seg = step
-        length = float(net.seg_length_m[seg])
-        nodes.append(v)
-        segments.append(seg)
-        lengths.append(length)
-        total += length
+        else:  # float drift left no exactly tight edge; take the tightest
+            v, seg = min(net.adjacency[u], key=lambda vs: (lengths[vs[1]] + dist[vs[0]], vs[0]))
         u = v
-    return Path(tuple(segments), tuple(nodes), tuple(lengths), total)
+        nodes.append(u)
+        segments.append(seg)
+        seg_lengths.append(lengths[seg])
+        total += lengths[seg]
+    return Path(tuple(segments), tuple(nodes), tuple(seg_lengths), total)
 
 
 def shortest_path(net: RoadNetwork, origin: int, dest: int) -> Path:
@@ -281,14 +295,15 @@ def shortest_path(net: RoadNetwork, origin: int, dest: int) -> Path:
     _check_node(net, "dest", dest)
     if origin == dest:
         return Path((), (origin,), (), 0.0)
-    return path_along(net, single_source_distances(net, dest), origin, dest)
+    dist = single_source_distances(net, dest).tolist()
+    return path_along(net, net.seg_length_m.tolist(), dist, origin, dest)
 
 
 def route_pairs(net: RoadNetwork, pairs) -> dict[tuple[int, int], Path]:
     """Shortest paths of many (origin, dest) node pairs, each equal to
     shortest_path(net, origin, dest), with one Dijkstra per distinct dest.
 
-    Only one distance array is live at a time, so memory stays O(nodes)
+    Only one distance list is live at a time, so memory stays O(nodes)
     however many pairs share a destination. Unreachable pairs are left out.
     """
     origins_of: dict[int, list[int]] = {}
@@ -296,12 +311,13 @@ def route_pairs(net: RoadNetwork, pairs) -> dict[tuple[int, int], Path]:
         _check_node(net, "origin", origin)
         _check_node(net, "dest", dest)
         origins_of.setdefault(dest, []).append(origin)
+    lengths = net.seg_length_m.tolist()
     paths = {}
     for dest, origins in origins_of.items():
-        dist = single_source_distances(net, dest)
+        dist = single_source_distances(net, dest).tolist()
         for origin in origins:
             try:
-                paths[(origin, dest)] = path_along(net, dist, origin, dest)
+                paths[(origin, dest)] = path_along(net, lengths, dist, origin, dest)
             except NoPathError:
                 pass
     return paths

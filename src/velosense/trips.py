@@ -11,7 +11,6 @@ routed trajectory.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -21,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MalformedInputError, int_column, read_artifact, str_column, write_json
+from .errors import MalformedInputError, int_column, read_artifact, read_table, str_column, write_json
 from .network import Path, RoadNetwork, nearest_node, network_sha256, route_pairs
 
 TRIPLOG_FORMAT = "velosense-triplog-v3"
@@ -151,13 +150,22 @@ class TripLog:
         bike returned at t can leave again at t; one returned past the horizon never does."""
         n = len(self.ids)
         minute = np.concatenate([self.start_min + self.duration_min, self.start_min])  # returns first
-        stand = np.concatenate([self.dest, self.origin])
-        by_time, order = np.argsort(minute, kind="stable"), np.lexsort((minute, stand))  # ties stay put
-        step = np.where(order < n, 1, -1)
-        balance = np.cumsum(step)
-        balance -= (balance - step)[np.searchsorted(stand[order], stand[order])]  # from its stand's first
-        net = balance[step < 0][np.argsort(order[step < 0])]
-        return ServiceSchedule(by_time[by_time < n], np.cumsum(by_time < n)[by_time >= n], net)
+        by_time = np.argsort(minute, kind="stable")  # ties stay put
+        is_return = by_time < n
+        returns, returned = by_time[is_return], np.cumsum(is_return)[~is_return]
+        del by_time, is_return  # each temporary goes once used: the peak is a few arrays of 2n
+        order = np.lexsort((minute, np.concatenate([self.dest, self.origin])))  # by stand, then as above
+        del minute
+        balance = np.cumsum(np.where(order < n, 1, -1))
+        departure = np.flatnonzero(order >= n)
+        row = order[departure] - n
+        del order
+        # a stand's balance counts from the events of the stands sorted before it
+        total = np.bincount(self.dest, minlength=self.num_stands)
+        total -= np.bincount(self.origin, minlength=self.num_stands)
+        net = np.empty(n, dtype=np.int64)
+        net[row] = balance[departure] - (np.cumsum(total) - total)[self.origin[row]]
+        return ServiceSchedule(returns, returned, net)
 
 
 def _parse_timestamp(text: str) -> datetime | None:
@@ -176,33 +184,40 @@ def _parse_timestamp(text: str) -> datetime | None:
 
 def parse_raw_trips(source) -> tuple[list[RawTrip], ParseReport]:
     """Parse a delimited trip file; rows with bad coordinates or timestamps are
-    dropped and counted, never fatal. Missing required columns are fatal."""
-    reader = csv.DictReader(source)
-    fields = reader.fieldnames or []
-    missing = [c for c in REQUIRED_TRIP_COLUMNS if c not in fields]
+    dropped and counted, never fatal. Missing required columns are fatal.
+
+    Rows follow read_table: blank rows are neither counted nor numbered in the
+    `row-N` ids of rows without a ride_id, a field a short row lacks is
+    missing, and extra fields are ignored.
+    """
+    columns, rows = read_table(source)
+    missing = [c for c in REQUIRED_TRIP_COLUMNS if c not in columns]
     if missing:
         raise MalformedInputError(f"trip file is missing columns {missing}")
-    has_ride_id = "ride_id" in fields
+    coord_cols = [columns[c] for c in ("start_lat", "start_lng", "end_lat", "end_lng")]
+    time_col, id_col = columns["started_at"], columns.get("ride_id")
+    width = max(*coord_cols, time_col, id_col or 0) + 1
 
-    report = ParseReport()
+    missing_coords = bad_timestamp = 0
     trips: list[RawTrip] = []
-    for row_no, row in enumerate(reader, start=1):
-        report.rows_read += 1
+    for row_no, row in enumerate(rows, start=1):
+        if len(row) < width:
+            row += [None] * (width - len(row))
         try:
-            coords = [float(row[c]) for c in ("start_lat", "start_lng", "end_lat", "end_lng")]
-            if not all(math.isfinite(c) for c in coords):
+            s_lat, s_lon, e_lat, e_lon = coords = [float(row[c]) for c in coord_cols]
+            if not all(map(math.isfinite, coords)):
                 raise ValueError
         except (TypeError, ValueError):
-            report.missing_coords += 1
+            missing_coords += 1
             continue
-        started = _parse_timestamp(row["started_at"] or "")
+        started = _parse_timestamp(row[time_col] or "")
         if started is None:
-            report.bad_timestamp += 1
+            bad_timestamp += 1
             continue
-        trip_id = row["ride_id"] if has_ride_id and row["ride_id"] else f"row-{row_no}"
-        trips.append(RawTrip(trip_id, started, coords[0], coords[1], coords[2], coords[3]))
-        report.kept += 1
-    return trips, report
+        trip_id = row[id_col] if id_col is not None and row[id_col] else f"row-{row_no}"
+        trips.append(RawTrip(trip_id, started, s_lat, s_lon, e_lat, e_lon))
+    rows_read = len(trips) + missing_coords + bad_timestamp
+    return trips, ParseReport(rows_read, len(trips), missing_coords, bad_timestamp)
 
 
 def clean_trips(
@@ -222,8 +237,11 @@ def clean_trips(
     its start stand, so a bike is never idle before it physically arrives.
     Stand ids are assigned in ascending snapped-node order, so they do not
     depend on row order. Routing runs one Dijkstra per distinct destination
-    (network.route_pairs), and trips of one (origin, dest) pair share one entry
-    of the path table, which lists paths in order of first use.
+    (network.route_pairs). Trips of one (origin node, dest node) pair share
+    their path, so their drop reason, stands and duration are worked out once
+    per pair, and they share one entry of the path table, which lists paths in
+    order of first use; a path starts at its origin and ends at its dest, so
+    distinct pairs are distinct paths.
     """
     t0, t_end = window
     if not (t0 < t_end and 0 < speed_kmh < math.inf):  # load_triplog rejects any other header
@@ -253,39 +271,44 @@ def clean_trips(
     stand_of_node = {node: i for i, node in enumerate(stand_nodes)}
     stands = [Stand(i, node) for i, node in enumerate(stand_nodes)]
 
-    in_window = []  # (raw trip, start minute, origin node, dest node)
+    in_window = []  # (start minute, trip id, (origin node, dest node)) per trip
     for rt in same_day:
         start_min = rt.start_time.hour * 60 + rt.start_time.minute
         if not t0 <= start_min <= t_end:
             drops["window"] += 1
             continue
-        in_window.append(
-            (rt, start_min, snap[(rt.start_lat, rt.start_lon)], snap[(rt.end_lat, rt.end_lon)])
-        )
+        pair = (snap[(rt.start_lat, rt.start_lon)], snap[(rt.end_lat, rt.end_lon)])
+        in_window.append((start_min, rt.id, pair))
 
-    paths = route_pairs(net, ((o_node, d_node) for _rt, _start, o_node, d_node in in_window))
-    in_window.sort(key=lambda row: row[1])  # service order; stable: ties keep input order
-    table: dict[Path, int] = {}  # each distinct path once, in order of first use
-    kept = []  # one (id, origin, dest, start_min, duration_min, path) per trip row
-    for rt, start_min, o_node, d_node in in_window:
-        path = paths.get((o_node, d_node))
-        if path is None:
-            drops["unreachable"] += 1
+    paths = route_pairs(net, dict.fromkeys(pair for _start, _id, pair in in_window))
+    in_window.sort(key=lambda row: row[0])  # service order; stable: ties keep input order
+    table: list[Path] = []  # each kept pair's path once, in order of first use
+    fate: dict[tuple[int, int], str | tuple] = {}  # drop reason, or (origin, dest, duration, path index)
+    kept = []  # one (id, origin, dest, start_min, duration_min, path index) per kept trip
+    for start_min, trip_id, pair in in_window:
+        if pair not in fate:
+            path = paths.get(pair)
+            if path is None:
+                fate[pair] = "unreachable"
+            elif path.distance_m < min_m:
+                fate[pair] = "too_short"
+            elif path.distance_m > max_m:
+                fate[pair] = "too_long"
+            else:
+                duration = max(1, math.ceil(path.distance_m / speed_m_per_min))
+                fate[pair] = (stand_of_node[pair[0]], stand_of_node[pair[1]], duration, len(table))
+                table.append(path)
+        outcome = fate[pair]
+        if isinstance(outcome, str):
+            drops[outcome] += 1
             continue
-        if path.distance_m < min_m:
-            drops["too_short"] += 1
-            continue
-        if path.distance_m > max_m:
-            drops["too_long"] += 1
-            continue
-        duration = max(1, math.ceil(path.distance_m / speed_m_per_min))
-        o_stand, d_stand = stand_of_node[o_node], stand_of_node[d_node]
-        kept.append((rt.id, o_stand, d_stand, start_min, duration, table.setdefault(path, len(table))))
+        o_stand, d_stand, duration, path_idx = outcome
+        kept.append((trip_id, o_stand, d_stand, start_min, duration, path_idx))
 
     ids, *columns = zip(*kept) if kept else [()] * 6
     columns = [np.array(column, dtype=np.int64) for column in columns]
     return TripLog(
-        list(ids), *columns, list(table), stands, window, speed_m_per_min, drops, network_sha256(net)
+        list(ids), *columns, table, stands, window, speed_m_per_min, drops, network_sha256(net)
     )
 
 

@@ -6,11 +6,13 @@ branch and bound, direct set unions instead of interval scoring. Keep these
 free of calls into the production modules they are used to verify.
 """
 
+import csv
 import heapq
 import itertools
 import math
 from bisect import insort
 from collections import Counter
+from datetime import datetime
 
 import numpy as np
 
@@ -121,6 +123,52 @@ def rank_correlation(xs, ys):
     vx = math.sqrt(sum((a - mx) ** 2 for a in rx))
     vy = math.sqrt(sum((b - my) ** 2 for b in ry))
     return cov / (vx * vy)
+
+
+def _timestamp_or_none(text):
+    text = text.strip()
+    try:
+        return datetime.fromisoformat(text)
+    except ValueError:
+        pass
+    for fmt in ("%Y-%m-%d %H:%M:%S", "%Y-%m-%dT%H:%M:%S", "%m/%d/%Y %H:%M"):
+        try:
+            return datetime.strptime(text, fmt)
+        except ValueError:
+            continue
+    return None
+
+
+def parse_trips_by_dict(source):
+    """A trip file read row by row through csv.DictReader, with a timestamp parse
+    per row: the reference for trips.parse_raw_trips. Returns one (id, start
+    time, start lat, start lon, end lat, end lon) tuple per kept row and the
+    report's counts, or raises ValueError on missing columns."""
+    reader = csv.DictReader(source)
+    fields = reader.fieldnames or []
+    required = ("started_at", "start_lat", "start_lng", "end_lat", "end_lng")
+    if any(c not in fields for c in required):
+        raise ValueError("trip file is missing columns")
+    has_ride_id = "ride_id" in fields
+    report = {"rows_read": 0, "kept": 0, "missing_coords": 0, "bad_timestamp": 0}
+    trips = []
+    for row_no, row in enumerate(reader, start=1):
+        report["rows_read"] += 1
+        try:
+            coords = [float(row[c]) for c in ("start_lat", "start_lng", "end_lat", "end_lng")]
+            if not all(math.isfinite(c) for c in coords):
+                raise ValueError
+        except (TypeError, ValueError):
+            report["missing_coords"] += 1
+            continue
+        started = _timestamp_or_none(row["started_at"] or "")
+        if started is None:
+            report["bad_timestamp"] += 1
+            continue
+        trip_id = row["ride_id"] if has_ride_id and row["ride_id"] else f"row-{row_no}"
+        trips.append((trip_id, started, *coords))
+        report["kept"] += 1
+    return trips, report
 
 
 def traversal_times(trip, speed_m_per_min):

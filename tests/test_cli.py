@@ -589,6 +589,25 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "nodes, edges, record",
+        [
+            ("node_id,lat,lon\n0,40.7,-74.0\n1,40.7,-73.999\n", "u,v,length_m\n0,1,100.0\n1\n", "edge record 2"),
+            ("lat,lon,node_id\n40.7,-74.0,0\n\n40.7,-73.999\n", "u,v,length_m\n0,1,100.0\n", "node record 2"),
+        ],
+        ids=["edge-row-without-v", "node-row-without-node_id"],
+    )
+    def test_short_network_row_is_2(self, tmp_path, capsys, nodes, edges, record):
+        (tmp_path / "nodes.csv").write_text(nodes)
+        (tmp_path / "edges.csv").write_text(edges)
+        (tmp_path / "trips.csv").write_text("started_at,start_lat,start_lng,end_lat,end_lng\n")
+        inputs = {name: str(tmp_path / f"{name}.csv") for name in ("nodes", "edges", "trips")}
+        argv = ["ingest", *(arg for name, path in inputs.items() for arg in (f"--{name}", path))]
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        bad = inputs["edges" if record.startswith("edge") else "nodes"]
+        assert err.startswith(f"error: {bad}: {record} has ") and "too few for its header" in err
+
     def test_missing_file_is_2(self, tmp_path):
         code = main(
             ["fleet", "--triplog", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path)]
@@ -622,10 +641,20 @@ class TestExitCodes:
             ('"deltas": [0.123]', "delta_h=0.123 is not a whole number of minutes"),
             ('"budgets": [0]', "budget must be >= 1, got 0"),
             ('"deltas": [1e400]', "delta_h=inf is not a whole number of minutes"),
-            ('"budgets": [1e400]', "cannot convert float infinity to integer"),
+            ('"budgets": [1e400]', "budgets must be a list of integers, got [inf]"),
+            ('"budgets": [2.7]', "budgets must be a list of integers, got [2.7]"),
+            ('"replications": 2.5', "replications must be an integer, got 2.5"),
+            ('"budgets": "12"', "budgets must be a list of integers, got '12'"),
+            ('"seed": 1.9', "seed must be an integer, got 1.9"),
+            ('"coverage_runs": "3"', "coverage_runs must be an integer, got '3'"),
+            ('"betas": [true]', "betas must be a list of numbers, got [True]"),
+            ('"seed": true', "seed must be an integer, got True"),
+            ('"deltas": ["16"]', "deltas must be a list of numbers, got ['16']"),
         ],
         ids=["beta-above-one", "no-coverage-runs", "delta-not-whole-minutes", "budget-zero",
-             "delta-infinite", "budget-infinite"],
+             "delta-infinite", "budget-infinite", "budget-fraction", "replications-fraction",
+             "budgets-a-string", "seed-fraction", "coverage-runs-a-string", "beta-bool", "seed-bool",
+             "delta-a-string"],
     )
     def test_bad_experiment_config_is_2_at_load(self, tmp_path, capsys, monkeypatch, entry, message):
         import velosense.harness as harness

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from velosense.fleet_sim import (
     simulate,
 )
 from velosense.network import Path
-from velosense.trips import Stand, Trip, TripEvents
+from velosense.trips import Stand, Trip, TripEvents, clean_trips
 
 from oracles import (
     idle_before_departure,
@@ -131,6 +132,23 @@ class TestServiceSchedule:
         ended_by_start = [sum(e <= start for e in end) for start in log.start_min.tolist()]
         assert log.schedule.returned.tolist() == ended_by_start
         assert log.schedule is log.schedule  # built once per log
+
+    def test_peak_memory_is_a_few_arrays(self):
+        """Building the schedule keeps at most 6.5 arrays of 2 x trips int64 alive
+        at once, each temporary dropped once used."""
+        from velosense.synth import SynthConfig, generate
+
+        net, raw = generate(SynthConfig(grid_w=10, grid_h=10, block_m=250.0, stand_count=20, trips=3000, seed=7))
+        log = clean_trips(raw, net)
+        array = 2 * len(log.ids) * 8
+        tracemalloc.start()
+        try:
+            schedule = log.schedule
+            _kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(log.ids) == 3000 and peak < 6.5 * array
+        assert [len(column) for column in schedule] == [3000] * 3
 
 
 class TestSimulate:

@@ -79,6 +79,19 @@ class TestLoadNetwork:
         with pytest.raises(MalformedInputError, match="column"):
             load_network(csv_io(node_csv), csv_io("a,b\n"))
 
+    def test_error_names_the_source_it_was_found_in(self):
+        node_csv = "node_id,lat,lon\n0,40.0,-74.0\n1,40.0,-73.999\n"
+        names = ("n.csv", "e.csv")
+        with pytest.raises(MalformedInputError, match=r"^edge record 1 has 1 fields"):
+            load_network(csv_io(node_csv), csv_io("u,v\n0\n"))
+        with pytest.raises(MalformedInputError, match=r"^n\.csv: node record 1 has 2 fields"):
+            load_network(csv_io("node_id,lat,lon\n0,40.0\n"), csv_io("u,v\n"), names)
+        with pytest.raises(MalformedInputError, match=r"^e\.csv: edge record 1 has 1 fields"):
+            load_network(csv_io(node_csv), csv_io("u,v\n0\n"), names)
+        # an unknown endpoint joins the two files, so both are named
+        with pytest.raises(MalformedInputError, match=r"^n\.csv and e\.csv: edge record 1: unknown endpoint"):
+            load_network(csv_io(node_csv), csv_io("u,v\n0,7\n"), names)
+
 
 class TestNearestNode:
     def test_exact_coordinates(self):

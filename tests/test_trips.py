@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 from dataclasses import replace
@@ -15,7 +16,7 @@ from velosense.trips import (
     save_triplog,
 )
 
-from oracles import traversal_times
+from oracles import parse_trips_by_dict, traversal_times
 
 CITI_HEADER = (
     "ride_id,rideable_type,started_at,ended_at,start_station_name,start_station_id,"
@@ -79,6 +80,75 @@ class TestParse:
     def test_missing_columns_fatal(self):
         with pytest.raises(MalformedInputError, match="missing columns"):
             parse_raw_trips(io.StringIO("started_at,start_lat\n"))
+
+
+HEADER = "ride_id,started_at,start_lat,start_lng,end_lat,end_lng"
+
+# Trip files covering every row rule of the reader; each parses as csv.DictReader reads it.
+MESSY_TRIP_FILES = {
+    "mixed": "\n".join([
+        HEADER,
+        "a1,2024-03-01 06:30:00,40.0,-74.0,40.0,-73.99",
+        "",
+        "a2,2024-03-01T06:31:00,40.001,-74.0,40.0,-73.99",
+        ",03/01/2024 06:32,40.0,-74.0,40.0,-73.99",
+        "a4,2024-03-01 06:33:03.123456,40.0,-74.0,40.0,-73.99,extra,fields",
+        "a5,  2024-03-01 06:34:00 , 40.0 ,-74.0,\t40.0,-73.99 ",
+        "a6,2024-03-01 06:35:00,nan,-74.0,40.0,-73.99",
+        "a7,2024-03-01 06:36:00,40.0,-inf,40.0,-73.99",
+        "a8,2024-03-01 06:37:00,1_000.5,-74.0,40.0,-7_3.99",
+        "a9,2024-03-01 06:38:00,40.0,-74.0",
+        "a10,2024-03-01 06:39:00",
+        "a11",
+        " ",
+        "a12,not a time,40.0,-74.0,40.0,-73.99",
+        "a13,,40.0,-74.0,40.0,-73.99",
+        ",2024-03-01 06:40:00,40.0,-74.0,40.0,-73.99",
+        '"a,14","2024-03-01 06:41:00","40.0",-74.0,40.0,-73.99',
+        "a15,2024-03-01 06:42,40.0,-74.0,40.0,-73.99",
+        "a16,2024-13-01 06:43:00,40.0,-74.0,40.0,-73.99",
+        "",
+        "",
+    ]),
+    "repeated-name": "\n".join([
+        HEADER + ",start_lat,ride_id",
+        "a1,2024-03-01 06:30:00,1.0,-74.0,40.0,-73.99,40.5,b1",
+        "a2,2024-03-01 06:31:00,1.0,-74.0,40.0,-73.99,40.5",
+        "a3,2024-03-01 06:32:00,1.0,-74.0,40.0,-73.99,40.5,",
+        "a4,2024-03-01 06:33:00,1.0,-74.0,40.0,-73.99,oops,b4",
+    ]) + "\n",
+    "no-ride-id": "\r\n".join([
+        "end_lng,end_lat,start_lng,start_lat,started_at",
+        "",
+        "-73.99,40.0,-74.0,40.0,2024-03-01 06:30:00",
+        "-73.99,40.0,-74.0,40.0",
+        "",
+        "-73.99,40.0,-74.0,40.0,2024-03-01 06:31:00",
+    ]) + "\r\n\r\n",
+    "header-only": HEADER + "\n\n\n",
+    "empty": "",
+    "blank-first-line": "\n" + HEADER + "\na1,2024-03-01 06:30:00,40.0,-74.0,40.0,-73.99\n",
+}
+
+
+class TestParseMatchesRowByRowReader:
+    @pytest.mark.parametrize("name", sorted(MESSY_TRIP_FILES))
+    def test_trips_and_report_equal_to_the_reference(self, name):
+        text = MESSY_TRIP_FILES[name]
+        try:
+            expected, counts = parse_trips_by_dict(io.StringIO(text))
+        except ValueError:
+            with pytest.raises(MalformedInputError, match="missing columns"):
+                parse_raw_trips(io.StringIO(text))
+            return
+        trips, report = parse_raw_trips(io.StringIO(text))
+        got = [(t.id, t.start_time, t.start_lat, t.start_lon, t.end_lat, t.end_lon) for t in trips]
+        assert repr(got) == repr(expected)  # repr tells -0.0 from 0.0, which == does not
+        assert report.as_dict() == counts
+
+    def test_corpus_reaches_every_outcome(self):
+        _trips, counts = parse_trips_by_dict(io.StringIO(MESSY_TRIP_FILES["mixed"]))
+        assert counts == {"rows_read": 18, "kept": 9, "missing_coords": 6, "bad_timestamp": 3}
 
 
 class TestClean:
@@ -319,3 +389,27 @@ class TestSerialization:
             for trip in each.trips:
                 assert by_pair.setdefault((trip.origin, trip.dest), trip.path) is trip.path
             assert len({id(trip.path) for trip in each.trips}) == len(by_pair) < len(each.trips)
+
+
+class TestGolden:
+    """save_triplog(clean_trips(...)) is pinned byte for byte: parsing, routing
+    and cleaning may change how they work, not what they write."""
+
+    @staticmethod
+    def triplog_sha256(log, tmp_path):
+        save_triplog(log, tmp_path / "triplog.json")
+        return hashlib.sha256((tmp_path / "triplog.json").read_bytes()).hexdigest()
+
+    def test_reference_fixture(self, reference_scenario, tmp_path):
+        _net, log = reference_scenario
+        assert self.triplog_sha256(log, tmp_path) == (
+            "251d71bced911c8345c75113d40321907298b8b6ec028261d946603aac6bac4f"
+        )
+
+    def test_seed_5_chain(self, tmp_path):
+        from velosense.synth import SynthConfig, generate
+
+        net, raw = generate(SynthConfig(grid_w=16, grid_h=16, block_m=150.0, stand_count=30, trips=4000, seed=5))
+        assert self.triplog_sha256(clean_trips(raw, net), tmp_path) == (
+            "8738995a69b138106f69df3e8dd718467dac5466c06022ead13961f83c081534"
+        )
