@@ -207,6 +207,8 @@ def cmd_experiment(args) -> int:
     doc = read_json(args.config)
     try:
         spec = harness.load_spec(doc)
+        if args.mode == "sensor-requirement":
+            harness.requirement_beta(spec)  # refused here, before any routing
     except MalformedInputError as exc:
         raise MalformedInputError(f"{args.config}: {exc}") from exc
     if "seed" not in doc:

@@ -4,31 +4,26 @@ Composes the pipeline (ingest or synthesize, clean, size the fleet, estimate
 visit probabilities, allocate sensors, replay, score) over sweeps of sensor
 budget, sensing interval, and guidance acceptance, with replications.
 
-Two compute savings fall out of the model structure and are exploited here:
-unguided replays do not depend on which bikes carry sensors, so one beta=0
-replay per replication serves every method and budget; and the sensing
-interval enters only at scoring time, so each replay is scored once per
-interval instead of re-simulated.
+Every mode starts from one study (`_Study`): the data prepared, p estimated
+and the allocation instance built once, and one greedy plan per budget.
+Unguided replays do not depend on which bikes carry sensors, so one beta=0
+replay per replication serves every method, budget and interval; guided
+replays are not kept (see `Evaluator`). The sensing interval enters only at
+scoring time, so a pipeline run scores each replay at every interval.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from .allocation import (
-    MilpInstance,
-    build_instance,
-    greedy_order,
-    random_allocation,
-    solve_greedy,
-)
+from .allocation import MilpInstance, build_instance, greedy_order, random_allocation, solve_greedy
 from .coverage_model import estimate_probabilities, mean_coverage
 from .errors import ConfigInfeasibleError, MalformedInputError, write_table
-from .fleet_sim import (
-    FleetPlan, Replay, SimConfig, check_beta, equipped_set, initial_bike_counts, simulate,
-)
+from .fleet_sim import FleetPlan, Replay, SimConfig, check_beta, equipped_set, initial_bike_counts, simulate
 from .metrics import IntervalGrid, coverage_counts, interval_minutes, sensing_score
 from .network import RoadNetwork, load_network_files
 from .synth import SynthConfig, generate
@@ -78,6 +73,9 @@ class ExperimentSpec:
             check_beta(beta)
         for delta_h in self.deltas:
             interval_minutes(delta_h)
+        for name, values in (("budgets", self.budgets), ("deltas", self.deltas), ("betas", self.betas)):
+            if len(set(values)) < len(values):  # by value: 4 and 4.0 repeat
+                raise ValueError(f"{name} must not repeat, got {values}")
         unknown = [m for m in self.methods if m not in ALL_METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {ALL_METHODS}")
@@ -125,34 +123,28 @@ def prepare(spec: ExperimentSpec) -> PreparedData:
 
 
 class Evaluator:
-    """Caches replays and scores them at requested intervals.
+    """Replays the fleet and scores replays at requested intervals.
 
-    Unguided replays (beta == 0) ignore the equipped set, so one per
-    replication is kept and shared across methods and budgets. Guided
-    replays are only ever re-read while scoring the same sweep cell at
-    several intervals, so a single slot suffices and keeps memory flat.
+    Only unguided replays (beta == 0) are kept, one per replication: they
+    ignore the equipped set, so each serves every method, budget and
+    interval. Guided replays are not kept: run_pipeline scores each at every
+    interval when made, and sensor_requirement asks for one again only after
+    other replays. A one-replay slot hit none of the guided requests of a
+    pipeline run, a beta sweep or a 3-replication requirement search.
     """
 
     def __init__(self, data: PreparedData, seed: int):
         self.data = data
         self.seed = seed
         self._unguided: dict[int, Replay] = {}
-        self._guided_key: tuple | None = None
-        self._guided: Replay | None = None
 
     def trajectories(self, rep: int, beta: float, equipped: frozenset[int]) -> Replay:
-        if beta == 0.0:
-            trajs = self._unguided.get(rep)
-            if trajs is None:
-                cfg = SimConfig(seed=self.seed + _SIM_SEED_OFFSET + rep)
-                trajs = self._unguided[rep] = simulate(self.data.log, self.data.fleet, cfg)
-            return trajs
-        key = (rep, beta, equipped)
-        if key != self._guided_key:
-            cfg = SimConfig(seed=self.seed + _SIM_SEED_OFFSET + rep, beta=beta, equipped=equipped)
-            self._guided_key = key
-            self._guided = simulate(self.data.log, self.data.fleet, cfg)
-        return self._guided
+        seed = self.seed + _SIM_SEED_OFFSET + rep
+        if beta != 0.0:
+            return simulate(self.data.log, self.data.fleet, SimConfig(seed, beta, equipped))
+        if rep not in self._unguided:
+            self._unguided[rep] = simulate(self.data.log, self.data.fleet, SimConfig(seed))
+        return self._unguided[rep]
 
     def phi(self, trajs: Replay, equipped: frozenset[int], delta_h: float) -> float:
         grid = IntervalGrid(*self.data.log.horizon, delta_h)
@@ -160,16 +152,35 @@ class Evaluator:
         return sensing_score(counts, self.data.net.seg_length_m, grid)
 
 
-def _allocation_for(
-    method: str, inst: MilpInstance, greedy_plan, rep: int, seed: int
-):
-    if method == METHOD_RANDOM:
-        return random_allocation(inst, seed + _RAND_ALLOC_SEED_OFFSET + rep)
-    return greedy_plan
+class _Study:
+    """The prelude every mode shares: prepared data, an Evaluator, the
+    allocation instance at the whole fleet, and one greedy equipped set per
+    budget. A budget only changes the instance's budget, and its greedy
+    rounds are a prefix of those at `top_budget` (default: the fleet), so
+    the rounds run once, at the first greedy request.
+    """
 
+    def __init__(self, spec: ExperimentSpec, top_budget: int | None = None):
+        self.data = data = prepare(spec)
+        sample = mean_coverage(data.log, data.fleet, runs=spec.coverage_runs, seed=spec.seed)
+        matrix = estimate_probabilities(sample, data.fleet)
+        self.ev = Evaluator(data, spec.seed)
+        self.inst = build_instance(matrix, data.net, data.fleet, sum(data.fleet.b))
+        self._top = self.inst if top_budget is None else self.at(top_budget)
+        self._greedy: dict[int, frozenset[int]] = {}
 
-def _betas_for(method: str, spec: ExperimentSpec) -> list[float]:
-    return list(spec.betas) if method == METHOD_ACTIVE else [0.0]
+    def at(self, budget: int) -> MilpInstance:
+        return replace(self.inst, budget=min(budget, self.inst.budget))
+
+    @cached_property
+    def _order(self) -> list[int]:
+        return greedy_order(self._top)
+
+    def greedy(self, budget: int) -> frozenset[int]:
+        if budget not in self._greedy:
+            plan = solve_greedy(self.at(budget), self._order)
+            self._greedy[budget] = equipped_set(self.data.fleet, plan.n)
+        return self._greedy[budget]
 
 
 def run_pipeline(spec: ExperimentSpec) -> tuple[list[ResultRow], list[SummaryRow]]:
@@ -178,39 +189,22 @@ def run_pipeline(spec: ExperimentSpec) -> tuple[list[ResultRow], list[SummaryRow
     Returns per-replication rows in deterministic order plus mean/stdev
     summaries per (method, budget, interval, beta) cell.
     """
-    data = prepare(spec)
-    sample = mean_coverage(data.log, data.fleet, runs=spec.coverage_runs, seed=spec.seed)
-    matrix = estimate_probabilities(sample, data.fleet)
-    ev = Evaluator(data, spec.seed)
-
-    # budgets only change the instance's budget, and each greedy plan's
-    # rounds are a prefix of the rounds at the largest one
-    total = sum(data.fleet.b)
-    top = build_instance(matrix, data.net, data.fleet, max(spec.budgets))
-    greedy = METHOD_OPTIMIZED in spec.methods or METHOD_ACTIVE in spec.methods
-    order = greedy_order(top) if greedy else None
-
+    study = _Study(spec, max(spec.budgets))
     rows: list[ResultRow] = []
     for budget in spec.budgets:
-        inst = replace(top, budget=min(budget, total))
-        greedy_plan = solve_greedy(inst, order) if greedy else None
         for method in spec.methods:
-            for beta in _betas_for(method, spec):
+            for beta in spec.betas if method == METHOD_ACTIVE else [0.0]:
                 for rep in range(spec.replications):
-                    alloc = _allocation_for(method, inst, greedy_plan, rep, spec.seed)
-                    equipped = equipped_set(data.fleet, alloc.n)
-                    trajs = ev.trajectories(rep, beta, equipped)
-                    for delta_h in spec.deltas:
-                        rows.append(
-                            ResultRow(
-                                method,
-                                budget,
-                                delta_h,
-                                beta,
-                                rep,
-                                ev.phi(trajs, equipped, delta_h),
-                            )
-                        )
+                    if method == METHOD_RANDOM:
+                        alloc = random_allocation(study.at(budget), spec.seed + _RAND_ALLOC_SEED_OFFSET + rep)
+                        equipped = equipped_set(study.data.fleet, alloc.n)
+                    else:
+                        equipped = study.greedy(budget)
+                    trajs = study.ev.trajectories(rep, beta, equipped)
+                    rows.extend(
+                        ResultRow(method, budget, delta_h, beta, rep, study.ev.phi(trajs, equipped, delta_h))
+                        for delta_h in spec.deltas
+                    )
     rows.sort(key=lambda r: (ALL_METHODS.index(r.method), r.budget, r.delta_h, r.beta, r.rep))
     return rows, summarize(rows)
 
@@ -241,23 +235,15 @@ class BetaGain:
 def beta_sweep(spec: ExperimentSpec) -> tuple[list[ResultRow], list[SummaryRow], list[BetaGain]]:
     """Sweep guidance acceptance with optimized allocation; report the mean
     score gain of each beta step."""
-    sweep = replace(spec, betas=sorted(spec.betas), methods=(METHOD_ACTIVE,))
-    rows, summary = run_pipeline(sweep)
-    means = {(s.budget, s.delta_h, s.beta): s.mean_phi_pct for s in summary}
-    gains = []
     betas = sorted(spec.betas)
-    for budget in spec.budgets:
-        for delta_h in spec.deltas:
-            for lo, hi in zip(betas, betas[1:]):
-                gains.append(
-                    BetaGain(
-                        budget,
-                        delta_h,
-                        lo,
-                        hi,
-                        means[(budget, delta_h, hi)] - means[(budget, delta_h, lo)],
-                    )
-                )
+    rows, summary = run_pipeline(replace(spec, betas=betas, methods=(METHOD_ACTIVE,)))
+    means = {(s.budget, s.delta_h, s.beta): s.mean_phi_pct for s in summary}
+    gains = [
+        BetaGain(budget, delta_h, lo, hi, means[(budget, delta_h, hi)] - means[(budget, delta_h, lo)])
+        for budget in spec.budgets
+        for delta_h in spec.deltas
+        for lo, hi in zip(betas, betas[1:])
+    ]
     return rows, summary, gains
 
 
@@ -270,65 +256,49 @@ class RequirementRow:
     monotone_ok: bool
 
 
+def requirement_beta(spec: ExperimentSpec) -> float:
+    """The one beta a sensor-requirement search schedules with."""
+    if len(spec.betas) != 1:
+        raise MalformedInputError(f"sensor-requirement takes one beta, got {spec.betas}")
+    return spec.betas[0]
+
+
 def sensor_requirement(spec: ExperimentSpec, target_phi_pct: float) -> list[RequirementRow]:
     """Smallest budget whose mean score reaches the target, per interval.
 
     Binary search over the budget using greedy allocation; assumes the mean
     score is non-decreasing in budget and reports whether the points actually
-    evaluated were monotone. Uses the first beta in the spec for scheduling.
+    evaluated were monotone. Schedules with the spec's one beta and ignores
+    its budgets and methods.
     """
-    data = prepare(spec)
-    sample = mean_coverage(data.log, data.fleet, runs=spec.coverage_runs, seed=spec.seed)
-    matrix = estimate_probabilities(sample, data.fleet)
-    ev = Evaluator(data, spec.seed)
-    beta = spec.betas[0]
-    max_budget = sum(data.fleet.b)
-    # budgets only change the instance's budget; an empty fleet never solves one
-    inst = build_instance(matrix, data.net, data.fleet, max_budget) if max_budget else None
-    order = greedy_order(inst) if max_budget else []  # every budget's rounds are its prefix
-    plans: dict[int, frozenset[int]] = {}  # budget -> greedy equipped set, shared by intervals
-
-    def equipped_at(budget: int) -> frozenset[int]:
-        if budget not in plans:
-            plan = solve_greedy(replace(inst, budget=budget), order)
-            plans[budget] = equipped_set(data.fleet, plan.n)
-        return plans[budget]
-
+    beta = requirement_beta(spec)
+    study = _Study(spec)
+    if target_phi_pct <= 0.0:
+        return [RequirementRow(delta_h, target_phi_pct, 0, 0.0, True) for delta_h in spec.deltas]
+    ev, fleet_size = study.ev, study.inst.budget
     out = []
     for delta_h in spec.deltas:
-        memo: dict[int, float] = {}
+        memo = {0: 0.0}  # budget -> mean score at this interval; no sensors score 0
 
         def mean_phi(budget: int) -> float:
-            if budget in memo:
-                return memo[budget]
-            if budget == 0:
-                memo[0] = 0.0
-                return 0.0
-            equipped = equipped_at(budget)
-            phis = [
-                ev.phi(ev.trajectories(rep, beta, equipped), equipped, delta_h)
-                for rep in range(spec.replications)
-            ]
-            memo[budget] = float(np.mean(phis))
+            if budget not in memo:
+                equipped = study.greedy(budget)
+                phis = [
+                    ev.phi(ev.trajectories(rep, beta, equipped), equipped, delta_h)
+                    for rep in range(spec.replications)
+                ]
+                memo[budget] = float(np.mean(phis))
             return memo[budget]
 
-        if target_phi_pct <= 0.0:
-            out.append(RequirementRow(delta_h, target_phi_pct, 0, 0.0, True))
-            continue
-        top = mean_phi(max_budget)
+        top = mean_phi(fleet_size)
         if top < target_phi_pct:
             out.append(RequirementRow(delta_h, target_phi_pct, None, top, True))
             continue
-        lo, hi = 0, max_budget
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if mean_phi(mid) >= target_phi_pct:
-                hi = mid
-            else:
-                lo = mid + 1
+        # the fleet is known to reach the target, so the search runs over 0 .. fleet - 1
+        found = bisect_left(range(fleet_size), True, key=lambda budget: mean_phi(budget) >= target_phi_pct)
         evaluated = sorted(memo.items())
         monotone = all(a[1] <= b[1] + 1e-9 for a, b in zip(evaluated, evaluated[1:]))
-        out.append(RequirementRow(delta_h, target_phi_pct, lo, memo[lo], monotone))
+        out.append(RequirementRow(delta_h, target_phi_pct, found, memo[found], monotone))
     return out
 
 

@@ -232,13 +232,13 @@ def test_experiment_tables_end_lines_like_results(tmp_path):
                               "stand_count": 6, "trips": 150, "seed": 19}},
         "budgets": [2],
         "deltas": [16.0],
-        "betas": [0.0, 1.0],
         "replications": 1,
         "coverage_runs": 2,
     }
-    cfg_path = tmp_path / "exp.json"
-    cfg_path.write_text(json.dumps(config))
-    for mode in ("beta-sweep", "sensor-requirement"):
+    # sensor-requirement takes one beta
+    for mode, betas in (("beta-sweep", [0.0, 1.0]), ("sensor-requirement", [0.0])):
+        cfg_path = tmp_path / f"{mode}.json"
+        cfg_path.write_text(json.dumps({**config, "betas": betas}))
         argv = ["experiment", "--mode", mode, "--target-phi", "5", "--config", str(cfg_path)]
         assert main([*argv, "--out-dir", str(tmp_path)]) == 0
     for name in ("results.csv", "beta_gains.csv", "sensor_requirement.csv"):
@@ -650,11 +650,14 @@ class TestExitCodes:
             ('"betas": [true]', "betas must be a list of numbers, got [True]"),
             ('"seed": true', "seed must be an integer, got True"),
             ('"deltas": ["16"]', "deltas must be a list of numbers, got ['16']"),
+            ('"budgets": [3, 3]', "budgets must not repeat, got [3, 3]"),
+            ('"deltas": [4, 4.0]', "deltas must not repeat, got [4.0, 4.0]"),
+            ('"betas": [1.0, 0.5, 1.0]', "betas must not repeat, got [1.0, 0.5, 1.0]"),
         ],
         ids=["beta-above-one", "no-coverage-runs", "delta-not-whole-minutes", "budget-zero",
              "delta-infinite", "budget-infinite", "budget-fraction", "replications-fraction",
              "budgets-a-string", "seed-fraction", "coverage-runs-a-string", "beta-bool", "seed-bool",
-             "delta-a-string"],
+             "delta-a-string", "budget-repeated", "delta-repeated-by-value", "beta-repeated"],
     )
     def test_bad_experiment_config_is_2_at_load(self, tmp_path, capsys, monkeypatch, entry, message):
         import velosense.harness as harness
@@ -669,6 +672,22 @@ class TestExitCodes:
         assert main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}: bad experiment config: ") and message in err
+
+    def test_sensor_requirement_with_several_betas_is_2_before_prepare(self, tmp_path, capsys, monkeypatch):
+        import velosense.harness as harness
+
+        def no_prepare(spec):
+            raise AssertionError("the config was accepted")
+
+        monkeypatch.setattr(harness, "prepare", no_prepare)
+        synth = '"grid_w": 6, "grid_h": 6, "block_m": 350.0, "stand_count": 6, "trips": 150'
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(f'{{"source": {{"synth": {{{synth}}}}}, "budgets": [2], "deltas": [16.0], "betas": [0.0, 1.0]}}')
+        argv = ["experiment", "--mode", "sensor-requirement", "--config", str(cfg), "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: sensor-requirement takes one beta, got [0.0, 1.0]\n"
+        with pytest.raises(MalformedInputError, match="takes one beta"):
+            harness.sensor_requirement(harness.load_spec(json.loads(cfg.read_text())), 10.0)
 
     def test_missing_config_is_2(self, tmp_path):
         assert main(["experiment", "--out-dir", str(tmp_path)]) == 2

@@ -35,6 +35,23 @@ def small_spec(**overrides):
     return ExperimentSpec(**args)
 
 
+def recorded_replays(monkeypatch) -> list:
+    """The config of every simulate call, through both modules that replay."""
+    import velosense.coverage_model as coverage_model
+    import velosense.harness as harness
+
+    configs = []
+    simulate = harness.simulate
+
+    def recording(log, fleet, cfg):
+        configs.append(cfg)
+        return simulate(log, fleet, cfg)
+
+    monkeypatch.setattr(harness, "simulate", recording)
+    monkeypatch.setattr(coverage_model, "simulate", recording)
+    return configs
+
+
 class TestSpecValidation:
     def test_empty_sweeps_rejected(self):
         with pytest.raises(ValueError):
@@ -116,7 +133,7 @@ class TestRunPipeline:
     def test_instance_is_built_once_and_each_budget_solved_once(self, monkeypatch):
         import velosense.harness as harness
 
-        # 500 exceeds the fleet, so the instance is clamped to it
+        # 500 exceeds the fleet, so its plans are the fleet's
         spec = small_spec(budgets=[2, 500, 4], deltas=[16.0, 4.0])
         built, ordered, solved, drawn = [], [], [], []
         build_instance, greedy_order = harness.build_instance, harness.greedy_order
@@ -147,7 +164,7 @@ class TestRunPipeline:
         data = harness.prepare(spec)
         total = sum(data.fleet.b)
         assert total < 500
-        assert built == [500]
+        assert built == [total]  # once, at the whole fleet
         assert ordered == [total]
         assert [budget for budget, _n in solved] == [2, total, 4]
         assert drawn == [2, 2, total, total, 4, 4]  # one draw per replication
@@ -157,6 +174,38 @@ class TestRunPipeline:
         )
         for (budget, n), asked in zip(solved, spec.budgets):
             assert solve_greedy(build_instance(matrix, data.net, data.fleet, asked)).n == n
+
+    def test_replays_are_coverage_runs_unguided_reps_and_each_guided_cell(self, monkeypatch):
+        configs = recorded_replays(monkeypatch)
+        spec = small_spec(budgets=[2, 4], betas=[0.5, 1.0])
+        run_pipeline(spec)
+        budgets, betas = len(spec.budgets), len(spec.betas)
+        assert len(configs) == spec.coverage_runs + spec.replications + budgets * betas * spec.replications
+
+    def test_greedy_rounds_run_once_at_the_largest_budget(self, monkeypatch):
+        import velosense.harness as harness
+
+        ordered = []
+        greedy_order = harness.greedy_order
+
+        def counting_order(inst):
+            ordered.append(inst.budget)
+            return greedy_order(inst)
+
+        monkeypatch.setattr(harness, "greedy_order", counting_order)
+        run_pipeline(small_spec(budgets=[2, 4, 3]))
+        assert ordered == [4]  # the fleet is larger
+
+    def test_random_only_sweep_runs_no_greedy(self, monkeypatch):
+        import velosense.harness as harness
+
+        def no_greedy(*args, **kwargs):
+            raise AssertionError("greedy ran for a random-only sweep")
+
+        monkeypatch.setattr(harness, "greedy_order", no_greedy)
+        monkeypatch.setattr(harness, "solve_greedy", no_greedy)
+        rows, _summary = run_pipeline(small_spec(budgets=[2, 4], methods=(METHOD_RANDOM,)))
+        assert {r.method for r in rows} == {METHOD_RANDOM}
 
     def test_budget_below_one_rejected(self):
         with pytest.raises(ValueError, match="budget must be >= 1, got 0"):
@@ -276,6 +325,36 @@ class TestSensorRequirement:
         rows = sensor_requirement(small_spec(deltas=[16.0, 4.0, 1.0]), target_phi_pct=10.0)
         assert [r.budget is not None for r in rows] == [True] * 3
         assert solved and len(solved) == len(set(solved))
+
+    def test_unguided_search_replays_once_per_rep(self, monkeypatch):
+        configs = recorded_replays(monkeypatch)
+        spec = small_spec(betas=[0.0], deltas=[16.0, 4.0, 1.0])
+        sensor_requirement(spec, target_phi_pct=10.0)
+        assert len(configs) == spec.coverage_runs + spec.replications
+
+    def test_guided_search_replays_each_interval_budget_and_rep_it_evaluates(self, monkeypatch):
+        import velosense.harness as harness
+
+        configs = recorded_replays(monkeypatch)
+        scored = []
+        phi = harness.Evaluator.phi
+
+        def recording_phi(self, trajs, equipped, delta_h):
+            scored.append((delta_h, equipped))
+            return phi(self, trajs, equipped, delta_h)
+
+        monkeypatch.setattr(harness.Evaluator, "phi", recording_phi)
+        spec = small_spec(betas=[1.0], deltas=[16.0, 4.0, 1.0])
+        sensor_requirement(spec, target_phi_pct=10.0)
+        guided = configs[spec.coverage_runs:]
+        assert all(cfg.beta == 0.0 for cfg in configs[: spec.coverage_runs])
+        assert all(cfg.beta == 1.0 for cfg in guided)
+        # one replay per score, each for a distinct (interval, budget, rep);
+        # a replay per (budget, rep) scored at every interval would make fewer
+        assert [cfg.equipped for cfg in guided] == [equipped for _delta, equipped in scored]
+        cells = {(delta, cfg.equipped, cfg.seed) for (delta, _e), cfg in zip(scored, guided)}
+        assert len(cells) == len(guided)
+        assert len({(cfg.equipped, cfg.seed) for cfg in guided}) < len(guided)
 
 
 class TestWriters:
