@@ -12,19 +12,23 @@ and per-stand capacities. Ships three solvers plus an LP-file exporter:
 - random_allocation: the uniform baseline.
 
 The instance holds p as one dense float64 array P[stand, candidate], where
-the candidates are the segments some stand reaches, in ascending id order.
-Every solver and the exporter read it.
+the candidates are the segments some stand reaches, in ascending id order,
+and the candidates' lengths aligned with its columns. Every solver and the
+exporter read them. A plan is its sensor counts and objective; the coverage
+alloc.json records is derived from the counts when the file is written.
 
 A segment counts as covered when N_e >= K - 1e-9; the epsilon keeps the
 threshold test stable when p values are float sums. Every sum whose value
 feeds a comparison, a tie-break or an artifact adds its terms left to right:
-over stands from stand 0, over candidates in ascending order. Hence np.cumsum
+over stands from stand 0, over candidates in ascending order, every greedy
+score and swap delta included. Hence np.cumsum
 (sequential) rather than ndarray.sum or @, whose pairwise or blocked order
 differs in the last bit and flips real greedy ties.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -43,7 +47,7 @@ COVER_EPS = 1e-9
 @dataclass
 class MilpInstance:
     P: np.ndarray  # float64 [stand, candidate]: p of stand on segment candidates[j]
-    lengths: np.ndarray  # meters, all segments
+    lengths: np.ndarray  # meters, of segment candidates[j]
     caps: list[int]
     budget: int
     K: float
@@ -55,24 +59,14 @@ class MilpInstance:
     def num_stands(self) -> int:
         return len(self.caps)
 
-    @property
-    def candidate_lengths(self) -> np.ndarray:
-        return self.lengths[self.candidates]
-
 
 @dataclass
 class AllocationPlan:
     n: list[int]
     objective_m: float
-    N_e: dict[int, float]  # candidate segments only; absent means 0
-    y: dict[int, bool]
     solver: str
     gap: float = 0.0
     triplog_sha256: str | None = None  # of the triplog it was solved for, as alloc.json records it
-
-    @property
-    def total_sensors(self) -> int:
-        return sum(self.n)
 
 
 def _ordered_sum(x: np.ndarray, axis: int) -> np.ndarray:
@@ -108,8 +102,8 @@ def build_instance(
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    if K <= 0:
-        raise ValueError(f"K must be > 0, got {K}")
+    if not 0 < K < math.inf:
+        raise ValueError(f"K must be a finite number > 0, got {K}")
     num_stands = len(plan.b)
     warnings = []
     total_cap = sum(plan.b)
@@ -133,7 +127,7 @@ def build_instance(
     caps = [int(x) for x in plan.b]
     return MilpInstance(
         P=P,
-        lengths=np.asarray(net.seg_length_m, dtype=np.float64),
+        lengths=np.asarray(net.seg_length_m, dtype=np.float64)[candidates],
         caps=caps,
         budget=int(budget),
         K=float(K),
@@ -144,7 +138,7 @@ def build_instance(
 
 
 def evaluate_allocation(inst: MilpInstance, n, solver: str, gap: float = 0.0) -> AllocationPlan:
-    """Derive coverage, indicators, and objective for a sensor vector."""
+    """The plan of a sensor vector: its counts and the length they cover."""
     n = [int(x) for x in n]
     if len(n) != inst.num_stands:
         raise MalformedInputError(f"expected {inst.num_stands} stand counts, got {len(n)}")
@@ -155,12 +149,8 @@ def evaluate_allocation(inst: MilpInstance, n, solver: str, gap: float = 0.0) ->
             )
     if sum(n) > inst.budget:
         raise MalformedInputError(f"{sum(n)} sensors exceed budget {inst.budget}")
-    coverage = _coverage(inst.P, n)
-    covered = coverage >= inst.K - COVER_EPS
-    N_e = {seg: val for seg, val in zip(inst.candidates, coverage.tolist()) if val > 0}
-    y = dict(zip(inst.candidates, covered.tolist()))
-    objective = _covered_length(inst.candidate_lengths, covered)
-    return AllocationPlan(n, objective, N_e, y, solver, gap)
+    covered = _coverage(inst.P, n) >= inst.K - COVER_EPS
+    return AllocationPlan(n, _covered_length(inst.lengths, covered), solver, gap)
 
 
 def solve_exact(inst: MilpInstance, time_limit_s: float = 60.0) -> AllocationPlan:
@@ -174,7 +164,7 @@ def solve_exact(inst: MilpInstance, time_limit_s: float = 60.0) -> AllocationPla
     """
     S = inst.num_stands
     P = inst.P
-    lengths = inst.candidate_lengths
+    lengths = inst.lengths
     threshold = inst.K - COVER_EPS
     # suffix[i] = coverage attainable by stands i.. at full capacity, added
     # from the last stand down; suffix[S] = 0
@@ -243,7 +233,7 @@ def greedy_order(inst: MilpInstance) -> list[int]:
     """
     P = inst.P
     K = inst.K
-    lengths = inst.candidate_lengths
+    lengths = inst.lengths
     threshold = K - COVER_EPS
     caps = np.asarray(inst.caps)
     n = np.zeros(inst.num_stands, dtype=np.int64)
@@ -285,7 +275,7 @@ def solve_greedy(inst: MilpInstance, order: list[int] | None = None) -> Allocati
     if order is None:
         order = greedy_order(inst)
     P = inst.P
-    lengths = inst.candidate_lengths
+    lengths = inst.lengths
     threshold = inst.K - COVER_EPS
     caps = np.asarray(inst.caps)
     n = np.zeros(inst.num_stands, dtype=np.int64)
@@ -303,9 +293,6 @@ def solve_greedy(inst: MilpInstance, order: list[int] | None = None) -> Allocati
             f"but stand {int(np.argmax(n < caps))} has spare capacity"
         )
 
-    # a move's delta adds the lengths it flips over src's candidates first,
-    # then over the others, each in ascending order
-    src_first = np.argsort(P <= 0, axis=1, kind="stable")
     improved = True
     while improved:
         improved = False
@@ -314,7 +301,7 @@ def solve_greedy(inst: MilpInstance, order: list[int] | None = None) -> Allocati
             # row dst of `after`: coverage once one sensor moves from src to dst
             after = cover + (P - P[src]) >= threshold
             flips = np.where(after != before, np.where(after, lengths, -lengths), 0.0)
-            delta = _ordered_sum(flips[:, src_first[src]], axis=1)
+            delta = _ordered_sum(flips, axis=1)
             improving = (n < caps) & (delta > COVER_EPS)
             improving[src] = False
             if improving.any():
@@ -355,7 +342,7 @@ def export_lp(inst: MilpInstance, sink) -> None:
     lines = ["\\ sensor-to-stand allocation (big-M coverage model)"]
     lines.append("Maximize")
     if inst.candidates:
-        terms = " + ".join(f"{_fmt(inst.lengths[seg])} y_e{seg}" for seg in inst.candidates)
+        terms = " + ".join(f"{_fmt(length)} y_e{seg}" for seg, length in zip(inst.candidates, inst.lengths))
     else:
         terms = "0 n_s0"  # no coverable segment; any feasible point scores 0
     lines.append(f" obj: {terms}")
@@ -383,6 +370,10 @@ def export_lp(inst: MilpInstance, sink) -> None:
 
 
 def save_plan(plan: AllocationPlan, inst: MilpInstance, path, triplog_sha256: str) -> None:
+    """Write `plan` as alloc.json, with the coverage N_e of its counts and the
+    candidates that coverage covers."""
+    coverage = _coverage(inst.P, plan.n)
+    covered = coverage >= inst.K - COVER_EPS
     doc = {
         "format": ALLOC_FORMAT,
         "n": plan.n,
@@ -392,19 +383,18 @@ def save_plan(plan: AllocationPlan, inst: MilpInstance, path, triplog_sha256: st
         "budget": inst.budget,
         "K": inst.K,
         "big_M": inst.big_M,
-        "N_e": {str(seg): val for seg, val in sorted(plan.N_e.items())},
-        "covered_segments": sorted(seg for seg, covered in plan.y.items() if covered),
+        "N_e": {str(seg): val for seg, val in zip(inst.candidates, coverage.tolist()) if val > 0},
+        "covered_segments": [seg for seg, c in zip(inst.candidates, covered.tolist()) if c],
         "triplog_sha256": triplog_sha256,
     }
     write_json(path, doc)
 
 
 def load_plan(path) -> AllocationPlan:
+    """The plan alloc.json holds. Its N_e and covered_segments follow from n
+    and are not read back, but an alloc.json without them is not one."""
     with read_artifact(path, ALLOC_FORMAT, "allocate") as doc:
-        N_e = {int(seg): val for seg, val in doc["N_e"].items()}
-        covered = set(doc["covered_segments"])
-        y = {seg: seg in covered for seg in N_e}
+        if not doc.keys() >= {"N_e", "covered_segments"}:
+            raise MalformedInputError(f"{path}: no N_e or covered_segments; re-run `velosense allocate`")
         n = int_column(doc["n"], path, "n").tolist()
-        return AllocationPlan(
-            n, doc["objective_m"], N_e, y, doc["solver"], doc["gap"], doc.get("triplog_sha256")
-        )
+        return AllocationPlan(n, doc["objective_m"], doc["solver"], doc["gap"], doc.get("triplog_sha256"))

@@ -156,7 +156,7 @@ def cmd_allocate(args) -> int:
             file=sys.stderr,
         )
     print(
-        f"{plan.total_sensors} sensors via {plan.solver}, "
+        f"{sum(plan.n)} sensors via {plan.solver}, "
         f"objective {plan.objective_m:.1f} m -> {out / 'alloc.json'}"
     )
     return EXIT_OK

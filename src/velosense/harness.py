@@ -14,6 +14,7 @@ scoring time, so a pipeline run scores each replay at every interval.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -51,8 +52,8 @@ class FileSource:
 @dataclass
 class ExperimentSpec:
     source: FileSource | SynthConfig
-    budgets: list[int]
     deltas: list[float]
+    budgets: list[int] | None = None  # a pipeline or beta sweep needs them; sensor_requirement does not
     betas: list[float] = field(default_factory=lambda: [1.0])
     methods: tuple[str, ...] = ALL_METHODS
     replications: int = 20
@@ -60,20 +61,21 @@ class ExperimentSpec:
     coverage_runs: int = 20
 
     def __post_init__(self):
-        if not self.budgets or not self.deltas or not self.betas:
+        if self.budgets == [] or not self.deltas or not self.betas:
             raise ValueError("budgets, deltas, and betas must be non-empty")
+        budgets = self.budgets or []
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         if self.coverage_runs < 1:
             raise ValueError(f"coverage_runs must be >= 1, got {self.coverage_runs}")
-        bad = [b for b in self.budgets if b < 1]
+        bad = [b for b in budgets if b < 1]
         if bad:
             raise ValueError(f"budget must be >= 1, got {bad[0]}")
         for beta in self.betas:
             check_beta(beta)
         for delta_h in self.deltas:
             interval_minutes(delta_h)
-        for name, values in (("budgets", self.budgets), ("deltas", self.deltas), ("betas", self.betas)):
+        for name, values in (("budgets", budgets), ("deltas", self.deltas), ("betas", self.betas)):
             if len(set(values)) < len(values):  # by value: 4 and 4.0 repeat
                 raise ValueError(f"{name} must not repeat, got {values}")
         unknown = [m for m in self.methods if m not in ALL_METHODS]
@@ -189,6 +191,8 @@ def run_pipeline(spec: ExperimentSpec) -> tuple[list[ResultRow], list[SummaryRow
     Returns per-replication rows in deterministic order plus mean/stdev
     summaries per (method, budget, interval, beta) cell.
     """
+    if spec.budgets is None:
+        raise MalformedInputError("the experiment config needs 'budgets' for a pipeline or beta sweep")
     study = _Study(spec, max(spec.budgets))
     rows: list[ResultRow] = []
     for budget in spec.budgets:
@@ -271,6 +275,8 @@ def sensor_requirement(spec: ExperimentSpec, target_phi_pct: float) -> list[Requ
     evaluated were monotone. Schedules with the spec's one beta and ignores
     its budgets and methods.
     """
+    if not math.isfinite(target_phi_pct):
+        raise ValueError(f"target phi must be a finite percentage, got {target_phi_pct}")
     beta = requirement_beta(spec)
     study = _Study(spec)
     if target_phi_pct <= 0.0:

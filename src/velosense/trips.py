@@ -249,6 +249,8 @@ def clean_trips(
             f"need a window that ends after it starts and a finite speed > 0, "
             f"got window {window} and {speed_kmh} km/h"
         )
+    if not 0 <= min_km <= max_km < math.inf:
+        raise ValueError(f"need distance bounds 0 <= min <= max < inf, got {min_km} and {max_km} km")
     speed_m_per_min = speed_kmh * 1000.0 / 60.0
     min_m, max_m = min_km * 1000.0, max_km * 1000.0
 

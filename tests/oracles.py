@@ -538,7 +538,8 @@ def solve_greedy_sparse(inst, eps=1e-9):
         for seg, p in inst.cols[dst]:
             touched[seg] = touched.get(seg, 0.0) + p
         delta = 0.0
-        for seg, change in touched.items():
+        for seg in sorted(touched):
+            change = touched[seg]
             before = cover[seg] >= threshold
             after = cover[seg] + change >= threshold
             if before != after:

@@ -1,6 +1,10 @@
+import hashlib
 import io
+import json
+import tempfile
 from dataclasses import replace
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,17 @@ from oracles import (
     solve_exact_sparse,
     solve_greedy_sparse,
 )
+
+
+def _written(plan, inst):
+    """(N_e, y) of plan.n as save_plan writes them to alloc.json: N_e holds the
+    candidates with nonzero coverage, y every candidate."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "alloc.json"
+        save_plan(plan, inst, path, "ab" * 32)
+        doc = json.loads(path.read_text())
+    covered = set(doc["covered_segments"])
+    return {int(seg): val for seg, val in doc["N_e"].items()}, {seg: seg in covered for seg in inst.candidates}
 
 
 TWO_BY_TWO = dict(
@@ -73,8 +88,9 @@ class TestBuildInstance:
     def test_preconditions(self):
         with pytest.raises(ValueError):
             make_problem({(0, 0): 0.5}, [100.0], [2], budget=0)
-        with pytest.raises(ValueError):
-            make_problem({(0, 0): 0.5}, [100.0], [2], budget=1, K=0.0)
+        for K in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="K must be a finite number > 0"):
+                make_problem({(0, 0): 0.5}, [100.0], [2], budget=1, K=K)
 
     def test_default_threshold_is_one(self):
         import inspect
@@ -90,13 +106,12 @@ class TestEvaluateAllocation:
         plan = evaluate_allocation(inst, [2, 2], "exact")
         assert sum(plan.n) <= inst.budget
         assert all(0 <= plan.n[s] <= inst.caps[s] for s in range(2))
-        for seg, value in plan.N_e.items():
+        N_e, y = _written(plan, inst)
+        for seg in inst.candidates:
             expected = sum(dense[s][seg] * plan.n[s] for s in range(2))
-            assert value == pytest.approx(expected)
-            assert plan.y[seg] == (value >= inst.K - 1e-9)
-        assert plan.objective_m == sum(
-            inst.lengths[seg] for seg, covered in plan.y.items() if covered
-        )
+            assert N_e.get(seg, 0.0) == pytest.approx(expected)
+            assert y[seg] == (expected >= inst.K - 1e-9)
+        assert plan.objective_m == sum([100.0, 70.0][seg] for seg, covered in y.items() if covered)
 
     def test_rejects_bad_vectors(self):
         inst, _ = make_problem({(0, 0): 0.5}, [100.0], [2], budget=1)
@@ -148,15 +163,17 @@ class TestSolveExact:
             scaled = solve_exact(scaled_inst)
             assert scaled.objective_m == 4.0 * base.objective_m
             assert scaled.n == base.n
-            assert scaled.y == base.y
+            assert _written(scaled, scaled_inst) == _written(base, inst)
 
     def test_y_consistency(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
-            inst, _dense, _lengths, _caps, _budget = random_problem(rng)
+            inst, dense, lengths, caps, _budget = random_problem(rng)
             plan = solve_exact(inst)
-            recomputed = {seg: plan.N_e.get(seg, 0.0) >= inst.K - 1e-9 for seg in inst.candidates}
-            assert recomputed == plan.y
+            N_e, y = _written(plan, inst)
+            assert y == {seg: N_e.get(seg, 0.0) >= inst.K - 1e-9 for seg in inst.candidates}
+            ref = SparseAllocation(_dense_to_entries(dense), lengths, caps, inst.budget)
+            assert (N_e, y) == evaluate_sparse(ref, plan.n)[2:4]
 
     def test_timeout_returns_feasible_plan_with_gap(self):
         entries = {(s, e): 0.21 for s in range(10) for e in range(8)}
@@ -247,23 +264,25 @@ class TestSolveGreedy:
         assert plan.n == [2, 1]
 
 
-def _fields(plan):
-    return plan.n, plan.objective_m, plan.N_e, plan.y, plan.gap
+def _fields(plan, inst):
+    """(n, objective_m, N_e, y, gap) of a plan, N_e and y as alloc.json records them."""
+    return (plan.n, plan.objective_m, *_written(plan, inst), plan.gap)
 
 
 class TestSparseOracle:
     """The dense solvers equal the dict-based references exactly: n, objective,
-    N_e, y and gap, with no tolerance, because both add in the same order."""
+    N_e, y and gap, with no tolerance, because both add in the same order,
+    candidates ascending."""
 
     def test_random_problems(self):
         rng = np.random.default_rng(4004)
         for _ in range(250):
             inst, dense, lengths, caps, _budget = random_problem(rng)
             ref = SparseAllocation(_dense_to_entries(dense), lengths, caps, inst.budget)
-            assert _fields(solve_exact(inst)) == solve_exact_sparse(ref)
-            assert _fields(solve_greedy(inst)) == solve_greedy_sparse(ref)
+            assert _fields(solve_exact(inst), inst) == solve_exact_sparse(ref)
+            assert _fields(solve_greedy(inst), inst) == solve_greedy_sparse(ref)
             n = random_allocation(inst, seed=int(rng.integers(0, 1000))).n
-            assert _fields(evaluate_allocation(inst, n, "random")) == evaluate_sparse(ref, n)
+            assert _fields(evaluate_allocation(inst, n, "random"), inst) == evaluate_sparse(ref, n)
 
     def test_greedy_on_larger_instances_with_fractional_lengths(self):
         rng = np.random.default_rng(4005)
@@ -271,12 +290,12 @@ class TestSparseOracle:
             entries, lengths, caps = _larger_problem(rng)
             inst, _ = make_problem(entries, lengths, caps, budget=int(rng.integers(1, 20)))
             ref = SparseAllocation(entries, lengths, caps, inst.budget)
-            assert _fields(solve_greedy(inst)) == solve_greedy_sparse(ref)
+            assert _fields(solve_greedy(inst), inst) == solve_greedy_sparse(ref)
 
     def test_greedy_float_tie(self, float_tie):
         inst, entries, lengths, caps = float_tie
         ref = SparseAllocation(entries, lengths, caps, inst.budget)
-        assert _fields(solve_greedy(inst)) == solve_greedy_sparse(ref)
+        assert _fields(solve_greedy(inst), inst) == solve_greedy_sparse(ref)
 
 
 def _larger_problem(rng):
@@ -315,13 +334,13 @@ def _check_shared_order(inst, entries, lengths, caps, budgets):
     top = replace(inst, budget=max(budgets))
     order = greedy_order(top)
     assert order == greedy_order_full_width(
-        top.P, top.candidate_lengths, top.caps, top.budget, top.K
+        top.P, top.lengths, top.caps, top.budget, top.K
     )
     for budget in budgets:
         at = replace(inst, budget=budget)
         assert greedy_order(at) == order[:budget]
-        fresh = _fields(solve_greedy(at))
-        assert _fields(solve_greedy(at, order)) == fresh
+        fresh = _fields(solve_greedy(at), at)
+        assert _fields(solve_greedy(at, order), at) == fresh
         assert fresh == solve_greedy_sparse(SparseAllocation(entries, lengths, caps, budget))
 
 
@@ -425,7 +444,7 @@ class TestExportLP:
     def test_round_trip_recovers_coefficients(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
-            inst, dense, _lengths, _caps, _budget = random_problem(rng)
+            inst, dense, lengths, _caps, _budget = random_problem(rng)
             sink = io.BytesIO()
             export_lp(inst, sink)
             parsed = parse_lp(sink.getvalue().decode())
@@ -443,7 +462,7 @@ class TestExportLP:
             assert budget_row[1] == {f"n_s{s}": 1.0 for s in range(inst.num_stands)}
             assert budget_row[3] == inst.budget
             assert parsed.objective == {
-                f"y_e{seg}": inst.lengths[seg] for seg in inst.candidates
+                f"y_e{seg}": lengths[seg] for seg in inst.candidates
             }
 
     def test_external_solver_agrees_with_exact(self):
@@ -460,16 +479,49 @@ class TestExportLP:
 
 class TestPlanSerialization:
     def test_round_trip(self, tmp_path):
-        inst, _ = make_problem(
-            {(0, 0): 0.6, (1, 1): 0.8}, [100.0, 70.0], [2, 3], budget=4
-        )
+        entries = {(0, 0): 0.6, (1, 1): 0.8}
+        inst, _ = make_problem(entries, [100.0, 70.0], [2, 3], budget=4)
         plan = solve_exact(inst)
         path = tmp_path / "alloc.json"
         save_plan(plan, inst, path, "ab" * 32)
-        loaded = load_plan(path)
-        assert loaded.triplog_sha256 == "ab" * 32
-        assert loaded.n == plan.n
-        assert loaded.objective_m == plan.objective_m
-        assert loaded.solver == plan.solver
-        assert loaded.y == plan.y
-        assert loaded.N_e == pytest.approx(plan.N_e)
+        assert load_plan(path) == replace(plan, triplog_sha256="ab" * 32)
+        doc = json.loads(path.read_text())
+        _n, _objective, N_e, y, _gap = evaluate_sparse(SparseAllocation(entries, [100.0, 70.0], [2, 3], 4), plan.n)
+        assert doc["N_e"] == {str(seg): val for seg, val in N_e.items()}
+        assert doc["covered_segments"] == [seg for seg, covered in y.items() if covered]
+
+
+class TestGolden:
+    """alloc.json and model.lp are pinned byte for byte on one small synth
+    chain (the 8x8, 8-stand scenario, p from 3 replays): the solvers and the
+    exporter may change how they work, not what they write."""
+
+    @pytest.fixture(scope="class")
+    def instance_at(self, small_scenario, small_fleet):
+        net, log = small_scenario
+        matrix = estimate_probabilities(mean_coverage(log, small_fleet, runs=3, seed=0), small_fleet)
+        return lambda budget: build_instance(matrix, net, small_fleet, budget)
+
+    @pytest.mark.parametrize(
+        "solve, budget, digest",
+        [
+            (solve_greedy, 5, "1c8a9e4c6e0822e9effd5cbf686355de785e57e3268ee21d35b78aa6efab29e6"),
+            (solve_exact, 5, "8b8406121b32e3cfd3511dad5ae3b7a7929b6e22444c36a17b4e5a61836b5c15"),
+            (lambda inst: random_allocation(inst, seed=7), 5,
+             "ea134792f3c73bbf554c8b7fa1e87d3f12f22a27a8f8ff20ed2f0e1a3afdf59c"),
+            (solve_greedy, 1000, "1332334f00c45ea2d77107b454767882fddb246f526d3e7d62d70a33d4731d76"),
+        ],
+        ids=["greedy", "exact", "random", "greedy-clamped"],
+    )
+    def test_alloc_json(self, instance_at, tmp_path, solve, budget, digest):
+        inst = instance_at(budget)
+        assert inst.budget == min(budget, 49)  # the fleet has 49 bikes
+        save_plan(solve(inst), inst, tmp_path / "alloc.json", "ab" * 32)
+        assert hashlib.sha256((tmp_path / "alloc.json").read_bytes()).hexdigest() == digest
+
+    def test_model_lp(self, instance_at):
+        sink = io.BytesIO()
+        export_lp(instance_at(5), sink)
+        assert hashlib.sha256(sink.getvalue()).hexdigest() == (
+            "b83a60daf8c9e4baf52a5d4a2557c52f4fc9a38e5f8720dd7660f1f151ff8ce3"
+        )

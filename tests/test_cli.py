@@ -689,6 +689,69 @@ class TestExitCodes:
         with pytest.raises(MalformedInputError, match="takes one beta"):
             harness.sensor_requirement(harness.load_spec(json.loads(cfg.read_text())), 10.0)
 
+    @pytest.mark.parametrize("mode", ["pipeline", "beta-sweep"])
+    def test_sweep_without_budgets_is_2_before_prepare(self, tmp_path, capsys, monkeypatch, mode):
+        import velosense.harness as harness
+
+        def no_prepare(spec):
+            raise AssertionError("the config was accepted")
+
+        monkeypatch.setattr(harness, "prepare", no_prepare)
+        synth = '"grid_w": 6, "grid_h": 6, "block_m": 350.0, "stand_count": 6, "trips": 150'
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(f'{{"source": {{"synth": {{{synth}}}}}, "deltas": [16.0], "betas": [0.0, 1.0]}}')
+        assert main(["experiment", "--mode", mode, "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'budgets'" in err
+
+    def test_sensor_requirement_without_budgets_writes_the_same_rows(self, tmp_path):
+        synth = {"grid_w": 6, "grid_h": 6, "block_m": 350.0, "stand_count": 6, "trips": 150, "seed": 19}
+        config = {"source": {"synth": synth}, "deltas": [16.0, 4.0], "betas": [0.0], "replications": 2, "coverage_runs": 2}
+        for name, doc in (("without", config), ("with", {**config, "budgets": [1]})):
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+            argv = ["experiment", "--mode", "sensor-requirement", "--target-phi", "10"]
+            assert main([*argv, "--config", str(tmp_path / f"{name}.json"), "--out-dir", str(tmp_path / name)]) == 0
+        rows = [(tmp_path / name / "sensor_requirement.csv").read_bytes() for name in ("without", "with")]
+        assert rows[0] == rows[1] and len(rows[0].splitlines()) == 3
+
+    @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
+    def test_sensor_requirement_target_not_finite_is_2_before_prepare(self, tmp_path, capsys, monkeypatch, target):
+        import velosense.harness as harness
+
+        def no_prepare(spec):
+            raise AssertionError("the target was accepted")
+
+        monkeypatch.setattr(harness, "prepare", no_prepare)
+        synth = '"grid_w": 6, "grid_h": 6, "block_m": 350.0, "stand_count": 6, "trips": 150'
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(f'{{"source": {{"synth": {{{synth}}}}}, "deltas": [16.0], "betas": [0.0]}}')
+        argv = ["experiment", "--mode", "sensor-requirement", f"--target-phi={target}", "--config", str(cfg)]
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: target phi must be a finite percentage, got {float(target)}\n"
+
+    @pytest.mark.parametrize(
+        "command, options, message",
+        [
+            ("allocate", ["--budget", "4", "--k", "nan"], "K must be a finite number > 0, got nan"),
+            ("allocate", ["--budget", "4", "--k", "inf"], "K must be a finite number > 0, got inf"),
+            ("export-lp", ["--budget", "4", "--k", "nan"], "K must be a finite number > 0, got nan"),
+            ("ingest", ["--min-km", "nan"], "need distance bounds 0 <= min <= max < inf, got nan and 5.0 km"),
+            ("ingest", ["--max-km", "nan"], "need distance bounds 0 <= min <= max < inf, got 0.5 and nan km"),
+            ("ingest", ["--min-km", "3", "--max-km", "1"], "need distance bounds 0 <= min <= max < inf, got 3.0 and 1.0 km"),
+        ],
+        ids=["k-nan", "k-inf", "export-lp-k-nan", "min-km-nan", "max-km-nan", "min-km-above-max-km"],
+    )
+    def test_number_out_of_range_is_2(self, synth_dir, artifacts, tmp_path, capsys, command, options, message):
+        if command == "ingest":
+            inputs = [*_args(artifacts, ("--nodes", "--edges")), "--trips", str(synth_dir / "trips.csv")]
+        else:
+            inputs = _args(artifacts, ALLOCATE)
+        if command == "export-lp":
+            inputs += ["--out", str(tmp_path / "model.lp")]
+        assert main([command, *inputs, *options, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(tmp_path.iterdir())
+
     def test_missing_config_is_2(self, tmp_path):
         assert main(["experiment", "--out-dir", str(tmp_path)]) == 2
 
