@@ -24,6 +24,13 @@ over stands from stand 0, over candidates in ascending order, every greedy
 score and swap delta included. Hence np.cumsum
 (sequential) rather than ndarray.sum or @, whose pairwise or blocked order
 differs in the last bit and flips real greedy ties.
+
+The greedy computes only the entries that can change a pick: its rounds
+stop scoring once every candidate is covered, and its rounds and swaps read
+only the open stands and the candidates that can flip. Every term they drop
+is exactly 0.0, because float rounding is monotone (a <= b implies
+fl(c + a) <= fl(c + b)), and adding 0.0 leaves a sequential sum unchanged,
+so its plans equal those of the full-width arrays to the last bit.
 """
 
 from __future__ import annotations
@@ -217,19 +224,33 @@ def solve_exact(inst: MilpInstance, time_limit_s: float = 60.0) -> AllocationPla
     return evaluate_allocation(inst, best_n, "exact", gap)
 
 
+def _column_max(P: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The largest p of each column over `rows` (a stand mask); 0.0 when none."""
+    return np.max(P, axis=0, where=rows[:, None], initial=0.0)
+
+
 def greedy_order(inst: MilpInstance) -> list[int]:
     """The stand each marginal-gain round picks, up to `inst.budget` rounds.
 
-    Each round adds one sensor to the stand unlocking the most newly
+    Each round adds one sensor to the open stand unlocking the most newly
     covered length; ties prefer the stand making the most progress toward
     still-uncovered thresholds, then the smallest id. Rounds stop early once
     every stand is full. No round depends on the budget, so one order serves
     every smaller budget as its prefix.
 
-    A covered candidate stays covered (p >= 0), so from then on it adds
-    exactly 0.0 to every stand's newly covered length and progress. Its
-    column is dropped: the sequential sums lose only 0.0 terms and keep
-    their value to the last bit, so ties break as before.
+    A round computes only the entries that can change its pick; every sum it
+    drops is a run of exact 0.0 terms, and adding 0.0 leaves a sequential
+    sum unchanged, so ties break as they would at full width:
+    - a covered candidate stays covered (p >= 0) and adds 0.0 to every
+      newly and progress from then on, so its column goes for good;
+    - newly is scored for the open stands only, on the candidates with
+      cover + max_p >= K - eps, where max_p is the candidate's largest p over
+      the open stands: on any other, cover + p < K - eps for every open
+      stand, because rounding is monotone;
+    - progress only breaks ties, so only the stands tied on newly score it.
+    Once every candidate is covered, every open stand ties at 0.0 and 0.0
+    and the smallest id wins each round, so the rest of the order is each
+    open stand's spare capacity, in id order.
     """
     P = inst.P
     K = inst.K
@@ -238,24 +259,37 @@ def greedy_order(inst: MilpInstance) -> list[int]:
     caps = np.asarray(inst.caps)
     n = np.zeros(inst.num_stands, dtype=np.int64)
     cover = np.zeros(len(inst.candidates))
+    is_open = caps > 0
+    open_stands = np.flatnonzero(is_open)
+    max_p = _column_max(P, is_open)
     order: list[int] = []
 
-    for _ in range(inst.budget):
-        open_stands = n < caps
-        if not open_stands.any():
-            break
+    while len(order) < inst.budget and len(open_stands):
         uncovered = cover < threshold
         if not uncovered.all():
-            P, cover, lengths = P[:, uncovered], cover[uncovered], lengths[uncovered]
-        newly = _ordered_sum(np.where(cover + P >= threshold, lengths, 0.0), axis=1)
-        progress = _ordered_sum(lengths * np.minimum(P, K - cover), axis=1)
-        newly = np.where(open_stands, newly, -np.inf)
-        # argmax takes the first maximum, so exact ties go to the smallest id
-        choice = int(np.argmax(np.where(newly == newly.max(), progress, -np.inf)))
+            P, cover, lengths, max_p = P[:, uncovered], cover[uncovered], lengths[uncovered], max_p[uncovered]
+        if not len(cover):
+            break
+        cols = np.flatnonzero(cover + max_p >= threshold)
+        hits = cover[cols] + P[:, cols][open_stands] >= threshold
+        newly = _ordered_sum(np.where(hits, lengths[cols], 0.0), axis=1)
+        tied = open_stands[newly == newly.max()]
+        choice = int(tied[0])
+        if len(tied) > 1:
+            progress = _ordered_sum(lengths * np.minimum(P[tied], K - cover), axis=1)
+            # argmax takes the first maximum, so exact ties go to the smallest id
+            choice = int(tied[np.argmax(progress)])
         order.append(choice)
         n[choice] += 1
         cover += P[choice]
-    return order
+        if n[choice] == caps[choice]:
+            is_open[choice] = False
+            open_stands = np.flatnonzero(is_open)
+            max_p = _column_max(P, is_open)
+
+    for stand in open_stands.tolist():
+        order.extend([stand] * int(caps[stand] - n[stand]))
+    return order[: inst.budget]
 
 
 def solve_greedy(inst: MilpInstance, order: list[int] | None = None) -> AllocationPlan:
@@ -267,6 +301,18 @@ def solve_greedy(inst: MilpInstance, order: list[int] | None = None) -> Allocati
     any move improves the objective, taking the first improving (src, dst)
     in id order. Fully deterministic: the plan is the same with or without
     `order`.
+
+    A swap pass returns at once when every stand is full. Otherwise, for a
+    source `src`, it scores the open stands other than `src`, and only on
+    the candidates a move can flip: a covered one with
+    cover - P[src] < K - eps, or an uncovered one with
+    cover + (max_p - P[src]) >= K - eps, where max_p is the candidate's
+    largest p over the open stands, taken once per pass. The tests add in
+    the association the move's coverage does, cover + (P[dst] - P[src]),
+    so monotone rounding proves that a dropped candidate stays covered, or
+    stays uncovered, for every destination: its flip is 0.0, and each
+    delta, summed over the kept candidates in ascending order, is the
+    full-width delta to the last bit.
 
     Raises ValueError when an entry of `order` is not a stand index, or when
     `order` has fewer than `inst.budget` picks while a stand still has spare
@@ -283,7 +329,8 @@ def solve_greedy(inst: MilpInstance, order: list[int] | None = None) -> Allocati
 
     picks = order[: inst.budget]
     for choice in picks:
-        if not isinstance(choice, (int, np.integer)) or not 0 <= choice < inst.num_stands:
+        is_index = isinstance(choice, (int, np.integer)) and not isinstance(choice, bool)
+        if not is_index or not 0 <= choice < inst.num_stands:
             raise ValueError(f"greedy order entry {choice!r} is not a stand index")
         n[choice] += 1
         cover += P[choice]  # round by round, as the rounds added it
@@ -296,16 +343,27 @@ def solve_greedy(inst: MilpInstance, order: list[int] | None = None) -> Allocati
     improved = True
     while improved:
         improved = False
+        is_open = n < caps
+        if not is_open.any():
+            break
+        open_stands = np.flatnonzero(is_open)
         before = cover >= threshold
+        max_p = _column_max(P, is_open)
         for src in np.flatnonzero(n > 0).tolist():
-            # row dst of `after`: coverage once one sensor moves from src to dst
-            after = cover + (P - P[src]) >= threshold
-            flips = np.where(after != before, np.where(after, lengths, -lengths), 0.0)
-            delta = _ordered_sum(flips, axis=1)
-            improving = (n < caps) & (delta > COVER_EPS)
-            improving[src] = False
+            rows = open_stands[open_stands != src]
+            # the candidates a move from src can flip: rounding is monotone,
+            # so any other stays covered, or stays short of the threshold,
+            # for every open destination
+            moved = P[src]
+            cols = np.flatnonzero(
+                np.where(before, cover - moved < threshold, cover + (max_p - moved) >= threshold)
+            )
+            # row i of `after`: coverage once one sensor moves from src to rows[i]
+            after = cover[cols] + (P[:, cols][rows] - moved[cols]) >= threshold
+            flips = np.where(after != before[cols], np.where(after, lengths[cols], -lengths[cols]), 0.0)
+            improving = _ordered_sum(flips, axis=1) > COVER_EPS
             if improving.any():
-                dst = int(np.argmax(improving))
+                dst = int(rows[np.argmax(improving)])
                 n[src] -= 1
                 n[dst] += 1
                 cover -= P[src]

@@ -250,11 +250,22 @@ class TestSolveGreedy:
         with pytest.raises(ValueError, match="3 picks for budget 5"):
             solve_greedy(inst, short)
 
-    @pytest.mark.parametrize("entry", [-1, 2, 0.0, "0", None])
+    @pytest.mark.parametrize("entry", [-1, 2, 0.0, "0", None, True])
     def test_order_entry_that_is_not_a_stand_is_rejected(self, entry):
         inst, _ = make_problem({(0, 0): 0.5, (1, 0): 0.3}, [100.0], [3, 3], budget=2)
         with pytest.raises(ValueError, match="not a stand index"):
             solve_greedy(inst, [0, entry])
+
+    def test_rounds_past_full_coverage_fill_open_stands_in_id_order(self):
+        # stand 2 covers the one candidate in the first round; from then on
+        # every open stand ties at 0.0 newly and 0.0 progress, so the smallest
+        # open id takes each round, down to stand 3, which reaches no candidate
+        inst, _ = make_problem({(0, 0): 0.5, (2, 0): 1.0}, [100.0], [2, 0, 3, 1], budget=6)
+        order = greedy_order(inst)
+        assert order == [2, 0, 0, 2, 2, 3]
+        assert order == greedy_order_full_width(inst.P, inst.lengths, inst.caps, inst.budget, inst.K)
+        assert greedy_order(replace(inst, budget=4)) == order[:4]
+        assert solve_greedy(inst).n == inst.caps
 
     def test_order_that_filled_every_stand_is_valid(self):
         inst, _ = make_problem({(0, 0): 0.5, (1, 0): 0.3}, [100.0], [2, 1], budget=3)
@@ -309,6 +320,23 @@ def _larger_problem(rng):
         for s in range(S)
         for e in range(E)
         if rng.random() < 0.3
+    }
+    return entries, lengths, caps
+
+
+def _dense_problem(rng):
+    """(entries, lengths, caps): 150 stands with caps of 0 to 2, 40 segments,
+    p on about 85 % of (stand, segment) pairs. Each segment scales its p, so
+    the greedy covers segments a few at a time rather than all at once."""
+    S, E = 150, 40
+    caps = [int(c) for c in rng.choice([0, 1, 1, 1, 2], S)]
+    lengths = [float(rng.uniform(50.0, 400.0)) for _ in range(E)]
+    scale = rng.uniform(0.2, 3.0, E)
+    entries = {
+        (s, e): float(rng.uniform(0.0, 0.1) * scale[e])
+        for s in range(S)
+        for e in range(E)
+        if rng.random() < 0.85
     }
     return entries, lengths, caps
 
@@ -398,6 +426,13 @@ class TestSharedGreedyOrder:
         total = sum(caps)
         budgets = sorted({*range(1, total + 1, 25), inst.budget, total})
         _check_shared_order(inst, entries, lengths, caps, budgets)
+
+    def test_dense_instance_stride_of_budgets(self):
+        entries, lengths, caps = _dense_problem(np.random.default_rng(4009))
+        assert len(entries) >= 0.8 * len(caps) * len(lengths)
+        inst, _ = make_problem(entries, lengths, caps, budget=1)
+        total = sum(caps)
+        _check_shared_order(inst, entries, lengths, caps, sorted({*range(1, total + 1, 4), total}))
 
 
 class TestRandomAllocation:

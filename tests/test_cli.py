@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -244,6 +245,32 @@ def test_experiment_tables_end_lines_like_results(tmp_path):
     for name in ("results.csv", "beta_gains.csv", "sensor_requirement.csv"):
         lines = (tmp_path / name).read_bytes().splitlines(keepends=True)
         assert len(lines) >= 2 and all(line.endswith(b"\r\n") for line in lines), name
+
+
+@pytest.mark.parametrize(
+    "mode, config, table, digest",
+    [
+        # the search solves budgets 49 (the fleet, every stand full) and 1..24,
+        # whose plans leave 4 to 7 of the 8 stands open
+        ("sensor-requirement", {"deltas": [16.0, 4.0, 1.0], "betas": [0.0]}, "sensor_requirement.csv",
+         "32b6c62dc44d116b24880bd8bbc8fa057de6505fce14312c71f21835edbab263"),
+        ("pipeline", {"budgets": [3, 12], "deltas": [16.0, 4.0], "betas": [0.5, 1.0]}, "results.csv",
+         "82dbb0cdece65a056a11de41c6a7fa590c705973349a3a73c12e35588b5c25b3"),
+    ],
+    ids=["sensor-requirement", "pipeline"],
+)
+def test_experiment_table_bytes_are_pinned(tmp_path, mode, config, table, digest):
+    """An experiment's table is pinned byte for byte on one small synth
+    source: allocation and replay may change how they work, not what an
+    experiment reports."""
+    synth = {"grid_w": 8, "grid_h": 8, "block_m": 300.0, "stand_count": 8, "trips": 400, "seed": 11}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(
+        json.dumps({"source": {"synth": synth}, "replications": 2, "coverage_runs": 2, "seed": 5, **config})
+    )
+    argv = ["experiment", "--mode", mode, "--target-phi", "10", "--config", str(cfg_path)]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / table).read_bytes()).hexdigest() == digest
 
 
 ALLOCATE = ("--nodes", "--edges", "--triplog", "--probs", "--probs-meta")
