@@ -4,18 +4,18 @@ Composes the pipeline (ingest or synthesize, clean, size the fleet, estimate
 visit probabilities, allocate sensors, replay, score) over sweeps of sensor
 budget, sensing interval, and guidance acceptance, with replications.
 
-Every mode starts from one study (`_Study`): the data prepared, p estimated
-and the allocation instance built once, and one greedy plan per budget.
-Unguided replays do not depend on which bikes carry sensors, so one beta=0
-replay per replication serves every method, budget and interval; guided
-replays are not kept (see `Evaluator`). The sensing interval enters only at
-scoring time, so a pipeline run scores each replay at every interval.
+Every mode starts from one study (`Evaluator`): the data prepared, p
+estimated and the allocation instance built once, and one greedy plan per
+budget. Unguided replays do not depend on which bikes carry sensors, so one
+beta=0 replay per replication serves every method, budget and interval;
+guided replays are not kept. The sensing interval enters only at scoring
+time: a pipeline run scores each replay at every interval, a requirement
+search at the intervals whose search probes the replay's budget.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -61,8 +61,8 @@ class ExperimentSpec:
     coverage_runs: int = 20
 
     def __post_init__(self):
-        if self.budgets == [] or not self.deltas or not self.betas:
-            raise ValueError("budgets, deltas, and betas must be non-empty")
+        if self.budgets == [] or not self.deltas or not self.betas or not self.methods:
+            raise ValueError("budgets, deltas, betas, and methods must be non-empty")
         budgets = self.budgets or []
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
@@ -75,9 +75,10 @@ class ExperimentSpec:
             check_beta(beta)
         for delta_h in self.deltas:
             interval_minutes(delta_h)
-        for name, values in (("budgets", budgets), ("deltas", self.deltas), ("betas", self.betas)):
+        sweeps = {"budgets": budgets, "deltas": self.deltas, "betas": self.betas, "methods": self.methods}
+        for name, values in sweeps.items():
             if len(set(values)) < len(values):  # by value: 4 and 4.0 repeat
-                raise ValueError(f"{name} must not repeat, got {values}")
+                raise ValueError(f"{name} must not repeat, got {list(values)}")
         unknown = [m for m in self.methods if m not in ALL_METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {ALL_METHODS}")
@@ -125,20 +126,37 @@ def prepare(spec: ExperimentSpec) -> PreparedData:
 
 
 class Evaluator:
-    """Replays the fleet and scores replays at requested intervals.
+    """One study, shared by every mode: the prepared data, the allocation
+    instance at the whole fleet, one greedy equipped set per budget, and
+    replays scored at requested intervals.
 
-    Only unguided replays (beta == 0) are kept, one per replication: they
-    ignore the equipped set, so each serves every method, budget and
-    interval. Guided replays are not kept: run_pipeline scores each at every
-    interval when made, and sensor_requirement asks for one again only after
-    other replays. A one-replay slot hit none of the guided requests of a
-    pipeline run, a beta sweep or a 3-replication requirement search.
+    A budget's greedy rounds are a prefix of the fleet's, so they run once,
+    at the first greedy request. Only unguided replays (beta == 0) are kept,
+    one per replication: they ignore the equipped set, so each serves every
+    method, budget and interval.
     """
 
-    def __init__(self, data: PreparedData, seed: int):
-        self.data = data
-        self.seed = seed
+    def __init__(self, spec: ExperimentSpec):
+        self.data = data = prepare(spec)
+        self.seed = spec.seed
+        sample = mean_coverage(data.log, data.fleet, runs=spec.coverage_runs, seed=spec.seed)
+        matrix = estimate_probabilities(sample, data.fleet)
+        self.inst = build_instance(matrix, data.net, data.fleet, sum(data.fleet.b))
+        self._greedy: dict[int, frozenset[int]] = {}
         self._unguided: dict[int, Replay] = {}
+
+    def at(self, budget: int) -> MilpInstance:
+        return replace(self.inst, budget=min(budget, self.inst.budget))
+
+    @cached_property
+    def _order(self) -> list[int]:
+        return greedy_order(self.inst)
+
+    def greedy(self, budget: int) -> frozenset[int]:
+        if budget not in self._greedy:
+            plan = solve_greedy(self.at(budget), self._order)
+            self._greedy[budget] = equipped_set(self.data.fleet, plan.n)
+        return self._greedy[budget]
 
     def trajectories(self, rep: int, beta: float, equipped: frozenset[int]) -> Replay:
         seed = self.seed + _SIM_SEED_OFFSET + rep
@@ -154,37 +172,6 @@ class Evaluator:
         return sensing_score(counts, self.data.net.seg_length_m, grid)
 
 
-class _Study:
-    """The prelude every mode shares: prepared data, an Evaluator, the
-    allocation instance at the whole fleet, and one greedy equipped set per
-    budget. A budget only changes the instance's budget, and its greedy
-    rounds are a prefix of those at `top_budget` (default: the fleet), so
-    the rounds run once, at the first greedy request.
-    """
-
-    def __init__(self, spec: ExperimentSpec, top_budget: int | None = None):
-        self.data = data = prepare(spec)
-        sample = mean_coverage(data.log, data.fleet, runs=spec.coverage_runs, seed=spec.seed)
-        matrix = estimate_probabilities(sample, data.fleet)
-        self.ev = Evaluator(data, spec.seed)
-        self.inst = build_instance(matrix, data.net, data.fleet, sum(data.fleet.b))
-        self._top = self.inst if top_budget is None else self.at(top_budget)
-        self._greedy: dict[int, frozenset[int]] = {}
-
-    def at(self, budget: int) -> MilpInstance:
-        return replace(self.inst, budget=min(budget, self.inst.budget))
-
-    @cached_property
-    def _order(self) -> list[int]:
-        return greedy_order(self._top)
-
-    def greedy(self, budget: int) -> frozenset[int]:
-        if budget not in self._greedy:
-            plan = solve_greedy(self.at(budget), self._order)
-            self._greedy[budget] = equipped_set(self.data.fleet, plan.n)
-        return self._greedy[budget]
-
-
 def run_pipeline(spec: ExperimentSpec) -> tuple[list[ResultRow], list[SummaryRow]]:
     """Execute the full pipeline over the spec's sweeps.
 
@@ -193,20 +180,20 @@ def run_pipeline(spec: ExperimentSpec) -> tuple[list[ResultRow], list[SummaryRow
     """
     if spec.budgets is None:
         raise MalformedInputError("the experiment config needs 'budgets' for a pipeline or beta sweep")
-    study = _Study(spec, max(spec.budgets))
+    ev = Evaluator(spec)
     rows: list[ResultRow] = []
     for budget in spec.budgets:
         for method in spec.methods:
             for beta in spec.betas if method == METHOD_ACTIVE else [0.0]:
                 for rep in range(spec.replications):
                     if method == METHOD_RANDOM:
-                        alloc = random_allocation(study.at(budget), spec.seed + _RAND_ALLOC_SEED_OFFSET + rep)
-                        equipped = equipped_set(study.data.fleet, alloc.n)
+                        alloc = random_allocation(ev.at(budget), spec.seed + _RAND_ALLOC_SEED_OFFSET + rep)
+                        equipped = equipped_set(ev.data.fleet, alloc.n)
                     else:
-                        equipped = study.greedy(budget)
-                    trajs = study.ev.trajectories(rep, beta, equipped)
+                        equipped = ev.greedy(budget)
+                    trajs = ev.trajectories(rep, beta, equipped)
                     rows.extend(
-                        ResultRow(method, budget, delta_h, beta, rep, study.ev.phi(trajs, equipped, delta_h))
+                        ResultRow(method, budget, delta_h, beta, rep, ev.phi(trajs, equipped, delta_h))
                         for delta_h in spec.deltas
                     )
     rows.sort(key=lambda r: (ALL_METHODS.index(r.method), r.budget, r.delta_h, r.beta, r.rep))
@@ -274,37 +261,48 @@ def sensor_requirement(spec: ExperimentSpec, target_phi_pct: float) -> list[Requ
     score is non-decreasing in budget and reports whether the points actually
     evaluated were monotone. Schedules with the spec's one beta and ignores
     its budgets and methods.
+
+    Each interval's search is a bisect_left over budgets 0 .. fleet - 1; they
+    descend the bisect tree together, so each (budget, rep) is replayed once.
     """
     if not math.isfinite(target_phi_pct):
         raise ValueError(f"target phi must be a finite percentage, got {target_phi_pct}")
     beta = requirement_beta(spec)
-    study = _Study(spec)
+    ev = Evaluator(spec)
     if target_phi_pct <= 0.0:
         return [RequirementRow(delta_h, target_phi_pct, 0, 0.0, True) for delta_h in spec.deltas]
-    ev, fleet_size = study.ev, study.inst.budget
+    means = {delta_h: {0: 0.0} for delta_h in spec.deltas}  # budget -> mean score; no sensors score 0
+
+    def score(budget: int, deltas: list[float]) -> None:
+        equipped = ev.greedy(budget)
+        phis = []  # per replication, one score per interval
+        for rep in range(spec.replications):
+            trajs = ev.trajectories(rep, beta, equipped)
+            phis.append([ev.phi(trajs, equipped, delta_h) for delta_h in deltas])
+            del trajs  # one guided replay alive at a time
+        for delta_h, column in zip(deltas, zip(*phis)):
+            means[delta_h][budget] = float(np.mean(column))
+
+    def search(lo: int, hi: int, deltas: list[float]) -> None:
+        if not deltas or lo == hi:
+            return
+        mid = (lo + hi) // 2
+        if mid > 0:
+            score(mid, deltas)
+        reach = [delta_h for delta_h in deltas if means[delta_h][mid] >= target_phi_pct]
+        search(lo, mid, reach)
+        search(mid + 1, hi, [delta_h for delta_h in deltas if delta_h not in reach])
+
+    fleet_size = ev.inst.budget
+    score(fleet_size, spec.deltas)
+    search(0, fleet_size, [delta_h for delta_h, at in means.items() if at[fleet_size] >= target_phi_pct])
     out = []
-    for delta_h in spec.deltas:
-        memo = {0: 0.0}  # budget -> mean score at this interval; no sensors score 0
-
-        def mean_phi(budget: int) -> float:
-            if budget not in memo:
-                equipped = study.greedy(budget)
-                phis = [
-                    ev.phi(ev.trajectories(rep, beta, equipped), equipped, delta_h)
-                    for rep in range(spec.replications)
-                ]
-                memo[budget] = float(np.mean(phis))
-            return memo[budget]
-
-        top = mean_phi(fleet_size)
-        if top < target_phi_pct:
-            out.append(RequirementRow(delta_h, target_phi_pct, None, top, True))
-            continue
-        # the fleet is known to reach the target, so the search runs over 0 .. fleet - 1
-        found = bisect_left(range(fleet_size), True, key=lambda budget: mean_phi(budget) >= target_phi_pct)
-        evaluated = sorted(memo.items())
-        monotone = all(a[1] <= b[1] + 1e-9 for a, b in zip(evaluated, evaluated[1:]))
-        out.append(RequirementRow(delta_h, target_phi_pct, found, memo[found], monotone))
+    for delta_h, evaluated in means.items():
+        # bisect_left ends at the smallest probed budget reaching the target (never 0)
+        points = sorted(evaluated.items())
+        found = next((budget for budget, phi in points if phi >= target_phi_pct), None)
+        monotone = all(a[1] <= b[1] + 1e-9 for a, b in zip(points, points[1:]))
+        out.append(RequirementRow(delta_h, target_phi_pct, found, evaluated[found or fleet_size], monotone))
     return out
 
 

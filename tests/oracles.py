@@ -10,7 +10,7 @@ import csv
 import heapq
 import itertools
 import math
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import Counter
 from datetime import datetime
 
@@ -568,3 +568,33 @@ def solve_greedy_sparse(inst, eps=1e-9):
                 break
 
     return evaluate_sparse(inst, n, eps=eps)
+
+
+def requirement_by_interval(deltas, fleet_size, target_phi_pct, mean_phi):
+    """The sensor-requirement search one interval at a time, each with its own
+    memo and its own bisect_left over budgets 0 .. fleet_size - 1.
+
+    `mean_phi(budget, delta_h)` is the mean score of the budget's plan at one
+    interval; the target is positive. Returns the rows as (delta_h, target,
+    budget or None, achieved, monotone_ok) tuples, and per interval the
+    budgets the search scored.
+    """
+    rows, scored = [], {}
+    for delta_h in deltas:
+        memo = {0: 0.0}  # no sensors score 0
+
+        def score(budget):
+            if budget not in memo:
+                memo[budget] = mean_phi(budget, delta_h)
+            return memo[budget]
+
+        top = score(fleet_size)
+        if top < target_phi_pct:
+            rows.append((delta_h, target_phi_pct, None, top, True))
+        else:
+            found = bisect_left(range(fleet_size), True, key=lambda budget: score(budget) >= target_phi_pct)
+            evaluated = sorted(memo.items())
+            monotone = all(a[1] <= b[1] + 1e-9 for a, b in zip(evaluated, evaluated[1:]))
+            rows.append((delta_h, target_phi_pct, found, memo[found], monotone))
+        scored[delta_h] = sorted(budget for budget in memo if budget > 0)
+    return rows, scored

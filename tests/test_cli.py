@@ -254,10 +254,13 @@ def test_experiment_tables_end_lines_like_results(tmp_path):
         # whose plans leave 4 to 7 of the 8 stands open
         ("sensor-requirement", {"deltas": [16.0, 4.0, 1.0], "betas": [0.0]}, "sensor_requirement.csv",
          "32b6c62dc44d116b24880bd8bbc8fa057de6505fce14312c71f21835edbab263"),
+        # guided: the searches share each (budget, rep) replay between intervals
+        ("sensor-requirement", {"deltas": [16.0, 4.0, 1.0], "betas": [1.0]}, "sensor_requirement.csv",
+         "339b829537147ddef57ec31280a7558fe7b980de497192d579f6a6e7f3ed6911"),
         ("pipeline", {"budgets": [3, 12], "deltas": [16.0, 4.0], "betas": [0.5, 1.0]}, "results.csv",
          "82dbb0cdece65a056a11de41c6a7fa590c705973349a3a73c12e35588b5c25b3"),
     ],
-    ids=["sensor-requirement", "pipeline"],
+    ids=["sensor-requirement", "sensor-requirement-guided", "pipeline"],
 )
 def test_experiment_table_bytes_are_pinned(tmp_path, mode, config, table, digest):
     """An experiment's table is pinned byte for byte on one small synth
@@ -680,11 +683,15 @@ class TestExitCodes:
             ('"budgets": [3, 3]', "budgets must not repeat, got [3, 3]"),
             ('"deltas": [4, 4.0]', "deltas must not repeat, got [4.0, 4.0]"),
             ('"betas": [1.0, 0.5, 1.0]', "betas must not repeat, got [1.0, 0.5, 1.0]"),
+            ('"methods": ["optimized-noactive", "optimized-noactive"]',
+             "methods must not repeat, got ['optimized-noactive', 'optimized-noactive']"),
+            ('"methods": []', "budgets, deltas, betas, and methods must be non-empty"),
         ],
         ids=["beta-above-one", "no-coverage-runs", "delta-not-whole-minutes", "budget-zero",
              "delta-infinite", "budget-infinite", "budget-fraction", "replications-fraction",
              "budgets-a-string", "seed-fraction", "coverage-runs-a-string", "beta-bool", "seed-bool",
-             "delta-a-string", "budget-repeated", "delta-repeated-by-value", "beta-repeated"],
+             "delta-a-string", "budget-repeated", "delta-repeated-by-value", "beta-repeated",
+             "method-repeated", "methods-empty"],
     )
     def test_bad_experiment_config_is_2_at_load(self, tmp_path, capsys, monkeypatch, entry, message):
         import velosense.harness as harness

@@ -1,7 +1,9 @@
 import csv
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from oracles import requirement_by_interval
 
 from velosense.errors import ConfigInfeasibleError, MalformedInputError
 from velosense.harness import (
@@ -62,6 +64,10 @@ class TestSpecValidation:
             small_spec(replications=0)
         with pytest.raises(ValueError):
             small_spec(methods=("nonsense",))
+        with pytest.raises(ValueError, match="methods must be non-empty"):
+            small_spec(methods=())
+        with pytest.raises(ValueError, match="methods must not repeat"):
+            small_spec(methods=(METHOD_OPTIMIZED, METHOD_OPTIMIZED))
 
     def test_load_spec_round_trip(self):
         doc = {
@@ -182,7 +188,7 @@ class TestRunPipeline:
         budgets, betas = len(spec.budgets), len(spec.betas)
         assert len(configs) == spec.coverage_runs + spec.replications + budgets * betas * spec.replications
 
-    def test_greedy_rounds_run_once_at_the_largest_budget(self, monkeypatch):
+    def test_greedy_rounds_run_once_at_the_whole_fleet(self, monkeypatch):
         import velosense.harness as harness
 
         ordered = []
@@ -193,8 +199,11 @@ class TestRunPipeline:
             return greedy_order(inst)
 
         monkeypatch.setattr(harness, "greedy_order", counting_order)
-        run_pipeline(small_spec(budgets=[2, 4, 3]))
-        assert ordered == [4]  # the fleet is larger
+        spec = small_spec(budgets=[2, 4, 3])
+        run_pipeline(spec)
+        fleet_size = sum(harness.prepare(spec).fleet.b)
+        assert fleet_size > 4
+        assert ordered == [fleet_size]  # once, past the largest budget
 
     def test_random_only_sweep_runs_no_greedy(self, monkeypatch):
         import velosense.harness as harness
@@ -256,14 +265,14 @@ class TestSensorRequirement:
         from velosense.allocation import build_instance, solve_greedy
         from velosense.coverage_model import estimate_probabilities, mean_coverage
         from velosense.fleet_sim import equipped_set
-        from velosense.harness import Evaluator, prepare
+        from velosense.harness import Evaluator
 
-        data = prepare(spec)
+        ev = Evaluator(spec)
+        data = ev.data
         matrix = estimate_probabilities(
             mean_coverage(data.log, data.fleet, runs=spec.coverage_runs, seed=spec.seed),
             data.fleet,
         )
-        ev = Evaluator(data, spec.seed)
 
         def mean_phi(budget):
             if budget == 0:
@@ -332,29 +341,89 @@ class TestSensorRequirement:
         sensor_requirement(spec, target_phi_pct=10.0)
         assert len(configs) == spec.coverage_runs + spec.replications
 
-    def test_guided_search_replays_each_interval_budget_and_rep_it_evaluates(self, monkeypatch):
+    @pytest.mark.parametrize("beta", [0.0, 1.0], ids=["beta0", "beta1"])
+    def test_search_replays_and_scores_each_probe_once(self, monkeypatch, beta):
         import velosense.harness as harness
 
         configs = recorded_replays(monkeypatch)
-        scored = []
-        phi = harness.Evaluator.phi
+        events = []  # each replay asked for, then the scores taken from it
+        trajectories, phi = harness.Evaluator.trajectories, harness.Evaluator.phi
+
+        def recording_trajectories(self, rep, replay_beta, equipped):
+            events.append(("replay", rep, equipped))
+            return trajectories(self, rep, replay_beta, equipped)
 
         def recording_phi(self, trajs, equipped, delta_h):
-            scored.append((delta_h, equipped))
+            events.append(("score", delta_h, equipped))
             return phi(self, trajs, equipped, delta_h)
 
+        monkeypatch.setattr(harness.Evaluator, "trajectories", recording_trajectories)
         monkeypatch.setattr(harness.Evaluator, "phi", recording_phi)
-        spec = small_spec(betas=[1.0], deltas=[16.0, 4.0, 1.0])
-        sensor_requirement(spec, target_phi_pct=10.0)
-        guided = configs[spec.coverage_runs:]
-        assert all(cfg.beta == 0.0 for cfg in configs[: spec.coverage_runs])
-        assert all(cfg.beta == 1.0 for cfg in guided)
-        # one replay per score, each for a distinct (interval, budget, rep);
-        # a replay per (budget, rep) scored at every interval would make fewer
-        assert [cfg.equipped for cfg in guided] == [equipped for _delta, equipped in scored]
-        cells = {(delta, cfg.equipped, cfg.seed) for (delta, _e), cfg in zip(scored, guided)}
-        assert len(cells) == len(guided)
-        assert len({(cfg.equipped, cfg.seed) for cfg in guided}) < len(guided)
+        spec = small_spec(betas=[beta], deltas=[16.0, 4.0, 1.0])
+        target = 10.0
+        sensor_requirement(spec, target_phi_pct=target)
+        cells = []  # (interval, budget, rep) per score
+        for kind, key, equipped in events:
+            if kind == "replay":
+                rep, replayed = key, equipped
+            else:
+                assert equipped == replayed
+                cells.append((key, len(equipped), rep))  # a plan at budget <= fleet equips that many bikes
+        assert len(cells) == len(set(cells))
+        replays = configs[spec.coverage_runs:]
+
+        _rows, scored = _oracle_search(spec, target)
+        for delta_h in spec.deltas:
+            assert sorted({budget for d, budget, _rep in cells if d == delta_h}) == scored[delta_h]
+        assert len(cells) == spec.replications * sum(map(len, scored.values()))
+
+        if beta == 0.0:
+            assert len(replays) == spec.replications
+        else:
+            assert all(cfg.beta == beta for cfg in replays)
+            assert len(replays) == len({(cfg.equipped, cfg.seed) for cfg in replays})
+            assert len(replays) == len({(budget, rep) for _d, budget, rep in cells})
+            assert len(replays) < len(cells)  # a replay serves several intervals
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0], ids=["beta0", "beta1"])
+    @pytest.mark.parametrize(
+        "target, case",
+        [(10.0, "budget-one"), (32.8, "only-the-fleet"), (43.0, "some-unattainable")],
+        ids=["budget-one", "only-the-fleet", "some-unattainable"],
+    )
+    def test_rows_equal_the_per_interval_search(self, beta, target, case):
+        import velosense.harness as harness
+
+        spec = small_spec(betas=[beta], deltas=[16.0, 4.0, 1.0])
+        rows = sensor_requirement(spec, target_phi_pct=target)
+        expected, _scored = _oracle_search(spec, target)
+        assert [astuple(row) for row in rows] == expected
+        budgets = [r.budget for r in rows]
+        fleet_size = sum(harness.prepare(spec).fleet.b)
+        if case == "budget-one":  # the search's last step is mid == 0, scored without a replay
+            assert 1 in budgets
+        elif case == "only-the-fleet":
+            assert fleet_size in budgets and any(b is not None and b < fleet_size for b in budgets)
+        else:
+            assert None in budgets and any(b is not None for b in budgets)
+
+
+def _oracle_search(spec, target):
+    """The per-interval reference search, on the same plans and replays."""
+    from velosense.harness import Evaluator
+
+    ev = Evaluator(spec)
+    beta = spec.betas[0]
+
+    def mean_phi(budget, delta_h):
+        equipped = ev.greedy(budget)
+        phis = [
+            ev.phi(ev.trajectories(rep, beta, equipped), equipped, delta_h)
+            for rep in range(spec.replications)
+        ]
+        return float(np.mean(phis))
+
+    return requirement_by_interval(spec.deltas, ev.inst.budget, target, mean_phi)
 
 
 class TestWriters:
