@@ -16,7 +16,6 @@ from .allocation import (
 )
 from .coverage_model import (
     CoverageMatrix,
-    CoverageSample,
     estimate_probabilities,
     mean_coverage,
     probability_decay_report,

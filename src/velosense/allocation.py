@@ -167,8 +167,11 @@ def solve_exact(inst: MilpInstance, time_limit_s: float = 60.0) -> AllocationPla
     still-uncovered segment that could reach K if the remaining stands
     contributed at full capacity. That over-promises (capacity is shared),
     so the bound is admissible and pruning is safe. Intended for small
-    instances; on timeout the incumbent is returned with a nonzero gap.
+    instances; on timeout the incumbent is returned with a nonzero gap. A
+    time limit of inf means none.
     """
+    if not time_limit_s >= 0.0:  # NaN fails too
+        raise ValueError(f"time limit must be a number of seconds >= 0, got {time_limit_s}")
     S = inst.num_stands
     P = inst.P
     lengths = inst.lengths

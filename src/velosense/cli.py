@@ -22,7 +22,6 @@ from .errors import (
     blamed_on,
     read_json,
     write_json,
-    write_table,
 )
 from .network import load_network_files, network_sha256
 
@@ -116,8 +115,7 @@ def cmd_fleet(args) -> int:
 def cmd_probs(args) -> int:
     log = trips.load_triplog(args.triplog)
     plan = fleet_sim.initial_bike_counts(log)
-    sample = coverage_model.mean_coverage(log, plan, runs=args.runs, seed=args.seed)
-    matrix = coverage_model.estimate_probabilities(sample, plan)
+    matrix = coverage_model.estimate_probabilities(log, plan, runs=args.runs, seed=args.seed)
     matrix.triplog_sha256 = trips.file_sha256(args.triplog)
     out = _out_dir(args)
     coverage_model.save_matrix(matrix, out / "probs.csv", out / "probs.meta.json")
@@ -193,9 +191,10 @@ def cmd_score(args) -> int:
     counts = metrics.coverage_counts(replay, equipped, grid, net.num_segments)
     phi = metrics.sensing_score(counts, net.seg_length_m, grid)
     report = metrics.SensingReport(counts, phi, grid, len(equipped))
+    # the hourly diagnostics refuse a horizon that is not hour-aligned, so they run before any file is written
+    hourly = metrics.hourly_diagnostics(replay, equipped, log)
     out = _out_dir(args)
     metrics.write_report(report, out / "coverage_counts.csv", out / "score.json")
-    hourly = metrics.hourly_diagnostics(replay, equipped, log)
     metrics.write_hourly(hourly, out / "hourly.csv", out / "hourly_segments.csv")
     print(f"phi = {phi:.3f}% at delta {args.delta} h -> {out / 'score.json'}")
     return EXIT_OK
@@ -216,26 +215,18 @@ def cmd_experiment(args) -> int:
     out = _out_dir(args)
     if args.mode == "pipeline":
         rows, summary = harness.run_pipeline(spec)
-        harness.write_results(rows, out / "results.csv")
-        harness.write_summary(summary, out / "summary.csv")
+        harness.write_rows(out / "results.csv", harness.ResultRow, rows)
+        harness.write_rows(out / "summary.csv", harness.SummaryRow, summary)
         print(f"{len(rows)} result rows -> {out / 'results.csv'}")
     elif args.mode == "beta-sweep":
         rows, summary, gains = harness.beta_sweep(spec)
-        harness.write_results(rows, out / "results.csv")
-        harness.write_summary(summary, out / "summary.csv")
-        write_table(
-            out / "beta_gains.csv",
-            ["budget", "delta_h", "beta_from", "beta_to", "gain_phi_pct"],
-            ((g.budget, g.delta_h, g.beta_from, g.beta_to, repr(g.gain_phi_pct)) for g in gains),
-        )
+        harness.write_rows(out / "results.csv", harness.ResultRow, rows)
+        harness.write_rows(out / "summary.csv", harness.SummaryRow, summary)
+        harness.write_rows(out / "beta_gains.csv", harness.BetaGain, gains)
         print(f"{len(rows)} result rows, {len(gains)} beta steps -> {out}")
     else:  # sensor-requirement
         rows = harness.sensor_requirement(spec, args.target_phi)
-        write_table(
-            out / "sensor_requirement.csv",
-            ["delta_h", "target_phi_pct", "budget", "achieved_phi_pct", "monotone_ok"],
-            ((r.delta_h, r.target_phi_pct, r.budget, repr(r.achieved_phi_pct), r.monotone_ok) for r in rows),
-        )
+        harness.write_rows(out / "sensor_requirement.csv", harness.RequirementRow, rows)
         print(f"{len(rows)} interval rows -> {out / 'sensor_requirement.csv'}")
     return EXIT_OK
 

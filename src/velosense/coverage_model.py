@@ -6,8 +6,10 @@ stand's bike count estimates the per-bike visit expectation p[stand, segment].
 A bike can cross the same segment several times in a day, so values above 1
 are legal; downstream optimization consumes them as expectations.
 
-A sample and a matrix are three aligned columns (stand, segment, value),
-sorted by (stand, segment) and unique, from the replay tally to probs.csv.
+p comes from one call, `estimate_probabilities`: `mean_coverage` tallies
+the replays into three aligned columns (stand, segment, n_bar), sorted by
+(stand, segment) and unique, and p is n_bar divided by the stand's bike
+count. A matrix keeps those columns from the tally to probs.csv.
 
 Every traversal event is attributed to the bike's home stand (where it was
 deployed at the start of the horizon), the only label that stays stable once
@@ -32,19 +34,6 @@ COVERAGE_FORMAT = "velosense-coverage-v1"
 DEFAULT_RUNS = 20
 
 PROBS_HEADER = ["stand_id", "segment_id", "p"]
-
-
-@dataclass(eq=False)
-class CoverageSample:
-    """Mean traversals per (home stand, segment) over the runs; absent pairs are 0."""
-
-    stand: np.ndarray  # int64
-    segment: np.ndarray  # int64
-    n_bar: np.ndarray  # float64
-    runs: int
-    seed: int
-    horizon: tuple[int, int]
-    stand_nodes: list[int]
 
 
 @dataclass(eq=False)
@@ -77,25 +66,26 @@ def _tally(log: TripLog, plan: FleetPlan, runs: int, seed: int, label: np.ndarra
 
 def mean_coverage(
     log: TripLog, plan: FleetPlan, runs: int = DEFAULT_RUNS, seed: int = 0
-) -> CoverageSample:
-    """Average per-(home stand, segment) traversal counts over `runs` unguided
-    replays seeded seed+1 .. seed+runs."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean traversals per (home stand, segment) over `runs` unguided replays
+    seeded seed+1 .. seed+runs, as (stand, segment, n_bar) columns; absent
+    pairs are 0."""
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     totals = _tally(log, plan, runs, seed, plan.home_stands())
     stand, segment = np.nonzero(totals)  # row-major: sorted by (stand, segment)
-    return CoverageSample(
-        stand, segment, totals[stand, segment] / runs, runs, seed, log.horizon, [s.node for s in log.stands]
-    )
+    return stand, segment, totals[stand, segment] / runs
 
 
-def estimate_probabilities(sample: CoverageSample, plan: FleetPlan) -> CoverageMatrix:
-    """Binomial-mean slope: p = mean coverage / bikes deployed at the stand."""
-    b = np.asarray(plan.b, dtype=np.int64)[sample.stand]
-    if (b <= 0).any():
-        raise ValueError(f"stand {sample.stand[b <= 0][0]} has coverage but no bikes")
-    protocol = (sample.runs, sample.seed, sample.horizon, list(sample.stand_nodes))
-    return CoverageMatrix(sample.stand, sample.segment, sample.n_bar / b, *protocol)
+def estimate_probabilities(
+    log: TripLog, plan: FleetPlan, runs: int = DEFAULT_RUNS, seed: int = 0
+) -> CoverageMatrix:
+    """Binomial-mean slope: p = mean coverage / bikes deployed at the stand.
+
+    A stand with no bikes homes none, so every stand that has coverage has b > 0."""
+    stand, segment, n_bar = mean_coverage(log, plan, runs, seed)
+    p = n_bar / np.asarray(plan.b, dtype=np.int64)[stand]
+    return CoverageMatrix(stand, segment, p, runs, seed, log.horizon, [s.node for s in log.stands])
 
 
 def probability_decay_report(

@@ -16,13 +16,13 @@ search at the intervals whose search probes the replay's budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
 
 from .allocation import MilpInstance, build_instance, greedy_order, random_allocation, solve_greedy
-from .coverage_model import estimate_probabilities, mean_coverage
+from .coverage_model import estimate_probabilities
 from .errors import ConfigInfeasibleError, MalformedInputError, write_table
 from .fleet_sim import FleetPlan, Replay, SimConfig, check_beta, equipped_set, initial_bike_counts, simulate
 from .metrics import IntervalGrid, coverage_counts, interval_minutes, sensing_score
@@ -34,9 +34,6 @@ METHOD_RANDOM = "random-noactive"
 METHOD_OPTIMIZED = "optimized-noactive"
 METHOD_ACTIVE = "optimized-active"
 ALL_METHODS = (METHOD_RANDOM, METHOD_OPTIMIZED, METHOD_ACTIVE)
-
-RESULT_HEADER = ["method", "budget", "delta_h", "beta", "rep", "phi_pct"]
-SUMMARY_HEADER = ["method", "budget", "delta_h", "beta", "mean_phi_pct", "std_phi_pct", "reps"]
 
 _SIM_SEED_OFFSET = 100_000
 _RAND_ALLOC_SEED_OFFSET = 200_000
@@ -139,8 +136,7 @@ class Evaluator:
     def __init__(self, spec: ExperimentSpec):
         self.data = data = prepare(spec)
         self.seed = spec.seed
-        sample = mean_coverage(data.log, data.fleet, runs=spec.coverage_runs, seed=spec.seed)
-        matrix = estimate_probabilities(sample, data.fleet)
+        matrix = estimate_probabilities(data.log, data.fleet, runs=spec.coverage_runs, seed=spec.seed)
         self.inst = build_instance(matrix, data.net, data.fleet, sum(data.fleet.b))
         self._greedy: dict[int, frozenset[int]] = {}
         self._unguided: dict[int, Replay] = {}
@@ -306,21 +302,10 @@ def sensor_requirement(spec: ExperimentSpec, target_phi_pct: float) -> list[Requ
     return out
 
 
-def write_results(rows: list[ResultRow], path) -> None:
-    write_table(
-        path, RESULT_HEADER, ((r.method, r.budget, r.delta_h, r.beta, r.rep, repr(r.phi_pct)) for r in rows)
-    )
-
-
-def write_summary(summary: list[SummaryRow], path) -> None:
-    write_table(
-        path,
-        SUMMARY_HEADER,
-        (
-            (s.method, s.budget, s.delta_h, s.beta, repr(s.mean_phi_pct), repr(s.std_phi_pct), s.reps)
-            for s in summary
-        ),
-    )
+def write_rows(path, row_type, rows) -> None:
+    """An experiment table: a header of the row dataclass's field names, then
+    each row's fields in order (csv writes a float as its repr, None as "")."""
+    write_table(path, [f.name for f in fields(row_type)], map(astuple, rows))
 
 
 def _integer(value, name: str) -> int:
@@ -375,7 +360,7 @@ def load_spec(doc: dict) -> ExperimentSpec:
     except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedInputError(f"bad experiment source: {exc}") from exc
     try:
-        fields = {key: parse(doc[key], key) for key, parse in _SPEC_FIELDS.items() if key in doc}
-        return ExperimentSpec(source=source, **fields)
+        given = {key: parse(doc[key], key) for key, parse in _SPEC_FIELDS.items() if key in doc}
+        return ExperimentSpec(source=source, **given)
     except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedInputError(f"bad experiment config: {exc}") from exc

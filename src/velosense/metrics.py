@@ -6,12 +6,17 @@ interval. The sensing score is the length-weighted share of covered cells,
 as a percentage. A cell's membership uses the segment entry minute, matching
 the traversal timestamps produced by the trip router. Counts are one masked
 np.bincount over a replay's event table.
+
+Results keep the array form they are counted in: a score's counts and the
+hourly diagnostics' counts (segments x hours, beside the trip starts per
+hour) are written to CSV straight from their nonzero cells.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -112,17 +117,11 @@ def sensing_score(counts: np.ndarray, lengths: np.ndarray, grid: IntervalGrid) -
     return 100.0 * float(lengths @ covered_cells) / (grid.n_intervals * total)
 
 
-@dataclass
-class HourRow:
-    hour: int
-    trips_started: int
-    coverage_events: int
-    per_segment: dict[int, int]
-
-
-@dataclass
+@dataclass(eq=False)
 class HourlyDiagnostics:
-    rows: list[HourRow]
+    first_hour: int  # hour of day of column 0
+    trips_started: np.ndarray  # per hour
+    counts: np.ndarray  # segments x hours: equipped entries
     trip_event_correlation: float | None  # Pearson; absent without equipped coverage
 
 
@@ -142,38 +141,30 @@ def hourly_diagnostics(
     grid = IntervalGrid(t0, t_end, 1.0)
     num_segments = 1 + int(trajectories.events.segment.max(initial=-1))
     counts = coverage_counts(trajectories, equipped, grid, num_segments)
-    starts = grid.interval_of(log.start_min)
-    trips_started = np.bincount(starts, minlength=grid.n_intervals)
-    rows = [
-        HourRow(
-            t0 // 60 + h,
-            int(trips_started[h]),
-            int(counts[:, h].sum()),
-            {int(seg): int(counts[seg, h]) for seg in np.flatnonzero(counts[:, h])},
-        )
-        for h in range(grid.n_intervals)
-    ]
-    xs = np.array([r.trips_started for r in rows], dtype=float)
-    ys = np.array([r.coverage_events for r in rows], dtype=float)
+    trips_started = np.bincount(grid.interval_of(log.start_min), minlength=grid.n_intervals)
+    xs = trips_started.astype(float)
+    ys = counts.sum(axis=0).astype(float)
     correlation = None
-    if len(rows) >= 2 and xs.std() > 0 and ys.std() > 0:
+    if grid.n_intervals >= 2 and xs.std() > 0 and ys.std() > 0:
         correlation = float(np.corrcoef(xs, ys)[0, 1])
-    return HourlyDiagnostics(rows, correlation)
+    return HourlyDiagnostics(t0 // 60, trips_started, counts, correlation)
 
 
 def write_hourly(diag: HourlyDiagnostics, rows_path, segments_path) -> None:
     """Hourly aggregates for external plotting: one summary row per hour plus
-    the per-segment counts behind it."""
+    the nonzero per-segment counts behind it, hour by hour."""
     corr = "" if diag.trip_event_correlation is None else repr(diag.trip_event_correlation)
+    hours = diag.first_hour + np.arange(len(diag.trips_started))
     write_table(
         rows_path,
         ["hour", "trips_started", "coverage_events", "trip_event_correlation"],
-        ((row.hour, row.trips_started, row.coverage_events, corr) for row in diag.rows),
+        zip(hours.tolist(), diag.trips_started.tolist(), diag.counts.sum(axis=0).tolist(), repeat(corr)),
     )
+    hour, seg = np.nonzero(diag.counts.T)  # row-major: sorted by (hour, segment)
     write_table(
         segments_path,
         ["hour", "segment_id", "count"],
-        ((row.hour, seg, count) for row in diag.rows for seg, count in sorted(row.per_segment.items())),
+        zip(hours[hour].tolist(), seg.tolist(), diag.counts[seg, hour].tolist()),
     )
 
 

@@ -48,10 +48,10 @@ class SynthConfig:
             )
         if self.trips < 0:
             raise ValueError(f"trips must be >= 0, got {self.trips}")
-        if self.block_m <= 0:
-            raise ValueError(f"block_m must be > 0, got {self.block_m}")
-        if self.gravity_gamma <= 0:
-            raise ValueError(f"gravity_gamma must be > 0, got {self.gravity_gamma}")
+        for name in ("block_m", "gravity_gamma"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {value}")
 
 
 def grid_network(grid_w: int, grid_h: int, block_m: float) -> RoadNetwork:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from velosense.allocation import build_instance, export_lp, solve_exact, solve_greedy
-from velosense.coverage_model import estimate_probabilities, linearity_probe, mean_coverage
+from velosense.coverage_model import estimate_probabilities, linearity_probe
 from velosense.errors import InfeasiblePlanError
 from velosense.fleet_sim import (
     FleetPlan,
@@ -308,7 +308,7 @@ def test_criterion_10_real_data_reproduction():
     stands_ok = log.num_stands == 646
     fleet_ok = abs(fleet.num_bikes - 6259) / 6259 <= 0.05
 
-    matrix = estimate_probabilities(mean_coverage(log, fleet, runs=20, seed=10), fleet)
+    matrix = estimate_probabilities(log, fleet, runs=20, seed=10)
     inst = build_instance(matrix, net, fleet, budget=100)
     plan = solve_greedy(inst)
     equipped = equipped_set(fleet, plan.n)

@@ -20,7 +20,7 @@ from velosense.allocation import (
     solve_exact,
     solve_greedy,
 )
-from velosense.coverage_model import estimate_probabilities, mean_coverage
+from velosense.coverage_model import estimate_probabilities
 from velosense.errors import MalformedInputError
 from velosense.fleet_sim import initial_bike_counts
 from velosense.synth import SynthConfig, generate
@@ -181,6 +181,17 @@ class TestSolveExact:
         plan = solve_exact(inst, time_limit_s=0.0)
         assert sum(plan.n) <= inst.budget
         assert plan.gap > 0.0
+
+    @pytest.mark.parametrize("limit", [float("nan"), -1.0, -float("inf")])
+    def test_time_limit_below_zero_or_nan_rejected(self, limit):
+        inst, _ = make_problem({(0, 0): 1.0}, [100.0], [1], budget=1)
+        with pytest.raises(ValueError, match=f"time limit must be a number of seconds >= 0, got {limit}"):
+            solve_exact(inst, time_limit_s=limit)
+
+    def test_infinite_time_limit_is_no_limit(self):
+        inst, _ = make_problem({(0, 0): 1.0}, [100.0], [1], budget=1)
+        plan = solve_exact(inst, time_limit_s=float("inf"))
+        assert plan.n == [1] and plan.gap == 0.0
 
 
 def _dense_to_entries(dense):
@@ -350,7 +361,7 @@ def float_tie():
     net, raw = generate(cfg)
     log = clean_trips(raw, net)
     fleet = initial_bike_counts(log)
-    matrix = estimate_probabilities(mean_coverage(log, fleet, runs=4, seed=2), fleet)
+    matrix = estimate_probabilities(log, fleet, runs=4, seed=2)
     inst = build_instance(matrix, net, fleet, 14)
     return inst, column_dict(matrix.stand, matrix.segment, matrix.p), net.seg_length_m, fleet.b
 
@@ -414,7 +425,7 @@ class TestSharedGreedyOrder:
 
     def test_fixture_stride_of_budgets(self, small_scenario, small_fleet):
         net, log = small_scenario
-        matrix = estimate_probabilities(mean_coverage(log, small_fleet, runs=2, seed=0), small_fleet)
+        matrix = estimate_probabilities(log, small_fleet, runs=2, seed=0)
         total = sum(small_fleet.b)
         inst = build_instance(matrix, net, small_fleet, total)
         budgets = sorted({*range(1, total + 1, 3), total})
@@ -534,7 +545,7 @@ class TestGolden:
     @pytest.fixture(scope="class")
     def instance_at(self, small_scenario, small_fleet):
         net, log = small_scenario
-        matrix = estimate_probabilities(mean_coverage(log, small_fleet, runs=3, seed=0), small_fleet)
+        matrix = estimate_probabilities(log, small_fleet, runs=3, seed=0)
         return lambda budget: build_instance(matrix, net, small_fleet, budget)
 
     @pytest.mark.parametrize(

@@ -48,6 +48,18 @@ def pipeline_dir(synth_dir, tmp_path_factory):
     return out
 
 
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+SCORE_DIGESTS = {
+    "coverage_counts.csv": "d56aac0a5fd5238b1f015cc148a97bd8fb0532f444463a055d9b82ce649bc978",
+    "score.json": "92dbc0d2e948d4064cffef4240d586e5ee0a5be57d762dab3ca7cc86b25447ab",
+    "hourly.csv": "2086983447a7c7065e4fabd21606cf6ca675134036fdb784338d58a947146143",
+    "hourly_segments.csv": "252dcff749ff5daec6101fa45207dae7a1fd56b46f0f56b208955415de3b6012",
+}
+
+
 def test_synth_writes_consumable_files(synth_dir):
     for name in ("nodes.csv", "edges.csv", "trips.csv"):
         assert (synth_dir / name).exists()
@@ -80,6 +92,7 @@ def test_probs_artifact(pipeline_dir):
     assert header == "stand_id,segment_id,p"
     meta = json.loads((pipeline_dir / "probs.meta.json").read_text())
     assert meta["runs"] == 2 and meta["seed"] == 19
+    assert _sha256(pipeline_dir / "probs.csv") == "a5fa120359b69c4edc0cfbb23feeb64ff71a01d106c0b62be4275e8be69a1185"
 
 
 def test_allocate_simulate_score_chain(synth_dir, pipeline_dir, tmp_path):
@@ -124,6 +137,37 @@ def test_allocate_simulate_score_chain(synth_dir, pipeline_dir, tmp_path):
     assert hourly[0] == "hour,trips_started,coverage_events,trip_event_correlation"
     assert len(hourly) == 1 + 16  # one row per horizon hour
     assert (out / "hourly_segments.csv").read_text().splitlines()[0] == "hour,segment_id,count"
+    # the score's four outputs, pinned byte for byte
+    for name, digest in SCORE_DIGESTS.items():
+        assert _sha256(out / name) == digest, name
+
+
+def test_score_on_an_unaligned_horizon_writes_nothing(synth_dir, tmp_path, capsys):
+    """The hourly diagnostics need an hour-aligned horizon; score checks it
+    before it writes any of its outputs."""
+    chain = tmp_path / "chain"
+    paths = {
+        "--nodes": synth_dir / "nodes.csv",
+        "--edges": synth_dir / "edges.csv",
+        "--trips": synth_dir / "trips.csv",
+        "--triplog": chain / "triplog.json",
+        "--probs": chain / "probs.csv",
+        "--probs-meta": chain / "probs.meta.json",
+        "--alloc": chain / "alloc.json",
+        "--traj": chain / "traj.json",
+    }
+    common = ["--out-dir", str(chain)]
+    window = ["--window-start", "390", "--window-end", "1350"]
+    assert main(["ingest", *_args(paths, ("--nodes", "--edges", "--trips")), *window, *common]) == 0
+    assert main(["probs", *_args(paths, ("--triplog",)), "--runs", "2", *common]) == 0
+    assert main(["allocate", *_args(paths, ALLOCATE), "--budget", "4", *common]) == 0
+    assert main(["simulate", *_args(paths, SIMULATE), *common]) == 0
+    out = tmp_path / "score"
+    out.mkdir()
+    capsys.readouterr()
+    assert main(["score", *_args(paths, SCORE), "--delta", "1", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "error: horizon (390, 1350) is not hour-aligned\n"
+    assert not any(out.iterdir())
 
 
 def test_export_lp(synth_dir, pipeline_dir, tmp_path):
@@ -247,23 +291,34 @@ def test_experiment_tables_end_lines_like_results(tmp_path):
         assert len(lines) >= 2 and all(line.endswith(b"\r\n") for line in lines), name
 
 
+SWEEP = {"budgets": [3, 12], "deltas": [16.0, 4.0], "betas": [0.5, 1.0]}
+
+
 @pytest.mark.parametrize(
-    "mode, config, table, digest",
+    "mode, config, digests",
     [
         # the search solves budgets 49 (the fleet, every stand full) and 1..24,
         # whose plans leave 4 to 7 of the 8 stands open
-        ("sensor-requirement", {"deltas": [16.0, 4.0, 1.0], "betas": [0.0]}, "sensor_requirement.csv",
-         "32b6c62dc44d116b24880bd8bbc8fa057de6505fce14312c71f21835edbab263"),
+        ("sensor-requirement", {"deltas": [16.0, 4.0, 1.0], "betas": [0.0]}, {
+            "sensor_requirement.csv": "32b6c62dc44d116b24880bd8bbc8fa057de6505fce14312c71f21835edbab263",
+        }),
         # guided: the searches share each (budget, rep) replay between intervals
-        ("sensor-requirement", {"deltas": [16.0, 4.0, 1.0], "betas": [1.0]}, "sensor_requirement.csv",
-         "339b829537147ddef57ec31280a7558fe7b980de497192d579f6a6e7f3ed6911"),
-        ("pipeline", {"budgets": [3, 12], "deltas": [16.0, 4.0], "betas": [0.5, 1.0]}, "results.csv",
-         "82dbb0cdece65a056a11de41c6a7fa590c705973349a3a73c12e35588b5c25b3"),
+        ("sensor-requirement", {"deltas": [16.0, 4.0, 1.0], "betas": [1.0]}, {
+            "sensor_requirement.csv": "339b829537147ddef57ec31280a7558fe7b980de497192d579f6a6e7f3ed6911",
+        }),
+        ("pipeline", SWEEP, {
+            "results.csv": "82dbb0cdece65a056a11de41c6a7fa590c705973349a3a73c12e35588b5c25b3",
+        }),
+        ("beta-sweep", SWEEP, {
+            "results.csv": "ad29512b4b9129c08fea4af1bd8cc9a97a8ffd7ff97ad0204c0e11d514c545ed",
+            "summary.csv": "c905147ce2d45af2bf554c2038bbf56c5ec13ee9ee7c9f7f2e882fc5ff5fe940",
+            "beta_gains.csv": "a7f0c28bcd97260aae6e74cc9dfb0a40174a0ec41cedcf127f4612198f7aa909",
+        }),
     ],
-    ids=["sensor-requirement", "sensor-requirement-guided", "pipeline"],
+    ids=["sensor-requirement", "sensor-requirement-guided", "pipeline", "beta-sweep"],
 )
-def test_experiment_table_bytes_are_pinned(tmp_path, mode, config, table, digest):
-    """An experiment's table is pinned byte for byte on one small synth
+def test_experiment_table_bytes_are_pinned(tmp_path, mode, config, digests):
+    """An experiment's tables are pinned byte for byte on one small synth
     source: allocation and replay may change how they work, not what an
     experiment reports."""
     synth = {"grid_w": 8, "grid_h": 8, "block_m": 300.0, "stand_count": 8, "trips": 400, "seed": 11}
@@ -273,7 +328,8 @@ def test_experiment_table_bytes_are_pinned(tmp_path, mode, config, table, digest
     )
     argv = ["experiment", "--mode", mode, "--target-phi", "10", "--config", str(cfg_path)]
     assert main([*argv, "--out-dir", str(tmp_path)]) == 0
-    assert hashlib.sha256((tmp_path / table).read_bytes()).hexdigest() == digest
+    for table, digest in digests.items():
+        assert _sha256(tmp_path / table) == digest, table
 
 
 ALLOCATE = ("--nodes", "--edges", "--triplog", "--probs", "--probs-meta")
@@ -772,8 +828,13 @@ class TestExitCodes:
             ("ingest", ["--min-km", "nan"], "need distance bounds 0 <= min <= max < inf, got nan and 5.0 km"),
             ("ingest", ["--max-km", "nan"], "need distance bounds 0 <= min <= max < inf, got 0.5 and nan km"),
             ("ingest", ["--min-km", "3", "--max-km", "1"], "need distance bounds 0 <= min <= max < inf, got 3.0 and 1.0 km"),
+            ("allocate", ["--budget", "4", "--method", "exact", "--time-limit", "nan"],
+             "time limit must be a number of seconds >= 0, got nan"),
+            ("allocate", ["--budget", "4", "--method", "exact", "--time-limit", "-1"],
+             "time limit must be a number of seconds >= 0, got -1.0"),
         ],
-        ids=["k-nan", "k-inf", "export-lp-k-nan", "min-km-nan", "max-km-nan", "min-km-above-max-km"],
+        ids=["k-nan", "k-inf", "export-lp-k-nan", "min-km-nan", "max-km-nan", "min-km-above-max-km",
+             "time-limit-nan", "time-limit-negative"],
     )
     def test_number_out_of_range_is_2(self, synth_dir, artifacts, tmp_path, capsys, command, options, message):
         if command == "ingest":

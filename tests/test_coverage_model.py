@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from velosense import coverage_model
 from velosense.coverage_model import (
-    CoverageSample,
     estimate_probabilities,
     linearity_probe,
     load_matrix,
@@ -62,18 +62,16 @@ def radial_log(n_nodes=9, horizon=(0, 600)):
     return trip_log(trips, stands, horizon, 200.0)
 
 
-def columns_sample(n_bar, runs, stand_nodes):
-    """A CoverageSample holding the (stand, segment) -> mean coverage dict `n_bar`."""
-    return CoverageSample(*dict_columns(n_bar), runs, seed=0, horizon=(0, 60), stand_nodes=stand_nodes)
+def one_trip_log():
+    """One trip from stand 0 to stand 2 along a three-node line."""
+    return trip_log([line_trip("a", 0, 2, 5)], [Stand(i, i) for i in range(3)], (0, 60), 200.0)
 
 
 class TestMeanCoverage:
     def test_single_run_counts_each_traversal_once(self):
-        net = line_network(3)
-        log = trip_log([line_trip("a", 0, 2, 5)], [Stand(i, i) for i in range(3)], (0, 60), 200.0)
+        log = one_trip_log()
         plan = initial_bike_counts(log)
-        sample = mean_coverage(log, plan, runs=1, seed=4)
-        assert column_dict(sample.stand, sample.segment, sample.n_bar) == {(0, 0): 1.0, (0, 1): 1.0}
+        assert column_dict(*mean_coverage(log, plan, runs=1, seed=4)) == {(0, 0): 1.0, (0, 1): 1.0}
 
     def test_mean_of_identical_runs_is_unchanged(self):
         log = radial_log()
@@ -81,9 +79,7 @@ class TestMeanCoverage:
         once = mean_coverage(log, plan, runs=1, seed=9)
         many = mean_coverage(log, plan, runs=4, seed=9)
         # one idle bike per selection here, so every run plays out identically
-        assert column_dict(once.stand, once.segment, once.n_bar) == column_dict(
-            many.stand, many.segment, many.n_bar
-        )
+        assert column_dict(*once) == column_dict(*many)
 
     def test_default_run_count(self, small_scenario, small_fleet):
         import inspect
@@ -92,19 +88,17 @@ class TestMeanCoverage:
 
     def test_conservation_of_events(self, small_scenario, small_fleet):
         _net, log = small_scenario
-        sample = mean_coverage(log, small_fleet, runs=3, seed=1)
+        _stand, _segment, n_bar = mean_coverage(log, small_fleet, runs=3, seed=1)
         total_segments = sum(len(t.path.segments) for t in log.trips)
-        assert sum(sample.n_bar.tolist()) == pytest.approx(total_segments, rel=1e-12)
+        assert sum(n_bar.tolist()) == pytest.approx(total_segments, rel=1e-12)
 
     def test_columns_sorted_unique_and_typed(self, small_scenario, small_fleet):
         _net, log = small_scenario
-        sample = mean_coverage(log, small_fleet, runs=2, seed=1)
-        assert (sample.stand.dtype, sample.segment.dtype, sample.n_bar.dtype) == (
-            np.int64, np.int64, np.float64
-        )
-        keys = list(zip(sample.stand.tolist(), sample.segment.tolist()))
+        stand, segment, n_bar = mean_coverage(log, small_fleet, runs=2, seed=1)
+        assert (stand.dtype, segment.dtype, n_bar.dtype) == (np.int64, np.int64, np.float64)
+        keys = list(zip(stand.tolist(), segment.tolist()))
         assert keys == sorted(set(keys))
-        assert (sample.n_bar > 0).all()
+        assert (n_bar > 0).all()
 
     def test_runs_validated(self, small_scenario, small_fleet):
         _net, log = small_scenario
@@ -113,27 +107,25 @@ class TestMeanCoverage:
 
 
 class TestEstimateProbabilities:
-    def test_binomial_slope(self):
-        sample = columns_sample({(0, 3): 4.0}, runs=20, stand_nodes=[7])
-        plan = FleetPlan([8])
-        matrix = estimate_probabilities(sample, plan)
+    def test_binomial_slope(self, monkeypatch):
+        log = one_trip_log()
+        monkeypatch.setattr(coverage_model, "mean_coverage", lambda *_args: dict_columns({(0, 3): 4.0}))
+        matrix = estimate_probabilities(log, FleetPlan([8, 0, 0]), runs=20, seed=6)
         assert column_dict(matrix.stand, matrix.segment, matrix.p) == {(0, 3): 0.5}
+        # the protocol comes from the call and the log
+        assert (matrix.runs, matrix.seed, matrix.horizon, matrix.stand_nodes) == (20, 6, (0, 60), [0, 1, 2])
 
     def test_absent_entries_stay_absent(self):
-        sample = columns_sample({}, runs=20, stand_nodes=[7])
-        matrix = estimate_probabilities(sample, FleetPlan([2]))
-        assert column_dict(matrix.stand, matrix.segment, matrix.p) == {}
-
-    def test_zero_bike_stand_with_coverage_rejected(self):
-        sample = columns_sample({(0, 1): 1.0, (1, 2): 1.0, (2, 0): 3.0}, runs=1, stand_nodes=[0, 1, 2])
-        with pytest.raises(ValueError, match="stand 1 has coverage but no bikes"):
-            estimate_probabilities(sample, FleetPlan([2, 0, 0]))
+        # the one trip leaves stand 0, so stands 1 and 2 cover nothing
+        log = one_trip_log()
+        matrix = estimate_probabilities(log, initial_bike_counts(log), runs=2, seed=0)
+        assert set(matrix.stand.tolist()) == {0}
 
     def test_exact_on_deterministic_fixture(self):
         # every stand holds one bike, so counts have no selection randomness
         log = radial_log()
         plan = initial_bike_counts(log)
-        matrix = estimate_probabilities(mean_coverage(log, plan, runs=2, seed=3), plan)
+        matrix = estimate_probabilities(log, plan, runs=2, seed=3)
         direct = {}
         for trip in log.trips:
             for seg in trip.path.segments:
@@ -143,24 +135,23 @@ class TestEstimateProbabilities:
 
     def test_equal_to_a_per_entry_division(self, small_scenario, small_fleet):
         _net, log = small_scenario
-        sample = mean_coverage(log, small_fleet, runs=3, seed=5)
-        matrix = estimate_probabilities(sample, small_fleet)
-        n_bar = column_dict(sample.stand, sample.segment, sample.n_bar)
+        matrix = estimate_probabilities(log, small_fleet, runs=3, seed=5)
+        n_bar = column_dict(*mean_coverage(log, small_fleet, runs=3, seed=5))
         expected = {(s, e): value / small_fleet.b[s] for (s, e), value in n_bar.items()}
         assert column_dict(matrix.stand, matrix.segment, matrix.p) == expected
 
     def test_values_finite_and_nonnegative(self, small_scenario, small_fleet):
         _net, log = small_scenario
-        matrix = estimate_probabilities(mean_coverage(log, small_fleet, runs=2, seed=5), small_fleet)
+        matrix = estimate_probabilities(log, small_fleet, runs=2, seed=5)
         assert all(p > 0 and p < float("inf") for p in matrix.p.tolist())
 
 
 class TestDecayReport:
     def test_adjacent_segment_first(self):
         net = line_network(3)
-        log = trip_log([line_trip("a", 0, 2, 5)], [Stand(i, i) for i in range(3)], (0, 60), 200.0)
+        log = one_trip_log()
         plan = initial_bike_counts(log)
-        matrix = estimate_probabilities(mean_coverage(log, plan, runs=1, seed=2), plan)
+        matrix = estimate_probabilities(log, plan, runs=1, seed=2)
         rows = probability_decay_report(matrix, net, 0)
         assert rows[0][0] == 0 and rows[0][1] == 0.0 and rows[0][2] > 0
         assert rows[1][1] == 600.0
@@ -169,13 +160,13 @@ class TestDecayReport:
         net = line_network(9)
         log = radial_log()
         plan = initial_bike_counts(log)
-        matrix = estimate_probabilities(mean_coverage(log, plan, runs=1, seed=2), plan)
+        matrix = estimate_probabilities(log, plan, runs=1, seed=2)
         assert probability_decay_report(matrix, net, 5) == []
 
     def test_unknown_stand_rejected(self):
         net = line_network(3)
-        sample = columns_sample({}, runs=1, stand_nodes=[0])
-        matrix = estimate_probabilities(sample, FleetPlan([1]))
+        log = one_trip_log()
+        matrix = estimate_probabilities(log, initial_bike_counts(log), runs=1, seed=2)
         with pytest.raises(MalformedInputError):
             probability_decay_report(matrix, net, 3)
 
@@ -183,7 +174,7 @@ class TestDecayReport:
         net = line_network(9)
         log = radial_log()
         plan = initial_bike_counts(log)
-        matrix = estimate_probabilities(mean_coverage(log, plan, runs=2, seed=8), plan)
+        matrix = estimate_probabilities(log, plan, runs=2, seed=8)
         rows = probability_decay_report(matrix, net, 0)
         assert len(rows) >= 4
         distances = [r[1] for r in rows]
@@ -198,9 +189,7 @@ class TestLinearityProbe:
         busiest = max(range(len(small_fleet.b)), key=lambda s: small_fleet.b[s])
         rows = linearity_probe(log, small_fleet, [busiest], runs=4, seed=6, min_mean=3.0)
         assert rows, "expected at least one probed pair"
-        matrix = estimate_probabilities(
-            mean_coverage(log, small_fleet, runs=4, seed=6), small_fleet
-        )
+        matrix = estimate_probabilities(log, small_fleet, runs=4, seed=6)
         p = column_dict(matrix.stand, matrix.segment, matrix.p)
         for stand, seg, slope, r2, points in rows:
             assert stand == busiest
@@ -233,8 +222,7 @@ class TestCounterOracle:
 
     def test_mean_coverage(self, small_scenario, small_fleet):
         _net, log = small_scenario
-        sample = mean_coverage(log, small_fleet, runs=3, seed=2)
-        n_bar = column_dict(sample.stand, sample.segment, sample.n_bar)
+        n_bar = column_dict(*mean_coverage(log, small_fleet, runs=3, seed=2))
         expected = mean_coverage_counter(assembled_runs(log, small_fleet, 3, 2))
         assert list(n_bar.items()) == list(expected.items())
 
@@ -252,7 +240,7 @@ class TestCounterOracle:
 class TestMatrixSerialization:
     def test_round_trip(self, small_scenario, small_fleet, tmp_path):
         _net, log = small_scenario
-        matrix = estimate_probabilities(mean_coverage(log, small_fleet, runs=2, seed=1), small_fleet)
+        matrix = estimate_probabilities(log, small_fleet, runs=2, seed=1)
         csv_path, meta_path = tmp_path / "p.csv", tmp_path / "p.meta.json"
         save_matrix(matrix, csv_path, meta_path)
         loaded = load_matrix(csv_path, meta_path)
@@ -267,7 +255,7 @@ class TestMatrixSerialization:
 
     def test_rows_in_any_order_load_sorted(self, small_scenario, small_fleet, tmp_path):
         _net, log = small_scenario
-        matrix = estimate_probabilities(mean_coverage(log, small_fleet, runs=2, seed=1), small_fleet)
+        matrix = estimate_probabilities(log, small_fleet, runs=2, seed=1)
         csv_path, meta_path = tmp_path / "p.csv", tmp_path / "p.meta.json"
         save_matrix(matrix, csv_path, meta_path)
         header, *rows = csv_path.read_text().splitlines()

@@ -13,12 +13,14 @@ from velosense.harness import (
     METHOD_RANDOM,
     ExperimentSpec,
     FileSource,
+    RequirementRow,
+    ResultRow,
+    SummaryRow,
     beta_sweep,
     load_spec,
     run_pipeline,
     sensor_requirement,
-    write_results,
-    write_summary,
+    write_rows,
 )
 from velosense.synth import SynthConfig
 
@@ -174,10 +176,7 @@ class TestRunPipeline:
         assert ordered == [total]
         assert [budget for budget, _n in solved] == [2, total, 4]
         assert drawn == [2, 2, total, total, 4, 4]  # one draw per replication
-        matrix = harness.estimate_probabilities(
-            harness.mean_coverage(data.log, data.fleet, runs=spec.coverage_runs, seed=spec.seed),
-            data.fleet,
-        )
+        matrix = harness.estimate_probabilities(data.log, data.fleet, runs=spec.coverage_runs, seed=spec.seed)
         for (budget, n), asked in zip(solved, spec.budgets):
             assert solve_greedy(build_instance(matrix, data.net, data.fleet, asked)).n == n
 
@@ -263,16 +262,13 @@ class TestSensorRequirement:
         assert found is not None
 
         from velosense.allocation import build_instance, solve_greedy
-        from velosense.coverage_model import estimate_probabilities, mean_coverage
+        from velosense.coverage_model import estimate_probabilities
         from velosense.fleet_sim import equipped_set
         from velosense.harness import Evaluator
 
         ev = Evaluator(spec)
         data = ev.data
-        matrix = estimate_probabilities(
-            mean_coverage(data.log, data.fleet, runs=spec.coverage_runs, seed=spec.seed),
-            data.fleet,
-        )
+        matrix = estimate_probabilities(data.log, data.fleet, runs=spec.coverage_runs, seed=spec.seed)
 
         def mean_phi(budget):
             if budget == 0:
@@ -313,10 +309,7 @@ class TestSensorRequirement:
         data = harness.prepare(spec)
         assert built == [sum(data.fleet.b)]
         assert solved
-        matrix = harness.estimate_probabilities(
-            harness.mean_coverage(data.log, data.fleet, runs=spec.coverage_runs, seed=spec.seed),
-            data.fleet,
-        )
+        matrix = harness.estimate_probabilities(data.log, data.fleet, runs=spec.coverage_runs, seed=spec.seed)
         for budget, n in solved:
             assert solve_greedy(build_instance(matrix, data.net, data.fleet, budget)).n == n
 
@@ -431,8 +424,8 @@ class TestWriters:
         rows, summary = run_pipeline(small_spec(budgets=[1], methods=(METHOD_RANDOM,), replications=1))
         results = tmp_path / "results.csv"
         summary_path = tmp_path / "summary.csv"
-        write_results(rows, results)
-        write_summary(summary, summary_path)
+        write_rows(results, ResultRow, rows)
+        write_rows(summary_path, SummaryRow, summary)
         with open(results) as fh:
             reader = csv.reader(fh)
             assert next(reader) == ["method", "budget", "delta_h", "beta", "rep", "phi_pct"]
@@ -441,3 +434,11 @@ class TestWriters:
         assert data[0][0] == METHOD_RANDOM
         with open(summary_path) as fh:
             assert fh.readline().strip() == "method,budget,delta_h,beta,mean_phi_pct,std_phi_pct,reps"
+
+    def test_row_fields_written_as_csv_writes_them(self, tmp_path):
+        path = tmp_path / "sensor_requirement.csv"
+        write_rows(path, RequirementRow, [RequirementRow(4.0, 50.0, None, 0.1 + 0.2, False)])
+        # a float as its repr, None as an empty field, CRLF line ends
+        assert path.read_bytes() == (
+            b"delta_h,target_phi_pct,budget,achieved_phi_pct,monotone_ok\r\n4.0,50.0,,0.30000000000000004,False\r\n"
+        )

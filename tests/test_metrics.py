@@ -273,16 +273,17 @@ class TestHourlyDiagnostics:
         path = Path((4,), (0, 1), (900.0,), 900.0)
         log = trip_log([Trip("a", 0, 1, 390, path, 5)], [Stand(0, 0), Stand(1, 1)], (360, 1320), 200.0)
         report = hourly_diagnostics(replay(traj(0, [(4, 390)])), {0}, log)
-        by_hour = {r.hour: r for r in report.rows}
-        assert by_hour[6].trips_started == 1
-        assert by_hour[6].coverage_events == 1
-        assert by_hour[6].per_segment == {4: 1}
-        assert all(r.coverage_events == 0 for r in report.rows if r.hour != 6)
+        assert report.first_hour == 6
+        assert report.trips_started.tolist() == [1] + [0] * 15
+        # one equipped entry: segment 4 in hour 6, column 0
+        assert report.counts.shape == (5, 16)
+        assert {tuple(cell) for cell in np.argwhere(report.counts)} == {(4, 0)}
+        assert report.counts[4, 0] == 1
 
     def test_no_equipped_bikes_reports_absent_correlation(self):
         log = hourly_demand_log()
         report = hourly_diagnostics(replay(traj(0, [(0, 400)])), frozenset(), log)
-        assert all(r.coverage_events == 0 for r in report.rows)
+        assert not report.counts.any()
         assert report.trip_event_correlation is None
 
     def test_monotone_demand_gives_positive_correlation(self):
@@ -294,8 +295,8 @@ class TestHourlyDiagnostics:
         report = hourly_diagnostics(trajs, frozenset(range(plan.num_bikes)), log)
         assert report.trip_event_correlation is not None
         assert report.trip_event_correlation > 0
-        xs = [r.trips_started for r in report.rows]
-        ys = [r.coverage_events for r in report.rows]
+        xs = report.trips_started.tolist()
+        ys = report.counts.sum(axis=0).tolist()
         assert rank_correlation(xs, ys) > 0
 
     def test_per_segment_counts_equal_hourly_coverage_counts(self, small_scenario, small_fleet):
@@ -305,12 +306,12 @@ class TestHourlyDiagnostics:
         report = hourly_diagnostics(trajs, equipped, log)
         grid = IntervalGrid(*log.horizon, 1.0)
         counts = coverage_counts(trajs, equipped, grid, net.num_segments)
-        assert [r.hour for r in report.rows] == [log.horizon[0] // 60 + h for h in range(16)]
-        for h, row in enumerate(report.rows):
-            expected = {seg: int(counts[seg, h]) for seg in np.flatnonzero(counts[:, h])}
-            assert row.per_segment == expected
-            assert row.coverage_events == counts[:, h].sum()
-        assert sum(r.coverage_events for r in report.rows) > 0
+        assert report.first_hour == log.horizon[0] // 60
+        assert report.trips_started.tolist() == np.bincount(grid.interval_of(log.start_min), minlength=16).tolist()
+        # the diagnostics count up to the last segment an event names
+        assert np.array_equal(report.counts, counts[: len(report.counts)])
+        assert not counts[len(report.counts) :].any()
+        assert report.counts.sum() > 0
 
     def test_unaligned_horizon_rejected(self):
         log = trip_log([], [], (365, 1320), 200.0)
@@ -320,23 +321,24 @@ class TestHourlyDiagnostics:
 
 class TestReportWriter:
     def test_hourly_writer(self, tmp_path):
-        from velosense.metrics import HourlyDiagnostics, HourRow, write_hourly
+        from velosense.metrics import HourlyDiagnostics, write_hourly
 
-        diag = HourlyDiagnostics(
-            [HourRow(6, 2, 3, {4: 2, 1: 1}), HourRow(7, 0, 0, {})],
-            trip_event_correlation=None,
-        )
+        counts = np.zeros((5, 2), dtype=np.int64)
+        counts[4, 0], counts[1, 0], counts[0, 1] = 2, 1, 5
+        diag = HourlyDiagnostics(6, np.array([2, 0]), counts, trip_event_correlation=None)
         rows_path, segs_path = tmp_path / "h.csv", tmp_path / "hs.csv"
         write_hourly(diag, rows_path, segs_path)
         assert rows_path.read_text().splitlines() == [
             "hour,trips_started,coverage_events,trip_event_correlation",
             "6,2,3,",
-            "7,0,0,",
+            "7,0,5,",
         ]
+        # hour by hour, segments ascending within an hour
         assert segs_path.read_text().splitlines() == [
             "hour,segment_id,count",
             "6,1,1",
             "6,4,2",
+            "7,0,5",
         ]
 
     def test_nonzero_cells_and_summary(self, tmp_path):

@@ -77,6 +77,11 @@ class TestGenerate:
             SynthConfig(3, 3, -5.0, stand_count=2, trips=1)
         with pytest.raises(ValueError):
             SynthConfig(3, 3, 200.0, stand_count=2, trips=1, gravity_gamma=0.0)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"^block_m must be a finite number > 0, got {value}$"):
+                SynthConfig(3, 3, value, stand_count=2, trips=1)
+            with pytest.raises(ValueError, match=f"^gravity_gamma must be a finite number > 0, got {value}$"):
+                SynthConfig(3, 3, 200.0, stand_count=2, trips=1, gravity_gamma=value)
 
 
 class TestFileEmission:
