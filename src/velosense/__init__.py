@@ -22,11 +22,9 @@ from .coverage_model import (
 )
 from .errors import (
     ConfigInfeasibleError,
-    HorizonError,
     InfeasiblePlanError,
     MalformedInputError,
     NoPathError,
-    UndefinedScoreError,
     VeloSenseError,
 )
 from .fleet_sim import (
@@ -39,7 +37,7 @@ from .fleet_sim import (
     simulate,
 )
 from .harness import ExperimentSpec, beta_sweep, run_pipeline, sensor_requirement
-from .metrics import IntervalGrid, SensingReport, coverage_counts, hourly_diagnostics, sensing_score
+from .metrics import IntervalGrid, coverage_counts, hourly_diagnostics, sensing_score
 from .network import Path, RoadNetwork, haversine_m, load_network, nearest_node, shortest_path
 from .synth import SynthConfig, generate
 from .trips import RawTrip, Trip, TripLog, clean_trips, parse_raw_trips

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,6 @@ class MilpInstance:
     K: float
     big_M: float
     candidates: list[int]  # segments with a nonzero p column, ascending
-    warnings: list[str] = field(default_factory=list)
 
     @property
     def num_stands(self) -> int:
@@ -104,19 +103,15 @@ def build_instance(
     big_M is the tightest uniform bound, K + max_e sum_s p[s,e]*b_s.
     Segments no stand ever reaches are excluded up front; they can never
     meet a positive threshold. A budget above the total fleet size is
-    clamped with a warning rather than rejected, so capacity sweeps can
-    over-provision harmlessly.
+    clamped to it rather than rejected, so capacity sweeps can over-provision
+    harmlessly; `velosense allocate` warns when it clamps.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     if not 0 < K < math.inf:
         raise ValueError(f"K must be a finite number > 0, got {K}")
     num_stands = len(plan.b)
-    warnings = []
-    total_cap = sum(plan.b)
-    if budget > total_cap:
-        warnings.append(f"budget {budget} exceeds total capacity {total_cap}; clamped")
-        budget = total_cap
+    budget = min(budget, sum(plan.b))
 
     stand, seg, p = matrix.stand, matrix.segment, matrix.p
     outside = (stand < 0) | (stand >= num_stands) | (seg < 0) | (seg >= net.num_segments)
@@ -140,7 +135,6 @@ def build_instance(
         K=float(K),
         big_M=float(K + _coverage(P, caps).max(initial=0.0)),
         candidates=candidates.tolist(),
-        warnings=warnings,
     )
 
 

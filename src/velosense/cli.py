@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +74,7 @@ def cmd_ingest(args) -> int:
     )
     out = _out_dir(args)
     trips.save_triplog(log, out / "triplog.json")
-    write_json(out / "ingest_report.json", {"parse": report.as_dict(), "cleaning": log.drop_counts})
+    write_json(out / "ingest_report.json", {"parse": asdict(report), "cleaning": log.drop_counts})
     print(
         f"ingested {len(log.ids)} trips across {log.num_stands} stands "
         f"(parsed {report.kept}/{report.rows_read} rows) -> {out / 'triplog.json'}"
@@ -145,8 +146,8 @@ def cmd_allocate(args) -> int:
         plan = allocation.random_allocation(inst, args.seed)
     out = _out_dir(args)
     allocation.save_plan(plan, inst, out / "alloc.json", triplog_sha256)
-    for warning in inst.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    if args.budget > inst.budget:
+        print(f"warning: budget {args.budget} exceeds total capacity {inst.budget}; clamped", file=sys.stderr)
     if plan.gap > 0:
         print(
             f"warning: time limit hit; best found may be up to {plan.gap:.1f} m "
@@ -190,11 +191,10 @@ def cmd_score(args) -> int:
     equipped = frozenset(meta["equipped"])
     counts = metrics.coverage_counts(replay, equipped, grid, net.num_segments)
     phi = metrics.sensing_score(counts, net.seg_length_m, grid)
-    report = metrics.SensingReport(counts, phi, grid, len(equipped))
     # the hourly diagnostics refuse a horizon that is not hour-aligned, so they run before any file is written
     hourly = metrics.hourly_diagnostics(replay, equipped, log)
     out = _out_dir(args)
-    metrics.write_report(report, out / "coverage_counts.csv", out / "score.json")
+    metrics.write_report(counts, grid, phi, len(equipped), out / "coverage_counts.csv", out / "score.json")
     metrics.write_hourly(hourly, out / "hourly.csv", out / "hourly_segments.csv")
     print(f"phi = {phi:.3f}% at delta {args.delta} h -> {out / 'score.json'}")
     return EXIT_OK

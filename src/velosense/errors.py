@@ -1,8 +1,14 @@
 """Exception types shared across the toolkit, and the one reader and writer of
-artifacts: every JSON artifact is read by `read_artifact` and written by
-`write_json`, every CSV table is written by `write_table`, every CSV input
-read by column name is split by `read_table`, and every integer or string
-column read from an artifact is checked by `int_column` or `str_column`."""
+artifacts.
+
+`cli.main` maps each error type a command can raise to an exit code:
+malformed input (an unscorable network included) to 2, an infeasible
+configuration or fleet plan to 3. No command sees NoPathError: `route_pairs`
+catches it and leaves the unreachable pair out. Every JSON artifact is read by
+`read_artifact` and written by `write_json`, every CSV table is written by
+`write_table`, every CSV input read by column name is split by `read_table`,
+and every integer or string column read from an artifact is checked by
+`int_column` or `str_column`."""
 
 import csv
 import json
@@ -30,14 +36,6 @@ class InfeasiblePlanError(VeloSenseError):
 
 class ConfigInfeasibleError(VeloSenseError):
     """A synthetic-data or experiment configuration admits no valid output."""
-
-
-class HorizonError(VeloSenseError):
-    """An event falls outside the simulation horizon."""
-
-
-class UndefinedScoreError(VeloSenseError):
-    """The sensing score is undefined (empty road network)."""
 
 
 @contextmanager

@@ -9,7 +9,9 @@ np.bincount over a replay's event table.
 
 Results keep the array form they are counted in: a score's counts and the
 hourly diagnostics' counts (segments x hours, beside the trip starts per
-hour) are written to CSV straight from their nonzero cells.
+hour) are written to CSV straight from their nonzero cells. A minute outside
+the horizon, or a network with no segment length to weigh by, is malformed
+input: `score` exits 2 on it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import HorizonError, MalformedInputError, UndefinedScoreError, write_json, write_table
+from .errors import MalformedInputError, write_json, write_table
 from .fleet_sim import Replay
 from .trips import TripLog
 
@@ -63,18 +65,10 @@ class IntervalGrid:
         minute = np.asarray(minute, dtype=np.int64)
         outside = (minute < self.t0) | (minute > self.T)
         if outside.any():
-            raise HorizonError(
+            raise MalformedInputError(
                 f"minute {minute[outside].flat[0]} outside horizon [{self.t0}, {self.T}]"
             )
         return np.minimum((minute - self.t0) // self.delta_min, self.n_intervals - 1)
-
-
-@dataclass
-class SensingReport:
-    counts: np.ndarray  # segments x intervals
-    phi_pct: float
-    grid: IntervalGrid
-    equipped_count: int
 
 
 def coverage_counts(
@@ -112,7 +106,7 @@ def sensing_score(counts: np.ndarray, lengths: np.ndarray, grid: IntervalGrid) -
         )
     total = float(lengths.sum())
     if len(lengths) == 0 or total <= 0.0:
-        raise UndefinedScoreError("sensing score is undefined on an empty network")
+        raise MalformedInputError("sensing score is undefined on an empty network")
     covered_cells = (counts >= 1).sum(axis=1)
     return 100.0 * float(lengths @ covered_cells) / (grid.n_intervals * total)
 
@@ -168,20 +162,22 @@ def write_hourly(diag: HourlyDiagnostics, rows_path, segments_path) -> None:
     )
 
 
-def write_report(report: SensingReport, counts_path, summary_path) -> None:
-    """Nonzero cells as delimited text plus a JSON summary."""
-    seg, interval = np.nonzero(report.counts)
-    rows = zip(seg.tolist(), interval.tolist(), report.counts[seg, interval].tolist())
+def write_report(
+    counts: np.ndarray, grid: IntervalGrid, phi_pct: float, equipped_count: int, counts_path, summary_path
+) -> None:
+    """A score's nonzero cells as delimited text plus a JSON summary."""
+    seg, interval = np.nonzero(counts)
+    rows = zip(seg.tolist(), interval.tolist(), counts[seg, interval].tolist())
     write_table(counts_path, ["segment_id", "interval", "count"], rows)
     write_json(
         summary_path,
         {
-            "phi_pct": report.phi_pct,
-            "t0": report.grid.t0,
-            "T": report.grid.T,
-            "delta_h": report.grid.delta_h,
-            "n_intervals": report.grid.n_intervals,
-            "num_segments": int(report.counts.shape[0]),
-            "equipped_count": report.equipped_count,
+            "phi_pct": phi_pct,
+            "t0": grid.t0,
+            "T": grid.T,
+            "delta_h": grid.delta_h,
+            "n_intervals": grid.n_intervals,
+            "num_segments": int(counts.shape[0]),
+            "equipped_count": equipped_count,
         },
     )

@@ -52,9 +52,6 @@ class ParseReport:
     missing_coords: int = 0
     bad_timestamp: int = 0
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass(frozen=True)
 class Stand:

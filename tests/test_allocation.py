@@ -73,10 +73,9 @@ class TestBuildInstance:
         assert solve_exact(inst).objective_m == 0.0
         assert solve_greedy(inst).objective_m == 0.0
 
-    def test_budget_clamped_with_warning(self):
+    def test_budget_clamped_to_total_capacity(self):
         inst, _ = make_problem({(0, 0): 0.5}, [100.0], [2], budget=9)
         assert inst.budget == 2
-        assert any("clamped" in w for w in inst.warnings)
 
     def test_budget_clamped_to_zero_when_no_capacity(self):
         inst, _ = make_problem({(0, 0): 0.5}, [100.0], [0, 0], budget=3)

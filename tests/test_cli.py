@@ -170,6 +170,55 @@ def test_score_on_an_unaligned_horizon_writes_nothing(synth_dir, tmp_path, capsy
     assert not any(out.iterdir())
 
 
+def test_score_on_an_edgeless_network_is_2_and_writes_nothing(tmp_path, capsys):
+    """Rides that start and end at one stand cover no segment of a network
+    without edges, so there is no length to share: score refuses it."""
+    (tmp_path / "nodes.csv").write_text("node_id,lat,lon\n0,40.7,-74.0\n1,40.7,-73.999\n")
+    (tmp_path / "edges.csv").write_text("u,v,length_m\n")
+    (tmp_path / "trips.csv").write_text(
+        "ride_id,started_at,start_lat,start_lng,end_lat,end_lng\n"
+        "a,2024-01-01 08:00:00,40.7,-74.0,40.7,-74.0\n"
+        "b,2024-01-01 08:01:00,40.7,-74.0,40.7,-74.0\n"
+    )
+    chain = tmp_path / "chain"
+    paths = {
+        "--nodes": tmp_path / "nodes.csv",
+        "--edges": tmp_path / "edges.csv",
+        "--trips": tmp_path / "trips.csv",
+        "--triplog": chain / "triplog.json",
+        "--probs": chain / "probs.csv",
+        "--probs-meta": chain / "probs.meta.json",
+        "--alloc": chain / "alloc.json",
+        "--traj": chain / "traj.json",
+    }
+    common = ["--out-dir", str(chain)]
+    assert main(["ingest", *_args(paths, ("--nodes", "--edges", "--trips")), "--min-km", "0", *common]) == 0
+    assert main(["probs", *_args(paths, ("--triplog",)), *common]) == 0
+    assert main(["allocate", *_args(paths, ALLOCATE), "--budget", "1", *common]) == 0
+    assert main(["simulate", *_args(paths, SIMULATE), *common]) == 0
+    out = tmp_path / "score"
+    out.mkdir()
+    capsys.readouterr()
+    assert main(["score", *_args(paths, SCORE), "--delta", "1", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "error: sensing score is undefined on an empty network\n"
+    assert not any(out.iterdir())
+
+
+def test_budget_above_the_fleet_is_clamped_with_a_warning(synth_dir, pipeline_dir, tmp_path, capsys):
+    paths = {
+        "--nodes": synth_dir / "nodes.csv",
+        "--edges": synth_dir / "edges.csv",
+        "--triplog": pipeline_dir / "triplog.json",
+        "--probs": pipeline_dir / "probs.csv",
+        "--probs-meta": pipeline_dir / "probs.meta.json",
+    }
+    capacity = sum(json.loads((pipeline_dir / "fleet.json").read_text())["b"])
+    budget = capacity + 7
+    assert main(["allocate", *_args(paths, ALLOCATE), "--budget", str(budget), "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == f"warning: budget {budget} exceeds total capacity {capacity}; clamped\n"
+    assert json.loads((tmp_path / "alloc.json").read_text())["budget"] == capacity
+
+
 def test_export_lp(synth_dir, pipeline_dir, tmp_path):
     lp_path = tmp_path / "model.lp"
     assert main(

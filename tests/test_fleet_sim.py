@@ -18,6 +18,7 @@ from velosense.fleet_sim import (
     save_trajectories,
     simulate,
 )
+from velosense.metrics import IntervalGrid, coverage_counts, sensing_score
 from velosense.network import Path
 from velosense.trips import Stand, Trip, TripEvents, clean_trips
 
@@ -260,6 +261,33 @@ class TestSimulate:
             return sum(len(t.served) for t in trajs if t.bike in equipped)
 
         assert equipped_trips(1.0) >= equipped_trips(0.0)
+
+    def test_beta_one_mask_and_phi_are_the_same_at_every_seed(self, small_scenario, small_fleet):
+        """At beta 1 a trip rides an equipped bike whenever one is idle at its
+        origin, so which trips ride equipped bikes, and so phi, owes nothing to
+        the draws; at beta 0.5 it does."""
+        net, log = small_scenario
+        b = np.array(small_fleet.b)
+        rng = np.random.default_rng(3)
+        partial = [rng.binomial(b, q) for q in (0.05, 0.2, 0.5, 0.8)]
+        assert all(0 < n.sum() < b.sum() for n in partial)
+        grid = IntervalGrid(*log.horizon, 1.0)
+
+        def masks_and_phis(n, beta):
+            """The distinct equipped-trip masks and phis of replay seeds 0-7."""
+            equipped = equipped_set(small_fleet, n.tolist())
+            masks, phis = set(), set()
+            for seed in range(8):
+                replay = simulate(log, small_fleet, SimConfig(seed=seed, beta=beta, equipped=equipped))
+                masks.add(np.isin(replay.bike_of_trip, sorted(equipped)).tobytes())
+                counts = coverage_counts(replay, equipped, grid, net.num_segments)
+                phis.add(sensing_score(counts, net.seg_length_m, grid))
+            return masks, phis
+
+        for n in [0 * b, *partial, b]:
+            masks, phis = masks_and_phis(n, 1.0)
+            assert len(masks) == len(phis) == 1
+        assert any(len(masks_and_phis(n, 0.5)[0]) > 1 for n in partial)
 
     def test_guided_selection_frequency(self):
         # one equipped + one plain bike, beta=0.5: P(equipped) = 0.5 + 0.5/2

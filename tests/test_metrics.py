@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from velosense.errors import HorizonError, MalformedInputError, UndefinedScoreError
+from velosense.errors import MalformedInputError
 from velosense.fleet_sim import BikeTrajectory, Replay, SimConfig, equipped_set, simulate
 from velosense.metrics import (
     IntervalGrid,
-    SensingReport,
     coverage_counts,
     hourly_diagnostics,
     sensing_score,
@@ -68,13 +67,13 @@ class TestIntervalGrid:
         assert grid.interval_of(600) == 1
         assert grid.interval_of(1320) == 3  # horizon end joins the last cell
         for minute in (359, 1321):
-            with pytest.raises(HorizonError):
+            with pytest.raises(MalformedInputError):
                 grid.interval_of(minute)
 
     def test_interval_of_an_array(self):
         grid = IntervalGrid(360, 1320, 4.0)
         assert grid.interval_of([360, 599, 600, 1320]).tolist() == [0, 0, 1, 3]
-        with pytest.raises(HorizonError, match="1321"):
+        with pytest.raises(MalformedInputError, match="1321"):
             grid.interval_of([360, 1321])
 
 
@@ -181,7 +180,7 @@ class TestSensingScore:
 
     def test_empty_network_undefined(self):
         grid = IntervalGrid(0, 60, 1.0)
-        with pytest.raises(UndefinedScoreError):
+        with pytest.raises(MalformedInputError):
             sensing_score(np.zeros((0, 1), dtype=int), np.zeros(0), grid)
 
     def test_shape_mismatch_rejected(self):
@@ -344,9 +343,8 @@ class TestReportWriter:
     def test_nonzero_cells_and_summary(self, tmp_path):
         grid = IntervalGrid(0, 120, 1.0)
         counts = np.array([[0, 2], [0, 0], [1, 0]])
-        report = SensingReport(counts, 42.5, grid, equipped_count=3)
         counts_path, summary_path = tmp_path / "c.csv", tmp_path / "s.json"
-        write_report(report, counts_path, summary_path)
+        write_report(counts, grid, 42.5, 3, counts_path, summary_path)
         lines = counts_path.read_text().splitlines()
         assert lines[0] == "segment_id,interval,count"
         assert set(lines[1:]) == {"0,1,2", "2,0,1"}

@@ -1,7 +1,7 @@
 import hashlib
 import io
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import timedelta
 
 import numpy as np
@@ -43,7 +43,7 @@ class TestParse:
     def test_empty_file_valid_header(self):
         trips, report = parse_raw_trips(raw_csv([]))
         assert trips == []
-        assert report.as_dict() == {
+        assert asdict(report) == {
             "rows_read": 0,
             "kept": 0,
             "missing_coords": 0,
@@ -144,7 +144,7 @@ class TestParseMatchesRowByRowReader:
         trips, report = parse_raw_trips(io.StringIO(text))
         got = [(t.id, t.start_time, t.start_lat, t.start_lon, t.end_lat, t.end_lon) for t in trips]
         assert repr(got) == repr(expected)  # repr tells -0.0 from 0.0, which == does not
-        assert report.as_dict() == counts
+        assert asdict(report) == counts
 
     def test_corpus_reaches_every_outcome(self):
         _trips, counts = parse_trips_by_dict(io.StringIO(MESSY_TRIP_FILES["mixed"]))
