@@ -24,7 +24,6 @@ from .errors import (
     ConfigInfeasibleError,
     InfeasiblePlanError,
     MalformedInputError,
-    NoPathError,
     VeloSenseError,
 )
 from .fleet_sim import (
@@ -38,7 +37,7 @@ from .fleet_sim import (
 )
 from .harness import ExperimentSpec, beta_sweep, run_pipeline, sensor_requirement
 from .metrics import IntervalGrid, coverage_counts, hourly_diagnostics, sensing_score
-from .network import Path, RoadNetwork, haversine_m, load_network, nearest_node, shortest_path
+from .network import Path, RoadNetwork, haversine_m, load_network, nearest_node, route_pairs
 from .synth import SynthConfig, generate
 from .trips import RawTrip, Trip, TripLog, clean_trips, parse_raw_trips
 

@@ -3,8 +3,8 @@ artifacts.
 
 `cli.main` maps each error type a command can raise to an exit code:
 malformed input (an unscorable network included) to 2, an infeasible
-configuration or fleet plan to 3. No command sees NoPathError: `route_pairs`
-catches it and leaves the unreachable pair out. Every JSON artifact is read by
+configuration or fleet plan to 3. An unreachable trip is no error: `ingest`
+drops it and counts it in its report. Every JSON artifact is read by
 `read_artifact` and written by `write_json`, every CSV table is written by
 `write_table`, every CSV input read by column name is split by `read_table`,
 and every integer or string column read from an artifact is checked by
@@ -24,10 +24,6 @@ class VeloSenseError(Exception):
 
 class MalformedInputError(VeloSenseError):
     """An input file or record violates the expected schema."""
-
-
-class NoPathError(VeloSenseError):
-    """Destination is unreachable from the origin."""
 
 
 class InfeasiblePlanError(VeloSenseError):
@@ -55,7 +51,7 @@ def malformed_fields(source):
     """Report a missing or mistyped field of a loaded artifact as malformed input."""
     try:
         yield
-    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInputError(f"{source}: missing or malformed field {exc}") from exc
 
 

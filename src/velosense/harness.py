@@ -350,16 +350,13 @@ def load_spec(doc: dict) -> ExperimentSpec:
     try:
         if "synth" in src:
             synth_args = dict(src["synth"])
-            if "horizon" in synth_args:
+            if isinstance(synth_args.get("horizon"), list):  # SynthConfig checks its entries
                 synth_args["horizon"] = tuple(synth_args["horizon"])
             source = SynthConfig(**synth_args)
         elif "files" in src:
             source = FileSource(**src["files"])
         else:
             raise MalformedInputError("source must contain either 'synth' or 'files'")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise MalformedInputError(f"bad experiment source: {exc}") from exc
-    try:
         given = {key: parse(doc[key], key) for key, parse in _SPEC_FIELDS.items() if key in doc}
         return ExperimentSpec(source=source, **given)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -1,7 +1,8 @@
-"""Road network model: node coordinates, segment lengths, snapping, shortest paths.
+"""Road network model: node coordinates, segment lengths, snapping, routing.
 
 The network is undirected. Node and segment ids are dense integers assigned
 at load time; ids found in input files are remapped in order of appearance.
+Paths come from one router, route_pairs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedInputError, NoPathError, blamed_on, read_table
+from .errors import MalformedInputError, blamed_on, read_table
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -58,10 +59,6 @@ class RoadNetwork:
     @property
     def num_segments(self) -> int:
         return len(self.seg_length_m)
-
-    @property
-    def total_length_m(self) -> float:
-        return float(self.seg_length_m.sum())
 
     def endpoints(self, segment: int) -> tuple[int, int]:
         return int(self.seg_u[segment]), int(self.seg_v[segment])
@@ -253,18 +250,17 @@ def _check_node(net: RoadNetwork, name: str, node: int) -> None:
         raise MalformedInputError(f"{name} node {node} outside 0..{net.num_nodes - 1}")
 
 
-def path_along(net: RoadNetwork, lengths: list[float], dist: list[float], origin: int, dest: int) -> Path:
-    """The path from `origin` to `dest` along tight edges of `dist`, the
-    Dijkstra distances rooted at `dest` (single_source_distances), with
-    `lengths` the segment lengths; both are lists, as `.tolist()` gives them.
+def _path_along(net: RoadNetwork, lengths: list[float], dist: list[float], origin: int, dest: int) -> Path:
+    """The path from `origin`, which `dist` reaches, to `dest` along tight edges of
+    `dist`, the Dijkstra distances rooted at `dest`, taking the smallest neighbour
+    id first.
 
-    Walks from `origin` greedily along tight edges (dist[u] == w + dist[v], an
-    exact equality that holds bitwise for at least the relaxation parent),
-    taking the smallest neighbour id first, so ties between equal-length
-    paths go to the lexicographically smallest node sequence.
+    Every reachable node but `dest` has an exactly tight edge: Dijkstra set its
+    distance to `dist[p] + length` for its relaxation parent p, and float
+    addition commutes, so the neighbour loop always breaks. Each step lowers the
+    distance, since build_network keeps one edge per node pair, of finite
+    length > 0, so the walk ends at `dest`.
     """
-    if not math.isfinite(dist[origin]):
-        raise NoPathError(f"node {dest} is unreachable from node {origin}")
     nodes = [origin]
     segments = []
     seg_lengths = []
@@ -274,8 +270,6 @@ def path_along(net: RoadNetwork, lengths: list[float], dist: list[float], origin
         for v, seg in net.adjacency[u]:  # sorted by neighbor id
             if dist[u] == lengths[seg] + dist[v]:
                 break
-        else:  # float drift left no exactly tight edge; take the tightest
-            v, seg = min(net.adjacency[u], key=lambda vs: (lengths[vs[1]] + dist[vs[0]], vs[0]))
         u = v
         nodes.append(u)
         segments.append(seg)
@@ -284,27 +278,15 @@ def path_along(net: RoadNetwork, lengths: list[float], dist: list[float], origin
     return Path(tuple(segments), tuple(nodes), tuple(seg_lengths), total)
 
 
-def shortest_path(net: RoadNetwork, origin: int, dest: int) -> Path:
-    """Minimal total-length path from origin to dest.
-
-    Ties between equal-length paths are broken toward the lexicographically
-    smallest node sequence, which keeps replays reproducible on grids where
-    many shortest paths coexist: Dijkstra rooted at `dest`, then path_along.
-    """
-    _check_node(net, "origin", origin)
-    _check_node(net, "dest", dest)
-    if origin == dest:
-        return Path((), (origin,), (), 0.0)
-    dist = single_source_distances(net, dest).tolist()
-    return path_along(net, net.seg_length_m.tolist(), dist, origin, dest)
-
-
 def route_pairs(net: RoadNetwork, pairs) -> dict[tuple[int, int], Path]:
-    """Shortest paths of many (origin, dest) node pairs, each equal to
-    shortest_path(net, origin, dest), with one Dijkstra per distinct dest.
+    """Shortest paths of many (origin, dest) node pairs, with one Dijkstra per
+    distinct dest; a pair whose dest the origin cannot reach is left out.
 
-    Only one distance list is live at a time, so memory stays O(nodes)
-    however many pairs share a destination. Unreachable pairs are left out.
+    Ties between equal-length paths go to the lexicographically smallest node
+    sequence, which keeps replays reproducible on grids where many shortest
+    paths coexist: each origin walks to its dest along tight edges, taking the
+    smallest neighbour id first. Only one distance list is live at a time, so
+    memory stays O(nodes) however many pairs share a destination.
     """
     origins_of: dict[int, list[int]] = {}
     for origin, dest in dict.fromkeys(pairs):
@@ -316,8 +298,6 @@ def route_pairs(net: RoadNetwork, pairs) -> dict[tuple[int, int], Path]:
     for dest, origins in origins_of.items():
         dist = single_source_distances(net, dest).tolist()
         for origin in origins:
-            try:
-                paths[(origin, dest)] = path_along(net, lengths, dist, origin, dest)
-            except NoPathError:
-                pass
+            if math.isfinite(dist[origin]):
+                paths[(origin, dest)] = _path_along(net, lengths, dist, origin, dest)
     return paths

@@ -40,6 +40,18 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("grid_w", "grid_h", "stand_count", "trips", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool is not one
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        horizon = self.horizon
+        pair = isinstance(horizon, (tuple, list)) and len(horizon) == 2
+        if not (pair and set(map(type, horizon)) == {int} and horizon[0] < horizon[1]):
+            raise ValueError(f"horizon must be two integers t0 < t_end, got {horizon!r}")
+        for name in ("block_m", "gravity_gamma"):
+            value = getattr(self, name)
+            if not (type(value) in (int, float) and math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
         if self.grid_w < 1 or self.grid_h < 1 or self.grid_w * self.grid_h < 2:
             raise ValueError("grid must contain at least 2 nodes")
         if not 1 <= self.stand_count <= self.grid_w * self.grid_h:
@@ -48,10 +60,6 @@ class SynthConfig:
             )
         if self.trips < 0:
             raise ValueError(f"trips must be >= 0, got {self.trips}")
-        for name in ("block_m", "gravity_gamma"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a finite number > 0, got {value}")
 
 
 def grid_network(grid_w: int, grid_h: int, block_m: float) -> RoadNetwork:

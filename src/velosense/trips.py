@@ -35,8 +35,7 @@ REQUIRED_TRIP_COLUMNS = ("started_at", "start_lat", "start_lng", "end_lat", "end
 _TIME_FORMATS = ("%Y-%m-%d %H:%M:%S", "%Y-%m-%dT%H:%M:%S", "%m/%d/%Y %H:%M")
 
 
-@dataclass(frozen=True)
-class RawTrip:
+class RawTrip(NamedTuple):
     id: str
     start_time: datetime
     start_lat: float
@@ -390,13 +389,29 @@ def load_triplog(path) -> TripLog:
 
 
 def _check_paths(paths: list[Path], source) -> None:
-    """Each path has one length per segment and one more node than segments."""
+    """Each path has one length per segment and one more node than segments. Its
+    segment and node ids are integers >= 0, its segment lengths finite numbers > 0
+    and its distance a finite number >= 0; each column is checked in one flat pass."""
     for index, p in enumerate(paths):
         if not len(p.segments) == len(p.seg_lengths_m) == len(p.nodes) - 1:
             raise MalformedInputError(
                 f"{source}: path {index} has {len(p.segments)} segments, "
                 f"{len(p.seg_lengths_m)} segment lengths and {len(p.nodes)} nodes"
             )
+    int_column([s for p in paths for s in p.segments], source, "paths.segments")
+    int_column([v for p in paths for v in p.nodes], source, "paths.nodes")
+    lengths = [x for p in paths for x in p.seg_lengths_m]
+    if not (_finite_numbers(lengths) and min(lengths, default=1.0) > 0):
+        raise MalformedInputError(f"{source}: paths.seg_lengths_m must hold finite numbers > 0")
+    distances = [p.distance_m for p in paths]
+    if not (_finite_numbers(distances) and min(distances, default=0.0) >= 0):
+        raise MalformedInputError(f"{source}: paths.distance_m must hold finite numbers >= 0")
+
+
+def _finite_numbers(values: list) -> bool:
+    """Whether each value is a finite int or float (a bool is neither); an int
+    too large for a float raises OverflowError, which read_artifact reports."""
+    return set(map(type, values)) <= {int, float} and all(map(math.isfinite, values))
 
 
 def _stand_table(rows, source) -> list[Stand]:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -473,6 +474,19 @@ def _edit_largest_count(change):
     return _edit_doc(edit)
 
 
+def _edit_path(field, value):
+    """Set the first entry of `field` of a triplog's first path to `value`, or the
+    field itself if it is a number (`distance_m`)."""
+    def edit(doc):
+        path = doc["paths"][0]
+        if isinstance(path[field], list):
+            path[field][0] = value
+        else:
+            path[field] = value
+
+    return _edit_doc(edit)
+
+
 def _set_metadata(**fields):
     return _edit_doc(lambda doc: doc["metadata"].update(fields))
 
@@ -533,6 +547,21 @@ def _set_metadata(**fields):
         ("allocate", ALLOCATE, ["--budget", "4"], "--probs", _append_row("0,0")),
         ("allocate", ALLOCATE, ["--budget", "4"], "--probs", _append_row("99999999999999999999,0,0.5")),
         ("allocate", ALLOCATE, ["--budget", "4"], "--probs", _append_row("0,-1,0.5")),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_path("segments", 3.7)),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_path("segments", "3")),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_path("segments", -1)),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_path("segments", True)),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_path("nodes", -1)),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_path("nodes", 0.5)),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_path("seg_lengths_m", -500.0)),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_path("seg_lengths_m", 0.0)),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_path("seg_lengths_m", math.nan)),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_path("seg_lengths_m", math.inf)),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_path("seg_lengths_m", "x")),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_path("seg_lengths_m", 10**400)),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_path("distance_m", -1.0)),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_path("distance_m", math.nan)),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_path("distance_m", "x")),
     ],
     ids=["triplog-without-stands", "traj-without-metadata", "alloc-without-N_e",
          "probs-unknown-stand", "probs-unknown-segment", "probs-nan", "probs-negative",
@@ -550,7 +579,11 @@ def _set_metadata(**fields):
          "stand-id-not-its-index", "stands-share-a-node", "traj-minutes-shifted",
          "traj-segments-zeroed", "traj-trip-ids-reversed", "trip-id-not-a-string", "trip-id-null",
          "horizon-not-int", "speed-zero", "speed-not-a-number", "speed-negative",
-         "probs-extra-field", "probs-missing-field", "probs-stand-past-int64", "probs-negative-segment"],
+         "probs-extra-field", "probs-missing-field", "probs-stand-past-int64", "probs-negative-segment",
+         "path-segment-fraction", "path-segment-string", "path-segment-negative", "path-segment-bool",
+         "path-node-negative", "path-node-fraction", "path-length-negative", "path-length-zero",
+         "path-length-nan", "path-length-infinite", "path-length-string", "path-length-past-float",
+         "path-distance-negative", "path-distance-nan", "path-distance-string"],
 )
 def test_malformed_artifact_is_2(artifacts, tmp_path, capsys, command, options, extra, corrupted, edit):
     paths = dict(artifacts)
@@ -714,6 +747,12 @@ def test_triplog_without_network_sha256_is_2(runs_by_seed, tmp_path, capsys, com
     assert all(str(paths[option]) in err for option in ("--triplog", "--nodes", "--edges"))
 
 
+def _synth_source(**changes):
+    """The `source` entry of an experiment config on a 6x6 synthetic grid, with `changes`."""
+    synth = {"grid_w": 6, "grid_h": 6, "block_m": 350.0, "stand_count": 6, "trips": 150, **changes}
+    return f'"source": {json.dumps({"synth": synth})}'
+
+
 class TestExitCodes:
     def test_malformed_input_is_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -791,12 +830,23 @@ class TestExitCodes:
             ('"methods": ["optimized-noactive", "optimized-noactive"]',
              "methods must not repeat, got ['optimized-noactive', 'optimized-noactive']"),
             ('"methods": []', "budgets, deltas, betas, and methods must be non-empty"),
+            (_synth_source(grid_w=6.5), "grid_w must be an integer, got 6.5"),
+            (_synth_source(grid_w=True), "grid_w must be an integer, got True"),
+            (_synth_source(stand_count=6.0), "stand_count must be an integer, got 6.0"),
+            (_synth_source(trips=150.5), "trips must be an integer, got 150.5"),
+            (_synth_source(seed=1.5), "seed must be an integer, got 1.5"),
+            (_synth_source(horizon=[360, 1320.5]), "horizon must be two integers t0 < t_end, got (360, 1320.5)"),
+            (_synth_source(horizon=[1320, 360]), "horizon must be two integers t0 < t_end, got (1320, 360)"),
+            (_synth_source(block_m=True), "block_m must be a finite number > 0, got True"),
+            (_synth_source(gravity_gamma=True), "gravity_gamma must be a finite number > 0, got True"),
         ],
         ids=["beta-above-one", "no-coverage-runs", "delta-not-whole-minutes", "budget-zero",
              "delta-infinite", "budget-infinite", "budget-fraction", "replications-fraction",
              "budgets-a-string", "seed-fraction", "coverage-runs-a-string", "beta-bool", "seed-bool",
              "delta-a-string", "budget-repeated", "delta-repeated-by-value", "beta-repeated",
-             "method-repeated", "methods-empty"],
+             "method-repeated", "methods-empty", "synth-grid-fraction", "synth-grid-bool",
+             "synth-stands-float", "synth-trips-fraction", "synth-seed-fraction",
+             "synth-horizon-fraction", "synth-horizon-reversed", "synth-block-bool", "synth-gamma-bool"],
     )
     def test_bad_experiment_config_is_2_at_load(self, tmp_path, capsys, monkeypatch, entry, message):
         import velosense.harness as harness
@@ -805,9 +855,9 @@ class TestExitCodes:
             raise AssertionError("the config was accepted")
 
         monkeypatch.setattr(harness, "prepare", no_prepare)
-        synth = '"grid_w": 6, "grid_h": 6, "block_m": 350.0, "stand_count": 6, "trips": 150'
+        source = "" if entry.startswith('"source"') else f"{_synth_source()}, "
         cfg = tmp_path / "exp.json"
-        cfg.write_text(f'{{"source": {{"synth": {{{synth}}}}}, "budgets": [2], "deltas": [16.0], {entry}}}')
+        cfg.write_text(f'{{{source}"budgets": [2], "deltas": [16.0], {entry}}}')
         assert main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}: bad experiment config: ") and message in err

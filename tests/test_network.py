@@ -4,19 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from velosense.errors import MalformedInputError, NoPathError
+from velosense.errors import MalformedInputError
 from velosense.network import (
     build_network,
     haversine_m,
     load_network,
     nearest_node,
     route_pairs,
-    shortest_path,
     single_source_distances,
 )
 from velosense.synth import grid_network
 
-from oracles import adjacency_with_lengths, brute_shortest_distance
+from oracles import adjacency_with_lengths, all_simple_paths, brute_shortest_distance
 
 
 def csv_io(text):
@@ -27,7 +26,7 @@ class TestLoadNetwork:
     def test_line_totals(self, line_net):
         assert line_net.num_nodes == 3
         assert line_net.num_segments == 2
-        assert line_net.total_length_m == pytest.approx(200.0)
+        assert line_net.seg_length_m.sum() == pytest.approx(200.0)
 
     def test_zero_length_from_identical_coordinates(self):
         nodes = [(0, 40.0, -74.0), (1, 40.0, -74.0)]
@@ -118,42 +117,48 @@ class TestNearestNode:
             assert nearest_node(net, lat, lon) == node
 
 
+def route(net, origin, dest):
+    """route_pairs' path of one pair, or None when it leaves the pair out."""
+    return route_pairs(net, [(origin, dest)]).get((origin, dest))
+
+
 class TestShortestPath:
     def test_identity(self, line_net):
-        path = shortest_path(line_net, 1, 1)
+        path = route(line_net, 1, 1)
         assert path.segments == () and path.distance_m == 0.0
         assert path.nodes == (1,)
 
     def test_line(self, line_net):
-        path = shortest_path(line_net, 0, 2)
+        path = route(line_net, 0, 2)
         assert path.nodes == (0, 1, 2)
         assert path.distance_m == pytest.approx(200.0)
         assert len(path.segments) == 2
 
     def test_chord_avoided(self, square_chord_net):
         net = square_chord_net
-        path = shortest_path(net, 0, 2)
+        path = route(net, 0, 2)
         adjacency = adjacency_with_lengths(net)
         expected = brute_shortest_distance(adjacency, 0, 2)
         assert path.distance_m == expected == 200.0
         assert path.nodes == (0, 1, 2)  # lex-smaller than (0, 3, 2)
 
-    def test_unreachable_raises(self):
+    def test_unreachable_pair_left_out(self):
         nodes = [(i, 40.0 + 0.001 * i, -74.0) for i in range(4)]
         net = build_network(nodes, [(0, 1, 100.0), (2, 3, 100.0)])
-        with pytest.raises(NoPathError):
-            shortest_path(net, 0, 3)
+        routed = route_pairs(net, [(0, 1), (0, 3), (3, 0), (3, 2)])
+        assert sorted(routed) == [(0, 1), (3, 2)]
 
     def test_invalid_node_rejected(self, line_net):
-        with pytest.raises(MalformedInputError):
-            shortest_path(line_net, 0, 99)
+        for pair in ((99, 0), (-1, 0), (0, 99)):
+            with pytest.raises(MalformedInputError, match="node"):
+                route_pairs(line_net, [pair])
 
     def test_lexicographic_tiebreak_on_grid(self):
         net = grid_network(3, 3, 250.0)
-        path = shortest_path(net, 0, 8)
+        path = route(net, 0, 8)
         assert path.nodes == (0, 1, 2, 5, 8)
 
-    def _random_net(self, rng, n, max_length=50):
+    def _random_net(self, rng, n, max_length=50, scale=1.0):
         nodes = [(i, 40.0 + 0.01 * i, -74.0 + 0.003 * (i % 3)) for i in range(n)]
         edges = []
         seen = set()
@@ -163,39 +168,89 @@ class TestShortestPath:
             if u == v or key in seen:
                 continue
             seen.add(key)
-            edges.append((int(u), int(v), float(rng.integers(1, max_length))))
+            edges.append((int(u), int(v), float(rng.integers(1, max_length)) * scale))
         if not edges:
             edges = [(0, 1, 10.0)]
         return build_network(nodes, edges)
 
+    def _assert_routes_match_oracle(self, net):
+        """Every pair's route is the min by (distance, nodes) over all simple paths,
+        and a pair is left out exactly when no path joins it. Returns the number of
+        pairs left out and the number with more than one shortest path."""
+        adjacency = adjacency_with_lengths(net)
+        pairs = [(o, d) for o in range(net.num_nodes) for d in range(net.num_nodes)]
+        routed = route_pairs(net, pairs)
+        unreachable = tied = 0
+        for origin, dest in pairs:
+            if brute_shortest_distance(adjacency, origin, dest) is None:
+                assert (origin, dest) not in routed
+                unreachable += 1
+                continue
+            found = sorted((dist, nodes) for nodes, dist in all_simple_paths(adjacency, origin, dest))
+            distance, nodes = found[0]
+            path = routed[(origin, dest)]
+            assert path.nodes == tuple(nodes) and path.distance_m == distance
+            tied += len(found) > 1 and found[1][0] == distance
+        return unreachable, tied
+
     def test_matches_brute_force_on_small_graphs(self):
         rng = np.random.default_rng(7)
+        unreachable = 0
         for _ in range(60):
-            n = int(rng.integers(2, 9))
-            net = self._random_net(rng, n)
+            net = self._random_net(rng, int(rng.integers(2, 9)))
             adjacency = adjacency_with_lengths(net)
             for origin in range(net.num_nodes):
-                for dest in range(origin + 1, net.num_nodes):
+                dist = single_source_distances(net, origin).tolist()
+                for dest in range(net.num_nodes):
                     expected = brute_shortest_distance(adjacency, origin, dest)
                     if expected is None:
-                        with pytest.raises(NoPathError):
-                            shortest_path(net, origin, dest)
+                        assert dist[dest] == math.inf
+                        unreachable += 1
                     else:
-                        assert shortest_path(net, origin, dest).distance_m == expected
+                        assert dist[dest] == expected
+        assert unreachable > 0
+
+    @pytest.mark.parametrize("max_length", [50, 3])  # 3: many equal-length paths
+    def test_route_pairs_equal_shortest_path_on_random_graphs(self, max_length):
+        # integer lengths keep the sums exact
+        rng = np.random.default_rng(7)
+        unreachable = tied = 0
+        for _ in range(60):
+            net = self._random_net(rng, int(rng.integers(2, 9)), max_length)
+            left_out, ties = self._assert_routes_match_oracle(net)
+            unreachable += left_out
+            tied += ties
+        assert unreachable > 0 and tied > 0
+
+    def test_route_pairs_match_oracle_on_grids(self):
+        for w, h in ((3, 3), (4, 3), (4, 4)):
+            unreachable, tied = self._assert_routes_match_oracle(grid_network(w, h, 150.0))
+            assert unreachable == 0 and tied > 0
+
+    def test_every_reachable_node_has_an_exactly_tight_edge(self):
+        # tenths of a meter: float sums along different paths drift apart
+        rng = np.random.default_rng(13)
+        for _ in range(40):
+            net = self._random_net(rng, int(rng.integers(2, 30)), max_length=30, scale=0.1)
+            lengths = net.seg_length_m.tolist()
+            for dest in range(net.num_nodes):
+                dist = single_source_distances(net, dest).tolist()
+                for u in range(net.num_nodes):
+                    if u != dest and math.isfinite(dist[u]):
+                        assert any(dist[u] == lengths[seg] + dist[v] for v, seg in net.adjacency[u])
 
     def test_distance_symmetry(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
             net = self._random_net(rng, int(rng.integers(3, 9)))
-            for origin in range(net.num_nodes):
-                for dest in range(net.num_nodes):
-                    try:
-                        forward = shortest_path(net, origin, dest).distance_m
-                    except NoPathError:
-                        with pytest.raises(NoPathError):
-                            shortest_path(net, dest, origin)
-                        continue
-                    assert shortest_path(net, dest, origin).distance_m == forward
+            pairs = [(o, d) for o in range(net.num_nodes) for d in range(net.num_nodes)]
+            routed = route_pairs(net, pairs)
+            for origin, dest in pairs:
+                back = routed.get((dest, origin))
+                if (origin, dest) not in routed:
+                    assert back is None
+                    continue
+                assert back.distance_m == routed[(origin, dest)].distance_m
 
     def test_triangle_inequality(self):
         net = grid_network(4, 4, 180.0)
@@ -206,35 +261,15 @@ class TestShortestPath:
             assert dist[a][c] <= dist[a][b] + dist[b][c] + 1e-9
 
     def test_path_segments_consistent_with_nodes(self, square_chord_net):
-        path = shortest_path(square_chord_net, 1, 3)
-        assert len(path.segments) == len(path.nodes) - 1
-        assert path.distance_m == pytest.approx(sum(path.seg_lengths_m))
-
-    def _assert_routes_match_shortest_path(self, net):
+        net = square_chord_net
         pairs = [(o, d) for o in range(net.num_nodes) for d in range(net.num_nodes)]
-        routed = route_pairs(net, pairs)
-        for origin, dest in pairs:
-            if (origin, dest) in routed:
-                assert routed[(origin, dest)] == shortest_path(net, origin, dest)
-            else:
-                with pytest.raises(NoPathError):
-                    shortest_path(net, origin, dest)
-        return routed
-
-    def test_route_pairs_equal_shortest_path_on_grids(self):
-        for w, h in ((3, 3), (5, 4), (6, 6)):
-            routed = self._assert_routes_match_shortest_path(grid_network(w, h, 150.0))
-            assert len(routed) == (w * h) ** 2
-
-    @pytest.mark.parametrize("max_length", [50, 3])  # 3: many equal-length paths
-    def test_route_pairs_equal_shortest_path_on_random_graphs(self, max_length):
-        rng = np.random.default_rng(7)
-        unreachable = 0
-        for _ in range(60):
-            net = self._random_net(rng, int(rng.integers(2, 12)), max_length)
-            unreachable += net.num_nodes ** 2 - len(self._assert_routes_match_shortest_path(net))
-        assert unreachable > 0
+        for path in route_pairs(net, pairs).values():
+            assert len(path.segments) == len(path.nodes) - 1
+            for (u, v), seg, length in zip(zip(path.nodes, path.nodes[1:]), path.segments, path.seg_lengths_m):
+                assert net.endpoints(seg) == (min(u, v), max(u, v))
+                assert length == net.seg_length_m[seg]
+            assert path.distance_m == pytest.approx(sum(path.seg_lengths_m))
 
     def test_route_pairs_rejects_invalid_nodes(self, line_net):
         with pytest.raises(MalformedInputError):
-            route_pairs(line_net, [(0, 3)])
+            route_pairs(line_net, [(0, 1), (0, 3)])

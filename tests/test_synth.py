@@ -82,6 +82,20 @@ class TestGenerate:
                 SynthConfig(3, 3, value, stand_count=2, trips=1)
             with pytest.raises(ValueError, match=f"^gravity_gamma must be a finite number > 0, got {value}$"):
                 SynthConfig(3, 3, 200.0, stand_count=2, trips=1, gravity_gamma=value)
+        counts = {"grid_w": 3, "grid_h": 3, "stand_count": 2, "trips": 1, "seed": 0}
+        for name in counts:
+            for value in (2.5, 2.0, True, "2"):
+                with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+                    SynthConfig(block_m=200.0, **{**counts, name: value})
+        for horizon in ((360, 1320.5), (1320, 360), (360, 360), (360,), (True, 1320), 360):
+            with pytest.raises(ValueError, match=r"^horizon must be two integers t0 < t_end, got "):
+                SynthConfig(3, 3, 200.0, stand_count=2, trips=1, horizon=horizon)
+        for value in (True, "200"):
+            with pytest.raises(ValueError, match=f"^block_m must be a finite number > 0, got {value!r}$"):
+                SynthConfig(3, 3, value, stand_count=2, trips=1)
+            with pytest.raises(ValueError, match=f"^gravity_gamma must be a finite number > 0, got {value!r}$"):
+                SynthConfig(3, 3, 200.0, stand_count=2, trips=1, gravity_gamma=value)
+        assert SynthConfig(3, 3, 200, stand_count=2, trips=1, horizon=[0, 1]).block_m == 200
 
 
 class TestFileEmission:

@@ -1,7 +1,7 @@
 import hashlib
 import io
 import math
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from datetime import timedelta
 
 import numpy as np
@@ -252,7 +252,7 @@ class TestClean:
         from velosense.synth import SynthConfig, generate
 
         _, day_one = generate(SynthConfig(8, 8, 300.0, 8, 400, seed=11))
-        day_two = [replace(rt, start_time=rt.start_time + timedelta(days=1)) for rt in day_one]
+        day_two = [rt._replace(start_time=rt.start_time + timedelta(days=1)) for rt in day_one]
         one = clean_trips(day_one, net)
         both = clean_trips(day_two + day_one, net)
         assert both.drop_counts["other_day"] == len(day_two)
