@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,8 @@ def _check_triplog(recorded, artifact, triplog, triplog_sha256) -> None:
 
 
 def _load_routed_net(args, log):
-    """Load --nodes/--edges, which must be the network the triplog was routed on."""
+    """Load --nodes/--edges, which must be the network the triplog was routed on: the
+    header names its hash, and a path its segments, at the network's lengths."""
     net = load_network_files(args.nodes, args.edges)
     network = f"{args.nodes} and {args.edges}"
     if log.network_sha256 is None:
@@ -51,6 +52,17 @@ def _load_routed_net(args, log):
         )
     if log.network_sha256 != network_sha256(net):
         raise MalformedInputError(f"{args.triplog} was routed on another network than {network}")
+    segment, length_m = log.path_entries
+    net_length = np.append(net.seg_length_m, np.nan)[np.minimum(segment, net.num_segments)]  # NaN: unknown
+    wrong = np.flatnonzero(net_length != length_m)
+    if len(wrong):
+        entry = wrong[0]
+        index = np.searchsorted(np.cumsum([len(p.segments) for p in log.paths]), entry, side="right")
+        has = "have no such segment" if np.isnan(net_length[entry]) else f"give it {net_length[entry]} m"
+        raise MalformedInputError(
+            f"{args.triplog}: path {index} gives segment {segment[entry]} length {length_m[entry]} m, "
+            f"but {network} {has}"
+        )
     return net
 
 
@@ -83,24 +95,13 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = synth.SynthConfig(
-        grid_w=args.grid_w,
-        grid_h=args.grid_h,
-        block_m=args.block_m,
-        stand_count=args.stands,
-        trips=args.trips,
-        horizon=(args.t0, args.t_end),
-        gravity_gamma=args.gamma,
-        seed=args.seed,
-    )
+    # each SynthConfig field is the option of the same name
+    cfg = synth.SynthConfig(**{f.name: getattr(args, f.name) for f in fields(synth.SynthConfig)})
     net, raw = synth.generate(cfg)
     out = _out_dir(args)
     synth.write_network_csv(net, out / "nodes.csv", out / "edges.csv")
     synth.write_trips_csv(raw, out / "trips.csv")
-    print(
-        f"synthesized {net.num_nodes} nodes, {net.num_segments} segments, "
-        f"{len(raw)} trips -> {out}"
-    )
+    print(f"synthesized {net.num_nodes} nodes, {net.num_segments} segments, {len(raw)} trips -> {out}")
     return EXIT_OK
 
 
@@ -276,11 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-w", type=int, required=True)
     p.add_argument("--grid-h", type=int, required=True)
     p.add_argument("--block-m", type=float, default=200.0)
-    p.add_argument("--stands", type=int, required=True)
+    p.add_argument("--stands", dest="stand_count", type=int, required=True)
     p.add_argument("--trips", type=int, required=True)
-    p.add_argument("--gamma", type=float, default=1.5)
-    p.add_argument("--t0", type=int, default=trips.DEFAULT_WINDOW[0])
-    p.add_argument("--t-end", type=int, default=trips.DEFAULT_WINDOW[1])
+    p.add_argument("--gamma", dest="gravity_gamma", type=float, default=1.5)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("fleet", parents=[common, triplog], help="derive minimal initial bike counts")

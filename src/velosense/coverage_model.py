@@ -45,7 +45,6 @@ class CoverageMatrix:
     p: np.ndarray  # float64
     runs: int
     seed: int
-    horizon: tuple[int, int]
     stand_nodes: list[int]
     triplog_sha256: str | None = None  # of the triplog file it was estimated on
 
@@ -85,7 +84,7 @@ def estimate_probabilities(
     A stand with no bikes homes none, so every stand that has coverage has b > 0."""
     stand, segment, n_bar = mean_coverage(log, plan, runs, seed)
     p = n_bar / np.asarray(plan.b, dtype=np.int64)[stand]
-    return CoverageMatrix(stand, segment, p, runs, seed, log.horizon, [s.node for s in log.stands])
+    return CoverageMatrix(stand, segment, p, runs, seed, [s.node for s in log.stands])
 
 
 def probability_decay_report(
@@ -167,7 +166,6 @@ def save_matrix(matrix: CoverageMatrix, csv_path, meta_path) -> None:
             "format": COVERAGE_FORMAT,
             "runs": matrix.runs,
             "seed": matrix.seed,
-            "horizon": matrix.horizon,
             "stand_nodes": matrix.stand_nodes,
             "triplog_sha256": matrix.triplog_sha256,
         },
@@ -204,5 +202,5 @@ def load_matrix(csv_path, meta_path) -> CoverageMatrix:
         key = (int(stand[i]), int(segment[i]))
         raise MalformedInputError(f"{csv_path}: (stand, segment) {key} is listed twice")
     with read_artifact(meta_path, COVERAGE_FORMAT, "probs") as meta:
-        protocol = (meta["runs"], meta["seed"], tuple(meta["horizon"]), list(meta["stand_nodes"]))
+        protocol = (meta["runs"], meta["seed"], list(meta["stand_nodes"]))
         return CoverageMatrix(stand, segment, p, *protocol, meta.get("triplog_sha256"))

@@ -349,10 +349,7 @@ def load_spec(doc: dict) -> ExperimentSpec:
     src = doc["source"]
     try:
         if "synth" in src:
-            synth_args = dict(src["synth"])
-            if isinstance(synth_args.get("horizon"), list):  # SynthConfig checks its entries
-                synth_args["horizon"] = tuple(synth_args["horizon"])
-            source = SynthConfig(**synth_args)
+            source = SynthConfig(**src["synth"])
         elif "files" in src:
             source = FileSource(**src["files"])
         else:

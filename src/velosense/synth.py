@@ -6,9 +6,10 @@ from a gravity model (origin-destination probability decays with shortest
 distance to a power gamma). Distance decay makes coverage probabilities
 fall off with distance from a stand, the pattern real bike-share data shows.
 
-Trips are emitted only between stand pairs whose shortest distance already
-satisfies the cleaning bounds and with start minutes inside the window, so
-the cleaning stage keeps everything this generator produces.
+Trips are emitted on one day, only between stand pairs whose shortest
+distance satisfies the default cleaning bounds, with start minutes drawn over
+`trips.DEFAULT_WINDOW`, so cleaning at its defaults keeps everything this
+generator produces. A shorter day is the cleaning window's to cut.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ class SynthConfig:
     block_m: float
     stand_count: int
     trips: int
-    horizon: tuple[int, int] = DEFAULT_WINDOW
     gravity_gamma: float = 1.5
     seed: int = 0
 
@@ -44,10 +44,6 @@ class SynthConfig:
             value = getattr(self, name)
             if type(value) is not int:  # a bool is not one
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        horizon = self.horizon
-        pair = isinstance(horizon, (tuple, list)) and len(horizon) == 2
-        if not (pair and set(map(type, horizon)) == {int} and horizon[0] < horizon[1]):
-            raise ValueError(f"horizon must be two integers t0 < t_end, got {horizon!r}")
         for name in ("block_m", "gravity_gamma"):
             value = getattr(self, name)
             if not (type(value) in (int, float) and math.isfinite(value) and value > 0):
@@ -106,7 +102,7 @@ def generate(cfg: SynthConfig) -> tuple[RoadNetwork, list[RawTrip]]:
     weights = np.array([d ** -cfg.gravity_gamma for (_o, _d, d) in pairs])
     weights /= weights.sum()
     picks = rng.choice(len(pairs), size=cfg.trips, p=weights)
-    t0, t_end = cfg.horizon
+    t0, t_end = DEFAULT_WINDOW  # both ends included, as in cleaning
     starts = rng.integers(t0, t_end + 1, size=cfg.trips)
 
     midnight = datetime(2024, 1, 1)

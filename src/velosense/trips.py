@@ -129,7 +129,7 @@ class TripLog:
         start minute.
         """
         lengths = np.array([len(p.segments) for p in self.paths], dtype=np.int64)
-        segments = np.array([s for p in self.paths for s in p.segments], dtype=np.int64)
+        segments = self.path_entries[0]
         offsets = np.array(
             [o for p in self.paths for o in _entry_offsets(p, self.speed_m_per_min)], dtype=np.int64
         )
@@ -139,6 +139,12 @@ class TripLog:
         path_first, trip_first = np.cumsum(lengths) - lengths, np.cumsum(counts) - counts
         flat = np.repeat(path_first[self.path] - trip_first, counts) + np.arange(len(trip))
         return TripEvents(trip, segments[flat], self.start_min[trip] + offsets[flat])
+
+    @cached_property
+    def path_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every path's segments and their lengths, path after path; load_triplog keeps its checked ones."""
+        segments = np.array([s for p in self.paths for s in p.segments], dtype=np.int64)
+        return segments, np.array([x for p in self.paths for x in p.seg_lengths_m], dtype=np.float64)
 
     @cached_property
     def schedule(self) -> ServiceSchedule:
@@ -367,7 +373,7 @@ def load_triplog(path) -> TripLog:
             Path(tuple(p["segments"]), tuple(p["nodes"]), tuple(p["seg_lengths_m"]), p["distance_m"])
             for p in doc["paths"]
         ]
-        _check_paths(paths, path)
+        entries = _check_paths(paths, path)
         stands = _stand_table(doc["stands"], path)
         trips = doc["trips"]
         ids = str_column(trips["id"], path, "trips.id")
@@ -382,23 +388,25 @@ def load_triplog(path) -> TripLog:
         if len(unsorted):
             first = ids[unsorted[0] + 1]
             raise MalformedInputError(f"{path}: trips are not sorted by start minute at trip {first}")
-        return TripLog(
+        log = TripLog(
             ids, origin, dest, start, duration, table, paths, stands, (t0, t_end), speed,
             doc.get("drop_counts", {}), doc.get("network_sha256"),
         )
+        log.path_entries = entries
+        return log
 
 
-def _check_paths(paths: list[Path], source) -> None:
-    """Each path has one length per segment and one more node than segments. Its
-    segment and node ids are integers >= 0, its segment lengths finite numbers > 0
-    and its distance a finite number >= 0; each column is checked in one flat pass."""
+def _check_paths(paths: list[Path], source) -> tuple[np.ndarray, np.ndarray]:
+    """Each path has one length per segment and one more node than segments. Its segment and
+    node ids are integers >= 0, its segment lengths finite numbers > 0 and its distance a finite
+    number >= 0. Checks each column in one flat pass; returns the `TripLog.path_entries`."""
     for index, p in enumerate(paths):
         if not len(p.segments) == len(p.seg_lengths_m) == len(p.nodes) - 1:
             raise MalformedInputError(
                 f"{source}: path {index} has {len(p.segments)} segments, "
                 f"{len(p.seg_lengths_m)} segment lengths and {len(p.nodes)} nodes"
             )
-    int_column([s for p in paths for s in p.segments], source, "paths.segments")
+    segments = int_column([s for p in paths for s in p.segments], source, "paths.segments")
     int_column([v for p in paths for v in p.nodes], source, "paths.nodes")
     lengths = [x for p in paths for x in p.seg_lengths_m]
     if not (_finite_numbers(lengths) and min(lengths, default=1.0) > 0):
@@ -406,6 +414,7 @@ def _check_paths(paths: list[Path], source) -> None:
     distances = [p.distance_m for p in paths]
     if not (_finite_numbers(distances) and min(distances, default=0.0) >= 0):
         raise MalformedInputError(f"{source}: paths.distance_m must hold finite numbers >= 0")
+    return segments, np.array(lengths, dtype=np.float64)
 
 
 def _finite_numbers(values: list) -> bool:

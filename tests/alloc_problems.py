@@ -26,7 +26,7 @@ def make_problem(p_entries, lengths, caps, budget, K=1.0):
     net = line_net_with_lengths(lengths)
     plan = FleetPlan(list(caps))
     matrix = CoverageMatrix(
-        *dict_columns(p_entries), runs=1, seed=0, horizon=(0, 960), stand_nodes=list(range(len(caps)))
+        *dict_columns(p_entries), runs=1, seed=0, stand_nodes=list(range(len(caps)))
     )
     inst = build_instance(matrix, net, plan, budget, K=K)
     dense = [[0.0] * len(lengths) for _ in caps]

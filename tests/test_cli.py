@@ -9,7 +9,7 @@ from velosense.cli import main
 from velosense.coverage_model import load_matrix
 from velosense.errors import MalformedInputError
 from velosense.fleet_sim import load_trajectories
-from velosense.trips import load_triplog
+from velosense.trips import DEFAULT_WINDOW, load_triplog
 
 from lp_parser import parse_lp
 
@@ -747,6 +747,98 @@ def test_triplog_without_network_sha256_is_2(runs_by_seed, tmp_path, capsys, com
     assert all(str(paths[option]) in err for option in ("--triplog", "--nodes", "--edges"))
 
 
+def _set_length(path):
+    path["seg_lengths_m"] = [1.0] * len(path["seg_lengths_m"])
+
+
+def _set_unknown_segment(path):
+    path["segments"][0] = 10**6
+
+
+def _pinned(artifact, triplog, out):
+    """A copy of a JSON artifact in `out` that records `triplog` as its triplog."""
+    doc = json.loads(artifact.read_text())
+    (doc.get("metadata") or doc)["triplog_sha256"] = _sha256(triplog)
+    pinned = out / artifact.name
+    pinned.write_text(json.dumps(doc))
+    return pinned
+
+
+@pytest.mark.parametrize(
+    "edit, has",
+    [(_set_length, "give it 350.0 m"), (_set_unknown_segment, "have no such segment")],
+    ids=["lengths-edited", "segment-unknown"],
+)
+@pytest.mark.parametrize("command, options, extra", NETWORK_CHECKED, ids=["allocate", "export-lp", "score"])
+def test_path_off_the_network_is_2(artifacts, tmp_path, capsys, command, options, extra, edit, has):
+    """A triplog whose header names the right network but whose path 0 was edited.
+    Its probs sidecar and allocation are pinned to it and its replay is made from it,
+    so only the path check can refuse it; the commands without a network still run."""
+    paths = dict(artifacts)
+    doc = json.loads(paths["--triplog"].read_text())
+    edit(doc["paths"][0])
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    bad = paths["--triplog"] = inputs / "triplog.json"
+    bad.write_text(json.dumps(doc))
+    paths["--probs-meta"] = _pinned(artifacts["--probs-meta"], bad, inputs)
+    paths["--alloc"] = _pinned(artifacts["--alloc"], bad, inputs)
+    assert main(["fleet", "--triplog", str(bad), "--out-dir", str(inputs)]) == 0
+    assert main(["simulate", *_args(paths, SIMULATE), "--beta", "1", "--out-dir", str(inputs)]) == 0
+    paths["--traj"] = inputs / "traj.json"
+    capsys.readouterr()
+    out = tmp_path / "out"
+    extra = _with_lp_out(command, extra, tmp_path)
+    assert main([command, *_args(paths, options), *extra, "--out-dir", str(out)]) == 2
+    path = doc["paths"][0]
+    network = f"{paths['--nodes']} and {paths['--edges']}"
+    assert capsys.readouterr().err == (
+        f"error: {bad}: path 0 gives segment {path['segments'][0]} length {path['seg_lengths_m'][0]} m, "
+        f"but {network} {has}\n"
+    )
+    assert not out.exists() and not (tmp_path / "model.lp").exists()
+
+
+def test_probs_sidecar_with_a_horizon_still_allocates(artifacts, tmp_path):
+    """probs.meta.json used to carry a copy of the triplog's horizon, in this place;
+    a sidecar written that way loads to the same matrix and allocates the same plan."""
+    paths = dict(artifacts)
+    meta = json.loads(paths["--probs-meta"].read_text())
+    assert list(meta) == ["format", "runs", "seed", "stand_nodes", "triplog_sha256"]
+    old = {key: meta[key] for key in ("format", "runs", "seed")}
+    old.update(horizon=list(DEFAULT_WINDOW), stand_nodes=meta["stand_nodes"], triplog_sha256=meta["triplog_sha256"])
+    paths["--probs-meta"] = tmp_path / "probs.meta.json"
+    paths["--probs-meta"].write_text(json.dumps(old))
+    loaded = load_matrix(paths["--probs"], paths["--probs-meta"])
+    assert vars(loaded).keys() == vars(load_matrix(artifacts["--probs"], artifacts["--probs-meta"])).keys()
+    assert main(["allocate", *_args(paths, ALLOCATE), "--budget", "4", "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "alloc.json").read_bytes() == artifacts["--alloc"].read_bytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_default_synth_survives_default_ingest(tmp_path, seed):
+    """The generator draws start minutes over the cleaning's default window, so
+    default cleaning keeps every trip, and the triplog's horizon is that window."""
+    synth = ["--grid-w", "8", "--grid-h", "8", "--block-m", "300", "--stands", "8", "--trips", "300"]
+    assert main(["synth", *synth, "--seed", str(seed), "--out-dir", str(tmp_path)]) == 0
+    net = ["--nodes", str(tmp_path / "nodes.csv"), "--edges", str(tmp_path / "edges.csv")]
+    assert main(["ingest", *net, "--trips", str(tmp_path / "trips.csv"), "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "ingest_report.json").read_text())
+    assert report["parse"]["kept"] == report["parse"]["rows_read"] == 300
+    assert report["cleaning"] == dict.fromkeys(report["cleaning"], 0)
+    assert load_triplog(tmp_path / "triplog.json").horizon == DEFAULT_WINDOW
+
+
+@pytest.mark.parametrize("option", ["--t0", "--t-end"])
+def test_synth_sets_no_window(tmp_path, capsys, option):
+    """The cleaning window is the one horizon: synth takes no window of its own."""
+    synth = ["--grid-w", "6", "--grid-h", "6", "--stands", "6", "--trips", "10"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(["synth", *synth, option, "0", "--out-dir", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {option} 0" in capsys.readouterr().err
+
+
 def _synth_source(**changes):
     """The `source` entry of an experiment config on a 6x6 synthetic grid, with `changes`."""
     synth = {"grid_w": 6, "grid_h": 6, "block_m": 350.0, "stand_count": 6, "trips": 150, **changes}
@@ -835,8 +927,7 @@ class TestExitCodes:
             (_synth_source(stand_count=6.0), "stand_count must be an integer, got 6.0"),
             (_synth_source(trips=150.5), "trips must be an integer, got 150.5"),
             (_synth_source(seed=1.5), "seed must be an integer, got 1.5"),
-            (_synth_source(horizon=[360, 1320.5]), "horizon must be two integers t0 < t_end, got (360, 1320.5)"),
-            (_synth_source(horizon=[1320, 360]), "horizon must be two integers t0 < t_end, got (1320, 360)"),
+            (_synth_source(horizon=[360, 1320]), "unexpected keyword argument 'horizon'"),
             (_synth_source(block_m=True), "block_m must be a finite number > 0, got True"),
             (_synth_source(gravity_gamma=True), "gravity_gamma must be a finite number > 0, got True"),
         ],
@@ -846,7 +937,7 @@ class TestExitCodes:
              "delta-a-string", "budget-repeated", "delta-repeated-by-value", "beta-repeated",
              "method-repeated", "methods-empty", "synth-grid-fraction", "synth-grid-bool",
              "synth-stands-float", "synth-trips-fraction", "synth-seed-fraction",
-             "synth-horizon-fraction", "synth-horizon-reversed", "synth-block-bool", "synth-gamma-bool"],
+             "synth-horizon", "synth-block-bool", "synth-gamma-bool"],
     )
     def test_bad_experiment_config_is_2_at_load(self, tmp_path, capsys, monkeypatch, entry, message):
         import velosense.harness as harness

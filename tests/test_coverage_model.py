@@ -113,7 +113,7 @@ class TestEstimateProbabilities:
         matrix = estimate_probabilities(log, FleetPlan([8, 0, 0]), runs=20, seed=6)
         assert column_dict(matrix.stand, matrix.segment, matrix.p) == {(0, 3): 0.5}
         # the protocol comes from the call and the log
-        assert (matrix.runs, matrix.seed, matrix.horizon, matrix.stand_nodes) == (20, 6, (0, 60), [0, 1, 2])
+        assert (matrix.runs, matrix.seed, matrix.stand_nodes) == (20, 6, [0, 1, 2])
 
     def test_absent_entries_stay_absent(self):
         # the one trip leaves stand 0, so stands 1 and 2 cover nothing
@@ -249,7 +249,6 @@ class TestMatrixSerialization:
             assert column.dtype == expected.dtype and np.array_equal(column, expected)
         assert loaded.runs == matrix.runs
         assert loaded.seed == matrix.seed
-        assert loaded.horizon == matrix.horizon
         assert loaded.stand_nodes == matrix.stand_nodes
         assert csv_path.read_text().splitlines()[0] == "stand_id,segment_id,p"
 

@@ -23,6 +23,7 @@ from velosense.harness import (
     write_rows,
 )
 from velosense.synth import SynthConfig
+from velosense.trips import DEFAULT_WINDOW
 
 
 def small_spec(**overrides):
@@ -102,6 +103,25 @@ class TestSpecValidation:
             load_spec({"source": {"nothing": {}}, "budgets": [1], "deltas": [1.0]})
         with pytest.raises(MalformedInputError):
             load_spec({"source": {"synth": {"grid_w": 4}}, "budgets": [1], "deltas": [1.0]})
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        SynthConfig(10, 10, 200.0, stand_count=12, trips=2000, seed=3),
+        SynthConfig(8, 8, 300.0, stand_count=8, trips=400, seed=11),
+    ],
+    ids=["grid10-seed3", "grid8-seed11"],
+)
+def test_prepare_keeps_every_synthetic_trip_over_the_default_window(source):
+    """A synthetic source has one window, the cleaning's default: prepare drops no
+    trip and the log's horizon, over which phi is scored, is that window."""
+    import velosense.harness as harness
+
+    log = harness.prepare(small_spec(source=source)).log
+    assert log.horizon == DEFAULT_WINDOW
+    assert len(log.ids) == source.trips
+    assert log.drop_counts == dict.fromkeys(log.drop_counts, 0)
 
 
 class TestRunPipeline:

@@ -3,7 +3,7 @@ import pytest
 from velosense.errors import ConfigInfeasibleError
 from velosense.network import load_network
 from velosense.synth import SynthConfig, generate, grid_network, write_network_csv, write_trips_csv
-from velosense.trips import clean_trips, parse_raw_trips
+from velosense.trips import DEFAULT_WINDOW, clean_trips, parse_raw_trips
 
 
 class TestGridNetwork:
@@ -64,7 +64,7 @@ class TestGenerate:
         _net, raw = generate(cfg)
         for rt in raw:
             minute = rt.start_time.hour * 60 + rt.start_time.minute
-            assert 360 <= minute <= 1320
+            assert DEFAULT_WINDOW[0] <= minute <= DEFAULT_WINDOW[1]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -87,15 +87,12 @@ class TestGenerate:
             for value in (2.5, 2.0, True, "2"):
                 with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
                     SynthConfig(block_m=200.0, **{**counts, name: value})
-        for horizon in ((360, 1320.5), (1320, 360), (360, 360), (360,), (True, 1320), 360):
-            with pytest.raises(ValueError, match=r"^horizon must be two integers t0 < t_end, got "):
-                SynthConfig(3, 3, 200.0, stand_count=2, trips=1, horizon=horizon)
         for value in (True, "200"):
             with pytest.raises(ValueError, match=f"^block_m must be a finite number > 0, got {value!r}$"):
                 SynthConfig(3, 3, value, stand_count=2, trips=1)
             with pytest.raises(ValueError, match=f"^gravity_gamma must be a finite number > 0, got {value!r}$"):
                 SynthConfig(3, 3, 200.0, stand_count=2, trips=1, gravity_gamma=value)
-        assert SynthConfig(3, 3, 200, stand_count=2, trips=1, horizon=[0, 1]).block_m == 200
+        assert SynthConfig(3, 3, 200, stand_count=2, trips=1).block_m == 200
 
 
 class TestFileEmission:
