@@ -234,11 +234,12 @@ def cmd_experiment(args) -> int:
 
 def cmd_export_lp(args) -> int:
     inst, _triplog_sha256 = _build_instance_from_files(args)
-    with open(args.out, "wb") as fh:
+    out = Path(args.out) if args.out else _out_dir(args) / "model.lp"
+    with open(out, "wb") as fh:
         allocation.export_lp(inst, fh)
     print(
         f"LP model with {inst.num_stands} integer and {len(inst.candidates)} "
-        f"binary variables -> {args.out}"
+        f"binary variables -> {out}"
     )
     return EXIT_OK
 
@@ -315,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("export-lp", parents=[common, instance], help="write the allocation model as LP text")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", help="LP file to write (default: <out-dir>/model.lp)")
     p.set_defaults(func=cmd_export_lp)
 
     return parser

@@ -15,12 +15,18 @@ pool, a Lemire bounded draw on 32 bits (redrawn on rejection): the high half
 of a word an earlier pick left over, else the low half of a fresh word, whose
 high half is then left over. A pool of one bike takes no bits. These are the
 draws numpy's Generator.random() and Generator.integers(0, n) make; replay
-computes them from the bit generator's words drawn in bulk (see _Draws).
-Every trip takes its guidance draw whatever beta is, and a pick depends only
-on the size of the pool it indexes. With beta=0 the guidance test never
-passes, so every pick indexes the whole idle pool, exactly as an unguided
-run's picks do: the two consume the same stream and are bit-identical under
-the same seed.
+computes them from the bit generator's raw words. Every trip takes its
+guidance draw whatever beta is, and a pick depends only on the size of the
+pool it indexes. With beta=0 the guidance test never passes, so every pick
+indexes the whole idle pool, exactly as an unguided run's picks do: the two
+consume the same stream and are bit-identical under the same seed.
+
+Two loops read the stream. An unguided replay (beta=0 or no equipped bike)
+knows every row's pool size before it starts (TripLog.schedule), so it takes
+all its picks in one numpy pass (_unguided_picks) and its row loop only moves
+bikes. A guided replay's pool sizes hang on its earlier picks, so it reads
+each row's words inline (_guided_bikes). Both finish a rejected draw with
+_redraw.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from functools import cached_property
 from itertools import accumulate, chain
 
 import numpy as np
+from numpy.random import PCG64
 
 from .errors import (
     InfeasiblePlanError, MalformedInputError, int_column, read_artifact, str_column, write_json,
@@ -146,49 +153,149 @@ def initial_bike_counts(log: TripLog) -> FleetPlan:
     return FleetPlan(b.tolist())
 
 
-_CHUNK = 4096  # words per numpy call
+_CHUNK = 4096  # words the guided loop takes from numpy at a time
 _LOW32 = 0xFFFFFFFF
 
 
-class _Draws:
-    """The draws `Generator(PCG64(seed))` makes for `random()` and
-    `integers(0, n)`, computed from the bit generator's 64-bit words drawn in
-    chunks, so a replay calls numpy once per chunk rather than twice per trip.
-
-    `random()` takes a whole word: its top 53 bits over 2**53. `integers(n)`
-    for 1 < n < 2**32 is Lemire's bounded draw on 32-bit halves with its
-    rejection loop: the low half of a fresh word first, the high half kept for
-    the next 32-bit draw, whatever `random()` takes in between. With n = 1 it
-    takes no bits.
-    """
-
-    def __init__(self, seed: int):
-        bitgen = np.random.PCG64(seed)
-        chunks = iter(lambda: bitgen.random_raw(_CHUNK).tolist(), None)
-        self._word = chain.from_iterable(chunks).__next__
-        self._half = None
-
-    def random(self) -> float:
-        return (self._word() >> 11) * 2.0**-53
-
-    def _uint32(self) -> int:
-        half = self._half
+def _redraw(m: int, n: int, half: int | None, next_word) -> tuple[int, int | None, int]:
+    """Finish Lemire's bounded draw over n from its first product m (32 bits
+    times n): while m's low half is below 2**32 % n, redraw 32 bits, the
+    pending high half `half` if there is one, else the low half of
+    next_word(), whose high half is then pending. Returns the pick, the
+    pending half and the number of words taken."""
+    threshold = (1 << 32) % n
+    taken = 0
+    while m & _LOW32 < threshold:
         if half is None:
-            word = self._word()
-            self._half = word >> 32
-            return word & _LOW32
-        self._half = None
-        return half
+            word = next_word()
+            taken += 1
+            m, half = (word & _LOW32) * n, word >> 32
+        else:
+            m, half = half * n, None
+    return m >> 32, half, taken
 
-    def integers(self, n: int) -> int:
+
+def _unguided_picks(seed: int, sizes: np.ndarray) -> np.ndarray:
+    """The pick of every row of an unguided replay, an index into its idle pool
+    of sizes[row] bikes, from the words of PCG64(seed).
+
+    Pool sizes do not depend on the picks, so until a draw is rejected every
+    word's use is known: each row skips its guidance word, and each pool of
+    two or more bikes takes the high half an earlier pick left over, else the
+    low half of a fresh word. One pass lays the rows out and draws them all;
+    at the first rejected draw, _redraw finishes that row and the pass lays
+    out the rows after it again from the state it reached."""
+    sizes = np.asarray(sizes, dtype=np.uint64)
+    thresholds = np.uint64(1 << 32) % sizes
+    picks = np.zeros(len(sizes), dtype=np.int64)
+    bitgen = PCG64(seed)
+    words = bitgen.random_raw(0)
+    row, at, half = 0, 0, None
+    while True:
+        drawing = row + np.flatnonzero(sizes[row:] > 1)
+        if not len(drawing):
+            return picks
+        pending = int(half is not None)
+        fresh = drawing[pending::2]  # the rows whose pick takes a fresh word
+        need = len(sizes) - row + len(fresh)
+        spare = len(words) - at  # below 0 after a redraw read on from the bit generator itself
+        if spare < need:
+            words, at = np.concatenate((words[at:], bitgen.random_raw(need - max(spare, 0)))), 0
+        # a fresh word follows the guidance words up to its row's and the fresh words before it
+        word = words[at + fresh - row + 1 + np.arange(len(fresh))]
+        u = np.empty(len(drawing), dtype=np.uint64)
+        if pending:
+            u[0] = half
+        u[pending::2] = word & _LOW32
+        u[pending + 1::2] = (word >> 32)[: (len(drawing) - pending) // 2]
+        m = u * sizes[drawing]
+        rejected = np.flatnonzero(m & _LOW32 < thresholds[drawing])
+        if not len(rejected):
+            picks[drawing] = m >> 32
+            return picks
+        t = int(rejected[0])
+        picks[drawing[:t]] = m[:t] >> 32
+        r = int(drawing[t])
+        fresh_before = (t + 1 - pending) // 2
+        at += r - row + 1 + fresh_before
+        if (t - pending) % 2:  # it took the pending half
+            half = None
+        else:
+            half = int(word[fresh_before]) >> 32
+            at += 1
+        stream = chain(map(int, words[at:]), iter(bitgen.random_raw, None))
+        picks[r], half, taken = _redraw(int(m[t]), int(sizes[r]), half, stream.__next__)
+        at += taken
+        row = r + 1
+
+
+def _unguided_bikes(log: TripLog, plan: FleetPlan, picks: np.ndarray) -> list[int]:
+    """The bike of each row when row i takes bike picks[i] of its idle pool."""
+    schedule = log.schedule
+    idle = plan.bikes  # per stand, ascending
+    returns, dest = schedule.returns.tolist(), log.dest.tolist()
+    bike_of_trip = [0] * len(dest)
+    r = 0
+    for i, (origin, returned_by_start, k) in enumerate(
+        zip(log.origin.tolist(), schedule.returned.tolist(), picks.tolist())
+    ):
+        while r < returned_by_start:
+            done = returns[r]
+            r += 1
+            insort(idle[dest[done]], bike_of_trip[done])
+        bike_of_trip[i] = idle[origin].pop(k)
+    return bike_of_trip
+
+
+def _guided_bikes(log: TripLog, plan: FleetPlan, cfg: SimConfig) -> list[int]:
+    """The bike of each row when guidance may steer picks to equipped bikes.
+    Which pool a row picks from depends on earlier picks, so each row reads its
+    guidance word and pick inline."""
+    schedule = log.schedule
+    is_equipped = [bike in cfg.equipped for bike in range(plan.num_bikes)]
+    idle = plan.bikes  # per stand, ascending
+    idle_equipped = [[bike for bike in pool if is_equipped[bike]] for pool in idle]
+    returns, dest = schedule.returns.tolist(), log.dest.tolist()
+    bitgen = PCG64(cfg.seed)
+    next_word = chain.from_iterable(iter(lambda: bitgen.random_raw(_CHUNK).tolist(), None)).__next__
+    scaled_beta = cfg.beta * 2.0**53  # word >> 11 < scaled_beta exactly when (word >> 11) * 2**-53 < beta
+    half = None
+
+    bike_of_trip = [0] * len(dest)
+    r = 0
+    for i, (origin, returned_by_start) in enumerate(zip(log.origin.tolist(), schedule.returned.tolist())):
+        while r < returned_by_start:
+            done = returns[r]
+            r += 1
+            bike = bike_of_trip[done]
+            insort(idle[dest[done]], bike)
+            if is_equipped[bike]:
+                insort(idle_equipped[dest[done]], bike)
+        pool, equipped_pool = idle[origin], idle_equipped[origin]
+        if next_word() >> 11 < scaled_beta and equipped_pool:
+            chosen, guided = equipped_pool, True
+        else:
+            chosen, guided = pool, False
+        n = len(chosen)
         if n == 1:
-            return 0
-        m = self._uint32() * n
-        if m & _LOW32 < n:  # only then can the draw be rejected
-            threshold = (1 << 32) % n
-            while m & _LOW32 < threshold:
-                m = self._uint32() * n
-        return m >> 32
+            k = 0
+        else:
+            if half is None:
+                word = next_word()
+                m, half = (word & _LOW32) * n, word >> 32
+            else:
+                m, half = half * n, None
+            if m & _LOW32 < n:  # only then can the draw be rejected
+                k, half, _ = _redraw(m, n, half, next_word)
+            else:
+                k = m >> 32
+        bike = chosen.pop(k)
+        if guided:
+            del pool[bisect_left(pool, bike)]
+        elif is_equipped[bike]:
+            del equipped_pool[bisect_left(equipped_pool, bike)]
+        bike_of_trip[i] = bike
+    return bike_of_trip
 
 
 def simulate(log: TripLog, plan: FleetPlan, cfg: SimConfig) -> Replay:
@@ -207,46 +314,16 @@ def simulate(log: TripLog, plan: FleetPlan, cfg: SimConfig) -> Replay:
     instant = schedule.returns[log.duration_min[schedule.returns] < 1]  # back before it leaves
     if len(instant):
         raise MalformedInputError(f"trip {log.ids[instant[0]]} lasts less than a minute")
-    short = np.flatnonzero(np.asarray(plan.b, dtype=np.int64)[log.origin] + schedule.net < 0)
+    sizes = np.asarray(plan.b, dtype=np.int64)[log.origin] + schedule.net + 1  # each row's idle pool
+    short = np.flatnonzero(sizes < 1)
     if len(short):
         i = short[0]
         raise InfeasiblePlanError(f"no idle bike at stand {log.origin[i]} at minute "
                                   f"{log.start_min[i]} for trip {log.ids[i]}")
-    draws = _Draws(cfg.seed)
-    guidance, pick = draws.random, draws.integers
-    beta = cfg.beta
-    equipped = frozenset(cfg.equipped)
-
-    idle = plan.bikes  # per stand, ascending
-    idle_equipped = [sorted(equipped.intersection(pool)) for pool in idle]
-    returns, dest = schedule.returns.tolist(), log.dest.tolist()
-
-    bike_of_trip = [0] * len(dest)
-    r = 0
-    for i, (origin, returned_by_start) in enumerate(zip(log.origin.tolist(), schedule.returned.tolist())):
-        while r < returned_by_start:
-            done = returns[r]
-            r += 1
-            bike = bike_of_trip[done]
-            insort(idle[dest[done]], bike)
-            if bike in equipped:
-                insort(idle_equipped[dest[done]], bike)
-        u = guidance()
-        pool = idle[origin]
-        equipped_pool = idle_equipped[origin]
-        if u < beta and equipped_pool:
-            k = pick(len(equipped_pool))
-            bike = equipped_pool[k]
-            del equipped_pool[k]
-            del pool[bisect_left(pool, bike)]
-        else:
-            k = pick(len(pool))
-            bike = pool[k]
-            del pool[k]
-            if bike in equipped:
-                del equipped_pool[bisect_left(equipped_pool, bike)]
-        bike_of_trip[i] = bike
-
+    if cfg.beta == 0 or not cfg.equipped:
+        bike_of_trip = _unguided_bikes(log, plan, _unguided_picks(cfg.seed, sizes))
+    else:
+        bike_of_trip = _guided_bikes(log, plan, cfg)
     return Replay(np.array(bike_of_trip, dtype=np.int64), plan.home_stands(), log.ids, log.events)
 
 

@@ -236,6 +236,24 @@ def test_export_lp(synth_dir, pipeline_dir, tmp_path):
     assert any(name == "budget" for name, *_ in parsed.constraints)
 
 
+def test_export_lp_writes_model_lp_into_out_dir_by_default(synth_dir, pipeline_dir, tmp_path):
+    argv = [
+        "export-lp",
+        "--nodes", str(synth_dir / "nodes.csv"),
+        "--edges", str(synth_dir / "edges.csv"),
+        "--triplog", str(pipeline_dir / "triplog.json"),
+        "--probs", str(pipeline_dir / "probs.csv"),
+        "--probs-meta", str(pipeline_dir / "probs.meta.json"),
+        "--budget", "4",
+    ]
+    out_dir = tmp_path / "new" / "run"
+    assert main([*argv, "--out-dir", str(out_dir)]) == 0
+    explicit = tmp_path / "explicit.lp"
+    assert main([*argv, "--out", str(explicit), "--out-dir", str(tmp_path / "unused")]) == 0
+    assert (out_dir / "model.lp").read_bytes() == explicit.read_bytes()
+    assert not (tmp_path / "unused").exists()  # an explicit --out wins
+
+
 def test_round_trip_at_one_stand_lasts_a_minute(tmp_path):
     """A ride that starts and ends at one stand takes one minute, so its bike
     serves the next ride a minute later: one bike serves both."""

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from operator import length_hint
 
 import numpy as np
 import pytest
@@ -7,11 +8,11 @@ import pytest
 import velosense.fleet_sim as fleet_sim
 from velosense.errors import InfeasiblePlanError, MalformedInputError
 from velosense.fleet_sim import (
-    _CHUNK,
     FleetPlan,
     Replay,
     SimConfig,
-    _Draws,
+    _redraw,
+    _unguided_picks,
     equipped_set,
     initial_bike_counts,
     load_trajectories,
@@ -318,14 +319,27 @@ class TestSimulate:
         def no_draws(seed):
             raise AssertionError("replay drew for a log or plan it must reject")
 
-        monkeypatch.setattr(fleet_sim, "_Draws", no_draws)
+        monkeypatch.setattr(fleet_sim, "PCG64", no_draws)
         _net, log = small_scenario
         b = list(small_fleet.b)
         b[b.index(max(b))] -= 1
-        with pytest.raises(InfeasiblePlanError):
-            simulate(log, FleetPlan(b), SimConfig(seed=0))
-        with pytest.raises(MalformedInputError, match="lasts less than a minute"):
-            simulate(toy_log([(0, 1, 3, 0)], num_stands=2), FleetPlan([1, 1]), SimConfig(seed=0))
+        for cfg in (SimConfig(seed=0), SimConfig(seed=0, beta=1.0, equipped=frozenset({0, 1}))):  # both loops
+            with pytest.raises(InfeasiblePlanError):
+                simulate(log, FleetPlan(b), cfg)
+            with pytest.raises(MalformedInputError, match="lasts less than a minute"):
+                simulate(toy_log([(0, 1, 3, 0)], num_stands=2), FleetPlan([1, 1]), cfg)
+
+    @pytest.mark.parametrize("scenario", ["small", "reference"])
+    def test_guided_loop_at_beta_zero_is_the_unguided_replay(self, request, scenario):
+        """simulate sends beta=0 to the unguided pass, so criterion 4 holds there
+        by construction. The guided loop, run at beta=0 itself, must agree."""
+        _net, log = request.getfixturevalue(f"{scenario}_scenario")
+        fleet = request.getfixturevalue(f"{scenario}_fleet")
+        equipped = equipped_set(fleet, [(b + 1) // 2 for b in fleet.b])
+        assert equipped
+        for seed in range(5):
+            guided = fleet_sim._guided_bikes(log, fleet, SimConfig(seed, 0.0, equipped))
+            assert guided == simulate(log, fleet, SimConfig(seed)).bike_of_trip.tolist()
 
     def test_trip_under_a_minute_rejected(self):
         # a zero-minute trip would return its bike before taking it
@@ -389,41 +403,116 @@ class TestReplayGolden:
         assert digest == self.DIGESTS[beta]
 
 
-# Pool sizes for the bulk draws: the large ones make Lemire's rejection loop
+# Pool sizes for the draws: the large ones make Lemire's rejection loop
 # run often (about every other draw at 2**31 + 1, every fourth at 3 * 2**30).
 SIZES = [1, 2, 3, 7, 1000, 2**31 + 1, 3 * 2**30, 2**32 - 1]
 
 
+def numpy_picks(seed, sizes):
+    """The picks of Generator(PCG64(seed)) calling random() then integers(0, n) for each size."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    picks = []
+    for n in sizes:
+        rng.random()
+        picks.append(int(rng.integers(0, n)))
+    return picks
+
+
+def inline_picks(seed, sizes):
+    """The picks as the guided loop draws them: a row's guidance word, then
+    its first 32 bits inline, then _redraw. Each redraw's count of words
+    taken is checked against the stream."""
+    stream = iter(np.random.PCG64(seed).random_raw(3 * len(sizes) + 64).tolist())
+    half = None
+    picks = []
+    for n in sizes:
+        next(stream)
+        if n == 1:
+            picks.append(0)
+            continue
+        if half is None:
+            word = next(stream)
+            m, half = (word & 0xFFFFFFFF) * n, word >> 32
+        else:
+            m, half = half * n, None
+        left = length_hint(stream)
+        k, half, taken = _redraw(m, n, half, stream.__next__)
+        assert taken == left - length_hint(stream)
+        picks.append(k)
+    return picks
+
+
+class SparseWords:
+    """A PCG64 stand-in whose words are PCG64's with seven in eight zeroed. A
+    zero half is rejected by every pool size but a power of two, so picks
+    take many more words than two per row."""
+
+    made = []
+
+    def __init__(self, seed):
+        self._bitgen = np.random.PCG64(seed)
+        self.taken = 0
+        self.made.append(self)
+
+    def random_raw(self, size=None):
+        words = self._bitgen.random_raw(1 if size is None else size)
+        kept = np.arange(self.taken, self.taken + len(words)) % 8 == 0
+        self.taken += len(words)
+        words = np.where(kept, words, np.uint64(0))
+        return int(words[0]) if size is None else words
+
+
 class TestDraws:
-    """_Draws gives what numpy's Generator gives for random() and
-    integers(0, n), called in turn as simulate calls them."""
+    """The unguided pass and the guided loop's inline draws give what numpy's
+    Generator gives for random() then integers(0, n), row by row."""
 
     @pytest.mark.parametrize("n", SIZES)
     def test_random_then_integers_match_numpy(self, n):
         for seed in range(20):
-            rng = np.random.Generator(np.random.PCG64(seed))
-            draws = _Draws(seed)
-            for _ in range(60):
-                assert draws.random() == rng.random()
-                assert draws.integers(n) == rng.integers(0, n)
+            expected = numpy_picks(seed, [n] * 60)
+            assert _unguided_picks(seed, np.full(60, n)).tolist() == expected
+            assert inline_picks(seed, [n] * 60) == expected
 
     def test_mixed_sizes_share_the_left_over_half_across_chunks(self):
-        # every step takes a word or more, so the steps cross a chunk boundary
-        sizes = np.random.default_rng(7).choice(SIZES, size=_CHUNK * 3 // 2).tolist()
+        # 6,144 rows, a quarter of them often rejected: the unguided pass lays out
+        # the rows after each rejection again, carrying a left-over half into the next layout
+        sizes = np.random.default_rng(7).choice(SIZES, size=6144)
         for seed in range(3):
-            rng = np.random.Generator(np.random.PCG64(seed))
-            draws = _Draws(seed)
-            for n in sizes:
-                assert draws.random() == rng.random()
-                assert draws.integers(n) == rng.integers(0, n)
+            expected = numpy_picks(seed, sizes.tolist())
+            assert _unguided_picks(seed, sizes).tolist() == expected
+            assert inline_picks(seed, sizes.tolist()) == expected
+
+    def test_rejections_take_more_words_than_the_first_layout(self):
+        # without a rejection 200 rows at 2**31 + 1 take 300 words; about every
+        # other draw is rejected, and the last redraws read past the buffer
+        sizes = [2**31 + 1] * 200
+        for seed in range(5):
+            assert _unguided_picks(seed, np.array(sizes)).tolist() == numpy_picks(seed, sizes)
+        # 3 rows take 5 words; at some seeds the first row's redraws read past them all
+        sizes = [2**31 + 1] * 3
+        for seed in range(200):
+            assert _unguided_picks(seed, np.array(sizes)).tolist() == numpy_picks(seed, sizes)
 
     def test_a_pool_of_one_takes_no_bits(self):
+        # seven rows of one bike take their guidance words only; the eighth picks from word 8's low half
+        sizes = [1] * 7 + [1000]
         for seed in range(20):
-            words = np.random.PCG64(seed).random_raw(8).tolist()
-            draws = _Draws(seed)
-            for word in words:
-                assert draws.integers(1) == 0
-                assert draws.random() == (word >> 11) * 2.0**-53
+            words = np.random.PCG64(seed).random_raw(9).tolist()
+            expected = [0] * 7 + [(words[8] & 0xFFFFFFFF) * 1000 >> 32]
+            assert _unguided_picks(seed, np.array(sizes)).tolist() == expected
+            assert inline_picks(seed, sizes) == expected == numpy_picks(seed, sizes)
+
+    def test_guided_loop_redraws_across_its_chunks(self, monkeypatch, small_scenario, small_fleet):
+        # chunks of 64 words, so redraws take words across many of them
+        monkeypatch.setattr(fleet_sim, "PCG64", SparseWords)
+        monkeypatch.setattr(fleet_sim, "_CHUNK", 64)
+        monkeypatch.setattr(SparseWords, "made", [])
+        _net, log = small_scenario
+        equipped = equipped_set(small_fleet, [(b + 1) // 2 for b in small_fleet.b])
+        for seed in range(3):
+            guided = fleet_sim._guided_bikes(log, small_fleet, SimConfig(seed, 0.0, equipped))
+            assert SparseWords.made[-1].taken > 2 * len(log.ids)
+            assert guided == simulate(log, small_fleet, SimConfig(seed)).bike_of_trip.tolist()
 
 
 class TestFleetPlan:
