@@ -21,12 +21,18 @@ pool it indexes. With beta=0 the guidance test never passes, so every pick
 indexes the whole idle pool, exactly as an unguided run's picks do: the two
 consume the same stream and are bit-identical under the same seed.
 
-Two loops read the stream. An unguided replay (beta=0 or no equipped bike)
-knows every row's pool size before it starts (TripLog.schedule), so it takes
-all its picks in one numpy pass (_unguided_picks) and its row loop only moves
-bikes. A guided replay's pool sizes hang on its earlier picks, so it reads
-each row's words inline (_guided_bikes). Both finish a rejected draw with
-_redraw.
+Replay takes one of three paths; two read the stream in one numpy pass. An
+unguided replay (beta=0 or no equipped bike) knows every row's pool size
+before it starts (TripLog.schedule). At beta=1 a row rides an equipped bike
+exactly when one is idle at its origin: the guidance word's top 53 bits over
+2**53 are always below 1, so no draw decides it. A draw-free scan of the
+schedule with one idle-equipped counter per stand (_equipped_rows) then gives
+every row's pool, equipped or unequipped, and its size; every row still spends
+its guidance word, so the words read are the inline loop's. Both take all
+their picks in one pass (_unguided_picks), and one row loop moves the bikes
+(_bikes_from_picks). At 0 < beta < 1 a row's pool hangs on its guidance draw
+and on earlier picks, so that replay reads each row's words inline
+(_guided_bikes). All three finish a rejected draw with _redraw.
 """
 
 from __future__ import annotations
@@ -176,8 +182,9 @@ def _redraw(m: int, n: int, half: int | None, next_word) -> tuple[int, int | Non
 
 
 def _unguided_picks(seed: int, sizes: np.ndarray) -> np.ndarray:
-    """The pick of every row of an unguided replay, an index into its idle pool
-    of sizes[row] bikes, from the words of PCG64(seed).
+    """The pick of every row of a replay whose pool sizes are known before it
+    starts, an index into a pool of sizes[row] bikes, from the words of
+    PCG64(seed).
 
     Pool sizes do not depend on the picks, so until a draw is rejected every
     word's use is known: each row skips its guidance word, and each pool of
@@ -229,22 +236,57 @@ def _unguided_picks(seed: int, sizes: np.ndarray) -> np.ndarray:
         row = r + 1
 
 
-def _unguided_bikes(log: TripLog, plan: FleetPlan, picks: np.ndarray) -> list[int]:
-    """The bike of each row when row i takes bike picks[i] of its idle pool."""
+def _bikes_from_picks(
+    log: TripLog, idle: list[list[int]], take_from: np.ndarray, return_to: np.ndarray, picks: np.ndarray
+) -> list[int]:
+    """The bike of each row when row i takes bike picks[i] of the ascending
+    pool idle[take_from[i]], and its bike goes back to idle[return_to[i]] once
+    its trip has ended."""
     schedule = log.schedule
-    idle = plan.bikes  # per stand, ascending
-    returns, dest = schedule.returns.tolist(), log.dest.tolist()
-    bike_of_trip = [0] * len(dest)
+    returns, return_to = schedule.returns.tolist(), return_to.tolist()
+    bike_of_trip = [0] * len(return_to)
     r = 0
-    for i, (origin, returned_by_start, k) in enumerate(
-        zip(log.origin.tolist(), schedule.returned.tolist(), picks.tolist())
+    for i, (pool, returned_by_start, k) in enumerate(
+        zip(take_from.tolist(), schedule.returned.tolist(), picks.tolist())
     ):
         while r < returned_by_start:
             done = returns[r]
             r += 1
-            insort(idle[dest[done]], bike_of_trip[done])
-        bike_of_trip[i] = idle[origin].pop(k)
+            insort(idle[return_to[done]], bike_of_trip[done])
+        bike_of_trip[i] = idle[pool].pop(k)
     return bike_of_trip
+
+
+def _pool_sizes(log: TripLog, plan: FleetPlan) -> np.ndarray:
+    """Each row's idle pool size, b[origin] + net + 1 (TripLog.schedule)."""
+    return np.asarray(plan.b, dtype=np.int64)[log.origin] + log.schedule.net + 1
+
+
+def _equipped_rows(log: TripLog, plan: FleetPlan, equipped: frozenset[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each row rides an equipped bike at beta=1, and the size of the
+    pool it picks from. A row takes an equipped bike exactly when one is idle
+    at its origin, and its pool is then the idle equipped bikes there;
+    otherwise its pool is the stand's whole idle pool, which holds none. So
+    one idle-equipped counter per stand, moved at departures and, in
+    schedule.returns order, at the returns of trips that rode one, decides
+    every row without a draw."""
+    schedule = log.schedule
+    idle = [sum(bike in equipped for bike in bikes) for bikes in plan.bikes]
+    returns, dest = schedule.returns.tolist(), log.dest.tolist()
+    rode = [False] * len(dest)
+    equipped_sizes = [0] * len(dest)
+    r = 0
+    for i, (origin, returned_by_start) in enumerate(zip(log.origin.tolist(), schedule.returned.tolist())):
+        while r < returned_by_start:
+            done = returns[r]
+            r += 1
+            if rode[done]:
+                idle[dest[done]] += 1
+        n = idle[origin]
+        if n:
+            rode[i], equipped_sizes[i], idle[origin] = True, n, n - 1
+    rode = np.array(rode, dtype=bool)
+    return rode, np.where(rode, equipped_sizes, _pool_sizes(log, plan))
 
 
 def _guided_bikes(log: TripLog, plan: FleetPlan, cfg: SimConfig) -> list[int]:
@@ -304,9 +346,17 @@ def simulate(log: TripLog, plan: FleetPlan, cfg: SimConfig) -> Replay:
     Before a trip is served, every trip that has ended by its start minute
     returns its bike to its destination stand. A trip is served by a uniformly
     chosen idle bike at its origin stand, preferring an idle equipped bike when
-    the guidance draw falls below cfg.beta and one is available. With beta=0 or
-    no equipped bikes this is plain unguided replay. Idle counts do not depend
-    on the choices (TripLog.schedule), so an infeasible plan fails before any draw.
+    the guidance draw falls below cfg.beta and one is available. Idle counts do
+    not depend on the choices (TripLog.schedule), so an infeasible plan fails
+    before any draw.
+
+    Three paths give the same bikes as the inline loop would. With beta=0 or no
+    equipped bikes this is plain unguided replay, and every pool size is known
+    up front. At beta=1 the guidance test always passes, so a row takes an
+    equipped bike exactly when one is idle at its origin; a draw-free scan
+    (_equipped_rows) gives each row's pool, 2 per stand (equipped, then
+    unequipped), and its size. Both take every pick in one pass and move bikes
+    in one row loop. At 0 < beta < 1 the loop draws inline (_guided_bikes).
     """
     if len(plan.b) != log.num_stands:
         raise MalformedInputError(f"plan covers {len(plan.b)} stands, log has {log.num_stands}")
@@ -314,14 +364,22 @@ def simulate(log: TripLog, plan: FleetPlan, cfg: SimConfig) -> Replay:
     instant = schedule.returns[log.duration_min[schedule.returns] < 1]  # back before it leaves
     if len(instant):
         raise MalformedInputError(f"trip {log.ids[instant[0]]} lasts less than a minute")
-    sizes = np.asarray(plan.b, dtype=np.int64)[log.origin] + schedule.net + 1  # each row's idle pool
+    sizes = _pool_sizes(log, plan)
     short = np.flatnonzero(sizes < 1)
     if len(short):
         i = short[0]
         raise InfeasiblePlanError(f"no idle bike at stand {log.origin[i]} at minute "
                                   f"{log.start_min[i]} for trip {log.ids[i]}")
     if cfg.beta == 0 or not cfg.equipped:
-        bike_of_trip = _unguided_bikes(log, plan, _unguided_picks(cfg.seed, sizes))
+        picks = _unguided_picks(cfg.seed, sizes)
+        bike_of_trip = _bikes_from_picks(log, plan.bikes, log.origin, log.dest, picks)
+    elif cfg.beta == 1:
+        rode, chosen_sizes = _equipped_rows(log, plan, cfg.equipped)
+        pools = [[bike for bike in bikes if bike in cfg.equipped] for bikes in plan.bikes]
+        pools += [[bike for bike in bikes if bike not in cfg.equipped] for bikes in plan.bikes]
+        unequipped = log.num_stands * ~rode  # pool s + S holds stand s's unequipped bikes
+        picks = _unguided_picks(cfg.seed, chosen_sizes)
+        bike_of_trip = _bikes_from_picks(log, pools, log.origin + unequipped, log.dest + unequipped, picks)
     else:
         bike_of_trip = _guided_bikes(log, plan, cfg)
     return Replay(np.array(bike_of_trip, dtype=np.int64), plan.home_stands(), log.ids, log.events)

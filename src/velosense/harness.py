@@ -25,7 +25,7 @@ from .allocation import MilpInstance, build_instance, greedy_order, random_alloc
 from .coverage_model import estimate_probabilities
 from .errors import ConfigInfeasibleError, MalformedInputError, write_table
 from .fleet_sim import FleetPlan, Replay, SimConfig, check_beta, equipped_set, initial_bike_counts, simulate
-from .metrics import IntervalGrid, coverage_counts, interval_minutes, sensing_score
+from .metrics import IntervalGrid, count_cells, event_cells, interval_minutes, sensing_score
 from .network import RoadNetwork, load_network_files
 from .synth import SynthConfig, generate
 from .trips import TripLog, clean_trips, parse_raw_trips
@@ -140,6 +140,7 @@ class Evaluator:
         self.inst = build_instance(matrix, data.net, data.fleet, sum(data.fleet.b))
         self._greedy: dict[int, frozenset[int]] = {}
         self._unguided: dict[int, Replay] = {}
+        self._cells: dict[float, tuple[IntervalGrid, np.ndarray]] = {}  # per interval: grid, event_cells
 
     def at(self, budget: int) -> MilpInstance:
         return replace(self.inst, budget=min(budget, self.inst.budget))
@@ -163,8 +164,16 @@ class Evaluator:
         return self._unguided[rep]
 
     def phi(self, trajs: Replay, equipped: frozenset[int], delta_h: float) -> float:
-        grid = IntervalGrid(*self.data.log.horizon, delta_h)
-        counts = coverage_counts(trajs, equipped, grid, self.data.net.num_segments)
+        """The sensing score of a replay of this study's log. Every replay
+        shares the log's events, so their cells are found once per interval."""
+        if trajs.events is not self.data.log.events:
+            raise ValueError("phi scores only replays of the study's own log")
+        num_segments = self.data.net.num_segments
+        if delta_h not in self._cells:
+            grid = IntervalGrid(*self.data.log.horizon, delta_h)
+            self._cells[delta_h] = grid, event_cells(self.data.log.events, grid, num_segments)
+        grid, cells = self._cells[delta_h]
+        counts = count_cells(cells, trajs, equipped, (num_segments, grid.n_intervals))
         return sensing_score(counts, self.data.net.seg_length_m, grid)
 
 

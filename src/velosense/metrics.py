@@ -4,8 +4,11 @@ The horizon splits into equal intervals; a (segment, interval) cell is
 covered when at least one equipped bike enters the segment during the
 interval. The sensing score is the length-weighted share of covered cells,
 as a percentage. A cell's membership uses the segment entry minute, matching
-the traversal timestamps produced by the trip router. Counts are one masked
-np.bincount over a replay's event table.
+the traversal timestamps produced by the trip router. The horizon rule lives
+in event_cells, which gives every event of a log its cell on one grid; counts
+are one np.bincount of the cells of equipped bikes' events (count_cells).
+Every replay of a log shares its events, so an experiment finds the cells
+once per interval length and counts each replay from them.
 
 Results keep the array form they are counted in: a score's counts and the
 hourly diagnostics' counts (segments x hours, beside the trip starts per
@@ -24,7 +27,7 @@ import numpy as np
 
 from .errors import MalformedInputError, write_json, write_table
 from .fleet_sim import Replay
-from .trips import TripLog
+from .trips import TripEvents, TripLog
 
 
 def interval_minutes(delta_h: float) -> int:
@@ -71,29 +74,48 @@ class IntervalGrid:
         return np.minimum((minute - self.t0) // self.delta_min, self.n_intervals - 1)
 
 
+def event_cells(events: TripEvents, grid: IntervalGrid, num_segments: int) -> np.ndarray:
+    """The (segment, interval) cell of every event, as segment * n_intervals +
+    interval, for np.bincount.
+
+    The one horizon rule for scoring: an event counts when it falls in
+    [t0, T]. A trip that starts near the horizon end finishes after it, and
+    its late traversals fall outside every interval; they get the cell
+    num_segments * n_intervals, one past the grid. An event at minute T
+    counts in the last interval.
+    """
+    if events.segment.max(initial=-1) >= num_segments:
+        raise MalformedInputError(f"an event names a segment beyond the network's {num_segments}")
+    n = grid.n_intervals
+    minute = events.minute
+    cells = np.minimum((minute - grid.t0) // grid.delta_min, n - 1)
+    cells += events.segment * n
+    cells[(minute < grid.t0) | (minute > grid.T)] = num_segments * n
+    return cells
+
+
+def count_cells(
+    cells: np.ndarray, trajectories: Replay, equipped: frozenset[int] | set[int], shape: tuple[int, int]
+) -> np.ndarray:
+    """Equipped-bike entries per (segment, interval) of a grid of that shape,
+    from event_cells of the replay's events."""
+    is_equipped = np.zeros(len(trajectories), dtype=bool)
+    is_equipped[np.fromiter(equipped, dtype=np.int64, count=len(equipped))] = True
+    size = shape[0] * shape[1]
+    counts = np.bincount(cells[is_equipped[trajectories.event_bike]], minlength=size + 1)
+    return counts[:size].reshape(shape)
+
+
 def coverage_counts(
     trajectories: Replay,
     equipped: frozenset[int] | set[int],
     grid: IntervalGrid,
     num_segments: int,
 ) -> np.ndarray:
-    """Count equipped-bike entries per (segment, interval).
-
-    The one horizon rule for scoring: an event counts when it falls in
-    [t0, T]. A trip that starts near the horizon end finishes after it, and
-    its late traversals fall outside every interval, so they are not
-    counted; an event at minute T counts in the last interval.
-    """
-    events = trajectories.events
-    is_equipped = np.isin(np.arange(len(trajectories)), list(equipped))
-    in_horizon = (events.minute >= grid.t0) & (events.minute <= grid.T)
-    keep = is_equipped[trajectories.event_bike] & in_horizon
-    size = num_segments * grid.n_intervals
-    cells = events.segment[keep] * grid.n_intervals + grid.interval_of(events.minute[keep])
-    counts = np.bincount(cells, minlength=size)
-    if len(counts) > size:
-        raise MalformedInputError(f"an event names a segment beyond the network's {num_segments}")
-    return counts.reshape(num_segments, grid.n_intervals)
+    """Count equipped-bike entries per (segment, interval), under event_cells'
+    horizon rule."""
+    cells = event_cells(trajectories.events, grid, num_segments)
+    return count_cells(cells, trajectories, equipped, (num_segments, grid.n_intervals))
 
 
 def sensing_score(counts: np.ndarray, lengths: np.ndarray, grid: IntervalGrid) -> float:

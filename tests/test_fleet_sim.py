@@ -323,7 +323,8 @@ class TestSimulate:
         _net, log = small_scenario
         b = list(small_fleet.b)
         b[b.index(max(b))] -= 1
-        for cfg in (SimConfig(seed=0), SimConfig(seed=0, beta=1.0, equipped=frozenset({0, 1}))):  # both loops
+        # the unguided pass, the inline loop and the beta=1 pass
+        for cfg in (SimConfig(0), SimConfig(0, 0.5, frozenset({0, 1})), SimConfig(0, 1.0, frozenset({0, 1}))):
             with pytest.raises(InfeasiblePlanError):
                 simulate(log, FleetPlan(b), cfg)
             with pytest.raises(MalformedInputError, match="lasts less than a minute"):
@@ -340,6 +341,37 @@ class TestSimulate:
         for seed in range(5):
             guided = fleet_sim._guided_bikes(log, fleet, SimConfig(seed, 0.0, equipped))
             assert guided == simulate(log, fleet, SimConfig(seed)).bike_of_trip.tolist()
+
+    @pytest.mark.parametrize("scenario", ["small", "reference"])
+    def test_beta_one_pass_is_the_guided_loop(self, request, monkeypatch, scenario):
+        """simulate sends beta=1 to a draw-free scan and one pass of picks. The
+        inline loop, run at beta=1 itself, must pick the same bikes, and the
+        scan's flags must mark the rows it served with equipped bikes: with one
+        equipped bike per stand, half of each stand, and the whole fleet; and
+        under a stream whose rejections make the pass lay its rows out again."""
+        _net, log = request.getfixturevalue(f"{scenario}_scenario")
+        fleet = request.getfixturevalue(f"{scenario}_fleet")
+        plans = [[min(1, b) for b in fleet.b], [(b + 1) // 2 for b in fleet.b], fleet.b]
+
+        def check(plans, seeds):
+            for n in plans:
+                equipped = equipped_set(fleet, n)
+                is_equipped = np.isin(np.arange(fleet.num_bikes), sorted(equipped))
+                rode, _sizes = fleet_sim._equipped_rows(log, fleet, equipped)
+                for seed in seeds:
+                    cfg = SimConfig(seed, 1.0, equipped)
+                    guided = fleet_sim._guided_bikes(log, fleet, cfg)
+                    assert simulate(log, fleet, cfg).bike_of_trip.tolist() == guided
+                    assert rode.tolist() == is_equipped[guided].tolist()
+
+        check(plans, range(5))
+        monkeypatch.setattr(fleet_sim, "PCG64", SparseWords)
+        monkeypatch.setattr(SparseWords, "made", [])
+        if scenario == "small":
+            check(plans, range(5))
+        else:  # each rejection lays out the rows after it again: about a second a replay here
+            check(plans[:1], [0])
+        assert all(bitgen.taken > 2 * len(log.ids) for bitgen in SparseWords.made)
 
     def test_trip_under_a_minute_rejected(self):
         # a zero-minute trip would return its bike before taking it
@@ -392,6 +424,7 @@ class TestReplayGolden:
     DIGESTS = {
         0.0: "6121cd1a6bdcbf2ad87589832fd1aa1be2550d4e1585bea7b78dc0a27573aebe",
         0.5: "d0bc20981d3a34f52dcf18ba1de1ec470403513b4394e0360fd41e224bc3b342",
+        1.0: "8226053504af8c56eee5d5ce588f70086ebaed991cb215ac40e50a70a6ba00d4",
     }
 
     @pytest.mark.parametrize("beta", sorted(DIGESTS))

@@ -235,6 +235,34 @@ class TestRunPipeline:
         rows, _summary = run_pipeline(small_spec(budgets=[2, 4], methods=(METHOD_RANDOM,)))
         assert {r.method for r in rows} == {METHOD_RANDOM}
 
+    def test_phi_equals_the_score_of_coverage_counts(self):
+        """Evaluator.phi counts through event cells it keeps per interval; the
+        score must be coverage_counts' to the last bit, at every interval."""
+        from velosense.fleet_sim import Replay
+        from velosense.harness import Evaluator
+        from velosense.metrics import IntervalGrid, coverage_counts, sensing_score
+
+        spec = small_spec(budgets=[2, 4], deltas=[16.0, 4.0, 1.0], betas=[0.5, 1.0])
+        ev = Evaluator(spec)
+        net = ev.data.net
+        scores = set()
+        for budget in spec.budgets:
+            equipped = ev.greedy(budget)
+            for beta in (0.0, *spec.betas):
+                for rep in range(spec.replications):
+                    trajs = ev.trajectories(rep, beta, equipped)
+                    for delta_h in spec.deltas:
+                        grid = IntervalGrid(*ev.data.log.horizon, delta_h)
+                        counts = coverage_counts(trajs, equipped, grid, net.num_segments)
+                        phi = ev.phi(trajs, equipped, delta_h)
+                        assert phi == sensing_score(counts, net.seg_length_m, grid)
+                        scores.add(phi)
+        assert len(scores) > 10 and min(scores) > 0
+        assert sorted(ev._cells) == sorted(spec.deltas)
+        copied = Replay(trajs.bike_of_trip, trajs.homes, trajs.trip_ids, trajs.events._replace())
+        with pytest.raises(ValueError, match="own log"):
+            ev.phi(copied, equipped, 1.0)
+
     def test_budget_below_one_rejected(self):
         with pytest.raises(ValueError, match="budget must be >= 1, got 0"):
             run_pipeline(small_spec(budgets=[3, 0]))

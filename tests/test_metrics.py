@@ -5,7 +5,9 @@ from velosense.errors import MalformedInputError
 from velosense.fleet_sim import BikeTrajectory, Replay, SimConfig, equipped_set, simulate
 from velosense.metrics import (
     IntervalGrid,
+    count_cells,
     coverage_counts,
+    event_cells,
     hourly_diagnostics,
     sensing_score,
     write_report,
@@ -109,6 +111,12 @@ class TestCoverageCounts:
         grid = IntervalGrid(360, 1320, 16.0)
         with pytest.raises(MalformedInputError, match="segment"):
             coverage_counts(replay(traj(0, [(5, 400)])), {0}, grid, 2)
+        message = "^an event names a segment beyond the network's 5$"
+        trajs = replay(traj(0, [(1, 400), (5, 400)]))
+        with pytest.raises(MalformedInputError, match=message):
+            event_cells(trajs.events, grid, 5)
+        with pytest.raises(MalformedInputError, match=message):
+            coverage_counts(trajs, {0}, grid, 5)
 
 
 # Hand-made replays: events at the horizon start and end, after the end,
@@ -159,6 +167,42 @@ class TestCoverageCountsOracle:
             net.num_segments,
         )
         assert coverage_counts(trajs, equipped, grid, net.num_segments).tolist() == expected
+
+
+class TestEventCells:
+    """One bincount of event_cells under an equipped mask is the per-event loop."""
+
+    @pytest.mark.parametrize("delta", [16.0, 4.0, 1.0, 0.5])
+    def test_random_plans_equal_the_loop(self, delta):
+        rng = np.random.default_rng(int(4 * delta))
+        t0, t_end, num_segments = 360, 1320, 7
+        grid = IntervalGrid(t0, t_end, delta)
+        for _ in range(20):
+            bikes = int(rng.integers(1, 8))
+            trajs = []
+            for bike, size in enumerate(rng.integers(0, 6, bikes).tolist()):
+                segments = rng.integers(0, num_segments, size).tolist()
+                trajs.append(traj(bike, zip(segments, rng.integers(t0, t_end + 60, size).tolist())))
+            trajs[0].events += [(0, t_end), (num_segments - 1, t_end), (1, t_end + 1)]  # at T, and past it
+            equipped = set(rng.choice(bikes, int(rng.integers(0, bikes + 1)), replace=False).tolist())
+            expected = coverage_counts_loop(
+                [(t.bike, t.events) for t in trajs], equipped, t0, t_end, grid.delta_min, num_segments
+            )
+            trajs = replay(*trajs)
+            cells = event_cells(trajs.events, grid, num_segments)
+            size = num_segments * grid.n_intervals
+            assert cells.min() >= 0 and cells.max() <= size
+            equipped_events = np.isin(trajs.event_bike, sorted(equipped))
+            counts = np.bincount(cells[equipped_events], minlength=size + 1)[:size]
+            assert counts.reshape(num_segments, grid.n_intervals).tolist() == expected
+            shape = (num_segments, grid.n_intervals)
+            assert count_cells(cells, trajs, equipped, shape).tolist() == expected
+            assert coverage_counts(trajs, equipped, grid, num_segments).tolist() == expected
+
+    def test_out_of_horizon_events_fall_one_past_the_grid(self):
+        grid = IntervalGrid(360, 1320, 4.0)
+        trajs = replay(traj(0, [(0, 359), (1, 360), (1, 1319), (2, 1320), (0, 1321)]))
+        assert event_cells(trajs.events, grid, 3).tolist() == [12, 4, 7, 11, 12]
 
 
 class TestSensingScore:
