@@ -14,12 +14,7 @@ from .allocation import (
     solve_exact,
     solve_greedy,
 )
-from .coverage_model import (
-    CoverageMatrix,
-    estimate_probabilities,
-    mean_coverage,
-    probability_decay_report,
-)
+from .coverage_model import CoverageMatrix, estimate_probabilities, mean_coverage
 from .errors import (
     ConfigInfeasibleError,
     InfeasiblePlanError,

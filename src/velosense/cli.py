@@ -189,13 +189,16 @@ def cmd_score(args) -> int:
             "re-run `velosense simulate`"
         )
     grid = metrics.IntervalGrid(*log.horizon, args.delta)
+    # one count per distinct interval; the hourly diagnostics' grid refuses a horizon
+    # that is not hour-aligned, before any file is written
+    grids = {args.delta: grid, 1.0: metrics.hour_grid(log)}
     equipped = frozenset(meta["equipped"])
-    counts = metrics.coverage_counts(replay, equipped, grid, net.num_segments)
-    phi = metrics.sensing_score(counts, net.seg_length_m, grid)
-    # the hourly diagnostics refuse a horizon that is not hour-aligned, so they run before any file is written
-    hourly = metrics.hourly_diagnostics(replay, equipped, log)
+    counts = {d: metrics.coverage_counts(replay, equipped, g, net.num_segments) for d, g in grids.items()}
+    phi = metrics.sensing_score(counts[args.delta], net.seg_length_m, grid)
+    hourly = metrics.hourly_diagnostics(counts[1.0], log)
     out = _out_dir(args)
-    metrics.write_report(counts, grid, phi, len(equipped), out / "coverage_counts.csv", out / "score.json")
+    metrics.write_report(counts[args.delta], grid, phi, len(equipped), out / "coverage_counts.csv",
+                         out / "score.json")
     metrics.write_hourly(hourly, out / "hourly.csv", out / "hourly_segments.csv")
     print(f"phi = {phi:.3f}% at delta {args.delta} h -> {out / 'score.json'}")
     return EXIT_OK
@@ -234,6 +237,8 @@ def cmd_experiment(args) -> int:
 
 def cmd_export_lp(args) -> int:
     inst, _triplog_sha256 = _build_instance_from_files(args)
+    if not inst.num_stands:  # a model with no variables is not valid LP text
+        raise ConfigInfeasibleError(f"{args.triplog} holds no trips, so it has no stands to allocate to")
     out = Path(args.out) if args.out else _out_dir(args) / "model.lp"
     with open(out, "wb") as fh:
         allocation.export_lp(inst, fh)

@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import MalformedInputError, int_column, malformed_fields, read_artifact, write_json, write_table
 from .fleet_sim import FleetPlan, SimConfig, simulate
-from .network import RoadNetwork, single_source_distances
 from .trips import TripLog
 
 COVERAGE_FORMAT = "velosense-coverage-v1"
@@ -52,12 +51,12 @@ class CoverageMatrix:
 def _tally(log: TripLog, plan: FleetPlan, runs: int, seed: int, label: np.ndarray) -> np.ndarray:
     """Traversals per (label[bike], segment), summed over `runs` unguided
     replays seeded seed+1 .. seed+runs. Bikes labelled -1 are not counted."""
-    segment = log.events.segment
+    trip, segment, _minute = log.events
     num_segments = 1 + int(segment.max(initial=-1))
     num_labels = 1 + int(label.max(initial=-1))
     totals = np.zeros(num_labels * num_segments, dtype=np.int64)
     for tau in range(1, runs + 1):
-        owner = label[simulate(log, plan, SimConfig(seed=seed + tau)).event_bike]
+        owner = label[simulate(log, plan, SimConfig(seed=seed + tau)).bike_of_trip][trip]
         keep = owner >= 0
         totals += np.bincount(owner[keep] * num_segments + segment[keep], minlength=len(totals))
     return totals.reshape(num_labels, num_segments)
@@ -85,24 +84,6 @@ def estimate_probabilities(
     stand, segment, n_bar = mean_coverage(log, plan, runs, seed)
     p = n_bar / np.asarray(plan.b, dtype=np.int64)[stand]
     return CoverageMatrix(stand, segment, p, runs, seed, [s.node for s in log.stands])
-
-
-def probability_decay_report(
-    matrix: CoverageMatrix, net: RoadNetwork, stand: int
-) -> list[tuple[int, float, float]]:
-    """(segment, road distance from the stand, p) rows, nearest first.
-
-    Distance is the shortest-path distance from the stand's node to the
-    segment's nearer endpoint. Only segments the stand actually covers
-    appear; a stand with no coverage yields an empty report.
-    """
-    if not 0 <= stand < len(matrix.stand_nodes):
-        raise MalformedInputError(f"unknown stand {stand}")
-    mine = (matrix.stand == stand) & (matrix.p > 0)
-    segment = matrix.segment[mine]
-    dist = single_source_distances(net, matrix.stand_nodes[stand])
-    near = np.minimum(dist[net.seg_u[segment]], dist[net.seg_v[segment]])
-    return sorted(zip(segment.tolist(), near.tolist(), matrix.p[mine].tolist()), key=lambda r: (r[1], r[0]))
 
 
 def linearity_probe(

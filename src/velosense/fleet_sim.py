@@ -29,7 +29,8 @@ exactly when one is idle at its origin: the guidance word's top 53 bits over
 schedule with one idle-equipped counter per stand (_equipped_rows) then gives
 every row's pool, equipped or unequipped, and its size; every row still spends
 its guidance word, so the words read are the inline loop's. Both take all
-their picks in one pass (_unguided_picks), and one row loop moves the bikes
+their picks in one pass (_unguided_picks; after a rejected draw it goes on in
+bounded windows of rows), and one row loop moves the bikes
 (_bikes_from_picks). At 0 < beta < 1 a row's pool hangs on its guidance draw
 and on earlier picks, so that replay reads each row's words inline
 (_guided_bikes). All three finish a rejected draw with _redraw.
@@ -91,9 +92,9 @@ class Replay:
     """Which bike served each trip, over an event table of the trips.
 
     Trip rows are in service order, and the event table is grouped by trip row.
-    Counting reads the per-event arrays (event_bike, events.segment,
-    events.minute); iterating yields per-bike BikeTrajectory views, built on
-    first use. Two replays are equal when their columns are.
+    Counting selects events by their trip's rode flag (rode); iterating yields
+    per-bike BikeTrajectory views, built on first use. Two replays are equal
+    when their columns are.
     """
 
     bike_of_trip: np.ndarray  # int64 per trip row
@@ -101,10 +102,11 @@ class Replay:
     trip_ids: list[str]  # per trip row
     events: TripEvents
 
-    @cached_property
-    def event_bike(self) -> np.ndarray:
-        """The bike of every event."""
-        return self.bike_of_trip[self.events.trip]
+    def rode(self, equipped: frozenset[int] | set[int]) -> np.ndarray:
+        """Whether each trip row rode one of the equipped bikes."""
+        is_equipped = np.zeros(len(self.homes), dtype=bool)
+        is_equipped[np.fromiter(equipped, dtype=np.int64, count=len(equipped))] = True
+        return is_equipped[self.bike_of_trip]
 
     @cached_property
     def _views(self) -> list[BikeTrajectory]:
@@ -112,9 +114,8 @@ class Replay:
         events: list[list[tuple[int, int]]] = [[] for _ in self.homes]
         for trip_id, bike in zip(self.trip_ids, self.bike_of_trip.tolist()):
             served[bike].append(trip_id)
-        for bike, seg, minute in zip(
-            self.event_bike.tolist(), self.events.segment.tolist(), self.events.minute.tolist()
-        ):
+        bike_of_event = self.bike_of_trip[self.events.trip].tolist()
+        for bike, seg, minute in zip(bike_of_event, self.events.segment.tolist(), self.events.minute.tolist()):
             events[bike].append((seg, minute))
         return [
             BikeTrajectory(bike, home, served[bike], events[bike])
@@ -161,6 +162,7 @@ def initial_bike_counts(log: TripLog) -> FleetPlan:
 
 _CHUNK = 4096  # words the guided loop takes from numpy at a time
 _LOW32 = 0xFFFFFFFF
+_WINDOW = 64  # rows laid out again after a rejected draw, doubled while none is
 
 
 def _redraw(m: int, n: int, half: int | None, next_word) -> tuple[int, int | None, int]:
@@ -189,22 +191,23 @@ def _unguided_picks(seed: int, sizes: np.ndarray) -> np.ndarray:
     Pool sizes do not depend on the picks, so until a draw is rejected every
     word's use is known: each row skips its guidance word, and each pool of
     two or more bikes takes the high half an earlier pick left over, else the
-    low half of a fresh word. One pass lays the rows out and draws them all;
-    at the first rejected draw, _redraw finishes that row and the pass lays
-    out the rows after it again from the state it reached."""
+    low half of a fresh word. One pass lays a window of rows out and draws
+    them all. The first window is every row; at a rejected draw, _redraw
+    finishes that row, and the rows after it go out in windows of _WINDOW
+    rows, doubled after each window drawn without a rejection, so each
+    rejection lays out a bounded number of rows again."""
     sizes = np.asarray(sizes, dtype=np.uint64)
     thresholds = np.uint64(1 << 32) % sizes
     picks = np.zeros(len(sizes), dtype=np.int64)
     bitgen = PCG64(seed)
     words = bitgen.random_raw(0)
-    row, at, half = 0, 0, None
-    while True:
-        drawing = row + np.flatnonzero(sizes[row:] > 1)
-        if not len(drawing):
-            return picks
-        pending = int(half is not None)
+    row, at, half, window = 0, 0, None, len(sizes)
+    while row < len(sizes):
+        end = min(row + window, len(sizes))
+        drawing = row + np.flatnonzero(sizes[row:end] > 1)
+        pending = int(half is not None and len(drawing) > 0)
         fresh = drawing[pending::2]  # the rows whose pick takes a fresh word
-        need = len(sizes) - row + len(fresh)
+        need = end - row + len(fresh)
         spare = len(words) - at  # below 0 after a redraw read on from the bit generator itself
         if spare < need:
             words, at = np.concatenate((words[at:], bitgen.random_raw(need - max(spare, 0)))), 0
@@ -219,7 +222,13 @@ def _unguided_picks(seed: int, sizes: np.ndarray) -> np.ndarray:
         rejected = np.flatnonzero(m & _LOW32 < thresholds[drawing])
         if not len(rejected):
             picks[drawing] = m >> 32
-            return picks
+            at += need
+            if (len(drawing) - pending) % 2:  # the last fresh word's high half is left over
+                half = int(word[-1]) >> 32
+            elif pending:
+                half = None
+            row, window = end, 2 * window
+            continue
         t = int(rejected[0])
         picks[drawing[:t]] = m[:t] >> 32
         r = int(drawing[t])
@@ -233,7 +242,8 @@ def _unguided_picks(seed: int, sizes: np.ndarray) -> np.ndarray:
         stream = chain(map(int, words[at:]), iter(bitgen.random_raw, None))
         picks[r], half, taken = _redraw(int(m[t]), int(sizes[r]), half, stream.__next__)
         at += taken
-        row = r + 1
+        row, window = r + 1, _WINDOW
+    return picks
 
 
 def _bikes_from_picks(

@@ -173,7 +173,7 @@ class Evaluator:
             grid = IntervalGrid(*self.data.log.horizon, delta_h)
             self._cells[delta_h] = grid, event_cells(self.data.log.events, grid, num_segments)
         grid, cells = self._cells[delta_h]
-        counts = count_cells(cells, trajs, equipped, (num_segments, grid.n_intervals))
+        counts = count_cells(cells, trajs.events.trip, trajs.rode(equipped), (num_segments, grid.n_intervals))
         return sensing_score(counts, self.data.net.seg_length_m, grid)
 
 

@@ -5,16 +5,19 @@ covered when at least one equipped bike enters the segment during the
 interval. The sensing score is the length-weighted share of covered cells,
 as a percentage. A cell's membership uses the segment entry minute, matching
 the traversal timestamps produced by the trip router. The horizon rule lives
-in event_cells, which gives every event of a log its cell on one grid; counts
-are one np.bincount of the cells of equipped bikes' events (count_cells).
+in event_cells, which gives every event of a log its cell on one grid (and
+bins trip starts into hours). A count needs only which trip rows rode an
+equipped bike, one flag per row (Replay.rode), and every count is one
+np.bincount of the cells of the events whose row's flag is set (count_cells).
 Every replay of a log shares its events, so an experiment finds the cells
 once per interval length and counts each replay from them.
 
 Results keep the array form they are counted in: a score's counts and the
 hourly diagnostics' counts (segments x hours, beside the trip starts per
-hour) are written to CSV straight from their nonzero cells. A minute outside
-the horizon, or a network with no segment length to weigh by, is malformed
-input: `score` exits 2 on it.
+hour) are written to CSV straight from their nonzero cells. The hourly
+diagnostics count nothing: `score` hands them its 1 h counts. An event
+naming a segment beyond the network, or a network with no segment length to
+weigh by, is malformed input: `score` exits 2 on it.
 """
 
 from __future__ import annotations
@@ -62,17 +65,6 @@ class IntervalGrid:
     def n_intervals(self) -> int:
         return (self.T - self.t0) // self.delta_min
 
-    def interval_of(self, minute):
-        """Index of the interval containing each minute (a scalar or an array);
-        the horizon end maps to the last interval."""
-        minute = np.asarray(minute, dtype=np.int64)
-        outside = (minute < self.t0) | (minute > self.T)
-        if outside.any():
-            raise MalformedInputError(
-                f"minute {minute[outside].flat[0]} outside horizon [{self.t0}, {self.T}]"
-            )
-        return np.minimum((minute - self.t0) // self.delta_min, self.n_intervals - 1)
-
 
 def event_cells(events: TripEvents, grid: IntervalGrid, num_segments: int) -> np.ndarray:
     """The (segment, interval) cell of every event, as segment * n_intervals +
@@ -94,15 +86,12 @@ def event_cells(events: TripEvents, grid: IntervalGrid, num_segments: int) -> np
     return cells
 
 
-def count_cells(
-    cells: np.ndarray, trajectories: Replay, equipped: frozenset[int] | set[int], shape: tuple[int, int]
-) -> np.ndarray:
-    """Equipped-bike entries per (segment, interval) of a grid of that shape,
-    from event_cells of the replay's events."""
-    is_equipped = np.zeros(len(trajectories), dtype=bool)
-    is_equipped[np.fromiter(equipped, dtype=np.int64, count=len(equipped))] = True
+def count_cells(cells: np.ndarray, trip: np.ndarray, rode: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Equipped-bike entries per (segment, interval) of a grid of that shape:
+    one bincount of the cells (event_cells) of the events whose trip row
+    (events.trip) rode an equipped bike (rode[row])."""
     size = shape[0] * shape[1]
-    counts = np.bincount(cells[is_equipped[trajectories.event_bike]], minlength=size + 1)
+    counts = np.bincount(cells[rode[trip]], minlength=size + 1)
     return counts[:size].reshape(shape)
 
 
@@ -114,8 +103,9 @@ def coverage_counts(
 ) -> np.ndarray:
     """Count equipped-bike entries per (segment, interval), under event_cells'
     horizon rule."""
-    cells = event_cells(trajectories.events, grid, num_segments)
-    return count_cells(cells, trajectories, equipped, (num_segments, grid.n_intervals))
+    events = trajectories.events
+    cells = event_cells(events, grid, num_segments)
+    return count_cells(cells, events.trip, trajectories.rode(equipped), (num_segments, grid.n_intervals))
 
 
 def sensing_score(counts: np.ndarray, lengths: np.ndarray, grid: IntervalGrid) -> float:
@@ -141,29 +131,29 @@ class HourlyDiagnostics:
     trip_event_correlation: float | None  # Pearson; absent without equipped coverage
 
 
-def hourly_diagnostics(
-    trajectories: Replay,
-    equipped: frozenset[int] | set[int],
-    log: TripLog,
-) -> HourlyDiagnostics:
-    """Per-hour trip starts and equipped coverage counts, for external plotting.
-
-    Coverage counts through coverage_counts on a 1 h grid, so it follows the
-    same horizon rule as the sensing score.
-    """
+def hour_grid(log: TripLog) -> IntervalGrid:
+    """The 1 h grid over the log's horizon; ValueError unless the horizon is hour-aligned."""
     t0, t_end = log.horizon
     if t0 % 60 or t_end % 60:
         raise ValueError(f"horizon ({t0}, {t_end}) is not hour-aligned")
-    grid = IntervalGrid(t0, t_end, 1.0)
-    num_segments = 1 + int(trajectories.events.segment.max(initial=-1))
-    counts = coverage_counts(trajectories, equipped, grid, num_segments)
-    trips_started = np.bincount(grid.interval_of(log.start_min), minlength=grid.n_intervals)
+    return IntervalGrid(t0, t_end, 1.0)
+
+
+def hourly_diagnostics(counts: np.ndarray, log: TripLog) -> HourlyDiagnostics:
+    """Per-hour trip starts beside the equipped coverage counts of the log's
+    hour_grid, for external plotting. It counts no coverage: counts are the
+    caller's, on that grid. Trip starts fall in hours by event_cells' rule."""
+    grid = hour_grid(log)
+    if counts.shape[1:] != (grid.n_intervals,):
+        raise ValueError(f"counts shape {counts.shape} does not match {grid.n_intervals} hours")
+    starts = TripEvents(np.arange(len(log.ids)), np.zeros_like(log.start_min), log.start_min)
+    trips_started = np.bincount(event_cells(starts, grid, 1), minlength=grid.n_intervals + 1)[:-1]
     xs = trips_started.astype(float)
     ys = counts.sum(axis=0).astype(float)
     correlation = None
     if grid.n_intervals >= 2 and xs.std() > 0 and ys.std() > 0:
         correlation = float(np.corrcoef(xs, ys)[0, 1])
-    return HourlyDiagnostics(t0 // 60, trips_started, counts, correlation)
+    return HourlyDiagnostics(grid.t0 // 60, trips_started, counts, correlation)
 
 
 def write_hourly(diag: HourlyDiagnostics, rows_path, segments_path) -> None:

@@ -427,6 +427,51 @@ def _args(paths, options):
     return [arg for option in options for arg in (option, str(paths[option]))]
 
 
+@pytest.mark.parametrize("delta, grids", [("1", 1), ("4", 2)])
+def test_score_counts_each_distinct_grid_once(artifacts, tmp_path, monkeypatch, delta, grids):
+    """score counts its own grid and the hourly diagnostics' 1 h grid, which at
+    delta 1 h are one grid, counted once; the diagnostics count nothing."""
+    from velosense import metrics
+
+    calls = []
+    count_cells, coverage_counts = metrics.count_cells, metrics.coverage_counts
+
+    def spy(name, counter):
+        def counting(*args):
+            calls.append(name)
+            return counter(*args)
+
+        return counting
+
+    monkeypatch.setattr(metrics, "count_cells", spy("count_cells", count_cells))
+    monkeypatch.setattr(metrics, "coverage_counts", spy("coverage_counts", coverage_counts))
+    assert main(["score", *_args(artifacts, SCORE), "--delta", delta, "--out-dir", str(tmp_path)]) == 0
+    assert calls == ["coverage_counts", "count_cells"] * grids
+    assert len((tmp_path / "hourly.csv").read_text().splitlines()) == 1 + 16
+
+
+def test_export_lp_on_a_triplog_without_trips_is_3(tmp_path, capsys):
+    """With no trips there are no stands, and a model with no variables is not
+    valid LP text: export-lp refuses it, as an experiment refuses a log with no trips."""
+    paths = {
+        "--nodes": tmp_path / "nodes.csv",
+        "--edges": tmp_path / "edges.csv",
+        "--trips": tmp_path / "trips.csv",
+        "--triplog": tmp_path / "triplog.json",
+        "--probs": tmp_path / "probs.csv",
+        "--probs-meta": tmp_path / "probs.meta.json",
+    }
+    common = ["--out-dir", str(tmp_path)]
+    assert main(["synth", "--grid-w", "4", "--grid-h", "4", "--stands", "3", "--trips", "0", *common]) == 0
+    assert main(["ingest", *_args(paths, ("--nodes", "--edges", "--trips")), *common]) == 0
+    assert main(["probs", *_args(paths, ("--triplog",)), *common]) == 0
+    capsys.readouterr()
+    assert main(["export-lp", *_args(paths, ALLOCATE), "--budget", "3", *common]) == 3
+    err = capsys.readouterr().err
+    assert err == f"infeasible: {paths['--triplog']} holds no trips, so it has no stands to allocate to\n"
+    assert not (tmp_path / "model.lp").exists()
+
+
 def _drop_key(key):
     def edit(text):
         doc = json.loads(text)

@@ -7,12 +7,11 @@ from velosense.coverage_model import (
     linearity_probe,
     load_matrix,
     mean_coverage,
-    probability_decay_report,
     save_matrix,
 )
 from velosense.errors import MalformedInputError
 from velosense.fleet_sim import FleetPlan, SimConfig, initial_bike_counts, simulate
-from velosense.network import Path, build_network
+from velosense.network import Path
 from velosense.trips import Stand, Trip
 
 from oracles import (
@@ -21,16 +20,9 @@ from oracles import (
     linearity_probe_counter,
     mean_coverage_counter,
     per_bike_assembly,
-    rank_correlation,
     traversal_times,
 )
 from trip_logs import trip_log
-
-
-def line_network(n_nodes, block=600.0):
-    nodes = [(i, 40.0, -74.0 + i * 0.003) for i in range(n_nodes)]
-    edges = [(i, i + 1, block) for i in range(n_nodes - 1)]
-    return build_network(nodes, edges)
 
 
 def line_trip(trip_id, origin, dest, start, block=600.0, speed=200.0):
@@ -144,43 +136,6 @@ class TestEstimateProbabilities:
         _net, log = small_scenario
         matrix = estimate_probabilities(log, small_fleet, runs=2, seed=5)
         assert all(p > 0 and p < float("inf") for p in matrix.p.tolist())
-
-
-class TestDecayReport:
-    def test_adjacent_segment_first(self):
-        net = line_network(3)
-        log = one_trip_log()
-        plan = initial_bike_counts(log)
-        matrix = estimate_probabilities(log, plan, runs=1, seed=2)
-        rows = probability_decay_report(matrix, net, 0)
-        assert rows[0][0] == 0 and rows[0][1] == 0.0 and rows[0][2] > 0
-        assert rows[1][1] == 600.0
-
-    def test_uncovered_stand_gives_empty_report(self):
-        net = line_network(9)
-        log = radial_log()
-        plan = initial_bike_counts(log)
-        matrix = estimate_probabilities(log, plan, runs=1, seed=2)
-        assert probability_decay_report(matrix, net, 5) == []
-
-    def test_unknown_stand_rejected(self):
-        net = line_network(3)
-        log = one_trip_log()
-        matrix = estimate_probabilities(log, initial_bike_counts(log), runs=1, seed=2)
-        with pytest.raises(MalformedInputError):
-            probability_decay_report(matrix, net, 3)
-
-    def test_probability_decays_with_distance(self):
-        net = line_network(9)
-        log = radial_log()
-        plan = initial_bike_counts(log)
-        matrix = estimate_probabilities(log, plan, runs=2, seed=8)
-        rows = probability_decay_report(matrix, net, 0)
-        assert len(rows) >= 4
-        distances = [r[1] for r in rows]
-        assert distances == sorted(distances)
-        rho = rank_correlation(distances, [r[2] for r in rows])
-        assert rho < 0
 
 
 class TestLinearityProbe:

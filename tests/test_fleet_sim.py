@@ -247,7 +247,8 @@ class TestSimulate:
         first_trip: dict[int, int] = {}
         for row, bike in enumerate(trajs.bike_of_trip.tolist()):
             first_trip.setdefault(bike, row)
-        refiled = trajs.events._replace(trip=np.array([first_trip[b] for b in trajs.event_bike.tolist()]))
+        bike_of_event = trajs.bike_of_trip[trajs.events.trip].tolist()
+        refiled = trajs.events._replace(trip=np.array([first_trip[b] for b in bike_of_event]))
         other = Replay(trajs.bike_of_trip, trajs.homes, trajs.trip_ids, refiled)
         assert list(other) == list(trajs)
         assert other != trajs
@@ -348,29 +349,27 @@ class TestSimulate:
         inline loop, run at beta=1 itself, must pick the same bikes, and the
         scan's flags must mark the rows it served with equipped bikes: with one
         equipped bike per stand, half of each stand, and the whole fleet; and
-        under a stream whose rejections make the pass lay its rows out again."""
+        under a stream whose rejections make the pass lay rows out again in
+        windows."""
         _net, log = request.getfixturevalue(f"{scenario}_scenario")
         fleet = request.getfixturevalue(f"{scenario}_fleet")
         plans = [[min(1, b) for b in fleet.b], [(b + 1) // 2 for b in fleet.b], fleet.b]
 
-        def check(plans, seeds):
+        def check():
             for n in plans:
                 equipped = equipped_set(fleet, n)
                 is_equipped = np.isin(np.arange(fleet.num_bikes), sorted(equipped))
                 rode, _sizes = fleet_sim._equipped_rows(log, fleet, equipped)
-                for seed in seeds:
+                for seed in range(5):
                     cfg = SimConfig(seed, 1.0, equipped)
                     guided = fleet_sim._guided_bikes(log, fleet, cfg)
                     assert simulate(log, fleet, cfg).bike_of_trip.tolist() == guided
                     assert rode.tolist() == is_equipped[guided].tolist()
 
-        check(plans, range(5))
+        check()
         monkeypatch.setattr(fleet_sim, "PCG64", SparseWords)
         monkeypatch.setattr(SparseWords, "made", [])
-        if scenario == "small":
-            check(plans, range(5))
-        else:  # each rejection lays out the rows after it again: about a second a replay here
-            check(plans[:1], [0])
+        check()
         assert all(bitgen.taken > 2 * len(log.ids) for bitgen in SparseWords.made)
 
     def test_trip_under_a_minute_rejected(self):
@@ -525,6 +524,15 @@ class TestDraws:
         sizes = [2**31 + 1] * 3
         for seed in range(200):
             assert _unguided_picks(seed, np.array(sizes)).tolist() == numpy_picks(seed, sizes)
+
+    def test_windows_after_a_rejection_carry_the_stream_on(self):
+        # one often-rejected row in 200: after its rejections the pass lays out
+        # windows of 64, 128, ... rows that draw without one, each handing the
+        # next its place in the stream and any left-over half
+        sizes = np.random.default_rng(11).choice([1, 2, 3, 7, 1000], size=3000)
+        sizes[100::200] = 2**31 + 1
+        for seed in range(5):
+            assert _unguided_picks(seed, sizes).tolist() == numpy_picks(seed, sizes.tolist())
 
     def test_a_pool_of_one_takes_no_bits(self):
         # seven rows of one bike take their guidance words only; the eighth picks from word 8's low half

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from velosense.errors import MalformedInputError
-from velosense.fleet_sim import BikeTrajectory, Replay, SimConfig, equipped_set, simulate
+from velosense.fleet_sim import BikeTrajectory, Replay, SimConfig, _equipped_rows, equipped_set, simulate
 from velosense.metrics import (
     IntervalGrid,
     count_cells,
     coverage_counts,
     event_cells,
+    hour_grid,
     hourly_diagnostics,
     sensing_score,
     write_report,
@@ -61,22 +62,6 @@ class TestIntervalGrid:
     def test_empty_horizon_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             IntervalGrid(100, 100, 1.0)
-
-    def test_interval_membership(self):
-        grid = IntervalGrid(360, 1320, 4.0)
-        assert grid.interval_of(360) == 0
-        assert grid.interval_of(599) == 0
-        assert grid.interval_of(600) == 1
-        assert grid.interval_of(1320) == 3  # horizon end joins the last cell
-        for minute in (359, 1321):
-            with pytest.raises(MalformedInputError):
-                grid.interval_of(minute)
-
-    def test_interval_of_an_array(self):
-        grid = IntervalGrid(360, 1320, 4.0)
-        assert grid.interval_of([360, 599, 600, 1320]).tolist() == [0, 0, 1, 3]
-        with pytest.raises(MalformedInputError, match="1321"):
-            grid.interval_of([360, 1321])
 
 
 class TestCoverageCounts:
@@ -192,17 +177,50 @@ class TestEventCells:
             cells = event_cells(trajs.events, grid, num_segments)
             size = num_segments * grid.n_intervals
             assert cells.min() >= 0 and cells.max() <= size
-            equipped_events = np.isin(trajs.event_bike, sorted(equipped))
+            equipped_events = np.isin(trajs.bike_of_trip[trajs.events.trip], sorted(equipped))
             counts = np.bincount(cells[equipped_events], minlength=size + 1)[:size]
             assert counts.reshape(num_segments, grid.n_intervals).tolist() == expected
             shape = (num_segments, grid.n_intervals)
-            assert count_cells(cells, trajs, equipped, shape).tolist() == expected
+            assert count_cells(cells, trajs.events.trip, trajs.rode(equipped), shape).tolist() == expected
             assert coverage_counts(trajs, equipped, grid, num_segments).tolist() == expected
 
     def test_out_of_horizon_events_fall_one_past_the_grid(self):
         grid = IntervalGrid(360, 1320, 4.0)
         trajs = replay(traj(0, [(0, 359), (1, 360), (1, 1319), (2, 1320), (0, 1321)]))
         assert event_cells(trajs.events, grid, 3).tolist() == [12, 4, 7, 11, 12]
+
+
+class TestCountCells:
+    """A count needs only which trip rows rode an equipped bike."""
+
+    def test_rode_flags_the_rows_of_equipped_bikes(self):
+        trajs = replay(traj(0, [(0, 400)]), traj(1, []), traj(2, [(1, 400)]))
+        assert trajs.rode({0, 2}).tolist() == [True, False, True]
+        assert trajs.rode(frozenset()).tolist() == [False] * 3
+
+    @pytest.mark.parametrize("scenario", ["small", "reference"])
+    def test_beta_one_scan_flags_count_as_the_replay(self, request, scenario):
+        """The draw-free scan's flags, counted through count_cells, equal
+        coverage_counts of the beta=1 replay at every seed, so a beta=1 cell
+        can be scored without a replay: at no sensors, one per stand, half
+        of each stand and the whole fleet."""
+        net, log = request.getfixturevalue(f"{scenario}_scenario")
+        fleet = request.getfixturevalue(f"{scenario}_fleet")
+        plans = [[0] * len(fleet.b), [min(1, b) for b in fleet.b], [(b + 1) // 2 for b in fleet.b], fleet.b]
+        grids = [IntervalGrid(*log.horizon, delta) for delta in (1.0, 4.0, 16.0)]
+        cells = [event_cells(log.events, grid, net.num_segments) for grid in grids]
+        for n in plans:
+            equipped = equipped_set(fleet, n)
+            rode, _sizes = _equipped_rows(log, fleet, equipped)
+            scanned = [
+                count_cells(grid_cells, log.events.trip, rode, (net.num_segments, grid.n_intervals))
+                for grid, grid_cells in zip(grids, cells)
+            ]
+            assert all(counts.any() == bool(equipped) for counts in scanned)
+            for seed in range(5):
+                trajs = simulate(log, fleet, SimConfig(seed, 1.0, equipped))
+                for grid, counts in zip(grids, scanned):
+                    assert np.array_equal(counts, coverage_counts(trajs, equipped, grid, net.num_segments))
 
 
 class TestSensingScore:
@@ -312,10 +330,16 @@ def hourly_demand_log():
 
 
 class TestHourlyDiagnostics:
+    """The diagnostics count nothing: they take a score's 1 h counts."""
+
+    @staticmethod
+    def diagnose(trajs, equipped, log, num_segments):
+        return hourly_diagnostics(coverage_counts(trajs, equipped, hour_grid(log), num_segments), log)
+
     def test_single_trip_row(self):
         path = Path((4,), (0, 1), (900.0,), 900.0)
         log = trip_log([Trip("a", 0, 1, 390, path, 5)], [Stand(0, 0), Stand(1, 1)], (360, 1320), 200.0)
-        report = hourly_diagnostics(replay(traj(0, [(4, 390)])), {0}, log)
+        report = self.diagnose(replay(traj(0, [(4, 390)])), {0}, log, 5)
         assert report.first_hour == 6
         assert report.trips_started.tolist() == [1] + [0] * 15
         # one equipped entry: segment 4 in hour 6, column 0
@@ -325,7 +349,7 @@ class TestHourlyDiagnostics:
 
     def test_no_equipped_bikes_reports_absent_correlation(self):
         log = hourly_demand_log()
-        report = hourly_diagnostics(replay(traj(0, [(0, 400)])), frozenset(), log)
+        report = self.diagnose(replay(traj(0, [(0, 400)])), frozenset(), log, 1)
         assert not report.counts.any()
         assert report.trip_event_correlation is None
 
@@ -335,7 +359,7 @@ class TestHourlyDiagnostics:
         log = hourly_demand_log()
         plan = initial_bike_counts(log)
         trajs = simulate(log, plan, SimConfig(seed=7))
-        report = hourly_diagnostics(trajs, frozenset(range(plan.num_bikes)), log)
+        report = self.diagnose(trajs, frozenset(range(plan.num_bikes)), log, 1)
         assert report.trip_event_correlation is not None
         assert report.trip_event_correlation > 0
         xs = report.trips_started.tolist()
@@ -346,20 +370,27 @@ class TestHourlyDiagnostics:
         net, log = small_scenario
         trajs = simulate(log, small_fleet, SimConfig(seed=3))
         equipped = equipped_set(small_fleet, [min(2, b) for b in small_fleet.b])
-        report = hourly_diagnostics(trajs, equipped, log)
         grid = IntervalGrid(*log.horizon, 1.0)
+        assert hour_grid(log) == grid
         counts = coverage_counts(trajs, equipped, grid, net.num_segments)
+        report = hourly_diagnostics(counts, log)
         assert report.first_hour == log.horizon[0] // 60
-        assert report.trips_started.tolist() == np.bincount(grid.interval_of(log.start_min), minlength=16).tolist()
-        # the diagnostics count up to the last segment an event names
-        assert np.array_equal(report.counts, counts[: len(report.counts)])
-        assert not counts[len(report.counts) :].any()
+        t0, t_end = log.horizon
+        hours = [min((m - t0) // 60, 15) for m in log.start_min.tolist() if t0 <= m <= t_end]
+        assert len(hours) == len(log.ids)
+        assert report.trips_started.tolist() == [hours.count(h) for h in range(16)]
+        assert report.counts is counts
         assert report.counts.sum() > 0
+        four_hours = coverage_counts(trajs, equipped, IntervalGrid(*log.horizon, 4.0), net.num_segments)
+        with pytest.raises(ValueError, match="16 hours"):
+            hourly_diagnostics(four_hours, log)
 
     def test_unaligned_horizon_rejected(self):
         log = trip_log([], [], (365, 1320), 200.0)
         with pytest.raises(ValueError, match="hour-aligned"):
-            hourly_diagnostics(replay(), frozenset(), log)
+            hourly_diagnostics(np.zeros((0, 16), dtype=np.int64), log)
+        with pytest.raises(ValueError, match="hour-aligned"):
+            hour_grid(log)
 
 
 class TestReportWriter:
