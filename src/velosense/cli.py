@@ -52,12 +52,12 @@ def _load_routed_net(args, log):
         )
     if log.network_sha256 != network_sha256(net):
         raise MalformedInputError(f"{args.triplog} was routed on another network than {network}")
-    segment, length_m = log.path_entries
+    segment, length_m, count = log.path_entries
     net_length = np.append(net.seg_length_m, np.nan)[np.minimum(segment, net.num_segments)]  # NaN: unknown
     wrong = np.flatnonzero(net_length != length_m)
     if len(wrong):
         entry = wrong[0]
-        index = np.searchsorted(np.cumsum([len(p.segments) for p in log.paths]), entry, side="right")
+        index = np.searchsorted(np.cumsum(count), entry, side="right")
         has = "have no such segment" if np.isnan(net_length[entry]) else f"give it {net_length[entry]} m"
         raise MalformedInputError(
             f"{args.triplog}: path {index} gives segment {segment[entry]} length {length_m[entry]} m, "
@@ -126,7 +126,8 @@ def cmd_probs(args) -> int:
 
 
 def _build_instance_from_files(args):
-    """The allocation instance of the input files, and the SHA-256 of --triplog."""
+    """The allocation instance of the input files, and the SHA-256 of --triplog. A log
+    with no trips has no stands, so no plan to write and no valid LP model."""
     log = trips.load_triplog(args.triplog)
     net = _load_routed_net(args, log)
     plan = fleet_sim.initial_bike_counts(log)
@@ -134,7 +135,10 @@ def _build_instance_from_files(args):
     triplog_sha256 = trips.file_sha256(args.triplog)
     _check_triplog(matrix.triplog_sha256, args.probs_meta, args.triplog, triplog_sha256)
     with blamed_on(args.probs):
-        return allocation.build_instance(matrix, net, plan, args.budget, K=args.k), triplog_sha256
+        inst = allocation.build_instance(matrix, net, plan, args.budget, K=args.k)
+    if not inst.num_stands:
+        raise ConfigInfeasibleError(f"{args.triplog} holds no trips, so it has no stands to allocate to")
+    return inst, triplog_sha256
 
 
 def cmd_allocate(args) -> int:
@@ -237,8 +241,6 @@ def cmd_experiment(args) -> int:
 
 def cmd_export_lp(args) -> int:
     inst, _triplog_sha256 = _build_instance_from_files(args)
-    if not inst.num_stands:  # a model with no variables is not valid LP text
-        raise ConfigInfeasibleError(f"{args.triplog} holds no trips, so it has no stands to allocate to")
     out = Path(args.out) if args.out else _out_dir(args) / "model.lp"
     with open(out, "wb") as fh:
         allocation.export_lp(inst, fh)

@@ -19,12 +19,13 @@ bikes migrate between stands.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from .errors import MalformedInputError, int_column, malformed_fields, read_artifact, write_json, write_table
+from .errors import MalformedInputError, int_range, malformed_fields, read_artifact, write_json, write_table
 from .fleet_sim import FleetPlan, SimConfig, simulate
 from .trips import TripLog
 
@@ -33,6 +34,7 @@ COVERAGE_FORMAT = "velosense-coverage-v1"
 DEFAULT_RUNS = 20
 
 PROBS_HEADER = ["stand_id", "segment_id", "p"]
+PROBS_DTYPE = np.dtype([("stand", np.int64), ("segment", np.int64), ("p", np.float64)])
 
 
 @dataclass(eq=False)
@@ -154,26 +156,29 @@ def save_matrix(matrix: CoverageMatrix, csv_path, meta_path) -> None:
 
 
 def load_matrix(csv_path, meta_path) -> CoverageMatrix:
-    """Read a matrix `save_matrix` wrote: rows of exactly three fields, each p finite
-    and >= 0, no (stand, segment) twice. The columns come back sorted by key."""
-    with open(csv_path, encoding="utf-8", newline="") as fh, malformed_fields(csv_path):
-        reader = csv.reader(fh)
-        if next(reader, None) != PROBS_HEADER:
+    """Read a matrix `save_matrix` wrote: rows of exactly three fields, ASCII decimal
+    ids >= 0, each p finite and >= 0, no (stand, segment) twice; fields may be quoted
+    and blank lines are skipped. The columns come back sorted by key."""
+    with open(csv_path, encoding="utf-8", newline="") as fh:
+        if next(csv.reader(fh), None) != PROBS_HEADER:
             raise MalformedInputError(f"{csv_path}: coverage file must have header stand_id,segment_id,p")
-        rows = [row for row in reader if row]  # blank lines are skipped
-        for row in rows:
-            if len(row) != 3:
-                raise MalformedInputError(f"{csv_path}: row {','.join(row)!r} has {len(row)} fields, not 3")
-        stand_text, segment_text, p_text = zip(*rows) if rows else ((), (), ())
-        stand = int_column(list(map(int, stand_text)), csv_path, "stand_id")
-        segment = int_column(list(map(int, segment_text)), csv_path, "segment_id")
-        p = np.array(list(map(float, p_text)), dtype=np.float64)
+    with malformed_fields(csv_path), warnings.catch_warnings():
+        # numpy < 2 reads "1.5" into an int column by way of float, with a DeprecationWarning
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        rows = np.loadtxt(
+            csv_path, dtype=PROBS_DTYPE, comments=None, delimiter=",", skiprows=1, encoding="utf-8",
+            quotechar='"', ndmin=1,
+        )
+    stand = int_range(rows["stand"], csv_path, "stand_id")
+    segment = int_range(rows["segment"], csv_path, "segment_id")
+    p = rows["p"]
     bad = ~((p >= 0.0) & (p < np.inf))  # NaN fails both
     if bad.any():
         i = int(np.argmax(bad))
         key = (int(stand[i]), int(segment[i]))
         raise MalformedInputError(
-            f"{csv_path}: p = {p_text[i]} for (stand, segment) {key} is not a finite number >= 0"
+            f"{csv_path}: p = {p[i]} for (stand, segment) {key} is not a finite number >= 0"
         )
     order = np.lexsort((segment, stand))
     stand, segment, p = stand[order], segment[order], p[order]

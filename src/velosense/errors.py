@@ -6,9 +6,11 @@ malformed input (an unscorable network included) to 2, an infeasible
 configuration or fleet plan to 3. An unreachable trip is no error: `ingest`
 drops it and counts it in its report. Every JSON artifact is read by
 `read_artifact` and written by `write_json`, every CSV table is written by
-`write_table`, every CSV input read by column name is split by `read_table`,
-and every integer or string column read from an artifact is checked by
-`int_column` or `str_column`."""
+`write_table`, and every CSV input read by column name is split by
+`read_table`. A JSON integer or string column is checked by `int_column` or
+`str_column`; the ids of `probs.csv` are typed by `load_matrix`'s
+`np.loadtxt` pass instead, and `int_range` checks their range as it checks
+`int_column`'s."""
 
 import csv
 import json
@@ -48,10 +50,11 @@ def blamed_on(path):
 
 @contextmanager
 def malformed_fields(source):
-    """Report a missing or mistyped field of a loaded artifact as malformed input."""
+    """Report a missing or mistyped field of a loaded artifact, or a warning that a
+    reader promotes to an error while it parses, as malformed input."""
     try:
         yield
-    except (AttributeError, KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError, OverflowError, Warning) as exc:
         raise MalformedInputError(f"{source}: missing or malformed field {exc}") from exc
 
 
@@ -81,10 +84,24 @@ def int_column(values, source, name, lo=0, hi=2**63) -> np.ndarray:
     one) in lo..hi-1; anything else is malformed input naming `source` and `name`."""
     if not isinstance(values, list) or not set(map(type, values)) <= {int}:
         raise MalformedInputError(f"{source}: {name} must be a list of integers")
-    if values and not (lo <= min(values) and max(values) < hi):
-        bad = next(v for v in values if not lo <= v < hi)
-        raise MalformedInputError(f"{source}: {name} holds {bad}, outside {lo}..{hi - 1}")
-    return np.array(values, dtype=np.int64)
+    try:
+        column = np.array(values, dtype=np.int64)
+    except OverflowError:  # an entry past int64 is outside lo..hi-1 too
+        raise _outside(next(v for v in values if not lo <= v < hi), source, name, lo, hi) from None
+    return int_range(column, source, name, lo, hi)
+
+
+def int_range(column: np.ndarray, source, name, lo=0, hi=2**63) -> np.ndarray:
+    """The int64 array `column`, given each entry is in lo..hi-1, where lo and hi-1
+    are int64 values; the first entry outside is malformed input naming `source` and `name`."""
+    if len(column) and not (lo <= int(column.min()) and int(column.max()) < hi):
+        first = np.flatnonzero((column < lo) | (column > hi - 1))[0]
+        raise _outside(column[first], source, name, lo, hi)
+    return column
+
+
+def _outside(value, source, name, lo, hi) -> MalformedInputError:
+    return MalformedInputError(f"{source}: {name} holds {value}, outside {lo}..{hi - 1}")
 
 
 def str_column(values, source, name) -> list[str]:

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -83,6 +84,14 @@ class TripEvents(NamedTuple):
     minute: np.ndarray  # int64: entry minute
 
 
+class PathEntries(NamedTuple):
+    """Every path's segments and their lengths, path after path, and how many each path holds."""
+
+    segment: np.ndarray  # int64
+    length_m: np.ndarray  # float64
+    count: np.ndarray  # int64 per path
+
+
 class ServiceSchedule(NamedTuple):
     returns: np.ndarray  # int64: trip rows by end minute, ties in row order
     returned: np.ndarray  # int64 per row: how many of `returns` end by its start
@@ -126,25 +135,26 @@ class TripLog:
 
         Entry offsets depend only on the path, so they are computed once per
         entry of `paths` and gathered by each trip's `path`; each trip adds its
-        start minute.
+        start minute. A trip enters a segment at the distance before it along
+        the path at constant speed, floored.
         """
-        lengths = np.array([len(p.segments) for p in self.paths], dtype=np.int64)
-        segments = self.path_entries[0]
-        offsets = np.array(
-            [o for p in self.paths for o in _entry_offsets(p, self.speed_m_per_min)], dtype=np.int64
-        )
-        counts = lengths[self.path]
+        segments, lengths_m, per_path = self.path_entries
+        offsets = (_distance_before(lengths_m, per_path) // self.speed_m_per_min).astype(np.int64)
+        counts = per_path[self.path]
         trip = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
         # an event's row in segments/offsets: where its path starts there, plus its place in its trip
-        path_first, trip_first = np.cumsum(lengths) - lengths, np.cumsum(counts) - counts
+        path_first, trip_first = np.cumsum(per_path) - per_path, np.cumsum(counts) - counts
         flat = np.repeat(path_first[self.path] - trip_first, counts) + np.arange(len(trip))
         return TripEvents(trip, segments[flat], self.start_min[trip] + offsets[flat])
 
     @cached_property
-    def path_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every path's segments and their lengths, path after path; load_triplog keeps its checked ones."""
-        segments = np.array([s for p in self.paths for s in p.segments], dtype=np.int64)
-        return segments, np.array([x for p in self.paths for x in p.seg_lengths_m], dtype=np.float64)
+    def path_entries(self) -> PathEntries:
+        """The path table's entries as flat columns; load_triplog keeps its checked ones."""
+        return PathEntries(
+            np.array([s for p in self.paths for s in p.segments], dtype=np.int64),
+            np.array([x for p in self.paths for x in p.seg_lengths_m], dtype=np.float64),
+            np.array([len(p.segments) for p in self.paths], dtype=np.int64),
+        )
 
     @cached_property
     def schedule(self) -> ServiceSchedule:
@@ -316,15 +326,17 @@ def clean_trips(
     )
 
 
-def _entry_offsets(path: Path, speed_m_per_min: float) -> list[int]:
-    """Minutes from the start of a trip along `path` to its entry into each segment:
-    the distance before the segment at constant speed, floored."""
-    offsets = []
-    cum = 0.0
-    for length in path.seg_lengths_m:
-        offsets.append(int(cum // speed_m_per_min))
-        cum += length
-    return offsets
+def _distance_before(lengths_m: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Metres along its path before each entry of `lengths_m`, whose paths hold `count`
+    entries each. Each path's lengths are added left to right from 0, as a trip adds
+    them up; a running sum over all paths less each path's start would round otherwise.
+    Loops over places in a path, not over paths."""
+    before = np.zeros_like(lengths_m)
+    first = np.cumsum(count) - count
+    for place in range(1, int(count.max(initial=0))):
+        at = first[count > place] + place
+        before[at] = before[at - 1] + lengths_m[at - 1]
+    return before
 
 
 def save_triplog(log: TripLog, path) -> None:
@@ -369,11 +381,11 @@ def load_triplog(path) -> TripLog:
         t0, t_end = horizon
         if not (type(speed) is float and math.isfinite(speed) and speed > 0):
             raise MalformedInputError(f"{path}: speed_m_per_min {speed!r} must be a finite float > 0")
-        paths = [
-            Path(tuple(p["segments"]), tuple(p["nodes"]), tuple(p["seg_lengths_m"]), p["distance_m"])
-            for p in doc["paths"]
-        ]
-        entries = _check_paths(paths, path)
+        table = doc["paths"]
+        segments, nodes, lengths = ([p[key] for p in table] for key in ("segments", "nodes", "seg_lengths_m"))
+        distances = [p["distance_m"] for p in table]
+        entries = _check_paths(segments, nodes, lengths, distances, path)
+        paths = list(map(Path, map(tuple, segments), map(tuple, nodes), map(tuple, lengths), distances))
         stands = _stand_table(doc["stands"], path)
         trips = doc["trips"]
         ids = str_column(trips["id"], path, "trips.id")
@@ -396,31 +408,39 @@ def load_triplog(path) -> TripLog:
         return log
 
 
-def _check_paths(paths: list[Path], source) -> tuple[np.ndarray, np.ndarray]:
-    """Each path has one length per segment and one more node than segments. Its segment and
-    node ids are integers >= 0, its segment lengths finite numbers > 0 and its distance a finite
-    number >= 0. Checks each column in one flat pass; returns the `TripLog.path_entries`."""
-    for index, p in enumerate(paths):
-        if not len(p.segments) == len(p.seg_lengths_m) == len(p.nodes) - 1:
-            raise MalformedInputError(
-                f"{source}: path {index} has {len(p.segments)} segments, "
-                f"{len(p.seg_lengths_m)} segment lengths and {len(p.nodes)} nodes"
-            )
-    segments = int_column([s for p in paths for s in p.segments], source, "paths.segments")
-    int_column([v for p in paths for v in p.nodes], source, "paths.nodes")
-    lengths = [x for p in paths for x in p.seg_lengths_m]
-    if not (_finite_numbers(lengths) and min(lengths, default=1.0) > 0):
+def _check_paths(segments: list, nodes: list, lengths: list, distances: list, source) -> PathEntries:
+    """Path i has one length per segment and one more node than segments, given as
+    segments[i], lengths[i] and nodes[i]. Its segment and node ids are integers >= 0,
+    its segment lengths finite numbers > 0 and its distance a finite number >= 0.
+    Checks each column in one flat pass; returns the `TripLog.path_entries`."""
+    count, num_lengths, num_nodes = (
+        np.array(list(map(len, column)), dtype=np.int64) for column in (segments, lengths, nodes)
+    )
+    wrong = np.flatnonzero((num_lengths != count) | (num_nodes != count + 1))
+    if len(wrong):
+        i = wrong[0]
+        raise MalformedInputError(
+            f"{source}: path {i} has {count[i]} segments, "
+            f"{num_lengths[i]} segment lengths and {num_nodes[i]} nodes"
+        )
+    segment = int_column(list(chain.from_iterable(segments)), source, "paths.segments")
+    int_column(list(chain.from_iterable(nodes)), source, "paths.nodes")
+    length_m = _finite_column(list(chain.from_iterable(lengths)))
+    if length_m is None or not (length_m > 0).all():
         raise MalformedInputError(f"{source}: paths.seg_lengths_m must hold finite numbers > 0")
-    distances = [p.distance_m for p in paths]
-    if not (_finite_numbers(distances) and min(distances, default=0.0) >= 0):
+    distance_m = _finite_column(distances)
+    if distance_m is None or not (distance_m >= 0).all():
         raise MalformedInputError(f"{source}: paths.distance_m must hold finite numbers >= 0")
-    return segments, np.array(lengths, dtype=np.float64)
+    return PathEntries(segment, length_m, count)
 
 
-def _finite_numbers(values: list) -> bool:
-    """Whether each value is a finite int or float (a bool is neither); an int
-    too large for a float raises OverflowError, which read_artifact reports."""
-    return set(map(type, values)) <= {int, float} and all(map(math.isfinite, values))
+def _finite_column(values: list) -> np.ndarray | None:
+    """`values` as float64, given each is a finite int or float (a bool is neither), else
+    None; an int too large for a float raises OverflowError, which read_artifact reports."""
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    column = np.array(values, dtype=np.float64)
+    return column if np.isfinite(column).all() else None
 
 
 def _stand_table(rows, source) -> list[Stand]:

@@ -451,8 +451,9 @@ def test_score_counts_each_distinct_grid_once(artifacts, tmp_path, monkeypatch, 
 
 
 def test_export_lp_on_a_triplog_without_trips_is_3(tmp_path, capsys):
-    """With no trips there are no stands, and a model with no variables is not
-    valid LP text: export-lp refuses it, as an experiment refuses a log with no trips."""
+    """With no trips there are no stands, so no plan over them and no valid LP text
+    (a model with no variables is not): allocate and export-lp refuse it, as an
+    experiment refuses a log with no trips, and write nothing."""
     paths = {
         "--nodes": tmp_path / "nodes.csv",
         "--edges": tmp_path / "edges.csv",
@@ -466,10 +467,11 @@ def test_export_lp_on_a_triplog_without_trips_is_3(tmp_path, capsys):
     assert main(["ingest", *_args(paths, ("--nodes", "--edges", "--trips")), *common]) == 0
     assert main(["probs", *_args(paths, ("--triplog",)), *common]) == 0
     capsys.readouterr()
-    assert main(["export-lp", *_args(paths, ALLOCATE), "--budget", "3", *common]) == 3
-    err = capsys.readouterr().err
-    assert err == f"infeasible: {paths['--triplog']} holds no trips, so it has no stands to allocate to\n"
-    assert not (tmp_path / "model.lp").exists()
+    for command in ("allocate", "export-lp"):
+        assert main([command, *_args(paths, ALLOCATE), "--budget", "3", *common]) == 3
+        err = capsys.readouterr().err
+        assert err == f"infeasible: {paths['--triplog']} holds no trips, so it has no stands to allocate to\n"
+    assert not (tmp_path / "alloc.json").exists() and not (tmp_path / "model.lp").exists()
 
 
 def _drop_key(key):
@@ -625,6 +627,9 @@ def _set_metadata(**fields):
         ("fleet", ("--triplog",), [], "--triplog", _edit_path("distance_m", -1.0)),
         ("fleet", ("--triplog",), [], "--triplog", _edit_path("distance_m", math.nan)),
         ("fleet", ("--triplog",), [], "--triplog", _edit_path("distance_m", "x")),
+        ("allocate", ALLOCATE, ["--budget", "4"], "--probs", _append_row("0.5,0,0.5")),
+        ("allocate", ALLOCATE, ["--budget", "4"], "--probs", _append_row("#0,0,0.5")),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_path("segments", 2**64)),
     ],
     ids=["triplog-without-stands", "traj-without-metadata", "alloc-without-N_e",
          "probs-unknown-stand", "probs-unknown-segment", "probs-nan", "probs-negative",
@@ -646,7 +651,8 @@ def _set_metadata(**fields):
          "path-segment-fraction", "path-segment-string", "path-segment-negative", "path-segment-bool",
          "path-node-negative", "path-node-fraction", "path-length-negative", "path-length-zero",
          "path-length-nan", "path-length-infinite", "path-length-string", "path-length-past-float",
-         "path-distance-negative", "path-distance-nan", "path-distance-string"],
+         "path-distance-negative", "path-distance-nan", "path-distance-string",
+         "probs-stand-fraction", "probs-comment-row", "path-segment-past-int64"],
 )
 def test_malformed_artifact_is_2(artifacts, tmp_path, capsys, command, options, extra, corrupted, edit):
     paths = dict(artifacts)

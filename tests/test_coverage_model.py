@@ -1,8 +1,12 @@
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
 from velosense import coverage_model
 from velosense.coverage_model import (
+    CoverageMatrix,
     estimate_probabilities,
     linearity_probe,
     load_matrix,
@@ -206,6 +210,28 @@ class TestMatrixSerialization:
         assert loaded.seed == matrix.seed
         assert loaded.stand_nodes == matrix.stand_nodes
         assert csv_path.read_text().splitlines()[0] == "stand_id,segment_id,p"
+
+    def test_round_trip_is_exact(self, tmp_path, capsys):
+        """Each id and p comes back bit for bit, with its fields quoted or not, and a
+        header-only file loads empty without a warning."""
+        stand = np.array([0, 0, 1, 7, 2**62, 2**63 - 1], dtype=np.int64)
+        segment = np.array([0, 2**63 - 1, 5, 0, 3, 0], dtype=np.int64)
+        p = np.array([5e-324, 1e-300, 0.1 + 0.2, 1 / 3, float(2**60 + 1), sys.float_info.max])
+        csv_path, meta_path = tmp_path / "p.csv", tmp_path / "p.meta.json"
+        save_matrix(CoverageMatrix(stand, segment, p, 2, 1, [10, 11]), csv_path, meta_path)
+        plain = load_matrix(csv_path, meta_path)
+        lines = csv_path.read_text().splitlines()
+        csv_path.write_text("".join('"' + '","'.join(line.split(",")) + '"\n' for line in lines))  # every field quoted
+        for loaded in (plain, load_matrix(csv_path, meta_path)):
+            assert loaded.stand.tolist() == stand.tolist() and loaded.segment.tolist() == segment.tolist()
+            assert loaded.p.dtype == np.float64 and loaded.p.tobytes() == p.tobytes()
+        csv_path.write_text("stand_id,segment_id,p\r\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            empty = load_matrix(csv_path, meta_path)
+        assert [len(empty.stand), len(empty.segment), len(empty.p)] == [0, 0, 0]
+        assert empty.stand.dtype == empty.segment.dtype == np.int64 and empty.p.dtype == np.float64
+        assert capsys.readouterr().err == ""
 
     def test_rows_in_any_order_load_sorted(self, small_scenario, small_fleet, tmp_path):
         _net, log = small_scenario

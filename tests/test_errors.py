@@ -1,9 +1,18 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from velosense.errors import MalformedInputError, blamed_on, read_json, write_json, write_table
+from velosense.errors import (
+    MalformedInputError,
+    blamed_on,
+    int_column,
+    int_range,
+    read_json,
+    write_json,
+    write_table,
+)
 
 
 def test_write_json_is_one_dumps_and_reads_back(tmp_path):
@@ -37,3 +46,27 @@ def test_blamed_on_names_the_path_of_malformed_input_only():
     with pytest.raises(ValueError, match=r"^budget must be >= 1, got 0$"):
         with blamed_on("probs.csv"):
             raise ValueError("budget must be >= 1, got 0")
+
+
+@pytest.mark.parametrize(
+    "values, lo, hi, holds",
+    [([3, 2**64], 0, 2**63, 2**64), ([-1, 2**64], 0, 2**63, -1), ([4, 5, 6], 0, 5, 5),
+     ([7, 2], 3, 9, 2), ([-2**65], -5, 5, -2**65)],
+    ids=["past-int64", "first-outside-before-past-int64", "at-hi", "below-lo", "below-int64"],
+)
+def test_int_column_names_the_first_entry_outside_its_range(values, lo, hi, holds):
+    message = rf"^f\.json: x holds {holds}, outside {lo}\.\.{hi - 1}$"
+    with pytest.raises(MalformedInputError, match=message):
+        int_column(values, "f.json", "x", lo, hi)
+    if all(-2**63 <= v < 2**63 for v in values):
+        with pytest.raises(MalformedInputError, match=message):
+            int_range(np.array(values, dtype=np.int64), "f.json", "x", lo, hi)
+
+
+def test_int_column_takes_ints_only_across_int64():
+    column = int_column([0, 2**63 - 1, 5], "f.json", "x")
+    assert column.dtype == np.int64 and column.tolist() == [0, 2**63 - 1, 5]
+    assert int_column([-2**63], "f.json", "x", lo=-2**63).tolist() == [-2**63]
+    for values in ([True], [1.0], ["1"], 5):
+        with pytest.raises(MalformedInputError, match=r"^f\.json: x must be a list of integers$"):
+            int_column(values, "f.json", "x")

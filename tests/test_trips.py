@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from velosense.errors import MalformedInputError
-from velosense.network import build_network
+from velosense.network import Path, build_network
 from velosense.trips import (
+    Stand,
+    Trip,
     clean_trips,
     load_triplog,
     parse_raw_trips,
@@ -17,6 +19,7 @@ from velosense.trips import (
 )
 
 from oracles import parse_trips_by_dict, traversal_times
+from trip_logs import trip_log
 
 CITI_HEADER = (
     "ride_id,rideable_type,started_at,ended_at,start_station_name,start_station_id,"
@@ -341,6 +344,31 @@ class TestTraversalTimes:
         assert log.events.trip.tolist() == sorted(log.events.trip.tolist())
         for i, trip in enumerate(log.trips):
             assert trip_events(log, i) == traversal_times(trip, log.speed_m_per_min)
+
+    def test_log_events_sum_unequal_lengths_path_by_path(self, tmp_path):
+        """Entry minutes add each path's lengths left to right from 0 and floor them as
+        float `//` does, on a log whose lengths are unequal and inexact, both as built
+        and as loaded from its file."""
+        lengths = [
+            (216.67, 216.67, 216.67),
+            (433.0, 1 / 3, 0.7),  # 433.0 + 1/3 is 2 minutes; a running sum over the path above lands below
+            (SPEED,) * 5 + (0.1,),  # five minutes of road summed: // floors it to 4, floor of / gives 5
+            (0.1, 0.7, 1 / 3, 216.67),
+        ]
+        paths = [Path(tuple(range(len(x))), tuple(range(len(x) + 1)), x, sum(x)) for x in lengths]
+        rides = [(0, 360), (1, 361), (2, 361), (3, 400), (1, 500), (2, 1000)]  # (path, start)
+        trips = [
+            Trip(f"t{i}", 0, 1, start, paths[p], math.ceil(paths[p].distance_m / SPEED))
+            for i, (p, start) in enumerate(rides)
+        ]
+        built = trip_log(trips, [Stand(0, 0), Stand(1, 1)], (360, 1320), SPEED)
+        assert [m for _seg, m in traversal_times(trips[1], SPEED)] == [361, 362, 363]
+        assert [m for _seg, m in traversal_times(trips[2], SPEED)][-1] == 365
+        save_triplog(built, tmp_path / "triplog.json")
+        for log in (built, load_triplog(tmp_path / "triplog.json")):
+            assert len(log.paths) == len(paths)
+            for i, trip in enumerate(log.trips):
+                assert trip_events(log, i) == traversal_times(trip, SPEED)
 
 
 class TestSerialization:
