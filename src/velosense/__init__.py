@@ -34,6 +34,6 @@ from .harness import ExperimentSpec, beta_sweep, run_pipeline, sensor_requiremen
 from .metrics import IntervalGrid, coverage_counts, hourly_diagnostics, sensing_score
 from .network import Path, RoadNetwork, haversine_m, load_network, nearest_node, route_pairs
 from .synth import SynthConfig, generate
-from .trips import RawTrip, Trip, TripLog, clean_trips, parse_raw_trips
+from .trips import RawTrips, Trip, TripLog, clean_trips, parse_raw_trips
 
 __version__ = "0.1.0"

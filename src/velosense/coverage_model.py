@@ -158,18 +158,19 @@ def save_matrix(matrix: CoverageMatrix, csv_path, meta_path) -> None:
 def load_matrix(csv_path, meta_path) -> CoverageMatrix:
     """Read a matrix `save_matrix` wrote: rows of exactly three fields, ASCII decimal
     ids >= 0, each p finite and >= 0, no (stand, segment) twice; fields may be quoted
-    and blank lines are skipped. The columns come back sorted by key."""
+    and blank lines are skipped. The columns come back sorted by key. A row np.loadtxt
+    cannot read is named by `_first_bad_row`."""
     with open(csv_path, encoding="utf-8", newline="") as fh:
         if next(csv.reader(fh), None) != PROBS_HEADER:
             raise MalformedInputError(f"{csv_path}: coverage file must have header stand_id,segment_id,p")
-    with malformed_fields(csv_path), warnings.catch_warnings():
-        # numpy < 2 reads "1.5" into an int column by way of float, with a DeprecationWarning
-        warnings.simplefilter("error")
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        rows = np.loadtxt(
-            csv_path, dtype=PROBS_DTYPE, comments=None, delimiter=",", skiprows=1, encoding="utf-8",
-            quotechar='"', ndmin=1,
-        )
+    with malformed_fields(csv_path):
+        try:
+            rows = _read_probs(csv_path)
+        except (ValueError, Warning) as exc:
+            where = _first_bad_row(csv_path)
+            if where is None:
+                raise
+            raise MalformedInputError(f"{csv_path}: {where}") from exc
     stand = int_range(rows["stand"], csv_path, "stand_id")
     segment = int_range(rows["segment"], csv_path, "segment_id")
     p = rows["p"]
@@ -190,3 +191,47 @@ def load_matrix(csv_path, meta_path) -> CoverageMatrix:
     with read_artifact(meta_path, COVERAGE_FORMAT, "probs") as meta:
         protocol = (meta["runs"], meta["seed"], list(meta["stand_nodes"]))
         return CoverageMatrix(stand, segment, p, *protocol, meta.get("triplog_sha256"))
+
+
+def _read_probs(csv_path, dtype=PROBS_DTYPE, **options) -> np.ndarray:
+    """The rows of a probs.csv after its header, in one np.loadtxt pass; `options`
+    go to np.loadtxt. A warning while reading is raised as an error."""
+    with warnings.catch_warnings():
+        # numpy < 2 reads "1.5" into an int column by way of float, with a DeprecationWarning
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        warnings.filterwarnings("ignore", "Input line .* contained no data", UserWarning)  # under max_rows
+        return np.loadtxt(
+            csv_path, dtype=dtype, comments=None, delimiter=",", skiprows=1, encoding="utf-8",
+            quotechar='"', ndmin=1, **options,
+        )
+
+
+def _first_bad_row(csv_path) -> str | None:
+    """Where a probs.csv that `_read_probs` rejects goes wrong, as `row N ...`: row N
+    is the Nth non-blank row after the header, as trip files number their rows.
+    The row is the first that np.loadtxt rejects, found by halving its max_rows,
+    so the two readers agree on it; None if no row is to blame."""
+
+    def rejects(rows, **options) -> bool:
+        try:
+            _read_probs(csv_path, max_rows=rows, **options)
+        except (ValueError, Warning):
+            return True
+        return False
+
+    with open(csv_path, encoding="utf-8", newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row][1:]
+    good, bad = 0, len(rows)  # np.loadtxt reads the first `good` rows and rejects the first `bad`
+    if not (bad and rejects(bad)):
+        return None
+    while bad - good > 1:
+        half = (good + bad) // 2
+        good, bad = (good, half) if rejects(half) else (half, bad)
+    fields = rows[bad - 1]
+    if len(fields) != len(PROBS_HEADER):
+        return f"row {bad} has {len(fields)} fields, not {len(PROBS_HEADER)}"
+    for column, name in enumerate(PROBS_HEADER):
+        if rejects(bad, usecols=column, dtype=PROBS_DTYPE[column]):
+            return f"row {bad}: {name} {fields[column]!r} does not convert to {PROBS_DTYPE[column]}"
+    return None

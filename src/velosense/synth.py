@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigInfeasibleError, write_table
 from .network import RoadNetwork, build_network, single_source_distances
-from .trips import DEFAULT_MAX_KM, DEFAULT_MIN_KM, DEFAULT_WINDOW, RawTrip
+from .trips import DEFAULT_MAX_KM, DEFAULT_MIN_KM, DEFAULT_WINDOW, RawTrips
 
 BASE_LAT = 40.70
 BASE_LON = -74.00
@@ -77,7 +77,7 @@ def grid_network(grid_w: int, grid_h: int, block_m: float) -> RoadNetwork:
     return build_network(nodes, edges)
 
 
-def generate(cfg: SynthConfig) -> tuple[RoadNetwork, list[RawTrip]]:
+def generate(cfg: SynthConfig) -> tuple[RoadNetwork, RawTrips]:
     """Build the network and draw raw trips; deterministic under cfg.seed."""
     net = grid_network(cfg.grid_w, cfg.grid_h, cfg.block_m)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
@@ -98,7 +98,7 @@ def generate(cfg: SynthConfig) -> tuple[RoadNetwork, list[RawTrip]]:
         )
 
     if cfg.trips == 0:
-        return net, []
+        return net, RawTrips([], [], np.empty((0, 4)))
     weights = np.array([d ** -cfg.gravity_gamma for (_o, _d, d) in pairs])
     weights /= weights.sum()
     picks = rng.choice(len(pairs), size=cfg.trips, p=weights)
@@ -106,22 +106,12 @@ def generate(cfg: SynthConfig) -> tuple[RoadNetwork, list[RawTrip]]:
     starts = rng.integers(t0, t_end + 1, size=cfg.trips)
 
     midnight = datetime(2024, 1, 1)
-    raw = []
-    for i, (pick, start) in enumerate(zip(picks, starts)):
-        o_node, d_node, _d = pairs[int(pick)]
-        o_lat, o_lon = net.node_coords(o_node)
-        d_lat, d_lon = net.node_coords(d_node)
-        raw.append(
-            RawTrip(
-                id=f"synth-{i:06d}",
-                start_time=midnight + timedelta(minutes=int(start)),
-                start_lat=o_lat,
-                start_lon=o_lon,
-                end_lat=d_lat,
-                end_lon=d_lon,
-            )
-        )
-    return net, raw
+    origin, dest = np.array([(o, d) for o, d, _d in pairs], dtype=np.int64)[picks].T
+    return net, RawTrips(
+        [f"synth-{i:06d}" for i in range(cfg.trips)],
+        [midnight + timedelta(minutes=start) for start in starts.tolist()],
+        np.column_stack([net.node_lat[origin], net.node_lon[origin], net.node_lat[dest], net.node_lon[dest]]),
+    )
 
 
 def write_network_csv(net: RoadNetwork, nodes_path, edges_path) -> None:
@@ -132,16 +122,10 @@ def write_network_csv(net: RoadNetwork, nodes_path, edges_path) -> None:
     write_table(edges_path, ["u", "v", "length_m"], edges)
 
 
-def write_trips_csv(raw: list[RawTrip], path) -> None:
+def write_trips_csv(raw: RawTrips, path) -> None:
+    """Write rides as `trips.csv`; each coordinate is the repr of a Python float."""
     rows = (
-        (
-            rt.id,
-            rt.start_time.strftime("%Y-%m-%d %H:%M:%S"),
-            repr(rt.start_lat),
-            repr(rt.start_lon),
-            repr(rt.end_lat),
-            repr(rt.end_lon),
-        )
-        for rt in raw
+        (ride, start.strftime("%Y-%m-%d %H:%M:%S"), *map(repr, xy))
+        for ride, start, xy in zip(raw.id, raw.start, raw.coords.tolist())
     )
     write_table(path, ["ride_id", "started_at", "start_lat", "start_lng", "end_lat", "end_lng"], rows)

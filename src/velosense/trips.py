@@ -1,12 +1,18 @@
 """Trip ingestion and cleaning: parse raw rides, snap stands, route, filter, time.
 
-Cleaning pipeline: keep the service day of the earliest trip, snap every
-distinct endpoint coordinate to its nearest network node (coordinates sharing
-a node merge into one stand), route each trip along the shortest path, keep
-trips whose routed distance and start time fall inside the configured bounds,
-and recompute the end time from the routed distance at constant speed. The
-reported end time in the raw data is ignored; it cannot be reconciled with a
-routed trajectory.
+Ingest works in columns. `parse_raw_trips` reads a trip file in chunks of
+`PARSE_CHUNK_ROWS` rows and converts each column of a chunk in one pass; only
+a column holding a value it cannot read falls back to a value at a time. It
+returns the kept rides as `RawTrips` columns: ids, start times, and one
+float64 row of coordinates per ride.
+
+Cleaning pipeline, in array passes over those columns: keep the service day
+of the earliest trip, snap every distinct endpoint coordinate to its nearest
+network node (coordinates sharing a node merge into one stand), route each
+distinct (origin, dest) pair along its shortest path, keep trips whose routed
+distance and start time fall inside the configured bounds, and recompute the
+end time from the routed distance at constant speed. The reported end time
+in the raw data is ignored; it cannot be reconciled with a routed trajectory.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress, islice
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -35,14 +42,19 @@ REQUIRED_TRIP_COLUMNS = ("started_at", "start_lat", "start_lng", "end_lat", "end
 
 _TIME_FORMATS = ("%Y-%m-%d %H:%M:%S", "%Y-%m-%dT%H:%M:%S", "%m/%d/%Y %H:%M")
 
+PARSE_CHUNK_ROWS = 512  # rows a parse pass converts at once: bounds the text held in memory
 
-class RawTrip(NamedTuple):
-    id: str
-    start_time: datetime
-    start_lat: float
-    start_lon: float
-    end_lat: float
-    end_lon: float
+
+@dataclass(frozen=True, eq=False)
+class RawTrips:
+    """Rides as parsed, one entry per ride in file order."""
+
+    id: list[str]
+    start: list[datetime]
+    coords: np.ndarray  # float64 (rides, 4): start lat, start lon, end lat, end lon
+
+    def __len__(self) -> int:
+        return len(self.id)
 
 
 @dataclass
@@ -194,13 +206,39 @@ def _parse_timestamp(text: str) -> datetime | None:
     return None
 
 
-def parse_raw_trips(source) -> tuple[list[RawTrip], ParseReport]:
+def _timestamp_column(texts: list) -> list[datetime | None]:
+    """Each text as a start time, None where it is missing or unreadable; one
+    fromisoformat pass unless a text needs the other formats."""
+    try:
+        return list(map(datetime.fromisoformat, map(str.strip, texts)))
+    except (TypeError, ValueError):
+        return [_parse_timestamp(text or "") for text in texts]
+
+
+def _float_column(texts: list) -> np.ndarray:
+    """Each text as float64, NaN where it is missing or unreadable; one float pass
+    unless a text cannot be read."""
+    try:
+        return np.fromiter(map(float, texts), np.float64, len(texts))
+    except (TypeError, ValueError):
+        return np.array([_float_or_nan(text) for text in texts], dtype=np.float64)
+
+
+def _float_or_nan(text) -> float:
+    try:
+        return float(text)
+    except (TypeError, ValueError):
+        return math.nan
+
+
+def parse_raw_trips(source) -> tuple[RawTrips, ParseReport]:
     """Parse a delimited trip file; rows with bad coordinates or timestamps are
     dropped and counted, never fatal. Missing required columns are fatal.
 
     Rows follow read_table: blank rows are neither counted nor numbered in the
     `row-N` ids of rows without a ride_id, a field a short row lacks is
-    missing, and extra fields are ignored.
+    missing, and extra fields are ignored. Rows are converted
+    `PARSE_CHUNK_ROWS` at a time, a column at a time.
     """
     columns, rows = read_table(source)
     missing = [c for c in REQUIRED_TRIP_COLUMNS if c not in columns]
@@ -210,50 +248,59 @@ def parse_raw_trips(source) -> tuple[list[RawTrip], ParseReport]:
     time_col, id_col = columns["started_at"], columns.get("ride_id")
     width = max(*coord_cols, time_col, id_col or 0) + 1
 
-    missing_coords = bad_timestamp = 0
-    trips: list[RawTrip] = []
-    for row_no, row in enumerate(rows, start=1):
-        if len(row) < width:
-            row += [None] * (width - len(row))
-        try:
-            s_lat, s_lon, e_lat, e_lon = coords = [float(row[c]) for c in coord_cols]
-            if not all(map(math.isfinite, coords)):
-                raise ValueError
-        except (TypeError, ValueError):
-            missing_coords += 1
-            continue
-        started = _parse_timestamp(row[time_col] or "")
-        if started is None:
-            bad_timestamp += 1
-            continue
-        trip_id = row[id_col] if id_col is not None and row[id_col] else f"row-{row_no}"
-        trips.append(RawTrip(trip_id, started, s_lat, s_lon, e_lat, e_lon))
-    rows_read = len(trips) + missing_coords + bad_timestamp
-    return trips, ParseReport(rows_read, len(trips), missing_coords, bad_timestamp)
+    ids: list[str] = []
+    starts: list[datetime] = []
+    coords = [np.empty((0, 4))]
+    rows_read = missing_coords = bad_timestamp = 0
+    for chunk in iter(lambda: list(islice(rows, PARSE_CHUNK_ROWS)), []):
+        if min(map(len, chunk)) < width:
+            for row in chunk:
+                row += [None] * (width - len(row))
+        xy = np.column_stack([_float_column(list(map(itemgetter(c), chunk))) for c in coord_cols])
+        kept = np.isfinite(xy).all(axis=1)
+        times = _timestamp_column(list(compress(map(itemgetter(time_col), chunk), kept)))
+        timed = np.fromiter(map(bool, times), bool, len(times))  # a datetime is never false
+        missing_coords += len(chunk) - len(times)
+        bad_timestamp += len(times) - int(timed.sum())
+        kept[kept] = timed
+        starts += compress(times, timed)
+        coords.append(xy[kept])
+        numbers = (np.flatnonzero(kept) + rows_read + 1).tolist()
+        if id_col is None:
+            ids += [f"row-{n}" for n in numbers]
+        else:
+            texts = compress(map(itemgetter(id_col), chunk), kept)
+            ids += [text or f"row-{n}" for text, n in zip(texts, numbers)]
+        rows_read += len(chunk)
+    raw = RawTrips(ids, starts, np.concatenate(coords))
+    return raw, ParseReport(rows_read, len(raw), missing_coords, bad_timestamp)
 
 
 def clean_trips(
-    raw: list[RawTrip],
+    raw: RawTrips,
     net: RoadNetwork,
     speed_kmh: float = DEFAULT_SPEED_KMH,
     min_km: float = DEFAULT_MIN_KM,
     max_km: float = DEFAULT_MAX_KM,
     window: tuple[int, int] = DEFAULT_WINDOW,
 ) -> TripLog:
-    """Snap, route, and filter raw trips into a TripLog.
+    """Snap, route, and filter raw trips into a TripLog, in array passes over
+    the columns of `raw`.
 
     A log covers one service day: trips starting on another date than the
     earliest trip are dropped as `other_day` before anything else, since
     start times are minutes of the day. Distance bounds are inclusive.
     Durations round up, to at least one minute even for a trip that ends at
     its start stand, so a bike is never idle before it physically arrives.
-    Stand ids are assigned in ascending snapped-node order, so they do not
-    depend on row order. Routing runs one Dijkstra per distinct destination
+    Each distinct endpoint coordinate is snapped once, and stand ids are
+    assigned in ascending snapped-node order, so they do not depend on row
+    order. Routing runs one Dijkstra per distinct destination
     (network.route_pairs). Trips of one (origin node, dest node) pair share
     their path, so their drop reason, stands and duration are worked out once
     per pair, and they share one entry of the path table, which lists paths in
-    order of first use; a path starts at its origin and ends at its dest, so
-    distinct pairs are distinct paths.
+    order of first use in service order (start minute, ties in row order); a
+    path starts at its origin and ends at its dest, so distinct pairs are
+    distinct paths.
     """
     t0, t_end = window
     if not (t0 < t_end and 0 < speed_kmh < math.inf):  # load_triplog rejects any other header
@@ -266,63 +313,63 @@ def clean_trips(
     speed_m_per_min = speed_kmh * 1000.0 / 60.0
     min_m, max_m = min_km * 1000.0, max_km * 1000.0
 
-    day = min((rt.start_time.date() for rt in raw), default=None)
-    same_day = [rt for rt in raw if rt.start_time.date() == day]
-    drops = {
-        "other_day": len(raw) - len(same_day),
-        "window": 0,
-        "too_short": 0,
-        "too_long": 0,
-        "unreachable": 0,
-    }
+    n = len(raw)
+    day = np.fromiter(map(datetime.toordinal, raw.start), np.int64, n)
+    rows = np.flatnonzero(day == (day.min() if n else 0))  # the earliest trip's day
+    hour, minute = (np.fromiter(map(attrgetter(unit), raw.start), np.int64, n) for unit in ("hour", "minute"))
+    start_min = (60 * hour + minute)[rows]
+    drops = dict.fromkeys(("other_day", "window", "too_short", "too_long", "unreachable"), 0)
+    drops["other_day"] = n - len(rows)
 
-    snap: dict[tuple[float, float], int] = {}
-    for rt in same_day:
-        for coord in ((rt.start_lat, rt.start_lon), (rt.end_lat, rt.end_lon)):
-            if coord not in snap:
-                snap[coord] = nearest_node(net, coord[0], coord[1])
-    stand_nodes = sorted(set(snap.values()))
-    stand_of_node = {node: i for i, node in enumerate(stand_nodes)}
-    stands = [Stand(i, node) for i, node in enumerate(stand_nodes)]
+    # each distinct (lat, lon) as one complex key; -0.0 equals 0.0 there, and both snap alike
+    ends = raw.coords[rows].reshape(-1, 2)
+    coord, coord_of_end = np.unique(ends.view(np.complex128).ravel(), return_inverse=True)
+    node_of_coord = np.array(
+        [nearest_node(net, lat, lon) for lat, lon in zip(coord.real.tolist(), coord.imag.tolist())],
+        dtype=np.int64,
+    )
+    stand_nodes, stand_of_coord = np.unique(node_of_coord, return_inverse=True)
+    stands = [Stand(i, node) for i, node in enumerate(stand_nodes.tolist())]
+    trip_stands = stand_of_coord[coord_of_end].reshape(-1, 2)
 
-    in_window = []  # (start minute, trip id, (origin node, dest node)) per trip
-    for rt in same_day:
-        start_min = rt.start_time.hour * 60 + rt.start_time.minute
-        if not t0 <= start_min <= t_end:
-            drops["window"] += 1
-            continue
-        pair = (snap[(rt.start_lat, rt.start_lon)], snap[(rt.end_lat, rt.end_lon)])
-        in_window.append((start_min, rt.id, pair))
+    inside = np.flatnonzero((t0 <= start_min) & (start_min <= t_end))
+    drops["window"] = len(rows) - len(inside)
+    order = inside[np.argsort(start_min[inside], kind="stable")]  # service order
+    rows, start_min, trip_stands = rows[order], start_min[order], trip_stands[order]
+    pair_key = trip_stands[:, 0] * len(stands) + trip_stands[:, 1]
+    pair_key, first, pair_of_trip = np.unique(pair_key, return_index=True, return_inverse=True)
+    pair_nodes = list(map(tuple, stand_nodes[trip_stands[first]].tolist()))  # (origin, dest) per pair
+    routed = route_pairs(net, pair_nodes)
+    found = [routed.get(pair) for pair in pair_nodes]
+    distance_m = np.array([math.nan if p is None else p.distance_m for p in found], dtype=np.float64)
 
-    paths = route_pairs(net, dict.fromkeys(pair for _start, _id, pair in in_window))
-    in_window.sort(key=lambda row: row[0])  # service order; stable: ties keep input order
-    table: list[Path] = []  # each kept pair's path once, in order of first use
-    fate: dict[tuple[int, int], str | tuple] = {}  # drop reason, or (origin, dest, duration, path index)
-    kept = []  # one (id, origin, dest, start_min, duration_min, path index) per kept trip
-    for start_min, trip_id, pair in in_window:
-        if pair not in fate:
-            path = paths.get(pair)
-            if path is None:
-                fate[pair] = "unreachable"
-            elif path.distance_m < min_m:
-                fate[pair] = "too_short"
-            elif path.distance_m > max_m:
-                fate[pair] = "too_long"
-            else:
-                duration = max(1, math.ceil(path.distance_m / speed_m_per_min))
-                fate[pair] = (stand_of_node[pair[0]], stand_of_node[pair[1]], duration, len(table))
-                table.append(path)
-        outcome = fate[pair]
-        if isinstance(outcome, str):
-            drops[outcome] += 1
-            continue
-        o_stand, d_stand, duration, path_idx = outcome
-        kept.append((trip_id, o_stand, d_stand, start_min, duration, path_idx))
+    # fate per distinct pair, counted once per trip of the pair
+    per_pair = np.bincount(pair_of_trip, minlength=len(pair_key))
+    keep = (min_m <= distance_m) & (distance_m <= max_m)  # NaN, unreachable, fails both
+    drops["too_short"] = int(per_pair[distance_m < min_m].sum())
+    drops["too_long"] = int(per_pair[distance_m > max_m].sum())
+    drops["unreachable"] = int(per_pair[np.isnan(distance_m)].sum())
+    table_pairs = np.flatnonzero(keep)
+    table_pairs = table_pairs[np.argsort(first[table_pairs])]  # order of first use
+    path_of_pair = np.zeros(len(pair_key), dtype=np.int64)
+    path_of_pair[table_pairs] = np.arange(len(table_pairs))
+    duration = np.maximum(1.0, np.ceil(distance_m / speed_m_per_min))
 
-    ids, *columns = zip(*kept) if kept else [()] * 6
-    columns = [np.array(column, dtype=np.int64) for column in columns]
+    kept = keep[pair_of_trip]
+    pair_of_trip = pair_of_trip[kept]
     return TripLog(
-        list(ids), *columns, table, stands, window, speed_m_per_min, drops, network_sha256(net)
+        np.array(raw.id, dtype=object)[rows[kept]].tolist(),
+        trip_stands[kept, 0],
+        trip_stands[kept, 1],
+        start_min[kept],
+        duration[pair_of_trip].astype(np.int64),
+        path_of_pair[pair_of_trip],
+        [found[i] for i in table_pairs.tolist()],
+        stands,
+        window,
+        speed_m_per_min,
+        drops,
+        network_sha256(net),
     )
 
 

@@ -16,6 +16,8 @@ from datetime import datetime
 
 import numpy as np
 
+from velosense.network import nearest_node, route_pairs
+
 
 def all_simple_paths(adjacency, origin, dest):
     """Yield (node_list, distance) for every simple path via DFS.
@@ -169,6 +171,76 @@ def parse_trips_by_dict(source):
         trips.append((trip_id, started, *coords))
         report["kept"] += 1
     return trips, report
+
+
+def clean_trips_by_row(raw, net, speed_kmh=13.0, min_km=0.5, max_km=5.0, window=(360, 1320)):
+    """Rides cleaned row by row, the way trips.clean_trips cleaned them before it
+    worked in columns: the reference for its columns, path table, stands and drop
+    counts. Snapping and routing are the network's (nearest_node, route_pairs).
+
+    `raw` holds parse_raw_trips' columns. Returns the log's trip columns as lists
+    ("ids", "origin", "dest", "start_min", "duration_min", "path"), its path table
+    ("paths"), its stand nodes by stand id ("stand_nodes") and "drop_counts".
+    """
+    t0, t_end = window
+    speed_m_per_min = speed_kmh * 1000.0 / 60.0
+    min_m, max_m = min_km * 1000.0, max_km * 1000.0
+    rides = list(zip(raw.id, raw.start, raw.coords.tolist()))
+
+    day = min((start.date() for _id, start, _xy in rides), default=None)
+    same_day = [ride for ride in rides if ride[1].date() == day]
+    drops = {
+        "other_day": len(rides) - len(same_day),
+        "window": 0,
+        "too_short": 0,
+        "too_long": 0,
+        "unreachable": 0,
+    }
+
+    snap = {}
+    for _id, _start, (s_lat, s_lon, e_lat, e_lon) in same_day:
+        for coord in ((s_lat, s_lon), (e_lat, e_lon)):
+            if coord not in snap:
+                snap[coord] = nearest_node(net, coord[0], coord[1])
+    stand_nodes = sorted(set(snap.values()))
+    stand_of_node = {node: i for i, node in enumerate(stand_nodes)}
+
+    in_window = []  # (start minute, trip id, (origin node, dest node)) per trip
+    for trip_id, start, (s_lat, s_lon, e_lat, e_lon) in same_day:
+        start_min = start.hour * 60 + start.minute
+        if not t0 <= start_min <= t_end:
+            drops["window"] += 1
+            continue
+        in_window.append((start_min, trip_id, (snap[(s_lat, s_lon)], snap[(e_lat, e_lon)])))
+
+    paths = route_pairs(net, dict.fromkeys(pair for _start, _id, pair in in_window))
+    in_window.sort(key=lambda row: row[0])  # service order; stable: ties keep input order
+    table = []  # each kept pair's path once, in order of first use
+    fate = {}  # drop reason, or (origin, dest, duration, path index)
+    kept = []  # one (id, origin, dest, start_min, duration_min, path index) per kept trip
+    for start_min, trip_id, pair in in_window:
+        if pair not in fate:
+            path = paths.get(pair)
+            if path is None:
+                fate[pair] = "unreachable"
+            elif path.distance_m < min_m:
+                fate[pair] = "too_short"
+            elif path.distance_m > max_m:
+                fate[pair] = "too_long"
+            else:
+                duration = max(1, math.ceil(path.distance_m / speed_m_per_min))
+                fate[pair] = (stand_of_node[pair[0]], stand_of_node[pair[1]], duration, len(table))
+                table.append(path)
+        outcome = fate[pair]
+        if isinstance(outcome, str):
+            drops[outcome] += 1
+            continue
+        o_stand, d_stand, duration, path_idx = outcome
+        kept.append((trip_id, o_stand, d_stand, start_min, duration, path_idx))
+
+    names = ("ids", "origin", "dest", "start_min", "duration_min", "path")
+    columns = dict(zip(names, map(list, zip(*kept)))) if kept else dict.fromkeys(names, [])
+    return {**columns, "paths": table, "stand_nodes": stand_nodes, "drop_counts": drops}
 
 
 def traversal_times(trip, speed_m_per_min):

@@ -654,14 +654,28 @@ def _set_metadata(**fields):
          "path-distance-negative", "path-distance-nan", "path-distance-string",
          "probs-stand-fraction", "probs-comment-row", "path-segment-past-int64"],
 )
-def test_malformed_artifact_is_2(artifacts, tmp_path, capsys, command, options, extra, corrupted, edit):
+def test_malformed_artifact_is_2(artifacts, tmp_path, capsys, request, command, options, extra, corrupted, edit):
     paths = dict(artifacts)
     bad = tmp_path / paths[corrupted].name
-    bad.write_text(edit(paths[corrupted].read_text()))
+    text = paths[corrupted].read_text()
+    bad.write_text(edit(text))
     paths[corrupted] = bad
     assert main([command, *_args(paths, options), *extra, "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(bad) in err
+    message = PROBS_ROW_MESSAGES.get(request.node.callspec.id)
+    if message is not None:  # the appended row follows the header and every row of the file
+        assert err == f"error: {bad}: {message.format(n=len(text.splitlines()))}\n"
+
+
+# an appended probs.csv row -> its message, the row numbered as trip files number theirs
+PROBS_ROW_MESSAGES = {
+    "probs-extra-field": "row {n} has 4 fields, not 3",
+    "probs-missing-field": "row {n} has 2 fields, not 3",
+    "probs-stand-fraction": "row {n}: stand_id '0.5' does not convert to int64",
+    "probs-p-not-a-number": "row {n}: p 'abc' does not convert to float64",
+    "probs-stand-past-int64": "row {n}: stand_id '99999999999999999999' does not convert to int64",
+}
 
 
 # JSON artifact option -> (a command that reads it, its options, extra arguments,

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from velosense.errors import ConfigInfeasibleError
@@ -34,7 +36,7 @@ class TestGenerate:
     def test_zero_trips_gives_empty_log(self):
         cfg = SynthConfig(3, 3, 600.0, stand_count=3, trips=0, seed=1)
         _net, raw = generate(cfg)
-        assert raw == []
+        assert (len(raw), raw.id, raw.start, raw.coords.shape) == (0, [], [], (0, 4))
 
     def test_cleaning_keeps_every_generated_trip(self):
         cfg = SynthConfig(10, 10, 250.0, stand_count=20, trips=2000, seed=8)
@@ -45,13 +47,14 @@ class TestGenerate:
 
     def test_deterministic_under_seed(self):
         cfg = SynthConfig(6, 6, 300.0, stand_count=6, trips=50, seed=21)
+        columns = lambda raw: (raw.id, raw.start, raw.coords.tolist())
         _net_a, raw_a = generate(cfg)
         _net_b, raw_b = generate(cfg)
-        assert raw_a == raw_b
+        assert columns(raw_a) == columns(raw_b)
         _net_c, raw_c = generate(
             SynthConfig(6, 6, 300.0, stand_count=6, trips=50, seed=22)
         )
-        assert raw_a != raw_c
+        assert columns(raw_a) != columns(raw_c)
 
     def test_infeasible_when_no_pair_in_bounds(self):
         # 2x2 grid with 100 m blocks: every stand pair is under 500 m apart
@@ -62,8 +65,8 @@ class TestGenerate:
     def test_start_minutes_inside_horizon(self):
         cfg = SynthConfig(5, 5, 400.0, stand_count=5, trips=200, seed=2)
         _net, raw = generate(cfg)
-        for rt in raw:
-            minute = rt.start_time.hour * 60 + rt.start_time.minute
+        for start in raw.start:
+            minute = start.hour * 60 + start.minute
             assert DEFAULT_WINDOW[0] <= minute <= DEFAULT_WINDOW[1]
 
     def test_config_validation(self):
@@ -116,3 +119,24 @@ class TestFileEmission:
         via_files = clean_trips(parsed, loaded)
         assert [t.id for t in via_files.trips] == [t.id for t in direct.trips]
         assert via_files.stands == direct.stands
+
+    @pytest.mark.parametrize(
+        "cfg, sha256",
+        [
+            (
+                SynthConfig(6, 6, 300.0, stand_count=6, trips=200, seed=21),
+                "62356ccdf8eadc762af75a1170a82ba925649431c20f038dfd963925beb295bc",
+            ),
+            (
+                SynthConfig(3, 3, 600.0, stand_count=3, trips=0, seed=1),
+                "e1598e9cabaa7504d08adf05edb9a9aed6f9f0ab5df0a44f55a7555a1a772d9b",
+            ),
+        ],
+        ids=["200-trips", "no-trips"],
+    )
+    def test_trips_csv_is_pinned_byte_for_byte(self, tmp_path, cfg, sha256):
+        """The benchmark's recorded references start from these bytes: each
+        coordinate is written as the repr of a Python float."""
+        _net, raw = generate(cfg)
+        write_trips_csv(raw, tmp_path / "trips.csv")
+        assert hashlib.sha256((tmp_path / "trips.csv").read_bytes()).hexdigest() == sha256

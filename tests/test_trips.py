@@ -2,14 +2,17 @@ import hashlib
 import io
 import math
 from dataclasses import asdict
-from datetime import timedelta
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
 from velosense.errors import MalformedInputError
 from velosense.network import Path, build_network
+from velosense.synth import SynthConfig, generate, grid_network
 from velosense.trips import (
+    PARSE_CHUNK_ROWS,
+    RawTrips,
     Stand,
     Trip,
     clean_trips,
@@ -18,8 +21,8 @@ from velosense.trips import (
     save_triplog,
 )
 
-from oracles import parse_trips_by_dict, traversal_times
-from trip_logs import trip_log
+from oracles import clean_trips_by_row, parse_trips_by_dict, traversal_times
+from trip_logs import raw_concat, raw_rows, trip_log
 
 CITI_HEADER = (
     "ride_id,rideable_type,started_at,ended_at,start_station_name,start_station_id,"
@@ -45,7 +48,7 @@ def make_row(start="2024-03-01 06:30:00", s=(40.0, -74.0), e=(40.0, -73.99)):
 class TestParse:
     def test_empty_file_valid_header(self):
         trips, report = parse_raw_trips(raw_csv([]))
-        assert trips == []
+        assert (len(trips), trips.id, trips.start, trips.coords.shape) == (0, [], [], (0, 4))
         assert asdict(report) == {
             "rows_read": 0,
             "kept": 0,
@@ -73,8 +76,8 @@ class TestParse:
         )
         trips, report = parse_raw_trips(raw_csv([row], header=CITI_HEADER))
         assert report.kept == 1
-        assert trips[0].id == "ABC123"
-        assert trips[0].start_time.minute == 15
+        assert trips.id[0] == "ABC123"
+        assert trips.start[0].minute == 15
 
     def test_fractional_seconds_accepted(self):
         trips, report = parse_raw_trips(raw_csv([make_row(start="2024-03-01 06:15:03.123")]))
@@ -145,13 +148,61 @@ class TestParseMatchesRowByRowReader:
                 parse_raw_trips(io.StringIO(text))
             return
         trips, report = parse_raw_trips(io.StringIO(text))
-        got = [(t.id, t.start_time, t.start_lat, t.start_lon, t.end_lat, t.end_lon) for t in trips]
+        got = [(i, start, *xy) for i, start, xy in zip(trips.id, trips.start, trips.coords.tolist())]
         assert repr(got) == repr(expected)  # repr tells -0.0 from 0.0, which == does not
         assert asdict(report) == counts
 
     def test_corpus_reaches_every_outcome(self):
         _trips, counts = parse_trips_by_dict(io.StringIO(MESSY_TRIP_FILES["mixed"]))
         assert counts == {"rows_read": 18, "kept": 9, "missing_coords": 6, "bad_timestamp": 3}
+
+CHUNK_BOUNDARIES = (PARSE_CHUNK_ROWS, 2 * PARSE_CHUNK_ROWS)  # the last rows of the first two chunks
+
+
+def rows_across_chunk_boundaries(header_has_ride_id):
+    """Over two chunks' worth of trip rows, with rows of every kind the reader
+    drops or renames on both sides of each chunk boundary, and blank lines
+    between them, which read_table skips before chunking."""
+    messy = [
+        "r{k},2024-03-01 06:30:00,40.0",  # short: a coordinate is missing
+        "r{k},2024-03-01 06:31:00,nan,-74.0,40.0,-73.99",
+        "r{k},2024-03-01 06:32:00,40.0,-74.0,inf,-73.99",
+        "r{k},not a time,40.0,-74.0,40.0,-73.99",
+        ",2024-03-01 06:33:00,40.0,-74.0,40.0,-73.99",  # no ride_id
+        "r{k},03/01/2024 06:34,-0.0,0.0,40.0,-7_3.99",  # the other time format
+        "r{k}",
+        "r{k},2024-03-01 06:35:00,40.0,-74.0,,-73.99",
+        "r{k},2024-03-02 06:36:00,40.0,-74.0,40.0,-73.99",  # kept: the day is clean_trips' to check
+    ]
+    offset = {b + o: o for b in CHUNK_BOUNDARIES for o in range(-len(messy) + 1, len(messy) + 1)}
+    lines = ["ride_id,started_at,start_lat,start_lng,end_lat,end_lng"]
+    for k in range(1, 2 * PARSE_CHUNK_ROWS + 300):  # k counts non-blank rows
+        if k in offset:  # row k is the last of its chunk at offset 0
+            lines.append(messy[offset[k] % len(messy)].format(k=k))
+            if k % 3 == 0:
+                lines.append("")
+        else:
+            lines.append(f"r{k},2024-03-01 {6 + k % 16:02d}:{k % 60:02d}:00,{40 + k * 1e-6!r},-74.0,40.0,-73.99")
+    if not header_has_ride_id:  # a row's first field becomes an ignored extra one
+        lines[0] = "extra,started_at,start_lat,start_lng,end_lat,end_lng"
+    return "\n".join(lines) + "\n"
+
+
+class TestParseAcrossChunks:
+    @pytest.mark.parametrize("header_has_ride_id", [True, False], ids=["ride-id", "no-ride-id"])
+    def test_columns_and_report_equal_to_the_reference(self, header_has_ride_id):
+        text = rows_across_chunk_boundaries(header_has_ride_id)
+        expected, counts = parse_trips_by_dict(io.StringIO(text))
+        trips, report = parse_raw_trips(io.StringIO(text))
+        assert counts["rows_read"] > 2 * PARSE_CHUNK_ROWS
+        got = [(i, start, *xy) for i, start, xy in zip(trips.id, trips.start, trips.coords.tolist())]
+        assert repr(got) == repr(expected)  # repr tells -0.0 from 0.0, which == does not
+        assert asdict(report) == counts
+        assert trips.coords.dtype == np.float64 and trips.coords.shape == (len(trips), 4)
+        # row-N counts non-blank rows over the whole file, not within a chunk
+        renamed = {b + o for b in CHUNK_BOUNDARIES for o in (-5, 4)}  # the rows without a ride_id
+        assert {f"row-{k}" for k in renamed} <= set(trips.id)
+        assert counts["missing_coords"] > 0 and counts["bad_timestamp"] > 0
 
 
 class TestClean:
@@ -241,8 +292,7 @@ class TestClean:
         from velosense.synth import SynthConfig, generate
 
         _, raw = generate(SynthConfig(8, 8, 300.0, 8, 120, seed=5))
-        shuffled = list(raw)
-        np.random.default_rng(1).shuffle(shuffled)
+        shuffled = raw_rows(raw, np.random.default_rng(1).permutation(len(raw)))
         log_a = clean_trips(raw, net)
         log_b = clean_trips(shuffled, net)
         key = lambda t: (t.id, t.origin, t.dest, t.start_min, t.path.segments)
@@ -255,9 +305,9 @@ class TestClean:
         from velosense.synth import SynthConfig, generate
 
         _, day_one = generate(SynthConfig(8, 8, 300.0, 8, 400, seed=11))
-        day_two = [rt._replace(start_time=rt.start_time + timedelta(days=1)) for rt in day_one]
+        day_two = RawTrips(day_one.id, [start + timedelta(days=1) for start in day_one.start], day_one.coords)
         one = clean_trips(day_one, net)
-        both = clean_trips(day_two + day_one, net)
+        both = clean_trips(raw_concat(day_two, day_one), net)
         assert both.drop_counts["other_day"] == len(day_two)
         assert one.drop_counts["other_day"] == 0
         assert {k: v for k, v in both.drop_counts.items() if k != "other_day"} == {
@@ -281,7 +331,7 @@ class TestClean:
 
         monkeypatch.setattr(network, "single_source_distances", counting)
         clean_trips(raw, net)
-        dests = {network.nearest_node(net, rt.end_lat, rt.end_lon) for rt in raw}
+        dests = {network.nearest_node(net, lat, lon) for lat, lon in raw.coords[:, 2:].tolist()}
         assert sorted(roots) == sorted(dests)
 
     def test_deterministic(self, small_scenario):
@@ -303,6 +353,83 @@ class TestClean:
             assert trip.end_min == trip.start_min + trip.duration_min
         starts = [t.start_min for t in log.trips]
         assert starts == sorted(starts)
+
+
+def assert_cleaned_as_by_row(raw, net, **bounds):
+    """clean_trips on `raw` gives the row-by-row reference's columns, path table,
+    stands and drop counts, in its order; returns the log."""
+    log = clean_trips(raw, net, **bounds)
+    ref = clean_trips_by_row(raw, net, **bounds)
+    assert log.ids == ref["ids"]
+    for name in ("origin", "dest", "start_min", "duration_min", "path"):
+        assert getattr(log, name).dtype == np.int64, name
+        assert getattr(log, name).tolist() == ref[name], name
+    assert repr(log.paths) == repr(ref["paths"])
+    assert log.stands == [Stand(i, node) for i, node in enumerate(ref["stand_nodes"])]
+    assert list(log.drop_counts.items()) == list(ref["drop_counts"].items())  # the report keeps this order
+    return log
+
+
+def messy_rides(cfg, rng):
+    """The rides synth draws for `cfg`, shuffled, some jittered off their stand's
+    node, some a day later, and started at any minute of the day."""
+    _net, raw = generate(cfg)
+    raw = raw_rows(raw, rng.permutation(len(raw)))
+    coords = raw.coords + rng.normal(scale=1.5e-3, size=raw.coords.shape) * (rng.random(raw.coords.shape) < 0.3)
+    days = rng.choice([0, 1], p=[0.6, 0.4], size=len(raw)).tolist()
+    minutes = rng.integers(0, 24 * 60, size=len(raw)).tolist()
+    starts = [datetime(2024, 1, 1) + timedelta(days=d, minutes=m) for d, m in zip(days, minutes)]
+    return RawTrips(raw.id, starts, coords)
+
+
+class TestCleanMatchesRowByRowReference:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_rides(self, seed):
+        rng = np.random.default_rng(seed)
+        cfg = SynthConfig(8, 8, 300.0, stand_count=10, trips=int(rng.integers(50, 600)), seed=seed)
+        net = grid_network(cfg.grid_w, cfg.grid_h, cfg.block_m)
+        t0 = int(rng.integers(0, 600))
+        bounds = {
+            "speed_kmh": float(rng.choice([9.5, 13.0, 21.0])),
+            "min_km": float(rng.choice([0.0, 0.5, 1.2])),
+            "max_km": float(rng.choice([1.5, 2.4, 5.0])),
+            "window": (t0, t0 + int(rng.integers(120, 900))),
+        }
+        log = assert_cleaned_as_by_row(messy_rides(cfg, rng), net, **bounds)
+        assert log.ids and len(log.paths) > 1
+
+    def test_every_drop_reason_on_a_two_component_network(self):
+        nodes = [(0, 0.0, 0.0), (1, 0.0, 0.01), (2, 0.0, 0.06), (3, 1.0, 0.0), (4, 1.0, 0.01)]
+        net = build_network(nodes, [(0, 1, 1000.0), (1, 2, 5500.0), (3, 4, 800.0)])
+        day = datetime(2024, 3, 1)
+        rides = [  # (id, minutes after midnight of day, start, end)
+            ("window-start", 360, (-0.0, 0.0), (0.0, 0.01)),
+            ("before-window", 359, (0.0, -0.0), (0.0, 0.01)),
+            ("window-end", 1320, (-0.0, -0.0), (0.0, 0.01)),
+            ("after-window", 1321, (0.0, 0.0), (0.0, 0.01)),
+            ("next-day", 1440 + 600, (0.0, 0.0), (0.0, 0.01)),
+            ("too-short", 600, (0.0, -0.0), (-0.0, 0.0)),
+            ("too-long", 600, (0.0, 0.0), (0.0, 0.06)),
+            ("unreachable", 601, (0.0, 0.0), (1.0, 0.0)),
+            ("other-side", 600, (1.0, -0.0), (1.0, 0.01)),
+            ("back", 599, (0.0, 0.0101), (0.0, 0.0)),
+            ("tie", 600, (0.0, 0.0), (0.0, 0.01)),
+        ]
+        raw = RawTrips(
+            [ride for ride, *_ in rides],
+            [day + timedelta(minutes=m) for _ride, m, *_ in rides],
+            np.array([[*s, *e] for *_, s, e in rides], dtype=np.float64),
+        )
+        log = assert_cleaned_as_by_row(raw, net)
+        assert log.drop_counts == {
+            "other_day": 1, "window": 2, "too_short": 1, "too_long": 1, "unreachable": 1
+        }
+        assert log.ids == ["window-start", "back", "other-side", "tie", "window-end"]
+        assert [s.node for s in log.stands] == [0, 1, 2, 3, 4]
+
+    def test_no_rides(self):
+        log = assert_cleaned_as_by_row(RawTrips([], [], np.empty((0, 4))), two_node_net(1000.0))
+        assert log.ids == [] and log.paths == [] and log.stands == []
 
 
 def trip_events(log, i):

@@ -1,8 +1,9 @@
-"""Trip logs built by hand from Trip objects, for tests that need a small exact log."""
+"""Trip logs built by hand from Trip objects, for tests that need a small exact log,
+and raw rides rearranged by row."""
 
 import numpy as np
 
-from velosense.trips import TripLog
+from velosense.trips import RawTrips, TripLog
 
 
 def trip_log(trips, stands, horizon, speed):
@@ -25,4 +26,19 @@ def trip_log(trips, stands, horizon, speed):
         stands,
         horizon,
         speed,
+    )
+
+
+def raw_rows(raw, rows):
+    """The RawTrips holding `raw`'s rows `rows`, in that order."""
+    rows = np.asarray(rows, dtype=np.int64)
+    return RawTrips([raw.id[i] for i in rows.tolist()], [raw.start[i] for i in rows.tolist()], raw.coords[rows])
+
+
+def raw_concat(*raws):
+    """The RawTrips holding the rows of each of `raws`, one after another."""
+    return RawTrips(
+        [i for raw in raws for i in raw.id],
+        [start for raw in raws for start in raw.start],
+        np.concatenate([raw.coords for raw in raws]),
     )
