@@ -52,12 +52,13 @@ def _load_routed_net(args, log):
         )
     if log.network_sha256 != network_sha256(net):
         raise MalformedInputError(f"{args.triplog} was routed on another network than {network}")
-    segment, length_m, count = log.path_entries
+    table = log.path_entries
+    segment, length_m = table.segment, table.length_m
     net_length = np.append(net.seg_length_m, np.nan)[np.minimum(segment, net.num_segments)]  # NaN: unknown
     wrong = np.flatnonzero(net_length != length_m)
     if len(wrong):
         entry = wrong[0]
-        index = np.searchsorted(np.cumsum(count), entry, side="right")
+        index = np.searchsorted(np.cumsum(table.count), entry, side="right")
         has = "have no such segment" if np.isnan(net_length[entry]) else f"give it {net_length[entry]} m"
         raise MalformedInputError(
             f"{args.triplog}: path {index} gives segment {segment[entry]} length {length_m[entry]} m, "

@@ -121,10 +121,27 @@ def read_table(source) -> tuple[dict[str, int], Iterator[list[str]]]:
     return {name: i for i, name in enumerate(next(reader, []))}, filter(None, reader)
 
 
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
 def write_json(path, doc) -> None:
-    """Write `doc` as compact UTF-8 JSON, encoded in one `json.dumps` call."""
+    """Write `doc` as compact UTF-8 JSON, the text `json.dumps(doc, separators=(",", ":"))`
+    gives once each ndarray in it is a list. An ndarray value of `doc` or of a dict nested
+    in it is encoded from its own `.tolist()`, one at a time, so the largest transient is
+    one array, not the whole document."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc))
+        _write_value(fh, doc)
+
+
+def _write_value(fh, value) -> None:
+    if isinstance(value, dict) and all(type(key) is str for key in value):
+        fh.write("{")
+        for i, (key, item) in enumerate(value.items()):
+            fh.write(f"{',' if i else ''}{_COMPACT.encode(key)}:")
+            _write_value(fh, item)
+        fh.write("}")
+    else:
+        fh.write(_COMPACT.encode(value.tolist() if isinstance(value, np.ndarray) else value))
 
 
 def write_table(path, header, rows) -> None:

@@ -426,12 +426,12 @@ def save_trajectories(replay: Replay, cfg: SimConfig, path, triplog_sha256: str)
             "equipped": sorted(cfg.equipped),
             "triplog_sha256": triplog_sha256,
         },
-        "homes": replay.homes.tolist(),
+        "homes": replay.homes,
         "trip_ids": replay.trip_ids,
-        "bike_of_trip": replay.bike_of_trip.tolist(),
-        "events_per_trip": np.bincount(replay.events.trip, minlength=len(replay.trip_ids)).tolist(),
-        "segment": replay.events.segment.tolist(),
-        "minute": replay.events.minute.tolist(),
+        "bike_of_trip": replay.bike_of_trip,
+        "events_per_trip": np.bincount(replay.events.trip, minlength=len(replay.trip_ids)),
+        "segment": replay.events.segment,
+        "minute": replay.events.minute,
     }
     write_json(path, doc)
 
@@ -444,7 +444,7 @@ def load_trajectories(path) -> tuple[Replay, dict]:
         meta = doc["metadata"]
         homes = int_column(doc["homes"], path, "homes")
         equipped = int_column(meta["equipped"], path, "metadata.equipped", hi=len(homes))
-        if len(np.unique(equipped)) < len(equipped):
+        if (np.diff(np.sort(equipped)) == 0).any():  # a plain np.unique imports numpy.ma
             raise MalformedInputError(f"{path}: metadata.equipped lists a bike twice")
         trip_ids = str_column(doc["trip_ids"], path, "trip_ids")
         bike_of_trip = int_column(doc["bike_of_trip"], path, "bike_of_trip", hi=len(homes))

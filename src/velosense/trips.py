@@ -13,6 +13,11 @@ distinct (origin, dest) pair along its shortest path, keep trips whose routed
 distance and start time fall inside the configured bounds, and recompute the
 end time from the routed distance at constant speed. The reported end time
 in the raw data is ignored; it cannot be reconciled with a routed trajectory.
+
+A `TripLog` holds its trips and its path table as columns, and a
+velosense-triplog-v4 file stores them the same way: the path table is flat
+columns (`PathEntries`), path after path, so loading a log builds no object
+per path. `TripLog.paths` and `TripLog.trips` are views built on request.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 from .errors import MalformedInputError, int_column, read_artifact, read_table, str_column, write_json
 from .network import Path, RoadNetwork, nearest_node, network_sha256, route_pairs
 
-TRIPLOG_FORMAT = "velosense-triplog-v3"
+TRIPLOG_FORMAT = "velosense-triplog-v4"
 
 DEFAULT_SPEED_KMH = 13.0
 DEFAULT_MIN_KM = 0.5
@@ -97,11 +102,29 @@ class TripEvents(NamedTuple):
 
 
 class PathEntries(NamedTuple):
-    """Every path's segments and their lengths, path after path, and how many each path holds."""
+    """A path table as flat columns: every path's segments, their lengths and its
+    nodes, path after path, and per path how many segments it holds and its length."""
 
     segment: np.ndarray  # int64
     length_m: np.ndarray  # float64
     count: np.ndarray  # int64 per path
+    node: np.ndarray  # int64: count + 1 per path
+    distance_m: np.ndarray  # float64 per path
+
+    @classmethod
+    def of(cls, paths: list[Path]) -> PathEntries:
+        """The table of `paths`, in order."""
+
+        def flat(name, dtype):
+            return np.fromiter(chain.from_iterable(map(attrgetter(name), paths)), dtype)
+
+        return cls(
+            flat("segments", np.int64),
+            flat("seg_lengths_m", np.float64),
+            np.fromiter(map(len, map(attrgetter("segments"), paths)), np.int64, len(paths)),
+            flat("nodes", np.int64),
+            np.fromiter(map(attrgetter("distance_m"), paths), np.float64, len(paths)),
+        )
 
 
 class ServiceSchedule(NamedTuple):
@@ -113,16 +136,16 @@ class ServiceSchedule(NamedTuple):
 @dataclass(eq=False)
 class TripLog:
     """Cleaned trips as columns, one entry per trip row, sorted by start minute
-    so row order is service order. `path` indexes the table `paths`, which
-    holds each distinct path once."""
+    so row order is service order. `path` indexes the path table
+    `path_entries`, which holds each distinct path once."""
 
     ids: list[str]
     origin: np.ndarray  # int64 stand id
     dest: np.ndarray  # int64 stand id
     start_min: np.ndarray  # int64
     duration_min: np.ndarray  # int64, >= 1
-    path: np.ndarray  # int64 row of paths
-    paths: list[Path]
+    path: np.ndarray  # int64 path number in path_entries
+    path_entries: PathEntries
     stands: list[Stand]
     horizon: tuple[int, int]
     speed_m_per_min: float
@@ -132,6 +155,20 @@ class TripLog:
     @property
     def num_stands(self) -> int:
         return len(self.stands)
+
+    @cached_property
+    def paths(self) -> list[Path]:
+        """The path table as Path views, for `trips` and callers outside the package;
+        the package reads `path_entries`."""
+        table = self.path_entries
+        segments, lengths, nodes = table.segment.tolist(), table.length_m.tolist(), table.node.tolist()
+        paths, first = [], 0
+        for i, (count, distance) in enumerate(zip(table.count.tolist(), table.distance_m.tolist())):
+            end = first + count
+            path_nodes = tuple(nodes[first + i : end + i + 1])  # each path before i has one more node
+            paths.append(Path(tuple(segments[first:end]), path_nodes, tuple(lengths[first:end]), distance))
+            first = end
+        return paths
 
     @cached_property
     def trips(self) -> list[Trip]:
@@ -146,27 +183,18 @@ class TripLog:
         """Every segment entry of every trip as one event table, built once per log.
 
         Entry offsets depend only on the path, so they are computed once per
-        entry of `paths` and gathered by each trip's `path`; each trip adds its
-        start minute. A trip enters a segment at the distance before it along
-        the path at constant speed, floored.
+        entry of `path_entries` and gathered by each trip's `path`; each trip
+        adds its start minute. A trip enters a segment at the distance before
+        it along the path at constant speed, floored.
         """
-        segments, lengths_m, per_path = self.path_entries
-        offsets = (_distance_before(lengths_m, per_path) // self.speed_m_per_min).astype(np.int64)
-        counts = per_path[self.path]
+        table = self.path_entries
+        offsets = (_distance_before(table.length_m, table.count) // self.speed_m_per_min).astype(np.int64)
+        counts = table.count[self.path]
         trip = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-        # an event's row in segments/offsets: where its path starts there, plus its place in its trip
-        path_first, trip_first = np.cumsum(per_path) - per_path, np.cumsum(counts) - counts
+        # an event's row in the table: where its path starts there, plus its place in its trip
+        path_first, trip_first = np.cumsum(table.count) - table.count, np.cumsum(counts) - counts
         flat = np.repeat(path_first[self.path] - trip_first, counts) + np.arange(len(trip))
-        return TripEvents(trip, segments[flat], self.start_min[trip] + offsets[flat])
-
-    @cached_property
-    def path_entries(self) -> PathEntries:
-        """The path table's entries as flat columns; load_triplog keeps its checked ones."""
-        return PathEntries(
-            np.array([s for p in self.paths for s in p.segments], dtype=np.int64),
-            np.array([x for p in self.paths for x in p.seg_lengths_m], dtype=np.float64),
-            np.array([len(p.segments) for p in self.paths], dtype=np.int64),
-        )
+        return TripEvents(trip, table.segment[flat], self.start_min[trip] + offsets[flat])
 
     @cached_property
     def schedule(self) -> ServiceSchedule:
@@ -364,7 +392,7 @@ def clean_trips(
         start_min[kept],
         duration[pair_of_trip].astype(np.int64),
         path_of_pair[pair_of_trip],
-        [found[i] for i in table_pairs.tolist()],
+        PathEntries.of([found[i] for i in table_pairs.tolist()]),
         stands,
         window,
         speed_m_per_min,
@@ -387,8 +415,10 @@ def _distance_before(lengths_m: np.ndarray, count: np.ndarray) -> np.ndarray:
 
 
 def save_triplog(log: TripLog, path) -> None:
-    """Write a velosense-triplog-v3 file: the header, the stand table, the path
-    table, and the trips as one column per field, `path` indexing the table."""
+    """Write a velosense-triplog-v4 file: the header, the stand table, the path
+    table as flat columns, and the trips as one column per field, `path`
+    indexing the table."""
+    table = log.path_entries
     doc = {
         "format": TRIPLOG_FORMAT,
         "network_sha256": log.network_sha256,
@@ -396,30 +426,28 @@ def save_triplog(log: TripLog, path) -> None:
         "speed_m_per_min": log.speed_m_per_min,
         "drop_counts": log.drop_counts,
         "stands": [{"stand": s.id, "node": s.node} for s in log.stands],
-        "paths": [
-            {
-                "nodes": p.nodes,
-                "segments": p.segments,
-                "seg_lengths_m": p.seg_lengths_m,
-                "distance_m": p.distance_m,
-            }
-            for p in log.paths
-        ],
+        "paths": {
+            "count": table.count,
+            "segments": table.segment,
+            "nodes": table.node,
+            "seg_lengths_m": table.length_m,
+            "distance_m": table.distance_m,
+        },
         "trips": {
             "id": log.ids,
-            "origin": log.origin.tolist(),
-            "dest": log.dest.tolist(),
-            "start_min": log.start_min.tolist(),
-            "duration_min": log.duration_min.tolist(),
-            "path": log.path.tolist(),
+            "origin": log.origin,
+            "dest": log.dest,
+            "start_min": log.start_min,
+            "duration_min": log.duration_min,
+            "path": log.path,
         },
     }
     write_json(path, doc)
 
 
 def load_triplog(path) -> TripLog:
-    """Read a velosense-triplog-v3 file, checking each column once. Any other
-    format, v2 included, is rejected: `ingest` writes v3."""
+    """Read a velosense-triplog-v4 file, checking each column once. Any other
+    format, v3 and v2 included, is rejected: `ingest` writes v4."""
     with read_artifact(path, TRIPLOG_FORMAT, "ingest") as doc:
         horizon, speed = doc["horizon"], doc["speed_m_per_min"]
         pair = isinstance(horizon, list) and len(horizon) == 2 and set(map(type, horizon)) == {int}
@@ -428,11 +456,7 @@ def load_triplog(path) -> TripLog:
         t0, t_end = horizon
         if not (type(speed) is float and math.isfinite(speed) and speed > 0):
             raise MalformedInputError(f"{path}: speed_m_per_min {speed!r} must be a finite float > 0")
-        table = doc["paths"]
-        segments, nodes, lengths = ([p[key] for p in table] for key in ("segments", "nodes", "seg_lengths_m"))
-        distances = [p["distance_m"] for p in table]
-        entries = _check_paths(segments, nodes, lengths, distances, path)
-        paths = list(map(Path, map(tuple, segments), map(tuple, nodes), map(tuple, lengths), distances))
+        entries = _path_table(doc["paths"], path)
         stands = _stand_table(doc["stands"], path)
         trips = doc["trips"]
         ids = str_column(trips["id"], path, "trips.id")
@@ -440,51 +464,54 @@ def load_triplog(path) -> TripLog:
         dest = int_column(trips["dest"], path, "trips.dest", hi=len(stands))
         start = int_column(trips["start_min"], path, "trips.start_min", lo=t0, hi=t_end + 1)
         duration = int_column(trips["duration_min"], path, "trips.duration_min", lo=1)
-        table = int_column(trips["path"], path, "trips.path", hi=len(paths))
+        table = int_column(trips["path"], path, "trips.path", hi=len(entries.count))
         if not len(ids) == len(origin) == len(dest) == len(start) == len(duration) == len(table):
             raise MalformedInputError(f"{path}: the trip columns differ in length")
         unsorted = np.flatnonzero(np.diff(start) < 0)
         if len(unsorted):
             first = ids[unsorted[0] + 1]
             raise MalformedInputError(f"{path}: trips are not sorted by start minute at trip {first}")
-        log = TripLog(
-            ids, origin, dest, start, duration, table, paths, stands, (t0, t_end), speed,
+        return TripLog(
+            ids, origin, dest, start, duration, table, entries, stands, (t0, t_end), speed,
             doc.get("drop_counts", {}), doc.get("network_sha256"),
         )
-        log.path_entries = entries
-        return log
 
 
-def _check_paths(segments: list, nodes: list, lengths: list, distances: list, source) -> PathEntries:
-    """Path i has one length per segment and one more node than segments, given as
-    segments[i], lengths[i] and nodes[i]. Its segment and node ids are integers >= 0,
-    its segment lengths finite numbers > 0 and its distance a finite number >= 0.
-    Checks each column in one flat pass; returns the `TripLog.path_entries`."""
-    count, num_lengths, num_nodes = (
-        np.array(list(map(len, column)), dtype=np.int64) for column in (segments, lengths, nodes)
-    )
-    wrong = np.flatnonzero((num_lengths != count) | (num_nodes != count + 1))
-    if len(wrong):
-        i = wrong[0]
-        raise MalformedInputError(
-            f"{source}: path {i} has {count[i]} segments, "
-            f"{num_lengths[i]} segment lengths and {num_nodes[i]} nodes"
-        )
-    segment = int_column(list(chain.from_iterable(segments)), source, "paths.segments")
-    int_column(list(chain.from_iterable(nodes)), source, "paths.nodes")
-    length_m = _finite_column(list(chain.from_iterable(lengths)))
+def _path_table(columns: dict, source) -> PathEntries:
+    """The path table of a v4 file, whose `columns` give per path its `count` of
+    segments and its `distance_m`, and path after path its `segments` and
+    `seg_lengths_m` (count entries each) and its `nodes` (count + 1). Ids are
+    integers >= 0, segment lengths finite numbers > 0 and distances finite
+    numbers >= 0. Each column is checked in one pass."""
+    segment = int_column(columns["segments"], source, "paths.segments")
+    count = int_column(columns["count"], source, "paths.count", hi=len(segment) + 1)
+    node = int_column(columns["nodes"], source, "paths.nodes")
+    length_m = _finite_column(columns["seg_lengths_m"])
     if length_m is None or not (length_m > 0).all():
         raise MalformedInputError(f"{source}: paths.seg_lengths_m must hold finite numbers > 0")
-    distance_m = _finite_column(distances)
+    distance_m = _finite_column(columns["distance_m"])
     if distance_m is None or not (distance_m >= 0).all():
         raise MalformedInputError(f"{source}: paths.distance_m must hold finite numbers >= 0")
-    return PathEntries(segment, length_m, count)
+    total = int(count.sum())  # count <= len(segment) entry by entry, so no int64 sum overflows
+    expected = {
+        "paths.segments": (len(segment), total),
+        "paths.seg_lengths_m": (len(length_m), total),
+        "paths.nodes": (len(node), total + len(count)),
+        "paths.distance_m": (len(distance_m), len(count)),
+    }
+    for name, (found, needed) in expected.items():
+        if found != needed:
+            raise MalformedInputError(
+                f"{source}: {name} holds {found} entries, but the {len(count)} paths of paths.count need {needed}"
+            )
+    return PathEntries(segment, length_m, count, node, distance_m)
 
 
-def _finite_column(values: list) -> np.ndarray | None:
-    """`values` as float64, given each is a finite int or float (a bool is neither), else
-    None; an int too large for a float raises OverflowError, which read_artifact reports."""
-    if not set(map(type, values)) <= {int, float}:
+def _finite_column(values) -> np.ndarray | None:
+    """The JSON array `values` as float64, given each entry is a finite int or float (a bool
+    is neither), else None; an int too large for a float raises OverflowError, which
+    read_artifact reports."""
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
         return None
     column = np.array(values, dtype=np.float64)
     return column if np.isfinite(column).all() else None

@@ -9,6 +9,7 @@ free of calls into the production modules they are used to verify.
 import csv
 import heapq
 import itertools
+import json
 import math
 from bisect import bisect_left, insort
 from collections import Counter
@@ -16,7 +17,7 @@ from datetime import datetime
 
 import numpy as np
 
-from velosense.network import nearest_node, route_pairs
+from velosense.network import Path, nearest_node, route_pairs
 
 
 def all_simple_paths(adjacency, origin, dest):
@@ -670,3 +671,51 @@ def requirement_by_interval(deltas, fleet_size, target_phi_pct, mean_phi):
             rows.append((delta_h, target_phi_pct, found, memo[found], monotone))
         scored[delta_h] = sorted(budget for budget in memo if budget > 0)
     return rows, scored
+
+
+# SHA-256 of the velosense-triplog-v3 file of each fixture, as the v3 writer wrote it
+TRIPLOG_V3_SHA256 = {
+    "reference-fixture": "251d71bced911c8345c75113d40321907298b8b6ec028261d946603aac6bac4f",
+    "seed-5-chain": "8738995a69b138106f69df3e8dd718467dac5466c06022ead13961f83c081534",
+}
+
+
+def save_triplog_v3(log, path):
+    """Write `log` as a velosense-triplog-v3 file, as the v3 writer did: one object
+    per path in the path table, each column a list, encoded by one `json.dumps`
+    with its default separators. The reference a v4 file must load back to."""
+    doc = {
+        "format": "velosense-triplog-v3",
+        "network_sha256": log.network_sha256,
+        "horizon": log.horizon,
+        "speed_m_per_min": log.speed_m_per_min,
+        "drop_counts": log.drop_counts,
+        "stands": [{"stand": s.id, "node": s.node} for s in log.stands],
+        "paths": [
+            {
+                "nodes": p.nodes,
+                "segments": p.segments,
+                "seg_lengths_m": p.seg_lengths_m,
+                "distance_m": p.distance_m,
+            }
+            for p in log.paths
+        ],
+        "trips": {
+            "id": log.ids,
+            "origin": log.origin.tolist(),
+            "dest": log.dest.tolist(),
+            "start_min": log.start_min.tolist(),
+            "duration_min": log.duration_min.tolist(),
+            "path": log.path.tolist(),
+        },
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc))
+
+
+def paths_of_triplog_v3(doc):
+    """The path table of a decoded v3 document, one Path per entry."""
+    return [
+        Path(tuple(p["segments"]), tuple(p["nodes"]), tuple(p["seg_lengths_m"]), p["distance_m"])
+        for p in doc["paths"]
+    ]

@@ -550,11 +550,11 @@ class TestGolden:
     @pytest.mark.parametrize(
         "solve, budget, digest",
         [
-            (solve_greedy, 5, "1c8a9e4c6e0822e9effd5cbf686355de785e57e3268ee21d35b78aa6efab29e6"),
-            (solve_exact, 5, "8b8406121b32e3cfd3511dad5ae3b7a7929b6e22444c36a17b4e5a61836b5c15"),
+            (solve_greedy, 5, "d44861fc0afcd8b6f84e50abbbc6205a601b810e2f624436905f347bce74a8ee"),
+            (solve_exact, 5, "1e9a71029bcb2b63315993363b211bd82d2de854530b177fd02d4ef5433d8f99"),
             (lambda inst: random_allocation(inst, seed=7), 5,
-             "ea134792f3c73bbf554c8b7fa1e87d3f12f22a27a8f8ff20ed2f0e1a3afdf59c"),
-            (solve_greedy, 1000, "1332334f00c45ea2d77107b454767882fddb246f526d3e7d62d70a33d4731d76"),
+             "76e57660a1d2770d4b0629de50369a6930178467a8f4293e19dd2845d3a44da4"),
+            (solve_greedy, 1000, "ccace0f7436d798b919b94cecbc9abc5250cb2cb8d9d77c66d145f88d5450c97"),
         ],
         ids=["greedy", "exact", "random", "greedy-clamped"],
     )

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,7 +59,7 @@ def _sha256(path) -> str:
 
 SCORE_DIGESTS = {
     "coverage_counts.csv": "d56aac0a5fd5238b1f015cc148a97bd8fb0532f444463a055d9b82ce649bc978",
-    "score.json": "92dbc0d2e948d4064cffef4240d586e5ee0a5be57d762dab3ca7cc86b25447ab",
+    "score.json": "1dd08d426ef7b6dacefb7c05a34b713b0396f7364f78b77c2b03e514cd84a220",
     "hourly.csv": "2086983447a7c7065e4fabd21606cf6ca675134036fdb784338d58a947146143",
     "hourly_segments.csv": "252dcff749ff5daec6101fa45207dae7a1fd56b46f0f56b208955415de3b6012",
 }
@@ -73,13 +77,14 @@ def test_ingest_reports_and_triplog(pipeline_dir):
     assert sum(report["cleaning"].values()) == 0
     assert report["cleaning"]["other_day"] == 0
     doc = json.loads((pipeline_dir / "triplog.json").read_text())
-    assert doc["format"] == "velosense-triplog-v3"
+    assert doc["format"] == "velosense-triplog-v4"
     trips = doc["trips"]
     assert list(trips) == ["id", "origin", "dest", "start_min", "duration_min", "path"]
     assert all(len(column) == 150 for column in trips.values())
     # one path per (origin, dest) stand pair, shared by the trips that make it
-    assert len(doc["paths"]) == len(set(zip(trips["origin"], trips["dest"])))
-    assert set(trips["path"]) == set(range(len(doc["paths"])))
+    assert list(doc["paths"]) == ["count", "segments", "nodes", "seg_lengths_m", "distance_m"]
+    assert len(doc["paths"]["count"]) == len(set(zip(trips["origin"], trips["dest"])))
+    assert set(trips["path"]) == set(range(len(doc["paths"]["count"])))
 
 
 def test_fleet_artifact(pipeline_dir):
@@ -540,16 +545,9 @@ def _edit_largest_count(change):
 
 
 def _edit_path(field, value):
-    """Set the first entry of `field` of a triplog's first path to `value`, or the
-    field itself if it is a number (`distance_m`)."""
-    def edit(doc):
-        path = doc["paths"][0]
-        if isinstance(path[field], list):
-            path[field][0] = value
-        else:
-            path[field] = value
-
-    return _edit_doc(edit)
+    """Set the first entry of column `field` of a triplog's path table, which is
+    the first path's, to `value`."""
+    return _edit_doc(lambda doc: doc["paths"][field].__setitem__(0, value))
 
 
 def _set_metadata(**fields):
@@ -570,8 +568,8 @@ def _set_metadata(**fields):
         ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(start_min=100))),
         ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(origin=99))),
         ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(origin=-1))),
-        ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["paths"][0]["seg_lengths_m"].pop())),
-        ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["trips"]["path"].__setitem__(0, len(d["paths"])))),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["paths"]["seg_lengths_m"].pop())),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["trips"]["path"].__setitem__(0, len(d["paths"]["count"])))),
         ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(path=-1))),
         ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(start_min=360), -1)),
         ("allocate", ALLOCATE, ["--budget", "4"], "--probs-meta", _drop_key("triplog_sha256")),
@@ -630,6 +628,11 @@ def _set_metadata(**fields):
         ("allocate", ALLOCATE, ["--budget", "4"], "--probs", _append_row("0.5,0,0.5")),
         ("allocate", ALLOCATE, ["--budget", "4"], "--probs", _append_row("#0,0,0.5")),
         ("fleet", ("--triplog",), [], "--triplog", _edit_path("segments", 2**64)),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_path("count", -1)),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_path("count", 1.5)),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["paths"]["nodes"].pop())),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["paths"]["count"].__setitem__(-1, d["paths"]["count"][-1] + 1))),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["paths"]["distance_m"].pop())),
     ],
     ids=["triplog-without-stands", "traj-without-metadata", "alloc-without-N_e",
          "probs-unknown-stand", "probs-unknown-segment", "probs-nan", "probs-negative",
@@ -652,7 +655,9 @@ def _set_metadata(**fields):
          "path-node-negative", "path-node-fraction", "path-length-negative", "path-length-zero",
          "path-length-nan", "path-length-infinite", "path-length-string", "path-length-past-float",
          "path-distance-negative", "path-distance-nan", "path-distance-string",
-         "probs-stand-fraction", "probs-comment-row", "path-segment-past-int64"],
+         "probs-stand-fraction", "probs-comment-row", "path-segment-past-int64",
+         "path-count-negative", "path-count-fraction", "path-nodes-one-short", "path-count-past-segments",
+         "path-distances-one-short"],
 )
 def test_malformed_artifact_is_2(artifacts, tmp_path, capsys, request, command, options, extra, corrupted, edit):
     paths = dict(artifacts)
@@ -666,6 +671,9 @@ def test_malformed_artifact_is_2(artifacts, tmp_path, capsys, request, command, 
     message = PROBS_ROW_MESSAGES.get(request.node.callspec.id)
     if message is not None:  # the appended row follows the header and every row of the file
         assert err == f"error: {bad}: {message.format(n=len(text.splitlines()))}\n"
+    field = PATH_TABLE_FIELDS.get(request.node.callspec.id)
+    if field is not None:
+        assert err.startswith(f"error: {bad}: {field} ")
 
 
 # an appended probs.csv row -> its message, the row numbered as trip files number theirs
@@ -678,10 +686,21 @@ PROBS_ROW_MESSAGES = {
 }
 
 
+# a path-table edit -> the column its message names first
+PATH_TABLE_FIELDS = {
+    "trip-path-lengths-disagree": "paths.seg_lengths_m",
+    "path-count-negative": "paths.count",
+    "path-count-fraction": "paths.count",
+    "path-nodes-one-short": "paths.nodes",
+    "path-count-past-segments": "paths.segments",
+    "path-distances-one-short": "paths.distance_m",
+}
+
+
 # JSON artifact option -> (a command that reads it, its options, extra arguments,
 # the artifact's format, the command that writes it)
 JSON_INPUTS = {
-    "--triplog": ("fleet", ("--triplog",), [], "velosense-triplog-v3", "ingest"),
+    "--triplog": ("fleet", ("--triplog",), [], "velosense-triplog-v4", "ingest"),
     "--probs-meta": ("allocate", ALLOCATE, ["--budget", "4"], "velosense-coverage-v1", "probs"),
     "--alloc": ("simulate", SIMULATE, [], "velosense-alloc-v1", "allocate"),
     "--traj": ("score", SCORE, ["--delta", "4"], "velosense-traj-v2", "simulate"),
@@ -697,6 +716,7 @@ DERIVED = ("--probs-meta", "--alloc", "--traj")
     [
         ("--triplog", '{"format": "velosense-triplog-v1", "trips": []}'),
         ("--triplog", '{"format": "velosense-triplog-v2", "trips": []}'),
+        ("--triplog", '{"format": "velosense-triplog-v3", "paths": [], "trips": {}}'),
         ("--triplog", '{"format": "something-else"}'),
         ("--triplog", "[]"),
         ("--triplog", NOT_JSON),
@@ -704,7 +724,7 @@ DERIVED = ("--probs-meta", "--alloc", "--traj")
         ("--traj", '{"format": "velosense-traj-v1", "metadata": {}, "bikes": []}'),
         *[(option, text) for option in DERIVED for text in CONTENTS.values()],
     ],
-    ids=["v1", "v2", "unknown", "not-an-object", "triplog-not-json", "triplog-nested-too-deep", "traj-v1",
+    ids=["v1", "v2", "v3", "unknown", "not-an-object", "triplog-not-json", "triplog-nested-too-deep", "traj-v1",
          *[f"{option[2:]}-{name}" for option in DERIVED for name in CONTENTS]],
 )
 def test_triplog_of_another_format_is_2(artifacts, tmp_path, capsys, corrupted, text):
@@ -721,6 +741,51 @@ def test_triplog_of_another_format_is_2(artifacts, tmp_path, capsys, corrupted, 
     assert err.startswith("error:") and str(bad) in err
     if text not in (NOT_JSON, TOO_DEEP):
         assert fmt in err and f"re-run `velosense {writer}`" in err
+
+
+# the seven pipeline steps on synth_dir's inputs in one interpreter; prints each
+# step after which numpy.ma is imported
+CHAIN_SCRIPT = """
+import contextlib, io, sys
+from pathlib import Path
+from velosense.cli import main
+src, d = Path(sys.argv[1]), Path(sys.argv[2])
+net = ["--nodes", str(src / "nodes.csv"), "--edges", str(src / "edges.csv")]
+log = ["--triplog", str(d / "triplog.json")]
+probs = ["--probs", str(d / "probs.csv"), "--probs-meta", str(d / "probs.meta.json")]
+steps = [
+    ["ingest", *net, "--trips", str(src / "trips.csv")],
+    ["fleet", *log],
+    ["probs", *log, "--runs", "2"],
+    ["allocate", *net, *log, *probs, "--budget", "4"],
+    ["simulate", *log, "--alloc", str(d / "alloc.json"), "--beta", "1"],
+    ["score", "--traj", str(d / "traj.json"), *log, *net, "--delta", "1"],
+    ["export-lp", *net, *log, *probs, "--budget", "4", "--out", str(d / "model.lp")],
+]
+for argv in steps:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--out-dir", str(d)]) == 0, argv
+    if "numpy.ma" in sys.modules:
+        print(argv[0])
+"""
+
+
+def test_cli_chain_does_not_import_numpy_ma(synth_dir, tmp_path):
+    """A plain np.unique imports numpy.ma under numpy 2.x, about 1 MB of resident
+    memory; the seven pipeline steps run in a fresh interpreter without it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH")]))
+    bare = subprocess.run(
+        [sys.executable, "-c", "import sys, numpy; print('numpy.ma' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    if bare.stdout.strip() == "True":
+        pytest.skip("import numpy alone imports numpy.ma")
+    run = subprocess.run(
+        [sys.executable, "-c", CHAIN_SCRIPT, str(synth_dir), str(tmp_path)], capture_output=True, text=True, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == []  # the steps after which numpy.ma was imported
 
 
 def test_every_artifact_loader_rejects_a_json_list(artifacts, tmp_path):
@@ -830,12 +895,13 @@ def test_triplog_without_network_sha256_is_2(runs_by_seed, tmp_path, capsys, com
     assert all(str(paths[option]) in err for option in ("--triplog", "--nodes", "--edges"))
 
 
-def _set_length(path):
-    path["seg_lengths_m"] = [1.0] * len(path["seg_lengths_m"])
+def _set_length(table):
+    """Give each segment of path 0 of a path table length 1.0."""
+    table["seg_lengths_m"][: table["count"][0]] = [1.0] * table["count"][0]
 
 
-def _set_unknown_segment(path):
-    path["segments"][0] = 10**6
+def _set_unknown_segment(table):
+    table["segments"][0] = 10**6
 
 
 def _pinned(artifact, triplog, out):
@@ -859,7 +925,7 @@ def test_path_off_the_network_is_2(artifacts, tmp_path, capsys, command, options
     so only the path check can refuse it; the commands without a network still run."""
     paths = dict(artifacts)
     doc = json.loads(paths["--triplog"].read_text())
-    edit(doc["paths"][0])
+    edit(doc["paths"])
     inputs = tmp_path / "inputs"
     inputs.mkdir()
     bad = paths["--triplog"] = inputs / "triplog.json"
@@ -873,10 +939,10 @@ def test_path_off_the_network_is_2(artifacts, tmp_path, capsys, command, options
     out = tmp_path / "out"
     extra = _with_lp_out(command, extra, tmp_path)
     assert main([command, *_args(paths, options), *extra, "--out-dir", str(out)]) == 2
-    path = doc["paths"][0]
+    table = doc["paths"]
     network = f"{paths['--nodes']} and {paths['--edges']}"
     assert capsys.readouterr().err == (
-        f"error: {bad}: path 0 gives segment {path['segments'][0]} length {path['seg_lengths_m'][0]} m, "
+        f"error: {bad}: path 0 gives segment {table['segments'][0]} length {table['seg_lengths_m'][0]} m, "
         f"but {network} {has}\n"
     )
     assert not out.exists() and not (tmp_path / "model.lp").exists()

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,18 +16,50 @@ from velosense.errors import (
 )
 
 
+COMPACT = (",", ":")
+
+
 def test_write_json_is_one_dumps_and_reads_back(tmp_path):
     doc = {
         "format": "velosense-test-v1",
         "horizon": (360, 1320),
-        "paths": [{"nodes": (0, 1, 2), "seg_lengths_m": (150.0, 0.1 + 0.2)}],
+        "paths": {"count": [2], "nodes": (0, 1, 2), "seg_lengths_m": (150.0, 0.1 + 0.2)},
         "events": [(3, 481), (4, 482)],
         "nested": {"p": 1e-17, "none": None, "ok": True},
     }
     path = tmp_path / "doc.json"
     write_json(path, doc)
-    assert path.read_bytes() == json.dumps(doc).encode("utf-8")
+    assert path.read_bytes() == json.dumps(doc, separators=COMPACT).encode("utf-8")
     assert read_json(path) == json.loads(json.dumps(doc))
+
+
+def _as_lists(value):
+    """`value` with every ndarray in it, at any depth of dicts, as its `.tolist()`."""
+    if isinstance(value, dict):
+        return {key: _as_lists(item) for key, item in value.items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def test_write_json_encodes_arrays_as_dumps_encodes_their_lists(tmp_path):
+    """Byte for byte, write_json of a nested document holding int and float arrays
+    (NaN, -0.0, 2-D, empty), non-ASCII strings and plain lists is the compact
+    `json.dumps` of the same document with lists in place of the arrays."""
+    doc = {
+        "format": "velosense-test-v1",
+        "ids": ["Zürich", "東京", "a\"b\\c", "\u2028"],
+        "int": np.array([0, -1, 2**62, -(2**63)], dtype=np.int64),
+        "float": np.array([0.1 + 0.2, math.nan, -0.0, math.inf, -math.inf, 5e-324, 1e300]),
+        "grid": np.arange(6, dtype=np.int64).reshape(2, 3),
+        "empty": {"ints": np.array([], dtype=np.int64), "floats": np.empty((0, 2)), "dict": {}},
+        "nested": {"names": {"é": np.array([1.5, 2.0]), "plain": [1, (2, 3.25), None, True]}, "x": 3.0},
+        "lists": [[1, 2], {"k": "v"}],
+        "by_id": {1: 2.5, "2": 3},
+        "scalar": np.float64(0.25),
+    }
+    path = tmp_path / "doc.json"
+    write_json(path, doc)
+    assert path.read_bytes() == json.dumps(_as_lists(doc), separators=COMPACT).encode("utf-8")
+    assert read_json(path)["grid"] == [[0, 1, 2], [3, 4, 5]]
 
 
 def test_write_table_uses_csvs_default_dialect(tmp_path):

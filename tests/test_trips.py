@@ -1,15 +1,18 @@
 import hashlib
 import io
+import json
 import math
+from argparse import Namespace
 from dataclasses import asdict
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
+from velosense.cli import _load_routed_net
 from velosense.errors import MalformedInputError
 from velosense.network import Path, build_network
-from velosense.synth import SynthConfig, generate, grid_network
+from velosense.synth import SynthConfig, generate, grid_network, write_network_csv
 from velosense.trips import (
     PARSE_CHUNK_ROWS,
     RawTrips,
@@ -21,7 +24,14 @@ from velosense.trips import (
     save_triplog,
 )
 
-from oracles import clean_trips_by_row, parse_trips_by_dict, traversal_times
+from oracles import (
+    TRIPLOG_V3_SHA256,
+    clean_trips_by_row,
+    parse_trips_by_dict,
+    paths_of_triplog_v3,
+    save_triplog_v3,
+    traversal_times,
+)
 from trip_logs import raw_concat, raw_rows, trip_log
 
 CITI_HEADER = (
@@ -532,8 +542,45 @@ class TestSerialization:
     def test_format_tag_checked(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"format": "something-else"}')
-        with pytest.raises(MalformedInputError, match="velosense-triplog-v3"):
+        with pytest.raises(MalformedInputError, match="velosense-triplog-v4"):
             load_triplog(bad)
+
+    def test_hand_built_logs_round_trip(self, tmp_path):
+        """A zero-segment path, unequal inexact lengths, and a log without trips load
+        back to the same columns, path table, Paths and events."""
+        paths = [
+            Path((3, 4, 5), (1, 2, 3, 4), (216.67, 1 / 3, 0.1 + 0.2), 216.67 + 1 / 3 + (0.1 + 0.2)),
+            Path((), (1,), (), 0.0),
+            Path((7,), (4, 9), (1e-3,), 1e-3),
+            Path((4, 2), (2, 3, 0), (433.0, 5e-324), 433.0 + 5e-324),
+        ]
+        rides = [(0, 360), (1, 361), (2, 361), (0, 400), (3, 1320), (1, 1320)]  # (path, start)
+        trips = [Trip(f"t{i}", 0, 1, start, paths[p], 1 + i) for i, (p, start) in enumerate(rides)]
+        stands = [Stand(0, 1), Stand(1, 4)]
+        for built in (trip_log(trips, stands, (360, 1320), SPEED), trip_log([], [], (0, 60), 100.0)):
+            save_triplog(built, tmp_path / "triplog.json")
+            loaded = load_triplog(tmp_path / "triplog.json")
+            for name, column in built.path_entries._asdict().items():
+                got = getattr(loaded.path_entries, name)
+                assert got.dtype == column.dtype and got.tolist() == column.tolist(), name
+            assert loaded.paths == built.paths
+            assert loaded.trips == built.trips
+            for name in ("trip", "segment", "minute"):
+                assert getattr(loaded.events, name).tolist() == getattr(built.events, name).tolist(), name
+
+    def test_loading_and_using_a_log_builds_no_path(self, small_scenario, tmp_path):
+        """load_triplog, the event table, the schedule and the network check read the
+        path table's columns; no Path is built until something asks for `paths`."""
+        net, log = small_scenario
+        save_triplog(log, tmp_path / "triplog.json")
+        write_network_csv(net, tmp_path / "nodes.csv", tmp_path / "edges.csv")
+        loaded = load_triplog(tmp_path / "triplog.json")
+        assert "paths" not in loaded.__dict__
+        _ = loaded.events, loaded.schedule  # build both
+        args = Namespace(nodes=tmp_path / "nodes.csv", edges=tmp_path / "edges.csv", triplog=tmp_path / "triplog.json")
+        _load_routed_net(args, loaded)
+        assert "paths" not in loaded.__dict__
+        assert loaded.paths == log.paths and "paths" in loaded.__dict__
 
     def test_trips_of_one_pair_share_one_path(self, small_scenario, tmp_path):
         _net, log = small_scenario
@@ -546,6 +593,15 @@ class TestSerialization:
             assert len({id(trip.path) for trip in each.trips}) == len(by_pair) < len(each.trips)
 
 
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def seed_5_chain():
+    net, raw = generate(SynthConfig(grid_w=16, grid_h=16, block_m=150.0, stand_count=30, trips=4000, seed=5))
+    return clean_trips(raw, net)
+
+
 class TestGolden:
     """save_triplog(clean_trips(...)) is pinned byte for byte: parsing, routing
     and cleaning may change how they work, not what they write."""
@@ -553,18 +609,42 @@ class TestGolden:
     @staticmethod
     def triplog_sha256(log, tmp_path):
         save_triplog(log, tmp_path / "triplog.json")
-        return hashlib.sha256((tmp_path / "triplog.json").read_bytes()).hexdigest()
+        return _sha256(tmp_path / "triplog.json")
 
     def test_reference_fixture(self, reference_scenario, tmp_path):
         _net, log = reference_scenario
         assert self.triplog_sha256(log, tmp_path) == (
-            "251d71bced911c8345c75113d40321907298b8b6ec028261d946603aac6bac4f"
+            "9974936a232d2d0bccd13e74c16b5c10834386f0badddcab48e95005cc260b4a"
         )
 
     def test_seed_5_chain(self, tmp_path):
-        from velosense.synth import SynthConfig, generate
-
-        net, raw = generate(SynthConfig(grid_w=16, grid_h=16, block_m=150.0, stand_count=30, trips=4000, seed=5))
-        assert self.triplog_sha256(clean_trips(raw, net), tmp_path) == (
-            "8738995a69b138106f69df3e8dd718467dac5466c06022ead13961f83c081534"
+        assert self.triplog_sha256(seed_5_chain(), tmp_path) == (
+            "4d5b469972176adcd4ee01d4530a33e47e47630bc15c87e992bcc338708f6b4e"
         )
+
+
+class TestV4LoadsAsTheV3Document:
+    """Each fixture's v3 file, written by the v3 writer to its pinned digest, and its
+    v4 file hold the same log: the v4 file loads to the v3 document's header, stands,
+    trip columns and Paths."""
+
+    @pytest.mark.parametrize("fixture", ["reference-fixture", "seed-5-chain"])
+    def test_same_log(self, request, tmp_path, fixture):
+        if fixture == "reference-fixture":
+            _net, log = request.getfixturevalue("reference_scenario")
+        else:
+            log = seed_5_chain()
+        save_triplog_v3(log, tmp_path / "v3.json")
+        assert _sha256(tmp_path / "v3.json") == TRIPLOG_V3_SHA256[fixture]
+        save_triplog(log, tmp_path / "v4.json")
+        loaded = load_triplog(tmp_path / "v4.json")
+        doc = json.loads((tmp_path / "v3.json").read_text())
+        assert loaded.network_sha256 == doc["network_sha256"]
+        assert list(loaded.horizon) == doc["horizon"]
+        assert loaded.speed_m_per_min == doc["speed_m_per_min"]
+        assert loaded.drop_counts == doc["drop_counts"]
+        assert [{"stand": s.id, "node": s.node} for s in loaded.stands] == doc["stands"]
+        assert loaded.ids == doc["trips"]["id"]
+        for name in ("origin", "dest", "start_min", "duration_min", "path"):
+            assert getattr(loaded, name).tolist() == doc["trips"][name], name
+        assert loaded.paths == paths_of_triplog_v3(doc)

@@ -3,12 +3,12 @@ and raw rides rearranged by row."""
 
 import numpy as np
 
-from velosense.trips import RawTrips, TripLog
+from velosense.trips import PathEntries, RawTrips, TripLog
 
 
 def trip_log(trips, stands, horizon, speed):
     """The TripLog whose rows are `trips`, in the given order; each distinct Path
-    enters the path table once, in order of first use."""
+    enters the path table once, in order of first use, and the table is built from them."""
     table = {}
     path = [table.setdefault(t.path, len(table)) for t in trips]
 
@@ -22,7 +22,7 @@ def trip_log(trips, stands, horizon, speed):
         column("start_min"),
         column("duration_min"),
         np.array(path, dtype=np.int64),
-        list(table),
+        PathEntries.of(list(table)),
         stands,
         horizon,
         speed,
