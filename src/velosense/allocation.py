@@ -372,14 +372,19 @@ def solve_greedy(inst: MilpInstance, order: list[int] | None = None) -> Allocati
 
 
 def random_allocation(inst: MilpInstance, seed: int) -> AllocationPlan:
-    """Uniform baseline: place each sensor at a random stand with spare capacity."""
+    """Uniform baseline: place each sensor at a random stand with spare capacity,
+    drawn from the ascending list of such stands; a stand leaves it when it fills."""
     rng = np.random.Generator(np.random.PCG64(seed))
     n = [0] * inst.num_stands
+    open_stands = [s for s in range(inst.num_stands) if inst.caps[s] > 0]
     for _ in range(inst.budget):
-        open_stands = [s for s in range(inst.num_stands) if n[s] < inst.caps[s]]
         if not open_stands:
             break
-        n[open_stands[int(rng.integers(0, len(open_stands)))]] += 1
+        k = int(rng.integers(0, len(open_stands)))
+        stand = open_stands[k]
+        n[stand] += 1
+        if n[stand] >= inst.caps[stand]:
+            del open_stands[k]
     return evaluate_allocation(inst, n, "random")
 
 

@@ -43,7 +43,8 @@ def _check_triplog(recorded, artifact, triplog, triplog_sha256) -> None:
 
 def _load_routed_net(args, log):
     """Load --nodes/--edges, which must be the network the triplog was routed on: the
-    header names its hash, and a path its segments, at the network's lengths."""
+    header names its hash, and each segment of its segment table has the network's
+    end nodes and length."""
     net = load_network_files(args.nodes, args.edges)
     network = f"{args.nodes} and {args.edges}"
     if log.network_sha256 is None:
@@ -52,17 +53,23 @@ def _load_routed_net(args, log):
         )
     if log.network_sha256 != network_sha256(net):
         raise MalformedInputError(f"{args.triplog} was routed on another network than {network}")
-    table = log.path_entries
-    segment, length_m = table.segment, table.length_m
-    net_length = np.append(net.seg_length_m, np.nan)[np.minimum(segment, net.num_segments)]  # NaN: unknown
-    wrong = np.flatnonzero(net_length != length_m)
+    table = log.segment_table
+    at = np.minimum(table.id, net.num_segments)  # an unknown id reads the appended NaN and -1
+    net_length = np.append(net.seg_length_m, np.nan)[at]
+    net_u = np.append(np.minimum(net.seg_u, net.seg_v), -1)[at]
+    net_v = np.append(np.maximum(net.seg_u, net.seg_v), -1)[at]
+    wrong = np.flatnonzero((net_length != table.length_m) | (net_u != table.u) | (net_v != table.v))
     if len(wrong):
-        entry = wrong[0]
-        index = np.searchsorted(np.cumsum(table.count), entry, side="right")
-        has = "have no such segment" if np.isnan(net_length[entry]) else f"give it {net_length[entry]} m"
+        i = wrong[0]
+        if np.isnan(net_length[i]):
+            has = "have no such segment"
+        elif net_length[i] != table.length_m[i]:
+            has = f"give it {net_length[i]} m"
+        else:
+            has = f"give it nodes {net_u[i]} and {net_v[i]}"
         raise MalformedInputError(
-            f"{args.triplog}: path {index} gives segment {segment[entry]} length {length_m[entry]} m, "
-            f"but {network} {has}"
+            f"{args.triplog}: segment {table.id[i]} joins nodes {table.u[i]} and {table.v[i]} "
+            f"over {table.length_m[i]} m, but {network} {has}"
         )
     return net
 

@@ -16,8 +16,9 @@ search at the intervals whose search probes the replay's budget.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -314,7 +315,8 @@ def sensor_requirement(spec: ExperimentSpec, target_phi_pct: float) -> list[Requ
 def write_rows(path, row_type, rows) -> None:
     """An experiment table: a header of the row dataclass's field names, then
     each row's fields in order (csv writes a float as its repr, None as "")."""
-    write_table(path, [f.name for f in fields(row_type)], map(astuple, rows))
+    names = [f.name for f in fields(row_type)]
+    write_table(path, names, map(attrgetter(*names), rows))
 
 
 def _integer(value, name: str) -> int:

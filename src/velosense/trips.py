@@ -14,10 +14,15 @@ distance and start time fall inside the configured bounds, and recompute the
 end time from the routed distance at constant speed. The reported end time
 in the raw data is ignored; it cannot be reconciled with a routed trajectory.
 
-A `TripLog` holds its trips and its path table as columns, and a
-velosense-triplog-v4 file stores them the same way: the path table is flat
-columns (`PathEntries`), path after path, so loading a log builds no object
-per path. `TripLog.paths` and `TripLog.trips` are views built on request.
+A `TripLog` holds its trips and its path table as columns (`PathEntries`,
+path after path), so loading a log builds no object per path; `TripLog.paths`
+and `TripLog.trips` are views built on request. A velosense-triplog-v5 file
+holds each fact of a log once: each segment's end nodes and length in a
+segment table, per path its two stands, segment count, distance and segment
+ids, and per trip its id, start minute and path. `load_triplog` rebuilds the
+rest and checks it: entry lengths from the segment table, a path's nodes by
+walking its segments from its origin stand to its dest stand, and a trip's
+stands and duration from its path.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import numpy as np
 from .errors import MalformedInputError, int_column, read_artifact, read_table, str_column, write_json
 from .network import Path, RoadNetwork, nearest_node, network_sha256, route_pairs
 
-TRIPLOG_FORMAT = "velosense-triplog-v4"
+TRIPLOG_FORMAT = "velosense-triplog-v5"
 
 DEFAULT_SPEED_KMH = 13.0
 DEFAULT_MIN_KM = 0.5
@@ -127,6 +132,16 @@ class PathEntries(NamedTuple):
         )
 
 
+class SegmentTable(NamedTuple):
+    """Each segment a path table uses, once, by ascending id: its two end nodes,
+    the lower first, and its length."""
+
+    id: np.ndarray  # int64
+    u: np.ndarray  # int64
+    v: np.ndarray  # int64, >= u
+    length_m: np.ndarray  # float64
+
+
 class ServiceSchedule(NamedTuple):
     returns: np.ndarray  # int64: trip rows by end minute, ties in row order
     returned: np.ndarray  # int64 per row: how many of `returns` end by its start
@@ -177,6 +192,31 @@ class TripLog:
         columns = (self.origin, self.dest, self.start_min, self.path, self.duration_min)
         rows = zip(self.ids, *(column.tolist() for column in columns))
         return [Trip(i, o, d, start, self.paths[p], dur) for i, o, d, start, p, dur in rows]
+
+    @cached_property
+    def segment_table(self) -> SegmentTable:
+        """Each segment of the path table once, with the end nodes and length its
+        entries give it; `load_triplog` sets it from the file instead. Raises
+        ValueError where two entries of one segment disagree on either."""
+        table = self.path_entries
+        if len(table.node) != len(table.segment) + len(table.count):
+            raise ValueError(
+                f"the path table holds {len(table.node)} nodes for {len(table.segment)} segments "
+                f"on {len(table.count)} paths"
+            )
+        # entry e of path i joins nodes e + i and e + i + 1
+        at = np.arange(len(table.segment)) + np.repeat(np.arange(len(table.count)), table.count)
+        a, b = table.node[at], table.node[at + 1]
+        u, v = np.minimum(a, b), np.maximum(a, b)
+        ids, first, row = np.unique(table.segment, return_index=True, return_inverse=True)
+        segments = SegmentTable(ids, u[first], v[first], table.length_m[first])
+        for what, apart in (
+            ("two lengths", segments.length_m[row] != table.length_m),
+            ("two pairs of end nodes", (segments.u[row] != u) | (segments.v[row] != v)),
+        ):
+            if apart.any():
+                raise ValueError(f"the path table gives segment {table.segment[apart][0]} {what}")
+        return segments
 
     @cached_property
     def events(self) -> TripEvents:
@@ -381,17 +421,17 @@ def clean_trips(
     table_pairs = table_pairs[np.argsort(first[table_pairs])]  # order of first use
     path_of_pair = np.zeros(len(pair_key), dtype=np.int64)
     path_of_pair[table_pairs] = np.arange(len(table_pairs))
-    duration = np.maximum(1.0, np.ceil(distance_m / speed_m_per_min))
+    duration = _duration_min(distance_m[table_pairs], speed_m_per_min)
 
     kept = keep[pair_of_trip]
-    pair_of_trip = pair_of_trip[kept]
+    path = path_of_pair[pair_of_trip[kept]]
     return TripLog(
         np.array(raw.id, dtype=object)[rows[kept]].tolist(),
         trip_stands[kept, 0],
         trip_stands[kept, 1],
         start_min[kept],
-        duration[pair_of_trip].astype(np.int64),
-        path_of_pair[pair_of_trip],
+        duration[path],
+        path,
         PathEntries.of([found[i] for i in table_pairs.tolist()]),
         stands,
         window,
@@ -399,6 +439,12 @@ def clean_trips(
         drops,
         network_sha256(net),
     )
+
+
+def _duration_min(distance_m: np.ndarray, speed_m_per_min: float) -> np.ndarray:
+    """Whole minutes to ride each of `distance_m` at the speed, rounded up and at
+    least one, so a bike is never idle before it physically arrives."""
+    return np.maximum(1.0, np.ceil(distance_m / speed_m_per_min)).astype(np.int64)
 
 
 def _distance_before(lengths_m: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -415,10 +461,26 @@ def _distance_before(lengths_m: np.ndarray, count: np.ndarray) -> np.ndarray:
 
 
 def save_triplog(log: TripLog, path) -> None:
-    """Write a velosense-triplog-v4 file: the header, the stand table, the path
-    table as flat columns, and the trips as one column per field, `path`
-    indexing the table."""
-    table = log.path_entries
+    """Write a velosense-triplog-v5 file, which holds each fact of `log` once: the
+    header, the stand table, the segment table, the path table (per path its
+    stands, segment count and distance, then its segment ids, path after path),
+    and per trip its id, start minute and path.
+
+    Raises ValueError on a log the file cannot hold, which would load back to
+    another log: a path end no stand holds, a segment with two lengths or two
+    pairs of end nodes, or a trip whose stands or duration are not its path's.
+    A log from `clean_trips` is never one."""
+    table, segments = log.path_entries, log.segment_table
+    last = np.cumsum(table.count + 1) - 1  # each path's last node
+    origin = _stands_at(log.stands, table.node[last - table.count])
+    dest = _stands_at(log.stands, table.node[last])
+    duration = _duration_min(table.distance_m, log.speed_m_per_min)
+    for name, per_path in (("origin", origin), ("dest", dest), ("duration_min", duration)):
+        column, of_path = getattr(log, name), per_path[log.path]
+        wrong = np.flatnonzero(column != of_path)
+        if len(wrong):
+            row = wrong[0]
+            raise ValueError(f"trip {log.ids[row]} has {name} {column[row]}, but its path gives {of_path[row]}")
     doc = {
         "format": TRIPLOG_FORMAT,
         "network_sha256": log.network_sha256,
@@ -426,28 +488,33 @@ def save_triplog(log: TripLog, path) -> None:
         "speed_m_per_min": log.speed_m_per_min,
         "drop_counts": log.drop_counts,
         "stands": [{"stand": s.id, "node": s.node} for s in log.stands],
+        "segments": segments._asdict(),
         "paths": {
+            "origin": origin,
+            "dest": dest,
             "count": table.count,
             "segments": table.segment,
-            "nodes": table.node,
-            "seg_lengths_m": table.length_m,
             "distance_m": table.distance_m,
         },
-        "trips": {
-            "id": log.ids,
-            "origin": log.origin,
-            "dest": log.dest,
-            "start_min": log.start_min,
-            "duration_min": log.duration_min,
-            "path": log.path,
-        },
+        "trips": {"id": log.ids, "start_min": log.start_min, "path": log.path},
     }
     write_json(path, doc)
 
 
+def _stands_at(stands: list[Stand], nodes: np.ndarray) -> np.ndarray:
+    """The id of the stand at each of `nodes`; ValueError where no stand is."""
+    stand_of_node = {s.node: s.id for s in stands}
+    try:
+        return np.fromiter(map(stand_of_node.__getitem__, nodes.tolist()), np.int64, len(nodes))
+    except KeyError as exc:
+        raise ValueError(f"a path ends at node {exc.args[0]}, which no stand holds") from None
+
+
 def load_triplog(path) -> TripLog:
-    """Read a velosense-triplog-v4 file, checking each column once. Any other
-    format, v3 and v2 included, is rejected: `ingest` writes v4."""
+    """Read a velosense-triplog-v5 file, checking each column once, and rebuild
+    what the file does not repeat: each path entry's length and each path's
+    nodes and duration, and each trip's stands and duration from its path. Any
+    other format, v4, v3 and v2 included, is rejected: `ingest` writes v5."""
     with read_artifact(path, TRIPLOG_FORMAT, "ingest") as doc:
         horizon, speed = doc["horizon"], doc["speed_m_per_min"]
         pair = isinstance(horizon, list) and len(horizon) == 2 and set(map(type, horizon)) == {int}
@@ -456,47 +523,83 @@ def load_triplog(path) -> TripLog:
         t0, t_end = horizon
         if not (type(speed) is float and math.isfinite(speed) and speed > 0):
             raise MalformedInputError(f"{path}: speed_m_per_min {speed!r} must be a finite float > 0")
-        entries = _path_table(doc["paths"], path)
         stands = _stand_table(doc["stands"], path)
+        segments = _segment_table(doc["segments"], path)
+        entries, origin, dest = _path_table(doc["paths"], segments, stands, path)
+        if len(entries.distance_m) and not entries.distance_m.max() / speed < 2.0**63:
+            raise MalformedInputError(
+                f"{path}: paths.distance_m holds {entries.distance_m.max()} m, "
+                f"too far for int64 minutes at {speed} m/min"
+            )
+        duration = _duration_min(entries.distance_m, speed)
         trips = doc["trips"]
         ids = str_column(trips["id"], path, "trips.id")
-        origin = int_column(trips["origin"], path, "trips.origin", hi=len(stands))
-        dest = int_column(trips["dest"], path, "trips.dest", hi=len(stands))
         start = int_column(trips["start_min"], path, "trips.start_min", lo=t0, hi=t_end + 1)
-        duration = int_column(trips["duration_min"], path, "trips.duration_min", lo=1)
         table = int_column(trips["path"], path, "trips.path", hi=len(entries.count))
-        if not len(ids) == len(origin) == len(dest) == len(start) == len(duration) == len(table):
+        if not len(ids) == len(start) == len(table):
             raise MalformedInputError(f"{path}: the trip columns differ in length")
         unsorted = np.flatnonzero(np.diff(start) < 0)
         if len(unsorted):
             first = ids[unsorted[0] + 1]
             raise MalformedInputError(f"{path}: trips are not sorted by start minute at trip {first}")
-        return TripLog(
-            ids, origin, dest, start, duration, table, entries, stands, (t0, t_end), speed,
+        log = TripLog(
+            ids, origin[table], dest[table], start, duration[table], table, entries, stands, (t0, t_end), speed,
             doc.get("drop_counts", {}), doc.get("network_sha256"),
         )
+        log.segment_table = segments
+        return log
 
 
-def _path_table(columns: dict, source) -> PathEntries:
-    """The path table of a v4 file, whose `columns` give per path its `count` of
-    segments and its `distance_m`, and path after path its `segments` and
-    `seg_lengths_m` (count entries each) and its `nodes` (count + 1). Ids are
-    integers >= 0, segment lengths finite numbers > 0 and distances finite
-    numbers >= 0. Each column is checked in one pass."""
+def _segment_table(columns: dict, source) -> SegmentTable:
+    """The segment table of a v5 file: ids integers >= 0, strictly ascending, each
+    with its two end nodes, the lower first, and a length, a finite number > 0."""
+    ids = int_column(columns["id"], source, "segments.id")
+    u = int_column(columns["u"], source, "segments.u")
+    v = int_column(columns["v"], source, "segments.v")
+    length_m = _finite_column(columns["length_m"])
+    if length_m is None or not (length_m > 0).all():
+        raise MalformedInputError(f"{source}: segments.length_m must hold finite numbers > 0")
+    for name, column in (("segments.u", u), ("segments.v", v), ("segments.length_m", length_m)):
+        if len(column) != len(ids):
+            raise MalformedInputError(
+                f"{source}: {name} holds {len(column)} entries, but the segments of segments.id need {len(ids)}"
+            )
+    repeated = np.flatnonzero(np.diff(ids) <= 0)
+    if len(repeated):
+        at = repeated[0]
+        raise MalformedInputError(
+            f"{source}: segments.id holds {ids[at + 1]} after {ids[at]}; ids must be strictly ascending"
+        )
+    reversed_ = np.flatnonzero(u > v)
+    if len(reversed_):
+        at = reversed_[0]
+        raise MalformedInputError(
+            f"{source}: segments.u holds node {u[at]} of segment {ids[at]}, above its segments.v node {v[at]}"
+        )
+    return SegmentTable(ids, u, v, length_m)
+
+
+def _path_table(columns: dict, segments: SegmentTable, stands: list[Stand], source):
+    """The path table of a v5 file, and each path's origin and dest stand. Its
+    `columns` give per path its `origin` and `dest` stands, its `count` of
+    segments and its `distance_m`, a finite number >= 0, and path after path its
+    `segments` (count entries each), which the segment table must list. Entry
+    lengths are gathered from the segment table, and a path's nodes are walked
+    from its origin stand's node: each segment must touch the node before it, and
+    the walk must end at the dest stand's node. Loops over places in a path, not
+    over paths."""
     segment = int_column(columns["segments"], source, "paths.segments")
     count = int_column(columns["count"], source, "paths.count", hi=len(segment) + 1)
-    node = int_column(columns["nodes"], source, "paths.nodes")
-    length_m = _finite_column(columns["seg_lengths_m"])
-    if length_m is None or not (length_m > 0).all():
-        raise MalformedInputError(f"{source}: paths.seg_lengths_m must hold finite numbers > 0")
+    origin = int_column(columns["origin"], source, "paths.origin", hi=len(stands))
+    dest = int_column(columns["dest"], source, "paths.dest", hi=len(stands))
     distance_m = _finite_column(columns["distance_m"])
     if distance_m is None or not (distance_m >= 0).all():
         raise MalformedInputError(f"{source}: paths.distance_m must hold finite numbers >= 0")
     total = int(count.sum())  # count <= len(segment) entry by entry, so no int64 sum overflows
     expected = {
+        "paths.origin": (len(origin), len(count)),
+        "paths.dest": (len(dest), len(count)),
         "paths.segments": (len(segment), total),
-        "paths.seg_lengths_m": (len(length_m), total),
-        "paths.nodes": (len(node), total + len(count)),
         "paths.distance_m": (len(distance_m), len(count)),
     }
     for name, (found, needed) in expected.items():
@@ -504,7 +607,36 @@ def _path_table(columns: dict, source) -> PathEntries:
             raise MalformedInputError(
                 f"{source}: {name} holds {found} entries, but the {len(count)} paths of paths.count need {needed}"
             )
-    return PathEntries(segment, length_m, count, node, distance_m)
+    row = np.searchsorted(segments.id, segment)  # each entry's row of the segment table, if it lists it
+    missing = np.flatnonzero(np.append(segments.id, -1)[row] != segment)  # ids are >= 0
+    if len(missing):
+        raise MalformedInputError(
+            f"{source}: paths.segments holds segment {segment[missing[0]]}, which segments.id does not list"
+        )
+    u, v = segments.u[row], segments.v[row]
+    stand_node = np.fromiter(map(attrgetter("node"), stands), np.int64, len(stands))
+    first = np.cumsum(count) - count  # each path's first entry
+    start = first + np.arange(len(count))  # and its first node: each path before has one more node
+    node = np.empty(total + len(count), dtype=np.int64)
+    node[start] = stand_node[origin]
+    for place in range(int(count.max(initial=0))):
+        on = np.flatnonzero(count > place)
+        at, before = first[on] + place, node[start[on] + place]
+        off = np.flatnonzero((before != u[at]) & (before != v[at]))
+        if len(off):
+            raise MalformedInputError(
+                f"{source}: paths.segments holds segment {segment[at[off[0]]]} at place {place} of path "
+                f"{on[off[0]]}, which does not touch node {before[off[0]]} before it"
+            )
+        node[start[on] + place + 1] = np.where(before == u[at], v[at], u[at])
+    off = np.flatnonzero(node[start + count] != stand_node[dest])
+    if len(off):
+        i = off[0]
+        raise MalformedInputError(
+            f"{source}: paths.dest holds stand {dest[i]} for path {i}, at node {stand_node[dest[i]]}, "
+            f"but the path ends at node {node[start[i] + count[i]]}"
+        )
+    return PathEntries(segment, segments.length_m[row], count, node, distance_m), origin, dest
 
 
 def _finite_column(values) -> np.ndarray | None:

@@ -673,33 +673,33 @@ def requirement_by_interval(deltas, fleet_size, target_phi_pct, mean_phi):
     return rows, scored
 
 
-# SHA-256 of the velosense-triplog-v3 file of each fixture, as the v3 writer wrote it
-TRIPLOG_V3_SHA256 = {
-    "reference-fixture": "251d71bced911c8345c75113d40321907298b8b6ec028261d946603aac6bac4f",
-    "seed-5-chain": "8738995a69b138106f69df3e8dd718467dac5466c06022ead13961f83c081534",
+# SHA-256 of the velosense-triplog-v4 file of each fixture, as the v4 writer wrote it
+TRIPLOG_V4_SHA256 = {
+    "reference-fixture": "9974936a232d2d0bccd13e74c16b5c10834386f0badddcab48e95005cc260b4a",
+    "seed-5-chain": "4d5b469972176adcd4ee01d4530a33e47e47630bc15c87e992bcc338708f6b4e",
 }
 
 
-def save_triplog_v3(log, path):
-    """Write `log` as a velosense-triplog-v3 file, as the v3 writer did: one object
-    per path in the path table, each column a list, encoded by one `json.dumps`
-    with its default separators. The reference a v4 file must load back to."""
+def save_triplog_v4(log, path):
+    """Write `log` as a velosense-triplog-v4 file, as the v4 writer did: the path
+    table as flat columns (nodes and entry lengths included) and every trip
+    column, stands and duration included, encoded by one compact `json.dumps`.
+    The reference a v5 file must load back to."""
+    table = log.path_entries
     doc = {
-        "format": "velosense-triplog-v3",
+        "format": "velosense-triplog-v4",
         "network_sha256": log.network_sha256,
         "horizon": log.horizon,
         "speed_m_per_min": log.speed_m_per_min,
         "drop_counts": log.drop_counts,
         "stands": [{"stand": s.id, "node": s.node} for s in log.stands],
-        "paths": [
-            {
-                "nodes": p.nodes,
-                "segments": p.segments,
-                "seg_lengths_m": p.seg_lengths_m,
-                "distance_m": p.distance_m,
-            }
-            for p in log.paths
-        ],
+        "paths": {
+            "count": table.count.tolist(),
+            "segments": table.segment.tolist(),
+            "nodes": table.node.tolist(),
+            "seg_lengths_m": table.length_m.tolist(),
+            "distance_m": table.distance_m.tolist(),
+        },
         "trips": {
             "id": log.ids,
             "origin": log.origin.tolist(),
@@ -710,12 +710,30 @@ def save_triplog_v3(log, path):
         },
     }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc))
+        fh.write(json.dumps(doc, separators=(",", ":")))
 
 
-def paths_of_triplog_v3(doc):
-    """The path table of a decoded v3 document, one Path per entry."""
-    return [
-        Path(tuple(p["segments"]), tuple(p["nodes"]), tuple(p["seg_lengths_m"]), p["distance_m"])
-        for p in doc["paths"]
-    ]
+def paths_of_triplog_v4(doc):
+    """The path table of a decoded v4 document, one Path per path: `count` segments
+    and lengths each, and one node more."""
+    table, paths, first = doc["paths"], [], 0
+    for i, (count, distance) in enumerate(zip(table["count"], table["distance_m"])):
+        end = first + count
+        nodes = tuple(table["nodes"][first + i : end + i + 1])
+        lengths = tuple(table["seg_lengths_m"][first:end])
+        paths.append(Path(tuple(table["segments"][first:end]), nodes, lengths, distance))
+        first = end
+    return paths
+
+
+def random_allocation_by_rescan(caps, budget, seed):
+    """Sensor counts of the uniform random baseline as it first drew them: for each
+    sensor, list the stands with spare capacity in ascending order and draw one."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = [0] * len(caps)
+    for _ in range(budget):
+        open_stands = [s for s in range(len(caps)) if n[s] < caps[s]]
+        if not open_stands:
+            break
+        n[open_stands[int(rng.integers(0, len(open_stands)))]] += 1
+    return n

@@ -34,6 +34,7 @@ from oracles import (
     column_dict,
     evaluate_sparse,
     greedy_order_full_width,
+    random_allocation_by_rescan,
     solve_exact_sparse,
     solve_greedy_sparse,
 )
@@ -462,6 +463,20 @@ class TestRandomAllocation:
             plan = random_allocation(inst, seed=int(rng.integers(0, 1000)))
             assert sum(plan.n) <= inst.budget
             assert all(0 <= plan.n[s] <= inst.caps[s] for s in range(inst.num_stands))
+
+    def test_same_plans_as_rescanning_the_open_stands(self):
+        """The plan equals the one a fresh ascending list of open stands per sensor
+        draws, on random capacities (0 among them), budgets (above the capacity among
+        them) and seeds."""
+        rng = np.random.default_rng(41)
+        base, _ = make_problem({(s, 0): 0.5 for s in range(8)}, [100.0], [1] * 8, budget=1)
+        for _ in range(200):
+            stands = int(rng.integers(1, 9))
+            caps = [int(c) for c in rng.integers(0, 5, size=stands)]
+            budget = int(rng.integers(0, sum(caps) + 6))
+            seed = int(rng.integers(0, 2**32))
+            inst = replace(base, P=base.P[:stands], caps=caps, budget=budget)
+            assert random_allocation(inst, seed).n == random_allocation_by_rescan(caps, budget, seed), (caps, budget)
 
     def test_mean_objective_at_most_greedy(self):
         rng = np.random.default_rng(29)

@@ -77,14 +77,17 @@ def test_ingest_reports_and_triplog(pipeline_dir):
     assert sum(report["cleaning"].values()) == 0
     assert report["cleaning"]["other_day"] == 0
     doc = json.loads((pipeline_dir / "triplog.json").read_text())
-    assert doc["format"] == "velosense-triplog-v4"
-    trips = doc["trips"]
-    assert list(trips) == ["id", "origin", "dest", "start_min", "duration_min", "path"]
+    assert doc["format"] == "velosense-triplog-v5"
+    trips, paths, segments = doc["trips"], doc["paths"], doc["segments"]
+    assert list(trips) == ["id", "start_min", "path"]
     assert all(len(column) == 150 for column in trips.values())
     # one path per (origin, dest) stand pair, shared by the trips that make it
-    assert list(doc["paths"]) == ["count", "segments", "nodes", "seg_lengths_m", "distance_m"]
-    assert len(doc["paths"]["count"]) == len(set(zip(trips["origin"], trips["dest"])))
-    assert set(trips["path"]) == set(range(len(doc["paths"]["count"])))
+    assert list(paths) == ["origin", "dest", "count", "segments", "distance_m"]
+    assert len(paths["count"]) == len(set(zip(paths["origin"], paths["dest"])))
+    assert set(trips["path"]) == set(range(len(paths["count"])))
+    # each segment a path uses once
+    assert list(segments) == ["id", "u", "v", "length_m"]
+    assert segments["id"] == sorted(set(paths["segments"]))
 
 
 def test_fleet_artifact(pipeline_dir):
@@ -273,7 +276,8 @@ def test_round_trip_at_one_stand_lasts_a_minute(tmp_path):
     inputs = [f"--{name}={tmp_path / name}.csv" for name in ("nodes", "edges", "trips")]
     assert main(["ingest", *inputs, "--min-km", "0", *common]) == 0
     doc = json.loads((tmp_path / "triplog.json").read_text())
-    assert doc["trips"]["duration_min"] == [1, 1]
+    assert doc["paths"]["count"] == [0] and doc["paths"]["distance_m"] == [0.0] and doc["trips"]["path"] == [0, 0]
+    assert load_triplog(tmp_path / "triplog.json").duration_min.tolist() == [1, 1]
     triplog = f"--triplog={tmp_path / 'triplog.json'}"
     assert main(["fleet", triplog, *common]) == 0
     assert json.loads((tmp_path / "fleet.json").read_text())["b"] == [1]
@@ -550,6 +554,12 @@ def _edit_path(field, value):
     return _edit_doc(lambda doc: doc["paths"][field].__setitem__(0, value))
 
 
+def _edit_segment(field, value):
+    """Set the first entry of column `field` of a triplog's segment table, which is
+    the lowest segment's, to `value`."""
+    return _edit_doc(lambda doc: doc["segments"][field].__setitem__(0, value))
+
+
 def _set_metadata(**fields):
     return _edit_doc(lambda doc: doc["metadata"].update(fields))
 
@@ -566,9 +576,9 @@ def _set_metadata(**fields):
         ("allocate", ALLOCATE, ["--budget", "4"], "--probs", _append_row("0,0,-0.5")),
         ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(start_min=2000))),
         ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(start_min=100))),
-        ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(origin=99))),
-        ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(origin=-1))),
-        ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["paths"]["seg_lengths_m"].pop())),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_path("origin", 99)),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_path("origin", -1)),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["segments"]["length_m"].pop())),
         ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["trips"]["path"].__setitem__(0, len(d["paths"]["count"])))),
         ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(path=-1))),
         ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(start_min=360), -1)),
@@ -581,9 +591,6 @@ def _set_metadata(**fields):
         ("simulate", SIMULATE, [], "--alloc", _edit_doc(lambda d: d["n"].__setitem__(0, "x"))),
         ("allocate", ALLOCATE, ["--budget", "4"], "--probs", _append_row("0,0,abc")),
         ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(start_min=t["start_min"] + 0.5), -1)),
-        ("probs", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(duration_min=2.5))),
-        ("probs", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(duration_min=-30))),
-        ("probs", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(duration_min=0))),
         ("score", SCORE, ["--delta", "4"], "--traj", _edit_doc(lambda d: d["bike_of_trip"].__setitem__(0, len(d["homes"])))),
         ("score", SCORE, ["--delta", "4"], "--traj", _edit_doc(lambda d: d["events_per_trip"].__setitem__(0, d["events_per_trip"][0] + 1))),
         ("score", SCORE, ["--delta", "4"], "--traj", _edit_doc(lambda d: d["segment"].__setitem__(0, -1))),
@@ -614,14 +621,14 @@ def _set_metadata(**fields):
         ("fleet", ("--triplog",), [], "--triplog", _edit_path("segments", "3")),
         ("fleet", ("--triplog",), [], "--triplog", _edit_path("segments", -1)),
         ("fleet", ("--triplog",), [], "--triplog", _edit_path("segments", True)),
-        ("fleet", ("--triplog",), [], "--triplog", _edit_path("nodes", -1)),
-        ("fleet", ("--triplog",), [], "--triplog", _edit_path("nodes", 0.5)),
-        ("fleet", ("--triplog",), [], "--triplog", _edit_path("seg_lengths_m", -500.0)),
-        ("fleet", ("--triplog",), [], "--triplog", _edit_path("seg_lengths_m", 0.0)),
-        ("fleet", ("--triplog",), [], "--triplog", _edit_path("seg_lengths_m", math.nan)),
-        ("fleet", ("--triplog",), [], "--triplog", _edit_path("seg_lengths_m", math.inf)),
-        ("fleet", ("--triplog",), [], "--triplog", _edit_path("seg_lengths_m", "x")),
-        ("fleet", ("--triplog",), [], "--triplog", _edit_path("seg_lengths_m", 10**400)),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_segment("u", -1)),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_segment("u", 0.5)),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_segment("length_m", -500.0)),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_segment("length_m", 0.0)),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_segment("length_m", math.nan)),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_segment("length_m", math.inf)),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_segment("length_m", "x")),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_segment("length_m", 10**400)),
         ("fleet", ("--triplog",), [], "--triplog", _edit_path("distance_m", -1.0)),
         ("fleet", ("--triplog",), [], "--triplog", _edit_path("distance_m", math.nan)),
         ("fleet", ("--triplog",), [], "--triplog", _edit_path("distance_m", "x")),
@@ -630,9 +637,16 @@ def _set_metadata(**fields):
         ("fleet", ("--triplog",), [], "--triplog", _edit_path("segments", 2**64)),
         ("fleet", ("--triplog",), [], "--triplog", _edit_path("count", -1)),
         ("fleet", ("--triplog",), [], "--triplog", _edit_path("count", 1.5)),
-        ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["paths"]["nodes"].pop())),
         ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["paths"]["count"].__setitem__(-1, d["paths"]["count"][-1] + 1))),
         ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["paths"]["distance_m"].pop())),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["paths"]["segments"].__setitem__(0, d["segments"]["id"][-1] + 1))),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["segments"]["id"].__setitem__(1, d["segments"]["id"][0]))),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["segments"]["id"].__setitem__(slice(0, 2), d["segments"]["id"][1::-1]))),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["segments"].update(u=d["segments"]["v"], v=d["segments"]["u"]))),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["paths"]["segments"].__setitem__(slice(0, 2), d["paths"]["segments"][1::-1]))),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["paths"]["origin"].__setitem__(0, d["paths"]["dest"][0]))),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["paths"]["dest"].__setitem__(0, d["paths"]["origin"][0]))),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_path("distance_m", 1e300)),
     ],
     ids=["triplog-without-stands", "traj-without-metadata", "alloc-without-N_e",
          "probs-unknown-stand", "probs-unknown-segment", "probs-nan", "probs-negative",
@@ -642,8 +656,7 @@ def _set_metadata(**fields):
          "probs-meta-without-triplog-sha256", "traj-without-triplog-sha256",
          "alloc-without-triplog-sha256", "alloc-negative-count", "alloc-extra-stand",
          "alloc-missing-stand", "alloc-count-not-int", "probs-p-not-a-number",
-         "trip-start-not-int", "trip-duration-not-int", "trip-duration-negative",
-         "trip-duration-zero", "traj-bike-out-of-range", "traj-events-per-trip-off",
+         "trip-start-not-int", "traj-bike-out-of-range", "traj-events-per-trip-off",
          "traj-segment-negative", "traj-without-equipped", "traj-equipped-out-of-range",
          "traj-equipped-not-int", "traj-equipped-bool", "alloc-count-fraction",
          "alloc-count-bool", "alloc-count-string", "probs-repeated-pair",
@@ -656,8 +669,10 @@ def _set_metadata(**fields):
          "path-length-nan", "path-length-infinite", "path-length-string", "path-length-past-float",
          "path-distance-negative", "path-distance-nan", "path-distance-string",
          "probs-stand-fraction", "probs-comment-row", "path-segment-past-int64",
-         "path-count-negative", "path-count-fraction", "path-nodes-one-short", "path-count-past-segments",
-         "path-distances-one-short"],
+         "path-count-negative", "path-count-fraction", "path-count-past-segments",
+         "path-distances-one-short", "path-segment-not-listed", "segment-ids-repeated", "segment-ids-out-of-order",
+         "segment-nodes-reversed", "path-segments-swapped", "path-origin-moved", "path-dest-moved",
+         "path-distance-past-int64-minutes"],
 )
 def test_malformed_artifact_is_2(artifacts, tmp_path, capsys, request, command, options, extra, corrupted, edit):
     paths = dict(artifacts)
@@ -686,21 +701,45 @@ PROBS_ROW_MESSAGES = {
 }
 
 
-# a path-table edit -> the column its message names first
+# a path- or segment-table edit -> the column its message names first
 PATH_TABLE_FIELDS = {
-    "trip-path-lengths-disagree": "paths.seg_lengths_m",
+    "trip-unknown-origin": "paths.origin",
+    "trip-negative-origin": "paths.origin",
+    "trip-path-lengths-disagree": "segments.length_m",
+    "path-segment-fraction": "paths.segments",
+    "path-segment-string": "paths.segments",
+    "path-segment-negative": "paths.segments",
+    "path-segment-bool": "paths.segments",
+    "path-segment-past-int64": "paths.segments",
+    "path-node-negative": "segments.u",
+    "path-node-fraction": "segments.u",
+    "path-length-negative": "segments.length_m",
+    "path-length-zero": "segments.length_m",
+    "path-length-nan": "segments.length_m",
+    "path-length-infinite": "segments.length_m",
+    "path-length-string": "segments.length_m",
+    "path-distance-negative": "paths.distance_m",
+    "path-distance-nan": "paths.distance_m",
+    "path-distance-string": "paths.distance_m",
     "path-count-negative": "paths.count",
     "path-count-fraction": "paths.count",
-    "path-nodes-one-short": "paths.nodes",
     "path-count-past-segments": "paths.segments",
     "path-distances-one-short": "paths.distance_m",
+    "path-segment-not-listed": "paths.segments",
+    "segment-ids-repeated": "segments.id",
+    "segment-ids-out-of-order": "segments.id",
+    "segment-nodes-reversed": "segments.u",
+    "path-segments-swapped": "paths.segments",
+    "path-origin-moved": "paths.segments",
+    "path-dest-moved": "paths.dest",
+    "path-distance-past-int64-minutes": "paths.distance_m",
 }
 
 
 # JSON artifact option -> (a command that reads it, its options, extra arguments,
 # the artifact's format, the command that writes it)
 JSON_INPUTS = {
-    "--triplog": ("fleet", ("--triplog",), [], "velosense-triplog-v4", "ingest"),
+    "--triplog": ("fleet", ("--triplog",), [], "velosense-triplog-v5", "ingest"),
     "--probs-meta": ("allocate", ALLOCATE, ["--budget", "4"], "velosense-coverage-v1", "probs"),
     "--alloc": ("simulate", SIMULATE, [], "velosense-alloc-v1", "allocate"),
     "--traj": ("score", SCORE, ["--delta", "4"], "velosense-traj-v2", "simulate"),
@@ -717,6 +756,7 @@ DERIVED = ("--probs-meta", "--alloc", "--traj")
         ("--triplog", '{"format": "velosense-triplog-v1", "trips": []}'),
         ("--triplog", '{"format": "velosense-triplog-v2", "trips": []}'),
         ("--triplog", '{"format": "velosense-triplog-v3", "paths": [], "trips": {}}'),
+        ("--triplog", '{"format": "velosense-triplog-v4", "paths": {}, "trips": {}}'),
         ("--triplog", '{"format": "something-else"}'),
         ("--triplog", "[]"),
         ("--triplog", NOT_JSON),
@@ -724,7 +764,7 @@ DERIVED = ("--probs-meta", "--alloc", "--traj")
         ("--traj", '{"format": "velosense-traj-v1", "metadata": {}, "bikes": []}'),
         *[(option, text) for option in DERIVED for text in CONTENTS.values()],
     ],
-    ids=["v1", "v2", "v3", "unknown", "not-an-object", "triplog-not-json", "triplog-nested-too-deep", "traj-v1",
+    ids=["v1", "v2", "v3", "v4", "unknown", "not-an-object", "triplog-not-json", "triplog-nested-too-deep", "traj-v1",
          *[f"{option[2:]}-{name}" for option in DERIVED for name in CONTENTS]],
 )
 def test_triplog_of_another_format_is_2(artifacts, tmp_path, capsys, corrupted, text):
@@ -895,13 +935,33 @@ def test_triplog_without_network_sha256_is_2(runs_by_seed, tmp_path, capsys, com
     assert all(str(paths[option]) in err for option in ("--triplog", "--nodes", "--edges"))
 
 
-def _set_length(table):
-    """Give each segment of path 0 of a path table length 1.0."""
-    table["seg_lengths_m"][: table["count"][0]] = [1.0] * table["count"][0]
+def _set_length(doc):
+    """Give the lowest segment of the segment table length 1.0; returns its row."""
+    doc["segments"]["length_m"][0] = 1.0
+    return 0
 
 
-def _set_unknown_segment(table):
-    table["segments"][0] = 10**6
+def _set_unknown_segment(doc):
+    """Renumber the highest segment of the segment table 10**6, where the paths use it
+    too; returns its row."""
+    table = doc["segments"]
+    doc["paths"]["segments"] = [10**6 if s == table["id"][-1] else s for s in doc["paths"]["segments"]]
+    table["id"][-1] = 10**6
+    return len(table["id"]) - 1
+
+
+def _move_node(doc):
+    """Move the end of the lowest segment that no stand holds to a node the segment
+    table does not use, in every segment that ends there, so each path still walks;
+    returns the row of the lowest of them."""
+    table = doc["segments"]
+    stand_nodes = {s["node"] for s in doc["stands"]}
+    node = next(n for pair in zip(table["u"], table["v"]) for n in pair if n not in stand_nodes)
+    moved = max(table["u"] + table["v"]) + 1
+    rows = [i for i, pair in enumerate(zip(table["u"], table["v"])) if node in pair]
+    for i in rows:
+        table["u"][i], table["v"][i] = sorted(moved if n == node else n for n in (table["u"][i], table["v"][i]))
+    return rows[0]
 
 
 def _pinned(artifact, triplog, out):
@@ -915,17 +975,23 @@ def _pinned(artifact, triplog, out):
 
 @pytest.mark.parametrize(
     "edit, has",
-    [(_set_length, "give it 350.0 m"), (_set_unknown_segment, "have no such segment")],
-    ids=["lengths-edited", "segment-unknown"],
+    [
+        (_set_length, "give it 350.0 m"),
+        (_set_unknown_segment, "have no such segment"),
+        (_move_node, "give it nodes {u} and {v}"),
+    ],
+    ids=["lengths-edited", "segment-unknown", "end-nodes-edited"],
 )
 @pytest.mark.parametrize("command, options, extra", NETWORK_CHECKED, ids=["allocate", "export-lp", "score"])
 def test_path_off_the_network_is_2(artifacts, tmp_path, capsys, command, options, extra, edit, has):
-    """A triplog whose header names the right network but whose path 0 was edited.
-    Its probs sidecar and allocation are pinned to it and its replay is made from it,
-    so only the path check can refuse it; the commands without a network still run."""
+    """A triplog whose header names the right network but whose segment table was
+    edited. Its probs sidecar and allocation are pinned to it and its replay is made
+    from it, so only the segment check can refuse it; the commands without a
+    network still run. The first segment that is off the network is named."""
     paths = dict(artifacts)
     doc = json.loads(paths["--triplog"].read_text())
-    edit(doc["paths"])
+    original = json.loads(json.dumps(doc["segments"]))
+    i = edit(doc)
     inputs = tmp_path / "inputs"
     inputs.mkdir()
     bad = paths["--triplog"] = inputs / "triplog.json"
@@ -939,11 +1005,11 @@ def test_path_off_the_network_is_2(artifacts, tmp_path, capsys, command, options
     out = tmp_path / "out"
     extra = _with_lp_out(command, extra, tmp_path)
     assert main([command, *_args(paths, options), *extra, "--out-dir", str(out)]) == 2
-    table = doc["paths"]
+    table = doc["segments"]
     network = f"{paths['--nodes']} and {paths['--edges']}"
     assert capsys.readouterr().err == (
-        f"error: {bad}: path 0 gives segment {table['segments'][0]} length {table['seg_lengths_m'][0]} m, "
-        f"but {network} {has}\n"
+        f"error: {bad}: segment {table['id'][i]} joins nodes {table['u'][i]} and {table['v'][i]} "
+        f"over {table['length_m'][i]} m, but {network} {has.format(u=original['u'][i], v=original['v'][i])}\n"
     )
     assert not out.exists() and not (tmp_path / "model.lp").exists()
 

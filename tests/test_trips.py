@@ -25,11 +25,11 @@ from velosense.trips import (
 )
 
 from oracles import (
-    TRIPLOG_V3_SHA256,
+    TRIPLOG_V4_SHA256,
     clean_trips_by_row,
     parse_trips_by_dict,
-    paths_of_triplog_v3,
-    save_triplog_v3,
+    paths_of_triplog_v4,
+    save_triplog_v4,
     traversal_times,
 )
 from trip_logs import raw_concat, raw_rows, trip_log
@@ -492,13 +492,19 @@ class TestTraversalTimes:
             (SPEED,) * 5 + (0.1,),  # five minutes of road summed: // floors it to 4, floor of / gives 5
             (0.1, 0.7, 1 / 3, 216.67),
         ]
-        paths = [Path(tuple(range(len(x))), tuple(range(len(x) + 1)), x, sum(x)) for x in lengths]
+        # path i runs from stand 2i to stand 2i + 1 along segments and nodes of its own
+        paths = [
+            Path(tuple(range(10 * i, 10 * i + len(x))), tuple(range(100 * i, 100 * i + len(x) + 1)), x, sum(x))
+            for i, x in enumerate(lengths)
+        ]
+        stands = [Stand(0, 0), Stand(1, 3), Stand(2, 100), Stand(3, 103), Stand(4, 200), Stand(5, 206),
+                  Stand(6, 300), Stand(7, 304)]
         rides = [(0, 360), (1, 361), (2, 361), (3, 400), (1, 500), (2, 1000)]  # (path, start)
         trips = [
-            Trip(f"t{i}", 0, 1, start, paths[p], math.ceil(paths[p].distance_m / SPEED))
+            Trip(f"t{i}", 2 * p, 2 * p + 1, start, paths[p], math.ceil(paths[p].distance_m / SPEED))
             for i, (p, start) in enumerate(rides)
         ]
-        built = trip_log(trips, [Stand(0, 0), Stand(1, 1)], (360, 1320), SPEED)
+        built = trip_log(trips, stands, (360, 1320), SPEED)
         assert [m for _seg, m in traversal_times(trips[1], SPEED)] == [361, 362, 363]
         assert [m for _seg, m in traversal_times(trips[2], SPEED)][-1] == 365
         save_triplog(built, tmp_path / "triplog.json")
@@ -506,6 +512,15 @@ class TestTraversalTimes:
             assert len(log.paths) == len(paths)
             for i, trip in enumerate(log.trips):
                 assert trip_events(log, i) == traversal_times(trip, SPEED)
+
+
+# paths whose segments agree on their end nodes and lengths, one of no segment
+HAND_BUILT_PATHS = [
+    Path((3, 4, 5), (1, 2, 3, 4), (216.67, 1 / 3, 0.1 + 0.2), 216.67 + 1 / 3 + (0.1 + 0.2)),
+    Path((), (1,), (), 0.0),
+    Path((7,), (4, 9), (1e-3,), 1e-3),
+    Path((4, 2), (2, 3, 0), (1 / 3, 5e-324), 1 / 3 + 5e-324),
+]
 
 
 class TestSerialization:
@@ -542,31 +557,78 @@ class TestSerialization:
     def test_format_tag_checked(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"format": "something-else"}')
-        with pytest.raises(MalformedInputError, match="velosense-triplog-v4"):
+        with pytest.raises(MalformedInputError, match="velosense-triplog-v5"):
             load_triplog(bad)
 
     def test_hand_built_logs_round_trip(self, tmp_path):
         """A zero-segment path, unequal inexact lengths, and a log without trips load
         back to the same columns, path table, Paths and events."""
-        paths = [
-            Path((3, 4, 5), (1, 2, 3, 4), (216.67, 1 / 3, 0.1 + 0.2), 216.67 + 1 / 3 + (0.1 + 0.2)),
-            Path((), (1,), (), 0.0),
-            Path((7,), (4, 9), (1e-3,), 1e-3),
-            Path((4, 2), (2, 3, 0), (433.0, 5e-324), 433.0 + 5e-324),
-        ]
+        stands = [Stand(0, 0), Stand(1, 1), Stand(2, 2), Stand(3, 4), Stand(4, 9)]
+        ends = [(1, 3), (1, 1), (3, 4), (2, 0)]  # each path's stands
         rides = [(0, 360), (1, 361), (2, 361), (0, 400), (3, 1320), (1, 1320)]  # (path, start)
-        trips = [Trip(f"t{i}", 0, 1, start, paths[p], 1 + i) for i, (p, start) in enumerate(rides)]
-        stands = [Stand(0, 1), Stand(1, 4)]
+        paths = HAND_BUILT_PATHS
+        trips = [
+            Trip(f"t{i}", *ends[p], start, paths[p], max(1, math.ceil(paths[p].distance_m / SPEED)))
+            for i, (p, start) in enumerate(rides)
+        ]
         for built in (trip_log(trips, stands, (360, 1320), SPEED), trip_log([], [], (0, 60), 100.0)):
             save_triplog(built, tmp_path / "triplog.json")
             loaded = load_triplog(tmp_path / "triplog.json")
             for name, column in built.path_entries._asdict().items():
                 got = getattr(loaded.path_entries, name)
                 assert got.dtype == column.dtype and got.tolist() == column.tolist(), name
+            for name in ("origin", "dest", "start_min", "duration_min", "path"):
+                column, got = getattr(built, name), getattr(loaded, name)
+                assert got.dtype == column.dtype and got.tolist() == column.tolist(), name
             assert loaded.paths == built.paths
             assert loaded.trips == built.trips
             for name in ("trip", "segment", "minute"):
                 assert getattr(loaded.events, name).tolist() == getattr(built.events, name).tolist(), name
+
+    @pytest.mark.parametrize(
+        "paths, ends, duration, message",
+        [
+            # segment 4 is 1/3 m long on path 0 and 433 m on path 3
+            (
+                HAND_BUILT_PATHS[:3] + [Path((4, 2), (2, 3, 0), (433.0, 5e-324), 433.0 + 5e-324)],
+                [(1, 3), (1, 1), (3, 4), (2, 0)], None, "segment 4 two lengths",
+            ),
+            # segment 4 joins nodes 2 and 3 on path 0, 3 and 7 on path 3
+            (
+                HAND_BUILT_PATHS[:3] + [Path((4, 2), (7, 3, 0), (1 / 3, 5e-324), 1 / 3 + 5e-324)],
+                [(1, 3), (1, 1), (3, 4), (2, 0)], None, "segment 4 two pairs of end nodes",
+            ),
+            (HAND_BUILT_PATHS, [(1, 3), (1, 1), (3, 4), (2, 1)], None, "has dest 1, but its path gives 0"),
+            (HAND_BUILT_PATHS, [(0, 3), (1, 1), (3, 4), (2, 0)], None, "has origin 0, but its path gives 1"),
+            (HAND_BUILT_PATHS, [(1, 3), (1, 1), (3, 4), (2, 0)], 7, "has duration_min 7, but its path gives 2"),
+            (
+                HAND_BUILT_PATHS[:2] + [Path((7,), (4, 8), (1e-3,), 1e-3)] + HAND_BUILT_PATHS[3:],
+                [(1, 3), (1, 1), (3, 4), (2, 0)], None, "a path ends at node 8, which no stand holds",
+            ),
+        ],
+        ids=["segment-two-lengths", "segment-two-node-pairs", "dest-not-the-paths", "origin-not-the-paths",
+             "duration-not-the-paths", "path-end-off-every-stand"],
+    )
+    def test_save_refuses_a_log_the_file_cannot_hold(self, tmp_path, paths, ends, duration, message):
+        """Each log would load back to another log, so none is written."""
+        stands = [Stand(0, 0), Stand(1, 1), Stand(2, 2), Stand(3, 4), Stand(4, 9)]
+        trips = [
+            Trip(f"t{p}", *ends[p], 360, path, duration or max(1, math.ceil(path.distance_m / SPEED)))
+            for p, path in enumerate(paths)
+        ]
+        with pytest.raises(ValueError, match=message):
+            save_triplog(trip_log(trips, stands, (360, 1320), SPEED), tmp_path / "triplog.json")
+        assert not (tmp_path / "triplog.json").exists()
+
+    def test_save_refuses_a_log_off_its_paths_everywhere(self, tmp_path):
+        """Every trip runs from stand 0 to stand 1 whatever its path and lasts 1 + i
+        minutes, and segment 4 has two lengths."""
+        paths = HAND_BUILT_PATHS[:3] + [Path((4, 2), (2, 3, 0), (433.0, 5e-324), 433.0 + 5e-324)]
+        rides = [(0, 360), (1, 361), (2, 361), (0, 400), (3, 1320), (1, 1320)]
+        trips = [Trip(f"t{i}", 0, 1, start, paths[p], 1 + i) for i, (p, start) in enumerate(rides)]
+        with pytest.raises(ValueError):
+            save_triplog(trip_log(trips, [Stand(0, 1), Stand(1, 4)], (360, 1320), SPEED), tmp_path / "triplog.json")
+        assert not (tmp_path / "triplog.json").exists()
 
     def test_loading_and_using_a_log_builds_no_path(self, small_scenario, tmp_path):
         """load_triplog, the event table, the schedule and the network check read the
@@ -614,19 +676,19 @@ class TestGolden:
     def test_reference_fixture(self, reference_scenario, tmp_path):
         _net, log = reference_scenario
         assert self.triplog_sha256(log, tmp_path) == (
-            "9974936a232d2d0bccd13e74c16b5c10834386f0badddcab48e95005cc260b4a"
+            "1d1fea93ac9ca698293cf9550b02f387333150cd034eae3c2675cfd64b914241"
         )
 
     def test_seed_5_chain(self, tmp_path):
         assert self.triplog_sha256(seed_5_chain(), tmp_path) == (
-            "4d5b469972176adcd4ee01d4530a33e47e47630bc15c87e992bcc338708f6b4e"
+            "8d34e786d525bddc9e8814652c207f571cefd8de62d15576a006cfb54e37fc38"
         )
 
 
-class TestV4LoadsAsTheV3Document:
-    """Each fixture's v3 file, written by the v3 writer to its pinned digest, and its
-    v4 file hold the same log: the v4 file loads to the v3 document's header, stands,
-    trip columns and Paths."""
+class TestV5LoadsAsTheV4Document:
+    """Each fixture's v4 file, written by the v4 writer to its pinned digest, and its
+    v5 file hold the same log: the v5 file loads to the v4 document's header, stands,
+    trip columns (stands and durations included), path table and Paths."""
 
     @pytest.mark.parametrize("fixture", ["reference-fixture", "seed-5-chain"])
     def test_same_log(self, request, tmp_path, fixture):
@@ -634,11 +696,11 @@ class TestV4LoadsAsTheV3Document:
             _net, log = request.getfixturevalue("reference_scenario")
         else:
             log = seed_5_chain()
-        save_triplog_v3(log, tmp_path / "v3.json")
-        assert _sha256(tmp_path / "v3.json") == TRIPLOG_V3_SHA256[fixture]
-        save_triplog(log, tmp_path / "v4.json")
-        loaded = load_triplog(tmp_path / "v4.json")
-        doc = json.loads((tmp_path / "v3.json").read_text())
+        save_triplog_v4(log, tmp_path / "v4.json")
+        assert _sha256(tmp_path / "v4.json") == TRIPLOG_V4_SHA256[fixture]
+        save_triplog(log, tmp_path / "v5.json")
+        loaded = load_triplog(tmp_path / "v5.json")
+        doc = json.loads((tmp_path / "v4.json").read_text())
         assert loaded.network_sha256 == doc["network_sha256"]
         assert list(loaded.horizon) == doc["horizon"]
         assert loaded.speed_m_per_min == doc["speed_m_per_min"]
@@ -646,5 +708,12 @@ class TestV4LoadsAsTheV3Document:
         assert [{"stand": s.id, "node": s.node} for s in loaded.stands] == doc["stands"]
         assert loaded.ids == doc["trips"]["id"]
         for name in ("origin", "dest", "start_min", "duration_min", "path"):
-            assert getattr(loaded, name).tolist() == doc["trips"][name], name
-        assert loaded.paths == paths_of_triplog_v3(doc)
+            column = getattr(loaded, name)
+            assert column.dtype == np.int64 and column.tolist() == doc["trips"][name], name
+        columns = {"segment": "segments", "length_m": "seg_lengths_m", "count": "count", "node": "nodes",
+                   "distance_m": "distance_m"}
+        for name, key in columns.items():
+            column = getattr(loaded.path_entries, name)
+            dtype = np.float64 if name in ("length_m", "distance_m") else np.int64
+            assert column.dtype == dtype and column.tolist() == doc["paths"][key], name
+        assert loaded.paths == paths_of_triplog_v4(doc)
