@@ -31,7 +31,7 @@ from .fleet_sim import (
     simulate,
 )
 from .harness import ExperimentSpec, beta_sweep, run_pipeline, sensor_requirement
-from .metrics import IntervalGrid, coverage_counts, hourly_diagnostics, sensing_score
+from .metrics import IntervalGrid, hourly_diagnostics, sensing_score
 from .network import Path, RoadNetwork, haversine_m, load_network, nearest_node, route_pairs
 from .synth import SynthConfig, generate
 from .trips import RawTrips, Trip, TripLog, clean_trips, parse_raw_trips

@@ -451,10 +451,13 @@ def save_plan(plan: AllocationPlan, inst: MilpInstance, path, triplog_sha256: st
 
 
 def load_plan(path) -> AllocationPlan:
-    """The plan alloc.json holds. Its N_e and covered_segments follow from n
-    and are not read back, but an alloc.json without them is not one."""
+    """The plan alloc.json holds, which uses no more sensors than its recorded
+    budget. Its N_e and covered_segments follow from n and are not read back,
+    but an alloc.json without them is not one."""
     with read_artifact(path, ALLOC_FORMAT, "allocate") as doc:
         if not doc.keys() >= {"N_e", "covered_segments"}:
             raise MalformedInputError(f"{path}: no N_e or covered_segments; re-run `velosense allocate`")
         n = int_column(doc["n"], path, "n").tolist()
+        if sum(n) > doc["budget"]:
+            raise MalformedInputError(f"{path}: n holds {sum(n)} sensors, over its budget {doc['budget']}")
         return AllocationPlan(n, doc["objective_m"], doc["solver"], doc["gap"], doc.get("triplog_sha256"))

@@ -195,17 +195,18 @@ def cmd_score(args) -> int:
     net = _load_routed_net(args, log)
     replay, meta = fleet_sim.load_trajectories(args.traj)
     _check_triplog(meta.get("triplog_sha256"), args.traj, args.triplog, trips.file_sha256(args.triplog))
-    if replay.trip_ids != log.ids or not all(map(np.array_equal, replay.events, log.events)):
-        raise MalformedInputError(
-            f"{args.traj}: its trip ids or events are not those of {args.triplog}; "
-            "re-run `velosense simulate`"
-        )
+    with blamed_on(args.traj):
+        fleet_sim.check_replay(log, replay)
     grid = metrics.IntervalGrid(*log.horizon, args.delta)
     # one count per distinct interval; the hourly diagnostics' grid refuses a horizon
     # that is not hour-aligned, before any file is written
     grids = {args.delta: grid, 1.0: metrics.hour_grid(log)}
     equipped = frozenset(meta["equipped"])
-    counts = {d: metrics.coverage_counts(replay, equipped, g, net.num_segments) for d, g in grids.items()}
+    events, rode, segments = log.events, replay.rode(equipped), net.num_segments
+    counts = {
+        d: metrics.count_cells(metrics.event_cells(events, g, segments), events.trip, rode, (segments, g.n_intervals))
+        for d, g in grids.items()
+    }
     phi = metrics.sensing_score(counts[args.delta], net.seg_length_m, grid)
     hourly = metrics.hourly_diagnostics(counts[1.0], log)
     out = _out_dir(args)

@@ -4,9 +4,11 @@ Two pieces read the log's service schedule: the minimal per-stand initial
 bike counts, which a plan must reach for replay to run, and the replay of the
 trip log once in row (service) order, assigning physical bikes to trips. Replay
 optionally biases bike selection toward sensor-equipped bikes (guided selection
-accepted with probability beta). A replay is the bike of each trip over the
-log's event table (see Replay), and `traj.json` stores those columns; per-bike
-trajectories are views built only when a replay is iterated.
+accepted with probability beta). A replay is only the bike of each trip (see
+Replay), and `traj.json` stores that column; the events a replay covers are
+the log's. Per-bike trajectories are views built only when a replay is
+iterated. `check_replay` refuses a replay that no run of the log's minimal
+fleet could give.
 
 RNG stream, per trip in log order, from one numpy PCG64 seeded with the
 replay's seed: first a guidance draw, one whole 64-bit word whose top 53 bits
@@ -49,9 +51,9 @@ from numpy.random import PCG64
 from .errors import (
     InfeasiblePlanError, MalformedInputError, int_column, read_artifact, str_column, write_json,
 )
-from .trips import TripEvents, TripLog
+from .trips import TripLog
 
-TRAJ_FORMAT = "velosense-traj-v2"
+TRAJ_FORMAT = "velosense-traj-v3"
 GENERATOR_NAME = "numpy-pcg64"
 
 
@@ -84,23 +86,20 @@ class BikeTrajectory:
     bike: int
     home: int
     served: list[str]  # trip ids in service order
-    events: list[tuple[int, int]]  # (segment, enter minute)
 
 
 @dataclass(frozen=True, eq=False)
 class Replay:
-    """Which bike served each trip, over an event table of the trips.
+    """Which bike served each trip of a log, its rows in service order.
 
-    Trip rows are in service order, and the event table is grouped by trip row.
-    Counting selects events by their trip's rode flag (rode); iterating yields
-    per-bike BikeTrajectory views, built on first use. Two replays are equal
-    when their columns are.
+    Counting selects the log's events by their trip's rode flag (rode);
+    iterating yields per-bike BikeTrajectory views, built on first use. Two
+    replays are equal when their columns are.
     """
 
     bike_of_trip: np.ndarray  # int64 per trip row
     homes: np.ndarray  # int64 per bike: home stand
     trip_ids: list[str]  # per trip row
-    events: TripEvents
 
     def rode(self, equipped: frozenset[int] | set[int]) -> np.ndarray:
         """Whether each trip row rode one of the equipped bikes."""
@@ -111,16 +110,9 @@ class Replay:
     @cached_property
     def _views(self) -> list[BikeTrajectory]:
         served: list[list[str]] = [[] for _ in self.homes]
-        events: list[list[tuple[int, int]]] = [[] for _ in self.homes]
         for trip_id, bike in zip(self.trip_ids, self.bike_of_trip.tolist()):
             served[bike].append(trip_id)
-        bike_of_event = self.bike_of_trip[self.events.trip].tolist()
-        for bike, seg, minute in zip(bike_of_event, self.events.segment.tolist(), self.events.minute.tolist()):
-            events[bike].append((seg, minute))
-        return [
-            BikeTrajectory(bike, home, served[bike], events[bike])
-            for bike, home in enumerate(self.homes.tolist())
-        ]
+        return [BikeTrajectory(bike, home, served[bike]) for bike, home in enumerate(self.homes.tolist())]
 
     def __len__(self) -> int:
         return len(self.homes)
@@ -131,8 +123,7 @@ class Replay:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Replay):
             return NotImplemented
-        mine = (self.bike_of_trip, self.homes, *self.events)
-        theirs = (other.bike_of_trip, other.homes, *other.events)
+        mine, theirs = (self.bike_of_trip, self.homes), (other.bike_of_trip, other.homes)
         return self.trip_ids == other.trip_ids and all(map(np.array_equal, mine, theirs))
 
 
@@ -370,10 +361,6 @@ def simulate(log: TripLog, plan: FleetPlan, cfg: SimConfig) -> Replay:
     """
     if len(plan.b) != log.num_stands:
         raise MalformedInputError(f"plan covers {len(plan.b)} stands, log has {log.num_stands}")
-    schedule = log.schedule
-    instant = schedule.returns[log.duration_min[schedule.returns] < 1]  # back before it leaves
-    if len(instant):
-        raise MalformedInputError(f"trip {log.ids[instant[0]]} lasts less than a minute")
     sizes = _pool_sizes(log, plan)
     short = np.flatnonzero(sizes < 1)
     if len(short):
@@ -392,7 +379,33 @@ def simulate(log: TripLog, plan: FleetPlan, cfg: SimConfig) -> Replay:
         bike_of_trip = _bikes_from_picks(log, pools, log.origin + unequipped, log.dest + unequipped, picks)
     else:
         bike_of_trip = _guided_bikes(log, plan, cfg)
-    return Replay(np.array(bike_of_trip, dtype=np.int64), plan.home_stands(), log.ids, log.events)
+    return Replay(np.array(bike_of_trip, dtype=np.int64), plan.home_stands(), log.ids)
+
+
+def check_replay(log: TripLog, replay: Replay) -> None:
+    """Raise MalformedInputError unless `replay` is one a run of `log` on its
+    minimal fleet could give: its rows are the log's trips, its homes are that
+    fleet's, each bike's first ride leaves its home, and each later ride leaves
+    the stand where the bike's ride before it ended, no earlier than that ride
+    ended. One pass over the rows, grouped by bike in service order."""
+    if replay.trip_ids != log.ids:
+        raise MalformedInputError("trip_ids are not the log's trips; re-run `velosense simulate`")
+    homes = initial_bike_counts(log).home_stands()
+    if not np.array_equal(replay.homes, homes):
+        raise MalformedInputError(f"homes are not those of the log's minimal fleet of {len(homes)} bikes")
+    order = np.argsort(replay.bike_of_trip, kind="stable")  # each bike's rows in service order
+    bike, before = replay.bike_of_trip[order], np.roll(order, 1)  # the row before, if the bike's
+    first = np.diff(bike, prepend=-1) != 0  # bike ids are >= 0
+    at = np.where(first, homes[bike], log.dest[before])  # where and from when the bike waits
+    ready = np.where(first, log.horizon[0], log.start_min[before] + log.duration_min[before])
+    wrong = np.flatnonzero((log.origin[order] != at) | (log.start_min[order] < ready))
+    if len(wrong):
+        i = wrong[order[wrong].argmin()]  # the first in service order
+        row = order[i]
+        raise MalformedInputError(
+            f"bike_of_trip puts trip {log.ids[row]}, which leaves stand {log.origin[row]} at minute "
+            f"{log.start_min[row]}, on bike {bike[i]}, which waits at stand {at[i]} from minute {ready[i]}"
+        )
 
 
 def equipped_set(plan: FleetPlan, sensors_per_stand) -> frozenset[int]:
@@ -415,8 +428,7 @@ def save_fleet(plan: FleetPlan, path) -> None:
 
 
 def save_trajectories(replay: Replay, cfg: SimConfig, path, triplog_sha256: str) -> None:
-    """Write a velosense-traj-v2 file: the metadata, then the replay's columns,
-    with the event table as per-trip event counts over its segment and minute."""
+    """Write a velosense-traj-v3 file: the metadata, then the replay's columns."""
     doc = {
         "format": TRAJ_FORMAT,
         "metadata": {
@@ -429,17 +441,14 @@ def save_trajectories(replay: Replay, cfg: SimConfig, path, triplog_sha256: str)
         "homes": replay.homes,
         "trip_ids": replay.trip_ids,
         "bike_of_trip": replay.bike_of_trip,
-        "events_per_trip": np.bincount(replay.events.trip, minlength=len(replay.trip_ids)),
-        "segment": replay.events.segment,
-        "minute": replay.events.minute,
     }
     write_json(path, doc)
 
 
 def load_trajectories(path) -> tuple[Replay, dict]:
-    """Read a velosense-traj-v2 file into the Replay it was written from, and its
+    """Read a velosense-traj-v3 file into the Replay it was written from, and its
     metadata, whose `equipped` holds distinct bikes of the replay. Any other
-    format, v1 included, is rejected: `simulate` writes v2."""
+    format, v2 and v1 included, is rejected: `simulate` writes v3."""
     with read_artifact(path, TRAJ_FORMAT, "simulate") as doc:
         meta = doc["metadata"]
         homes = int_column(doc["homes"], path, "homes")
@@ -448,18 +457,6 @@ def load_trajectories(path) -> tuple[Replay, dict]:
             raise MalformedInputError(f"{path}: metadata.equipped lists a bike twice")
         trip_ids = str_column(doc["trip_ids"], path, "trip_ids")
         bike_of_trip = int_column(doc["bike_of_trip"], path, "bike_of_trip", hi=len(homes))
-        per_trip = int_column(doc["events_per_trip"], path, "events_per_trip")
-        segment = int_column(doc["segment"], path, "segment")
-        minute = int_column(doc["minute"], path, "minute")
-        if not len(trip_ids) == len(bike_of_trip) == len(per_trip):
-            raise MalformedInputError(
-                f"{path}: {len(trip_ids)} trip_ids, {len(bike_of_trip)} bike_of_trip "
-                f"and {len(per_trip)} events_per_trip"
-            )
-        if not int(per_trip.sum()) == len(segment) == len(minute):
-            raise MalformedInputError(
-                f"{path}: events_per_trip sums to {int(per_trip.sum())}, "
-                f"over {len(segment)} segments and {len(minute)} minutes"
-            )
-        trip = np.repeat(np.arange(len(per_trip), dtype=np.int64), per_trip)
-        return Replay(bike_of_trip, homes, trip_ids, TripEvents(trip, segment, minute)), meta
+        if len(trip_ids) != len(bike_of_trip):
+            raise MalformedInputError(f"{path}: {len(trip_ids)} trip_ids, {len(bike_of_trip)} bike_of_trip")
+        return Replay(bike_of_trip, homes, trip_ids), meta

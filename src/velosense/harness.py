@@ -166,15 +166,16 @@ class Evaluator:
 
     def phi(self, trajs: Replay, equipped: frozenset[int], delta_h: float) -> float:
         """The sensing score of a replay of this study's log. Every replay
-        shares the log's events, so their cells are found once per interval."""
-        if trajs.events is not self.data.log.events:
+        covers the log's events, so their cells are found once per interval."""
+        log = self.data.log
+        if trajs.trip_ids is not log.ids:
             raise ValueError("phi scores only replays of the study's own log")
         num_segments = self.data.net.num_segments
         if delta_h not in self._cells:
-            grid = IntervalGrid(*self.data.log.horizon, delta_h)
-            self._cells[delta_h] = grid, event_cells(self.data.log.events, grid, num_segments)
+            grid = IntervalGrid(*log.horizon, delta_h)
+            self._cells[delta_h] = grid, event_cells(log.events, grid, num_segments)
         grid, cells = self._cells[delta_h]
-        counts = count_cells(cells, trajs.events.trip, trajs.rode(equipped), (num_segments, grid.n_intervals))
+        counts = count_cells(cells, log.events.trip, trajs.rode(equipped), (num_segments, grid.n_intervals))
         return sensing_score(counts, self.data.net.seg_length_m, grid)
 
 

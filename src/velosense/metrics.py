@@ -6,11 +6,11 @@ interval. The sensing score is the length-weighted share of covered cells,
 as a percentage. A cell's membership uses the segment entry minute, matching
 the traversal timestamps produced by the trip router. The horizon rule lives
 in event_cells, which gives every event of a log its cell on one grid (and
-bins trip starts into hours). A count needs only which trip rows rode an
-equipped bike, one flag per row (Replay.rode), and every count is one
-np.bincount of the cells of the events whose row's flag is set (count_cells).
-Every replay of a log shares its events, so an experiment finds the cells
-once per interval length and counts each replay from them.
+bins trip starts into hours). A replay holds no events: a count needs only
+which trip rows rode an equipped bike, one flag per row (Replay.rode), and
+every count is one np.bincount of the cells of the log's events whose row's
+flag is set (count_cells). So `score` and an experiment find the cells once
+per interval length and count each replay from them.
 
 Results keep the array form they are counted in: a score's counts and the
 hourly diagnostics' counts (segments x hours, beside the trip starts per
@@ -29,7 +29,6 @@ from itertools import repeat
 import numpy as np
 
 from .errors import MalformedInputError, write_json, write_table
-from .fleet_sim import Replay
 from .trips import TripEvents, TripLog
 
 
@@ -93,19 +92,6 @@ def count_cells(cells: np.ndarray, trip: np.ndarray, rode: np.ndarray, shape: tu
     size = shape[0] * shape[1]
     counts = np.bincount(cells[rode[trip]], minlength=size + 1)
     return counts[:size].reshape(shape)
-
-
-def coverage_counts(
-    trajectories: Replay,
-    equipped: frozenset[int] | set[int],
-    grid: IntervalGrid,
-    num_segments: int,
-) -> np.ndarray:
-    """Count equipped-bike entries per (segment, interval), under event_cells'
-    horizon rule."""
-    events = trajectories.events
-    cells = event_cells(events, grid, num_segments)
-    return count_cells(cells, events.trip, trajectories.rode(equipped), (num_segments, grid.n_intervals))
 
 
 def sensing_score(counts: np.ndarray, lengths: np.ndarray, grid: IntervalGrid) -> float:

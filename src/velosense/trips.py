@@ -14,15 +14,17 @@ distance and start time fall inside the configured bounds, and recompute the
 end time from the routed distance at constant speed. The reported end time
 in the raw data is ignored; it cannot be reconciled with a routed trajectory.
 
-A `TripLog` holds its trips and its path table as columns (`PathEntries`,
-path after path), so loading a log builds no object per path; `TripLog.paths`
-and `TripLog.trips` are views built on request. A velosense-triplog-v5 file
-holds each fact of a log once: each segment's end nodes and length in a
-segment table, per path its two stands, segment count, distance and segment
-ids, and per trip its id, start minute and path. `load_triplog` rebuilds the
-rest and checks it: entry lengths from the segment table, a path's nodes by
-walking its segments from its origin stand to its dest stand, and a trip's
-stands and duration from its path.
+A `TripLog` holds per trip only its id, start minute and path, and its path
+table as columns (`PathEntries`, path after path), so loading a log builds no
+object per path. A trip's stands and duration are its path's, gathered on
+first use: a path's stands are those at its end nodes, and its distance is its
+entry lengths added left to right from 0.0, as routing adds them.
+`TripLog.paths` and `TripLog.trips` are views built on request. A
+velosense-triplog-v6 file holds each fact of a log once: each segment's end
+nodes and length in a segment table, per path its two stands, segment count
+and segment ids, and per trip its id, start minute and path. `load_triplog`
+rebuilds the rest and checks it: entry lengths from the segment table, and a
+path's nodes by walking its segments from its origin stand to its dest stand.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 from .errors import MalformedInputError, int_column, read_artifact, read_table, str_column, write_json
 from .network import Path, RoadNetwork, nearest_node, network_sha256, route_pairs
 
-TRIPLOG_FORMAT = "velosense-triplog-v5"
+TRIPLOG_FORMAT = "velosense-triplog-v6"
 
 DEFAULT_SPEED_KMH = 13.0
 DEFAULT_MIN_KM = 0.5
@@ -108,13 +110,12 @@ class TripEvents(NamedTuple):
 
 class PathEntries(NamedTuple):
     """A path table as flat columns: every path's segments, their lengths and its
-    nodes, path after path, and per path how many segments it holds and its length."""
+    nodes, path after path, and per path how many segments it holds."""
 
     segment: np.ndarray  # int64
     length_m: np.ndarray  # float64
     count: np.ndarray  # int64 per path
     node: np.ndarray  # int64: count + 1 per path
-    distance_m: np.ndarray  # float64 per path
 
     @classmethod
     def of(cls, paths: list[Path]) -> PathEntries:
@@ -128,7 +129,6 @@ class PathEntries(NamedTuple):
             flat("seg_lengths_m", np.float64),
             np.fromiter(map(len, map(attrgetter("segments"), paths)), np.int64, len(paths)),
             flat("nodes", np.int64),
-            np.fromiter(map(attrgetter("distance_m"), paths), np.float64, len(paths)),
         )
 
 
@@ -152,13 +152,11 @@ class ServiceSchedule(NamedTuple):
 class TripLog:
     """Cleaned trips as columns, one entry per trip row, sorted by start minute
     so row order is service order. `path` indexes the path table
-    `path_entries`, which holds each distinct path once."""
+    `path_entries`, which holds each distinct path once; a trip's stands and
+    duration are gathered from its path's."""
 
     ids: list[str]
-    origin: np.ndarray  # int64 stand id
-    dest: np.ndarray  # int64 stand id
     start_min: np.ndarray  # int64
-    duration_min: np.ndarray  # int64, >= 1
     path: np.ndarray  # int64 path number in path_entries
     path_entries: PathEntries
     stands: list[Stand]
@@ -172,13 +170,43 @@ class TripLog:
         return len(self.stands)
 
     @cached_property
+    def path_stands(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each path's origin and dest stand: the stands at its first and last node.
+        `load_triplog` sets it from the file instead. ValueError where no stand is."""
+        table, stand_of_node = self.path_entries, {s.node: s.id for s in self.stands}
+        last = np.cumsum(table.count + 1) - 1  # each path's last node
+        try:
+            return tuple(np.array([stand_of_node[n] for n in table.node[at].tolist()], np.int64)
+                         for at in (last - table.count, last))
+        except KeyError as exc:
+            raise ValueError(f"a path ends at node {exc.args[0]}, which no stand holds") from None
+
+    @cached_property
+    def origin(self) -> np.ndarray:  # int64 per trip row: its path's origin stand
+        return self.path_stands[0][self.path]
+
+    @cached_property
+    def dest(self) -> np.ndarray:  # int64 per trip row: its path's dest stand
+        return self.path_stands[1][self.path]
+
+    @cached_property
+    def path_distance_m(self) -> np.ndarray:
+        """float64 per path: its entry lengths added left to right from 0.0."""
+        return _distance_along(self.path_entries)[1]
+
+    @cached_property
+    def duration_min(self) -> np.ndarray:
+        """int64 per trip row, >= 1: its path's ride time in whole minutes."""
+        return _duration_min(self.path_distance_m, self.speed_m_per_min)[self.path]
+
+    @cached_property
     def paths(self) -> list[Path]:
         """The path table as Path views, for `trips` and callers outside the package;
         the package reads `path_entries`."""
         table = self.path_entries
         segments, lengths, nodes = table.segment.tolist(), table.length_m.tolist(), table.node.tolist()
         paths, first = [], 0
-        for i, (count, distance) in enumerate(zip(table.count.tolist(), table.distance_m.tolist())):
+        for i, (count, distance) in enumerate(zip(table.count.tolist(), self.path_distance_m.tolist())):
             end = first + count
             path_nodes = tuple(nodes[first + i : end + i + 1])  # each path before i has one more node
             paths.append(Path(tuple(segments[first:end]), path_nodes, tuple(lengths[first:end]), distance))
@@ -228,7 +256,7 @@ class TripLog:
         it along the path at constant speed, floored.
         """
         table = self.path_entries
-        offsets = (_distance_before(table.length_m, table.count) // self.speed_m_per_min).astype(np.int64)
+        offsets = (_distance_along(table)[0] // self.speed_m_per_min).astype(np.int64)
         counts = table.count[self.path]
         trip = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
         # an event's row in the table: where its path starts there, plus its place in its trip
@@ -364,8 +392,8 @@ def clean_trips(
     assigned in ascending snapped-node order, so they do not depend on row
     order. Routing runs one Dijkstra per distinct destination
     (network.route_pairs). Trips of one (origin node, dest node) pair share
-    their path, so their drop reason, stands and duration are worked out once
-    per pair, and they share one entry of the path table, which lists paths in
+    their path, so their drop reason is worked out once per pair, and they
+    share one entry of the path table, which lists paths in
     order of first use in service order (start minute, ties in row order); a
     path starts at its origin and ends at its dest, so distinct pairs are
     distinct paths.
@@ -421,17 +449,12 @@ def clean_trips(
     table_pairs = table_pairs[np.argsort(first[table_pairs])]  # order of first use
     path_of_pair = np.zeros(len(pair_key), dtype=np.int64)
     path_of_pair[table_pairs] = np.arange(len(table_pairs))
-    duration = _duration_min(distance_m[table_pairs], speed_m_per_min)
 
     kept = keep[pair_of_trip]
-    path = path_of_pair[pair_of_trip[kept]]
     return TripLog(
         np.array(raw.id, dtype=object)[rows[kept]].tolist(),
-        trip_stands[kept, 0],
-        trip_stands[kept, 1],
         start_min[kept],
-        duration[path],
-        path,
+        path_of_pair[pair_of_trip[kept]],
         PathEntries.of([found[i] for i in table_pairs.tolist()]),
         stands,
         window,
@@ -447,40 +470,33 @@ def _duration_min(distance_m: np.ndarray, speed_m_per_min: float) -> np.ndarray:
     return np.maximum(1.0, np.ceil(distance_m / speed_m_per_min)).astype(np.int64)
 
 
-def _distance_before(lengths_m: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """Metres along its path before each entry of `lengths_m`, whose paths hold `count`
-    entries each. Each path's lengths are added left to right from 0, as a trip adds
-    them up; a running sum over all paths less each path's start would round otherwise.
-    Loops over places in a path, not over paths."""
-    before = np.zeros_like(lengths_m)
-    first = np.cumsum(count) - count
-    for place in range(1, int(count.max(initial=0))):
-        at = first[count > place] + place
-        before[at] = before[at - 1] + lengths_m[at - 1]
-    return before
+def _distance_along(table: PathEntries) -> tuple[np.ndarray, np.ndarray]:
+    """Metres along its path before each entry of `table`, and each path's length.
+    Each path's lengths are added left to right from 0.0, as routing adds them
+    (network._path_along) and a trip rides them; a running sum over all paths less
+    each path's start would round otherwise. Loops over places in a path, not over paths."""
+    before = np.zeros_like(table.length_m)
+    total = np.zeros(len(table.count))
+    first = np.cumsum(table.count) - table.count
+    for place in range(int(table.count.max(initial=0))):
+        on = np.flatnonzero(table.count > place)
+        at = first[on] + place
+        before[at] = total[on]
+        total[on] += table.length_m[at]
+    return before, total
 
 
 def save_triplog(log: TripLog, path) -> None:
-    """Write a velosense-triplog-v5 file, which holds each fact of `log` once: the
+    """Write a velosense-triplog-v6 file, which holds each fact of `log` once: the
     header, the stand table, the segment table, the path table (per path its
-    stands, segment count and distance, then its segment ids, path after path),
-    and per trip its id, start minute and path.
+    stands and segment count, then its segment ids, path after path), and per
+    trip its id, start minute and path.
 
     Raises ValueError on a log the file cannot hold, which would load back to
-    another log: a path end no stand holds, a segment with two lengths or two
-    pairs of end nodes, or a trip whose stands or duration are not its path's.
-    A log from `clean_trips` is never one."""
+    another log: a path end no stand holds, or a segment with two lengths or two
+    pairs of end nodes. A log from `clean_trips` is never one."""
     table, segments = log.path_entries, log.segment_table
-    last = np.cumsum(table.count + 1) - 1  # each path's last node
-    origin = _stands_at(log.stands, table.node[last - table.count])
-    dest = _stands_at(log.stands, table.node[last])
-    duration = _duration_min(table.distance_m, log.speed_m_per_min)
-    for name, per_path in (("origin", origin), ("dest", dest), ("duration_min", duration)):
-        column, of_path = getattr(log, name), per_path[log.path]
-        wrong = np.flatnonzero(column != of_path)
-        if len(wrong):
-            row = wrong[0]
-            raise ValueError(f"trip {log.ids[row]} has {name} {column[row]}, but its path gives {of_path[row]}")
+    origin, dest = log.path_stands
     doc = {
         "format": TRIPLOG_FORMAT,
         "network_sha256": log.network_sha256,
@@ -494,27 +510,17 @@ def save_triplog(log: TripLog, path) -> None:
             "dest": dest,
             "count": table.count,
             "segments": table.segment,
-            "distance_m": table.distance_m,
         },
         "trips": {"id": log.ids, "start_min": log.start_min, "path": log.path},
     }
     write_json(path, doc)
 
 
-def _stands_at(stands: list[Stand], nodes: np.ndarray) -> np.ndarray:
-    """The id of the stand at each of `nodes`; ValueError where no stand is."""
-    stand_of_node = {s.node: s.id for s in stands}
-    try:
-        return np.fromiter(map(stand_of_node.__getitem__, nodes.tolist()), np.int64, len(nodes))
-    except KeyError as exc:
-        raise ValueError(f"a path ends at node {exc.args[0]}, which no stand holds") from None
-
-
 def load_triplog(path) -> TripLog:
-    """Read a velosense-triplog-v5 file, checking each column once, and rebuild
+    """Read a velosense-triplog-v6 file, checking each column once, and rebuild
     what the file does not repeat: each path entry's length and each path's
-    nodes and duration, and each trip's stands and duration from its path. Any
-    other format, v4, v3 and v2 included, is rejected: `ingest` writes v5."""
+    nodes and distance. Any other format, v5 and older included, is rejected:
+    `ingest` writes v6."""
     with read_artifact(path, TRIPLOG_FORMAT, "ingest") as doc:
         horizon, speed = doc["horizon"], doc["speed_m_per_min"]
         pair = isinstance(horizon, list) and len(horizon) == 2 and set(map(type, horizon)) == {int}
@@ -525,13 +531,7 @@ def load_triplog(path) -> TripLog:
             raise MalformedInputError(f"{path}: speed_m_per_min {speed!r} must be a finite float > 0")
         stands = _stand_table(doc["stands"], path)
         segments = _segment_table(doc["segments"], path)
-        entries, origin, dest = _path_table(doc["paths"], segments, stands, path)
-        if len(entries.distance_m) and not entries.distance_m.max() / speed < 2.0**63:
-            raise MalformedInputError(
-                f"{path}: paths.distance_m holds {entries.distance_m.max()} m, "
-                f"too far for int64 minutes at {speed} m/min"
-            )
-        duration = _duration_min(entries.distance_m, speed)
+        entries, ends = _path_table(doc["paths"], segments, stands, path)
         trips = doc["trips"]
         ids = str_column(trips["id"], path, "trips.id")
         start = int_column(trips["start_min"], path, "trips.start_min", lo=t0, hi=t_end + 1)
@@ -543,21 +543,29 @@ def load_triplog(path) -> TripLog:
             first = ids[unsorted[0] + 1]
             raise MalformedInputError(f"{path}: trips are not sorted by start minute at trip {first}")
         log = TripLog(
-            ids, origin[table], dest[table], start, duration[table], table, entries, stands, (t0, t_end), speed,
-            doc.get("drop_counts", {}), doc.get("network_sha256"),
+            ids, start, table, entries, stands, (t0, t_end), speed, doc.get("drop_counts", {}),
+            doc.get("network_sha256"),
         )
-        log.segment_table = segments
+        log.segment_table, log.path_stands = segments, ends
+        far = np.flatnonzero(~(log.path_distance_m / speed < 2.0**63))  # an inf sum too
+        if len(far):
+            raise MalformedInputError(
+                f"{path}: segments.length_m adds up to {log.path_distance_m[far[0]]} m along path {far[0]}, "
+                f"too far for int64 minutes at {speed} m/min"
+            )
         return log
 
 
 def _segment_table(columns: dict, source) -> SegmentTable:
-    """The segment table of a v5 file: ids integers >= 0, strictly ascending, each
+    """The segment table of a v6 file: ids integers >= 0, strictly ascending, each
     with its two end nodes, the lower first, and a length, a finite number > 0."""
     ids = int_column(columns["id"], source, "segments.id")
     u = int_column(columns["u"], source, "segments.u")
     v = int_column(columns["v"], source, "segments.v")
-    length_m = _finite_column(columns["length_m"])
-    if length_m is None or not (length_m > 0).all():
+    lengths = columns["length_m"]
+    typed = isinstance(lengths, list) and set(map(type, lengths)) <= {int, float}  # a bool is neither
+    length_m = np.array(lengths if typed else [], dtype=np.float64)  # an int past float raises OverflowError
+    if not typed or not ((0 < length_m) & (length_m < math.inf)).all():
         raise MalformedInputError(f"{source}: segments.length_m must hold finite numbers > 0")
     for name, column in (("segments.u", u), ("segments.v", v), ("segments.length_m", length_m)):
         if len(column) != len(ids):
@@ -580,10 +588,10 @@ def _segment_table(columns: dict, source) -> SegmentTable:
 
 
 def _path_table(columns: dict, segments: SegmentTable, stands: list[Stand], source):
-    """The path table of a v5 file, and each path's origin and dest stand. Its
-    `columns` give per path its `origin` and `dest` stands, its `count` of
-    segments and its `distance_m`, a finite number >= 0, and path after path its
-    `segments` (count entries each), which the segment table must list. Entry
+    """The path table of a v6 file, and each path's origin and dest stand. Its
+    `columns` give per path its `origin` and `dest` stands and its `count` of
+    segments, and path after path its `segments` (count entries each), which
+    the segment table must list. Entry
     lengths are gathered from the segment table, and a path's nodes are walked
     from its origin stand's node: each segment must touch the node before it, and
     the walk must end at the dest stand's node. Loops over places in a path, not
@@ -592,15 +600,11 @@ def _path_table(columns: dict, segments: SegmentTable, stands: list[Stand], sour
     count = int_column(columns["count"], source, "paths.count", hi=len(segment) + 1)
     origin = int_column(columns["origin"], source, "paths.origin", hi=len(stands))
     dest = int_column(columns["dest"], source, "paths.dest", hi=len(stands))
-    distance_m = _finite_column(columns["distance_m"])
-    if distance_m is None or not (distance_m >= 0).all():
-        raise MalformedInputError(f"{source}: paths.distance_m must hold finite numbers >= 0")
     total = int(count.sum())  # count <= len(segment) entry by entry, so no int64 sum overflows
     expected = {
         "paths.origin": (len(origin), len(count)),
         "paths.dest": (len(dest), len(count)),
         "paths.segments": (len(segment), total),
-        "paths.distance_m": (len(distance_m), len(count)),
     }
     for name, (found, needed) in expected.items():
         if found != needed:
@@ -636,17 +640,7 @@ def _path_table(columns: dict, segments: SegmentTable, stands: list[Stand], sour
             f"{source}: paths.dest holds stand {dest[i]} for path {i}, at node {stand_node[dest[i]]}, "
             f"but the path ends at node {node[start[i] + count[i]]}"
         )
-    return PathEntries(segment, segments.length_m[row], count, node, distance_m), origin, dest
-
-
-def _finite_column(values) -> np.ndarray | None:
-    """The JSON array `values` as float64, given each entry is a finite int or float (a bool
-    is neither), else None; an int too large for a float raises OverflowError, which
-    read_artifact reports."""
-    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
-        return None
-    column = np.array(values, dtype=np.float64)
-    return column if np.isfinite(column).all() else None
+    return PathEntries(segment, segments.length_m[row], count, node), (origin, dest)
 
 
 def _stand_table(rows, source) -> list[Stand]:

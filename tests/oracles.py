@@ -684,7 +684,7 @@ def save_triplog_v4(log, path):
     """Write `log` as a velosense-triplog-v4 file, as the v4 writer did: the path
     table as flat columns (nodes and entry lengths included) and every trip
     column, stands and duration included, encoded by one compact `json.dumps`.
-    The reference a v5 file must load back to."""
+    The reference a file in the current format must load back to."""
     table = log.path_entries
     doc = {
         "format": "velosense-triplog-v4",
@@ -698,7 +698,7 @@ def save_triplog_v4(log, path):
             "segments": table.segment.tolist(),
             "nodes": table.node.tolist(),
             "seg_lengths_m": table.length_m.tolist(),
-            "distance_m": table.distance_m.tolist(),
+            "distance_m": log.path_distance_m.tolist(),
         },
         "trips": {
             "id": log.ids,

@@ -34,13 +34,14 @@ from velosense.harness import (
     run_pipeline,
     sensor_requirement,
 )
-from velosense.metrics import IntervalGrid, coverage_counts, sensing_score
+from velosense.metrics import IntervalGrid, sensing_score
 from velosense.synth import SynthConfig, generate
 from velosense.trips import clean_trips, parse_raw_trips
 
 from alloc_problems import make_problem, random_problem
 from lp_parser import parse_lp
 from oracles import best_allocation_objective, touched_length_fraction_pct
+from trip_logs import coverage_counts
 
 REFERENCE_SYNTH = SynthConfig(
     grid_w=20, grid_h=20, block_m=200.0, stand_count=50, trips=20_000, seed=4242
@@ -54,7 +55,7 @@ def report(criterion: int, ok: bool, detail: str) -> bool:
 
 def score(net, log, trajectories, equipped, delta_h):
     grid = IntervalGrid(*log.horizon, delta_h)
-    counts = coverage_counts(trajectories, equipped, grid, net.num_segments)
+    counts = coverage_counts(log.events, trajectories, equipped, grid, net.num_segments)
     return sensing_score(counts, net.seg_length_m, grid)
 
 

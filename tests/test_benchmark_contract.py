@@ -1,8 +1,11 @@
 """The fixed benchmark (perfbench/) keeps running against this package.
 
-Its traced probes read the results of simulate, load_trajectories and
-coverage_counts, so an API change that breaks them shows up here as failed
-checks rather than only in a benchmark run.
+Its checks and traced probes read the results of simulate and
+load_trajectories (per-bike views, trip views and their paths), so an API
+change that breaks them shows up here as failed checks rather than only in a
+benchmark run. Its probe of metrics.coverage_counts installs on no function:
+the package has none by that name, since score and Evaluator.phi count
+through event_cells and count_cells.
 """
 
 import json

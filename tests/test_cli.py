@@ -77,12 +77,12 @@ def test_ingest_reports_and_triplog(pipeline_dir):
     assert sum(report["cleaning"].values()) == 0
     assert report["cleaning"]["other_day"] == 0
     doc = json.loads((pipeline_dir / "triplog.json").read_text())
-    assert doc["format"] == "velosense-triplog-v5"
+    assert doc["format"] == "velosense-triplog-v6"
     trips, paths, segments = doc["trips"], doc["paths"], doc["segments"]
     assert list(trips) == ["id", "start_min", "path"]
     assert all(len(column) == 150 for column in trips.values())
     # one path per (origin, dest) stand pair, shared by the trips that make it
-    assert list(paths) == ["origin", "dest", "count", "segments", "distance_m"]
+    assert list(paths) == ["origin", "dest", "count", "segments"]
     assert len(paths["count"]) == len(set(zip(paths["origin"], paths["dest"])))
     assert set(trips["path"]) == set(range(len(paths["count"])))
     # each segment a path uses once
@@ -127,7 +127,8 @@ def test_allocate_simulate_score_chain(synth_dir, pipeline_dir, tmp_path):
          "--seed", "7", "--out-dir", str(out)]
     ) == 0
     traj = json.loads((out / "traj.json").read_text())
-    assert traj["format"] == "velosense-traj-v2"
+    assert list(traj) == ["format", "metadata", "homes", "trip_ids", "bike_of_trip"]
+    assert traj["format"] == "velosense-traj-v3"
     assert traj["metadata"]["generator"] == "numpy-pcg64"
 
     assert main(
@@ -276,8 +277,9 @@ def test_round_trip_at_one_stand_lasts_a_minute(tmp_path):
     inputs = [f"--{name}={tmp_path / name}.csv" for name in ("nodes", "edges", "trips")]
     assert main(["ingest", *inputs, "--min-km", "0", *common]) == 0
     doc = json.loads((tmp_path / "triplog.json").read_text())
-    assert doc["paths"]["count"] == [0] and doc["paths"]["distance_m"] == [0.0] and doc["trips"]["path"] == [0, 0]
-    assert load_triplog(tmp_path / "triplog.json").duration_min.tolist() == [1, 1]
+    assert doc["paths"]["count"] == [0] and doc["trips"]["path"] == [0, 0]
+    log = load_triplog(tmp_path / "triplog.json")
+    assert log.path_distance_m.tolist() == [0.0] and log.duration_min.tolist() == [1, 1]
     triplog = f"--triplog={tmp_path / 'triplog.json'}"
     assert main(["fleet", triplog, *common]) == 0
     assert json.loads((tmp_path / "fleet.json").read_text())["b"] == [1]
@@ -439,11 +441,12 @@ def _args(paths, options):
 @pytest.mark.parametrize("delta, grids", [("1", 1), ("4", 2)])
 def test_score_counts_each_distinct_grid_once(artifacts, tmp_path, monkeypatch, delta, grids):
     """score counts its own grid and the hourly diagnostics' 1 h grid, which at
-    delta 1 h are one grid, counted once; the diagnostics count nothing."""
+    delta 1 h are one grid, counted once; the diagnostics count nothing, and
+    only bin the trip starts into hours by event_cells' rule."""
     from velosense import metrics
 
     calls = []
-    count_cells, coverage_counts = metrics.count_cells, metrics.coverage_counts
+    count_cells, event_cells = metrics.count_cells, metrics.event_cells
 
     def spy(name, counter):
         def counting(*args):
@@ -453,9 +456,9 @@ def test_score_counts_each_distinct_grid_once(artifacts, tmp_path, monkeypatch, 
         return counting
 
     monkeypatch.setattr(metrics, "count_cells", spy("count_cells", count_cells))
-    monkeypatch.setattr(metrics, "coverage_counts", spy("coverage_counts", coverage_counts))
+    monkeypatch.setattr(metrics, "event_cells", spy("event_cells", event_cells))
     assert main(["score", *_args(artifacts, SCORE), "--delta", delta, "--out-dir", str(tmp_path)]) == 0
-    assert calls == ["coverage_counts", "count_cells"] * grids
+    assert calls == ["event_cells", "count_cells"] * grids + ["event_cells"]
     assert len((tmp_path / "hourly.csv").read_text().splitlines()) == 1 + 16
 
 
@@ -560,6 +563,15 @@ def _edit_segment(field, value):
     return _edit_doc(lambda doc: doc["segments"][field].__setitem__(0, value))
 
 
+def _swap_first_rides(doc):
+    """Swap the bikes of the first rides of bike 0 and of the first bike with
+    another home: the two rides leave from different stands."""
+    bikes, homes = doc["bike_of_trip"], doc["homes"]
+    other = next(bike for bike in bikes if homes[bike] != homes[bikes[0]])
+    i, j = bikes.index(bikes[0]), bikes.index(other)
+    bikes[i], bikes[j] = bikes[j], bikes[i]
+
+
 def _set_metadata(**fields):
     return _edit_doc(lambda doc: doc["metadata"].update(fields))
 
@@ -592,8 +604,6 @@ def _set_metadata(**fields):
         ("allocate", ALLOCATE, ["--budget", "4"], "--probs", _append_row("0,0,abc")),
         ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(start_min=t["start_min"] + 0.5), -1)),
         ("score", SCORE, ["--delta", "4"], "--traj", _edit_doc(lambda d: d["bike_of_trip"].__setitem__(0, len(d["homes"])))),
-        ("score", SCORE, ["--delta", "4"], "--traj", _edit_doc(lambda d: d["events_per_trip"].__setitem__(0, d["events_per_trip"][0] + 1))),
-        ("score", SCORE, ["--delta", "4"], "--traj", _edit_doc(lambda d: d["segment"].__setitem__(0, -1))),
         ("score", SCORE, ["--delta", "4"], "--traj", _drop_metadata_key("equipped")),
         ("score", SCORE, ["--delta", "4"], "--traj", _set_metadata(equipped=[10**6])),
         ("score", SCORE, ["--delta", "4"], "--traj", _set_metadata(equipped=["x"])),
@@ -604,8 +614,6 @@ def _set_metadata(**fields):
         ("allocate", ALLOCATE, ["--budget", "4"], "--probs", _repeat_first_row(9.0)),
         ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["stands"][1].update(stand=7))),
         ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["stands"][1].update(node=d["stands"][0]["node"]))),
-        ("score", SCORE, ["--delta", "4"], "--traj", _edit_column("minute", lambda c: [m + 600 for m in c])),
-        ("score", SCORE, ["--delta", "4"], "--traj", _edit_column("segment", lambda c: [0] * len(c))),
         ("score", SCORE, ["--delta", "4"], "--traj", _edit_column("trip_ids", lambda c: c[::-1])),
         ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(id=17))),
         ("probs", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(id=None))),
@@ -629,16 +637,12 @@ def _set_metadata(**fields):
         ("fleet", ("--triplog",), [], "--triplog", _edit_segment("length_m", math.inf)),
         ("fleet", ("--triplog",), [], "--triplog", _edit_segment("length_m", "x")),
         ("fleet", ("--triplog",), [], "--triplog", _edit_segment("length_m", 10**400)),
-        ("fleet", ("--triplog",), [], "--triplog", _edit_path("distance_m", -1.0)),
-        ("fleet", ("--triplog",), [], "--triplog", _edit_path("distance_m", math.nan)),
-        ("fleet", ("--triplog",), [], "--triplog", _edit_path("distance_m", "x")),
         ("allocate", ALLOCATE, ["--budget", "4"], "--probs", _append_row("0.5,0,0.5")),
         ("allocate", ALLOCATE, ["--budget", "4"], "--probs", _append_row("#0,0,0.5")),
         ("fleet", ("--triplog",), [], "--triplog", _edit_path("segments", 2**64)),
         ("fleet", ("--triplog",), [], "--triplog", _edit_path("count", -1)),
         ("fleet", ("--triplog",), [], "--triplog", _edit_path("count", 1.5)),
         ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["paths"]["count"].__setitem__(-1, d["paths"]["count"][-1] + 1))),
-        ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["paths"]["distance_m"].pop())),
         ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["paths"]["segments"].__setitem__(0, d["segments"]["id"][-1] + 1))),
         ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["segments"]["id"].__setitem__(1, d["segments"]["id"][0]))),
         ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["segments"]["id"].__setitem__(slice(0, 2), d["segments"]["id"][1::-1]))),
@@ -646,7 +650,10 @@ def _set_metadata(**fields):
         ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["paths"]["segments"].__setitem__(slice(0, 2), d["paths"]["segments"][1::-1]))),
         ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["paths"]["origin"].__setitem__(0, d["paths"]["dest"][0]))),
         ("fleet", ("--triplog",), [], "--triplog", _edit_doc(lambda d: d["paths"]["dest"].__setitem__(0, d["paths"]["origin"][0]))),
-        ("fleet", ("--triplog",), [], "--triplog", _edit_path("distance_m", 1e300)),
+        ("fleet", ("--triplog",), [], "--triplog", _edit_segment("length_m", 1e300)),
+        ("score", SCORE, ["--delta", "4"], "--traj", _edit_column("bike_of_trip", lambda c: [0] * len(c))),
+        ("score", SCORE, ["--delta", "4"], "--traj", _edit_doc(_swap_first_rides)),
+        ("simulate", SIMULATE, [], "--alloc", _edit_doc(lambda d: d["n"].__setitem__(0, d["n"][0] + d["budget"] - sum(d["n"]) + 1))),
     ],
     ids=["triplog-without-stands", "traj-without-metadata", "alloc-without-N_e",
          "probs-unknown-stand", "probs-unknown-segment", "probs-nan", "probs-negative",
@@ -656,23 +663,19 @@ def _set_metadata(**fields):
          "probs-meta-without-triplog-sha256", "traj-without-triplog-sha256",
          "alloc-without-triplog-sha256", "alloc-negative-count", "alloc-extra-stand",
          "alloc-missing-stand", "alloc-count-not-int", "probs-p-not-a-number",
-         "trip-start-not-int", "traj-bike-out-of-range", "traj-events-per-trip-off",
-         "traj-segment-negative", "traj-without-equipped", "traj-equipped-out-of-range",
+         "trip-start-not-int", "traj-bike-out-of-range", "traj-without-equipped", "traj-equipped-out-of-range",
          "traj-equipped-not-int", "traj-equipped-bool", "alloc-count-fraction",
          "alloc-count-bool", "alloc-count-string", "probs-repeated-pair",
-         "stand-id-not-its-index", "stands-share-a-node", "traj-minutes-shifted",
-         "traj-segments-zeroed", "traj-trip-ids-reversed", "trip-id-not-a-string", "trip-id-null",
+         "stand-id-not-its-index", "stands-share-a-node", "traj-trip-ids-reversed", "trip-id-not-a-string", "trip-id-null",
          "horizon-not-int", "speed-zero", "speed-not-a-number", "speed-negative",
          "probs-extra-field", "probs-missing-field", "probs-stand-past-int64", "probs-negative-segment",
          "path-segment-fraction", "path-segment-string", "path-segment-negative", "path-segment-bool",
          "path-node-negative", "path-node-fraction", "path-length-negative", "path-length-zero",
          "path-length-nan", "path-length-infinite", "path-length-string", "path-length-past-float",
-         "path-distance-negative", "path-distance-nan", "path-distance-string",
          "probs-stand-fraction", "probs-comment-row", "path-segment-past-int64",
-         "path-count-negative", "path-count-fraction", "path-count-past-segments",
-         "path-distances-one-short", "path-segment-not-listed", "segment-ids-repeated", "segment-ids-out-of-order",
+         "path-count-negative", "path-count-fraction", "path-count-past-segments", "path-segment-not-listed", "segment-ids-repeated", "segment-ids-out-of-order",
          "segment-nodes-reversed", "path-segments-swapped", "path-origin-moved", "path-dest-moved",
-         "path-distance-past-int64-minutes"],
+         "path-lengths-past-int64-minutes", "traj-all-on-bike-0", "traj-first-rides-swapped", "alloc-over-budget"],
 )
 def test_malformed_artifact_is_2(artifacts, tmp_path, capsys, request, command, options, extra, corrupted, edit):
     paths = dict(artifacts)
@@ -686,7 +689,7 @@ def test_malformed_artifact_is_2(artifacts, tmp_path, capsys, request, command, 
     message = PROBS_ROW_MESSAGES.get(request.node.callspec.id)
     if message is not None:  # the appended row follows the header and every row of the file
         assert err == f"error: {bad}: {message.format(n=len(text.splitlines()))}\n"
-    field = PATH_TABLE_FIELDS.get(request.node.callspec.id)
+    field = PATH_TABLE_FIELDS.get(request.node.callspec.id) or NAMED_FIELDS.get(request.node.callspec.id)
     if field is not None:
         assert err.startswith(f"error: {bad}: {field} ")
 
@@ -718,13 +721,9 @@ PATH_TABLE_FIELDS = {
     "path-length-nan": "segments.length_m",
     "path-length-infinite": "segments.length_m",
     "path-length-string": "segments.length_m",
-    "path-distance-negative": "paths.distance_m",
-    "path-distance-nan": "paths.distance_m",
-    "path-distance-string": "paths.distance_m",
     "path-count-negative": "paths.count",
     "path-count-fraction": "paths.count",
     "path-count-past-segments": "paths.segments",
-    "path-distances-one-short": "paths.distance_m",
     "path-segment-not-listed": "paths.segments",
     "segment-ids-repeated": "segments.id",
     "segment-ids-out-of-order": "segments.id",
@@ -732,17 +731,25 @@ PATH_TABLE_FIELDS = {
     "path-segments-swapped": "paths.segments",
     "path-origin-moved": "paths.segments",
     "path-dest-moved": "paths.dest",
-    "path-distance-past-int64-minutes": "paths.distance_m",
+    "path-lengths-past-int64-minutes": "segments.length_m",
+}
+
+
+# a traj.json or alloc.json edit that no run could have written -> the column its message names first
+NAMED_FIELDS = {
+    "traj-all-on-bike-0": "bike_of_trip",
+    "traj-first-rides-swapped": "bike_of_trip",
+    "alloc-over-budget": "n",
 }
 
 
 # JSON artifact option -> (a command that reads it, its options, extra arguments,
 # the artifact's format, the command that writes it)
 JSON_INPUTS = {
-    "--triplog": ("fleet", ("--triplog",), [], "velosense-triplog-v5", "ingest"),
+    "--triplog": ("fleet", ("--triplog",), [], "velosense-triplog-v6", "ingest"),
     "--probs-meta": ("allocate", ALLOCATE, ["--budget", "4"], "velosense-coverage-v1", "probs"),
     "--alloc": ("simulate", SIMULATE, [], "velosense-alloc-v1", "allocate"),
-    "--traj": ("score", SCORE, ["--delta", "4"], "velosense-traj-v2", "simulate"),
+    "--traj": ("score", SCORE, ["--delta", "4"], "velosense-traj-v3", "simulate"),
 }
 NOT_JSON = "{not json"
 TOO_DEEP = "[" * 100_000 + "]" * 100_000
@@ -757,14 +764,17 @@ DERIVED = ("--probs-meta", "--alloc", "--traj")
         ("--triplog", '{"format": "velosense-triplog-v2", "trips": []}'),
         ("--triplog", '{"format": "velosense-triplog-v3", "paths": [], "trips": {}}'),
         ("--triplog", '{"format": "velosense-triplog-v4", "paths": {}, "trips": {}}'),
+        ("--triplog", '{"format": "velosense-triplog-v5", "segments": {}, "paths": {}, "trips": {}}'),
         ("--triplog", '{"format": "something-else"}'),
         ("--triplog", "[]"),
         ("--triplog", NOT_JSON),
         ("--triplog", TOO_DEEP),
         ("--traj", '{"format": "velosense-traj-v1", "metadata": {}, "bikes": []}'),
+        ("--traj", '{"format": "velosense-traj-v2", "metadata": {}, "segment": [], "minute": []}'),
         *[(option, text) for option in DERIVED for text in CONTENTS.values()],
     ],
-    ids=["v1", "v2", "v3", "v4", "unknown", "not-an-object", "triplog-not-json", "triplog-nested-too-deep", "traj-v1",
+    ids=["v1", "v2", "v3", "v4", "v5", "unknown", "not-an-object", "triplog-not-json", "triplog-nested-too-deep",
+         "traj-v1", "traj-v2",
          *[f"{option[2:]}-{name}" for option in DERIVED for name in CONTENTS]],
 )
 def test_triplog_of_another_format_is_2(artifacts, tmp_path, capsys, corrupted, text):

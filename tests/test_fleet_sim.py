@@ -13,15 +13,16 @@ from velosense.fleet_sim import (
     SimConfig,
     _redraw,
     _unguided_picks,
+    check_replay,
     equipped_set,
     initial_bike_counts,
     load_trajectories,
     save_trajectories,
     simulate,
 )
-from velosense.metrics import IntervalGrid, coverage_counts, sensing_score
+from velosense.metrics import IntervalGrid, sensing_score
 from velosense.network import Path
-from velosense.trips import Stand, Trip, TripEvents, clean_trips
+from velosense.trips import Stand, Trip, clean_trips
 
 from oracles import (
     idle_before_departure,
@@ -30,7 +31,7 @@ from oracles import (
     simulate_by_minute,
     traversal_times,
 )
-from trip_logs import trip_log
+from trip_logs import coverage_counts, trip_log
 
 
 def toy_log(moves, num_stands, horizon=(0, 30), speed=100.0):
@@ -143,6 +144,7 @@ class TestServiceSchedule:
         net, raw = generate(SynthConfig(grid_w=10, grid_h=10, block_m=250.0, stand_count=20, trips=3000, seed=7))
         log = clean_trips(raw, net)
         array = 2 * len(log.ids) * 8
+        _ = log.origin, log.dest, log.duration_min  # the log's own columns, gathered once per log
         tracemalloc.start()
         try:
             schedule = log.schedule
@@ -160,8 +162,8 @@ class TestSimulate:
         trajs = simulate(log, plan, SimConfig(seed=0))
         assert len(trajs) == 1
         assert list(trajs)[0].served == ["t0"]
-        assert list(trajs)[0].events == [(0, 3)]
         assert list(trajs)[0].home == 0
+        assert (log.events.trip.tolist(), log.events.segment.tolist(), log.events.minute.tolist()) == ([0], [0], [3])
 
     def test_beta_one_always_picks_equipped(self):
         log = toy_log([(0, 1, 3, 4)], num_stands=2)
@@ -230,28 +232,15 @@ class TestSimulate:
             trajs.bike_of_trip,
             small_fleet.home_stands(),
         )
-        assert [(t.bike, t.home, t.served, t.events) for t in trajs] == expected
+        assert [(t.bike, t.home, t.served) for t in trajs] == [bike[:3] for bike in expected]
         assert len(trajs) == small_fleet.num_bikes
 
     def test_replays_are_equal_when_their_columns_are(self, small_scenario, small_fleet):
         _net, log = small_scenario
         trajs = simulate(log, small_fleet, SimConfig(seed=4))
-        copy = Replay(
-            trajs.bike_of_trip.copy(),
-            trajs.homes.copy(),
-            list(trajs.trip_ids),
-            TripEvents(*(column.copy() for column in trajs.events)),
-        )
+        copy = Replay(trajs.bike_of_trip.copy(), trajs.homes.copy(), list(trajs.trip_ids))
         assert copy == trajs
-        # every event of a bike filed under the bike's first trip: the same views, another replay
-        first_trip: dict[int, int] = {}
-        for row, bike in enumerate(trajs.bike_of_trip.tolist()):
-            first_trip.setdefault(bike, row)
-        bike_of_event = trajs.bike_of_trip[trajs.events.trip].tolist()
-        refiled = trajs.events._replace(trip=np.array([first_trip[b] for b in bike_of_event]))
-        other = Replay(trajs.bike_of_trip, trajs.homes, trajs.trip_ids, refiled)
-        assert list(other) == list(trajs)
-        assert other != trajs
+        assert Replay(trajs.bike_of_trip, trajs.homes, trajs.trip_ids[::-1]) != trajs
         assert simulate(log, small_fleet, SimConfig(seed=5)) != trajs
 
     def test_beta_nesting_in_equipped_served_trips(self, small_scenario, small_fleet):
@@ -282,7 +271,7 @@ class TestSimulate:
             for seed in range(8):
                 replay = simulate(log, small_fleet, SimConfig(seed=seed, beta=beta, equipped=equipped))
                 masks.add(np.isin(replay.bike_of_trip, sorted(equipped)).tobytes())
-                counts = coverage_counts(replay, equipped, grid, net.num_segments)
+                counts = coverage_counts(log.events, replay, equipped, grid, net.num_segments)
                 phis.add(sensing_score(counts, net.seg_length_m, grid))
             return masks, phis
 
@@ -328,8 +317,6 @@ class TestSimulate:
         for cfg in (SimConfig(0), SimConfig(0, 0.5, frozenset({0, 1})), SimConfig(0, 1.0, frozenset({0, 1}))):
             with pytest.raises(InfeasiblePlanError):
                 simulate(log, FleetPlan(b), cfg)
-            with pytest.raises(MalformedInputError, match="lasts less than a minute"):
-                simulate(toy_log([(0, 1, 3, 0)], num_stands=2), FleetPlan([1, 1]), cfg)
 
     @pytest.mark.parametrize("scenario", ["small", "reference"])
     def test_guided_loop_at_beta_zero_is_the_unguided_replay(self, request, scenario):
@@ -372,15 +359,63 @@ class TestSimulate:
         check()
         assert all(bitgen.taken > 2 * len(log.ids) for bitgen in SparseWords.made)
 
-    def test_trip_under_a_minute_rejected(self):
-        # a zero-minute trip would return its bike before taking it
-        log = toy_log([(0, 1, 3, 0), (1, 0, 5, 2)], num_stands=2)
-        with pytest.raises(MalformedInputError, match="t0 lasts less than a minute"):
-            simulate(log, FleetPlan([1, 1]), SimConfig(seed=0))
-
     def test_beta_validated(self):
         with pytest.raises(ValueError):
             SimConfig(seed=0, beta=1.5)
+
+
+class TestCheckReplay:
+    """check_replay passes every replay simulate gives and refuses one no run could give."""
+
+    @pytest.mark.parametrize("scenario", ["small", "reference"])
+    def test_replays_pass(self, request, scenario):
+        _net, log = request.getfixturevalue(f"{scenario}_scenario")
+        fleet = request.getfixturevalue(f"{scenario}_fleet")
+        equipped = equipped_set(fleet, [(b + 1) // 2 for b in fleet.b])
+        for beta in (0.0, 0.5, 1.0):
+            for seed in range(3):
+                check_replay(log, simulate(log, fleet, SimConfig(seed, beta, equipped)))
+
+    def test_swapped_bikes_refused(self, small_scenario, small_fleet):
+        """Two trips with different origins, on two bikes, swap bikes: neither bike's rides chain."""
+        _net, log = small_scenario
+        trajs = simulate(log, small_fleet, SimConfig(seed=1))
+        rng = np.random.default_rng(5)
+        swaps = 0
+        while swaps < 200:
+            i, j = rng.choice(len(log.ids), 2, replace=False).tolist()
+            if log.origin[i] == log.origin[j] or trajs.bike_of_trip[i] == trajs.bike_of_trip[j]:
+                continue
+            bikes = trajs.bike_of_trip.copy()
+            bikes[[i, j]] = bikes[[j, i]]
+            with pytest.raises(MalformedInputError, match="^bike_of_trip puts trip "):
+                check_replay(log, Replay(bikes, trajs.homes, trajs.trip_ids))
+            swaps += 1
+
+    def test_each_fault_named(self):
+        # stand 0's bike reaches stand 1 at minute 7; stand 1's leaves at minute 5
+        log = toy_log([(0, 1, 3, 4), (1, 0, 5, 2)], num_stands=2)
+        homes = initial_bike_counts(log).home_stands()
+        assert homes.tolist() == [0, 1]
+        check_replay(log, Replay(np.array([0, 1]), homes, log.ids))
+        faults = {
+            (0, 0): "trip t1, which leaves stand 1 at minute 5, on bike 0, which waits at stand 1 from minute 7",
+            (1, 0): "trip t0, which leaves stand 0 at minute 3, on bike 1, which waits at stand 1 from minute 0",
+            (1, 1): "trip t0, which leaves stand 0 at minute 3, on bike 1, which waits at stand 1 from minute 0",
+        }
+        for bikes, fault in faults.items():
+            with pytest.raises(MalformedInputError) as caught:
+                check_replay(log, Replay(np.array(bikes), homes, log.ids))
+            assert str(caught.value) == f"bike_of_trip puts {fault}"
+        # bike 0 is back in time, at the wrong stand
+        log = toy_log([(0, 1, 3, 4), (0, 0, 8, 2)], num_stands=2)
+        message = "^bike_of_trip puts trip t1, which leaves stand 0 at minute 8, on bike 0, which waits at stand 1 from minute 7$"
+        with pytest.raises(MalformedInputError, match=message):
+            check_replay(log, Replay(np.array([0, 0]), np.array([0, 0]), log.ids))
+        with pytest.raises(MalformedInputError, match="^homes are not those of the log's minimal fleet of 2 bikes$"):
+            check_replay(log, Replay(np.array([0, 1]), np.array([0, 1]), log.ids))
+        with pytest.raises(MalformedInputError, match="^trip_ids are not the log's trips; re-run `velosense simulate`$"):
+            check_replay(log, Replay(np.array([0, 0]), np.array([0, 0]), log.ids[::-1]))
 
 
 class TestReplayMatchesMinuteLoop:
@@ -584,9 +619,7 @@ class TestTrajectoryDump:
         out = tmp_path / "traj.json"
         save_trajectories(trajs, cfg, out, "ab" * 32)
         loaded, meta = load_trajectories(out)
-        assert [(t.bike, t.home, t.served, t.events) for t in loaded] == [
-            (t.bike, t.home, t.served, t.events) for t in trajs
-        ]
+        assert [(t.bike, t.home, t.served) for t in loaded] == [(t.bike, t.home, t.served) for t in trajs]
         assert loaded == trajs
         assert meta["triplog_sha256"] == "ab" * 32
         assert meta["seed"] == 13
@@ -605,6 +638,4 @@ class TestTrajectoryDump:
         assert loaded.bike_of_trip.tolist() == trajs.bike_of_trip.tolist()
         assert loaded.homes.tolist() == trajs.homes.tolist()
         assert loaded.trip_ids == trajs.trip_ids
-        for name in TripEvents._fields:
-            assert getattr(loaded.events, name).tolist() == getattr(trajs.events, name).tolist(), name
         assert loaded == trajs

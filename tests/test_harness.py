@@ -237,10 +237,13 @@ class TestRunPipeline:
 
     def test_phi_equals_the_score_of_coverage_counts(self):
         """Evaluator.phi counts through event cells it keeps per interval; the
-        score must be coverage_counts' to the last bit, at every interval."""
+        score must be that of the replay's counts over the log's events, found
+        afresh, to the last bit, at every interval."""
         from velosense.fleet_sim import Replay
         from velosense.harness import Evaluator
-        from velosense.metrics import IntervalGrid, coverage_counts, sensing_score
+        from velosense.metrics import IntervalGrid, sensing_score
+
+        from trip_logs import coverage_counts
 
         spec = small_spec(budgets=[2, 4], deltas=[16.0, 4.0, 1.0], betas=[0.5, 1.0])
         ev = Evaluator(spec)
@@ -253,13 +256,13 @@ class TestRunPipeline:
                     trajs = ev.trajectories(rep, beta, equipped)
                     for delta_h in spec.deltas:
                         grid = IntervalGrid(*ev.data.log.horizon, delta_h)
-                        counts = coverage_counts(trajs, equipped, grid, net.num_segments)
+                        counts = coverage_counts(ev.data.log.events, trajs, equipped, grid, net.num_segments)
                         phi = ev.phi(trajs, equipped, delta_h)
                         assert phi == sensing_score(counts, net.seg_length_m, grid)
                         scores.add(phi)
         assert len(scores) > 10 and min(scores) > 0
         assert sorted(ev._cells) == sorted(spec.deltas)
-        copied = Replay(trajs.bike_of_trip, trajs.homes, trajs.trip_ids, trajs.events._replace())
+        copied = Replay(trajs.bike_of_trip, trajs.homes, list(trajs.trip_ids))
         with pytest.raises(ValueError, match="own log"):
             ev.phi(copied, equipped, 1.0)
 

@@ -1,12 +1,13 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from velosense.errors import MalformedInputError
-from velosense.fleet_sim import BikeTrajectory, Replay, SimConfig, _equipped_rows, equipped_set, simulate
+from velosense.fleet_sim import Replay, SimConfig, _equipped_rows, equipped_set, simulate
 from velosense.metrics import (
     IntervalGrid,
     count_cells,
-    coverage_counts,
     event_cells,
     hour_grid,
     hourly_diagnostics,
@@ -23,26 +24,31 @@ from oracles import (
     touched_length_fraction_pct,
     traversal_times,
 )
-from trip_logs import trip_log
+from trip_logs import coverage_counts, trip_log
+
+
+@dataclass
+class Ride:
+    """Bike `bike`, at home at stand `home`, serves one trip with these (segment, minute) events."""
+
+    bike: int
+    events: list
+    home: int = 0
 
 
 def traj(bike, events, home=0):
-    return BikeTrajectory(bike, home, [f"trip-{bike}"], list(events))
+    return Ride(bike, list(events), home)
 
 
-def replay(*trajectories):
-    """The replay, built from columns, in which bike i serves one trip with the
-    events of trajectories[i]."""
-    assert [t.bike for t in trajectories] == list(range(len(trajectories)))
-    pairs = [event for t in trajectories for event in t.events]
+def replay(*rides):
+    """The event table of a log whose trip i is rides[i]'s, and the replay, built
+    from columns, in which bike i serves trip i."""
+    assert [t.bike for t in rides] == list(range(len(rides)))
+    pairs = [event for t in rides for event in t.events]
     segment, minute = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    trip = np.repeat(np.arange(len(trajectories)), [len(t.events) for t in trajectories])
-    return Replay(
-        np.arange(len(trajectories)),
-        np.array([t.home for t in trajectories], dtype=np.int64),
-        [t.served[0] for t in trajectories],
-        TripEvents(trip, segment, minute),
-    )
+    trip = np.repeat(np.arange(len(rides)), [len(t.events) for t in rides])
+    homes = np.array([t.home for t in rides], dtype=np.int64)
+    return TripEvents(trip, segment, minute), Replay(np.arange(len(rides)), homes, [f"trip-{t.bike}" for t in rides])
 
 
 class TestIntervalGrid:
@@ -67,13 +73,13 @@ class TestIntervalGrid:
 class TestCoverageCounts:
     def test_no_equipped_bikes_gives_zero_matrix(self):
         grid = IntervalGrid(360, 1320, 16.0)
-        counts = coverage_counts(replay(traj(0, [(1, 400)])), frozenset(), grid, 5)
+        counts = coverage_counts(*replay(traj(0, [(1, 400)])), frozenset(), grid, 5)
         assert counts.shape == (5, 1)
         assert counts.sum() == 0
 
     def test_single_event_at_horizon_start(self):
         grid = IntervalGrid(360, 1320, 16.0)
-        counts = coverage_counts(replay(traj(0, [(3, 360)])), {0}, grid, 5)
+        counts = coverage_counts(*replay(traj(0, [(3, 360)])), {0}, grid, 5)
         assert counts[3, 0] == 1
         assert counts.sum() == 1
 
@@ -84,24 +90,24 @@ class TestCoverageCounts:
             traj(1, [(2, 10)]),
             traj(2, [(0, 100)] * 4),
         )
-        counts = coverage_counts(trajs, {0, 2}, grid, 3)
+        counts = coverage_counts(*trajs, {0, 2}, grid, 3)
         assert counts.sum() == 3 + 4
 
     def test_events_outside_horizon_are_not_counted(self):
         grid = IntervalGrid(360, 1320, 16.0)
-        counts = coverage_counts(replay(traj(0, [(0, 359), (0, 1321), (1, 1320)])), {0}, grid, 2)
+        counts = coverage_counts(*replay(traj(0, [(0, 359), (0, 1321), (1, 1320)])), {0}, grid, 2)
         assert counts.tolist() == [[0], [1]]
 
     def test_segment_beyond_network_rejected(self):
         grid = IntervalGrid(360, 1320, 16.0)
         with pytest.raises(MalformedInputError, match="segment"):
-            coverage_counts(replay(traj(0, [(5, 400)])), {0}, grid, 2)
+            coverage_counts(*replay(traj(0, [(5, 400)])), {0}, grid, 2)
         message = "^an event names a segment beyond the network's 5$"
-        trajs = replay(traj(0, [(1, 400), (5, 400)]))
+        events, trajs = replay(traj(0, [(1, 400), (5, 400)]))
         with pytest.raises(MalformedInputError, match=message):
-            event_cells(trajs.events, grid, 5)
+            event_cells(events, grid, 5)
         with pytest.raises(MalformedInputError, match=message):
-            coverage_counts(trajs, {0}, grid, 5)
+            coverage_counts(events, trajs, {0}, grid, 5)
 
 
 # Hand-made replays: events at the horizon start and end, after the end,
@@ -119,7 +125,7 @@ HAND_CASES = [
 
 
 class TestCoverageCountsOracle:
-    """coverage_counts equals the per-event loop it replaced."""
+    """Counting through event_cells and count_cells equals the per-event loop it replaced."""
 
     @pytest.mark.parametrize("delta", [16.0, 4.0, 1.0, 0.5])
     @pytest.mark.parametrize("case", range(len(HAND_CASES)))
@@ -129,7 +135,7 @@ class TestCoverageCountsOracle:
         expected = coverage_counts_loop(
             [(t.bike, t.events) for t in trajs], equipped, *horizon, grid.delta_min, num_segments
         )
-        assert coverage_counts(replay(*trajs), equipped, grid, num_segments).tolist() == expected
+        assert coverage_counts(*replay(*trajs), equipped, grid, num_segments).tolist() == expected
 
     @pytest.mark.parametrize("delta", [16.0, 4.0, 1.0, 0.5])
     def test_simulated_replay(self, small_scenario, small_fleet, delta):
@@ -151,7 +157,7 @@ class TestCoverageCountsOracle:
             grid.delta_min,
             net.num_segments,
         )
-        assert coverage_counts(trajs, equipped, grid, net.num_segments).tolist() == expected
+        assert coverage_counts(log.events, trajs, equipped, grid, net.num_segments).tolist() == expected
 
 
 class TestEventCells:
@@ -173,35 +179,34 @@ class TestEventCells:
             expected = coverage_counts_loop(
                 [(t.bike, t.events) for t in trajs], equipped, t0, t_end, grid.delta_min, num_segments
             )
-            trajs = replay(*trajs)
-            cells = event_cells(trajs.events, grid, num_segments)
+            events, trajs = replay(*trajs)
+            cells = event_cells(events, grid, num_segments)
             size = num_segments * grid.n_intervals
             assert cells.min() >= 0 and cells.max() <= size
-            equipped_events = np.isin(trajs.bike_of_trip[trajs.events.trip], sorted(equipped))
+            equipped_events = np.isin(trajs.bike_of_trip[events.trip], sorted(equipped))
             counts = np.bincount(cells[equipped_events], minlength=size + 1)[:size]
             assert counts.reshape(num_segments, grid.n_intervals).tolist() == expected
             shape = (num_segments, grid.n_intervals)
-            assert count_cells(cells, trajs.events.trip, trajs.rode(equipped), shape).tolist() == expected
-            assert coverage_counts(trajs, equipped, grid, num_segments).tolist() == expected
+            assert count_cells(cells, events.trip, trajs.rode(equipped), shape).tolist() == expected
 
     def test_out_of_horizon_events_fall_one_past_the_grid(self):
         grid = IntervalGrid(360, 1320, 4.0)
-        trajs = replay(traj(0, [(0, 359), (1, 360), (1, 1319), (2, 1320), (0, 1321)]))
-        assert event_cells(trajs.events, grid, 3).tolist() == [12, 4, 7, 11, 12]
+        events, _trajs = replay(traj(0, [(0, 359), (1, 360), (1, 1319), (2, 1320), (0, 1321)]))
+        assert event_cells(events, grid, 3).tolist() == [12, 4, 7, 11, 12]
 
 
 class TestCountCells:
     """A count needs only which trip rows rode an equipped bike."""
 
     def test_rode_flags_the_rows_of_equipped_bikes(self):
-        trajs = replay(traj(0, [(0, 400)]), traj(1, []), traj(2, [(1, 400)]))
+        _events, trajs = replay(traj(0, [(0, 400)]), traj(1, []), traj(2, [(1, 400)]))
         assert trajs.rode({0, 2}).tolist() == [True, False, True]
         assert trajs.rode(frozenset()).tolist() == [False] * 3
 
     @pytest.mark.parametrize("scenario", ["small", "reference"])
     def test_beta_one_scan_flags_count_as_the_replay(self, request, scenario):
         """The draw-free scan's flags, counted through count_cells, equal
-        coverage_counts of the beta=1 replay at every seed, so a beta=1 cell
+        the counts of the beta=1 replay at every seed, so a beta=1 cell
         can be scored without a replay: at no sensors, one per stand, half
         of each stand and the whole fleet."""
         net, log = request.getfixturevalue(f"{scenario}_scenario")
@@ -220,7 +225,7 @@ class TestCountCells:
             for seed in range(5):
                 trajs = simulate(log, fleet, SimConfig(seed, 1.0, equipped))
                 for grid, counts in zip(grids, scanned):
-                    assert np.array_equal(counts, coverage_counts(trajs, equipped, grid, net.num_segments))
+                    assert np.array_equal(counts, coverage_counts(log.events, trajs, equipped, grid, net.num_segments))
 
 
 class TestSensingScore:
@@ -260,17 +265,17 @@ class TestSensingScore:
 
 
 class TestWithinHorizon:
-    """The horizon rule, which coverage_counts applies as a mask."""
+    """The horizon rule, which event_cells applies by sending later events past the grid."""
 
     def test_keeps_horizon_end_and_drops_later_events(self):
         grid = IntervalGrid(360, 1320, 16.0)
         trajs = replay(traj(0, [(1, 360), (2, 1320), (3, 1321)]))
-        assert coverage_counts(trajs, {0}, grid, 4).tolist() == [[0], [1], [1], [0]]
+        assert coverage_counts(*trajs, {0}, grid, 4).tolist() == [[0], [1], [1], [0]]
 
     def test_drops_unequipped_bikes(self):
         grid = IntervalGrid(360, 1320, 16.0)
         trajs = replay(traj(0, [(1, 400)]), traj(1, [(2, 400)], home=3))
-        assert coverage_counts(trajs, {1}, grid, 3).tolist() == [[0], [0], [1]]
+        assert coverage_counts(*trajs, {1}, grid, 3).tolist() == [[0], [0], [1]]
 
 
 class TestScoreProperties:
@@ -278,7 +283,7 @@ class TestScoreProperties:
         net, log = scenario
         trajs = simulate(log, fleet, SimConfig(seed=12))
         grid = IntervalGrid(*log.horizon, delta)
-        counts = coverage_counts(trajs, equipped, grid, net.num_segments)
+        counts = coverage_counts(log.events, trajs, equipped, grid, net.num_segments)
         return sensing_score(counts, net.seg_length_m, grid)
 
     def test_equipped_superset_monotonicity(self, small_scenario, small_fleet):
@@ -313,17 +318,17 @@ class TestScoreProperties:
 
 def hourly_demand_log():
     """Trip count in hour h grows linearly with h; all trips ride segment 0."""
-    path = Path((0,), (0, 1), (800.0,), 800.0)
+    out, back = Path((0,), (0, 1), (800.0,), 800.0), Path((0,), (1, 0), (800.0,), 800.0)
     trips = []
     tid = 0
     for hour in range(6, 22):
         for k in range(hour - 5):
             start = hour * 60 + 2 * k
-            trips.append(Trip(f"h{tid}", 0, 1, start, path, 2))
+            trips.append(Trip(f"h{tid}", 0, 1, start, out, 2))
             tid += 1
         for k in range(hour - 5):  # matching returns keep stand 0 stocked
             start = hour * 60 + 2 * k + 1
-            trips.append(Trip(f"b{tid}", 1, 0, start, path, 2))
+            trips.append(Trip(f"b{tid}", 1, 0, start, back, 2))
             tid += 1
     trips.sort(key=lambda t: t.start_min)
     return trip_log(trips, [Stand(0, 0), Stand(1, 1)], (360, 1320), 400.0)
@@ -333,13 +338,13 @@ class TestHourlyDiagnostics:
     """The diagnostics count nothing: they take a score's 1 h counts."""
 
     @staticmethod
-    def diagnose(trajs, equipped, log, num_segments):
-        return hourly_diagnostics(coverage_counts(trajs, equipped, hour_grid(log), num_segments), log)
+    def diagnose(events, trajs, equipped, log, num_segments):
+        return hourly_diagnostics(coverage_counts(events, trajs, equipped, hour_grid(log), num_segments), log)
 
     def test_single_trip_row(self):
         path = Path((4,), (0, 1), (900.0,), 900.0)
         log = trip_log([Trip("a", 0, 1, 390, path, 5)], [Stand(0, 0), Stand(1, 1)], (360, 1320), 200.0)
-        report = self.diagnose(replay(traj(0, [(4, 390)])), {0}, log, 5)
+        report = self.diagnose(*replay(traj(0, [(4, 390)])), {0}, log, 5)
         assert report.first_hour == 6
         assert report.trips_started.tolist() == [1] + [0] * 15
         # one equipped entry: segment 4 in hour 6, column 0
@@ -349,7 +354,7 @@ class TestHourlyDiagnostics:
 
     def test_no_equipped_bikes_reports_absent_correlation(self):
         log = hourly_demand_log()
-        report = self.diagnose(replay(traj(0, [(0, 400)])), frozenset(), log, 1)
+        report = self.diagnose(*replay(traj(0, [(0, 400)])), frozenset(), log, 1)
         assert not report.counts.any()
         assert report.trip_event_correlation is None
 
@@ -359,7 +364,7 @@ class TestHourlyDiagnostics:
         log = hourly_demand_log()
         plan = initial_bike_counts(log)
         trajs = simulate(log, plan, SimConfig(seed=7))
-        report = self.diagnose(trajs, frozenset(range(plan.num_bikes)), log, 1)
+        report = self.diagnose(log.events, trajs, frozenset(range(plan.num_bikes)), log, 1)
         assert report.trip_event_correlation is not None
         assert report.trip_event_correlation > 0
         xs = report.trips_started.tolist()
@@ -372,7 +377,7 @@ class TestHourlyDiagnostics:
         equipped = equipped_set(small_fleet, [min(2, b) for b in small_fleet.b])
         grid = IntervalGrid(*log.horizon, 1.0)
         assert hour_grid(log) == grid
-        counts = coverage_counts(trajs, equipped, grid, net.num_segments)
+        counts = coverage_counts(log.events, trajs, equipped, grid, net.num_segments)
         report = hourly_diagnostics(counts, log)
         assert report.first_hour == log.horizon[0] // 60
         t0, t_end = log.horizon
@@ -381,7 +386,7 @@ class TestHourlyDiagnostics:
         assert report.trips_started.tolist() == [hours.count(h) for h in range(16)]
         assert report.counts is counts
         assert report.counts.sum() > 0
-        four_hours = coverage_counts(trajs, equipped, IntervalGrid(*log.horizon, 4.0), net.num_segments)
+        four_hours = coverage_counts(log.events, trajs, equipped, IntervalGrid(*log.horizon, 4.0), net.num_segments)
         with pytest.raises(ValueError, match="16 hours"):
             hourly_diagnostics(four_hours, log)
 

@@ -11,13 +11,15 @@ import pytest
 
 from velosense.cli import _load_routed_net
 from velosense.errors import MalformedInputError
-from velosense.network import Path, build_network
+from velosense.network import Path, build_network, route_pairs
 from velosense.synth import SynthConfig, generate, grid_network, write_network_csv
 from velosense.trips import (
     PARSE_CHUNK_ROWS,
+    PathEntries,
     RawTrips,
     Stand,
     Trip,
+    TripLog,
     clean_trips,
     load_triplog,
     parse_raw_trips,
@@ -557,7 +559,7 @@ class TestSerialization:
     def test_format_tag_checked(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"format": "something-else"}')
-        with pytest.raises(MalformedInputError, match="velosense-triplog-v5"):
+        with pytest.raises(MalformedInputError, match="velosense-triplog-v6"):
             load_triplog(bad)
 
     def test_hand_built_logs_round_trip(self, tmp_path):
@@ -585,49 +587,52 @@ class TestSerialization:
             for name in ("trip", "segment", "minute"):
                 assert getattr(loaded.events, name).tolist() == getattr(built.events, name).tolist(), name
 
+    @staticmethod
+    def log_of(paths, rides, stands):
+        """The log whose trip i rides paths[p] from minute start, for rides[i] = (p, start)."""
+        return TripLog(
+            [f"t{i}" for i in range(len(rides))],
+            np.array([start for _p, start in rides], dtype=np.int64),
+            np.array([p for p, _start in rides], dtype=np.int64),
+            PathEntries.of(paths),
+            stands,
+            (360, 1320),
+            SPEED,
+        )
+
     @pytest.mark.parametrize(
-        "paths, ends, duration, message",
+        "paths, message",
         [
             # segment 4 is 1/3 m long on path 0 and 433 m on path 3
             (
                 HAND_BUILT_PATHS[:3] + [Path((4, 2), (2, 3, 0), (433.0, 5e-324), 433.0 + 5e-324)],
-                [(1, 3), (1, 1), (3, 4), (2, 0)], None, "segment 4 two lengths",
+                "segment 4 two lengths",
             ),
             # segment 4 joins nodes 2 and 3 on path 0, 3 and 7 on path 3
             (
                 HAND_BUILT_PATHS[:3] + [Path((4, 2), (7, 3, 0), (1 / 3, 5e-324), 1 / 3 + 5e-324)],
-                [(1, 3), (1, 1), (3, 4), (2, 0)], None, "segment 4 two pairs of end nodes",
+                "segment 4 two pairs of end nodes",
             ),
-            (HAND_BUILT_PATHS, [(1, 3), (1, 1), (3, 4), (2, 1)], None, "has dest 1, but its path gives 0"),
-            (HAND_BUILT_PATHS, [(0, 3), (1, 1), (3, 4), (2, 0)], None, "has origin 0, but its path gives 1"),
-            (HAND_BUILT_PATHS, [(1, 3), (1, 1), (3, 4), (2, 0)], 7, "has duration_min 7, but its path gives 2"),
             (
                 HAND_BUILT_PATHS[:2] + [Path((7,), (4, 8), (1e-3,), 1e-3)] + HAND_BUILT_PATHS[3:],
-                [(1, 3), (1, 1), (3, 4), (2, 0)], None, "a path ends at node 8, which no stand holds",
+                "a path ends at node 8, which no stand holds",
             ),
         ],
-        ids=["segment-two-lengths", "segment-two-node-pairs", "dest-not-the-paths", "origin-not-the-paths",
-             "duration-not-the-paths", "path-end-off-every-stand"],
+        ids=["segment-two-lengths", "segment-two-node-pairs", "path-end-off-every-stand"],
     )
-    def test_save_refuses_a_log_the_file_cannot_hold(self, tmp_path, paths, ends, duration, message):
+    def test_save_refuses_a_log_the_file_cannot_hold(self, tmp_path, paths, message):
         """Each log would load back to another log, so none is written."""
         stands = [Stand(0, 0), Stand(1, 1), Stand(2, 2), Stand(3, 4), Stand(4, 9)]
-        trips = [
-            Trip(f"t{p}", *ends[p], 360, path, duration or max(1, math.ceil(path.distance_m / SPEED)))
-            for p, path in enumerate(paths)
-        ]
         with pytest.raises(ValueError, match=message):
-            save_triplog(trip_log(trips, stands, (360, 1320), SPEED), tmp_path / "triplog.json")
+            save_triplog(self.log_of(paths, [(p, 360) for p in range(len(paths))], stands), tmp_path / "triplog.json")
         assert not (tmp_path / "triplog.json").exists()
 
     def test_save_refuses_a_log_off_its_paths_everywhere(self, tmp_path):
-        """Every trip runs from stand 0 to stand 1 whatever its path and lasts 1 + i
-        minutes, and segment 4 has two lengths."""
+        """No stand holds most path ends, and segment 4 has two lengths."""
         paths = HAND_BUILT_PATHS[:3] + [Path((4, 2), (2, 3, 0), (433.0, 5e-324), 433.0 + 5e-324)]
         rides = [(0, 360), (1, 361), (2, 361), (0, 400), (3, 1320), (1, 1320)]
-        trips = [Trip(f"t{i}", 0, 1, start, paths[p], 1 + i) for i, (p, start) in enumerate(rides)]
         with pytest.raises(ValueError):
-            save_triplog(trip_log(trips, [Stand(0, 1), Stand(1, 4)], (360, 1320), SPEED), tmp_path / "triplog.json")
+            save_triplog(self.log_of(paths, rides, [Stand(0, 1), Stand(1, 4)]), tmp_path / "triplog.json")
         assert not (tmp_path / "triplog.json").exists()
 
     def test_loading_and_using_a_log_builds_no_path(self, small_scenario, tmp_path):
@@ -659,9 +664,14 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def chain_scenario(seed):
+    """The network and cleaned log of the benchmark's chain shape at `seed`."""
+    net, raw = generate(SynthConfig(grid_w=16, grid_h=16, block_m=150.0, stand_count=30, trips=4000, seed=seed))
+    return net, clean_trips(raw, net)
+
+
 def seed_5_chain():
-    net, raw = generate(SynthConfig(grid_w=16, grid_h=16, block_m=150.0, stand_count=30, trips=4000, seed=5))
-    return clean_trips(raw, net)
+    return chain_scenario(5)[1]
 
 
 class TestGolden:
@@ -676,19 +686,51 @@ class TestGolden:
     def test_reference_fixture(self, reference_scenario, tmp_path):
         _net, log = reference_scenario
         assert self.triplog_sha256(log, tmp_path) == (
-            "1d1fea93ac9ca698293cf9550b02f387333150cd034eae3c2675cfd64b914241"
+            "29e07a583df1def963310398f1f6fd1514cfb8f62a1fcb6b2590c19066d32e67"
         )
 
     def test_seed_5_chain(self, tmp_path):
         assert self.triplog_sha256(seed_5_chain(), tmp_path) == (
-            "8d34e786d525bddc9e8814652c207f571cefd8de62d15576a006cfb54e37fc38"
+            "9b78ba9b583f696a5273a53765e9be41dc3a2493777a611c798552cbdc8617e3"
         )
+
+
+class TestDistanceIsTheLengthsSum:
+    """A path's distance is derived from its entry lengths, not stored: on every
+    path of three chain-shaped logs it equals the routed Path's distance_m bit
+    for bit, so durations are the routed ones, and a saved log loads back to them.
+    A grid's lengths are all block_m, whose sums are exact in any order, so each
+    log is also routed on the grid with each length scaled by an inexact factor."""
+
+    @pytest.mark.parametrize("jitter", [False, True], ids=["grid", "jittered"])
+    @pytest.mark.parametrize("seed", [5, 11, 19])
+    def test_routed_distance_is_the_derived_one(self, tmp_path, seed, jitter):
+        net, log = chain_scenario(seed)
+        if jitter:
+            nodes = list(zip(range(net.num_nodes), net.node_lat.tolist(), net.node_lon.tolist()))
+            lengths = net.seg_length_m * np.random.default_rng(seed).uniform(0.7, 1.3, net.num_segments)
+            net = build_network(nodes, list(zip(net.seg_u.tolist(), net.seg_v.tolist(), lengths.tolist())))
+            log = clean_trips(generate(SynthConfig(16, 16, 150.0, 30, 4000, seed=seed))[1], net)
+        nodes = np.array([s.node for s in log.stands], dtype=np.int64)
+        origin, dest = log.path_stands
+        pairs = list(zip(nodes[origin].tolist(), nodes[dest].tolist()))
+        routed = route_pairs(net, pairs)
+        distance = np.array([routed[pair].distance_m for pair in pairs], dtype=np.float64)
+        assert len(pairs) > 700
+        assert distance.tobytes() == log.path_distance_m.tobytes()
+        durations = [max(1, math.ceil(d / log.speed_m_per_min)) for d in distance[log.path].tolist()]
+        assert log.duration_min.tolist() == durations
+        save_triplog(log, tmp_path / "triplog.json")
+        loaded = load_triplog(tmp_path / "triplog.json")
+        assert loaded.path_distance_m.tobytes() == distance.tobytes()
+        assert loaded.duration_min.dtype == np.int64 and loaded.duration_min.tolist() == durations
 
 
 class TestV5LoadsAsTheV4Document:
     """Each fixture's v4 file, written by the v4 writer to its pinned digest, and its
-    v5 file hold the same log: the v5 file loads to the v4 document's header, stands,
-    trip columns (stands and durations included), path table and Paths."""
+    file in the current format (v6 now) hold the same log: the current file loads to
+    the v4 document's header, stands, trip columns (stands and durations included),
+    path table (distances included) and Paths."""
 
     @pytest.mark.parametrize("fixture", ["reference-fixture", "seed-5-chain"])
     def test_same_log(self, request, tmp_path, fixture):
@@ -710,10 +752,11 @@ class TestV5LoadsAsTheV4Document:
         for name in ("origin", "dest", "start_min", "duration_min", "path"):
             column = getattr(loaded, name)
             assert column.dtype == np.int64 and column.tolist() == doc["trips"][name], name
-        columns = {"segment": "segments", "length_m": "seg_lengths_m", "count": "count", "node": "nodes",
-                   "distance_m": "distance_m"}
+        columns = {"segment": "segments", "length_m": "seg_lengths_m", "count": "count", "node": "nodes"}
         for name, key in columns.items():
             column = getattr(loaded.path_entries, name)
-            dtype = np.float64 if name in ("length_m", "distance_m") else np.int64
+            dtype = np.float64 if name == "length_m" else np.int64
             assert column.dtype == dtype and column.tolist() == doc["paths"][key], name
+        assert loaded.path_distance_m.dtype == np.float64
+        assert loaded.path_distance_m.tolist() == doc["paths"]["distance_m"]
         assert loaded.paths == paths_of_triplog_v4(doc)
