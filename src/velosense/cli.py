@@ -195,13 +195,13 @@ def cmd_score(args) -> int:
     net = _load_routed_net(args, log)
     replay, meta = fleet_sim.load_trajectories(args.traj)
     _check_triplog(meta.get("triplog_sha256"), args.traj, args.triplog, trips.file_sha256(args.triplog))
+    equipped = frozenset(meta["equipped"])
     with blamed_on(args.traj):
-        fleet_sim.check_replay(log, replay)
+        fleet_sim.check_replay(log, replay, equipped, meta["beta"])
     grid = metrics.IntervalGrid(*log.horizon, args.delta)
     # one count per distinct interval; the hourly diagnostics' grid refuses a horizon
     # that is not hour-aligned, before any file is written
     grids = {args.delta: grid, 1.0: metrics.hour_grid(log)}
-    equipped = frozenset(meta["equipped"])
     events, rode, segments = log.events, replay.rode(equipped), net.num_segments
     counts = {
         d: metrics.count_cells(metrics.event_cells(events, g, segments), events.trip, rode, (segments, g.n_intervals))

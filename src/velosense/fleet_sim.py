@@ -31,11 +31,12 @@ exactly when one is idle at its origin: the guidance word's top 53 bits over
 schedule with one idle-equipped counter per stand (_equipped_rows) then gives
 every row's pool, equipped or unequipped, and its size; every row still spends
 its guidance word, so the words read are the inline loop's. Both take all
-their picks in one pass (_unguided_picks; after a rejected draw it goes on in
-bounded windows of rows), and one row loop moves the bikes
-(_bikes_from_picks). At 0 < beta < 1 a row's pool hangs on its guidance draw
-and on earlier picks, so that replay reads each row's words inline
-(_guided_bikes). All three finish a rejected draw with _redraw.
+their picks in one pass (_unguided_picks), and one row loop moves the bikes
+(_bikes_from_picks). A pick over n bikes is rejected with a chance below
+n / 2**32, a few times in 10**5 replays of a few thousand trips; the pass
+then draws every row inline instead. At 0 < beta < 1 a row's pool hangs on
+its guidance draw and on earlier picks, so that replay reads each row's
+words inline (_guided_bikes). All three finish a rejected draw with _redraw.
 """
 
 from __future__ import annotations
@@ -151,27 +152,29 @@ def initial_bike_counts(log: TripLog) -> FleetPlan:
     return FleetPlan(b.tolist())
 
 
-_CHUNK = 4096  # words the guided loop takes from numpy at a time
+_CHUNK = 4096  # words an inline draw takes from numpy at a time
 _LOW32 = 0xFFFFFFFF
-_WINDOW = 64  # rows laid out again after a rejected draw, doubled while none is
 
 
-def _redraw(m: int, n: int, half: int | None, next_word) -> tuple[int, int | None, int]:
+def _word_stream(bitgen, words=()):
+    """An iterator over `words`, then over bitgen's next raw words, as ints."""
+    return chain(words, chain.from_iterable(iter(lambda: bitgen.random_raw(_CHUNK).tolist(), None)))
+
+
+def _redraw(m: int, n: int, half: int | None, next_word) -> tuple[int, int | None]:
     """Finish Lemire's bounded draw over n from its first product m (32 bits
     times n): while m's low half is below 2**32 % n, redraw 32 bits, the
     pending high half `half` if there is one, else the low half of
-    next_word(), whose high half is then pending. Returns the pick, the
-    pending half and the number of words taken."""
+    next_word(), whose high half is then pending. Returns the pick and the
+    pending half."""
     threshold = (1 << 32) % n
-    taken = 0
     while m & _LOW32 < threshold:
         if half is None:
             word = next_word()
-            taken += 1
             m, half = (word & _LOW32) * n, word >> 32
         else:
             m, half = half * n, None
-    return m >> 32, half, taken
+    return m >> 32, half
 
 
 def _unguided_picks(seed: int, sizes: np.ndarray) -> np.ndarray:
@@ -182,58 +185,35 @@ def _unguided_picks(seed: int, sizes: np.ndarray) -> np.ndarray:
     Pool sizes do not depend on the picks, so until a draw is rejected every
     word's use is known: each row skips its guidance word, and each pool of
     two or more bikes takes the high half an earlier pick left over, else the
-    low half of a fresh word. One pass lays a window of rows out and draws
-    them all. The first window is every row; at a rejected draw, _redraw
-    finishes that row, and the rows after it go out in windows of _WINDOW
-    rows, doubled after each window drawn without a rejection, so each
-    rejection lays out a bounded number of rows again."""
+    low half of a fresh word. One pass lays every row out and draws them all.
+    A rejected draw (a chance below n / 2**32 per pick) moves every word after
+    it, so then the pass's picks are dropped and every row is drawn inline,
+    from the words the pass took and then on."""
     sizes = np.asarray(sizes, dtype=np.uint64)
-    thresholds = np.uint64(1 << 32) % sizes
-    picks = np.zeros(len(sizes), dtype=np.int64)
     bitgen = PCG64(seed)
-    words = bitgen.random_raw(0)
-    row, at, half, window = 0, 0, None, len(sizes)
-    while row < len(sizes):
-        end = min(row + window, len(sizes))
-        drawing = row + np.flatnonzero(sizes[row:end] > 1)
-        pending = int(half is not None and len(drawing) > 0)
-        fresh = drawing[pending::2]  # the rows whose pick takes a fresh word
-        need = end - row + len(fresh)
-        spare = len(words) - at  # below 0 after a redraw read on from the bit generator itself
-        if spare < need:
-            words, at = np.concatenate((words[at:], bitgen.random_raw(need - max(spare, 0)))), 0
-        # a fresh word follows the guidance words up to its row's and the fresh words before it
-        word = words[at + fresh - row + 1 + np.arange(len(fresh))]
-        u = np.empty(len(drawing), dtype=np.uint64)
-        if pending:
-            u[0] = half
-        u[pending::2] = word & _LOW32
-        u[pending + 1::2] = (word >> 32)[: (len(drawing) - pending) // 2]
-        m = u * sizes[drawing]
-        rejected = np.flatnonzero(m & _LOW32 < thresholds[drawing])
-        if not len(rejected):
-            picks[drawing] = m >> 32
-            at += need
-            if (len(drawing) - pending) % 2:  # the last fresh word's high half is left over
-                half = int(word[-1]) >> 32
-            elif pending:
-                half = None
-            row, window = end, 2 * window
-            continue
-        t = int(rejected[0])
-        picks[drawing[:t]] = m[:t] >> 32
-        r = int(drawing[t])
-        fresh_before = (t + 1 - pending) // 2
-        at += r - row + 1 + fresh_before
-        if (t - pending) % 2:  # it took the pending half
-            half = None
-        else:
-            half = int(word[fresh_before]) >> 32
-            at += 1
-        stream = chain(map(int, words[at:]), iter(bitgen.random_raw, None))
-        picks[r], half, taken = _redraw(int(m[t]), int(sizes[r]), half, stream.__next__)
-        at += taken
-        row, window = r + 1, _WINDOW
+    drawing = np.flatnonzero(sizes > 1)
+    fresh = drawing[::2]  # the rows whose pick takes a fresh word
+    words = bitgen.random_raw(len(sizes) + len(fresh))
+    # a fresh word follows the guidance words up to its row's and the fresh words before it
+    word = words[fresh + 1 + np.arange(len(fresh))]
+    u = np.empty(len(drawing), dtype=np.uint64)
+    u[::2] = word & _LOW32
+    u[1::2] = (word >> 32)[: len(drawing) // 2]
+    m = u * sizes[drawing]
+    picks = np.zeros(len(sizes), dtype=np.int64)
+    if not (m & _LOW32 < np.uint64(1 << 32) % sizes[drawing]).any():
+        picks[drawing] = m >> 32
+        return picks
+    next_word, half = _word_stream(bitgen, words.tolist()).__next__, None
+    for row, n in enumerate(sizes.tolist()):
+        next_word()
+        if n > 1:
+            if half is None:
+                word = next_word()
+                m, half = (word & _LOW32) * n, word >> 32
+            else:
+                m, half = half * n, None
+            picks[row], half = _redraw(m, n, half, next_word)
     return picks
 
 
@@ -300,7 +280,7 @@ def _guided_bikes(log: TripLog, plan: FleetPlan, cfg: SimConfig) -> list[int]:
     idle_equipped = [[bike for bike in pool if is_equipped[bike]] for pool in idle]
     returns, dest = schedule.returns.tolist(), log.dest.tolist()
     bitgen = PCG64(cfg.seed)
-    next_word = chain.from_iterable(iter(lambda: bitgen.random_raw(_CHUNK).tolist(), None)).__next__
+    next_word = _word_stream(bitgen).__next__
     scaled_beta = cfg.beta * 2.0**53  # word >> 11 < scaled_beta exactly when (word >> 11) * 2**-53 < beta
     half = None
 
@@ -329,7 +309,7 @@ def _guided_bikes(log: TripLog, plan: FleetPlan, cfg: SimConfig) -> list[int]:
             else:
                 m, half = half * n, None
             if m & _LOW32 < n:  # only then can the draw be rejected
-                k, half, _ = _redraw(m, n, half, next_word)
+                k, half = _redraw(m, n, half, next_word)
             else:
                 k = m >> 32
         bike = chosen.pop(k)
@@ -382,15 +362,19 @@ def simulate(log: TripLog, plan: FleetPlan, cfg: SimConfig) -> Replay:
     return Replay(np.array(bike_of_trip, dtype=np.int64), plan.home_stands(), log.ids)
 
 
-def check_replay(log: TripLog, replay: Replay) -> None:
-    """Raise MalformedInputError unless `replay` is one a run of `log` on its
-    minimal fleet could give: its rows are the log's trips, its homes are that
-    fleet's, each bike's first ride leaves its home, and each later ride leaves
-    the stand where the bike's ride before it ended, no earlier than that ride
-    ended. One pass over the rows, grouped by bike in service order."""
+def check_replay(log: TripLog, replay: Replay, equipped: frozenset[int], beta: float) -> None:
+    """Raise MalformedInputError unless `replay`, at `beta` with the distinct
+    bikes `equipped`, is one a run of `log` on its minimal fleet could give:
+    its rows are the log's trips, its homes are that fleet's, each bike's
+    first ride leaves its home, each later ride leaves the stand where the
+    bike's ride before it ended, no earlier than that ride ended, `equipped`
+    is the first n_s bikes of each stand s (equipped_set), and at beta=1 the
+    rows that rode them are the scan's (_equipped_rows). At 0 < beta < 1 only
+    a re-run could tie `equipped` to the rows."""
     if replay.trip_ids != log.ids:
         raise MalformedInputError("trip_ids are not the log's trips; re-run `velosense simulate`")
-    homes = initial_bike_counts(log).home_stands()
+    fleet = initial_bike_counts(log)
+    homes = fleet.home_stands()
     if not np.array_equal(replay.homes, homes):
         raise MalformedInputError(f"homes are not those of the log's minimal fleet of {len(homes)} bikes")
     order = np.argsort(replay.bike_of_trip, kind="stable")  # each bike's rows in service order
@@ -406,6 +390,11 @@ def check_replay(log: TripLog, replay: Replay) -> None:
             f"bike_of_trip puts trip {log.ids[row]}, which leaves stand {log.origin[row]} at minute "
             f"{log.start_min[row]}, on bike {bike[i]}, which waits at stand {at[i]} from minute {ready[i]}"
         )
+    per_stand = np.bincount(homes[sorted(equipped)], minlength=len(fleet.b)).tolist()
+    if equipped != equipped_set(fleet, per_stand):
+        raise MalformedInputError("metadata.equipped is not the first bikes of each stand, as a plan equips them")
+    if beta == 1 and not np.array_equal(replay.rode(equipped), _equipped_rows(log, fleet, equipped)[0]):
+        raise MalformedInputError("metadata.equipped is not the set of bikes the beta=1 replay guided riders to")
 
 
 def equipped_set(plan: FleetPlan, sensors_per_stand) -> frozenset[int]:
@@ -447,10 +436,12 @@ def save_trajectories(replay: Replay, cfg: SimConfig, path, triplog_sha256: str)
 
 def load_trajectories(path) -> tuple[Replay, dict]:
     """Read a velosense-traj-v3 file into the Replay it was written from, and its
-    metadata, whose `equipped` holds distinct bikes of the replay. Any other
-    format, v2 and v1 included, is rejected: `simulate` writes v3."""
+    metadata, whose `beta` is in [0, 1] and whose `equipped` holds distinct bikes
+    of the replay. Any other format, v2 and v1 included, is rejected: `simulate`
+    writes v3."""
     with read_artifact(path, TRAJ_FORMAT, "simulate") as doc:
         meta = doc["metadata"]
+        check_beta(meta["beta"])
         homes = int_column(doc["homes"], path, "homes")
         equipped = int_column(meta["equipped"], path, "metadata.equipped", hi=len(homes))
         if (np.diff(np.sort(equipped)) == 0).any():  # a plain np.unique imports numpy.ma

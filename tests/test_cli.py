@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -572,6 +573,14 @@ def _swap_first_rides(doc):
     bikes[i], bikes[j] = bikes[j], bikes[i]
 
 
+def _shift_an_equipped_bike(doc):
+    """Move the first equipped bike whose next id is an unequipped bike onto that id:
+    the set is no longer the first bikes of each stand."""
+    equipped = doc["metadata"]["equipped"]
+    i = next(i for i, bike in enumerate(equipped) if bike + 1 < len(doc["homes"]) and bike + 1 not in equipped)
+    equipped[i] += 1
+
+
 def _set_metadata(**fields):
     return _edit_doc(lambda doc: doc["metadata"].update(fields))
 
@@ -654,6 +663,10 @@ def _set_metadata(**fields):
         ("score", SCORE, ["--delta", "4"], "--traj", _edit_column("bike_of_trip", lambda c: [0] * len(c))),
         ("score", SCORE, ["--delta", "4"], "--traj", _edit_doc(_swap_first_rides)),
         ("simulate", SIMULATE, [], "--alloc", _edit_doc(lambda d: d["n"].__setitem__(0, d["n"][0] + d["budget"] - sum(d["n"]) + 1))),
+        ("score", SCORE, ["--delta", "4"], "--traj", _edit_doc(lambda d: d["metadata"]["equipped"].pop())),
+        ("score", SCORE, ["--delta", "4"], "--traj", _edit_doc(_shift_an_equipped_bike)),
+        ("score", SCORE, ["--delta", "4"], "--traj", _drop_metadata_key("beta")),
+        ("score", SCORE, ["--delta", "4"], "--traj", _set_metadata(beta=1.5)),
     ],
     ids=["triplog-without-stands", "traj-without-metadata", "alloc-without-N_e",
          "probs-unknown-stand", "probs-unknown-segment", "probs-nan", "probs-negative",
@@ -675,7 +688,8 @@ def _set_metadata(**fields):
          "probs-stand-fraction", "probs-comment-row", "path-segment-past-int64",
          "path-count-negative", "path-count-fraction", "path-count-past-segments", "path-segment-not-listed", "segment-ids-repeated", "segment-ids-out-of-order",
          "segment-nodes-reversed", "path-segments-swapped", "path-origin-moved", "path-dest-moved",
-         "path-lengths-past-int64-minutes", "traj-all-on-bike-0", "traj-first-rides-swapped", "alloc-over-budget"],
+         "path-lengths-past-int64-minutes", "traj-all-on-bike-0", "traj-first-rides-swapped", "alloc-over-budget",
+         "traj-equipped-last-dropped", "traj-equipped-id-shifted", "traj-without-beta", "traj-beta-past-1"],
 )
 def test_malformed_artifact_is_2(artifacts, tmp_path, capsys, request, command, options, extra, corrupted, edit):
     paths = dict(artifacts)
@@ -740,6 +754,8 @@ NAMED_FIELDS = {
     "traj-all-on-bike-0": "bike_of_trip",
     "traj-first-rides-swapped": "bike_of_trip",
     "alloc-over-budget": "n",
+    "traj-equipped-last-dropped": "metadata.equipped",
+    "traj-equipped-id-shifted": "metadata.equipped",
 }
 
 
@@ -791,6 +807,77 @@ def test_triplog_of_another_format_is_2(artifacts, tmp_path, capsys, corrupted, 
     assert err.startswith("error:") and str(bad) in err
     if text not in (NOT_JSON, TOO_DEEP):
         assert fmt in err and f"re-run `velosense {writer}`" in err
+
+
+# edits of one JSON value: numbers are bumped, negated, zeroed or made fractional,
+# and any value may become a string, null, an integer past int64 or NaN
+NUMBER_EDITS = {
+    "plus-1": lambda v: v + 1, "minus-1": lambda v: v - 1, "negated": lambda v: -v,
+    "zeroed": lambda v: 0, "fractional": lambda v: v + 0.5,
+}
+VALUE_EDITS = {"string": lambda v: "x", "null": lambda v: None, "2**70": lambda v: 2**70, "nan": lambda v: math.nan}
+LIST_EDITS = {"emptied": lambda v: [], "shortened": lambda v: v[:-1]}
+# the commands that read each mutated artifact, with their options and extra arguments
+MUTANT_READERS = {
+    "--triplog": [
+        ("fleet", ("--triplog",), []),
+        ("probs", ("--triplog",), ["--runs", "2"]),
+        ("allocate", ALLOCATE, ["--budget", "4"]),
+        ("export-lp", ALLOCATE, ["--budget", "4"]),
+        ("simulate", SIMULATE, ["--beta", "1"]),
+        ("score", SCORE, ["--delta", "4"]),
+    ],
+    "--alloc": [("simulate", SIMULATE, ["--beta", "1"])],
+    "--traj": [("score", SCORE, ["--delta", "4"])],
+}
+
+
+def _mutants(doc):
+    """Every (place, edit name, edit) of a JSON document: a place is a key path,
+    through each key of an object and the first, middle and last entry of a list;
+    the value there takes the value edits (and the number edits if a number), a
+    list there the list edits too, and a key of an object may be dropped (edit None)."""
+    def walk(value, place):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                yield (*place, key), "key-dropped", None
+                yield from walk(item, (*place, key))
+            return
+        edits = dict(VALUE_EDITS)
+        if isinstance(value, list):
+            edits.update(LIST_EDITS)
+            for i in sorted({0, len(value) // 2, len(value) - 1} if value else ()):
+                yield from walk(value[i], (*place, i))
+        elif type(value) in (int, float):
+            edits.update(NUMBER_EDITS)
+        for name, edit in edits.items():
+            yield place, name, edit
+
+    return list(walk(doc, ()))
+
+
+@pytest.mark.parametrize("corrupted", sorted(MUTANT_READERS), ids=lambda option: option[2:])
+def test_seeded_mutants_exit_0_2_or_3(artifacts, tmp_path, corrupted):
+    """20 edits of one value, list or key of the artifact, drawn with a fixed seed
+    from every place of it: each command that reads it exits 0, 2 or 3, and none raises."""
+    original = json.loads(artifacts[corrupted].read_text())
+    mutants = _mutants(original)
+    paths = dict(artifacts)
+    paths[corrupted] = tmp_path / artifacts[corrupted].name
+    for place, name, edit in random.Random(32).sample(mutants, 20):
+        doc = json.loads(json.dumps(original))
+        *parents, last = place
+        target = doc
+        for key in parents:
+            target = target[key]
+        if edit is None:
+            del target[last]
+        else:
+            target[last] = edit(target[last])
+        paths[corrupted].write_text(json.dumps(doc))
+        for command, options, extra in MUTANT_READERS[corrupted]:
+            code = main([command, *_args(paths, options), *_with_lp_out(command, extra, tmp_path), "--out-dir", str(tmp_path)])
+            assert code in (0, 2, 3), (place, name, command)
 
 
 # the seven pipeline steps on synth_dir's inputs in one interpreter; prints each

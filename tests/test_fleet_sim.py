@@ -1,6 +1,5 @@
 import hashlib
 import tracemalloc
-from operator import length_hint
 
 import numpy as np
 import pytest
@@ -336,8 +335,8 @@ class TestSimulate:
         inline loop, run at beta=1 itself, must pick the same bikes, and the
         scan's flags must mark the rows it served with equipped bikes: with one
         equipped bike per stand, half of each stand, and the whole fleet; and
-        under a stream whose rejections make the pass lay rows out again in
-        windows."""
+        under a stream whose rejections send the pass to draw every row
+        inline."""
         _net, log = request.getfixturevalue(f"{scenario}_scenario")
         fleet = request.getfixturevalue(f"{scenario}_fleet")
         plans = [[min(1, b) for b in fleet.b], [(b + 1) // 2 for b in fleet.b], fleet.b]
@@ -374,7 +373,7 @@ class TestCheckReplay:
         equipped = equipped_set(fleet, [(b + 1) // 2 for b in fleet.b])
         for beta in (0.0, 0.5, 1.0):
             for seed in range(3):
-                check_replay(log, simulate(log, fleet, SimConfig(seed, beta, equipped)))
+                check_replay(log, simulate(log, fleet, SimConfig(seed, beta, equipped)), equipped, beta)
 
     def test_swapped_bikes_refused(self, small_scenario, small_fleet):
         """Two trips with different origins, on two bikes, swap bikes: neither bike's rides chain."""
@@ -389,7 +388,7 @@ class TestCheckReplay:
             bikes = trajs.bike_of_trip.copy()
             bikes[[i, j]] = bikes[[j, i]]
             with pytest.raises(MalformedInputError, match="^bike_of_trip puts trip "):
-                check_replay(log, Replay(bikes, trajs.homes, trajs.trip_ids))
+                check_replay(log, Replay(bikes, trajs.homes, trajs.trip_ids), frozenset(), 0.0)
             swaps += 1
 
     def test_each_fault_named(self):
@@ -397,7 +396,7 @@ class TestCheckReplay:
         log = toy_log([(0, 1, 3, 4), (1, 0, 5, 2)], num_stands=2)
         homes = initial_bike_counts(log).home_stands()
         assert homes.tolist() == [0, 1]
-        check_replay(log, Replay(np.array([0, 1]), homes, log.ids))
+        check_replay(log, Replay(np.array([0, 1]), homes, log.ids), frozenset(), 0.0)
         faults = {
             (0, 0): "trip t1, which leaves stand 1 at minute 5, on bike 0, which waits at stand 1 from minute 7",
             (1, 0): "trip t0, which leaves stand 0 at minute 3, on bike 1, which waits at stand 1 from minute 0",
@@ -405,17 +404,46 @@ class TestCheckReplay:
         }
         for bikes, fault in faults.items():
             with pytest.raises(MalformedInputError) as caught:
-                check_replay(log, Replay(np.array(bikes), homes, log.ids))
+                check_replay(log, Replay(np.array(bikes), homes, log.ids), frozenset(), 0.0)
             assert str(caught.value) == f"bike_of_trip puts {fault}"
         # bike 0 is back in time, at the wrong stand
         log = toy_log([(0, 1, 3, 4), (0, 0, 8, 2)], num_stands=2)
         message = "^bike_of_trip puts trip t1, which leaves stand 0 at minute 8, on bike 0, which waits at stand 1 from minute 7$"
         with pytest.raises(MalformedInputError, match=message):
-            check_replay(log, Replay(np.array([0, 0]), np.array([0, 0]), log.ids))
+            check_replay(log, Replay(np.array([0, 0]), np.array([0, 0]), log.ids), frozenset(), 0.0)
         with pytest.raises(MalformedInputError, match="^homes are not those of the log's minimal fleet of 2 bikes$"):
-            check_replay(log, Replay(np.array([0, 1]), np.array([0, 1]), log.ids))
+            check_replay(log, Replay(np.array([0, 1]), np.array([0, 1]), log.ids), frozenset(), 0.0)
         with pytest.raises(MalformedInputError, match="^trip_ids are not the log's trips; re-run `velosense simulate`$"):
-            check_replay(log, Replay(np.array([0, 0]), np.array([0, 0]), log.ids[::-1]))
+            check_replay(log, Replay(np.array([0, 0]), np.array([0, 0]), log.ids[::-1]), frozenset(), 0.0)
+
+    def test_equipped_not_a_plans_refused(self, small_scenario, small_fleet):
+        """At every beta the equipped bikes must be the first ones of each stand."""
+        _net, log = small_scenario
+        stand = small_fleet.b.index(max(small_fleet.b))
+        first = sum(small_fleet.b[:stand])
+        for beta in (0.0, 0.5, 1.0):
+            replay = simulate(log, small_fleet, SimConfig(0, beta, frozenset({first, first + 1})))
+            check_replay(log, replay, frozenset({first, first + 1}), beta)
+            with pytest.raises(MalformedInputError, match="^metadata.equipped is not the first bikes of each stand"):
+                check_replay(log, replay, frozenset({first + 1}), beta)
+
+    @pytest.mark.parametrize("scenario", ["small", "reference"])
+    def test_equipped_not_the_beta_one_replays_refused(self, request, scenario):
+        """At beta=1 a set of a plan's form other than the replay's is refused:
+        the replay's with one stand's count one lower or one higher, at each of
+        the first four stands with two bikes or more."""
+        _net, log = request.getfixturevalue(f"{scenario}_scenario")
+        fleet = request.getfixturevalue(f"{scenario}_fleet")
+        n = [(b + 1) // 2 for b in fleet.b]
+        replay = simulate(log, fleet, SimConfig(0, 1.0, equipped_set(fleet, n)))
+        for stand in np.flatnonzero(np.array(fleet.b) > 1)[:4].tolist():
+            for step in (-1, 1):
+                other = list(n)
+                other[stand] += step
+                equipped = equipped_set(fleet, other)
+                assert replay.rode(equipped).tolist() != fleet_sim._equipped_rows(log, fleet, equipped)[0].tolist()
+                with pytest.raises(MalformedInputError, match="^metadata.equipped is not the set of bikes the beta=1"):
+                    check_replay(log, replay, equipped, 1.0)
 
 
 class TestReplayMatchesMinuteLoop:
@@ -487,8 +515,7 @@ def numpy_picks(seed, sizes):
 
 def inline_picks(seed, sizes):
     """The picks as the guided loop draws them: a row's guidance word, then
-    its first 32 bits inline, then _redraw. Each redraw's count of words
-    taken is checked against the stream."""
+    its first 32 bits inline, then _redraw."""
     stream = iter(np.random.PCG64(seed).random_raw(3 * len(sizes) + 64).tolist())
     half = None
     picks = []
@@ -502,9 +529,7 @@ def inline_picks(seed, sizes):
             m, half = (word & 0xFFFFFFFF) * n, word >> 32
         else:
             m, half = half * n, None
-        left = length_hint(stream)
-        k, half, taken = _redraw(m, n, half, stream.__next__)
-        assert taken == left - length_hint(stream)
+        k, half = _redraw(m, n, half, stream.__next__)
         picks.append(k)
     return picks
 
@@ -512,7 +537,8 @@ def inline_picks(seed, sizes):
 class SparseWords:
     """A PCG64 stand-in whose words are PCG64's with seven in eight zeroed. A
     zero half is rejected by every pool size but a power of two, so picks
-    take many more words than two per row."""
+    take many more words than two per row, and a replay under it never keeps
+    the unguided pass's picks: it draws every row inline."""
 
     made = []
 
@@ -541,8 +567,8 @@ class TestDraws:
             assert inline_picks(seed, [n] * 60) == expected
 
     def test_mixed_sizes_share_the_left_over_half_across_chunks(self):
-        # 6,144 rows, a quarter of them often rejected: the unguided pass lays out
-        # the rows after each rejection again, carrying a left-over half into the next layout
+        # 6,144 rows, a quarter of them often rejected: the unguided pass draws every
+        # row inline, reading on past the words it took in chunks of _CHUNK
         sizes = np.random.default_rng(7).choice(SIZES, size=6144)
         for seed in range(3):
             expected = numpy_picks(seed, sizes.tolist())
@@ -551,7 +577,7 @@ class TestDraws:
 
     def test_rejections_take_more_words_than_the_first_layout(self):
         # without a rejection 200 rows at 2**31 + 1 take 300 words; about every
-        # other draw is rejected, and the last redraws read past the buffer
+        # other draw is rejected, and the last redraws read past the words the pass took
         sizes = [2**31 + 1] * 200
         for seed in range(5):
             assert _unguided_picks(seed, np.array(sizes)).tolist() == numpy_picks(seed, sizes)
@@ -560,14 +586,41 @@ class TestDraws:
         for seed in range(200):
             assert _unguided_picks(seed, np.array(sizes)).tolist() == numpy_picks(seed, sizes)
 
-    def test_windows_after_a_rejection_carry_the_stream_on(self):
-        # one often-rejected row in 200: after its rejections the pass lays out
-        # windows of 64, 128, ... rows that draw without one, each handing the
-        # next its place in the stream and any left-over half
+    def test_rows_around_a_rejection_are_drawn_inline(self):
+        # one often-rejected row in 200: after a rejection the pass draws every
+        # row inline, those before the rejected one, which the pass had drawn,
+        # and those after it, which read on in the stream with any left-over half
         sizes = np.random.default_rng(11).choice([1, 2, 3, 7, 1000], size=3000)
         sizes[100::200] = 2**31 + 1
         for seed in range(5):
             assert _unguided_picks(seed, sizes).tolist() == numpy_picks(seed, sizes.tolist())
+        # the inline draws start with no left-over half: a first pool of two takes a fresh word's low half
+        sizes = [1, 2] + [2**31 + 1] * 3
+        for seed in range(50):
+            assert _unguided_picks(seed, np.array(sizes)).tolist() == numpy_picks(seed, sizes)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_real_replays_keep_the_bulk_pass(self, monkeypatch, reference_scenario, reference_fleet, beta):
+        """A pick over n bikes is rejected with a chance below n / 2**32, so the
+        unguided and beta=1 replays of the reference fixture keep their one
+        pass's picks and never call _redraw; under SparseWords the same replay
+        draws inline, and the spy sees it."""
+        calls = []
+        redraw = fleet_sim._redraw
+
+        def spy(*args):
+            calls.append(args)
+            return redraw(*args)
+
+        monkeypatch.setattr(fleet_sim, "_redraw", spy)
+        _net, log = reference_scenario
+        equipped = equipped_set(reference_fleet, [(b + 1) // 2 for b in reference_fleet.b])
+        for seed in range(10):
+            simulate(log, reference_fleet, SimConfig(seed, beta, equipped))
+        assert calls == []
+        monkeypatch.setattr(fleet_sim, "PCG64", SparseWords)
+        simulate(log, reference_fleet, SimConfig(0, beta, equipped))
+        assert calls
 
     def test_a_pool_of_one_takes_no_bits(self):
         # seven rows of one bike take their guidance words only; the eighth picks from word 8's low half
