@@ -436,12 +436,18 @@ def save_trajectories(replay: Replay, cfg: SimConfig, path, triplog_sha256: str)
 
 def load_trajectories(path) -> tuple[Replay, dict]:
     """Read a velosense-traj-v3 file into the Replay it was written from, and its
-    metadata, whose `beta` is in [0, 1] and whose `equipped` holds distinct bikes
-    of the replay. Any other format, v2 and v1 included, is rejected: `simulate`
+    metadata, whose `beta` is in [0, 1], whose `seed` and `generator` can re-run it
+    (an int >= 0 and GENERATOR_NAME) and whose `equipped` holds distinct bikes of
+    the replay. Any other format, v2 and v1 included, is rejected: `simulate`
     writes v3."""
     with read_artifact(path, TRAJ_FORMAT, "simulate") as doc:
         meta = doc["metadata"]
         check_beta(meta["beta"])
+        seed, generator = meta.get("seed"), meta.get("generator")
+        if type(seed) is not int or seed < 0:  # a bool is no seed
+            raise MalformedInputError(f"{path}: metadata.seed must be an integer >= 0, got {seed!r}")
+        if generator != GENERATOR_NAME:
+            raise MalformedInputError(f"{path}: metadata.generator must be {GENERATOR_NAME!r}, got {generator!r}")
         homes = int_column(doc["homes"], path, "homes")
         equipped = int_column(meta["equipped"], path, "metadata.equipped", hi=len(homes))
         if (np.diff(np.sort(equipped)) == 0).any():  # a plain np.unique imports numpy.ma

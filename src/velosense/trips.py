@@ -14,17 +14,16 @@ distance and start time fall inside the configured bounds, and recompute the
 end time from the routed distance at constant speed. The reported end time
 in the raw data is ignored; it cannot be reconciled with a routed trajectory.
 
-A `TripLog` holds per trip only its id, start minute and path, and its path
-table as columns (`PathEntries`, path after path), so loading a log builds no
-object per path. A trip's stands and duration are its path's, gathered on
-first use: a path's stands are those at its end nodes, and its distance is its
-entry lengths added left to right from 0.0, as routing adds them.
-`TripLog.paths` and `TripLog.trips` are views built on request. A
-velosense-triplog-v6 file holds each fact of a log once: each segment's end
-nodes and length in a segment table, per path its two stands, segment count
-and segment ids, and per trip its id, start minute and path. `load_triplog`
-rebuilds the rest and checks it: entry lengths from the segment table, and a
-path's nodes by walking its segments from its origin stand to its dest stand.
+A `TripLog` holds per trip only its id, start minute and path, and the two
+tables of its velosense-triplog-v6 file as the file holds them: each segment's
+end nodes and length once, and per path its two stands and segment count, then
+its segment ids, path after path. So saving writes its fields, and loading
+builds no object per path. A trip's stands and duration are its path's. The
+rest is derived on first use: entry lengths from the segment table, and a
+path's nodes by a walk from its origin stand to its dest stand, which
+`load_triplog` runs to check a file and the event table and schedule never
+need. A path's distance is its entry lengths added left to right from 0.0, as
+routing adds them. `TripLog.paths` and `TripLog.trips` are views built on request.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MalformedInputError, int_column, read_artifact, read_table, str_column, write_json
+from .errors import MalformedInputError, blamed_on, int_column, read_artifact, read_table, str_column, write_json
 from .network import Path, RoadNetwork, nearest_node, network_sha256, route_pairs
 
 TRIPLOG_FORMAT = "velosense-triplog-v6"
@@ -108,28 +107,14 @@ class TripEvents(NamedTuple):
     minute: np.ndarray  # int64: entry minute
 
 
-class PathEntries(NamedTuple):
-    """A path table as flat columns: every path's segments, their lengths and its
-    nodes, path after path, and per path how many segments it holds."""
+class PathTable(NamedTuple):
+    """Each distinct path of a log, once: per path its origin and dest stand and how
+    many segments it holds, and every path's segment ids, path after path."""
 
-    segment: np.ndarray  # int64
-    length_m: np.ndarray  # float64
+    origin: np.ndarray  # int64 per path
+    dest: np.ndarray  # int64 per path
     count: np.ndarray  # int64 per path
-    node: np.ndarray  # int64: count + 1 per path
-
-    @classmethod
-    def of(cls, paths: list[Path]) -> PathEntries:
-        """The table of `paths`, in order."""
-
-        def flat(name, dtype):
-            return np.fromiter(chain.from_iterable(map(attrgetter(name), paths)), dtype)
-
-        return cls(
-            flat("segments", np.int64),
-            flat("seg_lengths_m", np.float64),
-            np.fromiter(map(len, map(attrgetter("segments"), paths)), np.int64, len(paths)),
-            flat("nodes", np.int64),
-        )
+    segments: np.ndarray  # int64
 
 
 class SegmentTable(NamedTuple):
@@ -151,14 +136,15 @@ class ServiceSchedule(NamedTuple):
 @dataclass(eq=False)
 class TripLog:
     """Cleaned trips as columns, one entry per trip row, sorted by start minute
-    so row order is service order. `path` indexes the path table
-    `path_entries`, which holds each distinct path once; a trip's stands and
-    duration are gathered from its path's."""
+    so row order is service order, and the tables of its triplog file. `path`
+    indexes `path_table`, which holds each distinct path once; a trip's stands
+    and duration are gathered from its path's."""
 
     ids: list[str]
     start_min: np.ndarray  # int64
-    path: np.ndarray  # int64 path number in path_entries
-    path_entries: PathEntries
+    path: np.ndarray  # int64 path number in path_table
+    path_table: PathTable
+    segment_table: SegmentTable  # lists each segment of path_table
     stands: list[Stand]
     horizon: tuple[int, int]
     speed_m_per_min: float
@@ -170,29 +156,67 @@ class TripLog:
         return len(self.stands)
 
     @cached_property
-    def path_stands(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each path's origin and dest stand: the stands at its first and last node.
-        `load_triplog` sets it from the file instead. ValueError where no stand is."""
-        table, stand_of_node = self.path_entries, {s.node: s.id for s in self.stands}
-        last = np.cumsum(table.count + 1) - 1  # each path's last node
-        try:
-            return tuple(np.array([stand_of_node[n] for n in table.node[at].tolist()], np.int64)
-                         for at in (last - table.count, last))
-        except KeyError as exc:
-            raise ValueError(f"a path ends at node {exc.args[0]}, which no stand holds") from None
+    def segment_row(self) -> np.ndarray:
+        """int64 per entry of the path table: its segment's row of the segment table.
+        MalformedInputError where the segment table does not list the segment."""
+        ids, segments = self.segment_table.id, self.path_table.segments
+        row = np.searchsorted(ids, segments)
+        missing = np.flatnonzero(np.append(ids, -1)[row] != segments)  # ids are >= 0
+        if len(missing):
+            raise MalformedInputError(
+                f"paths.segments holds segment {segments[missing[0]]}, which segments.id does not list"
+            )
+        return row
+
+    @cached_property
+    def entry_length_m(self) -> np.ndarray:  # float64 per entry of the path table: its segment's length
+        return self.segment_table.length_m[self.segment_row]
+
+    @cached_property
+    def path_nodes(self) -> np.ndarray:
+        """int64, count + 1 per path: each path's nodes, path after path, walked from
+        its origin stand's node. MalformedInputError where a segment does not touch
+        the node before it, or a walk ends off its dest stand's node. Loops over
+        places in a path, not over paths."""
+        table, row = self.path_table, self.segment_row
+        u, v = self.segment_table.u[row], self.segment_table.v[row]
+        stand_node = np.fromiter(map(attrgetter("node"), self.stands), np.int64, len(self.stands))
+        first = np.cumsum(table.count) - table.count  # each path's first entry
+        start = first + np.arange(len(table.count))  # and its first node: each path before has one more node
+        node = np.empty(len(table.segments) + len(table.count), dtype=np.int64)
+        node[start] = stand_node[table.origin]
+        for place in range(int(table.count.max(initial=0))):
+            on = np.flatnonzero(table.count > place)
+            at, before = first[on] + place, node[start[on] + place]
+            off = np.flatnonzero((before != u[at]) & (before != v[at]))
+            if len(off):
+                raise MalformedInputError(
+                    f"paths.segments holds segment {table.segments[at[off[0]]]} at place {place} of path "
+                    f"{on[off[0]]}, which does not touch node {before[off[0]]} before it"
+                )
+            node[start[on] + place + 1] = np.where(before == u[at], v[at], u[at])
+        end = start + table.count
+        off = np.flatnonzero(node[end] != stand_node[table.dest])
+        if len(off):
+            i = off[0]
+            raise MalformedInputError(
+                f"paths.dest holds stand {table.dest[i]} for path {i}, at node {stand_node[table.dest[i]]}, "
+                f"but the path ends at node {node[end[i]]}"
+            )
+        return node
 
     @cached_property
     def origin(self) -> np.ndarray:  # int64 per trip row: its path's origin stand
-        return self.path_stands[0][self.path]
+        return self.path_table.origin[self.path]
 
     @cached_property
     def dest(self) -> np.ndarray:  # int64 per trip row: its path's dest stand
-        return self.path_stands[1][self.path]
+        return self.path_table.dest[self.path]
 
     @cached_property
     def path_distance_m(self) -> np.ndarray:
         """float64 per path: its entry lengths added left to right from 0.0."""
-        return _distance_along(self.path_entries)[1]
+        return _distance_along(self.path_table.count, self.entry_length_m)[1]
 
     @cached_property
     def duration_min(self) -> np.ndarray:
@@ -202,9 +226,9 @@ class TripLog:
     @cached_property
     def paths(self) -> list[Path]:
         """The path table as Path views, for `trips` and callers outside the package;
-        the package reads `path_entries`."""
-        table = self.path_entries
-        segments, lengths, nodes = table.segment.tolist(), table.length_m.tolist(), table.node.tolist()
+        the package reads `path_table`."""
+        table = self.path_table
+        segments, lengths, nodes = table.segments.tolist(), self.entry_length_m.tolist(), self.path_nodes.tolist()
         paths, first = [], 0
         for i, (count, distance) in enumerate(zip(table.count.tolist(), self.path_distance_m.tolist())):
             end = first + count
@@ -222,47 +246,22 @@ class TripLog:
         return [Trip(i, o, d, start, self.paths[p], dur) for i, o, d, start, p, dur in rows]
 
     @cached_property
-    def segment_table(self) -> SegmentTable:
-        """Each segment of the path table once, with the end nodes and length its
-        entries give it; `load_triplog` sets it from the file instead. Raises
-        ValueError where two entries of one segment disagree on either."""
-        table = self.path_entries
-        if len(table.node) != len(table.segment) + len(table.count):
-            raise ValueError(
-                f"the path table holds {len(table.node)} nodes for {len(table.segment)} segments "
-                f"on {len(table.count)} paths"
-            )
-        # entry e of path i joins nodes e + i and e + i + 1
-        at = np.arange(len(table.segment)) + np.repeat(np.arange(len(table.count)), table.count)
-        a, b = table.node[at], table.node[at + 1]
-        u, v = np.minimum(a, b), np.maximum(a, b)
-        ids, first, row = np.unique(table.segment, return_index=True, return_inverse=True)
-        segments = SegmentTable(ids, u[first], v[first], table.length_m[first])
-        for what, apart in (
-            ("two lengths", segments.length_m[row] != table.length_m),
-            ("two pairs of end nodes", (segments.u[row] != u) | (segments.v[row] != v)),
-        ):
-            if apart.any():
-                raise ValueError(f"the path table gives segment {table.segment[apart][0]} {what}")
-        return segments
-
-    @cached_property
     def events(self) -> TripEvents:
         """Every segment entry of every trip as one event table, built once per log.
 
         Entry offsets depend only on the path, so they are computed once per
-        entry of `path_entries` and gathered by each trip's `path`; each trip
+        entry of `path_table` and gathered by each trip's `path`; each trip
         adds its start minute. A trip enters a segment at the distance before
         it along the path at constant speed, floored.
         """
-        table = self.path_entries
-        offsets = (_distance_along(table)[0] // self.speed_m_per_min).astype(np.int64)
+        table = self.path_table
+        offsets = (_distance_along(table.count, self.entry_length_m)[0] // self.speed_m_per_min).astype(np.int64)
         counts = table.count[self.path]
         trip = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
         # an event's row in the table: where its path starts there, plus its place in its trip
         path_first, trip_first = np.cumsum(table.count) - table.count, np.cumsum(counts) - counts
         flat = np.repeat(path_first[self.path] - trip_first, counts) + np.arange(len(trip))
-        return TripEvents(trip, table.segment[flat], self.start_min[trip] + offsets[flat])
+        return TripEvents(trip, table.segments[flat], self.start_min[trip] + offsets[flat])
 
     @cached_property
     def schedule(self) -> ServiceSchedule:
@@ -451,11 +450,16 @@ def clean_trips(
     path_of_pair[table_pairs] = np.arange(len(table_pairs))
 
     kept = keep[pair_of_trip]
+    path_segments = [found[i].segments for i in table_pairs.tolist()]
+    segments = np.fromiter(chain.from_iterable(path_segments), np.int64)
+    ids = np.flatnonzero(np.bincount(segments, minlength=net.num_segments))  # in use; np.unique imports numpy.ma
+    u, v = net.seg_u[ids], net.seg_v[ids]
     return TripLog(
         np.array(raw.id, dtype=object)[rows[kept]].tolist(),
         start_min[kept],
         path_of_pair[pair_of_trip[kept]],
-        PathEntries.of([found[i] for i in table_pairs.tolist()]),
+        PathTable(*trip_stands[first[table_pairs]].T, np.array(list(map(len, path_segments)), np.int64), segments),
+        SegmentTable(ids, np.minimum(u, v), np.maximum(u, v), net.seg_length_m[ids]),
         stands,
         window,
         speed_m_per_min,
@@ -470,19 +474,20 @@ def _duration_min(distance_m: np.ndarray, speed_m_per_min: float) -> np.ndarray:
     return np.maximum(1.0, np.ceil(distance_m / speed_m_per_min)).astype(np.int64)
 
 
-def _distance_along(table: PathEntries) -> tuple[np.ndarray, np.ndarray]:
-    """Metres along its path before each entry of `table`, and each path's length.
-    Each path's lengths are added left to right from 0.0, as routing adds them
+def _distance_along(count: np.ndarray, length_m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Metres along its path before each of the entry lengths `length_m`, which hold
+    `count` entries per path, path after path, and each path's length. Each path's
+    lengths are added left to right from 0.0, as routing adds them
     (network._path_along) and a trip rides them; a running sum over all paths less
     each path's start would round otherwise. Loops over places in a path, not over paths."""
-    before = np.zeros_like(table.length_m)
-    total = np.zeros(len(table.count))
-    first = np.cumsum(table.count) - table.count
-    for place in range(int(table.count.max(initial=0))):
-        on = np.flatnonzero(table.count > place)
+    before = np.zeros_like(length_m)
+    total = np.zeros(len(count))
+    first = np.cumsum(count) - count
+    for place in range(int(count.max(initial=0))):
+        on = np.flatnonzero(count > place)
         at = first[on] + place
         before[at] = total[on]
-        total[on] += table.length_m[at]
+        total[on] += length_m[at]
     return before, total
 
 
@@ -490,13 +495,7 @@ def save_triplog(log: TripLog, path) -> None:
     """Write a velosense-triplog-v6 file, which holds each fact of `log` once: the
     header, the stand table, the segment table, the path table (per path its
     stands and segment count, then its segment ids, path after path), and per
-    trip its id, start minute and path.
-
-    Raises ValueError on a log the file cannot hold, which would load back to
-    another log: a path end no stand holds, or a segment with two lengths or two
-    pairs of end nodes. A log from `clean_trips` is never one."""
-    table, segments = log.path_entries, log.segment_table
-    origin, dest = log.path_stands
+    trip its id, start minute and path."""
     doc = {
         "format": TRIPLOG_FORMAT,
         "network_sha256": log.network_sha256,
@@ -504,23 +503,18 @@ def save_triplog(log: TripLog, path) -> None:
         "speed_m_per_min": log.speed_m_per_min,
         "drop_counts": log.drop_counts,
         "stands": [{"stand": s.id, "node": s.node} for s in log.stands],
-        "segments": segments._asdict(),
-        "paths": {
-            "origin": origin,
-            "dest": dest,
-            "count": table.count,
-            "segments": table.segment,
-        },
+        "segments": log.segment_table._asdict(),
+        "paths": log.path_table._asdict(),
         "trips": {"id": log.ids, "start_min": log.start_min, "path": log.path},
     }
     write_json(path, doc)
 
 
 def load_triplog(path) -> TripLog:
-    """Read a velosense-triplog-v6 file, checking each column once, and rebuild
-    what the file does not repeat: each path entry's length and each path's
-    nodes and distance. Any other format, v5 and older included, is rejected:
-    `ingest` writes v6."""
+    """Read a velosense-triplog-v6 file, checking each column once, and check that
+    its tables agree by deriving what the file does not store: each path entry's
+    length and each path's nodes and distance. Any other format, v5 and older
+    included, is rejected: `ingest` writes v6."""
     with read_artifact(path, TRIPLOG_FORMAT, "ingest") as doc:
         horizon, speed = doc["horizon"], doc["speed_m_per_min"]
         pair = isinstance(horizon, list) and len(horizon) == 2 and set(map(type, horizon)) == {int}
@@ -531,29 +525,30 @@ def load_triplog(path) -> TripLog:
             raise MalformedInputError(f"{path}: speed_m_per_min {speed!r} must be a finite float > 0")
         stands = _stand_table(doc["stands"], path)
         segments = _segment_table(doc["segments"], path)
-        entries, ends = _path_table(doc["paths"], segments, stands, path)
+        table = _path_table(doc["paths"], len(stands), path)
         trips = doc["trips"]
         ids = str_column(trips["id"], path, "trips.id")
         start = int_column(trips["start_min"], path, "trips.start_min", lo=t0, hi=t_end + 1)
-        table = int_column(trips["path"], path, "trips.path", hi=len(entries.count))
-        if not len(ids) == len(start) == len(table):
+        trip_path = int_column(trips["path"], path, "trips.path", hi=len(table.count))
+        if not len(ids) == len(start) == len(trip_path):
             raise MalformedInputError(f"{path}: the trip columns differ in length")
         unsorted = np.flatnonzero(np.diff(start) < 0)
         if len(unsorted):
             first = ids[unsorted[0] + 1]
             raise MalformedInputError(f"{path}: trips are not sorted by start minute at trip {first}")
         log = TripLog(
-            ids, start, table, entries, stands, (t0, t_end), speed, doc.get("drop_counts", {}),
+            ids, start, trip_path, table, segments, stands, (t0, t_end), speed, doc.get("drop_counts", {}),
             doc.get("network_sha256"),
         )
-        log.segment_table, log.path_stands = segments, ends
+    with blamed_on(path):
+        log.path_nodes  # each path's segments are listed and walk from its origin to its dest
         far = np.flatnonzero(~(log.path_distance_m / speed < 2.0**63))  # an inf sum too
         if len(far):
             raise MalformedInputError(
-                f"{path}: segments.length_m adds up to {log.path_distance_m[far[0]]} m along path {far[0]}, "
+                f"segments.length_m adds up to {log.path_distance_m[far[0]]} m along path {far[0]}, "
                 f"too far for int64 minutes at {speed} m/min"
             )
-        return log
+    return log
 
 
 def _segment_table(columns: dict, source) -> SegmentTable:
@@ -587,60 +582,25 @@ def _segment_table(columns: dict, source) -> SegmentTable:
     return SegmentTable(ids, u, v, length_m)
 
 
-def _path_table(columns: dict, segments: SegmentTable, stands: list[Stand], source):
-    """The path table of a v6 file, and each path's origin and dest stand. Its
-    `columns` give per path its `origin` and `dest` stands and its `count` of
-    segments, and path after path its `segments` (count entries each), which
-    the segment table must list. Entry
-    lengths are gathered from the segment table, and a path's nodes are walked
-    from its origin stand's node: each segment must touch the node before it, and
-    the walk must end at the dest stand's node. Loops over places in a path, not
-    over paths."""
-    segment = int_column(columns["segments"], source, "paths.segments")
-    count = int_column(columns["count"], source, "paths.count", hi=len(segment) + 1)
-    origin = int_column(columns["origin"], source, "paths.origin", hi=len(stands))
-    dest = int_column(columns["dest"], source, "paths.dest", hi=len(stands))
-    total = int(count.sum())  # count <= len(segment) entry by entry, so no int64 sum overflows
+def _path_table(columns: dict, num_stands: int, source) -> PathTable:
+    """The path table of a v6 file, column by column: per path its `origin` and
+    `dest` stands and its `count` of segments, and path after path its `segments`,
+    count entries each. `TripLog.path_nodes` checks them against the segment table."""
+    segments = int_column(columns["segments"], source, "paths.segments")
+    count = int_column(columns["count"], source, "paths.count", hi=len(segments) + 1)
+    origin = int_column(columns["origin"], source, "paths.origin", hi=num_stands)
+    dest = int_column(columns["dest"], source, "paths.dest", hi=num_stands)
     expected = {
         "paths.origin": (len(origin), len(count)),
         "paths.dest": (len(dest), len(count)),
-        "paths.segments": (len(segment), total),
+        "paths.segments": (len(segments), int(count.sum())),  # count <= len(segments) entry by entry: no overflow
     }
     for name, (found, needed) in expected.items():
         if found != needed:
             raise MalformedInputError(
                 f"{source}: {name} holds {found} entries, but the {len(count)} paths of paths.count need {needed}"
             )
-    row = np.searchsorted(segments.id, segment)  # each entry's row of the segment table, if it lists it
-    missing = np.flatnonzero(np.append(segments.id, -1)[row] != segment)  # ids are >= 0
-    if len(missing):
-        raise MalformedInputError(
-            f"{source}: paths.segments holds segment {segment[missing[0]]}, which segments.id does not list"
-        )
-    u, v = segments.u[row], segments.v[row]
-    stand_node = np.fromiter(map(attrgetter("node"), stands), np.int64, len(stands))
-    first = np.cumsum(count) - count  # each path's first entry
-    start = first + np.arange(len(count))  # and its first node: each path before has one more node
-    node = np.empty(total + len(count), dtype=np.int64)
-    node[start] = stand_node[origin]
-    for place in range(int(count.max(initial=0))):
-        on = np.flatnonzero(count > place)
-        at, before = first[on] + place, node[start[on] + place]
-        off = np.flatnonzero((before != u[at]) & (before != v[at]))
-        if len(off):
-            raise MalformedInputError(
-                f"{source}: paths.segments holds segment {segment[at[off[0]]]} at place {place} of path "
-                f"{on[off[0]]}, which does not touch node {before[off[0]]} before it"
-            )
-        node[start[on] + place + 1] = np.where(before == u[at], v[at], u[at])
-    off = np.flatnonzero(node[start + count] != stand_node[dest])
-    if len(off):
-        i = off[0]
-        raise MalformedInputError(
-            f"{source}: paths.dest holds stand {dest[i]} for path {i}, at node {stand_node[dest[i]]}, "
-            f"but the path ends at node {node[start[i] + count[i]]}"
-        )
-    return PathEntries(segment, segments.length_m[row], count, node), (origin, dest)
+    return PathTable(origin, dest, count, segments)
 
 
 def _stand_table(rows, source) -> list[Stand]:

@@ -685,7 +685,7 @@ def save_triplog_v4(log, path):
     table as flat columns (nodes and entry lengths included) and every trip
     column, stands and duration included, encoded by one compact `json.dumps`.
     The reference a file in the current format must load back to."""
-    table = log.path_entries
+    table = log.path_table
     doc = {
         "format": "velosense-triplog-v4",
         "network_sha256": log.network_sha256,
@@ -695,9 +695,9 @@ def save_triplog_v4(log, path):
         "stands": [{"stand": s.id, "node": s.node} for s in log.stands],
         "paths": {
             "count": table.count.tolist(),
-            "segments": table.segment.tolist(),
-            "nodes": table.node.tolist(),
-            "seg_lengths_m": table.length_m.tolist(),
+            "segments": table.segments.tolist(),
+            "nodes": log.path_nodes.tolist(),
+            "seg_lengths_m": log.entry_length_m.tolist(),
             "distance_m": log.path_distance_m.tolist(),
         },
         "trips": {

@@ -667,6 +667,10 @@ def _set_metadata(**fields):
         ("score", SCORE, ["--delta", "4"], "--traj", _edit_doc(_shift_an_equipped_bike)),
         ("score", SCORE, ["--delta", "4"], "--traj", _drop_metadata_key("beta")),
         ("score", SCORE, ["--delta", "4"], "--traj", _set_metadata(beta=1.5)),
+        ("score", SCORE, ["--delta", "4"], "--traj", _drop_metadata_key("seed")),
+        ("score", SCORE, ["--delta", "4"], "--traj", _set_metadata(seed=-1)),
+        ("score", SCORE, ["--delta", "4"], "--traj", _set_metadata(seed=0.5)),
+        ("score", SCORE, ["--delta", "4"], "--traj", _set_metadata(generator="mt19937")),
     ],
     ids=["triplog-without-stands", "traj-without-metadata", "alloc-without-N_e",
          "probs-unknown-stand", "probs-unknown-segment", "probs-nan", "probs-negative",
@@ -689,7 +693,8 @@ def _set_metadata(**fields):
          "path-count-negative", "path-count-fraction", "path-count-past-segments", "path-segment-not-listed", "segment-ids-repeated", "segment-ids-out-of-order",
          "segment-nodes-reversed", "path-segments-swapped", "path-origin-moved", "path-dest-moved",
          "path-lengths-past-int64-minutes", "traj-all-on-bike-0", "traj-first-rides-swapped", "alloc-over-budget",
-         "traj-equipped-last-dropped", "traj-equipped-id-shifted", "traj-without-beta", "traj-beta-past-1"],
+         "traj-equipped-last-dropped", "traj-equipped-id-shifted", "traj-without-beta", "traj-beta-past-1",
+         "traj-without-seed", "traj-seed-negative", "traj-seed-fractional", "traj-generator-other"],
 )
 def test_malformed_artifact_is_2(artifacts, tmp_path, capsys, request, command, options, extra, corrupted, edit):
     paths = dict(artifacts)
@@ -756,6 +761,10 @@ NAMED_FIELDS = {
     "alloc-over-budget": "n",
     "traj-equipped-last-dropped": "metadata.equipped",
     "traj-equipped-id-shifted": "metadata.equipped",
+    "traj-without-seed": "metadata.seed",
+    "traj-seed-negative": "metadata.seed",
+    "traj-seed-fractional": "metadata.seed",
+    "traj-generator-other": "metadata.generator",
 }
 
 

@@ -34,10 +34,11 @@ from trip_logs import coverage_counts, trip_log
 
 
 def toy_log(moves, num_stands, horizon=(0, 30), speed=100.0):
-    """Build a TripLog from (origin, dest, start_min, duration_min) tuples."""
+    """Build a TripLog from (origin, dest, start_min, duration_min) tuples; trip i
+    rides segment i, so each segment has one length."""
     trips = []
     for i, (origin, dest, start, duration) in enumerate(moves):
-        path = Path((0,), (origin, dest), (duration * speed,), duration * speed)
+        path = Path((i,), (origin, dest), (duration * speed,), duration * speed)
         trips.append(Trip(f"t{i}", origin, dest, start, path, duration))
     trips.sort(key=lambda t: t.start_min)
     stands = [Stand(i, i) for i in range(num_stands)]

@@ -5,17 +5,18 @@ import math
 from argparse import Namespace
 from dataclasses import asdict
 from datetime import datetime, timedelta
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 from velosense.cli import _load_routed_net
 from velosense.errors import MalformedInputError
+from velosense.fleet_sim import initial_bike_counts
 from velosense.network import Path, build_network, route_pairs
 from velosense.synth import SynthConfig, generate, grid_network, write_network_csv
 from velosense.trips import (
     PARSE_CHUNK_ROWS,
-    PathEntries,
     RawTrips,
     Stand,
     Trip,
@@ -34,7 +35,7 @@ from oracles import (
     save_triplog_v4,
     traversal_times,
 )
-from trip_logs import raw_concat, raw_rows, trip_log
+from trip_logs import path_tables, raw_concat, raw_rows, trip_log
 
 CITI_HEADER = (
     "ride_id,rideable_type,started_at,ended_at,start_station_name,start_station_id,"
@@ -576,10 +577,11 @@ class TestSerialization:
         for built in (trip_log(trips, stands, (360, 1320), SPEED), trip_log([], [], (0, 60), 100.0)):
             save_triplog(built, tmp_path / "triplog.json")
             loaded = load_triplog(tmp_path / "triplog.json")
-            for name, column in built.path_entries._asdict().items():
-                got = getattr(loaded.path_entries, name)
-                assert got.dtype == column.dtype and got.tolist() == column.tolist(), name
-            for name in ("origin", "dest", "start_min", "duration_min", "path"):
+            for table in ("path_table", "segment_table"):
+                for name, column in getattr(built, table)._asdict().items():
+                    got = getattr(getattr(loaded, table), name)
+                    assert got.dtype == column.dtype and got.tolist() == column.tolist(), (table, name)
+            for name in ("entry_length_m", "path_nodes", "origin", "dest", "start_min", "duration_min", "path"):
                 column, got = getattr(built, name), getattr(loaded, name)
                 assert got.dtype == column.dtype and got.tolist() == column.tolist(), name
             assert loaded.paths == built.paths
@@ -588,66 +590,71 @@ class TestSerialization:
                 assert getattr(loaded.events, name).tolist() == getattr(built.events, name).tolist(), name
 
     @staticmethod
-    def log_of(paths, rides, stands):
-        """The log whose trip i rides paths[p] from minute start, for rides[i] = (p, start)."""
+    def log_of(paths, ends, rides, stands):
+        """The log whose path i runs from stand ends[i][0] to stand ends[i][1] along
+        paths[i], and whose trip i rides paths[p] from minute start, for rides[i] = (p, start)."""
         return TripLog(
             [f"t{i}" for i in range(len(rides))],
             np.array([start for _p, start in rides], dtype=np.int64),
             np.array([p for p, _start in rides], dtype=np.int64),
-            PathEntries.of(paths),
+            *path_tables(paths, ends),
             stands,
             (360, 1320),
             SPEED,
         )
 
-    @pytest.mark.parametrize(
-        "paths, message",
-        [
-            # segment 4 is 1/3 m long on path 0 and 433 m on path 3
-            (
-                HAND_BUILT_PATHS[:3] + [Path((4, 2), (2, 3, 0), (433.0, 5e-324), 433.0 + 5e-324)],
-                "segment 4 two lengths",
-            ),
-            # segment 4 joins nodes 2 and 3 on path 0, 3 and 7 on path 3
-            (
-                HAND_BUILT_PATHS[:3] + [Path((4, 2), (7, 3, 0), (1 / 3, 5e-324), 1 / 3 + 5e-324)],
-                "segment 4 two pairs of end nodes",
-            ),
-            (
-                HAND_BUILT_PATHS[:2] + [Path((7,), (4, 8), (1e-3,), 1e-3)] + HAND_BUILT_PATHS[3:],
-                "a path ends at node 8, which no stand holds",
-            ),
-        ],
-        ids=["segment-two-lengths", "segment-two-node-pairs", "path-end-off-every-stand"],
-    )
-    def test_save_refuses_a_log_the_file_cannot_hold(self, tmp_path, paths, message):
-        """Each log would load back to another log, so none is written."""
-        stands = [Stand(0, 0), Stand(1, 1), Stand(2, 2), Stand(3, 4), Stand(4, 9)]
-        with pytest.raises(ValueError, match=message):
-            save_triplog(self.log_of(paths, [(p, 360) for p in range(len(paths))], stands), tmp_path / "triplog.json")
-        assert not (tmp_path / "triplog.json").exists()
+    def refused_by_the_walk(self, log, tmp_path, message):
+        """Asked for its nodes, `log` is refused; saving writes its fields, and
+        loading the file refuses it, naming the file."""
+        with pytest.raises(MalformedInputError) as built:
+            log.path_nodes
+        save_triplog(log, tmp_path / "triplog.json")
+        with pytest.raises(MalformedInputError) as loaded:
+            load_triplog(tmp_path / "triplog.json")
+        assert str(built.value) == message
+        assert str(loaded.value) == f"{tmp_path / 'triplog.json'}: {message}"
 
-    def test_save_refuses_a_log_off_its_paths_everywhere(self, tmp_path):
-        """No stand holds most path ends, and segment 4 has two lengths."""
+    def test_walk_refuses_a_path_ending_off_its_dest_stand(self, tmp_path):
+        """Path 2 runs from stand 3 at node 4 to node 8, where its dest stand 4 is
+        not: stand 4 is at node 9."""
+        paths = HAND_BUILT_PATHS[:2] + [Path((7,), (4, 8), (1e-3,), 1e-3)] + HAND_BUILT_PATHS[3:]
+        stands = [Stand(0, 0), Stand(1, 1), Stand(2, 2), Stand(3, 4), Stand(4, 9)]
+        log = self.log_of(paths, [(1, 3), (1, 1), (3, 4), (2, 0)], [(p, 360) for p in range(len(paths))], stands)
+        message = "paths.dest holds stand 4 for path 2, at node 9, but the path ends at node 8"
+        self.refused_by_the_walk(log, tmp_path, message)
+
+    def test_walk_refuses_a_log_off_its_paths_everywhere(self, tmp_path):
+        """Every path runs from stand 0 at node 1 to stand 1 at node 4, which only
+        path 0 does; the walk refuses the first place where a path leaves its nodes."""
         paths = HAND_BUILT_PATHS[:3] + [Path((4, 2), (2, 3, 0), (433.0, 5e-324), 433.0 + 5e-324)]
         rides = [(0, 360), (1, 361), (2, 361), (0, 400), (3, 1320), (1, 1320)]
-        with pytest.raises(ValueError):
-            save_triplog(self.log_of(paths, rides, [Stand(0, 1), Stand(1, 4)]), tmp_path / "triplog.json")
-        assert not (tmp_path / "triplog.json").exists()
+        log = self.log_of(paths, [(0, 1)] * len(paths), rides, [Stand(0, 1), Stand(1, 4)])
+        message = "paths.segments holds segment 7 at place 0 of path 2, which does not touch node 1 before it"
+        self.refused_by_the_walk(log, tmp_path, message)
 
-    def test_loading_and_using_a_log_builds_no_path(self, small_scenario, tmp_path):
-        """load_triplog, the event table, the schedule and the network check read the
-        path table's columns; no Path is built until something asks for `paths`."""
-        net, log = small_scenario
+    def test_loading_and_using_a_log_builds_no_path(self, tmp_path, monkeypatch):
+        """load_triplog, the event table, the schedule, the fleet and the network check
+        read the path table's columns; no Path is built until something asks for
+        `paths`. A log from clean_trips never walks its paths on the way to a
+        replay, and a loaded log walks them once, on load."""
+        walked = []
+        walk = TripLog.path_nodes.func
+        counted = cached_property(lambda log: walked.append(log) or walk(log))
+        counted.__set_name__(TripLog, "path_nodes")
+        monkeypatch.setattr(TripLog, "path_nodes", counted)
+        net, log = chain_scenario(5)
+        _ = log.events, log.schedule, initial_bike_counts(log)
+        assert "path_nodes" not in log.__dict__ and walked == []
         save_triplog(log, tmp_path / "triplog.json")
         write_network_csv(net, tmp_path / "nodes.csv", tmp_path / "edges.csv")
         loaded = load_triplog(tmp_path / "triplog.json")
-        assert "paths" not in loaded.__dict__
-        _ = loaded.events, loaded.schedule  # build both
+        assert "paths" not in loaded.__dict__ and walked == [loaded]
+        _ = loaded.events, loaded.schedule, initial_bike_counts(loaded)
         args = Namespace(nodes=tmp_path / "nodes.csv", edges=tmp_path / "edges.csv", triplog=tmp_path / "triplog.json")
         _load_routed_net(args, loaded)
         assert "paths" not in loaded.__dict__
         assert loaded.paths == log.paths and "paths" in loaded.__dict__
+        assert walked == [loaded, log]
 
     def test_trips_of_one_pair_share_one_path(self, small_scenario, tmp_path):
         _net, log = small_scenario
@@ -699,6 +706,8 @@ class TestDistanceIsTheLengthsSum:
     """A path's distance is derived from its entry lengths, not stored: on every
     path of three chain-shaped logs it equals the routed Path's distance_m bit
     for bit, so durations are the routed ones, and a saved log loads back to them.
+    So do the entry lengths and walked nodes, path by path, and the segment table
+    is the network's end nodes, the lower first, and lengths at its ids.
     A grid's lengths are all block_m, whose sums are exact in any order, so each
     log is also routed on the grid with each length scaled by an inexact factor."""
 
@@ -712,18 +721,29 @@ class TestDistanceIsTheLengthsSum:
             net = build_network(nodes, list(zip(net.seg_u.tolist(), net.seg_v.tolist(), lengths.tolist())))
             log = clean_trips(generate(SynthConfig(16, 16, 150.0, 30, 4000, seed=seed))[1], net)
         nodes = np.array([s.node for s in log.stands], dtype=np.int64)
-        origin, dest = log.path_stands
-        pairs = list(zip(nodes[origin].tolist(), nodes[dest].tolist()))
+        pairs = list(zip(nodes[log.path_table.origin].tolist(), nodes[log.path_table.dest].tolist()))
         routed = route_pairs(net, pairs)
-        distance = np.array([routed[pair].distance_m for pair in pairs], dtype=np.float64)
-        assert len(pairs) > 700
-        assert distance.tobytes() == log.path_distance_m.tobytes()
+        paths = [routed[pair] for pair in pairs]
+        assert len(paths) > 700
+        count = [len(p.segments) for p in paths]
+        segments = [s for p in paths for s in p.segments]
+        lengths = np.array([x for p in paths for x in p.seg_lengths_m], dtype=np.float64)
+        path_nodes = np.array([n for p in paths for n in p.nodes], dtype=np.int64)
+        distance = np.array([p.distance_m for p in paths], dtype=np.float64)
         durations = [max(1, math.ceil(d / log.speed_m_per_min)) for d in distance[log.path].tolist()]
-        assert log.duration_min.tolist() == durations
+        ids = log.segment_table.id
+        network_columns = (
+            ids, np.minimum(net.seg_u, net.seg_v)[ids], np.maximum(net.seg_u, net.seg_v)[ids], net.seg_length_m[ids]
+        )
         save_triplog(log, tmp_path / "triplog.json")
-        loaded = load_triplog(tmp_path / "triplog.json")
-        assert loaded.path_distance_m.tobytes() == distance.tobytes()
-        assert loaded.duration_min.dtype == np.int64 and loaded.duration_min.tolist() == durations
+        for each in (log, load_triplog(tmp_path / "triplog.json")):
+            # with equal counts, equal flat columns are equal path by path
+            assert each.path_table.count.tolist() == count and each.path_table.segments.tolist() == segments
+            assert each.entry_length_m.tobytes() == lengths.tobytes()
+            assert each.path_nodes.tobytes() == path_nodes.tobytes()
+            assert [column.tobytes() for column in each.segment_table] == [c.tobytes() for c in network_columns]
+            assert each.path_distance_m.tobytes() == distance.tobytes()
+            assert each.duration_min.dtype == np.int64 and each.duration_min.tolist() == durations
 
 
 class TestV5LoadsAsTheV4Document:
@@ -752,11 +772,15 @@ class TestV5LoadsAsTheV4Document:
         for name in ("origin", "dest", "start_min", "duration_min", "path"):
             column = getattr(loaded, name)
             assert column.dtype == np.int64 and column.tolist() == doc["trips"][name], name
-        columns = {"segment": "segments", "length_m": "seg_lengths_m", "count": "count", "node": "nodes"}
-        for name, key in columns.items():
-            column = getattr(loaded.path_entries, name)
-            dtype = np.float64 if name == "length_m" else np.int64
-            assert column.dtype == dtype and column.tolist() == doc["paths"][key], name
+        columns = {
+            "segments": loaded.path_table.segments,
+            "seg_lengths_m": loaded.entry_length_m,
+            "count": loaded.path_table.count,
+            "nodes": loaded.path_nodes,
+        }
+        for key, column in columns.items():
+            dtype = np.float64 if key == "seg_lengths_m" else np.int64
+            assert column.dtype == dtype and column.tolist() == doc["paths"][key], key
         assert loaded.path_distance_m.dtype == np.float64
         assert loaded.path_distance_m.tolist() == doc["paths"]["distance_m"]
         assert loaded.paths == paths_of_triplog_v4(doc)
