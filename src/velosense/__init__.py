@@ -32,8 +32,8 @@ from .fleet_sim import (
 )
 from .harness import ExperimentSpec, beta_sweep, run_pipeline, sensor_requirement
 from .metrics import IntervalGrid, hourly_diagnostics, sensing_score
-from .network import Path, RoadNetwork, haversine_m, load_network, nearest_node, route_pairs
+from .network import RoadNetwork, haversine_m, load_network, nearest_node, route_pairs
 from .synth import SynthConfig, generate
-from .trips import RawTrips, Trip, TripLog, clean_trips, parse_raw_trips
+from .trips import Path, RawTrips, Trip, TripLog, clean_trips, parse_raw_trips
 
 __version__ = "0.1.0"

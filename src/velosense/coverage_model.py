@@ -51,17 +51,19 @@ class CoverageMatrix:
 
 
 def _tally(log: TripLog, plan: FleetPlan, runs: int, seed: int, label: np.ndarray) -> np.ndarray:
-    """Traversals per (label[bike], segment), summed over `runs` unguided
-    replays seeded seed+1 .. seed+runs. Bikes labelled -1 are not counted."""
+    """Traversals per (label[bike], row of the log's segment table, whatever its
+    ids), summed over `runs` unguided replays seeded seed+1 .. seed+runs. Bikes
+    labelled -1 are not counted."""
     trip, segment, _minute = log.events
-    num_segments = 1 + int(segment.max(initial=-1))
+    ids = log.segment_table.id
+    row = np.searchsorted(ids, segment)  # the table lists every segment a path holds
     num_labels = 1 + int(label.max(initial=-1))
-    totals = np.zeros(num_labels * num_segments, dtype=np.int64)
+    totals = np.zeros(num_labels * len(ids), dtype=np.int64)
     for tau in range(1, runs + 1):
         owner = label[simulate(log, plan, SimConfig(seed=seed + tau)).bike_of_trip][trip]
         keep = owner >= 0
-        totals += np.bincount(owner[keep] * num_segments + segment[keep], minlength=len(totals))
-    return totals.reshape(num_labels, num_segments)
+        totals += np.bincount(owner[keep] * len(ids) + row[keep], minlength=len(totals))
+    return totals.reshape(num_labels, len(ids))
 
 
 def mean_coverage(
@@ -73,8 +75,8 @@ def mean_coverage(
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     totals = _tally(log, plan, runs, seed, plan.home_stands())
-    stand, segment = np.nonzero(totals)  # row-major: sorted by (stand, segment)
-    return stand, segment, totals[stand, segment] / runs
+    stand, row = np.nonzero(totals)  # row-major, and ids ascend by row: sorted by (stand, segment)
+    return stand, log.segment_table.id[row], totals[stand, row] / runs
 
 
 def estimate_probabilities(
@@ -123,9 +125,10 @@ def linearity_probe(
         offset += b
         if b < 2:
             continue
-        for seg in np.flatnonzero(per_bike.any(axis=0)).tolist():
+        rows = np.flatnonzero(per_bike.any(axis=0))
+        for row, seg in zip(rows.tolist(), log.segment_table.id[rows].tolist()):
             # ys[n - 1]: mean coverage of the first n tracked bikes
-            ys = list(accumulate(count / runs for count in per_bike[:, seg].tolist()))
+            ys = list(accumulate(count / runs for count in per_bike[:, row].tolist()))
             if ys[-1] < min_mean:
                 continue
             xs = list(range(1, b + 1))

@@ -32,11 +32,12 @@ schedule with one idle-equipped counter per stand (_equipped_rows) then gives
 every row's pool, equipped or unequipped, and its size; every row still spends
 its guidance word, so the words read are the inline loop's. Both take all
 their picks in one pass (_unguided_picks), and one row loop moves the bikes
-(_bikes_from_picks). A pick over n bikes is rejected with a chance below
-n / 2**32, a few times in 10**5 replays of a few thousand trips; the pass
-then draws every row inline instead. At 0 < beta < 1 a row's pool hangs on
-its guidance draw and on earlier picks, so that replay reads each row's
-words inline (_guided_bikes). All three finish a rejected draw with _redraw.
+(_bikes_from_picks). At 0 < beta < 1 a row's pool hangs on its guidance
+draw and on earlier picks, so that replay reads each row's words inline
+(_guided_bikes), the one loop that finishes a rejected draw (_redraw). A pick
+over n bikes is rejected with a chance below n / 2**32, a few times in 10**5
+replays of a few thousand trips; a pass that draws one hands the replay to
+that loop, which reads the stream as above at every beta.
 """
 
 from __future__ import annotations
@@ -156,9 +157,9 @@ _CHUNK = 4096  # words an inline draw takes from numpy at a time
 _LOW32 = 0xFFFFFFFF
 
 
-def _word_stream(bitgen, words=()):
-    """An iterator over `words`, then over bitgen's next raw words, as ints."""
-    return chain(words, chain.from_iterable(iter(lambda: bitgen.random_raw(_CHUNK).tolist(), None)))
+def _word_stream(bitgen):
+    """An iterator over bitgen's next raw words, as ints."""
+    return chain.from_iterable(iter(lambda: bitgen.random_raw(_CHUNK).tolist(), None))
 
 
 def _redraw(m: int, n: int, half: int | None, next_word) -> tuple[int, int | None]:
@@ -177,18 +178,18 @@ def _redraw(m: int, n: int, half: int | None, next_word) -> tuple[int, int | Non
     return m >> 32, half
 
 
-def _unguided_picks(seed: int, sizes: np.ndarray) -> np.ndarray:
+def _unguided_picks(seed: int, sizes: np.ndarray) -> np.ndarray | None:
     """The pick of every row of a replay whose pool sizes are known before it
     starts, an index into a pool of sizes[row] bikes, from the words of
-    PCG64(seed).
+    PCG64(seed); None if a draw is rejected.
 
     Pool sizes do not depend on the picks, so until a draw is rejected every
     word's use is known: each row skips its guidance word, and each pool of
     two or more bikes takes the high half an earlier pick left over, else the
     low half of a fresh word. One pass lays every row out and draws them all.
     A rejected draw (a chance below n / 2**32 per pick) moves every word after
-    it, so then the pass's picks are dropped and every row is drawn inline,
-    from the words the pass took and then on."""
+    it, so the pass's picks are then wrong; the caller draws every row inline
+    instead (_guided_bikes)."""
     sizes = np.asarray(sizes, dtype=np.uint64)
     bitgen = PCG64(seed)
     drawing = np.flatnonzero(sizes > 1)
@@ -200,20 +201,10 @@ def _unguided_picks(seed: int, sizes: np.ndarray) -> np.ndarray:
     u[::2] = word & _LOW32
     u[1::2] = (word >> 32)[: len(drawing) // 2]
     m = u * sizes[drawing]
+    if (m & _LOW32 < np.uint64(1 << 32) % sizes[drawing]).any():
+        return None
     picks = np.zeros(len(sizes), dtype=np.int64)
-    if not (m & _LOW32 < np.uint64(1 << 32) % sizes[drawing]).any():
-        picks[drawing] = m >> 32
-        return picks
-    next_word, half = _word_stream(bitgen, words.tolist()).__next__, None
-    for row, n in enumerate(sizes.tolist()):
-        next_word()
-        if n > 1:
-            if half is None:
-                word = next_word()
-                m, half = (word & _LOW32) * n, word >> 32
-            else:
-                m, half = half * n, None
-            picks[row], half = _redraw(m, n, half, next_word)
+    picks[drawing] = m >> 32
     return picks
 
 
@@ -337,7 +328,8 @@ def simulate(log: TripLog, plan: FleetPlan, cfg: SimConfig) -> Replay:
     equipped bike exactly when one is idle at its origin; a draw-free scan
     (_equipped_rows) gives each row's pool, 2 per stand (equipped, then
     unequipped), and its size. Both take every pick in one pass and move bikes
-    in one row loop. At 0 < beta < 1 the loop draws inline (_guided_bikes).
+    in one row loop. At 0 < beta < 1, and when the pass draws a rejected pick,
+    the loop itself draws every row inline (_guided_bikes).
     """
     if len(plan.b) != log.num_stands:
         raise MalformedInputError(f"plan covers {len(plan.b)} stands, log has {log.num_stands}")
@@ -347,18 +339,21 @@ def simulate(log: TripLog, plan: FleetPlan, cfg: SimConfig) -> Replay:
         i = short[0]
         raise InfeasiblePlanError(f"no idle bike at stand {log.origin[i]} at minute "
                                   f"{log.start_min[i]} for trip {log.ids[i]}")
+    picks = None
     if cfg.beta == 0 or not cfg.equipped:
+        pools, take_from, return_to = plan.bikes, log.origin, log.dest
         picks = _unguided_picks(cfg.seed, sizes)
-        bike_of_trip = _bikes_from_picks(log, plan.bikes, log.origin, log.dest, picks)
     elif cfg.beta == 1:
         rode, chosen_sizes = _equipped_rows(log, plan, cfg.equipped)
         pools = [[bike for bike in bikes if bike in cfg.equipped] for bikes in plan.bikes]
         pools += [[bike for bike in bikes if bike not in cfg.equipped] for bikes in plan.bikes]
         unequipped = log.num_stands * ~rode  # pool s + S holds stand s's unequipped bikes
+        take_from, return_to = log.origin + unequipped, log.dest + unequipped
         picks = _unguided_picks(cfg.seed, chosen_sizes)
-        bike_of_trip = _bikes_from_picks(log, pools, log.origin + unequipped, log.dest + unequipped, picks)
-    else:
+    if picks is None:  # 0 < beta < 1, or the pass drew a rejected pick
         bike_of_trip = _guided_bikes(log, plan, cfg)
+    else:
+        bike_of_trip = _bikes_from_picks(log, pools, take_from, return_to, picks)
     return Replay(np.array(bike_of_trip, dtype=np.int64), plan.home_stands(), log.ids)
 
 

@@ -2,7 +2,8 @@
 
 The network is undirected. Node and segment ids are dense integers assigned
 at load time; ids found in input files are remapped in order of appearance.
-Paths come from one router, route_pairs.
+Paths come from one router, route_pairs, as segment ids only: a path's nodes,
+lengths and distance are derived from them by the trip log (trips.TripLog).
 """
 
 from __future__ import annotations
@@ -31,16 +32,6 @@ def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
 
 
-@dataclass(frozen=True)
-class Path:
-    """A routed path: segment ids in traversal order plus per-segment lengths."""
-
-    segments: tuple[int, ...]
-    nodes: tuple[int, ...]
-    seg_lengths_m: tuple[float, ...]
-    distance_m: float
-
-
 @dataclass
 class RoadNetwork:
     """Immutable after construction; safe for concurrent read-only queries."""
@@ -59,12 +50,6 @@ class RoadNetwork:
     @property
     def num_segments(self) -> int:
         return len(self.seg_length_m)
-
-    def endpoints(self, segment: int) -> tuple[int, int]:
-        return int(self.seg_u[segment]), int(self.seg_v[segment])
-
-    def node_coords(self, node: int) -> tuple[float, float]:
-        return float(self.node_lat[node]), float(self.node_lon[node])
 
 
 def network_sha256(net: RoadNetwork) -> str:
@@ -250,10 +235,10 @@ def _check_node(net: RoadNetwork, name: str, node: int) -> None:
         raise MalformedInputError(f"{name} node {node} outside 0..{net.num_nodes - 1}")
 
 
-def _path_along(net: RoadNetwork, lengths: list[float], dist: list[float], origin: int, dest: int) -> Path:
-    """The path from `origin`, which `dist` reaches, to `dest` along tight edges of
-    `dist`, the Dijkstra distances rooted at `dest`, taking the smallest neighbour
-    id first.
+def _path_along(net: RoadNetwork, lengths: list[float], dist: list[float], origin: int, dest: int) -> list[int]:
+    """The segment ids of the path from `origin`, which `dist` reaches, to `dest`
+    along tight edges of `dist`, the Dijkstra distances rooted at `dest`, taking
+    the smallest neighbour id first.
 
     Every reachable node but `dest` has an exactly tight edge: Dijkstra set its
     distance to `dist[p] + length` for its relaxation parent p, and float
@@ -261,26 +246,21 @@ def _path_along(net: RoadNetwork, lengths: list[float], dist: list[float], origi
     distance, since build_network keeps one edge per node pair, of finite
     length > 0, so the walk ends at `dest`.
     """
-    nodes = [origin]
     segments = []
-    seg_lengths = []
-    total = 0.0
     u = origin
     while u != dest:
         for v, seg in net.adjacency[u]:  # sorted by neighbor id
             if dist[u] == lengths[seg] + dist[v]:
                 break
         u = v
-        nodes.append(u)
         segments.append(seg)
-        seg_lengths.append(lengths[seg])
-        total += lengths[seg]
-    return Path(tuple(segments), tuple(nodes), tuple(seg_lengths), total)
+    return segments
 
 
-def route_pairs(net: RoadNetwork, pairs) -> dict[tuple[int, int], Path]:
-    """Shortest paths of many (origin, dest) node pairs, with one Dijkstra per
-    distinct dest; a pair whose dest the origin cannot reach is left out.
+def route_pairs(net: RoadNetwork, pairs) -> dict[tuple[int, int], list[int]]:
+    """The segment ids of the shortest path of each of many (origin, dest) node
+    pairs, in traversal order, with one Dijkstra per distinct dest; a pair whose
+    dest the origin cannot reach is left out.
 
     Ties between equal-length paths go to the lexicographically smallest node
     sequence, which keeps replays reproducible on grids where many shortest

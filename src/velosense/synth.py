@@ -116,10 +116,10 @@ def generate(cfg: SynthConfig) -> tuple[RoadNetwork, RawTrips]:
 
 def write_network_csv(net: RoadNetwork, nodes_path, edges_path) -> None:
     """Same file formats the ingestion pipeline consumes."""
-    nodes = ((node, *map(repr, net.node_coords(node))) for node in range(net.num_nodes))
-    write_table(nodes_path, ["node_id", "lat", "lon"], nodes)
-    edges = ((*net.endpoints(seg), repr(float(net.seg_length_m[seg]))) for seg in range(net.num_segments))
-    write_table(edges_path, ["u", "v", "length_m"], edges)
+    coords = (map(repr, column.tolist()) for column in (net.node_lat, net.node_lon))
+    write_table(nodes_path, ["node_id", "lat", "lon"], zip(range(net.num_nodes), *coords))
+    lengths = map(repr, net.seg_length_m.tolist())
+    write_table(edges_path, ["u", "v", "length_m"], zip(net.seg_u.tolist(), net.seg_v.tolist(), lengths))
 
 
 def write_trips_csv(raw: RawTrips, path) -> None:

@@ -22,8 +22,9 @@ builds no object per path. A trip's stands and duration are its path's. The
 rest is derived on first use: entry lengths from the segment table, and a
 path's nodes by a walk from its origin stand to its dest stand, which
 `load_triplog` runs to check a file and the event table and schedule never
-need. A path's distance is its entry lengths added left to right from 0.0, as
-routing adds them. `TripLog.paths` and `TripLog.trips` are views built on request.
+need. A path's distance is its entry lengths added left to right from 0.0, and
+cleaning adds the lengths of routing's segment ids by that rule (_distance_along).
+`TripLog.paths` and `TripLog.trips` are Path and Trip views built on request.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MalformedInputError, blamed_on, int_column, read_artifact, read_table, str_column, write_json
-from .network import Path, RoadNetwork, nearest_node, network_sha256, route_pairs
+from .network import RoadNetwork, nearest_node, network_sha256, route_pairs
 
 TRIPLOG_FORMAT = "velosense-triplog-v6"
 
@@ -48,6 +49,7 @@ DEFAULT_SPEED_KMH = 13.0
 DEFAULT_MIN_KM = 0.5
 DEFAULT_MAX_KM = 5.0
 DEFAULT_WINDOW = (360, 1320)  # 6 am .. 10 pm, minutes from midnight
+DAY_MIN = 1440  # a window or horizon lies in [0, DAY_MIN]: start minutes are minutes of one day
 
 REQUIRED_TRIP_COLUMNS = ("started_at", "start_lat", "start_lng", "end_lat", "end_lng")
 
@@ -82,6 +84,17 @@ class Stand:
 
     id: int
     node: int
+
+
+@dataclass(frozen=True)
+class Path:
+    """A path of a TripLog as a view: its segment ids in traversal order, the
+    nodes it walks, its segments' lengths, and those added left to right from 0.0."""
+
+    segments: tuple[int, ...]
+    nodes: tuple[int, ...]
+    seg_lengths_m: tuple[float, ...]
+    distance_m: float
 
 
 @dataclass(frozen=True)
@@ -398,9 +411,9 @@ def clean_trips(
     distinct paths.
     """
     t0, t_end = window
-    if not (t0 < t_end and 0 < speed_kmh < math.inf):  # load_triplog rejects any other header
+    if not (0 <= t0 < t_end <= DAY_MIN and 0 < speed_kmh < math.inf):  # load_triplog rejects any other header
         raise ValueError(
-            f"need a window that ends after it starts and a finite speed > 0, "
+            f"need a window in minutes 0..{DAY_MIN} of the day that ends after it starts and a finite speed > 0, "
             f"got window {window} and {speed_kmh} km/h"
         )
     if not 0 <= min_km <= max_km < math.inf:
@@ -435,8 +448,10 @@ def clean_trips(
     pair_key, first, pair_of_trip = np.unique(pair_key, return_index=True, return_inverse=True)
     pair_nodes = list(map(tuple, stand_nodes[trip_stands[first]].tolist()))  # (origin, dest) per pair
     routed = route_pairs(net, pair_nodes)
-    found = [routed.get(pair) for pair in pair_nodes]
-    distance_m = np.array([math.nan if p is None else p.distance_m for p in found], dtype=np.float64)
+    found = [routed.get(pair, []) for pair in pair_nodes]
+    lengths = net.seg_length_m[np.fromiter(chain.from_iterable(found), np.int64)]
+    distance_m = _distance_along(np.fromiter(map(len, found), np.int64, len(found)), lengths)[1]  # as a log adds
+    distance_m[[pair not in routed for pair in pair_nodes]] = math.nan
 
     # fate per distinct pair, counted once per trip of the pair
     per_pair = np.bincount(pair_of_trip, minlength=len(pair_key))
@@ -450,7 +465,7 @@ def clean_trips(
     path_of_pair[table_pairs] = np.arange(len(table_pairs))
 
     kept = keep[pair_of_trip]
-    path_segments = [found[i].segments for i in table_pairs.tolist()]
+    path_segments = [found[i] for i in table_pairs.tolist()]
     segments = np.fromiter(chain.from_iterable(path_segments), np.int64)
     ids = np.flatnonzero(np.bincount(segments, minlength=net.num_segments))  # in use; np.unique imports numpy.ma
     u, v = net.seg_u[ids], net.seg_v[ids]
@@ -477,9 +492,9 @@ def _duration_min(distance_m: np.ndarray, speed_m_per_min: float) -> np.ndarray:
 def _distance_along(count: np.ndarray, length_m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Metres along its path before each of the entry lengths `length_m`, which hold
     `count` entries per path, path after path, and each path's length. Each path's
-    lengths are added left to right from 0.0, as routing adds them
-    (network._path_along) and a trip rides them; a running sum over all paths less
-    each path's start would round otherwise. Loops over places in a path, not over paths."""
+    lengths are added left to right from 0.0, as a trip rides them; a running sum
+    over all paths less each path's start would round otherwise. Loops over places
+    in a path, not over paths."""
     before = np.zeros_like(length_m)
     total = np.zeros(len(count))
     first = np.cumsum(count) - count
@@ -518,8 +533,9 @@ def load_triplog(path) -> TripLog:
     with read_artifact(path, TRIPLOG_FORMAT, "ingest") as doc:
         horizon, speed = doc["horizon"], doc["speed_m_per_min"]
         pair = isinstance(horizon, list) and len(horizon) == 2 and set(map(type, horizon)) == {int}
-        if not (pair and horizon[0] < horizon[1]):
-            raise MalformedInputError(f"{path}: horizon {horizon!r} must be two integers t0 < t_end")
+        if not (pair and 0 <= horizon[0] < horizon[1] <= DAY_MIN):
+            raise MalformedInputError(f"{path}: horizon {horizon!r} must be two integers "
+                                      f"0 <= t0 < t_end <= {DAY_MIN}")
         t0, t_end = horizon
         if not (type(speed) is float and math.isfinite(speed) and speed > 0):
             raise MalformedInputError(f"{path}: speed_m_per_min {speed!r} must be a finite float > 0")

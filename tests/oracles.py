@@ -17,7 +17,8 @@ from datetime import datetime
 
 import numpy as np
 
-from velosense.network import Path, nearest_node, route_pairs
+from velosense.network import nearest_node, route_pairs
+from velosense.trips import Path
 
 
 def all_simple_paths(adjacency, origin, dest):
@@ -177,7 +178,8 @@ def parse_trips_by_dict(source):
 def clean_trips_by_row(raw, net, speed_kmh=13.0, min_km=0.5, max_km=5.0, window=(360, 1320)):
     """Rides cleaned row by row, the way trips.clean_trips cleaned them before it
     worked in columns: the reference for its columns, path table, stands and drop
-    counts. Snapping and routing are the network's (nearest_node, route_pairs).
+    counts. Snapping and routing are the network's (nearest_node, route_pairs);
+    each routed path's nodes, lengths and distance are walked_path's.
 
     `raw` holds parse_raw_trips' columns. Returns the log's trip columns as lists
     ("ids", "origin", "dest", "start_min", "duration_min", "path"), its path table
@@ -221,7 +223,7 @@ def clean_trips_by_row(raw, net, speed_kmh=13.0, min_km=0.5, max_km=5.0, window=
     kept = []  # one (id, origin, dest, start_min, duration_min, path index) per kept trip
     for start_min, trip_id, pair in in_window:
         if pair not in fate:
-            path = paths.get(pair)
+            path = None if pair not in paths else walked_path(net, pair[0], paths[pair])
             if path is None:
                 fate[pair] = "unreachable"
             elif path.distance_m < min_m:
@@ -242,6 +244,19 @@ def clean_trips_by_row(raw, net, speed_kmh=13.0, min_km=0.5, max_km=5.0, window=
     names = ("ids", "origin", "dest", "start_min", "duration_min", "path")
     columns = dict(zip(names, map(list, zip(*kept)))) if kept else dict.fromkeys(names, [])
     return {**columns, "paths": table, "stand_nodes": stand_nodes, "drop_counts": drops}
+
+
+def walked_path(net, origin, segments):
+    """The Path of `segments` walked from node `origin`: the nodes it reaches,
+    each segment's network length, and those lengths added one by one from 0.0."""
+    nodes, lengths, distance = [origin], [], 0.0
+    for seg in segments:
+        u, v = int(net.seg_u[seg]), int(net.seg_v[seg])
+        assert nodes[-1] in (u, v), f"segment {seg} does not touch node {nodes[-1]}"
+        nodes.append(v if nodes[-1] == u else u)
+        lengths.append(float(net.seg_length_m[seg]))
+        distance += lengths[-1]
+    return Path(tuple(segments), tuple(nodes), tuple(lengths), distance)
 
 
 def traversal_times(trip, speed_m_per_min):

@@ -156,8 +156,7 @@ def test_criterion_4_replay_invariants_on_reference_fixture(
 
 
 def test_criterion_5_guided_selection_frequency():
-    from velosense.network import Path
-    from velosense.trips import Stand, Trip
+    from velosense.trips import Path, Stand, Trip
 
     from trip_logs import trip_log
 

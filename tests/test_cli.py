@@ -181,6 +181,42 @@ def test_score_on_an_unaligned_horizon_writes_nothing(synth_dir, tmp_path, capsy
     assert not any(out.iterdir())
 
 
+def test_a_large_segment_id_is_counted_by_its_row(artifacts, tmp_path, capsys):
+    """probs counts traversals by the row of the log's segment table, not by id,
+    so the last segment renumbered 2**40 costs no memory: probs.csv is the same
+    but for that id, and allocate, which checks the log against the network,
+    refuses the log, naming the segment."""
+    doc = json.loads(artifacts["--triplog"].read_text())
+    last, large = doc["segments"]["id"][-1], 2**40
+    doc["segments"]["id"][-1] = large
+    doc["paths"]["segments"] = [large if seg == last else seg for seg in doc["paths"]["segments"]]
+    paths = {**artifacts, "--triplog": tmp_path / "triplog.json"}
+    paths.update({option: tmp_path / artifacts[option].name for option in ("--probs", "--probs-meta")})
+    paths["--triplog"].write_text(json.dumps(doc))
+    assert main(["probs", *_args(paths, ("--triplog",)), "--runs", "2", "--seed", "19", "--out-dir", str(tmp_path)]) == 0
+    rows = [row.split(",") for row in artifacts["--probs"].read_text().splitlines()]
+    renumbered = [[stand, str(large) if seg == str(last) else seg, p] for stand, seg, p in rows]
+    assert [row.split(",") for row in paths["--probs"].read_text().splitlines()] == renumbered
+    assert any(seg == str(large) for _stand, seg, _p in renumbered)
+    capsys.readouterr()
+    assert main(["allocate", *_args(paths, ALLOCATE), "--budget", "4", "--out-dir", str(tmp_path)]) == 2
+    assert f"segment {large} joins nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "window", [(360, 60000000360), (360, 1441), (-1, 1320)], ids=["end-far-past-the-day", "end-past-the-day", "start-before-the-day"]
+)
+def test_ingest_window_outside_the_day_is_2(synth_dir, tmp_path, capsys, window):
+    """Start minutes are minutes of one day, so a window must lie within
+    0..1440: ingest refuses any other, naming it, and writes no triplog."""
+    paths = {name: synth_dir / f"{name[2:]}.csv" for name in ("--nodes", "--edges", "--trips")}
+    bounds = ["--window-start", str(window[0]), "--window-end", str(window[1])]
+    assert main(["ingest", *_args(paths, paths), *bounds, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: need a window in minutes 0..1440 of the day") and f"window {window}" in err
+    assert not (tmp_path / "triplog.json").exists()
+
+
 def test_score_on_an_edgeless_network_is_2_and_writes_nothing(tmp_path, capsys):
     """Rides that start and end at one stand cover no segment of a network
     without edges, so there is no length to share: score refuses it."""
@@ -671,6 +707,7 @@ def _set_metadata(**fields):
         ("score", SCORE, ["--delta", "4"], "--traj", _set_metadata(seed=-1)),
         ("score", SCORE, ["--delta", "4"], "--traj", _set_metadata(seed=0.5)),
         ("score", SCORE, ["--delta", "4"], "--traj", _set_metadata(generator="mt19937")),
+        ("score", SCORE, ["--delta", "16"], "--triplog", _edit_doc(lambda d: d["horizon"].__setitem__(1, 60000000360))),
     ],
     ids=["triplog-without-stands", "traj-without-metadata", "alloc-without-N_e",
          "probs-unknown-stand", "probs-unknown-segment", "probs-nan", "probs-negative",
@@ -694,7 +731,8 @@ def _set_metadata(**fields):
          "segment-nodes-reversed", "path-segments-swapped", "path-origin-moved", "path-dest-moved",
          "path-lengths-past-int64-minutes", "traj-all-on-bike-0", "traj-first-rides-swapped", "alloc-over-budget",
          "traj-equipped-last-dropped", "traj-equipped-id-shifted", "traj-without-beta", "traj-beta-past-1",
-         "traj-without-seed", "traj-seed-negative", "traj-seed-fractional", "traj-generator-other"],
+         "traj-without-seed", "traj-seed-negative", "traj-seed-fractional", "traj-generator-other",
+         "triplog-horizon-past-the-day"],
 )
 def test_malformed_artifact_is_2(artifacts, tmp_path, capsys, request, command, options, extra, corrupted, edit):
     paths = dict(artifacts)
@@ -765,6 +803,7 @@ NAMED_FIELDS = {
     "traj-seed-negative": "metadata.seed",
     "traj-seed-fractional": "metadata.seed",
     "traj-generator-other": "metadata.generator",
+    "triplog-horizon-past-the-day": "horizon",
 }
 
 

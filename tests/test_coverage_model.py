@@ -15,8 +15,7 @@ from velosense.coverage_model import (
 )
 from velosense.errors import MalformedInputError
 from velosense.fleet_sim import FleetPlan, SimConfig, initial_bike_counts, simulate
-from velosense.network import Path
-from velosense.trips import Stand, Trip
+from velosense.trips import Path, Stand, Trip
 
 from oracles import (
     column_dict,

@@ -10,8 +10,11 @@ from velosense.fleet_sim import (
     FleetPlan,
     Replay,
     SimConfig,
+    _bikes_from_picks,
+    _pool_sizes,
     _redraw,
     _unguided_picks,
+    _word_stream,
     check_replay,
     equipped_set,
     initial_bike_counts,
@@ -20,8 +23,7 @@ from velosense.fleet_sim import (
     simulate,
 )
 from velosense.metrics import IntervalGrid, sensing_score
-from velosense.network import Path
-from velosense.trips import Stand, Trip, clean_trips
+from velosense.trips import Path, Stand, Trip, clean_trips
 
 from oracles import (
     idle_before_departure,
@@ -335,9 +337,10 @@ class TestSimulate:
         """simulate sends beta=1 to a draw-free scan and one pass of picks. The
         inline loop, run at beta=1 itself, must pick the same bikes, and the
         scan's flags must mark the rows it served with equipped bikes: with one
-        equipped bike per stand, half of each stand, and the whole fleet; and
-        under a stream whose rejections send the pass to draw every row
-        inline."""
+        equipped bike per stand, half of each stand, and the whole fleet. Under
+        a stream whose rejections would send simulate to the inline loop, the
+        pass's row loop instead takes the reference's picks (inline_picks), so
+        the loop is checked against the scan's pools there too."""
         _net, log = request.getfixturevalue(f"{scenario}_scenario")
         fleet = request.getfixturevalue(f"{scenario}_fleet")
         plans = [[min(1, b) for b in fleet.b], [(b + 1) // 2 for b in fleet.b], fleet.b]
@@ -356,6 +359,11 @@ class TestSimulate:
         check()
         monkeypatch.setattr(fleet_sim, "PCG64", SparseWords)
         monkeypatch.setattr(SparseWords, "made", [])
+
+        def reference_picks(seed, sizes):
+            return np.array(inline_picks(seed, sizes.tolist(), SparseWords)[0])
+
+        monkeypatch.setattr(fleet_sim, "_unguided_picks", reference_picks)
         check()
         assert all(bitgen.taken > 2 * len(log.ids) for bitgen in SparseWords.made)
 
@@ -514,32 +522,46 @@ def numpy_picks(seed, sizes):
     return picks
 
 
-def inline_picks(seed, sizes):
-    """The picks as the guided loop draws them: a row's guidance word, then
-    its first 32 bits inline, then _redraw."""
-    stream = iter(np.random.PCG64(seed).random_raw(3 * len(sizes) + 64).tolist())
-    half = None
+def inline_picks(seed, sizes, bitgen=np.random.PCG64):
+    """The picks as the guided loop draws them from bitgen(seed)'s words: a
+    row's guidance word, then its first 32 bits inline, then _redraw; and
+    whether a draw was rejected."""
+    next_word = _word_stream(bitgen(seed)).__next__
+    half, rejected = None, False
     picks = []
     for n in sizes:
-        next(stream)
+        next_word()
         if n == 1:
             picks.append(0)
             continue
         if half is None:
-            word = next(stream)
+            word = next_word()
             m, half = (word & 0xFFFFFFFF) * n, word >> 32
         else:
             m, half = half * n, None
-        k, half = _redraw(m, n, half, stream.__next__)
+        rejected |= m & 0xFFFFFFFF < (1 << 32) % n
+        k, half = _redraw(m, n, half, next_word)
         picks.append(k)
-    return picks
+    return picks, rejected
+
+
+def assert_picks(seed, sizes):
+    """The inline draws give numpy's picks for `sizes`, and so does the unguided
+    pass, unless numpy's stream rejects a draw: then it gives None. Returns
+    whether the stream rejected one."""
+    expected = numpy_picks(seed, sizes)
+    picks, rejected = inline_picks(seed, sizes)
+    assert picks == expected
+    unguided = _unguided_picks(seed, np.array(sizes))
+    assert (unguided is None) if rejected else (unguided.tolist() == expected)
+    return rejected
 
 
 class SparseWords:
     """A PCG64 stand-in whose words are PCG64's with seven in eight zeroed. A
     zero half is rejected by every pool size but a power of two, so picks
-    take many more words than two per row, and a replay under it never keeps
-    the unguided pass's picks: it draws every row inline."""
+    take many more words than two per row, and the unguided pass under it
+    always draws a rejected pick: a replay then draws every row inline."""
 
     made = []
 
@@ -557,48 +579,42 @@ class SparseWords:
 
 
 class TestDraws:
-    """The unguided pass and the guided loop's inline draws give what numpy's
-    Generator gives for random() then integers(0, n), row by row."""
+    """The guided loop's inline draws give what numpy's Generator gives for
+    random() then integers(0, n), row by row, and so does the unguided pass
+    unless the stream rejects a draw, when it gives None."""
 
     @pytest.mark.parametrize("n", SIZES)
     def test_random_then_integers_match_numpy(self, n):
-        for seed in range(20):
-            expected = numpy_picks(seed, [n] * 60)
-            assert _unguided_picks(seed, np.full(60, n)).tolist() == expected
-            assert inline_picks(seed, [n] * 60) == expected
+        rejected = [assert_picks(seed, [n] * 60) for seed in range(20)]
+        assert any(rejected) == (n in (2**31 + 1, 3 * 2**30))  # the others' rejections are too rare to see
 
     def test_mixed_sizes_share_the_left_over_half_across_chunks(self):
-        # 6,144 rows, a quarter of them often rejected: the unguided pass draws every
-        # row inline, reading on past the words it took in chunks of _CHUNK
+        # 6,144 rows, a quarter of them often rejected: the inline draws read on
+        # across chunks of _CHUNK words
         sizes = np.random.default_rng(7).choice(SIZES, size=6144)
-        for seed in range(3):
-            expected = numpy_picks(seed, sizes.tolist())
-            assert _unguided_picks(seed, sizes).tolist() == expected
-            assert inline_picks(seed, sizes.tolist()) == expected
+        assert all(assert_picks(seed, sizes.tolist()) for seed in range(3))
 
     def test_rejections_take_more_words_than_the_first_layout(self):
         # without a rejection 200 rows at 2**31 + 1 take 300 words; about every
-        # other draw is rejected, and the last redraws read past the words the pass took
+        # other draw is rejected, and the last redraws read on past them
         sizes = [2**31 + 1] * 200
-        for seed in range(5):
-            assert _unguided_picks(seed, np.array(sizes)).tolist() == numpy_picks(seed, sizes)
+        assert all(assert_picks(seed, sizes) for seed in range(5))
         # 3 rows take 5 words; at some seeds the first row's redraws read past them all
         sizes = [2**31 + 1] * 3
-        for seed in range(200):
-            assert _unguided_picks(seed, np.array(sizes)).tolist() == numpy_picks(seed, sizes)
+        rejected = [assert_picks(seed, sizes) for seed in range(200)]
+        assert any(rejected) and not all(rejected)
 
     def test_rows_around_a_rejection_are_drawn_inline(self):
-        # one often-rejected row in 200: after a rejection the pass draws every
-        # row inline, those before the rejected one, which the pass had drawn,
-        # and those after it, which read on in the stream with any left-over half
+        # one often-rejected row in 200: the inline draws give numpy's picks for the
+        # rows before the rejected one and for those after it, which read on in the
+        # stream with any left-over half
         sizes = np.random.default_rng(11).choice([1, 2, 3, 7, 1000], size=3000)
         sizes[100::200] = 2**31 + 1
-        for seed in range(5):
-            assert _unguided_picks(seed, sizes).tolist() == numpy_picks(seed, sizes.tolist())
+        assert all(assert_picks(seed, sizes.tolist()) for seed in range(5))
         # the inline draws start with no left-over half: a first pool of two takes a fresh word's low half
         sizes = [1, 2] + [2**31 + 1] * 3
-        for seed in range(50):
-            assert _unguided_picks(seed, np.array(sizes)).tolist() == numpy_picks(seed, sizes)
+        rejected = [assert_picks(seed, sizes) for seed in range(50)]
+        assert any(rejected) and not all(rejected)
 
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_real_replays_keep_the_bulk_pass(self, monkeypatch, reference_scenario, reference_fleet, beta):
@@ -623,6 +639,31 @@ class TestDraws:
         simulate(log, reference_fleet, SimConfig(0, beta, equipped))
         assert calls
 
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_a_rejected_pass_hands_off_to_the_guided_loop(self, monkeypatch, reference_scenario, reference_fleet, beta):
+        """The unguided and beta=1 replays of the reference fixture never call
+        _guided_bikes; under SparseWords, whose pass draws a rejected pick, the
+        same replay calls it exactly once, with its own log, plan and config,
+        and returns its bikes."""
+        calls = []
+        guided_bikes = fleet_sim._guided_bikes
+
+        def spy(*args):
+            calls.append(args)
+            return guided_bikes(*args)
+
+        monkeypatch.setattr(fleet_sim, "_guided_bikes", spy)
+        _net, log = reference_scenario
+        equipped = equipped_set(reference_fleet, [(b + 1) // 2 for b in reference_fleet.b])
+        for seed in range(10):
+            simulate(log, reference_fleet, SimConfig(seed, beta, equipped))
+        assert calls == []
+        monkeypatch.setattr(fleet_sim, "PCG64", SparseWords)
+        cfg = SimConfig(0, beta, equipped)
+        replay = simulate(log, reference_fleet, cfg)
+        assert calls == [(log, reference_fleet, cfg)]
+        assert replay.bike_of_trip.tolist() == guided_bikes(log, reference_fleet, cfg)
+
     def test_a_pool_of_one_takes_no_bits(self):
         # seven rows of one bike take their guidance words only; the eighth picks from word 8's low half
         sizes = [1] * 7 + [1000]
@@ -630,19 +671,25 @@ class TestDraws:
             words = np.random.PCG64(seed).random_raw(9).tolist()
             expected = [0] * 7 + [(words[8] & 0xFFFFFFFF) * 1000 >> 32]
             assert _unguided_picks(seed, np.array(sizes)).tolist() == expected
-            assert inline_picks(seed, sizes) == expected == numpy_picks(seed, sizes)
+            assert inline_picks(seed, sizes) == (expected, False)
+            assert numpy_picks(seed, sizes) == expected
 
     def test_guided_loop_redraws_across_its_chunks(self, monkeypatch, small_scenario, small_fleet):
-        # chunks of 64 words, so redraws take words across many of them
+        # chunks of 64 words, so redraws take words across many of them; the
+        # reference moves the bikes by the picks inline_picks draws from the
+        # same words for the replay's pool sizes
         monkeypatch.setattr(fleet_sim, "PCG64", SparseWords)
         monkeypatch.setattr(fleet_sim, "_CHUNK", 64)
         monkeypatch.setattr(SparseWords, "made", [])
         _net, log = small_scenario
         equipped = equipped_set(small_fleet, [(b + 1) // 2 for b in small_fleet.b])
+        sizes = _pool_sizes(log, small_fleet).tolist()
         for seed in range(3):
             guided = fleet_sim._guided_bikes(log, small_fleet, SimConfig(seed, 0.0, equipped))
             assert SparseWords.made[-1].taken > 2 * len(log.ids)
-            assert guided == simulate(log, small_fleet, SimConfig(seed)).bike_of_trip.tolist()
+            picks, rejected = inline_picks(seed, sizes, SparseWords)
+            assert rejected
+            assert guided == _bikes_from_picks(log, small_fleet.bikes, log.origin, log.dest, np.array(picks))
 
 
 class TestFleetPlan:

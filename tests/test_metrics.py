@@ -14,8 +14,7 @@ from velosense.metrics import (
     sensing_score,
     write_report,
 )
-from velosense.network import Path
-from velosense.trips import Stand, Trip, TripEvents
+from velosense.trips import Path, Stand, Trip, TripEvents
 
 from oracles import (
     coverage_counts_loop,

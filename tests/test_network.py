@@ -95,8 +95,7 @@ class TestLoadNetwork:
 class TestNearestNode:
     def test_exact_coordinates(self):
         net = grid_network(3, 3, 200.0)
-        lat, lon = net.node_coords(5)
-        assert nearest_node(net, lat, lon) == 5
+        assert nearest_node(net, net.node_lat[5], net.node_lon[5]) == 5
 
     def test_tie_breaks_to_smaller_id(self):
         # nodes 2 and 7 sit symmetrically east/west of the query point
@@ -112,35 +111,46 @@ class TestNearestNode:
 
     def test_idempotent_on_node_coordinates(self):
         net = grid_network(5, 4, 150.0)
-        for node in range(net.num_nodes):
-            lat, lon = net.node_coords(node)
+        for node, lat, lon in zip(range(net.num_nodes), net.node_lat.tolist(), net.node_lon.tolist()):
             assert nearest_node(net, lat, lon) == node
 
 
 def route(net, origin, dest):
-    """route_pairs' path of one pair, or None when it leaves the pair out."""
+    """route_pairs' segment ids of one pair, or None when it leaves the pair out."""
     return route_pairs(net, [(origin, dest)]).get((origin, dest))
+
+
+def segments_joining(net, nodes):
+    """The segment ids joining each node of `nodes` to the next: build_network
+    keeps one segment per node pair."""
+    segment_of = {frozenset(ends): seg for seg, ends in enumerate(zip(net.seg_u.tolist(), net.seg_v.tolist()))}
+    return [segment_of[frozenset(ends)] for ends in zip(nodes, nodes[1:])]
+
+
+def length_along(net, segments):
+    """The network's lengths of `segments` added left to right from 0.0."""
+    total = 0.0
+    for seg in segments:
+        total += float(net.seg_length_m[seg])
+    return total
 
 
 class TestShortestPath:
     def test_identity(self, line_net):
-        path = route(line_net, 1, 1)
-        assert path.segments == () and path.distance_m == 0.0
-        assert path.nodes == (1,)
+        assert route(line_net, 1, 1) == []
 
     def test_line(self, line_net):
-        path = route(line_net, 0, 2)
-        assert path.nodes == (0, 1, 2)
-        assert path.distance_m == pytest.approx(200.0)
-        assert len(path.segments) == 2
+        segments = route(line_net, 0, 2)
+        assert segments == segments_joining(line_net, [0, 1, 2])
+        assert length_along(line_net, segments) == 200.0
 
     def test_chord_avoided(self, square_chord_net):
         net = square_chord_net
-        path = route(net, 0, 2)
+        segments = route(net, 0, 2)
         adjacency = adjacency_with_lengths(net)
         expected = brute_shortest_distance(adjacency, 0, 2)
-        assert path.distance_m == expected == 200.0
-        assert path.nodes == (0, 1, 2)  # lex-smaller than (0, 3, 2)
+        assert length_along(net, segments) == expected == 200.0
+        assert segments == segments_joining(net, [0, 1, 2])  # lex-smaller than (0, 3, 2)
 
     def test_unreachable_pair_left_out(self):
         nodes = [(i, 40.0 + 0.001 * i, -74.0) for i in range(4)]
@@ -155,8 +165,7 @@ class TestShortestPath:
 
     def test_lexicographic_tiebreak_on_grid(self):
         net = grid_network(3, 3, 250.0)
-        path = route(net, 0, 8)
-        assert path.nodes == (0, 1, 2, 5, 8)
+        assert route(net, 0, 8) == segments_joining(net, [0, 1, 2, 5, 8])
 
     def _random_net(self, rng, n, max_length=50, scale=1.0):
         nodes = [(i, 40.0 + 0.01 * i, -74.0 + 0.003 * (i % 3)) for i in range(n)]
@@ -188,8 +197,8 @@ class TestShortestPath:
                 continue
             found = sorted((dist, nodes) for nodes, dist in all_simple_paths(adjacency, origin, dest))
             distance, nodes = found[0]
-            path = routed[(origin, dest)]
-            assert path.nodes == tuple(nodes) and path.distance_m == distance
+            segments = routed[(origin, dest)]
+            assert segments == segments_joining(net, nodes) and length_along(net, segments) == distance
             tied += len(found) > 1 and found[1][0] == distance
         return unreachable, tied
 
@@ -250,7 +259,7 @@ class TestShortestPath:
                 if (origin, dest) not in routed:
                     assert back is None
                     continue
-                assert back.distance_m == routed[(origin, dest)].distance_m
+                assert length_along(net, back) == length_along(net, routed[(origin, dest)])
 
     def test_triangle_inequality(self):
         net = grid_network(4, 4, 180.0)
@@ -261,14 +270,16 @@ class TestShortestPath:
             assert dist[a][c] <= dist[a][b] + dist[b][c] + 1e-9
 
     def test_path_segments_consistent_with_nodes(self, square_chord_net):
+        """Each routed path's segments chain from its origin to its dest."""
         net = square_chord_net
         pairs = [(o, d) for o in range(net.num_nodes) for d in range(net.num_nodes)]
-        for path in route_pairs(net, pairs).values():
-            assert len(path.segments) == len(path.nodes) - 1
-            for (u, v), seg, length in zip(zip(path.nodes, path.nodes[1:]), path.segments, path.seg_lengths_m):
-                assert net.endpoints(seg) == (min(u, v), max(u, v))
-                assert length == net.seg_length_m[seg]
-            assert path.distance_m == pytest.approx(sum(path.seg_lengths_m))
+        for (origin, dest), segments in route_pairs(net, pairs).items():
+            node = origin
+            for seg in segments:
+                u, v = int(net.seg_u[seg]), int(net.seg_v[seg])
+                assert node in (u, v)
+                node = v if node == u else u
+            assert node == dest
 
     def test_route_pairs_rejects_invalid_nodes(self, line_net):
         with pytest.raises(MalformedInputError):

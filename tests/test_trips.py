@@ -13,10 +13,11 @@ import pytest
 from velosense.cli import _load_routed_net
 from velosense.errors import MalformedInputError
 from velosense.fleet_sim import initial_bike_counts
-from velosense.network import Path, build_network, route_pairs
+from velosense.network import build_network, route_pairs
 from velosense.synth import SynthConfig, generate, grid_network, write_network_csv
 from velosense.trips import (
     PARSE_CHUNK_ROWS,
+    Path,
     RawTrips,
     Stand,
     Trip,
@@ -34,6 +35,7 @@ from oracles import (
     paths_of_triplog_v4,
     save_triplog_v4,
     traversal_times,
+    walked_path,
 )
 from trip_logs import path_tables, raw_concat, raw_rows, trip_log
 
@@ -406,7 +408,7 @@ class TestCleanMatchesRowByRowReference:
             "speed_kmh": float(rng.choice([9.5, 13.0, 21.0])),
             "min_km": float(rng.choice([0.0, 0.5, 1.2])),
             "max_km": float(rng.choice([1.5, 2.4, 5.0])),
-            "window": (t0, t0 + int(rng.integers(120, 900))),
+            "window": (t0, min(t0 + int(rng.integers(120, 900)), 1440)),  # a window lies within the day
         }
         log = assert_cleaned_as_by_row(messy_rides(cfg, rng), net, **bounds)
         assert log.ids and len(log.paths) > 1
@@ -704,10 +706,11 @@ class TestGolden:
 
 class TestDistanceIsTheLengthsSum:
     """A path's distance is derived from its entry lengths, not stored: on every
-    path of three chain-shaped logs it equals the routed Path's distance_m bit
-    for bit, so durations are the routed ones, and a saved log loads back to them.
-    So do the entry lengths and walked nodes, path by path, and the segment table
-    is the network's end nodes, the lower first, and lengths at its ids.
+    path of three chain-shaped logs it equals, bit for bit, the network's lengths
+    of the routed segments added one by one from 0.0 (oracles.walked_path), so
+    durations follow from the routes, and a saved log loads back to them. So do
+    the entry lengths and walked nodes, path by path, and the segment table is
+    the network's end nodes, the lower first, and lengths at its ids.
     A grid's lengths are all block_m, whose sums are exact in any order, so each
     log is also routed on the grid with each length scaled by an inexact factor."""
 
@@ -723,7 +726,7 @@ class TestDistanceIsTheLengthsSum:
         nodes = np.array([s.node for s in log.stands], dtype=np.int64)
         pairs = list(zip(nodes[log.path_table.origin].tolist(), nodes[log.path_table.dest].tolist()))
         routed = route_pairs(net, pairs)
-        paths = [routed[pair] for pair in pairs]
+        paths = [walked_path(net, pair[0], routed[pair]) for pair in pairs]
         assert len(paths) > 700
         count = [len(p.segments) for p in paths]
         segments = [s for p in paths for s in p.segments]
