@@ -26,7 +26,6 @@ from .fleet_sim import (
     FleetPlan,
     Replay,
     SimConfig,
-    equipped_set,
     initial_bike_counts,
     simulate,
 )

@@ -127,13 +127,17 @@ def build_instance(
     P[stand[keep], np.searchsorted(candidates, seg[keep])] = p[keep]
 
     caps = [int(x) for x in plan.b]
+    with np.errstate(over="ignore"):
+        big_M = float(K + _coverage(P, caps).max(initial=0.0))
+    if not math.isfinite(big_M):
+        raise MalformedInputError("the big-M bound K + max_e sum_s p[s,e]*b_s overflows float64")
     return MilpInstance(
         P=P,
         lengths=np.asarray(net.seg_length_m, dtype=np.float64)[candidates],
         caps=caps,
         budget=int(budget),
         K=float(K),
-        big_M=float(K + _coverage(P, caps).max(initial=0.0)),
+        big_M=big_M,
         candidates=candidates.tolist(),
     )
 

@@ -180,10 +180,9 @@ def cmd_simulate(args) -> int:
     alloc = allocation.load_plan(args.alloc)
     triplog_sha256 = trips.file_sha256(args.triplog)
     _check_triplog(alloc.triplog_sha256, args.alloc, args.triplog, triplog_sha256)
-    with blamed_on(args.alloc):
-        equipped = fleet_sim.equipped_set(plan, alloc.n)
-    cfg = fleet_sim.SimConfig(seed=args.seed, beta=args.beta, equipped=equipped)
-    replay = fleet_sim.simulate(log, plan, cfg)
+    cfg = fleet_sim.SimConfig(seed=args.seed, beta=args.beta, sensors=tuple(alloc.n))
+    with blamed_on(args.alloc):  # the counts must fit the log's minimal fleet
+        replay = fleet_sim.simulate(log, plan, cfg)
     out = _out_dir(args)
     fleet_sim.save_trajectories(replay, cfg, out / "traj.json", triplog_sha256)
     print(f"replayed {len(replay.bike_of_trip)} trips on {len(replay)} bikes -> {out / 'traj.json'}")
@@ -195,14 +194,14 @@ def cmd_score(args) -> int:
     net = _load_routed_net(args, log)
     replay, meta = fleet_sim.load_trajectories(args.traj)
     _check_triplog(meta.get("triplog_sha256"), args.traj, args.triplog, trips.file_sha256(args.triplog))
-    equipped = frozenset(meta["equipped"])
+    sensors = tuple(meta["sensors"])
     with blamed_on(args.traj):
-        fleet_sim.check_replay(log, replay, equipped, meta["beta"])
+        fleet_sim.check_replay(log, replay, sensors, meta["beta"])
     grid = metrics.IntervalGrid(*log.horizon, args.delta)
     # one count per distinct interval; the hourly diagnostics' grid refuses a horizon
     # that is not hour-aligned, before any file is written
     grids = {args.delta: grid, 1.0: metrics.hour_grid(log)}
-    events, rode, segments = log.events, replay.rode(equipped), net.num_segments
+    events, rode, segments = log.events, replay.rode(sensors), net.num_segments
     counts = {
         d: metrics.count_cells(metrics.event_cells(events, g, segments), events.trip, rode, (segments, g.n_intervals))
         for d, g in grids.items()
@@ -210,7 +209,7 @@ def cmd_score(args) -> int:
     phi = metrics.sensing_score(counts[args.delta], net.seg_length_m, grid)
     hourly = metrics.hourly_diagnostics(counts[1.0], log)
     out = _out_dir(args)
-    metrics.write_report(counts[args.delta], grid, phi, len(equipped), out / "coverage_counts.csv",
+    metrics.write_report(counts[args.delta], grid, phi, sum(sensors), out / "coverage_counts.csv",
                          out / "score.json")
     metrics.write_hourly(hourly, out / "hourly.csv", out / "hourly_segments.csv")
     print(f"phi = {phi:.3f}% at delta {args.delta} h -> {out / 'score.json'}")

@@ -38,8 +38,8 @@ class ConfigInfeasibleError(VeloSenseError):
 
 @contextmanager
 def blamed_on(path):
-    """Prefix a malformed-input error raised while checking values read from `path`
-    with `path`, so the message names the input to fix; a None `path` adds nothing."""
+    """Prefix a malformed-input error raised while checking values read from `path`, a
+    file or a field, with `path`, so the message names the input to fix; None adds nothing."""
     try:
         yield
     except MalformedInputError as exc:

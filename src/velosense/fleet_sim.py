@@ -4,11 +4,12 @@ Two pieces read the log's service schedule: the minimal per-stand initial
 bike counts, which a plan must reach for replay to run, and the replay of the
 trip log once in row (service) order, assigning physical bikes to trips. Replay
 optionally biases bike selection toward sensor-equipped bikes (guided selection
-accepted with probability beta). A replay is only the bike of each trip (see
-Replay), and `traj.json` stores that column; the events a replay covers are
-the log's. Per-bike trajectories are views built only when a replay is
-iterated. `check_replay` refuses a replay that no run of the log's minimal
-fleet could give.
+accepted with probability beta); the first n_s bikes of stand s carry a sensor,
+n_s a plan's count (SimConfig.sensors). A replay is only the bike of each trip
+(see Replay), and `traj.json` stores that column and the counts; the events a
+replay covers are the log's. Per-bike trajectories are views built only when a
+replay is iterated. `check_replay` refuses a replay that no run of the log's
+minimal fleet could give.
 
 RNG stream, per trip in log order, from one numpy PCG64 seeded with the
 replay's seed: first a guidance draw, one whole 64-bit word whose top 53 bits
@@ -51,11 +52,11 @@ import numpy as np
 from numpy.random import PCG64
 
 from .errors import (
-    InfeasiblePlanError, MalformedInputError, int_column, read_artifact, str_column, write_json,
+    InfeasiblePlanError, MalformedInputError, blamed_on, int_column, read_artifact, str_column, write_json,
 )
 from .trips import TripLog
 
-TRAJ_FORMAT = "velosense-traj-v3"
+TRAJ_FORMAT = "velosense-traj-v4"
 GENERATOR_NAME = "numpy-pcg64"
 
 
@@ -103,11 +104,11 @@ class Replay:
     homes: np.ndarray  # int64 per bike: home stand
     trip_ids: list[str]  # per trip row
 
-    def rode(self, equipped: frozenset[int] | set[int]) -> np.ndarray:
-        """Whether each trip row rode one of the equipped bikes."""
-        is_equipped = np.zeros(len(self.homes), dtype=bool)
-        is_equipped[np.fromiter(equipped, dtype=np.int64, count=len(equipped))] = True
-        return is_equipped[self.bike_of_trip]
+    def rode(self, sensors: tuple[int, ...]) -> np.ndarray:
+        """Whether each trip row rode a bike with a sensor, one ranked below sensors[home]; () is none."""
+        rank = np.arange(len(self.homes)) - np.searchsorted(self.homes, self.homes)  # place in its stand
+        count = np.asarray(sensors, dtype=np.int64)[self.homes] if len(sensors) else 0
+        return (rank < count)[self.bike_of_trip]
 
     @cached_property
     def _views(self) -> list[BikeTrajectory]:
@@ -139,7 +140,7 @@ def check_beta(beta: float) -> None:
 class SimConfig:
     seed: int
     beta: float = 0.0
-    equipped: frozenset[int] = frozenset()
+    sensors: tuple[int, ...] = ()  # the first sensors[s] bikes of stand s carry one; () is none
 
     def __post_init__(self):
         check_beta(self.beta)
@@ -234,7 +235,7 @@ def _pool_sizes(log: TripLog, plan: FleetPlan) -> np.ndarray:
     return np.asarray(plan.b, dtype=np.int64)[log.origin] + log.schedule.net + 1
 
 
-def _equipped_rows(log: TripLog, plan: FleetPlan, equipped: frozenset[int]) -> tuple[np.ndarray, np.ndarray]:
+def _equipped_rows(log: TripLog, plan: FleetPlan, sensors: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Whether each row rides an equipped bike at beta=1, and the size of the
     pool it picks from. A row takes an equipped bike exactly when one is idle
     at its origin, and its pool is then the idle equipped bikes there;
@@ -243,7 +244,7 @@ def _equipped_rows(log: TripLog, plan: FleetPlan, equipped: frozenset[int]) -> t
     schedule.returns order, at the returns of trips that rode one, decides
     every row without a draw."""
     schedule = log.schedule
-    idle = [sum(bike in equipped for bike in bikes) for bikes in plan.bikes]
+    idle = list(sensors)
     returns, dest = schedule.returns.tolist(), log.dest.tolist()
     rode = [False] * len(dest)
     equipped_sizes = [0] * len(dest)
@@ -266,9 +267,9 @@ def _guided_bikes(log: TripLog, plan: FleetPlan, cfg: SimConfig) -> list[int]:
     Which pool a row picks from depends on earlier picks, so each row reads its
     guidance word and pick inline."""
     schedule = log.schedule
-    is_equipped = [bike in cfg.equipped for bike in range(plan.num_bikes)]
     idle = plan.bikes  # per stand, ascending
-    idle_equipped = [[bike for bike in pool if is_equipped[bike]] for pool in idle]
+    idle_equipped = [pool[:n] for pool, n in zip(idle, cfg.sensors or [0] * len(idle))]
+    is_equipped = [rank < len(equipped) for pool, equipped in zip(idle, idle_equipped) for rank in range(len(pool))]
     returns, dest = schedule.returns.tolist(), log.dest.tolist()
     bitgen = PCG64(cfg.seed)
     next_word = _word_stream(bitgen).__next__
@@ -322,17 +323,18 @@ def simulate(log: TripLog, plan: FleetPlan, cfg: SimConfig) -> Replay:
     not depend on the choices (TripLog.schedule), so an infeasible plan fails
     before any draw.
 
-    Three paths give the same bikes as the inline loop would. With beta=0 or no
-    equipped bikes this is plain unguided replay, and every pool size is known
-    up front. At beta=1 the guidance test always passes, so a row takes an
-    equipped bike exactly when one is idle at its origin; a draw-free scan
-    (_equipped_rows) gives each row's pool, 2 per stand (equipped, then
-    unequipped), and its size. Both take every pick in one pass and move bikes
-    in one row loop. At 0 < beta < 1, and when the pass draws a rejected pick,
-    the loop itself draws every row inline (_guided_bikes).
+    cfg.sensors must fit the plan (check_sensors). Three paths give the inline
+    loop's bikes. With beta=0 or no sensors this is plain unguided replay,
+    and every pool size is known up front. At beta=1 the guidance test always
+    passes, so a row takes an equipped bike exactly when one is idle at its
+    origin; a draw-free scan (_equipped_rows) gives each row's pool, 2 per
+    stand (equipped, then unequipped), and its size. Both take every pick in
+    one pass and move bikes in one row loop. At 0 < beta < 1, and when the
+    pass draws a rejected pick, the loop draws every row inline (_guided_bikes).
     """
     if len(plan.b) != log.num_stands:
         raise MalformedInputError(f"plan covers {len(plan.b)} stands, log has {log.num_stands}")
+    check_sensors(plan, cfg.sensors)
     sizes = _pool_sizes(log, plan)
     short = np.flatnonzero(sizes < 1)
     if len(short):
@@ -340,13 +342,13 @@ def simulate(log: TripLog, plan: FleetPlan, cfg: SimConfig) -> Replay:
         raise InfeasiblePlanError(f"no idle bike at stand {log.origin[i]} at minute "
                                   f"{log.start_min[i]} for trip {log.ids[i]}")
     picks = None
-    if cfg.beta == 0 or not cfg.equipped:
+    if cfg.beta == 0 or not any(cfg.sensors):
         pools, take_from, return_to = plan.bikes, log.origin, log.dest
         picks = _unguided_picks(cfg.seed, sizes)
     elif cfg.beta == 1:
-        rode, chosen_sizes = _equipped_rows(log, plan, cfg.equipped)
-        pools = [[bike for bike in bikes if bike in cfg.equipped] for bikes in plan.bikes]
-        pools += [[bike for bike in bikes if bike not in cfg.equipped] for bikes in plan.bikes]
+        rode, chosen_sizes = _equipped_rows(log, plan, cfg.sensors)
+        pools = [bikes[:n] for n, bikes in zip(cfg.sensors, plan.bikes)]
+        pools += [bikes[n:] for n, bikes in zip(cfg.sensors, plan.bikes)]
         unequipped = log.num_stands * ~rode  # pool s + S holds stand s's unequipped bikes
         take_from, return_to = log.origin + unequipped, log.dest + unequipped
         picks = _unguided_picks(cfg.seed, chosen_sizes)
@@ -357,15 +359,14 @@ def simulate(log: TripLog, plan: FleetPlan, cfg: SimConfig) -> Replay:
     return Replay(np.array(bike_of_trip, dtype=np.int64), plan.home_stands(), log.ids)
 
 
-def check_replay(log: TripLog, replay: Replay, equipped: frozenset[int], beta: float) -> None:
-    """Raise MalformedInputError unless `replay`, at `beta` with the distinct
-    bikes `equipped`, is one a run of `log` on its minimal fleet could give:
+def check_replay(log: TripLog, replay: Replay, sensors: tuple[int, ...], beta: float) -> None:
+    """Raise MalformedInputError unless `replay`, at `beta` with the per-stand
+    counts `sensors`, is one a run of `log` on its minimal fleet could give:
     its rows are the log's trips, its homes are that fleet's, each bike's
     first ride leaves its home, each later ride leaves the stand where the
-    bike's ride before it ended, no earlier than that ride ended, `equipped`
-    is the first n_s bikes of each stand s (equipped_set), and at beta=1 the
-    rows that rode them are the scan's (_equipped_rows). At 0 < beta < 1 only
-    a re-run could tie `equipped` to the rows."""
+    bike's ride before it ended, no earlier than that ride ended, `sensors`
+    fit that fleet (check_sensors), and at beta=1 the rows that rode a sensor
+    are the scan's (_equipped_rows), which at 0 < beta < 1 only a re-run gives."""
     if replay.trip_ids != log.ids:
         raise MalformedInputError("trip_ids are not the log's trips; re-run `velosense simulate`")
     fleet = initial_bike_counts(log)
@@ -385,23 +386,19 @@ def check_replay(log: TripLog, replay: Replay, equipped: frozenset[int], beta: f
             f"bike_of_trip puts trip {log.ids[row]}, which leaves stand {log.origin[row]} at minute "
             f"{log.start_min[row]}, on bike {bike[i]}, which waits at stand {at[i]} from minute {ready[i]}"
         )
-    per_stand = np.bincount(homes[sorted(equipped)], minlength=len(fleet.b)).tolist()
-    if equipped != equipped_set(fleet, per_stand):
-        raise MalformedInputError("metadata.equipped is not the first bikes of each stand, as a plan equips them")
-    if beta == 1 and not np.array_equal(replay.rode(equipped), _equipped_rows(log, fleet, equipped)[0]):
-        raise MalformedInputError("metadata.equipped is not the set of bikes the beta=1 replay guided riders to")
+    with blamed_on("metadata.sensors"):
+        check_sensors(fleet, sensors)
+    if beta == 1 and any(sensors) and not np.array_equal(replay.rode(sensors), _equipped_rows(log, fleet, sensors)[0]):
+        raise MalformedInputError("metadata.sensors is not the counts the beta=1 replay guided riders to")
 
 
-def equipped_set(plan: FleetPlan, sensors_per_stand) -> frozenset[int]:
-    """Equip the first n_s bikes of each stand, given one count n_s in 0..b_s per stand."""
-    if len(sensors_per_stand) != len(plan.b):
-        raise MalformedInputError(f"{len(sensors_per_stand)} sensor counts for {len(plan.b)} stands")
-    out = []
-    for stand, (n, bikes) in enumerate(zip(sensors_per_stand, plan.bikes)):
-        if not 0 <= n <= len(bikes):
-            raise MalformedInputError(f"stand {stand}: {n} sensors for {len(bikes)} bikes")
-        out.extend(bikes[: int(n)])
-    return frozenset(out)
+def check_sensors(plan: FleetPlan, sensors) -> None:
+    """Raise MalformedInputError unless `sensors` is () or one count n_s in 0..b_s per stand s."""
+    if len(sensors) not in (0, len(plan.b)):
+        raise MalformedInputError(f"{len(sensors)} sensor counts for {len(plan.b)} stands")
+    for stand, (n, b) in enumerate(zip(sensors, plan.b)):
+        if not 0 <= n <= b:
+            raise MalformedInputError(f"stand {stand}: {n} sensors for {b} bikes")
 
 
 FLEET_FORMAT = "velosense-fleet-v1"
@@ -412,14 +409,14 @@ def save_fleet(plan: FleetPlan, path) -> None:
 
 
 def save_trajectories(replay: Replay, cfg: SimConfig, path, triplog_sha256: str) -> None:
-    """Write a velosense-traj-v3 file: the metadata, then the replay's columns."""
+    """Write a velosense-traj-v4 file: the metadata, then the replay's columns."""
     doc = {
         "format": TRAJ_FORMAT,
         "metadata": {
             "seed": cfg.seed,
             "beta": cfg.beta,
             "generator": GENERATOR_NAME,
-            "equipped": sorted(cfg.equipped),
+            "sensors": list(cfg.sensors),
             "triplog_sha256": triplog_sha256,
         },
         "homes": replay.homes,
@@ -430,11 +427,10 @@ def save_trajectories(replay: Replay, cfg: SimConfig, path, triplog_sha256: str)
 
 
 def load_trajectories(path) -> tuple[Replay, dict]:
-    """Read a velosense-traj-v3 file into the Replay it was written from, and its
+    """Read a velosense-traj-v4 file into the Replay it was written from, and its
     metadata, whose `beta` is in [0, 1], whose `seed` and `generator` can re-run it
-    (an int >= 0 and GENERATOR_NAME) and whose `equipped` holds distinct bikes of
-    the replay. Any other format, v2 and v1 included, is rejected: `simulate`
-    writes v3."""
+    (an int >= 0 and GENERATOR_NAME) and whose `sensors` are counts >= 0, tied to
+    a fleet by check_replay. Any other format, v3 included, is rejected."""
     with read_artifact(path, TRAJ_FORMAT, "simulate") as doc:
         meta = doc["metadata"]
         check_beta(meta["beta"])
@@ -444,9 +440,7 @@ def load_trajectories(path) -> tuple[Replay, dict]:
         if generator != GENERATOR_NAME:
             raise MalformedInputError(f"{path}: metadata.generator must be {GENERATOR_NAME!r}, got {generator!r}")
         homes = int_column(doc["homes"], path, "homes")
-        equipped = int_column(meta["equipped"], path, "metadata.equipped", hi=len(homes))
-        if (np.diff(np.sort(equipped)) == 0).any():  # a plain np.unique imports numpy.ma
-            raise MalformedInputError(f"{path}: metadata.equipped lists a bike twice")
+        int_column(meta.get("sensors"), path, "metadata.sensors")
         trip_ids = str_column(doc["trip_ids"], path, "trip_ids")
         bike_of_trip = int_column(doc["bike_of_trip"], path, "bike_of_trip", hi=len(homes))
         if len(trip_ids) != len(bike_of_trip):

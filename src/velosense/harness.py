@@ -25,7 +25,7 @@ import numpy as np
 from .allocation import MilpInstance, build_instance, greedy_order, random_allocation, solve_greedy
 from .coverage_model import estimate_probabilities
 from .errors import ConfigInfeasibleError, MalformedInputError, write_table
-from .fleet_sim import FleetPlan, Replay, SimConfig, check_beta, equipped_set, initial_bike_counts, simulate
+from .fleet_sim import FleetPlan, Replay, SimConfig, check_beta, initial_bike_counts, simulate
 from .metrics import IntervalGrid, count_cells, event_cells, interval_minutes, sensing_score
 from .network import RoadNetwork, load_network_files
 from .synth import SynthConfig, generate
@@ -45,6 +45,11 @@ class FileSource:
     nodes: str
     edges: str
     trips: str
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if type(value) is not str:  # open() would read an int as a file descriptor
+                raise TypeError(f"{name} must be a string, got {value!r}")
 
 
 @dataclass
@@ -125,12 +130,12 @@ def prepare(spec: ExperimentSpec) -> PreparedData:
 
 class Evaluator:
     """One study, shared by every mode: the prepared data, the allocation
-    instance at the whole fleet, one greedy equipped set per budget, and
-    replays scored at requested intervals.
+    instance at the whole fleet, one greedy plan's sensor counts per budget
+    (SimConfig.sensors), and replays scored at requested intervals.
 
     A budget's greedy rounds are a prefix of the fleet's, so they run once,
     at the first greedy request. Only unguided replays (beta == 0) are kept,
-    one per replication: they ignore the equipped set, so each serves every
+    one per replication: they ignore the sensors, so each serves every
     method, budget and interval.
     """
 
@@ -139,7 +144,7 @@ class Evaluator:
         self.seed = spec.seed
         matrix = estimate_probabilities(data.log, data.fleet, runs=spec.coverage_runs, seed=spec.seed)
         self.inst = build_instance(matrix, data.net, data.fleet, sum(data.fleet.b))
-        self._greedy: dict[int, frozenset[int]] = {}
+        self._greedy: dict[int, tuple[int, ...]] = {}
         self._unguided: dict[int, Replay] = {}
         self._cells: dict[float, tuple[IntervalGrid, np.ndarray]] = {}  # per interval: grid, event_cells
 
@@ -150,21 +155,20 @@ class Evaluator:
     def _order(self) -> list[int]:
         return greedy_order(self.inst)
 
-    def greedy(self, budget: int) -> frozenset[int]:
+    def greedy(self, budget: int) -> tuple[int, ...]:
         if budget not in self._greedy:
-            plan = solve_greedy(self.at(budget), self._order)
-            self._greedy[budget] = equipped_set(self.data.fleet, plan.n)
+            self._greedy[budget] = tuple(solve_greedy(self.at(budget), self._order).n)
         return self._greedy[budget]
 
-    def trajectories(self, rep: int, beta: float, equipped: frozenset[int]) -> Replay:
+    def trajectories(self, rep: int, beta: float, sensors: tuple[int, ...]) -> Replay:
         seed = self.seed + _SIM_SEED_OFFSET + rep
         if beta != 0.0:
-            return simulate(self.data.log, self.data.fleet, SimConfig(seed, beta, equipped))
+            return simulate(self.data.log, self.data.fleet, SimConfig(seed, beta, sensors))
         if rep not in self._unguided:
             self._unguided[rep] = simulate(self.data.log, self.data.fleet, SimConfig(seed))
         return self._unguided[rep]
 
-    def phi(self, trajs: Replay, equipped: frozenset[int], delta_h: float) -> float:
+    def phi(self, trajs: Replay, sensors: tuple[int, ...], delta_h: float) -> float:
         """The sensing score of a replay of this study's log. Every replay
         covers the log's events, so their cells are found once per interval."""
         log = self.data.log
@@ -175,7 +179,7 @@ class Evaluator:
             grid = IntervalGrid(*log.horizon, delta_h)
             self._cells[delta_h] = grid, event_cells(log.events, grid, num_segments)
         grid, cells = self._cells[delta_h]
-        counts = count_cells(cells, log.events.trip, trajs.rode(equipped), (num_segments, grid.n_intervals))
+        counts = count_cells(cells, log.events.trip, trajs.rode(sensors), (num_segments, grid.n_intervals))
         return sensing_score(counts, self.data.net.seg_length_m, grid)
 
 
@@ -195,12 +199,12 @@ def run_pipeline(spec: ExperimentSpec) -> tuple[list[ResultRow], list[SummaryRow
                 for rep in range(spec.replications):
                     if method == METHOD_RANDOM:
                         alloc = random_allocation(ev.at(budget), spec.seed + _RAND_ALLOC_SEED_OFFSET + rep)
-                        equipped = equipped_set(ev.data.fleet, alloc.n)
+                        sensors = tuple(alloc.n)
                     else:
-                        equipped = ev.greedy(budget)
-                    trajs = ev.trajectories(rep, beta, equipped)
+                        sensors = ev.greedy(budget)
+                    trajs = ev.trajectories(rep, beta, sensors)
                     rows.extend(
-                        ResultRow(method, budget, delta_h, beta, rep, ev.phi(trajs, equipped, delta_h))
+                        ResultRow(method, budget, delta_h, beta, rep, ev.phi(trajs, sensors, delta_h))
                         for delta_h in spec.deltas
                     )
     rows.sort(key=lambda r: (ALL_METHODS.index(r.method), r.budget, r.delta_h, r.beta, r.rep))
@@ -281,11 +285,11 @@ def sensor_requirement(spec: ExperimentSpec, target_phi_pct: float) -> list[Requ
     means = {delta_h: {0: 0.0} for delta_h in spec.deltas}  # budget -> mean score; no sensors score 0
 
     def score(budget: int, deltas: list[float]) -> None:
-        equipped = ev.greedy(budget)
+        sensors = ev.greedy(budget)
         phis = []  # per replication, one score per interval
         for rep in range(spec.replications):
-            trajs = ev.trajectories(rep, beta, equipped)
-            phis.append([ev.phi(trajs, equipped, delta_h) for delta_h in deltas])
+            trajs = ev.trajectories(rep, beta, sensors)
+            phis.append([ev.phi(trajs, sensors, delta_h) for delta_h in deltas])
             del trajs  # one guided replay alive at a time
         for delta_h, column in zip(deltas, zip(*phis)):
             means[delta_h][budget] = float(np.mean(column))

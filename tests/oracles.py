@@ -329,6 +329,16 @@ def idle_before_departure(log, b):
     return out
 
 
+def first_bikes(b, sensors):
+    """The ids of the first sensors[s] bikes of each stand s, stand s owning ids
+    sum(b[:s]) .. sum(b[:s+1]) - 1: the bikes a plan's counts equip."""
+    out, first = set(), 0
+    for count, n in zip(b, sensors):
+        out.update(range(first, first + int(n)))
+        first += int(count)
+    return out
+
+
 def simulate_by_minute(log, b, cfg):
     """(bike_of_trip, homes) of a replay that walks every minute of the horizon.
 
@@ -336,7 +346,8 @@ def simulate_by_minute(log, b, cfg):
     releases the bikes booked to return then, then serves that minute's
     trips in log order, each with one numpy Generator.random() call for the
     guidance test and one Generator.integers(0, n) call for the pick. Stand s
-    owns bike ids sum(b[:s]) .. sum(b[:s+1]) - 1, numbered stand by stand.
+    owns bike ids sum(b[:s]) .. sum(b[:s+1]) - 1, numbered stand by stand, and
+    the first cfg.sensors[s] of them are equipped (first_bikes).
     """
     bikes, next_id = [], 0
     for count in b:
@@ -346,7 +357,7 @@ def simulate_by_minute(log, b, cfg):
 
     t0, t_end = log.horizon
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    equipped = frozenset(cfg.equipped)
+    equipped = first_bikes(b, cfg.sensors)
 
     idle = [sorted(ids) for ids in bikes]
     returns = {}

@@ -20,7 +20,6 @@ from velosense.errors import InfeasiblePlanError
 from velosense.fleet_sim import (
     FleetPlan,
     SimConfig,
-    equipped_set,
     initial_bike_counts,
     simulate,
 )
@@ -53,9 +52,9 @@ def report(criterion: int, ok: bool, detail: str) -> bool:
     return ok
 
 
-def score(net, log, trajectories, equipped, delta_h):
+def score(net, log, trajectories, sensors, delta_h):
     grid = IntervalGrid(*log.horizon, delta_h)
-    counts = coverage_counts(log.events, trajectories, equipped, grid, net.num_segments)
+    counts = coverage_counts(log.events, trajectories, sensors, grid, net.num_segments)
     return sensing_score(counts, net.seg_length_m, grid)
 
 
@@ -127,8 +126,8 @@ def test_criterion_4_replay_invariants_on_reference_fixture(
 ):
     net, log = reference_scenario
     start = time.perf_counter()
-    equipped = equipped_set(reference_fleet, [min(1, b) for b in reference_fleet.b])
-    trajs = simulate(log, reference_fleet, SimConfig(seed=404, beta=0.0, equipped=equipped))
+    sensors = tuple(min(1, b) for b in reference_fleet.b)
+    trajs = simulate(log, reference_fleet, SimConfig(seed=404, beta=0.0, sensors=sensors))
     unguided = simulate(log, reference_fleet, SimConfig(seed=404))
     bitwise_equal = trajs == unguided
 
@@ -166,7 +165,7 @@ def test_criterion_5_guided_selection_frequency():
     hits = 0
     n = 10_000
     for seed in range(n):
-        cfg = SimConfig(seed=seed, beta=0.5, equipped=frozenset({0}))
+        cfg = SimConfig(seed=seed, beta=0.5, sensors=(1, 0))
         trajs = simulate(log, plan, cfg)
         hits += bool(list(trajs)[0].served)
     freq = hits / n
@@ -251,24 +250,29 @@ def test_criterion_9_metric_properties(reference_scenario, reference_fleet):
     net, log = reference_scenario
     trajs = simulate(log, reference_fleet, SimConfig(seed=909))
     rng = np.random.default_rng(99)
-    bikes = list(range(reference_fleet.num_bikes))
+    b = np.array(reference_fleet.b)
+    homes = reference_fleet.home_stands()
+
+    def eight_more(n):
+        """n plus the sensors of 8 bikes drawn from the whole fleet, each stand's at most b_s."""
+        drawn = np.bincount(homes[rng.choice(len(homes), size=8, replace=False)], minlength=len(b))
+        return np.minimum(n + drawn, b)
 
     in_range = True
     monotone = True
     for _ in range(100):
-        base = frozenset(rng.choice(bikes, size=8, replace=False).tolist())
-        superset = base | frozenset(rng.choice(bikes, size=8, replace=False).tolist())
-        phi_base = score(net, log, trajs, base, 16.0)
-        phi_super = score(net, log, trajs, superset, 16.0)
+        base = eight_more(0 * b)
+        superset = eight_more(base)
+        phi_base = score(net, log, trajs, tuple(base.tolist()), 16.0)
+        phi_super = score(net, log, trajs, tuple(superset.tolist()), 16.0)
         in_range &= 0.0 <= phi_base <= 100.0 and 0.0 <= phi_super <= 100.0
         monotone &= phi_base <= phi_super + 1e-12
 
-    equipped = equipped_set(reference_fleet, [min(1, b) for b in reference_fleet.b])
-    refinement = [score(net, log, trajs, equipped, d) for d in (16.0, 8.0, 4.0, 1.0)]
+    sensors = tuple(min(1, b) for b in reference_fleet.b)
+    refinement = [score(net, log, trajs, sensors, d) for d in (16.0, 8.0, 4.0, 1.0)]
     refinement_ok = all(a >= b for a, b in zip(refinement, refinement[1:]))
 
-    everyone = frozenset(bikes)
-    phi_all = score(net, log, trajs, everyone, 16.0)
+    phi_all = score(net, log, trajs, tuple(reference_fleet.b), 16.0)
     t0, t_end = log.horizon
     oracle = touched_length_fraction_pct(log, net.seg_length_m, t0, t_end)
     union_ok = phi_all == oracle
@@ -311,10 +315,10 @@ def test_criterion_10_real_data_reproduction():
     matrix = estimate_probabilities(log, fleet, runs=20, seed=10)
     inst = build_instance(matrix, net, fleet, budget=100)
     plan = solve_greedy(inst)
-    equipped = equipped_set(fleet, plan.n)
+    sensors = tuple(plan.n)
     phis = [
-        score(net, log, simulate(log, fleet, SimConfig(seed=100 + rep, beta=1.0, equipped=equipped)),
-              equipped, 16.0)
+        score(net, log, simulate(log, fleet, SimConfig(seed=100 + rep, beta=1.0, sensors=sensors)),
+              sensors, 16.0)
         for rep in range(5)
     ]
     phi100 = float(np.mean(phis))

@@ -129,8 +129,9 @@ def test_allocate_simulate_score_chain(synth_dir, pipeline_dir, tmp_path):
     ) == 0
     traj = json.loads((out / "traj.json").read_text())
     assert list(traj) == ["format", "metadata", "homes", "trip_ids", "bike_of_trip"]
-    assert traj["format"] == "velosense-traj-v3"
+    assert traj["format"] == "velosense-traj-v4"
     assert traj["metadata"]["generator"] == "numpy-pcg64"
+    assert traj["metadata"]["sensors"] == alloc["n"]
 
     assert main(
         ["score", "--traj", str(out / "traj.json"),
@@ -609,12 +610,37 @@ def _swap_first_rides(doc):
     bikes[i], bikes[j] = bikes[j], bikes[i]
 
 
-def _shift_an_equipped_bike(doc):
-    """Move the first equipped bike whose next id is an unequipped bike onto that id:
-    the set is no longer the first bikes of each stand."""
-    equipped = doc["metadata"]["equipped"]
-    i = next(i for i, bike in enumerate(equipped) if bike + 1 < len(doc["homes"]) and bike + 1 not in equipped)
-    equipped[i] += 1
+def _stand_bikes(doc):
+    """Each stand's bike count, from a traj.json's homes."""
+    return [doc["homes"].count(stand) for stand in range(len(doc["metadata"]["sensors"]))]
+
+
+def _lower_largest_count(doc):
+    """Take one sensor from the stand with the most: a plan's counts, not the replay's."""
+    sensors = doc["metadata"]["sensors"]
+    sensors[sensors.index(max(sensors))] -= 1
+
+
+def _fill_a_stand_past_its_bikes(doc):
+    """Give stand 0 one sensor more than it has bikes."""
+    sensors = doc["metadata"]["sensors"]
+    sensors[0] = _stand_bikes(doc)[0] + 1
+
+
+def _move_a_sensor_to_the_next_stand(doc):
+    """Move one sensor of the first stand with one to the next stand with a bike
+    to spare: the counts still fit the fleet, and keep their sum."""
+    sensors, bikes = doc["metadata"]["sensors"], _stand_bikes(doc)
+    s = next(s for s in range(len(sensors) - 1) if sensors[s] and sensors[s + 1] < bikes[s + 1])
+    sensors[s] -= 1
+    sensors[s + 1] += 1
+
+
+def _overflow_a_probability(text):
+    """Set the first row's p to 1e308: finite and >= 0, but times a stand's bikes past float64."""
+    header, first, *rest = text.splitlines()
+    stand, segment, _p = first.split(",")
+    return "\n".join([header, f"{stand},{segment},1e308", *rest]) + "\n"
 
 
 def _set_metadata(**fields):
@@ -649,10 +675,10 @@ def _set_metadata(**fields):
         ("allocate", ALLOCATE, ["--budget", "4"], "--probs", _append_row("0,0,abc")),
         ("fleet", ("--triplog",), [], "--triplog", _edit_trip(lambda t: t.update(start_min=t["start_min"] + 0.5), -1)),
         ("score", SCORE, ["--delta", "4"], "--traj", _edit_doc(lambda d: d["bike_of_trip"].__setitem__(0, len(d["homes"])))),
-        ("score", SCORE, ["--delta", "4"], "--traj", _drop_metadata_key("equipped")),
-        ("score", SCORE, ["--delta", "4"], "--traj", _set_metadata(equipped=[10**6])),
-        ("score", SCORE, ["--delta", "4"], "--traj", _set_metadata(equipped=["x"])),
-        ("score", SCORE, ["--delta", "4"], "--traj", _set_metadata(equipped=[True])),
+        ("score", SCORE, ["--delta", "4"], "--traj", _drop_metadata_key("sensors")),
+        ("score", SCORE, ["--delta", "4"], "--traj", _edit_doc(_fill_a_stand_past_its_bikes)),
+        ("score", SCORE, ["--delta", "4"], "--traj", _edit_doc(lambda d: d["metadata"]["sensors"].__setitem__(0, "x"))),
+        ("score", SCORE, ["--delta", "4"], "--traj", _edit_doc(lambda d: d["metadata"]["sensors"].__setitem__(0, True))),
         ("simulate", SIMULATE, [], "--alloc", _edit_largest_count(lambda n: n + 0.5)),
         ("simulate", SIMULATE, [], "--alloc", _edit_largest_count(lambda n: True)),
         ("simulate", SIMULATE, [], "--alloc", _edit_largest_count(str)),
@@ -699,8 +725,8 @@ def _set_metadata(**fields):
         ("score", SCORE, ["--delta", "4"], "--traj", _edit_column("bike_of_trip", lambda c: [0] * len(c))),
         ("score", SCORE, ["--delta", "4"], "--traj", _edit_doc(_swap_first_rides)),
         ("simulate", SIMULATE, [], "--alloc", _edit_doc(lambda d: d["n"].__setitem__(0, d["n"][0] + d["budget"] - sum(d["n"]) + 1))),
-        ("score", SCORE, ["--delta", "4"], "--traj", _edit_doc(lambda d: d["metadata"]["equipped"].pop())),
-        ("score", SCORE, ["--delta", "4"], "--traj", _edit_doc(_shift_an_equipped_bike)),
+        ("score", SCORE, ["--delta", "4"], "--traj", _edit_doc(_lower_largest_count)),
+        ("score", SCORE, ["--delta", "4"], "--traj", _edit_doc(_move_a_sensor_to_the_next_stand)),
         ("score", SCORE, ["--delta", "4"], "--traj", _drop_metadata_key("beta")),
         ("score", SCORE, ["--delta", "4"], "--traj", _set_metadata(beta=1.5)),
         ("score", SCORE, ["--delta", "4"], "--traj", _drop_metadata_key("seed")),
@@ -708,6 +734,8 @@ def _set_metadata(**fields):
         ("score", SCORE, ["--delta", "4"], "--traj", _set_metadata(seed=0.5)),
         ("score", SCORE, ["--delta", "4"], "--traj", _set_metadata(generator="mt19937")),
         ("score", SCORE, ["--delta", "16"], "--triplog", _edit_doc(lambda d: d["horizon"].__setitem__(1, 60000000360))),
+        ("allocate", ALLOCATE, ["--budget", "4"], "--probs", _overflow_a_probability),
+        ("export-lp", ALLOCATE, ["--budget", "4"], "--probs", _overflow_a_probability),
     ],
     ids=["triplog-without-stands", "traj-without-metadata", "alloc-without-N_e",
          "probs-unknown-stand", "probs-unknown-segment", "probs-nan", "probs-negative",
@@ -717,8 +745,8 @@ def _set_metadata(**fields):
          "probs-meta-without-triplog-sha256", "traj-without-triplog-sha256",
          "alloc-without-triplog-sha256", "alloc-negative-count", "alloc-extra-stand",
          "alloc-missing-stand", "alloc-count-not-int", "probs-p-not-a-number",
-         "trip-start-not-int", "traj-bike-out-of-range", "traj-without-equipped", "traj-equipped-out-of-range",
-         "traj-equipped-not-int", "traj-equipped-bool", "alloc-count-fraction",
+         "trip-start-not-int", "traj-bike-out-of-range", "traj-sensors-missing", "traj-sensors-over-a-stands-bikes",
+         "traj-sensors-not-int", "traj-sensors-bool", "alloc-count-fraction",
          "alloc-count-bool", "alloc-count-string", "probs-repeated-pair",
          "stand-id-not-its-index", "stands-share-a-node", "traj-trip-ids-reversed", "trip-id-not-a-string", "trip-id-null",
          "horizon-not-int", "speed-zero", "speed-not-a-number", "speed-negative",
@@ -730,9 +758,9 @@ def _set_metadata(**fields):
          "path-count-negative", "path-count-fraction", "path-count-past-segments", "path-segment-not-listed", "segment-ids-repeated", "segment-ids-out-of-order",
          "segment-nodes-reversed", "path-segments-swapped", "path-origin-moved", "path-dest-moved",
          "path-lengths-past-int64-minutes", "traj-all-on-bike-0", "traj-first-rides-swapped", "alloc-over-budget",
-         "traj-equipped-last-dropped", "traj-equipped-id-shifted", "traj-without-beta", "traj-beta-past-1",
-         "traj-without-seed", "traj-seed-negative", "traj-seed-fractional", "traj-generator-other",
-         "triplog-horizon-past-the-day"],
+         "traj-sensors-one-stand-lower", "traj-sensors-one-moved-to-the-next-stand", "traj-without-beta",
+         "traj-beta-past-1", "traj-without-seed", "traj-seed-negative", "traj-seed-fractional", "traj-generator-other",
+         "triplog-horizon-past-the-day", "probs-coverage-overflows", "probs-coverage-overflows-in-export-lp"],
 )
 def test_malformed_artifact_is_2(artifacts, tmp_path, capsys, request, command, options, extra, corrupted, edit):
     paths = dict(artifacts)
@@ -797,8 +825,12 @@ NAMED_FIELDS = {
     "traj-all-on-bike-0": "bike_of_trip",
     "traj-first-rides-swapped": "bike_of_trip",
     "alloc-over-budget": "n",
-    "traj-equipped-last-dropped": "metadata.equipped",
-    "traj-equipped-id-shifted": "metadata.equipped",
+    "traj-sensors-missing": "metadata.sensors",
+    "traj-sensors-over-a-stands-bikes": "metadata.sensors:",  # then check_sensors' message
+    "traj-sensors-not-int": "metadata.sensors",
+    "traj-sensors-bool": "metadata.sensors",
+    "traj-sensors-one-stand-lower": "metadata.sensors",
+    "traj-sensors-one-moved-to-the-next-stand": "metadata.sensors",
     "traj-without-seed": "metadata.seed",
     "traj-seed-negative": "metadata.seed",
     "traj-seed-fractional": "metadata.seed",
@@ -813,7 +845,7 @@ JSON_INPUTS = {
     "--triplog": ("fleet", ("--triplog",), [], "velosense-triplog-v6", "ingest"),
     "--probs-meta": ("allocate", ALLOCATE, ["--budget", "4"], "velosense-coverage-v1", "probs"),
     "--alloc": ("simulate", SIMULATE, [], "velosense-alloc-v1", "allocate"),
-    "--traj": ("score", SCORE, ["--delta", "4"], "velosense-traj-v3", "simulate"),
+    "--traj": ("score", SCORE, ["--delta", "4"], "velosense-traj-v4", "simulate"),
 }
 NOT_JSON = "{not json"
 TOO_DEEP = "[" * 100_000 + "]" * 100_000
@@ -835,10 +867,11 @@ DERIVED = ("--probs-meta", "--alloc", "--traj")
         ("--triplog", TOO_DEEP),
         ("--traj", '{"format": "velosense-traj-v1", "metadata": {}, "bikes": []}'),
         ("--traj", '{"format": "velosense-traj-v2", "metadata": {}, "segment": [], "minute": []}'),
+        ("--traj", '{"format": "velosense-traj-v3", "metadata": {"equipped": []}, "homes": [], "trip_ids": [], "bike_of_trip": []}'),
         *[(option, text) for option in DERIVED for text in CONTENTS.values()],
     ],
     ids=["v1", "v2", "v3", "v4", "v5", "unknown", "not-an-object", "triplog-not-json", "triplog-nested-too-deep",
-         "traj-v1", "traj-v2",
+         "traj-v1", "traj-v2", "traj-v3",
          *[f"{option[2:]}-{name}" for option in DERIVED for name in CONTENTS]],
 )
 def test_triplog_of_another_format_is_2(artifacts, tmp_path, capsys, corrupted, text):
@@ -1205,6 +1238,12 @@ def _synth_source(**changes):
     return f'"source": {json.dumps({"synth": synth})}'
 
 
+def _files_source(**changes):
+    """The `source` entry of an experiment config on input files, with `changes`."""
+    files = {"nodes": "nodes.csv", "edges": "edges.csv", "trips": "trips.csv", **changes}
+    return f'"source": {json.dumps({"files": files})}'
+
+
 class TestExitCodes:
     def test_malformed_input_is_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -1290,6 +1329,8 @@ class TestExitCodes:
             (_synth_source(horizon=[360, 1320]), "unexpected keyword argument 'horizon'"),
             (_synth_source(block_m=True), "block_m must be a finite number > 0, got True"),
             (_synth_source(gravity_gamma=True), "gravity_gamma must be a finite number > 0, got True"),
+            (_files_source(trips=0), "trips must be a string, got 0"),
+            (_files_source(nodes=["nodes.csv"]), "nodes must be a string, got ['nodes.csv']"),
         ],
         ids=["beta-above-one", "no-coverage-runs", "delta-not-whole-minutes", "budget-zero",
              "delta-infinite", "budget-infinite", "budget-fraction", "replications-fraction",
@@ -1297,7 +1338,8 @@ class TestExitCodes:
              "delta-a-string", "budget-repeated", "delta-repeated-by-value", "beta-repeated",
              "method-repeated", "methods-empty", "synth-grid-fraction", "synth-grid-bool",
              "synth-stands-float", "synth-trips-fraction", "synth-seed-fraction",
-             "synth-horizon", "synth-block-bool", "synth-gamma-bool"],
+             "synth-horizon", "synth-block-bool", "synth-gamma-bool", "files-trips-an-integer",
+             "files-nodes-a-list"],
     )
     def test_bad_experiment_config_is_2_at_load(self, tmp_path, capsys, monkeypatch, entry, message):
         import velosense.harness as harness

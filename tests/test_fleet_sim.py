@@ -16,7 +16,7 @@ from velosense.fleet_sim import (
     _unguided_picks,
     _word_stream,
     check_replay,
-    equipped_set,
+    check_sensors,
     initial_bike_counts,
     load_trajectories,
     save_trajectories,
@@ -26,6 +26,7 @@ from velosense.metrics import IntervalGrid, sensing_score
 from velosense.trips import Path, Stand, Trip, clean_trips
 
 from oracles import (
+    first_bikes,
     idle_before_departure,
     initial_bike_counts_by_trip,
     per_bike_assembly,
@@ -171,14 +172,14 @@ class TestSimulate:
         log = toy_log([(0, 1, 3, 4)], num_stands=2)
         plan = FleetPlan([2, 0])
         for seed in range(20):
-            cfg = SimConfig(seed=seed, beta=1.0, equipped=frozenset({1}))
+            cfg = SimConfig(seed=seed, beta=1.0, sensors=(1, 0))
             trajs = simulate(log, plan, cfg)
-            assert list(trajs)[1].served == ["t0"]
+            assert list(trajs)[0].served == ["t0"]
 
     def test_beta_zero_matches_unguided_bitwise(self, small_scenario, small_fleet):
         _net, log = small_scenario
-        equipped = equipped_set(small_fleet, [min(1, b) for b in small_fleet.b])
-        guided_off = simulate(log, small_fleet, SimConfig(seed=9, beta=0.0, equipped=equipped))
+        sensors = tuple(min(1, b) for b in small_fleet.b)
+        guided_off = simulate(log, small_fleet, SimConfig(seed=9, beta=0.0, sensors=sensors))
         plain = simulate(log, small_fleet, SimConfig(seed=9))
         assert guided_off == plain
 
@@ -220,14 +221,13 @@ class TestSimulate:
 
     def test_deterministic(self, small_scenario, small_fleet):
         _net, log = small_scenario
-        equipped = equipped_set(small_fleet, [min(1, b) for b in small_fleet.b])
-        cfg = SimConfig(seed=77, beta=0.6, equipped=equipped)
+        cfg = SimConfig(seed=77, beta=0.6, sensors=tuple(min(1, b) for b in small_fleet.b))
         assert simulate(log, small_fleet, cfg) == simulate(log, small_fleet, cfg)
 
     def test_views_equal_a_per_bike_assembly(self, small_scenario, small_fleet):
         _net, log = small_scenario
-        equipped = equipped_set(small_fleet, [min(1, b) for b in small_fleet.b])
-        trajs = simulate(log, small_fleet, SimConfig(seed=77, beta=0.6, equipped=equipped))
+        sensors = tuple(min(1, b) for b in small_fleet.b)
+        trajs = simulate(log, small_fleet, SimConfig(seed=77, beta=0.6, sensors=sensors))
         expected = per_bike_assembly(
             log.trips,
             [traversal_times(t, log.speed_m_per_min) for t in log.trips],
@@ -247,10 +247,11 @@ class TestSimulate:
 
     def test_beta_nesting_in_equipped_served_trips(self, small_scenario, small_fleet):
         _net, log = small_scenario
-        equipped = equipped_set(small_fleet, [min(1, b) for b in small_fleet.b])
+        sensors = tuple(min(1, b) for b in small_fleet.b)
+        equipped = first_bikes(small_fleet.b, sensors)
 
         def equipped_trips(beta):
-            trajs = simulate(log, small_fleet, SimConfig(seed=5, beta=beta, equipped=equipped))
+            trajs = simulate(log, small_fleet, SimConfig(seed=5, beta=beta, sensors=sensors))
             return sum(len(t.served) for t in trajs if t.bike in equipped)
 
         assert equipped_trips(1.0) >= equipped_trips(0.0)
@@ -268,12 +269,13 @@ class TestSimulate:
 
         def masks_and_phis(n, beta):
             """The distinct equipped-trip masks and phis of replay seeds 0-7."""
-            equipped = equipped_set(small_fleet, n.tolist())
+            sensors = tuple(n.tolist())
+            equipped = first_bikes(small_fleet.b, sensors)
             masks, phis = set(), set()
             for seed in range(8):
-                replay = simulate(log, small_fleet, SimConfig(seed=seed, beta=beta, equipped=equipped))
+                replay = simulate(log, small_fleet, SimConfig(seed=seed, beta=beta, sensors=sensors))
                 masks.add(np.isin(replay.bike_of_trip, sorted(equipped)).tobytes())
-                counts = coverage_counts(log.events, replay, equipped, grid, net.num_segments)
+                counts = coverage_counts(log.events, replay, sensors, grid, net.num_segments)
                 phis.add(sensing_score(counts, net.seg_length_m, grid))
             return masks, phis
 
@@ -289,7 +291,7 @@ class TestSimulate:
         hits = 0
         n = 2000
         for seed in range(n):
-            cfg = SimConfig(seed=seed, beta=0.5, equipped=frozenset({0}))
+            cfg = SimConfig(seed=seed, beta=0.5, sensors=(1, 0))
             trajs = simulate(log, plan, cfg)
             hits += bool(list(trajs)[0].served)
         assert hits / n == pytest.approx(0.75, abs=0.03)
@@ -316,7 +318,8 @@ class TestSimulate:
         b = list(small_fleet.b)
         b[b.index(max(b))] -= 1
         # the unguided pass, the inline loop and the beta=1 pass
-        for cfg in (SimConfig(0), SimConfig(0, 0.5, frozenset({0, 1})), SimConfig(0, 1.0, frozenset({0, 1}))):
+        sensors = tuple(min(1, n) for n in b)
+        for cfg in (SimConfig(0), SimConfig(0, 0.5, sensors), SimConfig(0, 1.0, sensors)):
             with pytest.raises(InfeasiblePlanError):
                 simulate(log, FleetPlan(b), cfg)
 
@@ -326,10 +329,10 @@ class TestSimulate:
         by construction. The guided loop, run at beta=0 itself, must agree."""
         _net, log = request.getfixturevalue(f"{scenario}_scenario")
         fleet = request.getfixturevalue(f"{scenario}_fleet")
-        equipped = equipped_set(fleet, [(b + 1) // 2 for b in fleet.b])
-        assert equipped
+        sensors = tuple((b + 1) // 2 for b in fleet.b)
+        assert any(sensors)
         for seed in range(5):
-            guided = fleet_sim._guided_bikes(log, fleet, SimConfig(seed, 0.0, equipped))
+            guided = fleet_sim._guided_bikes(log, fleet, SimConfig(seed, 0.0, sensors))
             assert guided == simulate(log, fleet, SimConfig(seed)).bike_of_trip.tolist()
 
     @pytest.mark.parametrize("scenario", ["small", "reference"])
@@ -347,11 +350,10 @@ class TestSimulate:
 
         def check():
             for n in plans:
-                equipped = equipped_set(fleet, n)
-                is_equipped = np.isin(np.arange(fleet.num_bikes), sorted(equipped))
-                rode, _sizes = fleet_sim._equipped_rows(log, fleet, equipped)
+                is_equipped = np.isin(np.arange(fleet.num_bikes), sorted(first_bikes(fleet.b, n)))
+                rode, _sizes = fleet_sim._equipped_rows(log, fleet, tuple(n))
                 for seed in range(5):
-                    cfg = SimConfig(seed, 1.0, equipped)
+                    cfg = SimConfig(seed, 1.0, tuple(n))
                     guided = fleet_sim._guided_bikes(log, fleet, cfg)
                     assert simulate(log, fleet, cfg).bike_of_trip.tolist() == guided
                     assert rode.tolist() == is_equipped[guided].tolist()
@@ -379,10 +381,11 @@ class TestCheckReplay:
     def test_replays_pass(self, request, scenario):
         _net, log = request.getfixturevalue(f"{scenario}_scenario")
         fleet = request.getfixturevalue(f"{scenario}_fleet")
-        equipped = equipped_set(fleet, [(b + 1) // 2 for b in fleet.b])
+        sensors = tuple((b + 1) // 2 for b in fleet.b)
         for beta in (0.0, 0.5, 1.0):
             for seed in range(3):
-                check_replay(log, simulate(log, fleet, SimConfig(seed, beta, equipped)), equipped, beta)
+                check_replay(log, simulate(log, fleet, SimConfig(seed, beta, sensors)), sensors, beta)
+                check_replay(log, simulate(log, fleet, SimConfig(seed, beta)), (), beta)
 
     def test_swapped_bikes_refused(self, small_scenario, small_fleet):
         """Two trips with different origins, on two bikes, swap bikes: neither bike's rides chain."""
@@ -397,7 +400,7 @@ class TestCheckReplay:
             bikes = trajs.bike_of_trip.copy()
             bikes[[i, j]] = bikes[[j, i]]
             with pytest.raises(MalformedInputError, match="^bike_of_trip puts trip "):
-                check_replay(log, Replay(bikes, trajs.homes, trajs.trip_ids), frozenset(), 0.0)
+                check_replay(log, Replay(bikes, trajs.homes, trajs.trip_ids), (), 0.0)
             swaps += 1
 
     def test_each_fault_named(self):
@@ -405,7 +408,7 @@ class TestCheckReplay:
         log = toy_log([(0, 1, 3, 4), (1, 0, 5, 2)], num_stands=2)
         homes = initial_bike_counts(log).home_stands()
         assert homes.tolist() == [0, 1]
-        check_replay(log, Replay(np.array([0, 1]), homes, log.ids), frozenset(), 0.0)
+        check_replay(log, Replay(np.array([0, 1]), homes, log.ids), (), 0.0)
         faults = {
             (0, 0): "trip t1, which leaves stand 1 at minute 5, on bike 0, which waits at stand 1 from minute 7",
             (1, 0): "trip t0, which leaves stand 0 at minute 3, on bike 1, which waits at stand 1 from minute 0",
@@ -413,46 +416,52 @@ class TestCheckReplay:
         }
         for bikes, fault in faults.items():
             with pytest.raises(MalformedInputError) as caught:
-                check_replay(log, Replay(np.array(bikes), homes, log.ids), frozenset(), 0.0)
+                check_replay(log, Replay(np.array(bikes), homes, log.ids), (), 0.0)
             assert str(caught.value) == f"bike_of_trip puts {fault}"
         # bike 0 is back in time, at the wrong stand
         log = toy_log([(0, 1, 3, 4), (0, 0, 8, 2)], num_stands=2)
         message = "^bike_of_trip puts trip t1, which leaves stand 0 at minute 8, on bike 0, which waits at stand 1 from minute 7$"
         with pytest.raises(MalformedInputError, match=message):
-            check_replay(log, Replay(np.array([0, 0]), np.array([0, 0]), log.ids), frozenset(), 0.0)
+            check_replay(log, Replay(np.array([0, 0]), np.array([0, 0]), log.ids), (), 0.0)
         with pytest.raises(MalformedInputError, match="^homes are not those of the log's minimal fleet of 2 bikes$"):
-            check_replay(log, Replay(np.array([0, 1]), np.array([0, 1]), log.ids), frozenset(), 0.0)
+            check_replay(log, Replay(np.array([0, 1]), np.array([0, 1]), log.ids), (), 0.0)
         with pytest.raises(MalformedInputError, match="^trip_ids are not the log's trips; re-run `velosense simulate`$"):
-            check_replay(log, Replay(np.array([0, 0]), np.array([0, 0]), log.ids[::-1]), frozenset(), 0.0)
+            check_replay(log, Replay(np.array([0, 0]), np.array([0, 0]), log.ids[::-1]), (), 0.0)
 
-    def test_equipped_not_a_plans_refused(self, small_scenario, small_fleet):
-        """At every beta the equipped bikes must be the first ones of each stand."""
+    def test_counts_off_the_fleet_refused(self, small_scenario, small_fleet):
+        """At every beta the counts must fit the log's minimal fleet, one per stand."""
         _net, log = small_scenario
-        stand = small_fleet.b.index(max(small_fleet.b))
-        first = sum(small_fleet.b[:stand])
+        sensors = tuple(min(1, b) for b in small_fleet.b)
+        most = max(small_fleet.b)
+        stand = small_fleet.b.index(most)
+        over = sensors[:stand] + (most + 1,) + sensors[stand + 1:]
+        faults = {
+            sensors[:-1]: f"{len(sensors) - 1} sensor counts for {len(sensors)} stands$",
+            over: f"stand {stand}: {most + 1} sensors for {most} bikes$",
+        }
         for beta in (0.0, 0.5, 1.0):
-            replay = simulate(log, small_fleet, SimConfig(0, beta, frozenset({first, first + 1})))
-            check_replay(log, replay, frozenset({first, first + 1}), beta)
-            with pytest.raises(MalformedInputError, match="^metadata.equipped is not the first bikes of each stand"):
-                check_replay(log, replay, frozenset({first + 1}), beta)
+            replay = simulate(log, small_fleet, SimConfig(0, beta, sensors))
+            for bad, fault in faults.items():
+                with pytest.raises(MalformedInputError, match=f"^metadata.sensors: {fault}"):
+                    check_replay(log, replay, bad, beta)
 
     @pytest.mark.parametrize("scenario", ["small", "reference"])
     def test_equipped_not_the_beta_one_replays_refused(self, request, scenario):
-        """At beta=1 a set of a plan's form other than the replay's is refused:
-        the replay's with one stand's count one lower or one higher, at each of
+        """At beta=1 a plan's counts other than the replay's are refused: the
+        replay's with one stand's count one lower or one higher, at each of
         the first four stands with two bikes or more."""
         _net, log = request.getfixturevalue(f"{scenario}_scenario")
         fleet = request.getfixturevalue(f"{scenario}_fleet")
         n = [(b + 1) // 2 for b in fleet.b]
-        replay = simulate(log, fleet, SimConfig(0, 1.0, equipped_set(fleet, n)))
+        replay = simulate(log, fleet, SimConfig(0, 1.0, tuple(n)))
         for stand in np.flatnonzero(np.array(fleet.b) > 1)[:4].tolist():
             for step in (-1, 1):
                 other = list(n)
                 other[stand] += step
-                equipped = equipped_set(fleet, other)
-                assert replay.rode(equipped).tolist() != fleet_sim._equipped_rows(log, fleet, equipped)[0].tolist()
-                with pytest.raises(MalformedInputError, match="^metadata.equipped is not the set of bikes the beta=1"):
-                    check_replay(log, replay, equipped, 1.0)
+                sensors = tuple(other)
+                assert replay.rode(sensors).tolist() != fleet_sim._equipped_rows(log, fleet, sensors)[0].tolist()
+                with pytest.raises(MalformedInputError, match="^metadata.sensors is not the counts the beta=1"):
+                    check_replay(log, replay, sensors, 1.0)
 
 
 class TestReplayMatchesMinuteLoop:
@@ -463,10 +472,10 @@ class TestReplayMatchesMinuteLoop:
     def test_same_bikes_and_homes(self, request, scenario, beta):
         _net, log = request.getfixturevalue(f"{scenario}_scenario")
         fleet = request.getfixturevalue(f"{scenario}_fleet")
-        equipped = equipped_set(fleet, [(b + 1) // 2 for b in fleet.b])
-        assert equipped
+        sensors = tuple((b + 1) // 2 for b in fleet.b)
+        assert any(sensors)
         for seed in range(5):
-            cfg = SimConfig(seed=seed, beta=beta, equipped=equipped)
+            cfg = SimConfig(seed=seed, beta=beta, sensors=sensors)
             replay = simulate(log, fleet, cfg)
             bike_of_trip, homes = simulate_by_minute(log, fleet.b, cfg)
             assert replay.bike_of_trip.tolist() == bike_of_trip
@@ -477,9 +486,9 @@ class TestReplayMatchesMinuteLoop:
         # guided pools of 0 and 1 bikes: a pick from one bike takes no bits
         _net, log = request.getfixturevalue(f"{scenario}_scenario")
         fleet = request.getfixturevalue(f"{scenario}_fleet")
-        equipped = equipped_set(fleet, [min(b, 1) for b in fleet.b])
+        sensors = tuple(min(b, 1) for b in fleet.b)
         for seed in range(5):
-            cfg = SimConfig(seed=seed, beta=0.25, equipped=equipped)
+            cfg = SimConfig(seed=seed, beta=0.25, sensors=sensors)
             replay = simulate(log, fleet, cfg)
             bike_of_trip, homes = simulate_by_minute(log, fleet.b, cfg)
             assert replay.bike_of_trip.tolist() == bike_of_trip
@@ -501,8 +510,8 @@ class TestReplayGolden:
     @pytest.mark.parametrize("beta", sorted(DIGESTS))
     def test_bike_of_trip_digest(self, small_scenario, small_fleet, beta):
         _net, log = small_scenario
-        equipped = equipped_set(small_fleet, [(b + 1) // 2 for b in small_fleet.b])
-        replay = simulate(log, small_fleet, SimConfig(seed=0, beta=beta, equipped=equipped))
+        sensors = tuple((b + 1) // 2 for b in small_fleet.b)
+        replay = simulate(log, small_fleet, SimConfig(seed=0, beta=beta, sensors=sensors))
         digest = hashlib.sha256(replay.bike_of_trip.astype("<i8").tobytes()).hexdigest()
         assert digest == self.DIGESTS[beta]
 
@@ -631,12 +640,12 @@ class TestDraws:
 
         monkeypatch.setattr(fleet_sim, "_redraw", spy)
         _net, log = reference_scenario
-        equipped = equipped_set(reference_fleet, [(b + 1) // 2 for b in reference_fleet.b])
+        sensors = tuple((b + 1) // 2 for b in reference_fleet.b)
         for seed in range(10):
-            simulate(log, reference_fleet, SimConfig(seed, beta, equipped))
+            simulate(log, reference_fleet, SimConfig(seed, beta, sensors))
         assert calls == []
         monkeypatch.setattr(fleet_sim, "PCG64", SparseWords)
-        simulate(log, reference_fleet, SimConfig(0, beta, equipped))
+        simulate(log, reference_fleet, SimConfig(0, beta, sensors))
         assert calls
 
     @pytest.mark.parametrize("beta", [0.0, 1.0])
@@ -654,12 +663,12 @@ class TestDraws:
 
         monkeypatch.setattr(fleet_sim, "_guided_bikes", spy)
         _net, log = reference_scenario
-        equipped = equipped_set(reference_fleet, [(b + 1) // 2 for b in reference_fleet.b])
+        sensors = tuple((b + 1) // 2 for b in reference_fleet.b)
         for seed in range(10):
-            simulate(log, reference_fleet, SimConfig(seed, beta, equipped))
+            simulate(log, reference_fleet, SimConfig(seed, beta, sensors))
         assert calls == []
         monkeypatch.setattr(fleet_sim, "PCG64", SparseWords)
-        cfg = SimConfig(0, beta, equipped)
+        cfg = SimConfig(0, beta, sensors)
         replay = simulate(log, reference_fleet, cfg)
         assert calls == [(log, reference_fleet, cfg)]
         assert replay.bike_of_trip.tolist() == guided_bikes(log, reference_fleet, cfg)
@@ -682,10 +691,10 @@ class TestDraws:
         monkeypatch.setattr(fleet_sim, "_CHUNK", 64)
         monkeypatch.setattr(SparseWords, "made", [])
         _net, log = small_scenario
-        equipped = equipped_set(small_fleet, [(b + 1) // 2 for b in small_fleet.b])
+        sensors = tuple((b + 1) // 2 for b in small_fleet.b)
         sizes = _pool_sizes(log, small_fleet).tolist()
         for seed in range(3):
-            guided = fleet_sim._guided_bikes(log, small_fleet, SimConfig(seed, 0.0, equipped))
+            guided = fleet_sim._guided_bikes(log, small_fleet, SimConfig(seed, 0.0, sensors))
             assert SparseWords.made[-1].taken > 2 * len(log.ids)
             picks, rejected = inline_picks(seed, sizes, SparseWords)
             assert rejected
@@ -697,25 +706,58 @@ class TestFleetPlan:
         plan = FleetPlan([3, 0, 2])
         assert plan.bikes == [[0, 1, 2], [], [3, 4]]
         assert plan.home_stands().tolist() == [0, 0, 0, 2, 2]
-        assert equipped_set(plan, [2, 0, 1]) == frozenset({0, 1, 3})
+        one_trip_per_bike = Replay(np.arange(5), plan.home_stands(), [f"t{bike}" for bike in range(5)])
+        check_sensors(plan, [2, 0, 1])
+        assert np.flatnonzero(one_trip_per_bike.rode((2, 0, 1))).tolist() == [0, 1, 3]
+        assert not one_trip_per_bike.rode(()).any() and not one_trip_per_bike.rode((0, 0, 0)).any()
+        log = toy_log([(0, 2, 3, 4)], num_stands=3)
+        refusals = {(2, 0): "^2 sensor counts for 3 stands$", (2, 1, 1): "^stand 1: 1 sensors for 0 bikes$",
+                    (-1, 0, 0): "^stand 0: -1 sensors for 3 bikes$", (2, 0, 3): "^stand 2: 3 sensors for 2 bikes$"}
+        for sensors, message in refusals.items():
+            with pytest.raises(MalformedInputError, match=message):
+                check_sensors(plan, sensors)
+            for beta in (0.0, 0.5, 1.0):  # refused before any path is taken
+                with pytest.raises(MalformedInputError, match=message):
+                    simulate(log, plan, SimConfig(0, beta, sensors))
 
 
 class TestEquippedSet:
+    """A plan's counts equip the first n_s bikes of each stand s."""
+
     def test_first_n_per_stand(self):
         plan = FleetPlan([3, 2])
-        assert equipped_set(plan, [2, 1]) == frozenset({0, 1, 3})
+        one_trip_per_bike = Replay(np.arange(5), plan.home_stands(), [f"t{bike}" for bike in range(5)])
+        assert np.flatnonzero(one_trip_per_bike.rode((2, 1))).tolist() == [0, 1, 3]
+        assert first_bikes(plan.b, (2, 1)) == {0, 1, 3}
 
     def test_over_capacity_rejected(self):
         plan = FleetPlan([1, 0])
-        with pytest.raises(Exception):
-            equipped_set(plan, [2, 0])
+        with pytest.raises(MalformedInputError, match="^stand 0: 2 sensors for 1 bikes$"):
+            check_sensors(plan, [2, 0])
+
+    @pytest.mark.parametrize("scenario", ["small", "reference"])
+    def test_rode_is_membership_in_the_first_bikes(self, request, scenario):
+        """rode compares each bike's rank in its stand with the stand's count;
+        it flags the rows whose bike is one of the first n_s ids of its stand."""
+        _net, log = request.getfixturevalue(f"{scenario}_scenario")
+        fleet = request.getfixturevalue(f"{scenario}_fleet")
+        replay = simulate(log, fleet, SimConfig(seed=3))
+        b = np.array(fleet.b)
+        rng = np.random.default_rng(17)
+        plans = [0 * b, b, *(rng.integers(0, b + 1) for _ in range(20))]
+        drawn = np.array(plans[2:])
+        assert ((drawn == 0) & (b > 0)).any() and ((drawn == b) & (b > 0)).any()
+        for n in plans:
+            sensors = tuple(n.tolist())
+            expected = np.isin(replay.bike_of_trip, sorted(first_bikes(fleet.b, sensors)))
+            assert replay.rode(sensors).tolist() == expected.tolist()
 
 
 class TestTrajectoryDump:
     def test_round_trip_with_metadata(self, small_scenario, small_fleet, tmp_path):
         _net, log = small_scenario
-        equipped = equipped_set(small_fleet, [min(1, b) for b in small_fleet.b])
-        cfg = SimConfig(seed=13, beta=0.4, equipped=equipped)
+        sensors = tuple(min(1, b) for b in small_fleet.b)
+        cfg = SimConfig(seed=13, beta=0.4, sensors=sensors)
         trajs = simulate(log, small_fleet, cfg)
         out = tmp_path / "traj.json"
         save_trajectories(trajs, cfg, out, "ab" * 32)
@@ -726,12 +768,12 @@ class TestTrajectoryDump:
         assert meta["seed"] == 13
         assert meta["beta"] == 0.4
         assert meta["generator"] == "numpy-pcg64"
-        assert set(meta["equipped"]) == set(equipped)
+        assert meta["sensors"] == list(sensors)
 
     def test_round_trip_keeps_every_column(self, small_scenario, small_fleet, tmp_path):
         _net, log = small_scenario
-        equipped = equipped_set(small_fleet, [min(1, b) for b in small_fleet.b])
-        cfg = SimConfig(seed=21, beta=0.6, equipped=equipped)
+        sensors = tuple(min(1, b) for b in small_fleet.b)
+        cfg = SimConfig(seed=21, beta=0.6, sensors=sensors)
         trajs = simulate(log, small_fleet, cfg)
         out = tmp_path / "traj.json"
         save_trajectories(trajs, cfg, out, "ab" * 32)

@@ -151,7 +151,7 @@ class TestRunPipeline:
         assert run_pipeline(spec) == run_pipeline(small_spec())
 
     def test_noactive_methods_share_trajectories(self):
-        # same equipped set => identical scores between the two cached paths
+        # same sensors => identical scores between the two cached paths
         spec = small_spec(budgets=[2], methods=(METHOD_OPTIMIZED, METHOD_ACTIVE), betas=[0.0])
         rows, _ = run_pipeline(spec)
         optimized = {(r.rep): r.phi_pct for r in rows if r.method == METHOD_OPTIMIZED}
@@ -250,21 +250,21 @@ class TestRunPipeline:
         net = ev.data.net
         scores = set()
         for budget in spec.budgets:
-            equipped = ev.greedy(budget)
+            sensors = ev.greedy(budget)
             for beta in (0.0, *spec.betas):
                 for rep in range(spec.replications):
-                    trajs = ev.trajectories(rep, beta, equipped)
+                    trajs = ev.trajectories(rep, beta, sensors)
                     for delta_h in spec.deltas:
                         grid = IntervalGrid(*ev.data.log.horizon, delta_h)
-                        counts = coverage_counts(ev.data.log.events, trajs, equipped, grid, net.num_segments)
-                        phi = ev.phi(trajs, equipped, delta_h)
+                        counts = coverage_counts(ev.data.log.events, trajs, sensors, grid, net.num_segments)
+                        phi = ev.phi(trajs, sensors, delta_h)
                         assert phi == sensing_score(counts, net.seg_length_m, grid)
                         scores.add(phi)
         assert len(scores) > 10 and min(scores) > 0
         assert sorted(ev._cells) == sorted(spec.deltas)
         copied = Replay(trajs.bike_of_trip, trajs.homes, list(trajs.trip_ids))
         with pytest.raises(ValueError, match="own log"):
-            ev.phi(copied, equipped, 1.0)
+            ev.phi(copied, sensors, 1.0)
 
     def test_budget_below_one_rejected(self):
         with pytest.raises(ValueError, match="budget must be >= 1, got 0"):
@@ -314,7 +314,6 @@ class TestSensorRequirement:
 
         from velosense.allocation import build_instance, solve_greedy
         from velosense.coverage_model import estimate_probabilities
-        from velosense.fleet_sim import equipped_set
         from velosense.harness import Evaluator
 
         ev = Evaluator(spec)
@@ -325,11 +324,11 @@ class TestSensorRequirement:
             if budget == 0:
                 return 0.0
             plan = solve_greedy(build_instance(matrix, data.net, data.fleet, budget))
-            equipped = equipped_set(data.fleet, plan.n)
+            sensors = tuple(plan.n)
             return float(
                 np.mean(
                     [
-                        ev.phi(ev.trajectories(rep, spec.betas[0], equipped), equipped, 16.0)
+                        ev.phi(ev.trajectories(rep, spec.betas[0], sensors), sensors, 16.0)
                         for rep in range(spec.replications)
                     ]
                 )
@@ -393,13 +392,13 @@ class TestSensorRequirement:
         events = []  # each replay asked for, then the scores taken from it
         trajectories, phi = harness.Evaluator.trajectories, harness.Evaluator.phi
 
-        def recording_trajectories(self, rep, replay_beta, equipped):
-            events.append(("replay", rep, equipped))
-            return trajectories(self, rep, replay_beta, equipped)
+        def recording_trajectories(self, rep, replay_beta, sensors):
+            events.append(("replay", rep, sensors))
+            return trajectories(self, rep, replay_beta, sensors)
 
-        def recording_phi(self, trajs, equipped, delta_h):
-            events.append(("score", delta_h, equipped))
-            return phi(self, trajs, equipped, delta_h)
+        def recording_phi(self, trajs, sensors, delta_h):
+            events.append(("score", delta_h, sensors))
+            return phi(self, trajs, sensors, delta_h)
 
         monkeypatch.setattr(harness.Evaluator, "trajectories", recording_trajectories)
         monkeypatch.setattr(harness.Evaluator, "phi", recording_phi)
@@ -407,12 +406,12 @@ class TestSensorRequirement:
         target = 10.0
         sensor_requirement(spec, target_phi_pct=target)
         cells = []  # (interval, budget, rep) per score
-        for kind, key, equipped in events:
+        for kind, key, sensors in events:
             if kind == "replay":
-                rep, replayed = key, equipped
+                rep, replayed = key, sensors
             else:
-                assert equipped == replayed
-                cells.append((key, len(equipped), rep))  # a plan at budget <= fleet equips that many bikes
+                assert sensors == replayed
+                cells.append((key, sum(sensors), rep))  # a plan at budget <= fleet equips that many bikes
         assert len(cells) == len(set(cells))
         replays = configs[spec.coverage_runs:]
 
@@ -425,7 +424,7 @@ class TestSensorRequirement:
             assert len(replays) == spec.replications
         else:
             assert all(cfg.beta == beta for cfg in replays)
-            assert len(replays) == len({(cfg.equipped, cfg.seed) for cfg in replays})
+            assert len(replays) == len({(cfg.sensors, cfg.seed) for cfg in replays})
             assert len(replays) == len({(budget, rep) for _d, budget, rep in cells})
             assert len(replays) < len(cells)  # a replay serves several intervals
 
@@ -460,9 +459,9 @@ def _oracle_search(spec, target):
     beta = spec.betas[0]
 
     def mean_phi(budget, delta_h):
-        equipped = ev.greedy(budget)
+        sensors = ev.greedy(budget)
         phis = [
-            ev.phi(ev.trajectories(rep, beta, equipped), equipped, delta_h)
+            ev.phi(ev.trajectories(rep, beta, sensors), sensors, delta_h)
             for rep in range(spec.replications)
         ]
         return float(np.mean(phis))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from velosense.errors import MalformedInputError
-from velosense.fleet_sim import Replay, SimConfig, _equipped_rows, equipped_set, simulate
+from velosense.fleet_sim import Replay, SimConfig, _equipped_rows, simulate
 from velosense.metrics import (
     IntervalGrid,
     count_cells,
@@ -18,6 +18,7 @@ from velosense.trips import Path, Stand, Trip, TripEvents
 
 from oracles import (
     coverage_counts_loop,
+    first_bikes,
     per_bike_assembly,
     rank_correlation,
     touched_length_fraction_pct,
@@ -41,8 +42,9 @@ def traj(bike, events, home=0):
 
 def replay(*rides):
     """The event table of a log whose trip i is rides[i]'s, and the replay, built
-    from columns, in which bike i serves trip i."""
+    from columns, in which bike i serves trip i; homes ascend, as a fleet's do."""
     assert [t.bike for t in rides] == list(range(len(rides)))
+    assert [t.home for t in rides] == sorted(t.home for t in rides)
     pairs = [event for t in rides for event in t.events]
     segment, minute = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     trip = np.repeat(np.arange(len(rides)), [len(t.events) for t in rides])
@@ -72,13 +74,13 @@ class TestIntervalGrid:
 class TestCoverageCounts:
     def test_no_equipped_bikes_gives_zero_matrix(self):
         grid = IntervalGrid(360, 1320, 16.0)
-        counts = coverage_counts(*replay(traj(0, [(1, 400)])), frozenset(), grid, 5)
+        counts = coverage_counts(*replay(traj(0, [(1, 400)])), (), grid, 5)
         assert counts.shape == (5, 1)
         assert counts.sum() == 0
 
     def test_single_event_at_horizon_start(self):
         grid = IntervalGrid(360, 1320, 16.0)
-        counts = coverage_counts(*replay(traj(0, [(3, 360)])), {0}, grid, 5)
+        counts = coverage_counts(*replay(traj(0, [(3, 360)])), (1,), grid, 5)
         assert counts[3, 0] == 1
         assert counts.sum() == 1
 
@@ -87,40 +89,45 @@ class TestCoverageCounts:
         trajs = replay(
             traj(0, [(0, 5), (1, 7), (0, 60)]),
             traj(1, [(2, 10)]),
-            traj(2, [(0, 100)] * 4),
+            traj(2, [(0, 100)] * 4, home=1),
         )
-        counts = coverage_counts(*trajs, {0, 2}, grid, 3)
+        counts = coverage_counts(*trajs, (1, 1), grid, 3)  # bikes 0 and 2
         assert counts.sum() == 3 + 4
 
     def test_events_outside_horizon_are_not_counted(self):
         grid = IntervalGrid(360, 1320, 16.0)
-        counts = coverage_counts(*replay(traj(0, [(0, 359), (0, 1321), (1, 1320)])), {0}, grid, 2)
+        counts = coverage_counts(*replay(traj(0, [(0, 359), (0, 1321), (1, 1320)])), (1,), grid, 2)
         assert counts.tolist() == [[0], [1]]
 
     def test_segment_beyond_network_rejected(self):
         grid = IntervalGrid(360, 1320, 16.0)
         with pytest.raises(MalformedInputError, match="segment"):
-            coverage_counts(*replay(traj(0, [(5, 400)])), {0}, grid, 2)
+            coverage_counts(*replay(traj(0, [(5, 400)])), (1,), grid, 2)
         message = "^an event names a segment beyond the network's 5$"
         events, trajs = replay(traj(0, [(1, 400), (5, 400)]))
         with pytest.raises(MalformedInputError, match=message):
             event_cells(events, grid, 5)
         with pytest.raises(MalformedInputError, match=message):
-            coverage_counts(events, trajs, {0}, grid, 5)
+            coverage_counts(events, trajs, (1,), grid, 5)
 
 
 # Hand-made replays: events at the horizon start and end, after the end,
-# and on unequipped bikes, with (equipped, horizon, num_segments)
+# and on unequipped bikes, with (sensors, horizon, num_segments)
 HAND_CASES = [
-    ([traj(0, [(1, 360), (2, 1320), (3, 1321)])], {0}, (360, 1320), 4),
-    ([traj(0, [(1, 400)]), traj(1, [(2, 400)], home=3)], {1}, (360, 1320), 3),
+    ([traj(0, [(1, 360), (2, 1320), (3, 1321)])], (1,), (360, 1320), 4),
+    ([traj(0, [(1, 400)]), traj(1, [(2, 400)], home=3)], (0, 0, 0, 1), (360, 1320), 3),
     (
-        [traj(0, [(0, 360), (1, 1319), (1, 1320), (2, 1400)]), traj(1, [(2, 900)]), traj(2, [])],
-        {0, 2},
+        [traj(0, [(0, 360), (1, 1319), (1, 1320), (2, 1400)]), traj(1, [(2, 900)]), traj(2, [], home=1)],
+        (1, 1),
         (360, 1320),
         3,
     ),
 ]
+
+
+def bikes_per_stand(rides, sensors):
+    """One count per stand of sensors: the stands' bikes, given each ride is one bike's."""
+    return np.bincount([t.home for t in rides], minlength=len(sensors)).tolist()
 
 
 class TestCoverageCountsOracle:
@@ -129,18 +136,19 @@ class TestCoverageCountsOracle:
     @pytest.mark.parametrize("delta", [16.0, 4.0, 1.0, 0.5])
     @pytest.mark.parametrize("case", range(len(HAND_CASES)))
     def test_hand_cases(self, case, delta):
-        trajs, equipped, horizon, num_segments = HAND_CASES[case]
+        trajs, sensors, horizon, num_segments = HAND_CASES[case]
         grid = IntervalGrid(*horizon, delta)
+        equipped = first_bikes(bikes_per_stand(trajs, sensors), sensors)
         expected = coverage_counts_loop(
             [(t.bike, t.events) for t in trajs], equipped, *horizon, grid.delta_min, num_segments
         )
-        assert coverage_counts(*replay(*trajs), equipped, grid, num_segments).tolist() == expected
+        assert coverage_counts(*replay(*trajs), sensors, grid, num_segments).tolist() == expected
 
     @pytest.mark.parametrize("delta", [16.0, 4.0, 1.0, 0.5])
     def test_simulated_replay(self, small_scenario, small_fleet, delta):
         net, log = small_scenario
-        equipped = equipped_set(small_fleet, [min(1, b) for b in small_fleet.b])
-        trajs = simulate(log, small_fleet, SimConfig(seed=12, beta=0.6, equipped=equipped))
+        sensors = tuple(min(1, b) for b in small_fleet.b)
+        trajs = simulate(log, small_fleet, SimConfig(seed=12, beta=0.6, sensors=sensors))
         grid = IntervalGrid(*log.horizon, delta)
         assembled = per_bike_assembly(
             log.trips,
@@ -151,12 +159,12 @@ class TestCoverageCountsOracle:
         assert any(m > log.horizon[1] for _b, _h, _s, events in assembled for _seg, m in events)
         expected = coverage_counts_loop(
             [(bike, events) for bike, _home, _served, events in assembled],
-            equipped,
+            first_bikes(small_fleet.b, sensors),
             *log.horizon,
             grid.delta_min,
             net.num_segments,
         )
-        assert coverage_counts(log.events, trajs, equipped, grid, net.num_segments).tolist() == expected
+        assert coverage_counts(log.events, trajs, sensors, grid, net.num_segments).tolist() == expected
 
 
 class TestEventCells:
@@ -169,12 +177,15 @@ class TestEventCells:
         grid = IntervalGrid(t0, t_end, delta)
         for _ in range(20):
             bikes = int(rng.integers(1, 8))
+            homes = np.sort(rng.integers(0, 3, bikes)).tolist()
             trajs = []
             for bike, size in enumerate(rng.integers(0, 6, bikes).tolist()):
                 segments = rng.integers(0, num_segments, size).tolist()
-                trajs.append(traj(bike, zip(segments, rng.integers(t0, t_end + 60, size).tolist())))
+                trajs.append(traj(bike, zip(segments, rng.integers(t0, t_end + 60, size).tolist()), homes[bike]))
             trajs[0].events += [(0, t_end), (num_segments - 1, t_end), (1, t_end + 1)]  # at T, and past it
-            equipped = set(rng.choice(bikes, int(rng.integers(0, bikes + 1)), replace=False).tolist())
+            b = np.bincount(homes, minlength=3)
+            sensors = tuple(rng.integers(0, b + 1).tolist())
+            equipped = first_bikes(b, sensors)
             expected = coverage_counts_loop(
                 [(t.bike, t.events) for t in trajs], equipped, t0, t_end, grid.delta_min, num_segments
             )
@@ -186,7 +197,7 @@ class TestEventCells:
             counts = np.bincount(cells[equipped_events], minlength=size + 1)[:size]
             assert counts.reshape(num_segments, grid.n_intervals).tolist() == expected
             shape = (num_segments, grid.n_intervals)
-            assert count_cells(cells, events.trip, trajs.rode(equipped), shape).tolist() == expected
+            assert count_cells(cells, events.trip, trajs.rode(sensors), shape).tolist() == expected
 
     def test_out_of_horizon_events_fall_one_past_the_grid(self):
         grid = IntervalGrid(360, 1320, 4.0)
@@ -198,9 +209,10 @@ class TestCountCells:
     """A count needs only which trip rows rode an equipped bike."""
 
     def test_rode_flags_the_rows_of_equipped_bikes(self):
-        _events, trajs = replay(traj(0, [(0, 400)]), traj(1, []), traj(2, [(1, 400)]))
-        assert trajs.rode({0, 2}).tolist() == [True, False, True]
-        assert trajs.rode(frozenset()).tolist() == [False] * 3
+        _events, trajs = replay(traj(0, [(0, 400)]), traj(1, []), traj(2, [(1, 400)], home=1))
+        assert trajs.rode((1, 1)).tolist() == [True, False, True]
+        assert trajs.rode((2, 0)).tolist() == [True, True, False]
+        assert trajs.rode(()).tolist() == trajs.rode((0, 0)).tolist() == [False] * 3
 
     @pytest.mark.parametrize("scenario", ["small", "reference"])
     def test_beta_one_scan_flags_count_as_the_replay(self, request, scenario):
@@ -214,17 +226,17 @@ class TestCountCells:
         grids = [IntervalGrid(*log.horizon, delta) for delta in (1.0, 4.0, 16.0)]
         cells = [event_cells(log.events, grid, net.num_segments) for grid in grids]
         for n in plans:
-            equipped = equipped_set(fleet, n)
-            rode, _sizes = _equipped_rows(log, fleet, equipped)
+            sensors = tuple(n)
+            rode, _sizes = _equipped_rows(log, fleet, sensors)
             scanned = [
                 count_cells(grid_cells, log.events.trip, rode, (net.num_segments, grid.n_intervals))
                 for grid, grid_cells in zip(grids, cells)
             ]
-            assert all(counts.any() == bool(equipped) for counts in scanned)
+            assert all(counts.any() == any(sensors) for counts in scanned)
             for seed in range(5):
-                trajs = simulate(log, fleet, SimConfig(seed, 1.0, equipped))
+                trajs = simulate(log, fleet, SimConfig(seed, 1.0, sensors))
                 for grid, counts in zip(grids, scanned):
-                    assert np.array_equal(counts, coverage_counts(log.events, trajs, equipped, grid, net.num_segments))
+                    assert np.array_equal(counts, coverage_counts(log.events, trajs, sensors, grid, net.num_segments))
 
 
 class TestSensingScore:
@@ -269,36 +281,36 @@ class TestWithinHorizon:
     def test_keeps_horizon_end_and_drops_later_events(self):
         grid = IntervalGrid(360, 1320, 16.0)
         trajs = replay(traj(0, [(1, 360), (2, 1320), (3, 1321)]))
-        assert coverage_counts(*trajs, {0}, grid, 4).tolist() == [[0], [1], [1], [0]]
+        assert coverage_counts(*trajs, (1,), grid, 4).tolist() == [[0], [1], [1], [0]]
 
     def test_drops_unequipped_bikes(self):
         grid = IntervalGrid(360, 1320, 16.0)
         trajs = replay(traj(0, [(1, 400)]), traj(1, [(2, 400)], home=3))
-        assert coverage_counts(*trajs, {1}, grid, 3).tolist() == [[0], [0], [1]]
+        assert coverage_counts(*trajs, (0, 0, 0, 1), grid, 3).tolist() == [[0], [0], [1]]
 
 
 class TestScoreProperties:
-    def _scored(self, scenario, fleet, equipped, delta):
+    def _scored(self, scenario, fleet, sensors, delta):
         net, log = scenario
         trajs = simulate(log, fleet, SimConfig(seed=12))
         grid = IntervalGrid(*log.horizon, delta)
-        counts = coverage_counts(log.events, trajs, equipped, grid, net.num_segments)
+        counts = coverage_counts(log.events, trajs, sensors, grid, net.num_segments)
         return sensing_score(counts, net.seg_length_m, grid)
 
     def test_equipped_superset_monotonicity(self, small_scenario, small_fleet):
         rng = np.random.default_rng(20)
-        bikes = list(range(small_fleet.num_bikes))
+        b = np.array(small_fleet.b)
         for _ in range(10):
-            base = set(rng.choice(bikes, size=5, replace=False).tolist())
-            extra = base | set(rng.choice(bikes, size=5, replace=False).tolist())
-            phi_small = self._scored(small_scenario, small_fleet, frozenset(base), 4.0)
-            phi_big = self._scored(small_scenario, small_fleet, frozenset(extra), 4.0)
+            base = rng.integers(0, b + 1)
+            extra = base + rng.integers(0, b - base + 1)
+            phi_small = self._scored(small_scenario, small_fleet, tuple(base.tolist()), 4.0)
+            phi_big = self._scored(small_scenario, small_fleet, tuple(extra.tolist()), 4.0)
             assert phi_small <= phi_big + 1e-12
 
     def test_refining_intervals_never_raises_score(self, small_scenario, small_fleet):
-        equipped = equipped_set(small_fleet, [min(1, b) for b in small_fleet.b])
+        sensors = tuple(min(1, b) for b in small_fleet.b)
         phis = [
-            self._scored(small_scenario, small_fleet, equipped, delta)
+            self._scored(small_scenario, small_fleet, sensors, delta)
             for delta in (16.0, 8.0, 4.0, 1.0)
         ]
         assert phis == sorted(phis, reverse=True)
@@ -307,8 +319,7 @@ class TestScoreProperties:
         self, small_scenario, small_fleet
     ):
         net, log = small_scenario
-        everyone = frozenset(range(small_fleet.num_bikes))
-        phi = self._scored(small_scenario, small_fleet, everyone, 16.0)
+        phi = self._scored(small_scenario, small_fleet, tuple(small_fleet.b), 16.0)
         t0, t_end = log.horizon
         assert phi == pytest.approx(
             touched_length_fraction_pct(log, net.seg_length_m, t0, t_end), abs=1e-9
@@ -337,13 +348,13 @@ class TestHourlyDiagnostics:
     """The diagnostics count nothing: they take a score's 1 h counts."""
 
     @staticmethod
-    def diagnose(events, trajs, equipped, log, num_segments):
-        return hourly_diagnostics(coverage_counts(events, trajs, equipped, hour_grid(log), num_segments), log)
+    def diagnose(events, trajs, sensors, log, num_segments):
+        return hourly_diagnostics(coverage_counts(events, trajs, sensors, hour_grid(log), num_segments), log)
 
     def test_single_trip_row(self):
         path = Path((4,), (0, 1), (900.0,), 900.0)
         log = trip_log([Trip("a", 0, 1, 390, path, 5)], [Stand(0, 0), Stand(1, 1)], (360, 1320), 200.0)
-        report = self.diagnose(*replay(traj(0, [(4, 390)])), {0}, log, 5)
+        report = self.diagnose(*replay(traj(0, [(4, 390)])), (1,), log, 5)
         assert report.first_hour == 6
         assert report.trips_started.tolist() == [1] + [0] * 15
         # one equipped entry: segment 4 in hour 6, column 0
@@ -353,7 +364,7 @@ class TestHourlyDiagnostics:
 
     def test_no_equipped_bikes_reports_absent_correlation(self):
         log = hourly_demand_log()
-        report = self.diagnose(*replay(traj(0, [(0, 400)])), frozenset(), log, 1)
+        report = self.diagnose(*replay(traj(0, [(0, 400)])), (), log, 1)
         assert not report.counts.any()
         assert report.trip_event_correlation is None
 
@@ -363,7 +374,7 @@ class TestHourlyDiagnostics:
         log = hourly_demand_log()
         plan = initial_bike_counts(log)
         trajs = simulate(log, plan, SimConfig(seed=7))
-        report = self.diagnose(log.events, trajs, frozenset(range(plan.num_bikes)), log, 1)
+        report = self.diagnose(log.events, trajs, tuple(plan.b), log, 1)
         assert report.trip_event_correlation is not None
         assert report.trip_event_correlation > 0
         xs = report.trips_started.tolist()
@@ -373,10 +384,10 @@ class TestHourlyDiagnostics:
     def test_per_segment_counts_equal_hourly_coverage_counts(self, small_scenario, small_fleet):
         net, log = small_scenario
         trajs = simulate(log, small_fleet, SimConfig(seed=3))
-        equipped = equipped_set(small_fleet, [min(2, b) for b in small_fleet.b])
+        sensors = tuple(min(2, b) for b in small_fleet.b)
         grid = IntervalGrid(*log.horizon, 1.0)
         assert hour_grid(log) == grid
-        counts = coverage_counts(log.events, trajs, equipped, grid, net.num_segments)
+        counts = coverage_counts(log.events, trajs, sensors, grid, net.num_segments)
         report = hourly_diagnostics(counts, log)
         assert report.first_hour == log.horizon[0] // 60
         t0, t_end = log.horizon
@@ -385,7 +396,7 @@ class TestHourlyDiagnostics:
         assert report.trips_started.tolist() == [hours.count(h) for h in range(16)]
         assert report.counts is counts
         assert report.counts.sum() > 0
-        four_hours = coverage_counts(log.events, trajs, equipped, IntervalGrid(*log.horizon, 4.0), net.num_segments)
+        four_hours = coverage_counts(log.events, trajs, sensors, IntervalGrid(*log.horizon, 4.0), net.num_segments)
         with pytest.raises(ValueError, match="16 hours"):
             hourly_diagnostics(four_hours, log)
 

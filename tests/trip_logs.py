@@ -69,8 +69,9 @@ def raw_concat(*raws):
     )
 
 
-def coverage_counts(events, replay, equipped, grid, num_segments):
-    """Equipped-bike entries per (segment, interval) of `replay` over `events`, the
-    event table of its log, counted as `score` and `Evaluator.phi` count them."""
+def coverage_counts(events, replay, sensors, grid, num_segments):
+    """Entries of bikes with a sensor, under the per-stand counts `sensors`, per
+    (segment, interval) of `replay` over `events`, the event table of its log,
+    counted as `score` and `Evaluator.phi` count them."""
     cells = event_cells(events, grid, num_segments)
-    return count_cells(cells, events.trip, replay.rode(equipped), (num_segments, grid.n_intervals))
+    return count_cells(cells, events.trip, replay.rode(sensors), (num_segments, grid.n_intervals))
